@@ -35,7 +35,6 @@ use storage_engine::backend::{
 };
 use storage_engine::{
     AdmissionConfig, ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig,
-    StorageEngine,
 };
 use workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver, OpenLoopReport};
 
@@ -130,7 +129,7 @@ fn overload_workload(interarrival_ns: u64, requests: u64) -> OpenLoopConfig {
 pub struct SloPoint {
     /// Whether the SLO policies (admission + load-aware scheduling) were on.
     pub slo: bool,
-    /// Sessions the arrivals were spread over (1 = single-threaded engine).
+    /// Sessions the arrivals were spread over.
     pub clients: usize,
     /// Mean inter-arrival gap of the Poisson arrival process (ns).
     pub interarrival_ns: u64,
@@ -235,25 +234,16 @@ pub fn run_point(
     let driver = OpenLoopDriver::new(overload_workload(interarrival_ns, requests));
     let backend = overload_backend(slo);
     let cfg = overload_engine_config(slo);
-    let report;
-    let setup_committed;
-    if clients <= 1 {
-        let mut engine = StorageEngine::new(Box::new(backend), cfg);
-        let t0 = driver.setup(&mut engine, 0)?;
-        setup_committed = engine.committed();
-        let mut slots: [&mut dyn EngineOps; 1] = [&mut engine];
-        report = driver.run(&mut slots, t0)?;
-    } else {
-        let engine = ConcurrentEngine::new(Box::new(backend), cfg, clients);
-        let mut sessions: Vec<ClientSession> = (0..clients).map(|_| engine.session()).collect();
-        let t0 = driver.setup(&mut sessions[0], 0)?;
-        setup_committed = sessions[0].committed();
-        let mut slots: Vec<&mut dyn EngineOps> = sessions
-            .iter_mut()
-            .map(|s| s as &mut dyn EngineOps)
-            .collect();
-        report = driver.run(&mut slots, t0)?;
-    }
+    let session_count = clients.max(1);
+    let engine = ConcurrentEngine::new(Box::new(backend), cfg, session_count);
+    let mut sessions: Vec<ClientSession> = (0..session_count).map(|_| engine.session()).collect();
+    let t0 = driver.setup(&mut sessions[0], 0)?;
+    let setup_committed = sessions[0].committed();
+    let mut slots: Vec<&mut dyn EngineOps> = sessions
+        .iter_mut()
+        .map(|s| s as &mut dyn EngineOps)
+        .collect();
+    let report = driver.run(&mut slots, t0)?;
     Ok(SloPoint::from_report(
         slo,
         clients,

@@ -57,3 +57,30 @@ impl Shared {
         self.c.read().len() + self.pool.sweep()
     }
 }
+
+/// The real engine's shape: one lock behind an `Arc`, reached through a
+/// handle that sessions embed.  Temporaries release at the end of their
+/// statement, so `stat` calling `count` never holds the lock twice.
+struct Handle {
+    inner: Arc<Mutex<Engine>>,
+}
+
+struct Session {
+    engine: Handle,
+}
+
+impl Handle {
+    fn count(&self) -> usize {
+        self.inner.lock().count()
+    }
+}
+
+impl Session {
+    fn op(&self) {
+        self.engine.inner.lock().step();
+    }
+
+    fn stat(&self) -> usize {
+        self.engine.count()
+    }
+}

@@ -5,7 +5,8 @@
 //! 2. An *inter-procedural* inversion: `outer` holds c and calls `helper`,
 //!    whose callee `deep` locks d; `other` holds d and (via `relay`) locks
 //!    c.  The c → d → c cycle only exists through the call graph.
-//! 3. A re-acquisition: `reentrant` locks a while already holding it.
+//! 3. A re-acquisition: `reentrant` locks a while already holding it, and
+//!    `reentrant_via_call` holds a while calling `relock`, which locks it.
 
 struct Shared {
     a: Mutex<Alpha>,
@@ -60,5 +61,16 @@ impl Shared {
         let again = self.a.lock();
         a.step();
         again.step();
+    }
+
+    fn reentrant_via_call(&self) {
+        let a = self.a.lock();
+        a.step();
+        self.relock();
+    }
+
+    fn relock(&self) {
+        let a = self.a.lock();
+        a.step();
     }
 }

@@ -1,30 +1,35 @@
 //! `latch-order`: inter-procedural lock-acquisition-order analysis.
 //!
-//! The concurrent engine documents its lock order as the field order of its
-//! `Shared` struct (`concurrent.rs`): `catalog → txns → fsm → wal → flushers
-//! → backend → shard 0 → shard 1 → …`.  This pass rebuilds that discipline
-//! from the code instead of trusting the comment:
+//! The storage engine has exactly one lock: `ConcurrentEngine.inner`, an
+//! `Arc<Mutex<StorageEngine>>` that every `ClientSession` operation takes for
+//! the duration of one engine call (`concurrent.rs`).  With a single
+//! non-reentrant lock there is no order left to invert; the deadlock that
+//! remains is *re-acquisition* — taking the engine lock, directly or through
+//! a call, while a guard over it is still alive.  This pass derives the
+//! lock graph from the code instead of trusting that description, so a
+//! second lock, an inversion between the two, or a re-acquisition fails the
+//! build the day it is written:
 //!
 //! 1. **Lock fields** — every `Mutex<_>` / `RwLock<_>` struct field in the
-//!    `storage-engine` crate (including `Vec<Mutex<_>>` collections) becomes
-//!    a graph node keyed `Struct.field`.
+//!    `storage-engine` crate (also behind an `Arc`, and `Vec<Mutex<_>>`
+//!    collections) becomes a graph node keyed `Struct.field`.
 //! 2. **Acquisition sites** — `.lock()` / `.read()` / `.write()` calls whose
 //!    receiver resolves (through `self`, struct-field chains like
-//!    `self.shared.backend`, typed locals, and loop/closure variables over
+//!    `self.engine.inner`, typed locals, and loop/closure variables over
 //!    lock collections) to a lock field.
 //! 3. **Scopes** — `let`-bound guards live until their enclosing brace
 //!    closes or an explicit `drop(guard)`; temporary guards
-//!    (`self.backend.lock().name()`) are instantaneous.  This is what keeps
-//!    `quiesce`'s block-scoped `flushers` guard from producing a phantom
-//!    `flushers → wal` edge.
+//!    (`self.inner.lock().committed()`) are instantaneous.
 //! 4. **Inter-procedural effects** — each function's transitive may-acquire
 //!    set is computed to a fixpoint over the call graph (receiver-typed
-//!    resolution: `self.pool.with_owner(..)` resolves to
-//!    `ShardedBufferPool::with_owner`, which acquires `shards`).  Calling a
+//!    resolution: in a session method `self.engine.committed()` resolves to
+//!    `ConcurrentEngine::committed`, which acquires `inner`).  Calling a
 //!    function while holding a lock adds `held → callee-acquires` edges.
-//! 5. **Cycles** — any cycle in the resulting acquisition-order graph is a
-//!    potential deadlock and fails the build.  Re-acquiring a still-held
-//!    scalar lock in the same function is reported directly.
+//! 5. **Cycles and re-acquisition** — any cycle in the resulting
+//!    acquisition-order graph is a potential deadlock and fails the build.
+//!    Re-acquiring a still-held scalar lock — in the same function, or by
+//!    calling a function whose may-acquire set contains it — is reported
+//!    directly.
 //!
 //! Collection locks (`Vec<Mutex<_>>`) are exempt from self-edges: acquiring
 //! shard *i* then shard *j* is the documented ascending-index order, which an
@@ -32,9 +37,10 @@
 //! enforced by the `for … in &self.shards` idiom instead.
 //!
 //! Known approximation: a closure passed to a lock-taking combinator (e.g.
-//! `with_shard(i, |p| …)`) is analysed as code of the *enclosing* function,
+//! `with_backend(|b| …)`) is analysed as code of the *enclosing* function,
 //! so locks taken inside the closure are not ordered against the
-//! combinator's own lock.  No current call site does this.
+//! combinator's own lock.  The combinators' docs forbid calling back into
+//! the engine from the closure; no current call site does.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -371,7 +377,7 @@ pub fn run(sources: &[SourceFile]) -> (Vec<Diagnostic>, LatchReport) {
                 }
                 EventKind::Call { callee } => {
                     let line = ft.line_of[e.offset.min(ft.line_of.len() - 1)];
-                    for (h, _, _) in &held {
+                    for (h, collection, _) in &held {
                         for a in &acquires[*callee] {
                             if a != h {
                                 report.edges.push(LockEdge {
@@ -380,6 +386,16 @@ pub fn run(sources: &[SourceFile]) -> (Vec<Diagnostic>, LatchReport) {
                                     file: ft.rel.clone(),
                                     line,
                                 });
+                            } else if !*collection {
+                                push_diag(
+                                    &mut diags,
+                                    scoped[info.file_idx],
+                                    line,
+                                    format!(
+                                        "lock `{h}` re-acquired through this call while \
+                                         already held (self-deadlock on a non-reentrant latch)"
+                                    ),
+                                );
                             }
                         }
                     }
@@ -524,6 +540,8 @@ fn collect_structs(ft: &FileText, out: &mut BTreeMap<String, BTreeMap<String, Fi
                 continue;
             }
             let ty = ty_part.trim();
+            // A lock shared through an `Arc` is still one lock.
+            let ty = ty.strip_prefix("Arc<").unwrap_or(ty);
             let kind = if let Some(inner) = ty
                 .strip_prefix("Mutex<")
                 .or_else(|| ty.strip_prefix("RwLock<"))

@@ -1,6 +1,6 @@
 //! Self-run test: the linter must come up clean on the real workspace, and
-//! its latch-order analysis must demonstrably cover the concurrent engine's
-//! lock sites — otherwise a "no findings" result proves nothing.
+//! its latch-order analysis must demonstrably cover the engine lock's
+//! acquisition sites — otherwise a "no findings" result proves nothing.
 
 use std::path::PathBuf;
 
@@ -31,50 +31,65 @@ fn latch_pass_covers_the_concurrent_engine() {
     let report = noftl_lint::run(&workspace_root(), None);
     let latch = &report.latch;
 
-    // All eight engine locks are discovered: the sharded pool (a lock
-    // collection) plus the seven Shared fields — six in the documented
-    // acquisition order plus the admission leaf (PR 9), which is only ever
-    // acquired alone.
-    assert_eq!(latch.locks.get("ShardedBufferPool.shards"), Some(&true));
-    for field in ["admission", "backend", "catalog", "flushers", "fsm", "txns", "wal"] {
-        assert_eq!(
-            latch.locks.get(&format!("Shared.{field}")),
-            Some(&false),
-            "missing lock Shared.{field}; locks = {:?}",
-            latch.locks
+    // Exactly one lock in the storage engine: the engine lock every session
+    // operation takes.  A second `Mutex`/`RwLock` field anywhere in the crate
+    // fails here before it can grow an order to get wrong.
+    assert_eq!(
+        latch.locks.iter().collect::<Vec<_>>(),
+        [(&"ConcurrentEngine.inner".to_string(), &false)],
+    );
+
+    // Every acquisition is in concurrent.rs, and the pass sees them: the
+    // engine's own accessors plus one per session operation.
+    assert!(latch.sites.len() >= 35, "sites: {}", latch.sites.len());
+    assert!(latch
+        .sites
+        .iter()
+        .all(|s| s.file == "crates/storage-engine/src/concurrent.rs"));
+
+    // Field-chain resolution (`self.engine.inner.lock()` in a session) and
+    // inter-procedural propagation (a session method calling an engine
+    // accessor) both reach the lock.
+    for f in [
+        "ClientSession::insert",
+        "ClientSession::maybe_flush",
+        "ClientSession::committed",
+        "ConcurrentEngine::with_backend",
+    ] {
+        let acquires = latch
+            .fn_acquires
+            .get(f)
+            .unwrap_or_else(|| panic!("fn_acquires should cover {f}"));
+        assert!(
+            acquires.contains("ConcurrentEngine.inner"),
+            "{f}: {acquires:?}"
         );
     }
-    assert_eq!(latch.locks.len(), 8, "locks = {:?}", latch.locks);
+    // ...and nothing below the lock takes it again.
+    for f in [
+        "StorageEngine::insert",
+        "StorageEngine::maybe_flush",
+        "StorageEngine::checkpoint",
+    ] {
+        assert!(
+            latch.fn_acquires[f].is_empty(),
+            "{f}: {:?}",
+            latch.fn_acquires[f]
+        );
+    }
 
-    // Acquisition sites in the two files that own the engine's locking.
-    let sites_in = |file: &str| {
-        latch
-            .sites
-            .iter()
-            .filter(|s| s.file == format!("crates/storage-engine/src/{file}"))
-            .count()
-    };
-    assert!(sites_in("concurrent.rs") >= 50, "sites: {}", sites_in("concurrent.rs"));
-    assert!(sites_in("shard.rs") >= 10, "sites: {}", sites_in("shard.rs"));
-
-    // Spot-check edges that pin down the documented order: catalog and
-    // txns precede wal, and everything may reach the pool shards last.
-    let has_edge = |from: &str, to: &str| latch.edges.iter().any(|e| e.from == from && e.to == to);
-    assert!(has_edge("Shared.txns", "Shared.wal"));
-    assert!(has_edge("Shared.catalog", "Shared.wal"));
-    assert!(has_edge("Shared.backend", "ShardedBufferPool.shards"));
-    assert!(has_edge("Shared.wal", "ShardedBufferPool.shards"));
-
-    // Inter-procedural propagation: a pool view's page accessors reach the
-    // shard latches through with_owner -> with_shard.
-    let with_page = latch
-        .fn_acquires
-        .get("ShardedPoolView::with_page")
-        .expect("fn_acquires should cover ShardedPoolView::with_page");
-    assert!(with_page.contains("ShardedBufferPool.shards"));
-
-    // And the documented order is in fact acyclic.
+    // One node: no order, so no edges and no cycles; re-acquisition would
+    // have been a diagnostic.
+    assert!(latch.edges.is_empty(), "edges: {:?}", latch.edges);
     assert!(latch.cycles.is_empty(), "cycles: {:?}", latch.cycles);
+    assert!(
+        !report
+            .diagnostics
+            .iter()
+            .any(|d| d.message.contains("re-acquired")),
+        "{:?}",
+        report.diagnostics
+    );
 }
 
 #[test]

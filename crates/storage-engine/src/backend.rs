@@ -129,14 +129,13 @@ pub fn parse_async_depth(value: &str) -> usize {
 /// Default client/shard count when `NOFTL_THREADS` is `on` without a number.
 pub const DEFAULT_THREADS: usize = 8;
 
-/// Resolve the concurrent-client count from the `NOFTL_THREADS` environment
-/// variable:
+/// Resolve the client count from the `NOFTL_THREADS` environment variable.
+/// It is a number of sessions (and pool shards) for drivers that sweep or
+/// storm with it, not an engine selector — there is one engine:
 ///
-/// * unset / `off` / `0` / `1` — single-threaded (1): today's
-///   [`crate::engine::StorageEngine`] code path, bit- and cycle-identical to
-///   the pre-concurrency engine (the equivalence-suite invariant);
-/// * `on` — concurrent with [`DEFAULT_THREADS`] clients / pool shards;
-/// * a number `k` — concurrent with `k` clients / pool shards.
+/// * unset / `off` / `0` / `1` — one client;
+/// * `on` — [`DEFAULT_THREADS`] clients / pool shards;
+/// * a number `k` — `k` clients / pool shards.
 pub fn threads_from_env() -> usize {
     match std::env::var("NOFTL_THREADS") {
         Ok(v) => parse_threads(&v),

@@ -713,10 +713,10 @@ impl BufferPool {
 
 /// The page-access surface the storage structures ([`crate::heap::HeapFile`],
 /// [`crate::btree::BTree`], [`crate::readahead::ScanPrefetcher`]) need from a
-/// buffer pool.  [`BufferPool`] implements it directly (single-threaded
-/// engine), and [`crate::shard::ShardedPoolView`] implements it by routing
-/// each page access to the latch-protected shard owning that page id
-/// (concurrent engine) — the heap/B+-tree code is identical on both paths.
+/// buffer pool.  [`BufferPool`] implements it directly, and
+/// [`crate::shard::ShardedBufferPool`] — the engine's pool — implements it by
+/// routing each page access to the shard owning that page id; the
+/// heap/B+-tree code is identical over either.
 ///
 /// Not object-safe (the access methods are generic over their closures), so
 /// it is used as a generic bound, monomorphised per pool type.

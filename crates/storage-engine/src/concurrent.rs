@@ -1,101 +1,59 @@
-//! The concurrent engine: N client sessions over one shared storage engine.
+//! N client sessions over one storage engine behind one lock.
 //!
-//! [`ConcurrentEngine`] is the `NOFTL_THREADS` embedding of the engine: the
-//! buffer pool is sharded by page id ([`crate::shard::ShardedBufferPool`]),
-//! every other engine component sits behind its own lock, and each client
-//! drives the engine through a [`ClientSession`] handle implementing
-//! [`EngineOps`] — the same trait surface the single-threaded
-//! [`crate::engine::StorageEngine`] exposes, so the TPC workloads run
-//! unchanged on either.  Each session records its own commit stream
-//! `(txn, commit-time)`, which is what the concurrency test harness asserts
-//! serializable per-client prefixes over.
+//! [`ConcurrentEngine`] is a [`StorageEngine`] with N buffer-pool shards
+//! inside an `Arc<Mutex<_>>`; each client drives it through a
+//! [`ClientSession`] handle implementing [`EngineOps`] — the same trait
+//! surface [`StorageEngine`] itself exposes, so the TPC workloads run
+//! unchanged on either.  A session locks the engine for exactly one
+//! operation, forwards to the engine method of the same name and unlocks; it
+//! holds no engine logic of its own.  Each session records its own commit
+//! stream `(txn, commit-time)`, which is what the concurrency test harness
+//! asserts serializable per-client prefixes over.
 //!
-//! ## Lock order
+//! ## One lock
 //!
-//! All locks form one total order and are only ever acquired along it:
-//!
-//! > catalog → transactions → free-space → WAL → flushers → backend →
-//! > shard 0 → shard 1 → …
-//!
-//! The admission-control state (`NOFTL_SLO`) is a leaf: its mutex is only
-//! ever acquired *alone* — config copied out before any other lock is taken,
-//! counters bumped after every other lock is released — so it never extends
-//! the order above.
-//!
-//! The backend lock is held across each DML operation (the virtual-time
-//! device model is single-writer); shard latches are acquired inside it, at
-//! most one at a time, by the [`crate::shard::ShardedPoolView`] page
-//! accesses.  Whole-pool sweeps (`flush_all`, `drain_reads`) visit shards in
-//! ascending index.  No code path acquires a lower-ordered lock while
-//! holding a higher-ordered one, so the lock graph is acyclic and the
-//! engine cannot deadlock.
+//! The virtual-time device model is single-writer: every page access takes
+//! `&mut dyn StorageBackend`, so an operation that touches a page needs the
+//! backend exclusively for its whole duration.  The engine lock states that
+//! directly.  Finer-grained locks underneath it (per component, per pool
+//! shard) could only ever be taken by the one caller already holding the
+//! backend, so they serialised nothing further; with a single non-reentrant
+//! lock the only deadlock left is re-acquiring it while it is held, which
+//! `noftl-lint`'s latch-order pass checks for.
 //!
 //! ## Serialization points
 //!
-//! * **WAL force order** — commits append their Commit record and force the
-//!   log under the WAL lock, so the durable commit order is the lock
-//!   acquisition order; each client's own commits are totally ordered in it
-//!   (serializable per-client commit prefixes).
+//! * **WAL force order** — a commit appends its Commit record and forces the
+//!   log inside one locked operation, so the durable commit order is the
+//!   lock acquisition order; each client's own commits are totally ordered
+//!   in it (serializable per-client commit prefixes).
 //! * **Data partitioning** — the engine is redo-only (no undo), so the
 //!   workload layer keeps clients on disjoint tables (per-client table-name
 //!   prefixes); pool frames, WAL bandwidth, flusher capacity and the per-die
-//!   device queues remain genuinely shared and contended.
-//! * **Quiesce barrier** — `quiesce` drains every shard's flusher windows,
-//!   every shard's miss-fill read window, the WAL window and the device
-//!   queues; `checkpoint` quiesces first, so the WAL checkpoint record can
-//!   never land before an in-flight write of *any* shard completes.
+//!   device queues remain genuinely shared and contended on the virtual
+//!   clock.
+//! * **Quiesce barrier** — `quiesce` and `checkpoint` are single locked
+//!   operations of the engine, so the WAL checkpoint record can never land
+//!   before an in-flight write of *any* shard completes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nand_flash::{FlashError, FlashResult};
-use parking_lot::{Mutex, RwLock};
+use nand_flash::FlashResult;
+use parking_lot::Mutex;
 use sim_utils::time::SimInstant;
 
-use crate::backend::{BackendCounters, StorageBackend, DEFAULT_SLO_FLUSH_OCCUPANCY};
-use crate::btree::BTree;
+use crate::backend::{BackendCounters, StorageBackend};
 use crate::buffer::{BufferStats, ReadaheadStats};
-use crate::catalog::Catalog;
-use crate::engine::{EngineConfig, EngineError, EngineResult};
-use crate::flusher::{FlusherPool, FlusherStats, ThrottleStats};
-use crate::free_space::FreeSpaceManager;
-use crate::heap::{HeapFile, Rid};
+use crate::engine::{EngineConfig, EngineResult, StorageEngine};
+use crate::flusher::{FlusherStats, ThrottleStats};
+use crate::heap::Rid;
 use crate::ops::EngineOps;
-use crate::page::{PageId, SlottedPage};
-use crate::readahead::ScanPrefetcher;
-use crate::shard::ShardedBufferPool;
-use crate::transaction::{
-    AdmissionControl, AdmissionStats, TransactionManager, TxnId,
-};
-use crate::wal::{LogRecord, WalManager};
-
-/// The shared state every [`ClientSession`] operates on.  Field order is
-/// documentation: it is the lock order.
-struct Shared {
-    catalog: RwLock<Catalog>,
-    txns: Mutex<TransactionManager>,
-    fsm: Mutex<FreeSpaceManager>,
-    wal: Mutex<WalManager>,
-    /// One db-writer pool per buffer-pool shard: each shard's dirty pages
-    /// are flushed by its own writers, so flush cycles of different shards
-    /// do not serialize on one flusher state.
-    flushers: Mutex<Vec<FlusherPool>>,
-    backend: Mutex<Box<dyn StorageBackend + Send>>,
-    pool: ShardedBufferPool,
-    readahead_window: usize,
-    rescued: AtomicU64,
-    /// Load-aware flusher-throttle / proactive-GC hooks in `maybe_flush`.
-    slo_scheduling: bool,
-    /// Commit-admission window (`None` = unbounded).  Leaf lock: only ever
-    /// acquired alone — never while holding, and never before taking, any
-    /// lock of the order above.
-    admission: Mutex<Option<AdmissionControl>>,
-}
+use crate::transaction::{AdmissionStats, TxnId};
+use crate::wal::WalManager;
 
 const _: () = {
     fn assert_send_sync<T: Send + Sync>() {}
     fn check() {
-        assert_send_sync::<Shared>();
         assert_send_sync::<ConcurrentEngine>();
         assert_send_sync::<ClientSession>();
     }
@@ -105,67 +63,27 @@ const _: () = {
 /// A storage engine shared by N concurrent clients.
 ///
 /// Construct once, then mint one [`ClientSession`] per client with
-/// [`ConcurrentEngine::session`].  With 1 shard the pool is a plain
-/// [`crate::buffer::BufferPool`] behind one latch and every operation mirrors
-/// the single-threaded engine's call sequence exactly — device traces, WAL
-/// contents and virtual timings are identical (the `NOFTL_THREADS=1`
-/// equivalence leg).
+/// [`ConcurrentEngine::session`].  With 1 shard this is exactly
+/// `StorageEngine::new` behind the lock — device traces, WAL contents and
+/// virtual timings are identical (the `NOFTL_THREADS=1` equivalence leg).
 pub struct ConcurrentEngine {
-    shared: Arc<Shared>,
+    /// The engine lock: the only lock in this crate.  Never held across two
+    /// operations, never re-acquired while held.
+    inner: Arc<Mutex<StorageEngine>>,
 }
 
 impl ConcurrentEngine {
     /// Create an engine over `backend` with `shards` buffer-pool shards
     /// (typically the `NOFTL_THREADS` client count).
     pub fn new(
-        mut backend: Box<dyn StorageBackend + Send>,
+        backend: Box<dyn StorageBackend + Send>,
         config: EngineConfig,
         shards: usize,
     ) -> Self {
-        // Multi-client mode: clients' virtual clocks drift apart, so their
-        // commands reach the device out of timestamp order.  Gap-backfilling
-        // occupancy keeps the device from charging queue-wait on resources
-        // that were provably idle at a laggard's submission instant.  A
-        // single shard keeps the pinned ratchet (and thereby the exact
-        // single-threaded traces).
-        if shards > 1 {
-            backend.set_backfill_occupancy(true);
-        }
-        let page_size = backend.page_size();
-        let total_pages = backend.num_pages();
-        assert!(
-            total_pages > config.log_pages + 16,
-            "backend too small for the requested log segment"
-        );
-        let data_pages = total_pages - config.log_pages;
-        let mut wal = WalManager::new(data_pages, config.log_pages, page_size);
-        wal.set_group_commit(config.wal_group_commit);
-        let pool = ShardedBufferPool::new(shards, config.buffer_frames, page_size);
-        pool.set_async_depth(config.flushers.async_depth);
-        pool.set_hit_cost_ns(config.buffer_hit_ns);
-        let flushers = (0..pool.shard_count())
-            .map(|_| {
-                let mut f = FlusherPool::new(config.flushers);
-                if config.slo_scheduling {
-                    f.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
-                }
-                f
-            })
-            .collect();
         Self {
-            shared: Arc::new(Shared {
-                catalog: RwLock::new(Catalog::new()),
-                txns: Mutex::new(TransactionManager::new()),
-                fsm: Mutex::new(FreeSpaceManager::new(0, data_pages)),
-                wal: Mutex::new(wal),
-                flushers: Mutex::new(flushers),
-                backend: Mutex::new(backend),
-                pool,
-                readahead_window: config.readahead_window,
-                rescued: AtomicU64::new(0),
-                slo_scheduling: config.slo_scheduling,
-                admission: Mutex::new(config.admission.map(AdmissionControl::new)),
-            }),
+            inner: Arc::new(Mutex::new(StorageEngine::with_shards(
+                backend, config, shards,
+            ))),
         }
     }
 
@@ -173,278 +91,126 @@ impl ConcurrentEngine {
     /// engine; each records its own commit stream.
     pub fn session(&self) -> ClientSession {
         ClientSession {
-            shared: Arc::clone(&self.shared),
+            engine: ConcurrentEngine {
+                inner: Arc::clone(&self.inner),
+            },
             commits: Vec::new(),
         }
     }
 
     /// Number of buffer-pool shards.
     pub fn shard_count(&self) -> usize {
-        self.shared.pool.shard_count()
+        self.inner.lock().pool().shard_count()
     }
 
     /// Aggregate buffer-pool statistics (summed over shards; each counter is
-    /// maintained under exactly one shard latch, so the sum is exact).
+    /// maintained by exactly one shard, so the sum is exact).
     pub fn buffer_stats(&self) -> BufferStats {
-        self.shared.pool.stats()
+        self.inner.lock().buffer_stats()
     }
 
     /// Aggregate readahead statistics.
     pub fn readahead_stats(&self) -> ReadaheadStats {
-        self.shared.pool.readahead_stats()
+        self.inner.lock().readahead_stats()
     }
 
     /// Per-shard buffer statistics, in shard-index order.  The concurrency
-    /// harness reconciles their sum against [`Self::buffer_stats`]: every
-    /// counter is maintained under exactly one shard latch, so the shard
-    /// values must add up to the aggregate exactly.
+    /// harness reconciles their sum against [`Self::buffer_stats`].
     pub fn shard_buffer_stats(&self) -> Vec<BufferStats> {
-        (0..self.shared.pool.shard_count())
-            .map(|i| self.shared.pool.with_shard(i, |s| s.stats()))
-            .collect()
+        let engine = self.inner.lock();
+        engine.pool().shards().iter().map(|s| s.stats()).collect()
     }
 
     /// Per-shard `(resident, dirty)` frame counts, in shard-index order.
     pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
-        (0..self.shared.pool.shard_count())
-            .map(|i| {
-                self.shared
-                    .pool
-                    .with_shard(i, |s| (s.resident(), s.dirty_count()))
-            })
+        let engine = self.inner.lock();
+        engine
+            .pool()
+            .shards()
+            .iter()
+            .map(|s| (s.resident(), s.dirty_count()))
             .collect()
     }
 
     /// Aggregate db-writer statistics, summed over the per-shard pools.
     pub fn flusher_stats(&self) -> FlusherStats {
-        let flushers = self.shared.flushers.lock();
-        let mut total = FlusherStats::default();
-        for f in flushers.iter() {
-            let s = f.stats();
-            total.cycles += s.cycles;
-            total.pages_flushed += s.pages_flushed;
-            total.batch_submissions += s.batch_submissions;
-            total.total_cycle_time += s.total_cycle_time;
-            total.max_cycle_time = total.max_cycle_time.max(s.max_cycle_time);
-        }
-        total
+        self.inner.lock().flusher_stats()
     }
 
     /// Aggregate flusher-throttle statistics, summed over the per-shard
     /// pools (all zero unless `NOFTL_SLO` scheduling is on).
     pub fn throttle_stats(&self) -> ThrottleStats {
-        let flushers = self.shared.flushers.lock();
-        let mut total = ThrottleStats::default();
-        for f in flushers.iter() {
-            let s = f.throttle_stats();
-            total.throttled_waves += s.throttled_waves;
-            total.clear_waves += s.clear_waves;
-        }
-        total
+        self.inner.lock().throttle_stats()
     }
 
     /// Truthful admission counters (all zero when no window is configured).
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.shared
-            .admission
-            .lock()
-            .as_ref()
-            .map(|a| a.stats())
-            .unwrap_or_default()
+        self.inner.lock().admission_stats()
     }
 
     /// Backend I/O counters.
     pub fn backend_counters(&self) -> BackendCounters {
-        self.shared.backend.lock().counters()
+        self.inner.lock().backend_counters()
     }
 
-    /// Run `f` with the backend locked (downcasting / detailed statistics).
+    /// Run `f` on the backend with the engine locked (downcasting / detailed
+    /// statistics).  `f` must not call back into this engine or its sessions.
     pub fn with_backend<R>(&self, f: impl FnOnce(&mut dyn StorageBackend) -> R) -> R {
-        f(self.shared.backend.lock().as_mut())
+        f(self.inner.lock().backend_mut())
     }
 
-    /// Run `f` with the WAL locked (recovery tests).
+    /// Run `f` on the WAL with the engine locked (recovery tests).  `f` must
+    /// not call back into this engine or its sessions.
     pub fn with_wal<R>(&self, f: impl FnOnce(&WalManager) -> R) -> R {
-        f(&self.shared.wal.lock())
+        f(self.inner.lock().wal())
     }
 
     /// Number of committed transactions (all clients).
     pub fn committed(&self) -> u64 {
-        self.shared.txns.lock().committed()
+        self.inner.lock().committed()
     }
 
     /// Number of WAL forces (group commits).
     pub fn log_forces(&self) -> u64 {
-        self.shared.wal.lock().forces()
+        self.inner.lock().log_forces()
     }
 
     /// Data pages reconstructed from WAL replay after uncorrectable reads.
     pub fn rescued_pages(&self) -> u64 {
-        self.shared.rescued.load(Ordering::Relaxed)
+        self.inner.lock().rescued_pages()
     }
 
     /// Total resident pages across shards.
     pub fn resident(&self) -> usize {
-        self.shared.pool.resident()
+        self.inner.lock().pool().resident()
     }
 
     /// Total dirty pages across shards.
     pub fn dirty_count(&self) -> usize {
-        self.shared.pool.dirty_count()
+        self.inner.lock().pool().dirty_count()
     }
 
     /// Tear the engine down and hand back the backend (crash-recovery legs
     /// re-run WAL recovery against the medium).  Panics if any
     /// [`ClientSession`] is still alive.
     pub fn into_backend(self) -> Box<dyn StorageBackend + Send> {
-        let shared = Arc::try_unwrap(self.shared)
-            .unwrap_or_else(|_| panic!("sessions still alive at into_backend"));
-        shared.backend.into_inner()
-    }
-}
-
-impl EngineOps for ConcurrentEngine {
-    fn begin(&mut self) -> TxnId {
-        self.shared.begin()
-    }
-
-    fn begin_admitted(&mut self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)> {
-        self.shared.begin_admitted(now)
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        ConcurrentEngine::admission_stats(self)
-    }
-
-    fn commit(&mut self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
-        self.shared.commit(txn, now)
-    }
-
-    fn abort(&mut self, txn: TxnId) {
-        self.shared.abort(txn)
-    }
-
-    fn create_table(&mut self, name: &str) -> bool {
-        self.shared.create_table(name)
-    }
-
-    fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool> {
-        self.shared.create_index(name, now)
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        self.shared.insert(table, txn, now, record)
-    }
-
-    fn read(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        self.shared.read(table, now, rid)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        self.shared.update(table, txn, now, rid, record)
-    }
-
-    fn delete(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(bool, SimInstant)> {
-        self.shared.delete(table, txn, now, rid)
-    }
-
-    fn scan(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        visit: &mut dyn FnMut(Rid, &[u8]),
-    ) -> FlashResult<(u64, SimInstant)> {
-        self.shared.scan(table, now, visit)
-    }
-
-    fn index_insert(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-        value: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.shared.index_insert(index, now, key, value)
-    }
-
-    fn index_get(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.shared.index_get(index, now, key)
-    }
-
-    fn index_range(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        lo: u64,
-        hi: u64,
-        visit: &mut dyn FnMut(u64, u64),
-    ) -> FlashResult<(u64, SimInstant)> {
-        self.shared.index_range(index, now, lo, hi, visit)
-    }
-
-    fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.shared.maybe_flush(now)
-    }
-
-    fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.shared.checkpoint(now)
-    }
-
-    fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        self.shared.quiesce(now)
-    }
-
-    fn backend_name(&self) -> String {
-        self.shared.backend.lock().name()
-    }
-
-    fn committed(&self) -> u64 {
-        ConcurrentEngine::committed(self)
-    }
-
-    fn dirty_fraction(&self) -> f64 {
-        self.shared.pool.dirty_fraction()
+        Arc::try_unwrap(self.inner)
+            .unwrap_or_else(|_| panic!("sessions still alive at into_backend"))
+            .into_inner()
+            .into_backend()
     }
 }
 
 /// One client's handle onto a shared [`ConcurrentEngine`].
 ///
-/// Implements [`EngineOps`], so the TPC workloads drive it exactly like the
-/// single-threaded engine.  Commits are recorded per session: the stream of
-/// `(txn, commit-time)` pairs in commit order, which the concurrency test
-/// harness asserts serializable per-client prefixes and crash-recovery
-/// durability over.
+/// Implements [`EngineOps`], so the TPC workloads drive it exactly like a
+/// [`StorageEngine`]: every method locks the engine, calls the engine method
+/// of the same name and unlocks.  Commits are recorded per session: the
+/// stream of `(txn, commit-time)` pairs in commit order, which the
+/// concurrency test harness asserts serializable per-client prefixes and
+/// crash-recovery durability over.
 pub struct ClientSession {
-    shared: Arc<Shared>,
+    engine: ConcurrentEngine,
     commits: Vec<(TxnId, SimInstant)>,
 }
 
@@ -457,38 +223,33 @@ impl ClientSession {
 
 impl EngineOps for ClientSession {
     fn begin(&mut self) -> TxnId {
-        self.shared.begin()
+        self.engine.inner.lock().begin()
     }
 
     fn begin_admitted(&mut self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)> {
-        self.shared.begin_admitted(now)
+        self.engine.inner.lock().begin_admitted(now)
     }
 
     fn admission_stats(&self) -> AdmissionStats {
-        self.shared
-            .admission
-            .lock()
-            .as_ref()
-            .map(|a| a.stats())
-            .unwrap_or_default()
+        self.engine.admission_stats()
     }
 
     fn commit(&mut self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
-        let t = self.shared.commit(txn, now)?;
+        let t = self.engine.inner.lock().commit(txn, now)?;
         self.commits.push((txn, t));
         Ok(t)
     }
 
     fn abort(&mut self, txn: TxnId) {
-        self.shared.abort(txn)
+        self.engine.inner.lock().abort(txn)
     }
 
     fn create_table(&mut self, name: &str) -> bool {
-        self.shared.create_table(name)
+        self.engine.inner.lock().create_table(name)
     }
 
     fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool> {
-        self.shared.create_index(name, now)
+        self.engine.inner.lock().create_index(name, now)
     }
 
     fn insert(
@@ -498,7 +259,7 @@ impl EngineOps for ClientSession {
         now: SimInstant,
         record: &[u8],
     ) -> EngineResult<(Rid, SimInstant)> {
-        self.shared.insert(table, txn, now, record)
+        self.engine.inner.lock().insert(table, txn, now, record)
     }
 
     fn read(
@@ -507,7 +268,7 @@ impl EngineOps for ClientSession {
         now: SimInstant,
         rid: Rid,
     ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        self.shared.read(table, now, rid)
+        self.engine.inner.lock().read(table, now, rid)
     }
 
     fn update(
@@ -518,7 +279,10 @@ impl EngineOps for ClientSession {
         rid: Rid,
         record: &[u8],
     ) -> EngineResult<(Rid, SimInstant)> {
-        self.shared.update(table, txn, now, rid, record)
+        self.engine
+            .inner
+            .lock()
+            .update(table, txn, now, rid, record)
     }
 
     fn delete(
@@ -528,7 +292,7 @@ impl EngineOps for ClientSession {
         now: SimInstant,
         rid: Rid,
     ) -> EngineResult<(bool, SimInstant)> {
-        self.shared.delete(table, txn, now, rid)
+        self.engine.inner.lock().delete(table, txn, now, rid)
     }
 
     fn scan(
@@ -537,7 +301,7 @@ impl EngineOps for ClientSession {
         now: SimInstant,
         visit: &mut dyn FnMut(Rid, &[u8]),
     ) -> FlashResult<(u64, SimInstant)> {
-        self.shared.scan(table, now, visit)
+        self.engine.inner.lock().scan(table, now, visit)
     }
 
     fn index_insert(
@@ -547,7 +311,10 @@ impl EngineOps for ClientSession {
         key: u64,
         value: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.shared.index_insert(index, now, key, value)
+        self.engine
+            .inner
+            .lock()
+            .index_insert(index, now, key, value)
     }
 
     fn index_get(
@@ -556,7 +323,7 @@ impl EngineOps for ClientSession {
         now: SimInstant,
         key: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.shared.index_get(index, now, key)
+        self.engine.inner.lock().index_get(index, now, key)
     }
 
     fn index_range(
@@ -567,483 +334,34 @@ impl EngineOps for ClientSession {
         hi: u64,
         visit: &mut dyn FnMut(u64, u64),
     ) -> FlashResult<(u64, SimInstant)> {
-        self.shared.index_range(index, now, lo, hi, visit)
+        self.engine
+            .inner
+            .lock()
+            .index_range(index, now, lo, hi, visit)
     }
 
     fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.shared.maybe_flush(now)
+        self.engine.inner.lock().maybe_flush(now)
     }
 
     fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.shared.checkpoint(now)
+        self.engine.inner.lock().checkpoint(now)
     }
 
     fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        self.shared.quiesce(now)
+        self.engine.inner.lock().quiesce(now)
     }
 
     fn backend_name(&self) -> String {
-        self.shared.backend.lock().name()
+        self.engine.inner.lock().backend_name()
     }
 
     fn committed(&self) -> u64 {
-        self.shared.txns.lock().committed()
+        self.engine.committed()
     }
 
     fn dirty_fraction(&self) -> f64 {
-        self.shared.pool.dirty_fraction()
-    }
-}
-
-impl Shared {
-    fn begin(&self) -> TxnId {
-        let mut txns = self.txns.lock();
-        let mut wal = self.wal.lock();
-        txns.begin(&mut wal)
-    }
-
-    /// Commit-admission window — the concurrent mirror of
-    /// [`crate::engine::StorageEngine::begin_admitted`], same two-round
-    /// relieving loop and shed semantics.  Locks are acquired strictly along
-    /// the order (WAL probe released before the flusher relief; the
-    /// admission leaf bumped alone at the end).
-    fn begin_admitted(&self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)> {
-        let Some(cfg) = self.admission.lock().as_ref().map(|a| a.config()) else {
-            return Ok((self.begin(), now));
-        };
-        let deadline = now.saturating_add(cfg.deadline_ns);
-        let mut t = now;
-        for _ in 0..2 {
-            let (groups, horizon) = {
-                let wal = self.wal.lock();
-                (wal.inflight_groups_at(t), wal.inflight_horizon(t))
-            };
-            let dirty = self.pool.dirty_fraction();
-            if groups < cfg.max_inflight_groups && dirty < cfg.dirty_high_watermark {
-                break;
-            }
-            let mut clear = horizon;
-            if dirty >= cfg.dirty_high_watermark {
-                clear = clear.max(self.relieve_dirty(t)?);
-            }
-            if clear <= t {
-                break;
-            }
-            if clear > deadline {
-                if let Some(a) = self.admission.lock().as_mut() {
-                    a.note_shed();
-                }
-                return Err(EngineError::Overloaded {
-                    waited_ns: clear - now,
-                    retry_after_ns: (clear - now).saturating_sub(cfg.deadline_ns),
-                });
-            }
-            t = clear;
-        }
-        if let Some(a) = self.admission.lock().as_mut() {
-            a.note_admitted(now, t);
-        }
-        Ok((self.begin(), t))
-    }
-
-    /// Relieve dirty pressure for an over-watermark admission: one flusher
-    /// cycle on every shard, unconditionally (the admission watermark may
-    /// sit below the flushers' own trigger).
-    fn relieve_dirty(&self, now: SimInstant) -> FlashResult<SimInstant> {
-        let mut flushers = self.flushers.lock();
-        let mut backend = self.backend.lock();
-        let mut t = now;
-        for (i, flusher) in flushers.iter_mut().enumerate() {
-            let done = self
-                .pool
-                .with_shard(i, |shard| flusher.run_cycle(shard, backend.as_mut(), now))?;
-            t = t.max(done);
-        }
-        Ok(t)
-    }
-
-    fn commit(&self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
-        let mut txns = self.txns.lock();
-        let mut wal = self.wal.lock();
-        let mut backend = self.backend.lock();
-        txns.commit(txn, &mut wal, backend.as_mut(), now)
-    }
-
-    fn abort(&self, txn: TxnId) {
-        let mut txns = self.txns.lock();
-        let mut wal = self.wal.lock();
-        txns.abort(txn, &mut wal);
-    }
-
-    fn create_table(&self, name: &str) -> bool {
-        self.catalog.write().add_table(HeapFile::new(name))
-    }
-
-    fn create_index(&self, name: &str, now: SimInstant) -> FlashResult<bool> {
-        let mut catalog = self.catalog.write();
-        if catalog.index(name).is_some() {
-            return Ok(false);
-        }
-        let mut fsm = self.fsm.lock();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        let (tree, _) = BTree::create(&mut view, backend.as_mut(), &mut fsm, now)?;
-        Ok(catalog.add_index(name, tree))
-    }
-
-    fn insert(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        match self.try_insert(table, txn, now, record) {
-            Err(EngineError::Flash(FlashError::UncorrectableEcc(_))) => {
-                if let Some(heap) = self.catalog.write().table_mut(table) {
-                    heap.forget_append_hint();
-                }
-                self.try_insert(table, txn, now, record)
-            }
-            r => r,
-        }
-    }
-
-    fn try_insert(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        let mut catalog = self.catalog.write();
-        let heap = catalog
-            .table_mut(table)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown table {table}"),
-            })?;
-        let mut fsm = self.fsm.lock();
-        let mut wal = self.wal.lock();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        Ok(heap.insert(
-            &mut view,
-            backend.as_mut(),
-            &mut fsm,
-            &mut wal,
-            txn,
-            now,
-            record,
-        )?)
-    }
-
-    fn read(
-        &self,
-        table: &str,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        match self.try_read(table, now, rid) {
-            Err(EngineError::Flash(e @ FlashError::UncorrectableEcc(_))) => {
-                let t = self.rescue_page(rid.page, now, e)?;
-                self.try_read(table, t, rid)
-            }
-            r => r,
-        }
-    }
-
-    fn try_read(
-        &self,
-        table: &str,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        let heap = self
-            .catalog
-            .read()
-            .table(table)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown table {table}"),
-            })?
-            .clone();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        Ok(heap.get(&mut view, backend.as_mut(), now, rid)?)
-    }
-
-    fn update(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        match self.try_update(table, txn, now, rid, record) {
-            Err(EngineError::Flash(e @ FlashError::UncorrectableEcc(_))) => {
-                let t = self.rescue_page(rid.page, now, e)?;
-                self.try_update(table, txn, t, rid, record)
-            }
-            r => r,
-        }
-    }
-
-    fn try_update(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        let mut catalog = self.catalog.write();
-        let heap = catalog
-            .table_mut(table)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown table {table}"),
-            })?;
-        let mut fsm = self.fsm.lock();
-        let mut wal = self.wal.lock();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        Ok(heap.update(
-            &mut view,
-            backend.as_mut(),
-            &mut fsm,
-            &mut wal,
-            txn,
-            now,
-            rid,
-            record,
-        )?)
-    }
-
-    fn delete(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(bool, SimInstant)> {
-        match self.try_delete(table, txn, now, rid) {
-            Err(EngineError::Flash(e @ FlashError::UncorrectableEcc(_))) => {
-                let t = self.rescue_page(rid.page, now, e)?;
-                self.try_delete(table, txn, t, rid)
-            }
-            r => r,
-        }
-    }
-
-    fn try_delete(
-        &self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(bool, SimInstant)> {
-        let mut catalog = self.catalog.write();
-        let heap = catalog
-            .table_mut(table)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown table {table}"),
-            })?;
-        let mut wal = self.wal.lock();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        Ok(heap.delete(&mut view, backend.as_mut(), &mut wal, txn, now, rid)?)
-    }
-
-    /// Reconstruct a lost heap page from WAL replay — the concurrent
-    /// counterpart of the single-threaded engine's rescue, same replay
-    /// semantics (redo-only log, post-images, empty bytes = delete).
-    fn rescue_page(
-        &self,
-        page: PageId,
-        now: SimInstant,
-        cause: FlashError,
-    ) -> EngineResult<SimInstant> {
-        let (rebuilt, touched) = {
-            let wal = self.wal.lock();
-            let page_size = self.pool.page_size();
-            let mut rebuilt = SlottedPage::new(page, page_size);
-            let mut touched = false;
-            for (_, record) in wal.records() {
-                let LogRecord::Update {
-                    page: p,
-                    slot,
-                    bytes,
-                    ..
-                } = record
-                else {
-                    continue;
-                };
-                if *p != page {
-                    continue;
-                }
-                touched = true;
-                let slot = *slot;
-                let replayed = if bytes.is_empty() {
-                    rebuilt.delete(slot);
-                    true
-                } else if slot as usize == rebuilt.slot_count() {
-                    rebuilt.insert(bytes) == Some(slot)
-                } else {
-                    rebuilt.update(slot, bytes) == Some(slot)
-                };
-                if !replayed {
-                    return Err(EngineError::UnrecoverablePage { page, cause });
-                }
-            }
-            (rebuilt, touched)
-        };
-        if !touched {
-            return Err(EngineError::UnrecoverablePage { page, cause });
-        }
-        self.pool.discard(page);
-        let mut backend = self.backend.lock();
-        let c = backend
-            .write_page(now, page, &rebuilt.to_bytes())
-            .map_err(EngineError::Flash)?;
-        self.rescued.fetch_add(1, Ordering::Relaxed);
-        Ok(c.completed_at)
-    }
-
-    fn scan_prefetcher(&self) -> ScanPrefetcher {
-        ScanPrefetcher::new(self.readahead_window, self.pool.async_depth())
-    }
-
-    fn scan(
-        &self,
-        table: &str,
-        now: SimInstant,
-        visit: &mut dyn FnMut(Rid, &[u8]),
-    ) -> FlashResult<(u64, SimInstant)> {
-        let heap = self
-            .catalog
-            .read()
-            .table(table)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown table {table}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        heap.scan_with_readahead(&mut view, backend.as_mut(), &mut ra, now, visit)
-    }
-
-    fn index_insert(
-        &self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-        value: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let mut catalog = self.catalog.write();
-        let tree = catalog
-            .index_mut(index)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown index {index}"),
-            })?;
-        let mut fsm = self.fsm.lock();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        tree.insert(&mut view, backend.as_mut(), &mut fsm, now, key, value)
-    }
-
-    fn index_get(
-        &self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let tree = self
-            .catalog
-            .read()
-            .index(index)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown index {index}"),
-            })?
-            .clone();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        tree.get(&mut view, backend.as_mut(), now, key)
-    }
-
-    fn index_range(
-        &self,
-        index: &str,
-        now: SimInstant,
-        lo: u64,
-        hi: u64,
-        visit: &mut dyn FnMut(u64, u64),
-    ) -> FlashResult<(u64, SimInstant)> {
-        let tree = self
-            .catalog
-            .read()
-            .index(index)
-            .ok_or_else(|| FlashError::InvalidAddress {
-                what: format!("unknown index {index}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
-        let mut backend = self.backend.lock();
-        let mut view = self.pool.view();
-        tree.range_with_readahead(&mut view, backend.as_mut(), &mut ra, now, lo, hi, visit)
-    }
-
-    fn maybe_flush(&self, now: SimInstant) -> FlashResult<SimInstant> {
-        let mut flushers = self.flushers.lock();
-        let mut backend = self.backend.lock();
-        let mut t = now;
-        for (i, flusher) in flushers.iter_mut().enumerate() {
-            let done = self.pool.with_shard(i, |shard| {
-                if flusher.should_flush(shard)
-                    && !flusher.throttled_wave(shard, backend.as_ref(), now)
-                {
-                    flusher.run_cycle(shard, backend.as_mut(), now)
-                } else {
-                    Ok(now)
-                }
-            })?;
-            t = t.max(done);
-        }
-        if self.slo_scheduling {
-            // Proactive GC into a read-cold instant; its cost reaches the
-            // foreground only through device-queue occupancy.
-            backend.schedule_background_gc(t)?;
-        }
-        Ok(t)
-    }
-
-    /// Barrier over all asynchronous submissions of *every* shard: the
-    /// per-shard flusher windows, every shard's miss-fill read window, the
-    /// WAL window and the backend's device queues.  Locks are acquired
-    /// sequentially (never nested), each stage folding the previous stage's
-    /// barrier instant forward.
-    fn quiesce(&self, now: SimInstant) -> SimInstant {
-        let mut t = now;
-        {
-            let mut flushers = self.flushers.lock();
-            for f in flushers.iter_mut() {
-                t = t.max(f.drain(now));
-            }
-        }
-        t = self.pool.drain_reads(t);
-        t = self.wal.lock().drain(t);
-        self.backend.lock().drain(t)
-    }
-
-    fn checkpoint(&self, now: SimInstant) -> FlashResult<SimInstant> {
-        let now = self.quiesce(now);
-        let mut wal = self.wal.lock();
-        let mut backend = self.backend.lock();
-        let t = wal.flush(backend.as_mut(), now)?;
-        let t = self.pool.flush_all(backend.as_mut(), t)?;
-        wal.append(LogRecord::Checkpoint);
-        let t = wal.flush(backend.as_mut(), t)?;
-        wal.note_checkpoint();
-        Ok(t)
+        self.engine.inner.lock().dirty_fraction()
     }
 }
 
@@ -1051,6 +369,7 @@ impl Shared {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::engine::EngineError;
 
     fn engine(shards: usize) -> ConcurrentEngine {
         let backend = MemBackend::new(4096, 4096);

@@ -1,10 +1,17 @@
-//! The storage engine facade: wires the buffer pool, free-space manager, WAL,
+//! The storage engine: wires the buffer pool, free-space manager, WAL,
 //! transactions, db-writers, tables and indexes over a pluggable backend.
 //!
 //! This is the component the workload drivers (TPC-B/C/E/H) talk to.  Every
 //! operation takes and returns virtual time so a driver can interleave many
 //! logical clients deterministically and measure transactional throughput on
 //! the virtual clock — the TPS numbers of the paper's Figures.
+//!
+//! There is one engine.  Every operation takes `&mut self`, so a sole owner
+//! drives it directly and N client sessions share it behind the one lock of
+//! [`crate::concurrent::ConcurrentEngine`] — the same code either way.  The
+//! buffer pool is split into page-id-routed shards, each flushed by its own
+//! db-writer pool ([`crate::shard`]); [`StorageEngine::new`] builds one
+//! shard, which is a plain [`crate::buffer::BufferPool`].
 
 use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
@@ -14,14 +21,15 @@ use crate::backend::{
     DEFAULT_SLO_FLUSH_OCCUPANCY,
 };
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, BufferStats, ReadaheadStats};
+use crate::buffer::{BufferStats, PageCache, ReadaheadStats};
 use crate::catalog::Catalog;
-use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats};
+use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats, ThrottleStats};
 use crate::free_space::FreeSpaceManager;
 use crate::heap::Rid;
 use crate::heap::HeapFile;
 use crate::page::{PageId, SlottedPage};
 use crate::readahead::ScanPrefetcher;
+use crate::shard::ShardedBufferPool;
 use crate::transaction::{
     AdmissionConfig, AdmissionControl, AdmissionStats, TransactionManager, TxnId,
 };
@@ -170,12 +178,13 @@ impl Default for EngineConfig {
 
 /// The storage engine.
 pub struct StorageEngine {
-    backend: Box<dyn StorageBackend>,
-    pool: BufferPool,
+    backend: Box<dyn StorageBackend + Send>,
+    pool: ShardedBufferPool,
     fsm: FreeSpaceManager,
     wal: WalManager,
     txns: TransactionManager,
-    flushers: FlusherPool,
+    /// One db-writer pool per buffer-pool shard, in shard-index order.
+    flushers: Vec<FlusherPool>,
     catalog: Catalog,
     readahead_window: usize,
     /// Data pages reconstructed from WAL replay after an uncorrectable read.
@@ -187,8 +196,28 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// Create an engine over `backend`.
-    pub fn new(backend: Box<dyn StorageBackend>, config: EngineConfig) -> Self {
+    /// Create an engine over `backend` with a single buffer-pool shard.
+    pub fn new(backend: Box<dyn StorageBackend + Send>, config: EngineConfig) -> Self {
+        Self::with_shards(backend, config, 1)
+    }
+
+    /// Create an engine whose `config.buffer_frames` are split over `shards`
+    /// page-id-routed pool shards (at least two frames each), every shard
+    /// with its own db-writer pool.
+    pub(crate) fn with_shards(
+        mut backend: Box<dyn StorageBackend + Send>,
+        config: EngineConfig,
+        shards: usize,
+    ) -> Self {
+        // Several shards means several clients, whose virtual clocks drift
+        // apart, so their commands reach the device out of timestamp order.
+        // Gap-backfilling occupancy keeps the device from charging queue-wait
+        // on resources that were provably idle at a laggard's submission
+        // instant.  A single shard keeps the pinned ratchet (and thereby the
+        // exact single-client traces).
+        if shards > 1 {
+            backend.set_backfill_occupancy(true);
+        }
         let page_size = backend.page_size();
         let total_pages = backend.num_pages();
         assert!(
@@ -202,13 +231,18 @@ impl StorageEngine {
         // model as the db-writers (both default to the `NOFTL_ASYNC` knob via
         // the flusher config), so point reads overlap in-flight flush and WAL
         // traffic on the device's per-die queues.
-        let mut pool = BufferPool::new(config.buffer_frames, page_size);
+        let mut pool = ShardedBufferPool::new(shards, config.buffer_frames, page_size);
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
-        let mut flushers = FlusherPool::new(config.flushers);
-        if config.slo_scheduling {
-            flushers.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
-        }
+        let flushers = (0..pool.shard_count())
+            .map(|_| {
+                let mut f = FlusherPool::new(config.flushers);
+                if config.slo_scheduling {
+                    f.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
+                }
+                f
+            })
+            .collect();
         Self {
             pool,
             fsm: FreeSpaceManager::new(0, data_pages),
@@ -250,7 +284,12 @@ impl StorageEngine {
         self.backend.regions()
     }
 
-    /// Buffer pool statistics.
+    /// The sharded buffer pool (per-shard statistics and occupancy).
+    pub fn pool(&self) -> &ShardedBufferPool {
+        &self.pool
+    }
+
+    /// Buffer pool statistics, summed over shards.
     pub fn buffer_stats(&self) -> BufferStats {
         self.pool.stats()
     }
@@ -261,9 +300,30 @@ impl StorageEngine {
         self.pool.readahead_stats()
     }
 
-    /// Flusher statistics.
+    /// Db-writer statistics, summed over the per-shard pools.
     pub fn flusher_stats(&self) -> FlusherStats {
-        self.flushers.stats()
+        let mut total = FlusherStats::default();
+        for f in &self.flushers {
+            let s = f.stats();
+            total.cycles += s.cycles;
+            total.pages_flushed += s.pages_flushed;
+            total.batch_submissions += s.batch_submissions;
+            total.total_cycle_time += s.total_cycle_time;
+            total.max_cycle_time = total.max_cycle_time.max(s.max_cycle_time);
+        }
+        total
+    }
+
+    /// Flusher-throttle statistics, summed over the per-shard pools (all
+    /// zero unless `NOFTL_SLO` scheduling is on).
+    pub fn throttle_stats(&self) -> ThrottleStats {
+        let mut total = ThrottleStats::default();
+        for f in &self.flushers {
+            let s = f.throttle_stats();
+            total.throttled_waves += s.throttled_waves;
+            total.clear_waves += s.clear_waves;
+        }
+        total
     }
 
     /// Backend I/O counters.
@@ -279,6 +339,12 @@ impl StorageEngine {
     /// Mutably borrow the backend.
     pub fn backend_mut(&mut self) -> &mut dyn StorageBackend {
         self.backend.as_mut()
+    }
+
+    /// Tear the engine down and hand back the backend (crash-recovery legs
+    /// re-run WAL recovery against the medium).
+    pub fn into_backend(self) -> Box<dyn StorageBackend + Send> {
+        self.backend
     }
 
     /// Number of committed transactions.
@@ -327,10 +393,7 @@ impl StorageEngine {
             }
             let mut clear = self.wal.inflight_horizon(t);
             if dirty >= cfg.dirty_high_watermark {
-                let flushed = self
-                    .flushers
-                    .run_cycle(&mut self.pool, self.backend.as_mut(), t)?;
-                clear = clear.max(flushed);
+                clear = clear.max(self.relieve_dirty(t)?);
             }
             if clear <= t {
                 break;
@@ -352,6 +415,18 @@ impl StorageEngine {
             a.note_admitted(now, t);
         }
         Ok((self.begin(), t))
+    }
+
+    /// Relieve dirty pressure for an over-watermark admission: one flusher
+    /// cycle on every shard at the same `now`, unconditionally (the admission
+    /// watermark may sit below the flushers' own trigger).  Returns when the
+    /// slowest shard's cycle is done.
+    fn relieve_dirty(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
+        let mut t = now;
+        for (flusher, shard) in self.flushers.iter_mut().zip(self.pool.shards_mut()) {
+            t = t.max(flusher.run_cycle(shard, self.backend.as_mut(), now)?);
+        }
+        Ok(t)
     }
 
     /// Replace the commit-admission window (`None` disables admission
@@ -735,8 +810,9 @@ impl StorageEngine {
 
     // -- background work ----------------------------------------------------
 
-    /// Let the db-writers run if the dirty-page watermark is exceeded.
-    /// Returns the time after the flush cycle (or `now` if nothing ran).
+    /// Let the db-writers of each shard whose dirty-page watermark is
+    /// exceeded run.  Returns the time after the slowest flush cycle (or
+    /// `now` if nothing ran).
     ///
     /// Under `NOFTL_SLO` scheduling this wave additionally defers to a busy
     /// device queue ([`FlusherPool::throttled_wave`]) and, after the flush
@@ -750,16 +826,16 @@ impl StorageEngine {
     /// scheduling off none of the hooks run — the path is identical to the
     /// pre-SLO engine.
     pub fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        let t = if self.flushers.should_flush(&self.pool)
-            && !self
-                .flushers
-                .throttled_wave(&self.pool, self.backend.as_ref(), now)
-        {
-            self.flushers
-                .run_cycle(&mut self.pool, self.backend.as_mut(), now)?
-        } else {
-            now
-        };
+        // Every shard's wave starts at the same `now`; the slowest one is
+        // when the flush is done.
+        let mut t = now;
+        for (flusher, shard) in self.flushers.iter_mut().zip(self.pool.shards_mut()) {
+            if flusher.should_flush(shard)
+                && !flusher.throttled_wave(shard, self.backend.as_ref(), now)
+            {
+                t = t.max(flusher.run_cycle(shard, self.backend.as_mut(), now)?);
+            }
+        }
         if self.slo_scheduling {
             self.backend.schedule_background_gc(t)?;
             self.backend.schedule_rebuild(t)?;
@@ -767,12 +843,16 @@ impl StorageEngine {
         Ok(t)
     }
 
-    /// Barrier over all asynchronous submissions — db-writer windows, the
-    /// buffer pool's miss-fill reads, the WAL window and the backend's device
-    /// queues: the instant by which everything in flight has completed (at
-    /// least `now`).  A no-op under the synchronous model.
+    /// Barrier over all asynchronous submissions — every shard's db-writer
+    /// windows, then every shard's miss-fill reads, then the WAL window, then
+    /// the backend's device queues, each stage folding the previous stage's
+    /// barrier instant forward: the instant by which everything in flight
+    /// has completed (at least `now`).  A no-op under the synchronous model.
     pub fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        let t = self.flushers.drain(now);
+        let mut t = now;
+        for f in &mut self.flushers {
+            t = t.max(f.drain(now));
+        }
         let t = self.pool.drain_reads(t);
         let t = self.wal.drain(t);
         self.backend.drain(t)
@@ -803,8 +883,8 @@ impl StorageEngine {
         Ok(t)
     }
 
-    /// Dirty fraction of the buffer pool (drivers use this to decide when to
-    /// trigger [`StorageEngine::maybe_flush`]).
+    /// Dirty fraction of the whole buffer pool (drivers use this to decide
+    /// when to trigger [`StorageEngine::maybe_flush`]).
     pub fn dirty_fraction(&self) -> f64 {
         self.pool.dirty_fraction()
     }

@@ -139,40 +139,47 @@
 //! * **Buffer pool** — a frame whose fill errors out is detached before the
 //!   read, so no poisoned frame can enter the map.
 //!
-//! ## Concurrency model (PR 7)
+//! ## Concurrency model: one engine, one lock
 //!
-//! `NOFTL_THREADS` gates a concurrent embedding of the engine.  Unset (or
-//! `1`/`off`) keeps today's single-threaded [`engine::StorageEngine`] code
-//! path untouched — pinned bit- and cycle-identical by
-//! `tests/equivalence.rs`.  With more threads, N clients share one
-//! [`concurrent::ConcurrentEngine`] through per-client
-//! [`concurrent::ClientSession`] handles (each recording its own commit
-//! stream), driven by `workloads::MultiClientDriver`.
+//! There is one implementation of the engine, [`engine::StorageEngine`];
+//! every operation takes `&mut self`.  A single client owns it and calls it
+//! directly.  N clients share it as a [`concurrent::ConcurrentEngine`] — the
+//! same engine inside an `Arc<Mutex<_>>` — through per-client
+//! [`concurrent::ClientSession`] handles that lock it for exactly one
+//! operation, forward, and unlock (each also recording its own commit
+//! stream); `workloads::MultiClientDriver` drives them, laggard-stepped on
+//! one thread or on OS threads.  `NOFTL_THREADS` is only the client count the
+//! `client_scaling` bench sweeps up to; it selects no code path.
 //!
-//! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the pool is
-//!   partitioned by page id, one `parking_lot`-latched [`buffer::BufferPool`]
-//!   per shard with its own clock hand, dirty bitmap, resident table and
-//!   miss-fill read window; [`shard::ShardedPoolView`] implements the
-//!   [`buffer::PageCache`] trait the heap/B+-tree/readahead code is generic
-//!   over, latching exactly the shard owning each accessed page.  A 1-shard
-//!   pool is a plain `BufferPool` behind one latch — identical traces.
-//! * **Latch order** — the engine-level locks form one total order:
-//!   catalog → transactions → free-space → WAL → flushers → backend →
-//!   shard 0 → shard 1 → … .  Every code path acquires along that order
-//!   (shard latches last, at most one at a time on the page-access path),
-//!   so the lock graph is acyclic.
-//! * **Single-writer invariants** — `noftl-core`'s mapping and region tables
-//!   split cleanly into `&self` readers and `&mut self` writers, so
-//!   concurrent readers share them under an `RwLock` while device-state
-//!   mutation stays single-writer behind the backend lock.  WAL force order
-//!   under concurrent commits is serialised by the WAL lock: commit records
-//!   append and force in lock-acquisition order, giving each client a
-//!   serializable commit prefix.
-//! * **Quiesce/checkpoint barrier** — `ConcurrentEngine::quiesce` drains
-//!   *every* shard's flusher windows and miss-fill read window (plus WAL
-//!   window and device queues) before `checkpoint` lets the WAL checkpoint
-//!   record land, so the record can never predate an in-flight write of any
-//!   shard.
+//! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the engine's
+//!   pool is `shards` plain [`buffer::BufferPool`]s routed by `page_id %
+//!   shards`, each with its own clock hand, dirty bitmap, resident table,
+//!   miss-fill read window and db-writer pool, so drifting clients evict and
+//!   flush per shard.  It implements the [`buffer::PageCache`] trait the
+//!   heap/B+-tree/readahead code is generic over.  `StorageEngine::new`
+//!   builds 1 shard — a plain `BufferPool`, identical traces —
+//!   `ConcurrentEngine::new` as many as it is given (and, above one, turns on
+//!   the device's gap-backfilling occupancy for out-of-order timestamps).
+//! * **Why one lock serialises exactly as the finer locks did** — every
+//!   page access takes `&mut dyn StorageBackend`: the virtual-time device
+//!   model is single-writer, so any operation that touches a page holds the
+//!   backend exclusively from its first access to its last.  Earlier
+//!   revisions put each component (catalog, transactions, free space, WAL,
+//!   flushers, backend, each pool shard) behind its own lock in a fixed
+//!   order, but every DML, scan, flush and checkpoint took the backend lock
+//!   for its whole duration and only then a shard latch, so those inner locks
+//!   never had a second contender; only `begin`/`abort`/`create_table` and
+//!   counter reads ran outside the backend lock.  The engine lock serialises
+//!   the same operations in the same order — the order sessions acquire it —
+//!   with nothing left to order, so the only deadlock is re-acquiring it
+//!   while held, which `noftl-lint`'s latch-order pass rejects.
+//! * **Serialization points** — a commit appends its record and forces the
+//!   WAL inside one locked operation, so the durable commit order is the
+//!   lock-acquisition order and each client sees a serializable commit
+//!   prefix; `quiesce` and `checkpoint` are single operations too, draining
+//!   *every* shard's flusher windows, then every shard's miss-fill read
+//!   window, then the WAL window, then the device queues, so a checkpoint
+//!   record can never predate an in-flight write of any shard.
 //!
 //! ## Overload and scheduling (PR 9)
 //!
@@ -267,6 +274,6 @@ pub use flusher::{FlusherConfig, FlusherStats, ThrottleStats};
 pub use heap::{HeapFile, Rid};
 pub use ops::EngineOps;
 pub use page::{PageId, SlottedPage};
-pub use shard::{ShardedBufferPool, ShardedPoolView};
+pub use shard::ShardedBufferPool;
 pub use transaction::{AdmissionConfig, AdmissionControl, AdmissionStats, TxnId, TxnState};
 pub use wal::{LogRecord, Lsn, WalManager};

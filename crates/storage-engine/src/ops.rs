@@ -1,11 +1,12 @@
 //! The transactional operation surface workloads drive an engine through.
 //!
-//! [`EngineOps`] abstracts over the single-threaded [`StorageEngine`] and a
-//! [`crate::concurrent::ClientSession`] handle onto the shared
-//! [`crate::concurrent::ConcurrentEngine`], so the TPC drivers
-//! (`workloads::TpcB`, `workloads::TpcC`) run unchanged against either: one
-//! logical client over one engine, or N sessions over one engine under
-//! `NOFTL_THREADS`.
+//! [`EngineOps`] is implemented by [`StorageEngine`] itself (a sole owner
+//! calling the engine directly) and by a
+//! [`crate::concurrent::ClientSession`] (one of N handles that lock the
+//! shared engine of a [`crate::concurrent::ConcurrentEngine`] per call), so
+//! the TPC drivers (`workloads::TpcB`, `workloads::TpcC`) run unchanged
+//! against either.  Both impls only forward: every operation has exactly one
+//! body, the inherent method of the same name in [`crate::engine`].
 //!
 //! The closure-taking entry points (`scan`, `index_range`) take `&mut dyn
 //! FnMut` rather than a generic parameter so the trait stays object-safe —

@@ -6,14 +6,14 @@
 //! * **Serializable per-client commit prefixes** — each client's commit
 //!   stream is strictly monotone in transaction id and non-decreasing in
 //!   commit time, and transaction ids never collide across clients (the
-//!   shared transaction manager hands them out under one latch).
+//!   shared transaction manager hands them out under the engine lock).
 //! * **Zero committed-data loss** — after a storm the per-client TPC-B
 //!   consistency conditions hold on each client's private table partition,
 //!   and on the crash legs the durable log recovered from the medium alone
 //!   contains every post-checkpoint commit of every client.
 //! * **Exact counter reconciliation** — the per-shard buffer-pool counters
-//!   sum to the aggregate statistics exactly (every counter lives under
-//!   exactly one shard latch), and the clients' commit streams account for
+//!   sum to the aggregate statistics exactly (every counter lives in
+//!   exactly one shard), and the clients' commit streams account for
 //!   every committed transaction the engine reports.
 //!
 //! The deterministic drive mode pins reproducibility (same seeds → same
@@ -28,7 +28,7 @@ use std::collections::HashSet;
 
 use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
-use noftl::noftl_core::{NoFtl, NoFtlConfig};
+use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
 use noftl::storage_engine::backend::NoFtlBackend;
 use noftl::storage_engine::{
@@ -66,13 +66,33 @@ fn storm_plan(seed: u64) -> FaultPlan {
 /// knob is set explicitly so the harness is independent of the `NOFTL_*`
 /// environment legs it happens to run under.
 fn concurrent_engine(plan: Option<FaultPlan>, depth: usize, shards: usize) -> ConcurrentEngine {
+    concurrent_engine_with(plan, depth, shards, RedundancyPolicy::None)
+}
+
+/// [`concurrent_engine`] with `policy` on every region.  A protected stack
+/// additionally gets the over-provisioning parity needs (see the die-kill
+/// storms in `tests/chaos.rs`) and `slo_scheduling`, so the online rebuild
+/// rides the background hook in `maybe_flush`.
+fn concurrent_engine_with(
+    plan: Option<FaultPlan>,
+    depth: usize,
+    shards: usize,
+    policy: RedundancyPolicy,
+) -> ConcurrentEngine {
+    let protected = policy != RedundancyPolicy::None;
     let geometry = FlashGeometry::small();
     let mut cfg = NoFtlConfig::new(geometry);
     cfg.async_queue_depth = depth;
+    if protected {
+        cfg.op_ratio = 0.60;
+    }
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.store_data = cfg.store_data;
     dev_cfg.faults = plan;
-    let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
+    let mut noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
+    if protected {
+        noftl.set_redundancy_all(policy);
+    }
     let mut backend = NoFtlBackend::new(noftl);
     backend.noftl_mut().set_async_depth(depth);
 
@@ -85,6 +105,9 @@ fn concurrent_engine(plan: Option<FaultPlan>, depth: usize, shards: usize) -> Co
     flushers.async_depth = depth;
     ecfg.flushers = flushers;
     ecfg.readahead_window = 16;
+    if protected {
+        ecfg.slo_scheduling = true;
+    }
     ConcurrentEngine::new(Box::new(backend), ecfg, shards)
 }
 
@@ -536,6 +559,84 @@ fn checkpoint_barriers_all_shards_inflight_windows() {
         Some(LogRecord::Checkpoint),
         "the durable log must end with the checkpoint record"
     );
+}
+
+/// Regression (PR 10 drift): the online rebuild is offered by `maybe_flush`
+/// under `slo_scheduling`, and the multi-session engine's `maybe_flush` used
+/// to be a separate copy that offered the proactive GC step but never the
+/// rebuild step — after a die loss nothing was ever re-homed unless a caller
+/// drained the rebuild by hand.  Two sessions on a parity-protected stack, a
+/// die killed mid-run, nothing but the sessions' own `maybe_flush` calls
+/// afterwards: the rebuild must have made progress and lost nothing.
+fn rebuild_rides_the_sessions_maybe_flush(policy: RedundancyPolicy) {
+    let clients = 2;
+    let plan = |kill: bool| {
+        let mut plan = FaultPlan::seeded(7);
+        plan.program_fail_base = 0.0;
+        plan.erase_fail_prob = 0.0;
+        plan.read_error_base = 0.0;
+        if kill {
+            plan.with_die_kill(0, 1)
+        } else {
+            plan
+        }
+    };
+    let engine = concurrent_engine_with(Some(plan(false)), 1, clients, policy);
+    let mut workloads = client_workloads(clients, false, 0xD1E);
+    let mut sessions: Vec<ClientSession> = (0..clients).map(|_| engine.session()).collect();
+    let mut t = 0;
+    for (w, s) in workloads.iter_mut().zip(sessions.iter_mut()) {
+        t = w.setup(s, t).expect("setup");
+    }
+    let mut burst = |t: &mut SimInstant, rounds: usize| {
+        for round in 0..rounds {
+            for c in 0..clients {
+                let (end, _) = workloads[c]
+                    .run_transaction(&mut sessions[c], c, *t)
+                    .unwrap_or_else(|e| panic!("round {round} client {c}: {e}"));
+                *t = sessions[c].maybe_flush(end).expect("flush").max(end);
+            }
+        }
+    };
+    burst(&mut t, 8);
+    // The very next device command fires the kill, on a die that by now
+    // holds committed rows, WAL pages and parity.
+    engine.with_backend(|b| {
+        b.as_any_mut()
+            .and_then(|a| a.downcast_mut::<NoFtlBackend>())
+            .expect("NoFTL backend")
+            .noftl_mut()
+            .set_fault_plan(Some(plan(true)))
+    });
+    burst(&mut t, 16);
+    let end = sessions[0].quiesce(t);
+
+    engine.with_backend(|b| {
+        let n = b
+            .as_any()
+            .and_then(|a| a.downcast_ref::<NoFtlBackend>())
+            .expect("NoFTL backend")
+            .noftl();
+        let rb = n.rebuild_stats();
+        assert!(n.any_die_dead(), "the kill must actually have fired");
+        assert_eq!(rb.die_failures_detected, 1);
+        assert!(
+            rb.pages_rebuilt > 0,
+            "maybe_flush never offered the backend a rebuild step: {rb:?}"
+        );
+        assert_eq!(rb.pages_lost, 0, "a protected region must lose nothing");
+    });
+    assert_tpcb_partitions_consistent(&engine, clients, end);
+}
+
+#[test]
+fn sessions_maybe_flush_drives_the_online_rebuild_on_parity() {
+    rebuild_rides_the_sessions_maybe_flush(RedundancyPolicy::Parity(3));
+}
+
+#[test]
+fn sessions_maybe_flush_drives_the_online_rebuild_on_mirror() {
+    rebuild_rides_the_sessions_maybe_flush(RedundancyPolicy::Mirror);
 }
 
 /// OS-thread stress: one real thread per client against the shared engine.

@@ -803,22 +803,9 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
 // NOFTL_THREADS: single-client leg of the concurrent engine (PR 7)
 // ---------------------------------------------------------------------------
 
-fn with_threads_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_THREADS").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_THREADS", v),
-        None => std::env::remove_var("NOFTL_THREADS"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_THREADS", v),
-        None => std::env::remove_var("NOFTL_THREADS"),
-    }
-    r
-}
-
-/// `NOFTL_THREADS=1` and every "off" spelling must mean the single-threaded
-/// path (the figure pipelines run the plain [`StorageEngine`] there).
+/// `NOFTL_THREADS=1` and every "off" spelling must mean one client.  (The
+/// knob is a client count read by the `client_scaling` bin alone; the figure
+/// pipelines never read it, so there is no figure leg to pin here.)
 #[test]
 fn threads_knob_single_client_spellings() {
     use noftl::storage_engine::backend::parse_threads;
@@ -827,39 +814,15 @@ fn threads_knob_single_client_spellings() {
     }
 }
 
-#[test]
-fn fig3_output_identical_with_threads_unset_vs_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_threads_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_threads_env(Some("1"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert!(unset.contains("TPC-B"));
-    assert_eq!(
-        unset, one,
-        "Figure 3 output must be bit-identical with NOFTL_THREADS unset vs 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_threads_unset_vs_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let unset = with_threads_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_threads_env(Some("1"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        unset, one,
-        "Figure 4 output must be bit-identical with NOFTL_THREADS unset vs 1"
-    );
-}
-
-/// The structural pin behind the knob: one client driving the concurrent
-/// engine at one shard must be **bit- and cycle-identical** to the plain
-/// single-threaded engine — same device command trace, same durable WAL
+/// The structural pin behind the knob: one [`ClientSession`] driving a
+/// 1-shard `ConcurrentEngine` must be **bit- and cycle-identical** to driving
+/// a `StorageEngine` directly — same device command trace, same durable WAL
 /// records, same commit count, same WAL forces, same buffer-pool counters,
-/// same end-to-end virtual time.
+/// same end-to-end virtual time.  Both are the same engine code, so what this
+/// pins is that a session forwards every operation unchanged and that 1-shard
+/// routing is the identity.
+///
+/// [`ClientSession`]: noftl::storage_engine::ClientSession
 mod threads_single_client_identity {
     use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
     use noftl::noftl_core::{NoFtl, NoFtlConfig};

@@ -137,9 +137,9 @@ fn deadline_shorter_than_one_wal_group_sheds_with_typed_error() {
     );
 }
 
-/// One open-loop storm leg: `sessions` sessions (1 = single-threaded
-/// engine, >1 = sharded concurrent engine), returning the report plus the
-/// committed count right after setup.
+/// One open-loop storm leg: `sessions` sessions over one engine with as many
+/// pool shards, returning the report plus the committed count right after
+/// setup.
 fn storm_leg(
     sessions: usize,
     seed: u64,
@@ -162,28 +162,19 @@ fn storm_leg(
     olcfg.update_every = 2;
     olcfg.seed = seed;
     let driver = OpenLoopDriver::new(olcfg);
-    if sessions <= 1 {
-        let mut engine =
-            StorageEngine::new(Box::new(overload_backend()), overload_config(admission));
-        let t0 = driver.setup(&mut engine, 0).expect("setup");
-        let setup_committed = engine.committed();
-        let mut slots: [&mut dyn EngineOps; 1] = [&mut engine];
-        (driver.run(&mut slots, t0).expect("run"), setup_committed)
-    } else {
-        let engine = ConcurrentEngine::new(
-            Box::new(overload_backend()),
-            overload_config(admission),
-            sessions,
-        );
-        let mut handles: Vec<ClientSession> = (0..sessions).map(|_| engine.session()).collect();
-        let t0 = driver.setup(&mut handles[0], 0).expect("setup");
-        let setup_committed = handles[0].committed();
-        let mut slots: Vec<&mut dyn EngineOps> = handles
-            .iter_mut()
-            .map(|s| s as &mut dyn EngineOps)
-            .collect();
-        (driver.run(&mut slots, t0).expect("run"), setup_committed)
-    }
+    let engine = ConcurrentEngine::new(
+        Box::new(overload_backend()),
+        overload_config(admission),
+        sessions,
+    );
+    let mut handles: Vec<ClientSession> = (0..sessions).map(|_| engine.session()).collect();
+    let t0 = driver.setup(&mut handles[0], 0).expect("setup");
+    let setup_committed = handles[0].committed();
+    let mut slots: Vec<&mut dyn EngineOps> = handles
+        .iter_mut()
+        .map(|s| s as &mut dyn EngineOps)
+        .collect();
+    (driver.run(&mut slots, t0).expect("run"), setup_committed)
 }
 
 proptest! {
