@@ -5,8 +5,8 @@
 //!
 //! * **virtual time** — the simulated duration of one flush cycle, the
 //!   quantity the paper's figures are built from.  Printed once per run as
-//!   `FLUSHER_BATCH_VIRTUAL ...` / `FLUSHER_ASYNC_VIRTUAL ...` so the BENCH
-//!   json can quote it deterministically.
+//!   `FLUSHER_BATCH_VIRTUAL ...` / `FLUSHER_ASYNC_VIRTUAL ...` so a report
+//!   can quote it deterministically.
 //! * **real time** — criterion ns/iter of the cycle itself (allocation,
 //!   partitioning, copy-free arena submission), showing the host-side
 //!   savings of writing straight out of the arena.

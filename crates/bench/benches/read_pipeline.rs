@@ -6,7 +6,7 @@
 //!
 //! * **virtual time** — the simulated duration of the mixed read/write
 //!   workload, printed once per run as `MIXED_RW_VIRTUAL ...` /
-//!   `READ_GC_VIRTUAL ...` so the BENCH json can quote it deterministically;
+//!   `READ_GC_VIRTUAL ...` so a report can quote it deterministically;
 //! * **real time** — criterion ns/iter of the host-side paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -7,12 +7,11 @@
 //! * **virtual time** — the simulated duration of a TPC-H Q1-style full
 //!   scan / a TPC-E-style index range read, printed once per run as
 //!   `SCAN_PIPELINE_VIRTUAL ...` / `BTREE_RANGE_VIRTUAL ...` plus a
-//!   dies × depth × window sweep (`SCAN_SWEEP ...` lines) so the BENCH json
-//!   can quote them deterministically;
+//!   dies × depth × window sweep (`SCAN_SWEEP ...` lines) so a report can
+//!   quote them deterministically;
 //! * **real time** — criterion ns/iter of the host-side paths.
 //!
-//! Every engine is configured explicitly (no `NOFTL_*` environment
-//! dependence), so the smoke runs are bit-identical across CI legs.
+//! Every engine is configured explicitly, so the runs are bit-identical.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nand_flash::FlashGeometry;

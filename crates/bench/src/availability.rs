@@ -23,8 +23,8 @@
 //! **from the scheduled arrival**, so a foreground stall is charged to every
 //! request it delays — exactly the accounting that makes the naive leg
 //! honest about its outage.  Everything runs on the virtual clock with
-//! seeded randomness and explicit configs (no environment knobs), so every
-//! point is bit-identical across runs and CI legs.
+//! seeded randomness and explicit configs, so every point is bit-identical
+//! across runs.
 //!
 //! [`NoFtl::rebuild_all`]: noftl_core::NoFtl::rebuild_all
 //! [`StorageEngine::maybe_flush`]: storage_engine::StorageEngine::maybe_flush
@@ -74,8 +74,7 @@ pub const KILLED_DIE: u32 = 2;
 
 /// A fault plan with every probabilistic failure mode zeroed, optionally
 /// carrying the deterministic die kill.  The quiet plan is armed even on the
-/// no-failure leg so the sweep is independent of any `NOFTL_FAULTS` leg the
-/// process happens to run under.
+/// no-failure leg, so every leg runs the same fault-path gates.
 fn quiet_plan(kill: Option<u32>) -> FaultPlan {
     let mut plan = FaultPlan::seeded(7);
     plan.program_fail_base = 0.0;
@@ -100,8 +99,6 @@ fn availability_engine() -> StorageEngine {
     dev_cfg.store_data = cfg.store_data;
     dev_cfg.faults = Some(quiet_plan(None));
     let mut noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-    // Explicit policy, not the env default: the sweep must measure parity
-    // regardless of the `NOFTL_REDUNDANCY` leg it executes under.
     noftl.set_redundancy_all(RedundancyPolicy::Parity(3));
     let backend = NoFtlBackend::new(noftl);
 
@@ -110,9 +107,7 @@ fn availability_engine() -> StorageEngine {
     // failure legs actually serve degraded reads while the die is down.
     ecfg.buffer_frames = 24;
     ecfg.log_pages = 128;
-    let mut flushers = FlusherConfig::die_wise(2);
-    flushers.async_depth = 1; // explicit: independent of the NOFTL_ASYNC leg
-    ecfg.flushers = flushers;
+    ecfg.flushers = FlusherConfig::die_wise(2);
     ecfg.readahead_window = 0;
     // Force per commit: each transaction pays a real device program, which
     // is what lets the armed kill fire inside the transaction that crosses
@@ -317,8 +312,7 @@ pub fn render_table(points: &[AvailabilityPoint]) -> String {
     out
 }
 
-/// Render the sweep as a JSON document (the artifact `BENCH_pr10.json`
-/// records).
+/// Render the sweep as a JSON document.
 pub fn render_json(points: &[AvailabilityPoint]) -> String {
     let body: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
     format!(

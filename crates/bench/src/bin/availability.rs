@@ -2,8 +2,7 @@
 //! with no failure, with a naive foreground `rebuild_all`, and with the
 //! rebuild spread through the SLO background hook.
 //!
-//! Prints an aligned table to stdout plus (with `--json`) the JSON document
-//! recorded as `BENCH_pr10.json`.
+//! Prints an aligned table to stdout, or with `--json` a JSON document.
 //!
 //! Usage:
 //!   `cargo run --release -p noftl-bench --bin availability [--json]`

@@ -8,12 +8,12 @@
 //!   `cargo run --release -p noftl-bench --bin client_scaling [--full]`
 
 use noftl_bench::client_scaling::{render_table, run_client_scaling};
-use storage_engine::backend::threads_from_env;
+use storage_engine::backend::StackConfig;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let per_client: u64 = if full { 200 } else { 48 };
-    let max_clients = threads_from_env().max(1);
+    let max_clients = StackConfig::from_env().threads;
     let client_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 32]
         .into_iter()
         .filter(|&c| c == 1 || c <= max_clients)

@@ -6,6 +6,7 @@
 
 use noftl_bench::dftl_slowdown::{render_table, run_dftl_slowdown};
 use noftl_bench::setup::Scale;
+use storage_engine::backend::StackConfig;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -16,6 +17,6 @@ fn main() {
     eprintln!("recording traces and replaying against page-mapping and DFTL ({scale:?})...");
     // Device RAM big enough for ~0.5 % of the mapping table — the regime the
     // paper targets.
-    let rows = run_dftl_slowdown(scale, 0.005);
+    let rows = run_dftl_slowdown(&StackConfig::from_env(), scale, 0.005);
     println!("{}", render_table(&rows));
 }

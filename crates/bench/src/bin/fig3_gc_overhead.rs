@@ -6,6 +6,7 @@
 
 use noftl_bench::gc_overhead::{render_table, run_gc_overhead};
 use noftl_bench::setup::Scale;
+use storage_engine::backend::StackConfig;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -14,7 +15,7 @@ fn main() {
         Scale::Quick
     };
     eprintln!("recording in-memory traces and replaying against FASTer / NoFTL ({scale:?})...");
-    let rows = run_gc_overhead(scale);
+    let rows = run_gc_overhead(&StackConfig::from_env(), scale);
     println!("{}", render_table(&rows));
     for row in &rows {
         println!(

@@ -11,6 +11,7 @@ use noftl_bench::dbwriters::{
     render_depth_link_table, render_table, run_dbwriter_scaling, run_depth_link_sweep,
 };
 use noftl_bench::setup::{Benchmark, Scale};
+use storage_engine::backend::StackConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -30,9 +31,10 @@ fn main() {
         Scale::Quick => vec![1, 2, 4, 8],
         Scale::Full => vec![1, 2, 4, 8, 16, 32],
     };
+    let knobs = StackConfig::from_env();
     for b in benchmarks {
         eprintln!("running {} die-scaling sweep ({scale:?})...", b.name());
-        let result = run_dbwriter_scaling(b, scale, &die_counts);
+        let result = run_dbwriter_scaling(&knobs, b, scale, &die_counts);
         println!("{}", render_table(&result));
     }
     // The NCQ-vs-native argument as a figure table: per-die queue depth

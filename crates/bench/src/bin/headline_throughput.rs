@@ -6,6 +6,7 @@
 
 use noftl_bench::setup::{Benchmark, Scale};
 use noftl_bench::throughput::{render_table, run_headline};
+use storage_engine::backend::StackConfig;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -14,6 +15,7 @@ fn main() {
         Scale::Quick
     };
     eprintln!("running TPC-C / TPC-B on faster, dftl and noftl stacks ({scale:?})...");
-    let rows = run_headline(scale, &[Benchmark::TpcC, Benchmark::TpcB]);
+    let knobs = StackConfig::from_env();
+    let rows = run_headline(&knobs, scale, &[Benchmark::TpcC, Benchmark::TpcB]);
     println!("{}", render_table(&rows));
 }

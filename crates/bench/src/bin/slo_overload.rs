@@ -2,8 +2,7 @@
 //! offered rates, with the `NOFTL_SLO` policies off vs on, over 1 and 4
 //! client sessions.
 //!
-//! Prints an aligned table to stdout plus (with `--json`) the JSON document
-//! recorded as `BENCH_pr9.json`.
+//! Prints an aligned table to stdout, or with `--json` a JSON document.
 //!
 //! Usage:
 //!   `cargo run --release -p noftl-bench --bin slo_overload [--json]`

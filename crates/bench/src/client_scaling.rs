@@ -12,7 +12,8 @@
 //! argument as Figure 4, applied to foreground reads instead of db-writers.
 //!
 //! The sweep is deterministic end to end (virtual time, seeded keys, laggard
-//! interleaving), so every point is bit-identical across runs and CI legs.
+//! interleaving, explicit configuration), so every point is bit-identical
+//! across runs.
 
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
@@ -247,10 +248,7 @@ fn scaling_backend(depth: usize, dies: u32, logical_pages: u64) -> NoFtlBackend 
     let geometry = geometry_for_pages(logical_pages, 0.55, dies);
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = depth;
-    let noftl = NoFtl::new(ncfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
-    backend
+    NoFtlBackend::new(NoFtl::new(ncfg))
 }
 
 /// Logical pages needed for `clients` partitions of the default mix, with

@@ -11,6 +11,7 @@
 use flash_emulator::{EmulatedNativeFlash, HostLink};
 use nand_flash::{BlockAddr, DeviceConfig, FlashGeometry, NandDevice, Oob, Ppa};
 use noftl_core::FlusherAssignment;
+use storage_engine::backend::StackConfig;
 use workloads::{BenchmarkDriver, DriverConfig};
 
 use crate::gc_overhead::gc_workload;
@@ -58,8 +59,10 @@ impl DbWriterScaling {
     }
 }
 
-/// Run one point: `dies` dies, `dies` db-writers, the given assignment.
+/// Run one point under `knobs`: `dies` dies, `dies` db-writers, the given
+/// assignment.
 pub fn run_point(
+    knobs: &StackConfig,
     benchmark: Benchmark,
     scale: Scale,
     dies: u32,
@@ -75,10 +78,10 @@ pub fn run_point(
         Scale::Full => 120_000,
     };
     let geometry = geometry_for_pages(logical_pages, 0.85, dies);
-    let mut flushers = default_flushers(assignment, dies as usize);
+    let mut flushers = default_flushers(knobs, assignment, dies as usize);
     flushers.dirty_high_watermark = 0.3;
     flushers.dirty_low_watermark = 0.02;
-    let mut engine = build_engine_with_buffer(Stack::NoFtl, geometry, flushers, 512);
+    let mut engine = build_engine_with_buffer(knobs, Stack::NoFtl, geometry, flushers, 512);
     let start = workload.setup(&mut engine, 0).expect("setup");
     let transactions = default_transactions(scale) * 2;
     let driver = BenchmarkDriver::new(DriverConfig::write_pressure(clients, transactions));
@@ -93,8 +96,9 @@ pub fn run_point(
     }
 }
 
-/// Run the full Figure 4 sweep for one benchmark.
+/// Run the full Figure 4 sweep for one benchmark under `knobs`.
 pub fn run_dbwriter_scaling(
+    knobs: &StackConfig,
     benchmark: Benchmark,
     scale: Scale,
     die_counts: &[u32],
@@ -104,7 +108,7 @@ pub fn run_dbwriter_scaling(
     let mut points = Vec::new();
     for &dies in die_counts {
         for assignment in [FlusherAssignment::Global, FlusherAssignment::DieWise] {
-            points.push(run_point(benchmark, scale, dies, assignment, clients));
+            points.push(run_point(knobs, benchmark, scale, dies, assignment, clients));
         }
     }
     DbWriterScaling {
@@ -312,7 +316,8 @@ mod tests {
 
     #[test]
     fn single_point_runs_and_reports_tps() {
-        let p = run_point(Benchmark::TpcB, Scale::Quick, 2, FlusherAssignment::DieWise, 4);
+        let knobs = StackConfig::default();
+        let p = run_point(&knobs, Benchmark::TpcB, Scale::Quick, 2, FlusherAssignment::DieWise, 4);
         assert!(p.tps > 0.0);
         assert!(p.response_ms > 0.0);
     }
@@ -351,7 +356,8 @@ mod tests {
 
     #[test]
     fn die_wise_not_slower_than_global_at_scale() {
-        let result = run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &[4]);
+        let result =
+            run_dbwriter_scaling(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, &[4]);
         let speedup = result.speedup(4).expect("both assignments measured");
         assert!(
             speedup > 0.9,

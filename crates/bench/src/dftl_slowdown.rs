@@ -6,6 +6,7 @@
 use ftl::dftl::{Dftl, DftlConfig};
 use ftl::page_ftl::{PageFtl, PageFtlConfig};
 use ftl::traits::Ftl;
+use storage_engine::backend::StackConfig;
 use workloads::PageTrace;
 
 use crate::gc_overhead::record_trace;
@@ -68,13 +69,17 @@ pub fn compare_on_trace(
     }
 }
 
-/// Run the experiment for TPC-C and TPC-B.
-pub fn run_dftl_slowdown(scale: Scale, cmt_fraction: f64) -> Vec<DftlSlowdownRow> {
+/// Run the experiment for TPC-C and TPC-B (traces recorded under `knobs`).
+pub fn run_dftl_slowdown(
+    knobs: &StackConfig,
+    scale: Scale,
+    cmt_fraction: f64,
+) -> Vec<DftlSlowdownRow> {
     let transactions = crate::setup::default_transactions(scale) * 2;
     [Benchmark::TpcC, Benchmark::TpcB]
         .iter()
         .map(|&b| {
-            let trace = record_trace(b, scale, transactions);
+            let trace = record_trace(knobs, b, scale, transactions);
             compare_on_trace(b, &trace, cmt_fraction)
         })
         .collect()
@@ -109,7 +114,7 @@ mod tests {
 
     #[test]
     fn dftl_is_slower_with_tiny_cmt() {
-        let trace = record_trace(Benchmark::TpcB, Scale::Quick, 300);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 300);
         let row = compare_on_trace(Benchmark::TpcB, &trace, 0.002);
         assert!(
             row.slowdown() >= 1.0,

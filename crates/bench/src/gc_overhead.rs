@@ -12,7 +12,8 @@ use std::sync::Arc;
 use ftl::faster::{FasterConfig, FasterFtl};
 use noftl_core::{NoFtl, NoFtlConfig};
 use parking_lot::Mutex;
-use storage_engine::{backend::MemBackend, EngineConfig, FlusherConfig, StorageEngine};
+use storage_engine::backend::{MemBackend, StackConfig};
+use storage_engine::StorageEngine;
 use workloads::{BenchmarkDriver, DriverConfig, PageTrace, TraceReplayReport};
 use workloads::trace::TracingBackend;
 
@@ -87,19 +88,23 @@ pub fn gc_workload(benchmark: Benchmark, scale: Scale) -> Box<dyn Workload> {
     }
 }
 
-/// Record a page-level trace by running `benchmark` on an in-memory engine.
-pub fn record_trace(benchmark: Benchmark, scale: Scale, transactions: u64) -> PageTrace {
+/// Record a page-level trace by running `benchmark` on an in-memory engine
+/// configured under `knobs`.
+pub fn record_trace(
+    knobs: &StackConfig,
+    benchmark: Benchmark,
+    scale: Scale,
+    transactions: u64,
+) -> PageTrace {
     let (backend, trace): (TracingBackend<MemBackend>, Arc<Mutex<PageTrace>>) =
         TracingBackend::new(MemBackend::new(4096, 1 << 20));
-    let mut cfg = EngineConfig::new();
+    let mut cfg = knobs.engine();
     // A deliberately small buffer pool relative to the database pushes more
     // page writes to the backend — mirroring the paper's buffer-constrained
     // setups where the I/O path dominates.
     cfg.buffer_frames = 256;
-    let mut flushers = FlusherConfig::global(4);
-    flushers.dirty_high_watermark = 0.3;
-    flushers.dirty_low_watermark = 0.05;
-    cfg.flushers = flushers;
+    cfg.flushers.dirty_high_watermark = 0.3;
+    cfg.flushers.dirty_low_watermark = 0.05;
     let mut engine = StorageEngine::new(Box::new(backend), cfg);
     let mut workload = gc_workload(benchmark, scale);
     let start = workload.setup(&mut engine, 0).expect("setup");
@@ -143,7 +148,7 @@ pub fn replay_trace(benchmark: Benchmark, trace: &PageTrace, utilisation: f64) -
 
 /// Run the full Figure 3 experiment: TPC-C, TPC-B and TPC-E traces replayed
 /// against FASTer and NoFTL.
-pub fn run_gc_overhead(scale: Scale) -> Vec<GcOverheadRow> {
+pub fn run_gc_overhead(knobs: &StackConfig, scale: Scale) -> Vec<GcOverheadRow> {
     let transactions = match scale {
         Scale::Quick => 12_000,
         Scale::Full => 40_000,
@@ -151,7 +156,7 @@ pub fn run_gc_overhead(scale: Scale) -> Vec<GcOverheadRow> {
     [Benchmark::TpcC, Benchmark::TpcB, Benchmark::TpcE]
         .iter()
         .map(|&b| {
-            let trace = record_trace(b, scale, transactions);
+            let trace = record_trace(knobs, b, scale, transactions);
             // The paper's drives hold the database at moderate space
             // utilisation (SF-30 TPC-C on a 10 GB drive); 55 % reproduces that
             // regime: NoFTL's GC stays cheap while FASTer's small log area
@@ -192,14 +197,14 @@ mod tests {
 
     #[test]
     fn trace_recording_produces_writes() {
-        let trace = record_trace(Benchmark::TpcB, Scale::Quick, 60);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 60);
         assert!(trace.writes() > 0, "trace must contain page writes");
         assert!(trace.max_page > 0);
     }
 
     #[test]
     fn replay_produces_figure3_shape() {
-        let trace = record_trace(Benchmark::TpcB, Scale::Quick, 200);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 200);
         let row = replay_trace(Benchmark::TpcB, &trace, 0.85);
         assert_eq!(row.faster.host_writes, row.noftl.host_writes);
         // The headline relationship of Figure 3: FASTer does more GC work.

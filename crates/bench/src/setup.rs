@@ -6,10 +6,10 @@ use ftl::dftl::{Dftl, DftlConfig};
 use ftl::faster::{FasterConfig, FasterFtl};
 use ftl::page_ftl::{PageFtl, PageFtlConfig};
 use nand_flash::FlashGeometry;
-use noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
+use noftl_core::{FlusherAssignment, NoFtlConfig};
 use storage_engine::{
-    backend::{BlockDeviceBackend, MemBackend, NoFtlBackend},
-    EngineConfig, FlusherConfig, StorageEngine,
+    backend::{BlockDeviceBackend, MemBackend, StackConfig},
+    FlusherConfig, StorageEngine,
 };
 use workloads::{TpcB, TpcBConfig, TpcC, TpcCConfig, TpcE, TpcEConfig};
 
@@ -84,27 +84,23 @@ pub fn geometry_for_pages(logical_pages: u64, utilisation: f64, dies: u32) -> Fl
 }
 
 /// Construct a storage engine on the requested stack over a device with the
-/// given geometry.
-pub fn build_engine(stack: Stack, geometry: FlashGeometry, flushers: FlusherConfig) -> StorageEngine {
-    build_engine_with_buffer(stack, geometry, flushers, 2048)
-}
-
-/// [`build_engine`] with an explicit buffer-pool size (frames).  The paper's
+/// given geometry, under `knobs`, with `buffer_frames` pool frames.  The paper's
 /// live experiments use buffer pools far smaller than the database, so the
 /// I/O path — and therefore the storage stack — dominates.
 pub fn build_engine_with_buffer(
+    knobs: &StackConfig,
     stack: Stack,
     geometry: FlashGeometry,
     flushers: FlusherConfig,
     buffer_frames: usize,
 ) -> StorageEngine {
-    let mut cfg = EngineConfig::new();
+    let mut cfg = knobs.engine();
     cfg.buffer_frames = buffer_frames;
     cfg.flushers = flushers;
     match stack {
         Stack::NoFtl => {
-            let noftl = NoFtl::new(NoFtlConfig::new(geometry));
-            StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), cfg)
+            let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
+            StorageEngine::new(Box::new(backend), cfg)
         }
         Stack::Faster => {
             let ftl = FasterFtl::new(FasterConfig::new(geometry));
@@ -165,12 +161,13 @@ pub fn default_transactions(scale: Scale) -> u64 {
     }
 }
 
-/// How many flusher writers the default engine uses.
-pub fn default_flushers(assignment: FlusherAssignment, writers: usize) -> FlusherConfig {
-    let mut cfg = match assignment {
-        FlusherAssignment::Global => FlusherConfig::global(writers),
-        FlusherAssignment::DieWise => FlusherConfig::die_wise(writers),
-    };
+/// The db-writer configuration of the live experiments, under `knobs`.
+pub fn default_flushers(
+    knobs: &StackConfig,
+    assignment: FlusherAssignment,
+    writers: usize,
+) -> FlusherConfig {
+    let mut cfg = knobs.flushers(assignment, writers);
     cfg.dirty_high_watermark = 0.4;
     cfg.dirty_low_watermark = 0.05;
     cfg
@@ -191,7 +188,8 @@ mod tests {
     fn engines_build_on_every_stack() {
         let g = geometry_for_pages(4_000, 0.8, 4);
         for stack in [Stack::NoFtl, Stack::Faster, Stack::Dftl, Stack::PageFtl, Stack::Mem] {
-            let engine = build_engine(stack, g, FlusherConfig::global(2));
+            let knobs = StackConfig::default();
+            let engine = build_engine_with_buffer(&knobs, stack, g, FlusherConfig::global(2), 2048);
             assert!(engine.page_size() > 0);
             assert!(engine.backend_name().contains(match stack {
                 Stack::Mem => "mem",

@@ -4,6 +4,7 @@
 //! over the conventional stacks.
 
 use noftl_core::FlusherAssignment;
+use storage_engine::backend::StackConfig;
 use workloads::{BenchmarkDriver, DriverConfig};
 
 use crate::gc_overhead::gc_workload;
@@ -27,8 +28,13 @@ pub struct ThroughputPoint {
     pub p99_ms: f64,
 }
 
-/// Run one benchmark on one stack.
-pub fn run_stack(benchmark: Benchmark, stack: Stack, scale: Scale) -> ThroughputPoint {
+/// Run one benchmark on one stack under `knobs`.
+pub fn run_stack(
+    knobs: &StackConfig,
+    benchmark: Benchmark,
+    stack: Stack,
+    scale: Scale,
+) -> ThroughputPoint {
     let mut workload = gc_workload(benchmark, scale);
     // The drive is a few times larger than the database (as in the paper's
     // 10 GB drives), and the buffer pool is a small fraction of the database
@@ -41,12 +47,12 @@ pub fn run_stack(benchmark: Benchmark, stack: Stack, scale: Scale) -> Throughput
     // NoFTL gets the Flash-aware flusher assignment; the FTL stacks cannot
     // (the block interface hides the layout), so they use the global scheme.
     let mut flushers = match stack {
-        Stack::NoFtl => default_flushers(FlusherAssignment::DieWise, 8),
-        _ => default_flushers(FlusherAssignment::Global, 8),
+        Stack::NoFtl => default_flushers(knobs, FlusherAssignment::DieWise, 8),
+        _ => default_flushers(knobs, FlusherAssignment::Global, 8),
     };
     flushers.dirty_high_watermark = 0.3;
     flushers.dirty_low_watermark = 0.02;
-    let mut engine = build_engine_with_buffer(stack, geometry, flushers, 512);
+    let mut engine = build_engine_with_buffer(knobs, stack, geometry, flushers, 512);
     let start = workload.setup(&mut engine, 0).expect("setup");
     let transactions = default_transactions(scale) * 2;
     let driver = BenchmarkDriver::new(DriverConfig::write_pressure(16, transactions));
@@ -63,11 +69,15 @@ pub fn run_stack(benchmark: Benchmark, stack: Stack, scale: Scale) -> Throughput
 }
 
 /// Run the headline comparison: each benchmark on FASTer, DFTL and NoFTL.
-pub fn run_headline(scale: Scale, benchmarks: &[Benchmark]) -> Vec<ThroughputPoint> {
+pub fn run_headline(
+    knobs: &StackConfig,
+    scale: Scale,
+    benchmarks: &[Benchmark],
+) -> Vec<ThroughputPoint> {
     let mut rows = Vec::new();
     for &b in benchmarks {
         for stack in [Stack::Faster, Stack::Dftl, Stack::NoFtl] {
-            rows.push(run_stack(b, stack, scale));
+            rows.push(run_stack(knobs, b, stack, scale));
         }
     }
     rows
@@ -123,8 +133,9 @@ mod tests {
 
     #[test]
     fn noftl_beats_faster_on_tpcb_quick() {
-        let rows = [run_stack(Benchmark::TpcB, Stack::Faster, Scale::Quick),
-            run_stack(Benchmark::TpcB, Stack::NoFtl, Scale::Quick)];
+        let knobs = StackConfig::default();
+        let rows = [run_stack(&knobs, Benchmark::TpcB, Stack::Faster, Scale::Quick),
+            run_stack(&knobs, Benchmark::TpcB, Stack::NoFtl, Scale::Quick)];
         let faster = rows.iter().find(|r| r.stack == "ftl-faster").unwrap().tps;
         let noftl = rows.iter().find(|r| r.stack == "noftl").unwrap().tps;
         assert!(

@@ -86,9 +86,9 @@ pub struct NoFtlConfig {
     /// default — means [`RedundancyPolicy::None`] everywhere, which keeps
     /// every write path bit- and cycle-identical to a build without the
     /// redundancy machinery.  A shorter-than-regions vector leaves the
-    /// remaining regions unprotected.  The `NOFTL_REDUNDANCY` environment
-    /// knob is parsed centrally in `storage_engine::backend` and applied to
-    /// every region of instances configured without a policy.
+    /// remaining regions unprotected.  The `NOFTL_REDUNDANCY` knob
+    /// (`storage_engine::backend::StackConfig::noftl`) sets one policy for
+    /// every region.
     pub redundancy: Vec<RedundancyPolicy>,
 }
 

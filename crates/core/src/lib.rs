@@ -43,8 +43,8 @@
 //!   table, DFTL's CMT directory) use [`sim_utils::intmap::IntMap`], an
 //!   open-addressing integer table with Fibonacci hashing — no SipHash.
 //!
-//! The before/after numbers for each structure are recorded in
-//! `BENCH_pr1.json` at the repository root.
+//! The before/after numbers for each structure are recorded in the PR 1
+//! entry of `CHANGES.md`.
 //!
 //! ## Asynchronous I/O path (completion-poll interface)
 //!
@@ -143,9 +143,9 @@
 //! block; a *die* failure takes out every block of a plane group at once,
 //! and without an FTL the DBMS again is the layer that must answer for it.
 //! Each region carries a [`RedundancyPolicy`] (config field
-//! [`NoFtlConfig::redundancy`], or the `NOFTL_REDUNDANCY` knob parsed by the
-//! storage engine; default `None` is bit- and cycle-identical to a build
-//! without the feature):
+//! [`NoFtlConfig::redundancy`], which the `NOFTL_REDUNDANCY` knob of
+//! `storage_engine::backend::StackConfig` projects onto; default `None` is
+//! bit- and cycle-identical to a build without the feature):
 //!
 //! * **`Parity(k)`** — writes into the region accumulate an open stripe of
 //!   `k` data pages on *pairwise-distinct dies* plus one XOR parity page on

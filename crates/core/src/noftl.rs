@@ -424,10 +424,9 @@ impl NoFtl {
     }
 
     /// Install (or clear) the device's fault-injection plan, keeping the
-    /// cached fault-path gate in sync.  The DBMS-side knob wiring
-    /// (`storage_engine::backend`) uses this to inject the centrally parsed
-    /// `NOFTL_FAULTS` plan into a device configured without one; an
-    /// explicitly configured plan is never overridden there.
+    /// cached fault-path gate in sync (chaos tests arm a die kill mid-run;
+    /// `storage_engine::backend::StackConfig::noftl_backend` installs the
+    /// `NOFTL_FAULTS` plan).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.device.set_fault_plan(plan);
         self.faults_active = self.device.faults_enabled();
@@ -436,13 +435,6 @@ impl NoFtl {
     /// Bad-block registry.
     pub fn bad_blocks(&self) -> &BadBlockManager {
         &self.bad_blocks
-    }
-
-    /// Whether a redundancy policy vector was configured (even all-`None`).
-    /// The DBMS-side knob wiring uses this to avoid overriding an
-    /// explicitly configured instance with the `NOFTL_REDUNDANCY` default.
-    pub fn redundancy_configured(&self) -> bool {
-        !self.redundancy.is_empty()
     }
 
     /// Redundancy policy of `region` (`None` when unconfigured).
@@ -3232,8 +3224,7 @@ mod tests {
 
     use nand_flash::fault::FaultPlan;
 
-    /// NoFTL over a device with an explicit fault plan (independent of the
-    /// `NOFTL_FAULTS` env knob, so these tests are deterministic anywhere).
+    /// NoFTL over a device with an explicit fault plan.
     fn faulty_noftl(plan: FaultPlan, config: NoFtlConfig) -> NoFtl {
         let mut dev_cfg = DeviceConfig::new(config.geometry);
         dev_cfg.store_data = config.store_data;
@@ -3515,9 +3506,7 @@ mod tests {
     #[test]
     fn parity_stripes_seal_die_disjoint() {
         let mut n = small_noftl();
-        assert!(!n.redundancy_configured());
         n.set_redundancy_all(RedundancyPolicy::Parity(3));
-        assert!(n.redundancy_configured());
         assert_eq!(n.redundancy_policy(0), RedundancyPolicy::Parity(3));
         let mut now = 0;
         for lpn in 0..12u64 {
@@ -3851,7 +3840,6 @@ mod tests {
             }
         }
         assert!(n.stats().gc_erases > 0);
-        assert!(!n.redundancy_configured());
         assert!(!n.redundancy_active);
         assert!(n.stripe_of.is_empty(), "off leg allocates no stripe tables");
         assert!(n.mirror_of.is_empty());

@@ -45,6 +45,17 @@ pub enum StripingMode {
     Single,
 }
 
+impl StripingMode {
+    /// Number of regions this mode splits `geometry` into.
+    pub fn regions(self, geometry: &FlashGeometry) -> usize {
+        match self {
+            StripingMode::DieWise => geometry.total_dies() as usize,
+            StripingMode::ChannelWise => geometry.channels as usize,
+            StripingMode::Single => 1,
+        }
+    }
+}
+
 /// How db-writers (background flushers) are associated with regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlusherAssignment {
@@ -96,11 +107,7 @@ impl RegionManager {
     /// re-resolved every block's region by scanning the die lists).
     pub fn new(geometry: FlashGeometry, striping: StripingMode) -> Self {
         let total_dies = geometry.total_dies() as usize;
-        let regions = match striping {
-            StripingMode::DieWise => total_dies,
-            StripingMode::ChannelWise => geometry.channels as usize,
-            StripingMode::Single => 1,
-        };
+        let regions = striping.regions(&geometry);
         let mut region_dies: Vec<Vec<DieAddr>> = vec![Vec::new(); regions];
         let mut die_to_region: Vec<RegionId> = Vec::with_capacity(total_dies);
         for die_flat in 0..total_dies {

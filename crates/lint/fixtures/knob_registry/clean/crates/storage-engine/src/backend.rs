@@ -1,19 +1,31 @@
-//! Clean fixture central knob module: both knobs parsed here, and both
-//! covered by the fixture CI matrix and ROADMAP table.
+//! Clean fixture central knob module: both knobs parsed here, the
+//! environment read in `from_env` alone, and both knobs covered by the
+//! fixture CI matrix and ROADMAP table.
 
-pub fn batch_from_env() -> bool {
-    matches!(std::env::var("NOFTL_BATCH").as_deref(), Ok("on"))
+pub struct StackConfig {
+    pub batch: bool,
+    pub trace: bool,
 }
 
-pub fn trace_from_env() -> bool {
-    matches!(std::env::var("NOFTL_TRACE").as_deref(), Ok("on"))
+impl StackConfig {
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let on = |name: &str| lookup(name).as_deref() == Some("on");
+        Self {
+            batch: on("NOFTL_BATCH"),
+            trace: on("NOFTL_TRACE"),
+        }
+    }
+
+    pub fn from_env() -> Self {
+        Self::parse(|name| std::env::var(name).ok())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_set_knobs() {
+    fn tests_may_set_knobs_and_read_them_through_from_env() {
         std::env::set_var("NOFTL_BATCH", "on");
-        assert!(super::batch_from_env());
+        assert!(super::StackConfig::from_env().batch);
     }
 }

@@ -14,7 +14,7 @@
 //! | `latch-order` | The acquisition-order graph over every `Mutex`/`RwLock` field in `storage-engine` (inter-procedural, scope-aware) has no cycles; no still-held lock is re-acquired. See [`passes::latch_order`]. |
 //! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` or completion-batch indexing in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
 //! | `determinism` | No hash-ordered containers, wall-clock reads, or ambient RNGs in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, and `SimInstant`. See [`passes::determinism`]. |
-//! | `knob-registry` | Every `NOFTL_*` env knob is parsed only in `storage_engine::backend`, exercised by CI, documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
+//! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is exercised by CI, documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
 //! | `stats-reconciliation` | Every counter field on `FlashStats`/`ReadaheadStats` is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
 //!
 //! ## `lint:allow` policy

@@ -1,13 +1,18 @@
-//! `knob-registry`: every `NOFTL_*` environment knob is parsed in exactly one
-//! place and documented everywhere it must be.
+//! `knob-registry`: every `NOFTL_*` environment knob is read in exactly one
+//! function and documented everywhere it must be.
 //!
 //! The registry is derived from the central knob module
 //! (`crates/storage-engine/src/backend.rs`): every `NOFTL_*` string literal
 //! in its non-test code is a registered knob.  The pass then enforces:
 //!
-//! 1. **Single parse point** — `env::var`/`env::var_os` of a `NOFTL_*` name
-//!    anywhere else in non-test code is a violation (tests may read/set knobs
-//!    to exercise them).
+//! 1. **Single parse point** — the process environment is read
+//!    (`env::var`, `env::var_os`, or `env!` of a knob) in one function only,
+//!    the central module's `from_env`.  Anywhere else — other functions of
+//!    the central module, other crates, `tests/`, `examples/`, unit tests —
+//!    it is a violation: a stack is a pure function of its config value, and
+//!    a fixture that reads the environment asserts about whatever leg it
+//!    happens to run under.  `set_var` stays legal (the one test that
+//!    exercises `from_env` needs it).
 //! 2. **CI coverage** — every registered knob must appear in
 //!    `.github/workflows/ci.yml`; a knob no CI leg exercises is dead config.
 //! 3. **Docs coverage** — every registered knob must appear in `ROADMAP.md`'s
@@ -28,6 +33,28 @@ pub const PASS: &str = "knob-registry";
 
 /// Root-relative path of the central knob module.
 pub const CENTRAL: &str = "crates/storage-engine/src/backend.rs";
+
+/// 1-based inclusive line span of `fn from_env` in the central module — the
+/// one function allowed to read the environment — from its signature to the
+/// brace that closes its body.
+fn from_env_span(central: &SourceFile) -> Option<(usize, usize)> {
+    let start = central
+        .numbered()
+        .find(|(_, l)| !l.in_test && l.code.contains("fn from_env("))?
+        .0;
+    let mut depth = 0usize;
+    for (no, line) in central.numbered().skip(start - 1) {
+        for c in line.code.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => return Some((start, no)),
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+    }
+    None
+}
 
 /// The derived knob registry.
 #[derive(Debug, Clone, Default)]
@@ -129,25 +156,26 @@ pub fn run(
         ));
     }
 
-    // 1. Env reads of NOFTL_* outside the central module (non-test code).
+    // 1. Environment reads outside the central module's `from_env`, test
+    //    code included.
+    let allowed = central.and_then(from_env_span);
     for f in sources {
-        if f.rel == CENTRAL {
-            continue;
-        }
         for (no, line) in f.numbered() {
-            if line.in_test {
-                continue;
-            }
-            let reads_env = line.code.contains("env::var") || line.code.contains("env!(");
-            let names_knob = line.strings.iter().any(|s| !knob_tokens(s).is_empty());
-            if reads_env && names_knob {
+            let reads_env = line.code.contains("env::var(")
+                || line.code.contains("env::var_os(")
+                || (line.code.contains("env!(")
+                    && line.strings.iter().any(|s| !knob_tokens(s).is_empty()));
+            let in_from_env =
+                f.rel == CENTRAL && allowed.is_some_and(|(lo, hi)| (lo..=hi).contains(&no));
+            if reads_env && !in_from_env {
                 out.push(Diagnostic::new(
                     &f.rel,
                     no,
                     PASS,
                     format!(
-                        "NOFTL_* environment read outside the central knob module; \
-                         route it through storage_engine::backend ({CENTRAL})"
+                        "environment read outside the single parse point; take a \
+                         StackConfig value, or call StackConfig::from_env() in main \
+                         ({CENTRAL})"
                     ),
                 ));
             }

@@ -1,6 +1,11 @@
 //! Self-run test: the linter must come up clean on the real workspace, and
 //! its latch-order analysis must demonstrably cover the engine lock's
 //! acquisition sites — otherwise a "no findings" result proves nothing.
+//!
+//! Clean includes the knob-registry's single parse point: the environment is
+//! read in `StackConfig::from_env` and nowhere else — no other function,
+//! crate, test or example.  (Were `from_env` renamed away, its own
+//! `env::var` line would be the finding.)
 
 use std::path::PathBuf;
 

@@ -46,10 +46,10 @@
 //! default plan with the default seed, and any other integer enables the
 //! default plan seeded with that value.  Unrecognised spellings disable
 //! injection (failing *safe* for a fault knob).  The environment **read**
-//! itself lives with every other knob in `storage_engine::backend`
-//! (`fault_plan_from_env` there); this module deliberately never touches the
-//! environment, so a device's fault behaviour is a pure function of its
-//! [`crate::DeviceConfig`].
+//! itself lives with every other knob in
+//! `storage_engine::backend::StackConfig::from_env`; this module never
+//! touches the environment, so a device's fault behaviour is a pure function
+//! of its [`crate::DeviceConfig`].
 
 use serde::{Deserialize, Serialize};
 use sim_utils::rng::SimRng;

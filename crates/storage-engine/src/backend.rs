@@ -8,252 +8,139 @@
 
 use ftl::block_device::BlockDevice;
 use nand_flash::{FlashResult, NativeFlashInterface, OpCompletion};
-use noftl_core::{NoFtl, RedundancyPolicy};
+use noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig, RedundancyPolicy};
 use sim_utils::time::SimInstant;
+
+use crate::engine::EngineConfig;
+use crate::flusher::FlusherConfig;
+use crate::transaction::AdmissionConfig;
 
 /// Page id alias used by the batch write API (kept here to avoid a cyclic
 /// import with [`crate::page`]).
 type PageId = u64;
 
-/// Default number of pages a batched write submits per backend call when the
-/// `NOFTL_BATCH` environment variable does not say otherwise.
+/// Pages per batched write submission when `NOFTL_BATCH` is unset or `on`.
 pub const DEFAULT_BATCH_PAGES: usize = 64;
 
-/// Resolve the batched-write mode from the `NOFTL_BATCH` environment
-/// variable:
-///
-/// * unset / `on` — batching enabled with [`DEFAULT_BATCH_PAGES`] pages per
-///   submission;
-/// * `off` / `0` — batching disabled: the legacy one-`write_page`-per-page
-///   path is used everywhere (the CI fallback leg);
-/// * a number `k` — batching enabled with runs of at most `k` pages (`1`
-///   exercises the batch plumbing with degenerate single-page runs, which
-///   must be bit- and timing-identical to `off`).
-pub fn batch_pages_from_env() -> usize {
-    match std::env::var("NOFTL_BATCH") {
-        Ok(v) => parse_batch_pages(&v),
-        Err(_) => DEFAULT_BATCH_PAGES,
-    }
-}
-
-/// Parse one `NOFTL_BATCH` spelling (see [`batch_pages_from_env`]).
-pub fn parse_batch_pages(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "on" | "true" => DEFAULT_BATCH_PAGES,
-        "off" | "false" => 0,
-        _ => v.parse::<usize>().unwrap_or(DEFAULT_BATCH_PAGES),
-    }
-}
-
-/// Resolve the global-writer batching ablation from the `NOFTL_BATCH_GLOBAL`
-/// environment variable.  Default **off**: the conventional global writers
-/// model the legacy per-page path, preserving the paper's Figure 4 contention
-/// effect.  Turning it on lets the global writers batch like the die-wise
-/// ones, quantifying how much of the Figure 4 gap NCQ-style batching alone
-/// closes (the writer-to-region association is still what the rest buys).
-pub fn batch_global_from_env() -> bool {
-    match std::env::var("NOFTL_BATCH_GLOBAL") {
-        Ok(v) => parse_batch_global(&v),
-        Err(_) => false,
-    }
-}
-
-/// Parse one `NOFTL_BATCH_GLOBAL` spelling (see [`batch_global_from_env`]).
-pub fn parse_batch_global(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "on" | "true" | "1" | "yes"
-    )
-}
-
-/// Default readahead window cap (pages) when `NOFTL_READAHEAD` is unset or
-/// `on` without a number.
+/// Readahead window cap (pages) when `NOFTL_READAHEAD` is unset or `on`.
 pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 
-/// Resolve the streaming-readahead window cap from the `NOFTL_READAHEAD`
-/// environment variable:
-///
-/// * unset / `on` — readahead enabled with a [`DEFAULT_READAHEAD_WINDOW`]
-///   cap (it still only *issues* at `NOFTL_ASYNC` depth > 1 — at depth 1 the
-///   scan paths stay frame-at-a-time, bit- and cycle-identical to the
-///   pre-readahead code);
-/// * `off` / `0` — readahead disabled at any depth;
-/// * a number `k` — readahead enabled with a window cap of `k` pages.
-pub fn readahead_window_from_env() -> usize {
-    match std::env::var("NOFTL_READAHEAD") {
-        Ok(v) => parse_readahead_window(&v),
-        Err(_) => DEFAULT_READAHEAD_WINDOW,
-    }
-}
-
-/// Parse one `NOFTL_READAHEAD` spelling (see [`readahead_window_from_env`]).
-pub fn parse_readahead_window(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "on" | "true" => DEFAULT_READAHEAD_WINDOW,
-        "off" | "false" => 0,
-        _ => v.parse::<usize>().unwrap_or(DEFAULT_READAHEAD_WINDOW),
-    }
-}
-
-/// Default per-die queue depth when `NOFTL_ASYNC` is `on` without a number.
+/// Per-die queue depth when `NOFTL_ASYNC` is `on` without a number.
 pub const DEFAULT_ASYNC_DEPTH: usize = 8;
 
-/// Resolve the asynchronous submission depth from the `NOFTL_ASYNC`
-/// environment variable:
-///
-/// * unset / `off` / `0` / `1` — synchronous dispatch (depth 1): every
-///   submission waits for its predecessor, bit- and cycle-identical to the
-///   pre-async code (the equivalence-suite invariant);
-/// * `on` — asynchronous with [`DEFAULT_ASYNC_DEPTH`] commands in flight per
-///   submitter / per die;
-/// * a number `k` — asynchronous with a window of `k`.
-pub fn async_depth_from_env() -> usize {
-    match std::env::var("NOFTL_ASYNC") {
-        Ok(v) => parse_async_depth(&v),
-        Err(_) => 1,
-    }
-}
-
-/// Parse one `NOFTL_ASYNC` spelling (see [`async_depth_from_env`]).
-pub fn parse_async_depth(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "off" | "false" | "0" | "1" => 1,
-        "on" | "true" => DEFAULT_ASYNC_DEPTH,
-        _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
-    }
-}
-
-/// Default client/shard count when `NOFTL_THREADS` is `on` without a number.
+/// Client/shard count when `NOFTL_THREADS` is `on` without a number.
 pub const DEFAULT_THREADS: usize = 8;
 
-/// Resolve the client count from the `NOFTL_THREADS` environment variable.
-/// It is a number of sessions (and pool shards) for drivers that sweep or
-/// storm with it, not an engine selector — there is one engine:
-///
-/// * unset / `off` / `0` / `1` — one client;
-/// * `on` — [`DEFAULT_THREADS`] clients / pool shards;
-/// * a number `k` — `k` clients / pool shards.
-pub fn threads_from_env() -> usize {
-    match std::env::var("NOFTL_THREADS") {
-        Ok(v) => parse_threads(&v),
-        Err(_) => 1,
-    }
-}
-
-/// Parse one `NOFTL_THREADS` spelling (see [`threads_from_env`]).
-pub fn parse_threads(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "off" | "false" | "0" | "1" => 1,
-        "on" | "true" => DEFAULT_THREADS,
-        _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
-    }
-}
-
-/// Resolve the fault-injection plan from the `NOFTL_FAULTS` environment
-/// variable:
-///
-/// * unset / `off` / `false` / `0` / `no` — injection disabled (the default
-///   and the equivalence baseline: bit- and cycle-identical to a build
-///   without fault injection);
-/// * `on` / `true` / `yes` — the default plan with the default seed;
-/// * a number `k` — the default plan seeded with `k`;
-/// * anything else — disabled (a fault knob fails safe).
-///
-/// This is the **only** place the `NOFTL_FAULTS` environment variable is
-/// read (the knob-registry lint enforces it): parsing lives in
-/// [`nand_flash::parse_fault_plan`], and the plan is injected DBMS-side by
-/// [`NoFtlBackend::new`] into devices configured without one — an explicitly
-/// configured `DeviceConfig::faults` plan always wins over the environment.
-pub fn fault_plan_from_env() -> Option<nand_flash::FaultPlan> {
-    match std::env::var("NOFTL_FAULTS") {
-        Ok(v) => nand_flash::parse_fault_plan(&v),
-        Err(_) => None,
-    }
-}
-
-/// Default proactive-GC read-occupancy threshold (in-flight reads) injected
-/// into [`noftl_core::NoFtl`] when `NOFTL_SLO` is on and the instance was
-/// configured without one.
+/// Proactive-GC read-occupancy threshold (in-flight reads) of the
+/// `NOFTL_SLO` bundle (see
+/// [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`]).
 pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
 
-/// Default GC read-heat victim penalty injected when `NOFTL_SLO` is on and
-/// the instance was configured read-blind (see
+/// GC read-heat victim penalty of the `NOFTL_SLO` bundle (see
 /// [`noftl_core::NoFtlConfig::gc_read_heat_penalty`]).
 pub const DEFAULT_SLO_GC_READ_HEAT_PENALTY: f64 = 1.0;
 
-/// Default device-queue occupancy (in-flight operations) at which a flusher
-/// wave defers to foreground traffic when `NOFTL_SLO` is on (see
+/// Device-queue occupancy (in-flight operations) at which a flusher wave
+/// defers to foreground traffic under the `NOFTL_SLO` bundle (see
 /// [`crate::flusher::FlusherPool::set_throttle_occupancy`]).
 pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
 
-/// Resolve the overload-robustness (SLO) policy bundle from the `NOFTL_SLO`
-/// environment variable:
-///
-/// * unset / `off` / `false` / `0` / `no` — every policy off (the default
-///   and the equivalence baseline: WAL admission unbounded, flusher waves
-///   unthrottled, GC demand-only — bit- and cycle-identical to the
-///   pre-SLO engine);
-/// * `on` / `true` / `1` / `yes` — admission control at the WAL, load-aware
-///   flusher throttling, and proactive GC scheduling into read-cold
-///   instants, with the default watermarks;
-/// * anything else — off (a policy knob fails safe).
-///
-/// This is the **only** place the `NOFTL_SLO` environment variable is read
-/// (the knob-registry lint enforces it).
-pub fn slo_from_env() -> bool {
-    match std::env::var("NOFTL_SLO") {
-        Ok(v) => parse_slo(&v),
-        Err(_) => false,
-    }
-}
-
-/// Parse one `NOFTL_SLO` spelling (see [`slo_from_env`]).
-pub fn parse_slo(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "on" | "true" | "1" | "yes"
-    )
-}
-
-/// Default parity stripe width — data members per parity page — when
+/// Parity stripe width — data members per parity page — when
 /// `NOFTL_REDUNDANCY` asks for parity without a number.
 pub const DEFAULT_PARITY_K: usize = 3;
 
-/// Resolve the per-region redundancy policy from the `NOFTL_REDUNDANCY`
-/// environment variable:
+/// The eight `NOFTL_*` knobs as one typed value: a stack is a pure function
+/// of it.  [`StackConfig::from_env`] is the only place the process
+/// environment is read (the knob-registry lint enforces it); it is called in
+/// `main` of the bench bins and examples and in the env-honouring CI smokes.
+/// Everything else — every constructor in this workspace — is pure, and a
+/// caller that wants the knobs honoured projects the value onto the
+/// configuration structs with [`StackConfig::engine`],
+/// [`StackConfig::flushers`], [`StackConfig::noftl`] and
+/// [`StackConfig::noftl_backend`].  A knob at its default leaves the
+/// projected base untouched; a knob that is set wins.
 ///
-/// * unset / `off` / `false` / `0` / `no` / `none` — no redundancy (the
-///   default and the equivalence baseline: every write path bit- and
-///   cycle-identical to a build without the redundancy machinery);
-/// * `on` / `true` / `yes` / `parity` — die-disjoint XOR parity striping
-///   with [`DEFAULT_PARITY_K`] data members per parity page;
-/// * `parity:k` — parity striping with `k` data members per parity page;
-/// * `mirror` — full mirroring (every write also lands a copy on another
-///   die);
-/// * anything else — off (a reliability knob fails safe, like every other
-///   policy knob).
-///
-/// This is the **only** place the `NOFTL_REDUNDANCY` environment variable is
-/// read (the knob-registry lint enforces it): the policy is injected
-/// DBMS-side by [`NoFtlBackend::new`] into instances configured without one
-/// — an explicitly configured `NoFtlConfig::redundancy` vector (or prior
-/// `set_redundancy_*` call) always wins over the environment.
-pub fn redundancy_from_env() -> Option<RedundancyPolicy> {
-    match std::env::var("NOFTL_REDUNDANCY") {
-        Ok(v) => parse_redundancy(&v),
-        Err(_) => None,
+/// [`Default`] is the default column of the ROADMAP knob registry, and every
+/// knob's default leg is pinned trace-identical to the pre-knob behaviour.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StackConfig {
+    /// `NOFTL_BATCH`: pages per batched write submission (die-wise writers
+    /// and the WAL).  Unset / `on` — [`DEFAULT_BATCH_PAGES`]; `off` / `0` —
+    /// the legacy one-`write_page`-per-page path; a number `k` — runs of at
+    /// most `k` pages (`1` is bit- and cycle-identical to `off`).
+    pub batch_pages: usize,
+    /// `NOFTL_BATCH_GLOBAL`: ablation letting the conventional *global*
+    /// writers batch too (default off, preserving the Figure 4 asymmetry);
+    /// `on` / `true` / `1` / `yes` turn it on.
+    pub batch_global: bool,
+    /// `NOFTL_ASYNC`: submission depth per die / per submitter.  Unset /
+    /// `off` / `0` / `1` — synchronous dispatch; `on` —
+    /// [`DEFAULT_ASYNC_DEPTH`]; a number `k` — a window of `k`.
+    pub async_depth: usize,
+    /// `NOFTL_READAHEAD`: streaming-readahead window cap in pages (it only
+    /// *issues* at depth > 1).  Unset / `on` — [`DEFAULT_READAHEAD_WINDOW`];
+    /// `off` / `0` — disabled; a number `k` — a cap of `k`.
+    pub readahead_window: usize,
+    /// `NOFTL_THREADS`: a client (session / pool-shard) count for drivers
+    /// that sweep or storm with it, not an engine selector.  Unset / `off` /
+    /// `0` / `1` — one; `on` — [`DEFAULT_THREADS`]; a number `k` — `k`.
+    pub threads: usize,
+    /// `NOFTL_FAULTS`: seeded fault-injection plan
+    /// ([`nand_flash::parse_fault_plan`]).  Unset / `off` / `0` / `no` —
+    /// none; `on` — the default plan and seed; a number `k` — seed `k`;
+    /// anything else — none (a fault knob fails safe).
+    pub faults: Option<nand_flash::FaultPlan>,
+    /// `NOFTL_SLO`: the overload bundle — WAL commit-admission window,
+    /// load-aware flusher throttling, proactive GC into read-cold instants.
+    /// `on` / `true` / `1` / `yes` turn it on; anything else is off.
+    pub slo: bool,
+    /// `NOFTL_REDUNDANCY`: one policy for every region.  Unset / `off` /
+    /// `0` / `no` / `none` — none; `on` / `parity` —
+    /// `Parity(`[`DEFAULT_PARITY_K`]`)`; `parity:k`; `mirror`; anything else
+    /// — none (a reliability knob fails safe).
+    pub redundancy: Option<RedundancyPolicy>,
+}
+
+impl Default for StackConfig {
+    fn default() -> Self {
+        Self {
+            batch_pages: DEFAULT_BATCH_PAGES,
+            batch_global: false,
+            async_depth: 1,
+            readahead_window: DEFAULT_READAHEAD_WINDOW,
+            threads: 1,
+            faults: None,
+            slo: false,
+            redundancy: None,
+        }
     }
 }
 
-/// Parse one `NOFTL_REDUNDANCY` spelling (see [`redundancy_from_env`]).
-pub fn parse_redundancy(value: &str) -> Option<RedundancyPolicy> {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "off" | "false" | "0" | "no" | "none" => None,
+/// `on` / `off` / page-count spelling (`NOFTL_BATCH`, `NOFTL_READAHEAD`).
+fn parse_pages(v: &str, default: usize) -> usize {
+    match v {
+        "" | "on" | "true" => default,
+        "off" | "false" => 0,
+        _ => v.parse().unwrap_or(default),
+    }
+}
+
+/// `off` / `on` / count-of-at-least-one spelling (`NOFTL_ASYNC`,
+/// `NOFTL_THREADS`).
+fn parse_count(v: &str, on: usize) -> usize {
+    match v {
+        "on" | "true" => on,
+        _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
+    }
+}
+
+/// Boolean policy spelling (`NOFTL_BATCH_GLOBAL`, `NOFTL_SLO`).
+fn parse_switch(v: &str) -> bool {
+    matches!(v, "on" | "true" | "1" | "yes")
+}
+
+fn parse_redundancy(v: &str) -> Option<RedundancyPolicy> {
+    match v {
         "on" | "true" | "yes" | "parity" => Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K)),
         "mirror" => Some(RedundancyPolicy::Mirror),
         _ => v
@@ -261,6 +148,79 @@ pub fn parse_redundancy(value: &str) -> Option<RedundancyPolicy> {
             .and_then(|k| k.trim().parse::<usize>().ok())
             .filter(|&k| k >= 1)
             .map(RedundancyPolicy::Parity),
+    }
+}
+
+impl StackConfig {
+    /// Parse the knobs from `lookup(name)` (`None` = unset).  Spellings are
+    /// trimmed and case-insensitive; unset and empty mean the default.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let get = |name: &str| lookup(name).unwrap_or_default().trim().to_ascii_lowercase();
+        Self {
+            batch_pages: parse_pages(&get("NOFTL_BATCH"), DEFAULT_BATCH_PAGES),
+            batch_global: parse_switch(&get("NOFTL_BATCH_GLOBAL")),
+            async_depth: parse_count(&get("NOFTL_ASYNC"), DEFAULT_ASYNC_DEPTH),
+            readahead_window: parse_pages(&get("NOFTL_READAHEAD"), DEFAULT_READAHEAD_WINDOW),
+            threads: parse_count(&get("NOFTL_THREADS"), DEFAULT_THREADS),
+            faults: nand_flash::parse_fault_plan(&get("NOFTL_FAULTS")),
+            slo: parse_switch(&get("NOFTL_SLO")),
+            redundancy: parse_redundancy(&get("NOFTL_REDUNDANCY")),
+        }
+    }
+
+    /// The knobs of this process's environment.
+    pub fn from_env() -> Self {
+        Self::parse(|name| std::env::var(name).ok())
+    }
+
+    /// [`EngineConfig::new`] under these knobs.
+    pub fn engine(&self) -> EngineConfig {
+        EngineConfig {
+            flushers: self.flushers(FlusherAssignment::Global, 4),
+            readahead_window: self.readahead_window,
+            admission: self.slo.then(AdmissionConfig::default),
+            slo_scheduling: self.slo,
+            ..EngineConfig::new()
+        }
+    }
+
+    /// [`FlusherConfig::global`] / [`FlusherConfig::die_wise`] under these
+    /// knobs.  The engine hands the same depth and batch size to its WAL.
+    pub fn flushers(&self, assignment: FlusherAssignment, writers: usize) -> FlusherConfig {
+        FlusherConfig {
+            assignment,
+            batch_pages: self.batch_pages,
+            batch_global: self.batch_global,
+            async_depth: self.async_depth,
+            ..FlusherConfig::global(writers)
+        }
+    }
+
+    /// `base` under these knobs: queue depth, the SLO bundle's GC policies
+    /// and the redundancy policy (applied to every region).
+    pub fn noftl(&self, mut base: NoFtlConfig) -> NoFtlConfig {
+        if self.async_depth > 1 {
+            base.async_queue_depth = self.async_depth;
+        }
+        if self.slo {
+            base.gc_schedule_read_occupancy = DEFAULT_SLO_GC_READ_OCCUPANCY;
+            base.gc_read_heat_penalty = DEFAULT_SLO_GC_READ_HEAT_PENALTY;
+        }
+        if let Some(policy) = self.redundancy {
+            base.redundancy = vec![policy; base.striping.regions(&base.geometry)];
+        }
+        base
+    }
+
+    /// A NoFTL backend over a fresh device, built from `base` under these
+    /// knobs — [`StackConfig::noftl`] plus the fault plan, which lives on the
+    /// device.
+    pub fn noftl_backend(&self, base: NoFtlConfig) -> NoFtlBackend {
+        let mut noftl = NoFtl::new(self.noftl(base));
+        if self.faults.is_some() {
+            noftl.set_fault_plan(self.faults.clone());
+        }
+        NoFtlBackend::new(noftl)
     }
 }
 
@@ -624,41 +584,8 @@ pub struct NoFtlBackend {
 }
 
 impl NoFtlBackend {
-    /// Wrap a NoFTL instance.  When the instance still has the synchronous
-    /// default (depth 1), the asynchronous submission depth is taken from
-    /// the `NOFTL_ASYNC` environment knob; an explicitly configured
-    /// `NoFtlConfig::async_queue_depth` (or prior `set_async_depth`) wins
-    /// over the environment.  Likewise, a device configured without a fault
-    /// plan picks up the centrally parsed `NOFTL_FAULTS` plan here (see
-    /// [`fault_plan_from_env`]); an explicitly configured plan wins.
+    /// Wrap a NoFTL instance exactly as configured.
     pub fn new(noftl: NoFtl) -> Self {
-        let mut noftl = noftl;
-        if noftl.async_depth() <= 1 {
-            noftl.set_async_depth(async_depth_from_env());
-        }
-        if !noftl.faults_enabled() {
-            noftl.set_fault_plan(fault_plan_from_env());
-        }
-        // The SLO bundle injects the load-aware GC policies the same way:
-        // only into instances configured without them, so an explicit
-        // `NoFtlConfig` (or prior setter call) always wins over the
-        // environment.
-        if slo_from_env() {
-            if noftl.gc_schedule_read_occupancy() == 0 {
-                noftl.set_gc_schedule_read_occupancy(DEFAULT_SLO_GC_READ_OCCUPANCY);
-            }
-            if noftl.gc_read_heat_penalty() == 0.0 {
-                noftl.set_gc_read_heat_penalty(DEFAULT_SLO_GC_READ_HEAT_PENALTY);
-            }
-        }
-        // The redundancy knob follows the same pattern: only instances whose
-        // config left `redundancy` empty pick up the environment policy
-        // (applied to every region); an explicit per-region vector wins.
-        if let Some(policy) = redundancy_from_env() {
-            if !noftl.redundancy_configured() {
-                noftl.set_redundancy_all(policy);
-            }
-        }
         Self { noftl }
     }
 
@@ -1079,83 +1006,64 @@ mod tests {
     }
 
     #[test]
-    fn async_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", 1),
-            ("off", 1),
-            ("False", 1),
-            ("0", 1),
-            ("1", 1),
-            ("on", DEFAULT_ASYNC_DEPTH),
-            ("TRUE", DEFAULT_ASYNC_DEPTH),
-            (" 4 ", 4),
-            ("garbage", 1),
-        ] {
-            assert_eq!(parse_async_depth(v), expect, "spelling {v:?}");
-        }
+    fn from_env_reads_the_process_environment() {
+        // The one test that touches the environment; nothing else in this
+        // binary reads it (the spelling table lives in tests/equivalence.rs).
+        std::env::set_var("NOFTL_ASYNC", " 6 ");
+        std::env::set_var("NOFTL_REDUNDANCY", "Mirror");
+        let knobs = StackConfig::from_env();
+        assert_eq!(knobs.async_depth, 6);
+        assert_eq!(knobs.redundancy, Some(RedundancyPolicy::Mirror));
+        std::env::remove_var("NOFTL_ASYNC");
+        std::env::remove_var("NOFTL_REDUNDANCY");
+        let knobs = StackConfig::from_env();
+        assert_eq!((knobs.async_depth, knobs.redundancy), (1, None));
     }
 
     #[test]
-    fn threads_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", 1),
-            ("off", 1),
-            ("False", 1),
-            ("0", 1),
-            ("1", 1),
-            ("on", DEFAULT_THREADS),
-            ("TRUE", DEFAULT_THREADS),
-            (" 4 ", 4),
-            ("8", 8),
-            ("garbage", 1),
-        ] {
-            assert_eq!(parse_threads(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn faults_knob_routes_through_the_central_parser() {
-        // The env read must agree exactly with `parse_fault_plan` of the
-        // raw value, whatever CI leg this runs on — off/0/false semantics
-        // uniform with every other knob.
-        let expect = std::env::var("NOFTL_FAULTS")
-            .ok()
-            .and_then(|v| nand_flash::parse_fault_plan(&v));
+    fn default_knobs_project_onto_the_pure_constructors() {
+        let knobs = StackConfig::default();
+        assert_eq!(knobs, StackConfig::parse(|_| None));
+        assert_eq!(format!("{:?}", knobs.engine()), format!("{:?}", EngineConfig::new()));
         assert_eq!(
-            fault_plan_from_env().map(|p| p.seed),
-            expect.map(|p| p.seed)
+            format!("{:?}", knobs.flushers(FlusherAssignment::DieWise, 3)),
+            format!("{:?}", FlusherConfig::die_wise(3))
         );
+        let base = NoFtlConfig::new(FlashGeometry::small());
+        assert_eq!(format!("{:?}", knobs.noftl(base.clone())), format!("{base:?}"));
+        assert!(!knobs.noftl_backend(base).noftl().faults_enabled());
     }
 
     #[test]
-    fn backend_injects_env_fault_plan_only_when_none_configured() {
-        // A device configured without a plan picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny())));
+    fn set_knobs_project_onto_every_layer() {
+        let knobs = StackConfig {
+            batch_pages: 16,
+            batch_global: true,
+            async_depth: 6,
+            readahead_window: 8,
+            threads: 1,
+            faults: Some(nand_flash::FaultPlan::seeded(987654)),
+            slo: true,
+            redundancy: Some(RedundancyPolicy::Mirror),
+        };
+        let e = knobs.engine();
+        assert_eq!(e.readahead_window, 8);
+        assert!(e.slo_scheduling && e.admission.is_some());
+        let global = knobs.flushers(FlusherAssignment::Global, 4);
+        assert_eq!(format!("{:?}", e.flushers), format!("{global:?}"));
+        let f = knobs.flushers(FlusherAssignment::DieWise, 3);
         assert_eq!(
-            b.noftl().faults_enabled(),
-            fault_plan_from_env().is_some(),
-            "env plan must be injected into an unconfigured device"
+            (f.writers, f.assignment, f.batch_pages, f.batch_global, f.async_depth),
+            (3, FlusherAssignment::DieWise, 16, true, 6)
         );
-        // ...while an explicitly configured plan always wins over the env.
-        let mut noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny()));
-        noftl.set_fault_plan(Some(nand_flash::FaultPlan::seeded(987654)));
-        let b = NoFtlBackend::new(noftl);
-        assert_eq!(
-            b.noftl().device().fault_plan().map(|p| p.seed),
-            Some(987654),
-            "an explicit fault plan must not be clobbered by the env default"
-        );
-    }
-
-    #[test]
-    fn explicit_async_config_wins_over_env_default() {
-        // Regression (code review): NoFtlBackend::new must not clobber an
-        // explicitly configured queue depth with the env default.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::small());
-        cfg.async_queue_depth = 6;
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
+        let b = knobs.noftl_backend(NoFtlConfig::new(FlashGeometry::small()));
         assert_eq!(b.noftl().async_depth(), 6);
+        assert_eq!(b.noftl().device().fault_plan().map(|p| p.seed), Some(987654));
+        assert_eq!(b.noftl().gc_schedule_read_occupancy(), DEFAULT_SLO_GC_READ_OCCUPANCY);
+        assert_eq!(b.noftl().gc_read_heat_penalty(), DEFAULT_SLO_GC_READ_HEAT_PENALTY);
+        for r in 0..b.regions() {
+            assert_eq!(b.noftl().redundancy_policy(r), RedundancyPolicy::Mirror);
+        }
     }
 
     #[test]
@@ -1242,82 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", DEFAULT_READAHEAD_WINDOW),
-            ("on", DEFAULT_READAHEAD_WINDOW),
-            ("TRUE", DEFAULT_READAHEAD_WINDOW),
-            ("off", 0),
-            ("False", 0),
-            ("0", 0),
-            ("1", 1),
-            (" 32 ", 32),
-            ("garbage", DEFAULT_READAHEAD_WINDOW),
-        ] {
-            assert_eq!(parse_readahead_window(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn batch_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", DEFAULT_BATCH_PAGES),
-            ("on", DEFAULT_BATCH_PAGES),
-            ("TRUE", DEFAULT_BATCH_PAGES),
-            ("off", 0),
-            ("False", 0),
-            ("0", 0),
-            ("1", 1),
-            (" 16 ", 16),
-            ("garbage", DEFAULT_BATCH_PAGES),
-        ] {
-            assert_eq!(parse_batch_pages(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn slo_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", false),
-            ("off", false),
-            ("False", false),
-            ("0", false),
-            ("no", false),
-            ("on", true),
-            ("TRUE", true),
-            ("1", true),
-            (" yes ", true),
-            ("garbage", false),
-        ] {
-            assert_eq!(parse_slo(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn redundancy_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", None),
-            ("off", None),
-            ("False", None),
-            ("0", None),
-            ("no", None),
-            ("none", None),
-            ("on", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("TRUE", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            (" yes ", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("parity", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("Parity:2", Some(RedundancyPolicy::Parity(2))),
-            ("parity: 5 ", Some(RedundancyPolicy::Parity(5))),
-            ("parity:0", None),
-            ("parity:junk", None),
-            ("MIRROR", Some(RedundancyPolicy::Mirror)),
-            ("garbage", None),
-        ] {
-            assert_eq!(parse_redundancy(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
     fn redundancy_op_ratio_reserves_the_copy_share() {
         // Off leaves the baseline untouched (the equivalence invariant).
         assert_eq!(redundancy_op_ratio(0.10, None), 0.10);
@@ -1338,34 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_injects_env_redundancy_only_when_none_configured() {
-        // An instance configured policy-free picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::small())));
-        match redundancy_from_env() {
-            Some(p) => {
-                assert!(b.noftl().redundancy_configured());
-                for r in 0..b.regions() {
-                    assert_eq!(b.noftl().redundancy_policy(r), p);
-                }
-            }
-            None => assert!(!b.noftl().redundancy_configured()),
-        }
-        // ...while an explicitly configured vector always wins over the env.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::small());
-        cfg.redundancy = vec![
-            RedundancyPolicy::None,
-            RedundancyPolicy::Mirror,
-            RedundancyPolicy::None,
-            RedundancyPolicy::None,
-        ];
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
-        assert_eq!(b.noftl().redundancy_policy(1), RedundancyPolicy::Mirror);
-        assert_eq!(b.noftl().redundancy_policy(0), RedundancyPolicy::None);
-        assert_eq!(b.noftl().redundancy_policy(2), RedundancyPolicy::None);
-    }
-
-    #[test]
     fn noftl_backend_schedules_rebuild_through_the_trait() {
         // A healthy device has no rebuild work: the hook is a timing no-op
         // (the equivalence invariant for the engine's background slot).
@@ -1374,33 +1178,6 @@ mod tests {
         assert_eq!(b.noftl().rebuild_stats().rebuild_scheduled, 0);
         // Back ends without redundancy machinery return `now` unchanged.
         assert_eq!(MemBackend::new(512, 8).schedule_rebuild(7).unwrap(), 7);
-    }
-
-    #[test]
-    fn backend_injects_slo_gc_policies_only_when_none_configured() {
-        // An instance configured policy-free picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny())));
-        if slo_from_env() {
-            assert_eq!(
-                b.noftl().gc_schedule_read_occupancy(),
-                DEFAULT_SLO_GC_READ_OCCUPANCY
-            );
-            assert_eq!(
-                b.noftl().gc_read_heat_penalty(),
-                DEFAULT_SLO_GC_READ_HEAT_PENALTY
-            );
-        } else {
-            assert_eq!(b.noftl().gc_schedule_read_occupancy(), 0);
-            assert_eq!(b.noftl().gc_read_heat_penalty(), 0.0);
-        }
-        // ...while explicitly configured policies always win over the env.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::tiny());
-        cfg.gc_schedule_read_occupancy = 7;
-        cfg.gc_read_heat_penalty = 0.25;
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
-        assert_eq!(b.noftl().gc_schedule_read_occupancy(), 7);
-        assert_eq!(b.noftl().gc_read_heat_penalty(), 0.25);
     }
 
     #[test]

@@ -17,8 +17,7 @@ use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
 
 use crate::backend::{
-    readahead_window_from_env, slo_from_env, BackendCounters, StorageBackend,
-    DEFAULT_SLO_FLUSH_OCCUPANCY,
+    BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW, DEFAULT_SLO_FLUSH_OCCUPANCY,
 };
 use crate::btree::BTree;
 use crate::buffer::{BufferStats, PageCache, ReadaheadStats};
@@ -130,8 +129,8 @@ pub struct EngineConfig {
     /// Streaming-readahead window cap (pages) for heap scans and B+-tree
     /// range reads; 0 disables readahead.  Readahead only *issues* at an
     /// asynchronous depth > 1 — at depth 1 scans stay frame-at-a-time,
-    /// bit- and cycle-identical to the pre-readahead path.  Defaults to the
-    /// `NOFTL_READAHEAD` environment knob.
+    /// bit- and cycle-identical to the pre-readahead path.  Defaults to
+    /// [`DEFAULT_READAHEAD_WINDOW`].
     pub readahead_window: usize,
     /// Virtual CPU nanoseconds charged per buffer-pool hit.  Defaults to 0
     /// (hits are free, the historical model, and what every pinned trace
@@ -141,12 +140,12 @@ pub struct EngineConfig {
     pub buffer_hit_ns: u64,
     /// Commit-admission window for [`StorageEngine::begin_admitted`]; `None`
     /// leaves admission unbounded (every begin admits immediately — the
-    /// historical behaviour).  Defaults from the `NOFTL_SLO` knob.
+    /// historical behaviour, and the default).
     pub admission: Option<AdmissionConfig>,
     /// Load-aware background scheduling: flusher waves defer to busy device
     /// queues and GC is proactively scheduled into read-cold instants.  Off,
     /// [`StorageEngine::maybe_flush`] is bit- and cycle-identical to the
-    /// pre-SLO engine.  Defaults from the `NOFTL_SLO` knob.
+    /// pre-SLO engine.  Defaults to off.
     pub slo_scheduling: bool,
 }
 
@@ -154,18 +153,19 @@ impl EngineConfig {
     /// Reasonable defaults: 1024 frames, 4 global db-writers, 64 log pages,
     /// force-per-commit (group commit still batches the multi-page tail of
     /// each force; raising `wal_group_commit` additionally shares one force
-    /// among several committing transactions).
+    /// among several committing transactions), every `NOFTL_*` knob at its
+    /// default.  [`crate::backend::StackConfig::engine`] is this under a
+    /// given set of knobs.
     pub fn new() -> Self {
-        let slo = slo_from_env();
         Self {
             buffer_frames: 1024,
             flushers: FlusherConfig::global(4),
             log_pages: 64,
             wal_group_commit: 1,
-            readahead_window: readahead_window_from_env(),
+            readahead_window: DEFAULT_READAHEAD_WINDOW,
             buffer_hit_ns: 0,
-            admission: slo.then(AdmissionConfig::default),
-            slo_scheduling: slo,
+            admission: None,
+            slo_scheduling: false,
         }
     }
 }
@@ -227,10 +227,13 @@ impl StorageEngine {
         let data_pages = total_pages - config.log_pages;
         let mut wal = WalManager::new(data_pages, config.log_pages, page_size);
         wal.set_group_commit(config.wal_group_commit);
-        // The pool's miss-fill reads join the same asynchronous submission
-        // model as the db-writers (both default to the `NOFTL_ASYNC` knob via
-        // the flusher config), so point reads overlap in-flight flush and WAL
-        // traffic on the device's per-die queues.
+        // The WAL's group submissions and the pool's miss-fill reads join the
+        // same asynchronous submission model as the db-writers, so log writes
+        // and point reads overlap in-flight flush traffic on the device's
+        // per-die queues.  The WAL batches whatever the writer assignment
+        // (hence the raw `batch_pages`, not `effective_batch_pages()`).
+        wal.set_async_depth(config.flushers.async_depth);
+        wal.set_batch_pages(config.flushers.batch_pages);
         let mut pool = ShardedBufferPool::new(shards, config.buffer_frames, page_size);
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
@@ -918,9 +921,34 @@ mod tests {
     }
 
     #[test]
+    fn wal_takes_its_depth_and_batch_size_from_the_flusher_config() {
+        // Three commits of two log pages each; what stays in the WAL's
+        // in-flight window afterwards tells its depth and batch size apart.
+        let inflight_after_three_forces = |depth: usize, batch_pages: usize| {
+            let mut cfg = EngineConfig::new();
+            cfg.flushers.async_depth = depth;
+            cfg.flushers.batch_pages = batch_pages;
+            let mut e = StorageEngine::new(Box::new(MemBackend::new(4096, 4096)), cfg);
+            e.create_table("t");
+            for _ in 0..3 {
+                let txn = e.begin();
+                let (_, t) = e.insert("t", txn, 0, &[7u8; 3000]).unwrap();
+                let (_, t) = e.insert("t", txn, t, &[8u8; 3000]).unwrap();
+                e.commit(txn, t).unwrap();
+            }
+            assert_eq!(e.log_forces(), 3);
+            e.wal().inflight_writes()
+        };
+        // Global writers (the default) never batch, yet the WAL does: it
+        // takes the raw `batch_pages`, one submission per force.
+        assert_eq!(inflight_after_three_forces(1, 64), 1, "sync: nothing carries over");
+        assert_eq!(inflight_after_three_forces(8, 64), 3, "depth 8: one group per force");
+        assert_eq!(inflight_after_three_forces(8, 0), 6, "batching off: one per log page");
+    }
+
+    #[test]
     fn begin_admitted_without_window_is_plain_begin() {
         let mut e = mem_engine();
-        e.set_admission(None); // env-independent: the NOFTL_SLO=on leg runs this too
         e.create_table("t");
         let (txn, t) = e.begin_admitted(500).unwrap();
         assert_eq!(t, 500, "no window: admitted exactly at arrival");

@@ -181,6 +181,21 @@
 //!   window, then the WAL window, then the device queues, so a checkpoint
 //!   record can never predate an in-flight write of any shard.
 //!
+//! ## One config
+//!
+//! A stack is a pure function of its configuration values.  The eight
+//! `NOFTL_*` knobs are one typed [`backend::StackConfig`], parsed by exactly
+//! one function ([`backend::StackConfig::parse`]) and read from the process
+//! environment by exactly one other ([`backend::StackConfig::from_env`],
+//! called in `main` of the bench bins and examples and in the env-honouring
+//! CI smokes).  Every constructor — [`engine::EngineConfig::new`],
+//! [`flusher::FlusherConfig::global`] / `die_wise`,
+//! [`backend::NoFtlBackend::new`], [`wal::WalManager::new`] — is pure and
+//! means "every knob at its default"; a caller that wants the knobs honoured
+//! projects the value with `StackConfig::{engine, flushers, noftl,
+//! noftl_backend}`.  The engine hands its WAL the db-writers' depth and batch
+//! size, so an engine given `flushers.async_depth = k` has a depth-`k` WAL.
+//!
 //! ## Overload and scheduling (PR 9)
 //!
 //! `NOFTL_SLO` gates graceful degradation under open-loop overload — an
@@ -215,15 +230,14 @@
 //!   arrival process's natural gaps instead of ahead of point reads.
 //!
 //! Engine-side the bundle enters through [`engine::EngineConfig`]
-//! (`admission`, `slo_scheduling`), defaulted from the knob by
-//! `backend::slo_from_env`; explicit configuration always wins over the
-//! environment.
+//! (`admission`, `slo_scheduling`), both off by default;
+//! [`backend::StackConfig::engine`] turns them on under the knob.
 //!
 //! ## Die-level failure tolerance (PR 10)
 //!
-//! `NOFTL_REDUNDANCY` (parsed by [`backend::parse_redundancy`], injected
-//! only when [`noftl_core::NoFtlConfig::redundancy`] is unconfigured) arms
-//! per-region redundancy in the NoFTL core: `parity` / `parity:k` for
+//! `NOFTL_REDUNDANCY` ([`backend::StackConfig::redundancy`], projected onto
+//! [`noftl_core::NoFtlConfig::redundancy`] by [`backend::StackConfig::noftl`])
+//! arms per-region redundancy in the NoFTL core: `parity` / `parity:k` for
 //! die-disjoint XOR stripes, `mirror` for per-page die-disjoint copies,
 //! `off` (the default) bit- and cycle-identical to unset.  The engine's part
 //! of the bargain:
@@ -265,7 +279,7 @@ pub mod shard;
 pub mod transaction;
 pub mod wal;
 
-pub use backend::{BlockDeviceBackend, MemBackend, NoFtlBackend, StorageBackend};
+pub use backend::{BlockDeviceBackend, MemBackend, NoFtlBackend, StackConfig, StorageBackend};
 pub use buffer::{BufferPool, PageCache, ReadaheadStats};
 pub use concurrent::{ClientSession, ConcurrentEngine};
 pub use readahead::ScanPrefetcher;

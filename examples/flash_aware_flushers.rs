@@ -5,23 +5,19 @@
 //! Run with: `cargo run --release --example flash_aware_flushers`
 
 use noftl::nand_flash::FlashGeometry;
-use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
-use noftl::storage_engine::{backend::NoFtlBackend, EngineConfig, FlusherConfig, StorageEngine};
+use noftl::noftl_core::{FlusherAssignment, NoFtlConfig};
+use noftl::storage_engine::{StackConfig, StorageEngine};
 use noftl::workloads::{BenchmarkDriver, DriverConfig, TpcB, TpcBConfig, Workload};
 
-fn run(dies: u32, assignment: FlusherAssignment) -> f64 {
+fn run(knobs: &StackConfig, dies: u32, assignment: FlusherAssignment) -> f64 {
     let geometry = FlashGeometry::with_dies(dies, 2048, 64, 4096);
-    let noftl = NoFtl::new(NoFtlConfig::new(geometry));
-    let mut cfg = EngineConfig::new();
+    let mut cfg = knobs.engine();
     cfg.buffer_frames = 512;
-    let mut flushers = match assignment {
-        FlusherAssignment::Global => FlusherConfig::global(dies as usize),
-        FlusherAssignment::DieWise => FlusherConfig::die_wise(dies as usize),
-    };
-    flushers.dirty_high_watermark = 0.3;
-    flushers.dirty_low_watermark = 0.02;
-    cfg.flushers = flushers;
-    let mut engine = StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), cfg);
+    cfg.flushers = knobs.flushers(assignment, dies as usize);
+    cfg.flushers.dirty_high_watermark = 0.3;
+    cfg.flushers.dirty_low_watermark = 0.02;
+    let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
+    let mut engine = StorageEngine::new(Box::new(backend), cfg);
 
     let mut workload = TpcB::new(TpcBConfig {
         scale_factor: 8,
@@ -36,11 +32,13 @@ fn run(dies: u32, assignment: FlusherAssignment) -> f64 {
 }
 
 fn main() {
+    // The `NOFTL_*` knobs of the environment (batching, queue depth, ...).
+    let knobs = StackConfig::from_env();
     println!("TPC-B throughput: global vs die-wise db-writer association (16 clients)\n");
     println!("{:>6} {:>14} {:>14} {:>10}", "dies", "global TPS", "die-wise TPS", "speedup");
     for dies in [1u32, 2, 4, 8] {
-        let global = run(dies, FlusherAssignment::Global);
-        let die_wise = run(dies, FlusherAssignment::DieWise);
+        let global = run(&knobs, dies, FlusherAssignment::Global);
+        let die_wise = run(&knobs, dies, FlusherAssignment::DieWise);
         println!(
             "{:>6} {:>14.1} {:>14.1} {:>9.2}x",
             dies,

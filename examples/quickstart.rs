@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use noftl::nand_flash::FlashGeometry;
-use noftl::noftl_core::{NoFtl, NoFtlConfig};
-use noftl::storage_engine::{backend::NoFtlBackend, EngineConfig, FlusherConfig, StorageEngine};
+use noftl::noftl_core::{FlusherAssignment, NoFtlConfig};
+use noftl::storage_engine::{StackConfig, StorageEngine};
 
 fn main() {
     // 1. Describe the Flash device (what IDENTIFY would report on real
@@ -20,19 +20,22 @@ fn main() {
         geometry.page_size,
         geometry.capacity_bytes() >> 20
     );
-    let noftl = NoFtl::new(NoFtlConfig::new(geometry));
+    // One value carries every `NOFTL_*` knob of the environment; the stack
+    // below is a pure function of it.
+    let knobs = StackConfig::from_env();
+    let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
     println!(
         "noftl: {} logical pages over {} regions (die-wise striping)",
-        noftl.logical_pages(),
-        noftl.regions()
+        backend.noftl().logical_pages(),
+        backend.noftl().regions()
     );
 
     // 2. Put the Shore-MT-like storage engine on top, with Flash-aware
     //    db-writers (one per region).
-    let mut engine_cfg = EngineConfig::new();
+    let mut engine_cfg = knobs.engine();
     engine_cfg.buffer_frames = 1024;
-    engine_cfg.flushers = FlusherConfig::die_wise(8);
-    let mut engine = StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), engine_cfg);
+    engine_cfg.flushers = knobs.flushers(FlusherAssignment::DieWise, 8);
+    let mut engine = StorageEngine::new(Box::new(backend), engine_cfg);
 
     // 3. Create a table + index and run a few transactions.
     engine.create_table("accounts");

@@ -7,20 +7,16 @@
 use noftl::flash_emulator::{EmulatedSsd, HostLink};
 use noftl::ftl::faster::{FasterConfig, FasterFtl};
 use noftl::nand_flash::FlashGeometry;
-use noftl::noftl_core::{NoFtl, NoFtlConfig};
-use noftl::storage_engine::{
-    backend::{BlockDeviceBackend, NoFtlBackend},
-    EngineConfig, FlusherConfig, StorageEngine,
-};
+use noftl::noftl_core::{FlusherAssignment, NoFtlConfig};
+use noftl::storage_engine::{backend::BlockDeviceBackend, EngineConfig, StackConfig, StorageEngine};
 use noftl::workloads::{BenchmarkDriver, DriverConfig, TpcC, TpcCConfig, Workload};
 
-fn engine_config() -> EngineConfig {
-    let mut cfg = EngineConfig::new();
+fn engine_config(knobs: &StackConfig) -> EngineConfig {
+    let mut cfg = knobs.engine();
     cfg.buffer_frames = 512;
-    let mut flushers = FlusherConfig::die_wise(8);
-    flushers.dirty_high_watermark = 0.3;
-    flushers.dirty_low_watermark = 0.05;
-    cfg.flushers = flushers;
+    cfg.flushers = knobs.flushers(FlusherAssignment::DieWise, 8);
+    cfg.flushers.dirty_high_watermark = 0.3;
+    cfg.flushers.dirty_low_watermark = 0.05;
     cfg
 }
 
@@ -45,6 +41,7 @@ fn run(name: &str, mut engine: StorageEngine) -> f64 {
 }
 
 fn main() {
+    let knobs = StackConfig::from_env();
     let geometry = FlashGeometry::with_dies(8, 2048, 64, 4096);
     println!(
         "TPC-C (2 warehouses) on a {} MiB, 8-die emulated Flash device\n",
@@ -56,13 +53,13 @@ fn main() {
     let ssd = EmulatedSsd::new(faster, HostLink::sata2());
     let conventional = StorageEngine::new(
         Box::new(BlockDeviceBackend::new(ssd, "ftl-faster")),
-        engine_config(),
+        engine_config(&knobs),
     );
     let faster_tps = run("ftl-faster", conventional);
 
     // NoFTL stack: DBMS-integrated Flash management on native Flash.
-    let noftl = NoFtl::new(NoFtlConfig::new(geometry));
-    let native = StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), engine_config());
+    let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
+    let native = StorageEngine::new(Box::new(backend), engine_config(&knobs));
     let noftl_tps = run("noftl", native);
 
     println!(

@@ -15,9 +15,10 @@
 //!   retry), and the grown-bad-block census matches the retirement count.
 //!
 //! The storms run both the synchronous model (depth 1) and the asynchronous
-//! per-die queues at depth 8.  `fault_storm_smoke` honours the
-//! `NOFTL_FAULTS` knob (any seed given there drives the plan) so CI can pin
-//! a seed; the proptest storms draw their own seeds deterministically.
+//! per-die queues at depth 8.  `fault_storm_smoke` and
+//! `redundancy_rebuild_smoke` honour the `NOFTL_FAULTS` / `NOFTL_REDUNDANCY`
+//! knobs through `StackConfig::from_env()` so CI can pin a seed or a policy;
+//! everything else states its configuration and ignores the environment.
 
 use proptest::prelude::*;
 
@@ -25,7 +26,7 @@ use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::NoFtlBackend;
+use noftl::storage_engine::backend::{NoFtlBackend, StackConfig, DEFAULT_PARITY_K};
 use noftl::storage_engine::{
     EngineConfig, FlusherConfig, LogRecord, StorageEngine, WalManager,
 };
@@ -55,9 +56,8 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 /// Full NoFTL stack with fault injection: device (with `plan`) → NoFTL →
-/// backend → engine, at the given asynchronous submission depth.  The depth
-/// is set explicitly on every layer so the chaos runs are independent of the
-/// `NOFTL_ASYNC` environment leg they happen to execute under.
+/// backend → engine, at the given asynchronous submission depth (device
+/// queues, pool, db-writers and WAL alike).
 fn chaos_engine(plan: FaultPlan, depth: usize, endurance: Option<u64>) -> StorageEngine {
     chaos_engine_on(FlashGeometry::small(), plan, depth, endurance, None)
 }
@@ -97,9 +97,7 @@ fn chaos_engine_with_frames(
     dev_cfg.store_data = cfg.store_data;
     dev_cfg.endurance_override = cfg.endurance_override;
     dev_cfg.faults = Some(plan);
-    let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(NoFtl::with_device(NandDevice::new(dev_cfg), cfg));
 
     let mut ecfg = EngineConfig::new();
     // A pool far smaller than the database, so reads genuinely hit the
@@ -468,13 +466,11 @@ fn redundant_engine_with_frames(
     cfg.op_ratio = 0.60;
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.store_data = cfg.store_data;
-    // An explicit (inert) plan, so the storms are independent of the
-    // `NOFTL_FAULTS` environment leg they happen to execute under.
+    // An inert plan: the fault-path gates are live before the kill is armed.
     dev_cfg.faults = Some(quiet_plan());
     let mut noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
     noftl.set_redundancy_all(policy);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(noftl);
 
     let mut ecfg = EngineConfig::new();
     ecfg.buffer_frames = buffer_frames;
@@ -761,10 +757,9 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
 /// mid-workload die failure, the online rebuild and the loss accounting.
 #[test]
 fn redundancy_rebuild_smoke() {
-    let policy = noftl::storage_engine::backend::redundancy_from_env()
-        .unwrap_or(RedundancyPolicy::Parity(
-            noftl::storage_engine::backend::DEFAULT_PARITY_K,
-        ));
+    let policy = StackConfig::from_env()
+        .redundancy
+        .unwrap_or(RedundancyPolicy::Parity(DEFAULT_PARITY_K));
     die_kill_storm(policy, 0xD1E5EED, 8, true);
     die_kill_storm(policy, 0xD1E5EED, 1, false);
 }
@@ -775,9 +770,9 @@ fn redundancy_rebuild_smoke() {
 /// always exercises the recovery machinery.
 #[test]
 fn fault_storm_smoke() {
-    let seed = noftl::storage_engine::backend::fault_plan_from_env()
-        .unwrap_or_else(|| FaultPlan::seeded(DEFAULT_FAULT_SEED))
-        .seed;
+    let seed = StackConfig::from_env()
+        .faults
+        .map_or(DEFAULT_FAULT_SEED, |plan| plan.seed);
     tpcb_storm(seed, 8, true);
     tpcb_storm(seed, 1, false);
 }

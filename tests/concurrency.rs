@@ -30,7 +30,7 @@ use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::NoFtlBackend;
+use noftl::storage_engine::backend::{NoFtlBackend, StackConfig};
 use noftl::storage_engine::{
     ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, LogRecord,
     TxnId, WalManager,
@@ -62,9 +62,7 @@ fn storm_plan(seed: u64) -> FaultPlan {
 }
 
 /// Full concurrent stack: device (optionally with a fault plan) → NoFTL →
-/// backend → [`ConcurrentEngine`] with `shards` buffer-pool shards.  Every
-/// knob is set explicitly so the harness is independent of the `NOFTL_*`
-/// environment legs it happens to run under.
+/// backend → [`ConcurrentEngine`] with `shards` buffer-pool shards.
 fn concurrent_engine(plan: Option<FaultPlan>, depth: usize, shards: usize) -> ConcurrentEngine {
     concurrent_engine_with(plan, depth, shards, RedundancyPolicy::None)
 }
@@ -93,8 +91,7 @@ fn concurrent_engine_with(
     if protected {
         noftl.set_redundancy_all(policy);
     }
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(noftl);
 
     let mut ecfg = EngineConfig::new();
     // A pool smaller than the combined working set, so clients genuinely
@@ -682,16 +679,14 @@ fn os_thread_storm_survives_fault_injection() {
 }
 
 /// High-iteration storm smoke for CI: honours `NOFTL_THREADS` for the
-/// client count (so the matrix legs exercise 1 and 8 clients) and
-/// `NOFTL_FAULTS` for the fault leg, like the chaos smoke.
+/// client count (at least two — one client is no storm, and its identity to
+/// the plain engine is pinned in `tests/equivalence.rs`) and `NOFTL_FAULTS`
+/// for the fault leg, like the chaos smoke.
 #[test]
 fn concurrent_storm_smoke() {
-    let clients = std::env::var("NOFTL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2);
-    let faults = std::env::var("NOFTL_FAULTS").is_ok_and(|v| !v.is_empty() && v != "0");
+    let knobs = StackConfig::from_env();
+    let clients = knobs.threads.max(2);
+    let faults = knobs.faults.is_some();
     storm(0xD1E5, clients, false, 8, faults);
     storm(0xD1E5, clients, true, 8, faults);
 }

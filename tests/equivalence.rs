@@ -10,81 +10,93 @@
 //!
 //! The asynchronous submission protocol (PR 3) makes the same promise for
 //! `NOFTL_ASYNC`: depth 1 — every submission waits for its predecessor — is
-//! bit- and cycle-identical to the synchronous dispatch (`NOFTL_ASYNC`
-//! unset/`off`); deeper windows may change timing but never contents, and a
-//! crash with commands still in flight recovers exactly the durable prefix.
+//! the synchronous dispatch; deeper windows may change timing but never
+//! contents, and a crash with commands still in flight recovers exactly the
+//! durable prefix.
 //!
-//! These tests run the same library entry points the `fig3_gc_overhead` and
-//! `fig4_dbwriters` bins print.
+//! Every leg states the configuration values it compares: a stack is a pure
+//! function of them ([`StackConfig`]), so nothing here touches the process
+//! environment and the legs run in parallel.  A leg exists only where its
+//! two sides are *different* values; that equal values give equal runs is
+//! pinned once ([`same_config_same_trace`]), and that every off / unset /
+//! default spelling of a knob *is* the default value is a table
+//! ([`knob_spellings_parse_to_their_documented_values`]).
+//!
+//! The figure legs run the same library entry points the `fig3_gc_overhead`
+//! and `fig4_dbwriters` bins print.
 
-use std::sync::Mutex;
-
+use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
 use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
-use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
-use noftl::storage_engine::backend::{NoFtlBackend, StorageBackend};
+use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig, RedundancyPolicy};
+use noftl::storage_engine::backend::{
+    NoFtlBackend, StackConfig, StorageBackend, DEFAULT_ASYNC_DEPTH, DEFAULT_PARITY_K,
+    DEFAULT_THREADS,
+};
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::BufferPool;
 use noftl_bench::dbwriters::{render_table as render_fig4, run_dbwriter_scaling};
 use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
 use noftl_bench::setup::{Benchmark, Scale};
 
-/// Serialises the tests that flip the process-global `NOFTL_BATCH` knob.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_batch_env<R>(value: &str, f: impl FnOnce() -> R) -> R {
-    std::env::set_var("NOFTL_BATCH", value);
-    let r = f();
-    std::env::remove_var("NOFTL_BATCH");
-    r
+/// The default knobs with `NOFTL_BATCH` at `batch_pages`.
+fn batch_knobs(batch_pages: usize) -> StackConfig {
+    StackConfig {
+        batch_pages,
+        ..StackConfig::default()
+    }
 }
 
-fn with_async_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_ASYNC").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_ASYNC", v),
-        None => std::env::remove_var("NOFTL_ASYNC"),
+/// Every knob, every documented spelling (trimmed, case-insensitive).  The
+/// `off` / unset / default spellings must parse to [`StackConfig::default`]
+/// itself — which is what makes "`NOFTL_X=off` is bit-identical to unset" a
+/// statement about one value rather than about two runs — and every
+/// on-spelling to its documented value.
+#[test]
+fn knob_spellings_parse_to_their_documented_values() {
+    let d = StackConfig::default;
+    let parity = |k| StackConfig { redundancy: Some(RedundancyPolicy::Parity(k)), ..d() };
+    let seeded = |seed| Some(FaultPlan::seeded(seed));
+    let table: [(&str, &[&str], StackConfig); 26] = [
+        ("NOFTL_BATCH", &["", "on", "TRUE", "64", "garbage"], d()),
+        ("NOFTL_BATCH", &["off", "False", "0"], batch_knobs(0)),
+        ("NOFTL_BATCH", &["1"], batch_knobs(1)),
+        ("NOFTL_BATCH", &[" 16 "], batch_knobs(16)),
+        ("NOFTL_BATCH_GLOBAL", &["", "off", "0", "garbage"], d()),
+        ("NOFTL_BATCH_GLOBAL", &["on", "TRUE", "1", " yes "], StackConfig { batch_global: true, ..d() }),
+        ("NOFTL_ASYNC", &["", "off", "False", "0", "1", "garbage"], d()),
+        ("NOFTL_ASYNC", &["on", "TRUE"], StackConfig { async_depth: DEFAULT_ASYNC_DEPTH, ..d() }),
+        ("NOFTL_ASYNC", &[" 4 "], StackConfig { async_depth: 4, ..d() }),
+        ("NOFTL_READAHEAD", &["", "on", "TRUE", "64", "garbage"], d()),
+        ("NOFTL_READAHEAD", &["off", "False", "0"], StackConfig { readahead_window: 0, ..d() }),
+        ("NOFTL_READAHEAD", &["1"], StackConfig { readahead_window: 1, ..d() }),
+        ("NOFTL_READAHEAD", &[" 32 "], StackConfig { readahead_window: 32, ..d() }),
+        ("NOFTL_THREADS", &["", "off", "False", "0", "1", "garbage"], d()),
+        ("NOFTL_THREADS", &["on", "TRUE"], StackConfig { threads: DEFAULT_THREADS, ..d() }),
+        ("NOFTL_THREADS", &[" 4 "], StackConfig { threads: 4, ..d() }),
+        ("NOFTL_FAULTS", &["", "off", "OFF", "false", "0", "no", "garbage"], d()),
+        ("NOFTL_FAULTS", &["on", "true", "yes"], StackConfig { faults: seeded(DEFAULT_FAULT_SEED), ..d() }),
+        ("NOFTL_FAULTS", &["12345", "  12345 "], StackConfig { faults: seeded(12345), ..d() }),
+        ("NOFTL_SLO", &["", "off", "False", "0", "no", "garbage"], d()),
+        ("NOFTL_SLO", &["on", "TRUE", "1", " yes "], StackConfig { slo: true, ..d() }),
+        ("NOFTL_REDUNDANCY", &["", "off", "False", "0", "no", "none", "garbage"], d()),
+        ("NOFTL_REDUNDANCY", &["parity:0", "parity:junk"], d()),
+        ("NOFTL_REDUNDANCY", &["on", "TRUE", " yes ", "parity"], parity(DEFAULT_PARITY_K)),
+        ("NOFTL_REDUNDANCY", &["Parity:2", "parity: 2 "], parity(2)),
+        ("NOFTL_REDUNDANCY", &["MIRROR"], StackConfig { redundancy: Some(RedundancyPolicy::Mirror), ..d() }),
+    ];
+    assert_eq!(StackConfig::parse(|_| None), d(), "everything unset");
+    for (name, spellings, expect) in table {
+        for &v in spellings {
+            let parsed = StackConfig::parse(|k| (k == name).then(|| v.to_string()));
+            assert_eq!(parsed, expect, "{name}={v:?}");
+        }
     }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_ASYNC", v),
-        None => std::env::remove_var("NOFTL_ASYNC"),
-    }
-    r
-}
-
-fn with_faults_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_FAULTS").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_FAULTS", v),
-        None => std::env::remove_var("NOFTL_FAULTS"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_FAULTS", v),
-        None => std::env::remove_var("NOFTL_FAULTS"),
-    }
-    r
-}
-
-fn with_slo_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_SLO").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_SLO", v),
-        None => std::env::remove_var("NOFTL_SLO"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_SLO", v),
-        None => std::env::remove_var("NOFTL_SLO"),
-    }
-    r
 }
 
 #[test]
 fn fig3_output_identical_with_batching_off_vs_batch_size_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let off = with_batch_env("off", || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_batch_env("1", || render_fig3(&run_gc_overhead(Scale::Quick)));
+    let off = render_fig3(&run_gc_overhead(&batch_knobs(0), Scale::Quick));
+    let one = render_fig3(&run_gc_overhead(&batch_knobs(1), Scale::Quick));
     assert!(off.contains("TPC-C") && off.contains("TPC-B") && off.contains("TPC-E"));
     assert_eq!(
         off, one,
@@ -94,14 +106,12 @@ fn fig3_output_identical_with_batching_off_vs_batch_size_one() {
 
 #[test]
 fn fig4_output_identical_with_batching_off_vs_batch_size_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let dies = [1u32, 2, 4, 8];
-    let off = with_batch_env("off", || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_batch_env("1", || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
+    let fig4 = |batch_pages| {
+        let knobs = batch_knobs(batch_pages);
+        render_fig4(&run_dbwriter_scaling(&knobs, Benchmark::TpcB, Scale::Quick, &dies))
+    };
+    let (off, one) = (fig4(0), fig4(1));
     assert!(off.contains("TPC-B"));
     assert_eq!(
         off, one,
@@ -197,83 +207,6 @@ fn page_contents_identical_for_all_batch_sizes() {
             "batch size {batch_pages} changed page contents"
         );
     }
-}
-
-#[test]
-fn fig3_output_identical_with_async_off_vs_depth_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let off = with_async_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_async_env(Some("1"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        off, one,
-        "Figure 3 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_async_off_vs_depth_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let off = with_async_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_async_env(Some("1"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        off, one,
-        "Figure 4 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
-    );
-}
-
-#[test]
-fn fig3_output_identical_with_faults_unset_vs_off() {
-    // The fault-injection plumbing must be a strict no-op when disabled:
-    // `NOFTL_FAULTS=off` has to produce the same figures as a build that never
-    // heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_faults_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_faults_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_FAULTS unset vs off"
-    );
-}
-
-#[test]
-fn emulator_command_traces_identical_with_faults_unset_vs_off() {
-    // Stronger than figure identity: the device-level command stream — every
-    // opcode, address, issue and completion stamp — must match cycle for
-    // cycle with the fault knob explicitly off.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let (trace_unset, contents_unset, end_unset) = with_faults_env(None, || traced_flush_cycles(64, 1));
-    let (trace_off, contents_off, end_off) =
-        with_faults_env(Some("off"), || traced_flush_cycles(64, 1));
-    assert!(!trace_unset.is_empty());
-    assert_eq!(trace_unset, trace_off);
-    assert_eq!(contents_unset, contents_off);
-    assert_eq!(end_unset, end_off);
-}
-
-#[test]
-fn emulator_command_traces_identical_for_sync_vs_async_depth_one() {
-    // Depth 1 must be cycle-identical to the synchronous dispatch: same
-    // commands, same addresses, same issue and completion stamps — across
-    // *two* flush cycles, where a deeper window would start pipelining.
-    let (trace_sync, contents_sync, end_sync) = traced_flush_cycles(64, 1);
-    let (trace_one, contents_one, end_one) =
-        traced_flush_cycles(64, storage_engine_parse_async("1"));
-    assert!(!trace_sync.is_empty());
-    assert_eq!(trace_sync, trace_one);
-    assert_eq!(contents_sync, contents_one);
-    assert_eq!(end_sync, end_one);
-}
-
-/// `NOFTL_ASYNC=1` must parse to the synchronous depth.
-fn storage_engine_parse_async(v: &str) -> usize {
-    let depth = noftl::storage_engine::backend::parse_async_depth(v);
-    assert_eq!(depth, 1, "NOFTL_ASYNC=1 must mean synchronous dispatch");
-    depth
 }
 
 #[test]
@@ -386,26 +319,15 @@ fn traced_mixed_read_write(async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u6
     (trace, contents, end)
 }
 
+/// The determinism pin every by-value leg leans on: the same configuration
+/// gives the same run — every command, address and stamp — on the mixed
+/// read/write fixture with GC relocating pages under the reads.
 #[test]
-fn read_command_traces_identical_for_sync_vs_async_depth_one() {
-    // Depth 1 must be cycle-identical to the synchronous dispatch on a mixed
-    // read/write workload with GC running: same commands, same addresses,
-    // same stamps — for reads, programs, erases and relocations alike.
-    let (trace_sync, contents_sync, end_sync) = traced_mixed_read_write(1);
-    let (trace_one, contents_one, end_one) =
-        traced_mixed_read_write(storage_engine_parse_async("1"));
-    assert!(!trace_sync.is_empty());
-    assert!(
-        trace_sync.iter().any(|e| e.contains("Read")),
-        "fixture must issue reads"
-    );
-    assert!(
-        trace_sync.iter().any(|e| e.contains("Erase")),
-        "fixture must trigger GC"
-    );
-    assert_eq!(trace_sync, trace_one);
-    assert_eq!(contents_sync, contents_one);
-    assert_eq!(end_sync, end_one);
+fn same_config_same_trace() {
+    let first = traced_mixed_read_write(1);
+    assert!(first.0.iter().any(|e| e.contains("Read")), "fixture must issue reads");
+    assert!(first.0.iter().any(|e| e.contains("Erase")), "fixture must trigger GC");
+    assert_eq!(first, traced_mixed_read_write(1));
 }
 
 #[test]
@@ -800,19 +722,10 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// NOFTL_THREADS: single-client leg of the concurrent engine (PR 7)
+// One client over the shared engine (PR 7).  `NOFTL_THREADS` is a client
+// count read by the `client_scaling` bin and the storm smoke alone; the
+// figure pipelines never read it, so there is no figure leg to pin here.
 // ---------------------------------------------------------------------------
-
-/// `NOFTL_THREADS=1` and every "off" spelling must mean one client.  (The
-/// knob is a client count read by the `client_scaling` bin alone; the figure
-/// pipelines never read it, so there is no figure leg to pin here.)
-#[test]
-fn threads_knob_single_client_spellings() {
-    use noftl::storage_engine::backend::parse_threads;
-    for v in ["1", "off", "false", "0", ""] {
-        assert_eq!(parse_threads(v), 1, "NOFTL_THREADS={v:?} must mean one client");
-    }
-}
 
 /// The structural pin behind the knob: one [`ClientSession`] driving a
 /// 1-shard `ConcurrentEngine` must be **bit- and cycle-identical** to driving
@@ -852,19 +765,15 @@ mod threads_single_client_identity {
         let mut dev_cfg = DeviceConfig::new(geometry);
         dev_cfg.store_data = cfg.store_data;
         dev_cfg.trace_capacity = 1 << 16;
-        let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-        let mut backend = NoFtlBackend::new(noftl);
-        backend.noftl_mut().set_async_depth(depth);
-        backend
+        NoFtlBackend::new(NoFtl::with_device(NandDevice::new(dev_cfg), cfg))
     }
 
     fn engine_config(depth: usize) -> EngineConfig {
         let mut ecfg = EngineConfig::new();
         ecfg.buffer_frames = 96;
         ecfg.log_pages = 64;
-        let mut flushers = FlusherConfig::die_wise(2);
-        flushers.async_depth = depth;
-        ecfg.flushers = flushers;
+        ecfg.flushers = FlusherConfig::die_wise(2);
+        ecfg.flushers.async_depth = depth;
         ecfg.readahead_window = 16;
         ecfg
     }
@@ -961,125 +870,28 @@ mod threads_single_client_identity {
     }
 }
 
-fn with_redundancy_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_REDUNDANCY").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_REDUNDANCY", v),
-        None => std::env::remove_var("NOFTL_REDUNDANCY"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_REDUNDANCY", v),
-        None => std::env::remove_var("NOFTL_REDUNDANCY"),
-    }
-    r
-}
-
-#[test]
-fn fig3_output_identical_with_redundancy_unset_vs_off() {
-    // The redundancy plumbing (parity stripes, mirror copies, degraded
-    // reads, online rebuild) must be a strict no-op when disabled:
-    // `NOFTL_REDUNDANCY=off` has to produce the same figures as a build that
-    // never heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_redundancy_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_redundancy_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_redundancy_unset_vs_off() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let unset = with_redundancy_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let off = with_redundancy_env(Some("off"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        unset, off,
-        "Figure 4 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
-    );
-}
-
-#[test]
-fn emulator_command_traces_identical_with_redundancy_unset_vs_off() {
-    // Stronger than figure identity: the device-level command stream — every
-    // opcode, address, issue and completion stamp — must match cycle for
-    // cycle across two flush cycles with the redundancy knob explicitly off.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let (trace_unset, contents_unset, end_unset) =
-        with_redundancy_env(None, || traced_flush_cycles(64, 1));
-    let (trace_off, contents_off, end_off) =
-        with_redundancy_env(Some("off"), || traced_flush_cycles(64, 1));
-    assert!(!trace_unset.is_empty());
-    assert_eq!(trace_unset, trace_off);
-    assert_eq!(contents_unset, contents_off);
-    assert_eq!(end_unset, end_off);
-}
-
-#[test]
-fn fig3_output_identical_with_slo_unset_vs_off() {
-    // The SLO plumbing (admission control, throttled waves, proactive GC)
-    // must be a strict no-op when disabled: `NOFTL_SLO=off` has to produce
-    // the same figures as a build that never heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_slo_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_slo_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_SLO unset vs off"
-    );
-}
-
-/// The structural pin behind `NOFTL_SLO`: with the knob unset or `off`, an
-/// engine built from the env-derived defaults must be **bit- and
-/// cycle-identical** to the pre-SLO engine — same device command trace, same
-/// durable WAL records, same commit count, same forces, same end time — for
-/// a workload driven through the admission-aware `begin_admitted` surface.
+/// `NOFTL_SLO=on` by value.  Off is the default value, and an engine built
+/// from it has no admission window, throttle or proactive GC to differ by;
+/// on may change timing (that is the point) but must stay consistent.
 mod slo_off_identity {
-    use super::{with_slo_env, ENV_LOCK};
-    use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
-    use noftl::noftl_core::{NoFtl, NoFtlConfig};
-    use noftl::sim_utils::time::SimInstant;
-    use noftl::storage_engine::backend::NoFtlBackend;
-    use noftl::storage_engine::{EngineConfig, EngineOps, FlusherConfig, StorageEngine};
+    use noftl::nand_flash::FlashGeometry;
+    use noftl::noftl_core::{FlusherAssignment, NoFtlConfig};
+    use noftl::storage_engine::backend::StackConfig;
+    use noftl::storage_engine::{EngineOps, StorageEngine};
     use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver};
 
-    /// What a run leaves behind; every field must match across the legs.
-    #[derive(Debug, PartialEq)]
-    struct SloImage {
-        trace: Vec<String>,
-        end: SimInstant,
-        committed: u64,
-        forces: u64,
-        completed: u64,
-        shed: u64,
-        observed: (u64, u64, u64),
-        percentiles: (u64, u64, u64),
-    }
-
-    /// Build everything from the env-derived defaults *inside* the env
-    /// closure, so `EngineConfig::new()` and `NoFtlBackend::new()` read the
-    /// leg's `NOFTL_SLO` value.
-    fn open_loop_image() -> SloImage {
+    #[test]
+    fn slo_on_leg_runs_the_same_workload_with_truthful_stats() {
+        let knobs = StackConfig {
+            slo: true,
+            ..StackConfig::default()
+        };
         let geometry = FlashGeometry::with_dies(4, 256, 32, 4096);
-        let ncfg = NoFtlConfig::new(geometry);
-        let mut dev_cfg = DeviceConfig::new(geometry);
-        dev_cfg.store_data = ncfg.store_data;
-        dev_cfg.trace_capacity = 1 << 16;
-        let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), ncfg);
-        let backend = NoFtlBackend::new(noftl);
-        let mut ecfg = EngineConfig::new();
+        let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
+        let mut ecfg = knobs.engine();
         ecfg.buffer_frames = 96;
         ecfg.log_pages = 64;
-        let mut flushers = FlusherConfig::die_wise(2);
-        flushers.async_depth = 1;
-        ecfg.flushers = flushers;
+        ecfg.flushers = knobs.flushers(FlusherAssignment::DieWise, 2);
         let mut engine = StorageEngine::new(Box::new(backend), ecfg);
 
         let mut olcfg = OpenLoopConfig::new(120, Arrivals::Fixed { interval_ns: 5_000 });
@@ -1089,54 +901,14 @@ mod slo_off_identity {
         let t0 = driver.setup(&mut engine, 0).expect("setup");
         let mut slots: [&mut dyn EngineOps; 1] = [&mut engine];
         let report = driver.run(&mut slots, t0).expect("run");
-        SloImage {
-            trace: engine
-                .backend()
-                .as_any()
-                .and_then(|a| a.downcast_ref::<NoFtlBackend>())
-                .expect("NoFTL backend")
-                .noftl()
-                .device()
-                .tracer()
-                .entries()
-                .iter()
-                .map(|e| format!("{e:?}"))
-                .collect(),
-            end: report.duration_ns,
-            committed: engine.committed(),
-            forces: engine.log_forces(),
-            completed: report.completed,
-            shed: report.shed,
-            observed: report.observed,
-            percentiles: report.latency_percentiles(),
-        }
-    }
-
-    #[test]
-    fn open_loop_run_identical_with_slo_unset_vs_off() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let unset = with_slo_env(None, open_loop_image);
-        let off = with_slo_env(Some("off"), open_loop_image);
-        assert!(!unset.trace.is_empty());
-        assert_eq!(unset.shed, 0, "no admission window without the knob");
+        // Every begin is either admitted or shed, and the engine's counters
+        // say which.
         assert_eq!(
-            unset, off,
-            "an open-loop run must be bit- and cycle-identical with \
-             NOFTL_SLO unset vs off"
-        );
-    }
-
-    #[test]
-    fn slo_on_leg_runs_the_same_workload_with_truthful_stats() {
-        // Not an identity leg — `on` may change timing (that is the point) —
-        // but the env-derived on leg must stay consistent: every begin is
-        // either admitted or shed, and the engine's counters say which.
-        let _guard = ENV_LOCK.lock().unwrap();
-        let on = with_slo_env(Some("on"), open_loop_image);
-        assert_eq!(
-            on.observed.0 + on.observed.2,
+            report.observed.0 + report.observed.2,
             132,
             "every offered request (warmup included) is admitted or shed"
         );
+        let stats = engine.admission_stats();
+        assert_eq!((stats.admitted, stats.delayed, stats.shed), report.observed);
     }
 }

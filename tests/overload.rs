@@ -38,9 +38,7 @@ fn overload_config(admission: AdmissionConfig) -> EngineConfig {
     let mut cfg = EngineConfig::new();
     cfg.buffer_frames = 128;
     cfg.log_pages = 64;
-    let mut flushers = FlusherConfig::die_wise(4);
-    flushers.async_depth = 1;
-    cfg.flushers = flushers;
+    cfg.flushers = FlusherConfig::die_wise(4);
     cfg.wal_group_commit = 1;
     cfg.admission = Some(admission);
     cfg.slo_scheduling = true;
