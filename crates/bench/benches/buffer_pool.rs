@@ -11,6 +11,7 @@ use storage_engine::{
     buffer::BufferPool,
     flusher::{FlusherConfig, FlusherPool},
     free_space::FreeSpaceManager,
+    shard::ShardedBufferPool,
 };
 
 fn bench_buffer(c: &mut Criterion) {
@@ -40,7 +41,7 @@ fn bench_buffer(c: &mut Criterion) {
     });
 
     c.bench_function("btree/point_lookup", |b| {
-        let mut pool = BufferPool::new(512, 4096);
+        let mut pool = ShardedBufferPool::new(1, 512, 4096);
         let mut backend = MemBackend::new(4096, 16384);
         let mut fsm = FreeSpaceManager::new(0, 16000);
         let (mut tree, _) = BTree::create(&mut pool, &mut backend, &mut fsm, 0).unwrap();

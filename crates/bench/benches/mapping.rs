@@ -1,8 +1,10 @@
-//! Microbenchmarks of the address-translation layers: host-resident page
-//! mapping (NoFTL), the DFTL cached mapping table and the FTL page map.
+//! Microbenchmarks of the address-translation layers: the page-level table
+//! (one structure — NoFTL's host-resident `HostMappingTable` and the FTLs'
+//! `PageMap` are the same `sim_utils::PageTable`) and the DFTL cached mapping
+//! table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftl::mapping::{CmtEntry, LruCache, PageMap};
+use ftl::mapping::{CmtEntry, LruCache};
 use nand_flash::FlashGeometry;
 use noftl_core::mapping::HostMappingTable;
 use noftl_core::regions::{RegionManager, StripingMode};
@@ -19,16 +21,6 @@ fn bench_mapping(c: &mut Criterion) {
             let lpn = rng.range(0, n);
             table.update(lpn, lpn * 2);
             black_box(table.get(lpn))
-        })
-    });
-
-    c.bench_function("mapping/ftl_page_map_update_lookup", |b| {
-        let mut map = PageMap::new(n);
-        let mut rng = SimRng::new(2);
-        b.iter(|| {
-            let lpn = rng.range(0, n);
-            map.update(lpn, lpn * 2);
-            black_box(map.get(lpn))
         })
     });
 
@@ -63,18 +55,6 @@ fn bench_mapping(c: &mut Criterion) {
         b.iter(|| {
             let ppa = n + 1 + rng.range(0, n - 1);
             black_box(table.reverse(ppa))
-        })
-    });
-
-    c.bench_function("mapping/ftl_page_map_reverse_lookup", |b| {
-        let mut map = PageMap::new(n);
-        for lpn in 0..n {
-            map.update(lpn, n * 2 - lpn);
-        }
-        let mut rng = SimRng::new(6);
-        b.iter(|| {
-            let ppa = n + 1 + rng.range(0, n - 1);
-            black_box(map.lookup_reverse(ppa))
         })
     });
 }

@@ -23,94 +23,10 @@
 //! (inside the NoFTL backend) behind the backend lock, last in its lock
 //! order.
 
-use sim_utils::flatmap::FlatMap;
-
-/// Sentinel meaning "unmapped".
-const UNMAPPED: u64 = u64::MAX;
-
-/// Dense logical→physical page table with an equally dense reverse table,
-/// held entirely in host memory.
-#[derive(Debug, Clone)]
-pub struct HostMappingTable {
-    forward: Vec<u64>,
-    /// Physical flat page → LPN, indexed directly by physical page.
-    reverse: FlatMap,
-}
-
-impl HostMappingTable {
-    /// Create a table for `logical_pages` pages, all unmapped.  The reverse
-    /// table grows on demand; use [`Self::with_physical_pages`] when the
-    /// physical page count is known up front.
-    pub fn new(logical_pages: u64) -> Self {
-        Self {
-            forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::new(),
-        }
-    }
-
-    /// Create a table with the reverse direction pre-sized for
-    /// `physical_pages` flat page indices (no growth during operation).
-    pub fn with_physical_pages(logical_pages: u64, physical_pages: u64) -> Self {
-        Self {
-            forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::with_index_capacity(physical_pages as usize),
-        }
-    }
-
-    /// Number of logical pages covered.
-    pub fn logical_pages(&self) -> u64 {
-        self.forward.len() as u64
-    }
-
-    /// Resolve `lpn` to its physical page (flat index), if mapped.
-    #[inline]
-    pub fn get(&self, lpn: u64) -> Option<u64> {
-        let v = *self.forward.get(lpn as usize)?;
-        (v != UNMAPPED).then_some(v)
-    }
-
-    /// Which logical page lives at physical page `ppa`, if any.
-    #[inline]
-    pub fn reverse(&self, ppa: u64) -> Option<u64> {
-        self.reverse.get(ppa)
-    }
-
-    /// Map `lpn` → `ppa`; returns the superseded physical page, if any.
-    #[inline]
-    pub fn update(&mut self, lpn: u64, ppa: u64) -> Option<u64> {
-        let old = core::mem::replace(&mut self.forward[lpn as usize], ppa);
-        if old != UNMAPPED {
-            self.reverse.remove(old);
-        }
-        self.reverse.insert(ppa, lpn);
-        (old != UNMAPPED).then_some(old)
-    }
-
-    /// Drop the mapping of `lpn`; returns its physical page, if any.
-    #[inline]
-    pub fn unmap(&mut self, lpn: u64) -> Option<u64> {
-        let old = core::mem::replace(&mut self.forward[lpn as usize], UNMAPPED);
-        if old == UNMAPPED {
-            return None;
-        }
-        self.reverse.remove(old);
-        Some(old)
-    }
-
-    /// Number of currently mapped pages.
-    pub fn mapped(&self) -> usize {
-        self.reverse.len()
-    }
-
-    /// Host-memory footprint of the table in bytes — the resource argument of
-    /// §3.1 (a 10 GB drive at 4 KiB pages needs ~20 MB of host RAM for the
-    /// forward direction, trivial for a DBMS host, impossible for many SSD
-    /// controllers).  Both directions are flat `u64` arrays now, so the
-    /// footprint is exact rather than a hash-table estimate.
-    pub fn memory_bytes(&self) -> usize {
-        self.forward.len() * 8 + self.reverse.memory_bytes()
-    }
-}
+/// The host-resident page table: [`sim_utils::pagetable::PageTable`] — the
+/// same structure an on-device page-mapping FTL keeps (`ftl::mapping::PageMap`
+/// is the other name of it), held in DBMS memory instead of controller RAM.
+pub use sim_utils::pagetable::PageTable as HostMappingTable;
 
 // Reader-safety invariant: the table has no interior mutability, so shared
 // references are safe across threads (concurrent readers under an RwLock).
@@ -122,42 +38,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_unmap_roundtrip() {
-        let mut t = HostMappingTable::new(8);
-        assert_eq!(t.get(2), None);
-        assert_eq!(t.update(2, 77), None);
-        assert_eq!(t.get(2), Some(77));
-        assert_eq!(t.reverse(77), Some(2));
-        assert_eq!(t.update(2, 99), Some(77));
-        assert_eq!(t.reverse(77), None);
-        assert_eq!(t.unmap(2), Some(99));
-        assert_eq!(t.unmap(2), None);
-        assert_eq!(t.mapped(), 0);
-    }
-
-    #[test]
-    fn memory_footprint_scales_with_pages() {
-        let small = HostMappingTable::new(1_000);
-        let large = HostMappingTable::new(100_000);
-        assert!(large.memory_bytes() > small.memory_bytes());
-        // ~8 bytes per logical page for the dense array.
-        assert!(large.memory_bytes() >= 800_000);
-    }
-
-    #[test]
-    fn presized_reverse_behaves_identically() {
-        let mut lazy = HostMappingTable::new(64);
-        let mut sized = HostMappingTable::with_physical_pages(64, 256);
-        for lpn in 0..64u64 {
-            assert_eq!(lazy.update(lpn, 200 + lpn), sized.update(lpn, 200 + lpn));
-        }
-        for ppa in 0..256u64 {
-            assert_eq!(lazy.reverse(ppa), sized.reverse(ppa));
-        }
-        assert_eq!(lazy.mapped(), sized.mapped());
-    }
 
     #[test]
     fn concurrent_readers_share_the_table_under_a_single_writer() {
@@ -212,15 +92,4 @@ mod tests {
         assert_eq!(table.read().mapped(), 256);
     }
 
-    #[test]
-    fn reverse_tracks_gc_style_relocation() {
-        let mut t = HostMappingTable::new(16);
-        t.update(5, 40);
-        // GC moves the physical page: update must clear the stale reverse
-        // entry so no physical page resolves to two LPNs.
-        t.update(5, 41);
-        assert_eq!(t.reverse(40), None);
-        assert_eq!(t.reverse(41), Some(5));
-        assert_eq!(t.mapped(), 1);
-    }
 }

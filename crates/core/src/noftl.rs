@@ -14,6 +14,7 @@
 //! * [`NoFtl::write_in_region`] — placement-aware writes used by the
 //!   Flash-aware flusher assignment.
 
+use nand_flash::error::{check_buf, check_lpn};
 use nand_flash::{
     BlockAddr, DeviceConfig, DeviceIdentification, FaultPlan, FlashError, FlashGeometry,
     FlashResult, FlashStats, NandDevice, NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
@@ -497,27 +498,81 @@ impl NoFtl {
         self.rebuild_stats.clear();
     }
 
-    fn check_lpn(&self, lpn: u64) -> FlashResult<()> {
-        if lpn < self.logical_pages {
-            Ok(())
+    // -- device dispatch -------------------------------------------------------
+    //
+    // One helper per native command holds the only `async_depth` decisions in
+    // this file: at depth 1 a command is the synchronous trait call — the
+    // trace-equality baseline — and at deeper settings the *same* command is
+    // submitted into its die's queue, so it honestly queues behind (and
+    // delays) whatever is already in flight there.  Every caller below goes
+    // through these; none consults the depth itself.
+
+    /// PAGE READ of one physical page.
+    fn dispatch_read(
+        &mut self,
+        now: SimInstant,
+        ppa: Ppa,
+        buf: &mut [u8],
+    ) -> FlashResult<(Oob, OpCompletion)> {
+        if self.async_depth > 1 {
+            self.device
+                .submit_read_page(now, ppa, buf)
+                .map(|(oob, q)| (oob, q.completion))
         } else {
-            Err(FlashError::InvalidAddress {
-                what: format!(
-                    "logical page {lpn} out of range (capacity {})",
-                    self.logical_pages
-                ),
-            })
+            self.device.read_page(now, ppa, buf)
         }
     }
 
-    fn check_buf(&self, len: usize) -> FlashResult<()> {
-        if len == self.page_size {
-            Ok(())
+    /// PAGE READ run on one die.
+    fn dispatch_read_run(
+        &mut self,
+        now: SimInstant,
+        ops: &mut [(Ppa, &mut [u8])],
+    ) -> FlashResult<OpCompletion> {
+        if self.async_depth > 1 {
+            self.device.submit_read_pages(now, ops).map(|q| q.completion)
         } else {
-            Err(FlashError::BufferSizeMismatch {
-                expected: self.page_size,
-                actual: len,
-            })
+            self.device.read_pages(now, ops)
+        }
+    }
+
+    /// PAGE PROGRAM run on one die.  `data_ready` is the instant the payload
+    /// exists in host memory (a relocation's source-read completion; `now`
+    /// for host data): a queued program may not issue before it because the
+    /// destination die can differ from the source die, whereas the
+    /// synchronous dispatch issues at `now` and lets die/channel occupancy
+    /// order it — the two legs the depth-1 equivalence tests pin.
+    fn dispatch_program_run(
+        &mut self,
+        now: SimInstant,
+        data_ready: SimInstant,
+        ops: &[(Ppa, &[u8], Oob)],
+    ) -> FlashResult<OpCompletion> {
+        if self.async_depth > 1 {
+            self.device
+                .submit_program_pages(now.max(data_ready), ops)
+                .map(|q| q.completion)
+        } else {
+            self.device.program_pages(now, ops)
+        }
+    }
+
+    /// COPYBACK PROGRAM (plane-local relocation; keeps the source OOB).
+    fn dispatch_copyback(&mut self, now: SimInstant, src: Ppa, dst: Ppa) -> FlashResult<OpCompletion> {
+        if self.async_depth > 1 {
+            self.device.submit_copyback(now, src, dst, None).map(|q| q.completion)
+        } else {
+            self.device.copyback(now, src, dst, None)
+        }
+    }
+
+    /// BLOCK ERASE.  A failed queued submission cannot evict in-flight
+    /// commands, and a worn-out attempt still charges its die occupancy.
+    fn dispatch_erase(&mut self, now: SimInstant, block: BlockAddr) -> FlashResult<OpCompletion> {
+        if self.async_depth > 1 {
+            self.device.submit_erase(now, block).map(|q| q.completion)
+        } else {
+            self.device.erase_block(now, block)
         }
     }
 
@@ -532,32 +587,45 @@ impl NoFtl {
     /// recorded read latency includes the queueing delay — the paper's
     /// foreground-read interference, now observable.
     pub fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(buf.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(buf.len(), self.page_size)?;
         let g = *self.device.geometry();
         let Some(flat) = self.map.get(lpn) else {
             return Err(FlashError::ReadOfUnwrittenPage(Ppa::from_flat(&g, 0)));
         };
         let ppa = Ppa::from_flat(&g, flat);
+        let completion = self.read_host_page(now, ppa, buf)?;
+        self.maybe_scrub(completion.completed_at, ppa.block_addr())?;
+        Ok(completion)
+    }
+
+    /// One host read of the mapped physical page `ppa`, with everything a
+    /// single page can need: the retry ladder, the degraded fallback when the
+    /// page's die has failed (mark the loss, then serve the read through the
+    /// page's redundancy; unprotected pages surface the typed failure to the
+    /// engine's WAL-replay rebuild), and the host-read statistics.  Shared
+    /// by [`NoFtl::read`] and the per-page fallbacks of [`NoFtl::read_batch`].
+    fn read_host_page(
+        &mut self,
+        now: SimInstant,
+        ppa: Ppa,
+        buf: &mut [u8],
+    ) -> FlashResult<OpCompletion> {
         let completion = match self.read_page_retrying(now, ppa, buf) {
             Ok((_, c)) => c,
             Err(FlashError::DieFailed(_)) => {
-                // The page's die failed.  Mark the loss, then serve the read
-                // degraded through the page's redundancy; unprotected pages
-                // surface the typed failure to the engine's WAL-replay
-                // rebuild.
                 self.note_die_failures(now)?;
-                self.read_degraded(now, flat, buf)?
+                let g = *self.device.geometry();
+                self.read_degraded(now, ppa.flat(&g), buf)?
             }
             Err(e) => return Err(e),
         };
         self.stats.host_reads += 1;
         self.stats.read_latency.record(completion.latency_from(now));
-        self.maybe_scrub(completion.completed_at, ppa.block_addr())?;
         Ok(completion)
     }
 
-    /// One logical read with the bounded read-retry ladder: an uncorrectable
+    /// One physical read with the bounded read-retry ladder: an uncorrectable
     /// ECC result is re-attempted up to [`READ_RETRY_LIMIT`] more times (each
     /// attempt draws the error model independently and charges real device
     /// time) before the failure is surfaced to the caller.  Fault-free
@@ -570,14 +638,7 @@ impl NoFtl {
     ) -> FlashResult<(Oob, OpCompletion)> {
         let mut attempt = 0;
         loop {
-            let res = if self.async_depth > 1 {
-                self.device
-                    .submit_read_page(now, ppa, buf)
-                    .map(|(oob, q)| (oob, q.completion))
-            } else {
-                self.device.read_page(now, ppa, buf)
-            };
-            match res {
+            match self.dispatch_read(now, ppa, buf) {
                 Ok(oc) => {
                     if attempt > 0 {
                         self.stats.read_retry_successes += 1;
@@ -603,10 +664,11 @@ impl NoFtl {
     /// each run is *submitted* into its die's command queue and therefore
     /// queues behind in-flight flush/GC traffic instead of ignoring it.
     ///
-    /// Invariants: a 1-page batch takes exactly the [`NoFtl::read`] path
-    /// (identical commands, timing, statistics); reading the same LPN twice
-    /// returns the same content twice; an invalid entry (unknown LPN, wrong
-    /// buffer size) fails the whole batch before any device command issues.
+    /// Invariants: a 1-page batch *is* a [`NoFtl::read`] (it delegates, and
+    /// below it the device times a single page as a run of one through the
+    /// same body as any run); reading the same LPN twice returns the same
+    /// content twice; an invalid entry (unknown LPN, wrong buffer size) fails
+    /// the whole batch before any device command issues.
     ///
     /// Returns the virtual time when the last dispatch completed.
     pub fn read_batch(
@@ -627,8 +689,8 @@ impl NoFtl {
         // bad entry must not leave a partially issued batch behind.
         let mut ppas = Vec::with_capacity(reqs.len());
         for (lpn, buf) in reqs.iter() {
-            self.check_lpn(*lpn)?;
-            self.check_buf(buf.len())?;
+            check_lpn(*lpn, self.logical_pages)?;
+            check_buf(buf.len(), self.page_size)?;
             let Some(flat) = self.map.get(*lpn) else {
                 return Err(FlashError::ReadOfUnwrittenPage(Ppa::from_flat(&g, 0)));
             };
@@ -645,12 +707,7 @@ impl NoFtl {
                 continue;
             }
             let pages = ops.len() as u64;
-            let res = if self.async_depth > 1 {
-                self.device.submit_read_pages(now, &mut ops).map(|q| q.completion)
-            } else {
-                self.device.read_pages(now, &mut ops)
-            };
-            match res {
+            match self.dispatch_read_run(now, &mut ops) {
                 Ok(completion) => {
                     end = end.max(completion.completed_at);
                     self.stats.host_reads += pages;
@@ -660,44 +717,23 @@ impl NoFtl {
                             .record(completion.completed_at.saturating_sub(now));
                     }
                 }
-                Err(FlashError::UncorrectableEcc(_)) => {
-                    // One page of the run overwhelmed ECC; the multi-page
-                    // dispatch aborted there.  Fall back to per-page reads so
-                    // a single bad page cannot fail the whole run — each page
-                    // gets its own retry ladder.  The fallback is itself a
-                    // retry of the failed run (each per-page read re-senses),
-                    // so it counts even when every page then reads clean on
-                    // its first attempt.
-                    self.stats.read_retries += 1;
+                Err(e @ (FlashError::UncorrectableEcc(_) | FlashError::DieFailed(_))) => {
+                    // The run did not complete: one page overwhelmed ECC and
+                    // the dispatch aborted there, or the run's die failed and
+                    // nothing of it transferred.  Fall back to per-page reads
+                    // so a single bad page cannot fail the whole run — each
+                    // page gets its own retry ladder and, on a dead die, its
+                    // own degraded read.  After an ECC abort the fallback is
+                    // itself a retry of the failed run (each per-page read
+                    // re-senses), so it counts even when every page then
+                    // reads clean on its first attempt.
+                    let resensed = u64::from(matches!(e, FlashError::UncorrectableEcc(_)));
+                    self.stats.read_retries += resensed;
                     for (ppa, buf) in ops.iter_mut() {
-                        let (_, c) = self.read_page_retrying(now, *ppa, buf)?;
+                        let c = self.read_host_page(now, *ppa, buf)?;
                         end = end.max(c.completed_at);
-                        self.stats.host_reads += 1;
-                        self.stats
-                            .read_latency
-                            .record(c.completed_at.saturating_sub(now));
                     }
-                    self.stats.read_retry_successes += 1;
-                }
-                Err(FlashError::DieFailed(_)) => {
-                    // The run's die failed: nothing of it transferred.  Serve
-                    // each page individually, degraded where redundancy
-                    // covers it.
-                    self.note_die_failures(now)?;
-                    for (ppa, buf) in ops.iter_mut() {
-                        let c = match self.read_page_retrying(now, *ppa, buf) {
-                            Ok((_, c)) => c,
-                            Err(FlashError::DieFailed(_)) => {
-                                self.read_degraded(now, ppa.flat(&g), buf)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                        end = end.max(c.completed_at);
-                        self.stats.host_reads += 1;
-                        self.stats
-                            .read_latency
-                            .record(c.completed_at.saturating_sub(now));
-                    }
+                    self.stats.read_retry_successes += resensed;
                 }
                 Err(e) => return Err(e),
             }
@@ -732,63 +768,76 @@ impl NoFtl {
         lpn: u64,
         data: &[u8],
     ) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(data.len())?;
-        let g = *self.device.geometry();
-        let start = now;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(data.len(), self.page_size)?;
         let mut t = now;
-        // Program-failure recovery loop: a failed PAGE PROGRAM consumes the
-        // attempted page, so the block is retired (after relocating its
-        // still-valid pages) and the write repeats on a fresh allocation.
-        // The loop terminates because every retry removes a block; when the
+        // Failure-recovery loop ([`NoFtl::recover`]): a failed PAGE PROGRAM
+        // consumes the attempted page and a dead die never transferred it, so
+        // after recovery the write repeats on a fresh allocation.  The loop
+        // terminates because every retry removes a block or a die; when the
         // device runs out the allocation itself fails.
         let (ppa, completion) = loop {
             match self.ensure_region_space(t, region) {
                 Ok(end) => t = end,
-                Err(FlashError::ProgramFailed(failed)) => {
-                    // GC relocation hit a failing destination block.
-                    t = self.retire_failed_block(t, failed.block_addr())?;
+                Err(e) => {
+                    // GC hit a failing destination block or a dying die.
+                    t = self.recover(t, e)?;
                     continue;
                 }
-                Err(FlashError::DieFailed(_)) => {
-                    // A die died under GC.  Mark it; dead regions stop
-                    // garbage-collecting and the allocator routes around
-                    // them.
-                    t = self.note_die_failures(t)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
             }
             let ppa = match self.regions.allocate_page_in(region) {
                 Some(p) => p,
-                None => {
-                    // The region is genuinely full (e.g. severely skewed
-                    // placement): fall back to any region with space.
-                    let mut found = None;
-                    for r in 0..self.regions.regions() {
-                        if let Some(p) = self.regions.allocate_page_in(r) {
-                            found = Some(p);
-                            break;
-                        }
-                    }
-                    found.ok_or(FlashError::OutOfSpareBlocks)?
-                }
+                // The region is genuinely full (e.g. severely skewed
+                // placement): fall back to any region with space.
+                None => self.allocate_anywhere()?,
             };
             match self.device.program_page(t, ppa, data, Oob::data(lpn, 0)) {
                 Ok(c) => break (ppa, c),
-                Err(FlashError::ProgramFailed(failed)) => {
-                    t = self.retire_failed_block(t, failed.block_addr())?;
-                }
-                Err(FlashError::DieFailed(_)) => {
-                    // The target die died between allocation and program:
-                    // the page never transferred.  Mark the die dead (which
-                    // also drops its allocation state) and re-allocate.
-                    t = self.note_die_failures(t)?;
-                }
-                Err(e) => return Err(e),
+                Err(e) => t = self.recover(t, e)?,
             }
         };
-        t = t.max(completion.completed_at);
+        t = self.commit_host_write(t.max(completion.completed_at), lpn, ppa, data)?;
+        self.stats.write_latency.record(t.saturating_sub(now));
+        Ok(OpCompletion {
+            started_at: completion.started_at,
+            completed_at: t,
+        })
+    }
+
+    /// Recover from a device failure that a write or its GC ran into, and
+    /// return when the caller may retry: a failed PAGE PROGRAM retires the
+    /// failing block (after relocating its still-valid pages); a dead die is
+    /// marked — which also drops its allocation state, so dead regions stop
+    /// garbage-collecting and the allocator routes around them.  Any other
+    /// error is not recoverable here and propagates.
+    fn recover(&mut self, now: SimInstant, e: FlashError) -> FlashResult<SimInstant> {
+        match e {
+            FlashError::ProgramFailed(failed) => self.retire_failed_block(now, failed.block_addr()),
+            FlashError::DieFailed(_) => self.note_die_failures(now),
+            e => Err(e),
+        }
+    }
+
+    /// Allocate a page in the first region that has space.
+    fn allocate_anywhere(&mut self) -> FlashResult<Ppa> {
+        (0..self.regions.regions())
+            .find_map(|r| self.regions.allocate_page_in(r))
+            .ok_or(FlashError::OutOfSpareBlocks)
+    }
+
+    /// Commit a host write: `lpn`'s new content `data` landed at `ppa` at
+    /// `now`.  The mapping moves, the superseded page (if any) becomes
+    /// garbage — its dead-page hint and mirror copy go with it — and the new
+    /// page is protected per its region's redundancy policy.  Returns when
+    /// the protection work completed (`now` with redundancy off).
+    fn commit_host_write(
+        &mut self,
+        now: SimInstant,
+        lpn: u64,
+        ppa: Ppa,
+        data: &[u8],
+    ) -> FlashResult<SimInstant> {
+        let g = *self.device.geometry();
         if let Some(old) = self.map.update(lpn, ppa.flat(&g)) {
             self.device.invalidate_page(Ppa::from_flat(&g, old))?;
             self.dead_hinted.remove(old);
@@ -796,15 +845,13 @@ impl NoFtl {
                 self.drop_mirror_of(old)?;
             }
         }
-        if self.redundancy_active {
-            t = self.protect_written(t, lpn, ppa, data)?;
-        }
+        let end = if self.redundancy_active {
+            self.protect_written(now, lpn, ppa, data)?
+        } else {
+            now
+        };
         self.stats.host_writes += 1;
-        self.stats.write_latency.record(t.saturating_sub(start));
-        Ok(OpCompletion {
-            started_at: completion.started_at,
-            completed_at: t,
-        })
+        Ok(end)
     }
 
     /// Write a batch of logical pages as die-wise multi-page program
@@ -819,8 +866,9 @@ impl NoFtl {
     /// watermark, runs on that region's own timeline before its dispatch.
     ///
     /// Invariants:
-    /// * a 1-page batch takes exactly the [`NoFtl::write`] path — identical
-    ///   commands, timing and statistics;
+    /// * a 1-page batch *is* a [`NoFtl::write`] (it delegates; both commit
+    ///   through the same `commit_host_write`, and the device times a single
+    ///   page as a run of one through the same body as any run);
     /// * absent GC pressure, page placement is identical to issuing the
     ///   batch as sequential single-page writes (same allocation order per
     ///   region).  When a region crosses its GC watermark *mid-run* the
@@ -839,16 +887,14 @@ impl NoFtl {
             _ => {}
         }
         for (lpn, data) in pages {
-            self.check_lpn(*lpn)?;
-            self.check_buf(data.len())?;
+            check_lpn(*lpn, self.logical_pages)?;
+            check_buf(data.len(), self.page_size)?;
         }
-        let g = *self.device.geometry();
         let regions_n = self.regions.regions();
         let mut by_region: Vec<Vec<usize>> = vec![Vec::new(); regions_n];
         for (i, (lpn, _)) in pages.iter().enumerate() {
             by_region[self.regions.region_of_lpn(*lpn)].push(i);
         }
-        let start = now;
         let mut end = now;
         for (region, idxs) in by_region.into_iter().enumerate() {
             if idxs.is_empty() {
@@ -863,14 +909,7 @@ impl NoFtl {
                         t0 = end;
                         break;
                     }
-                    Err(FlashError::ProgramFailed(failed)) => {
-                        // GC relocation hit a failing destination block.
-                        t0 = self.retire_failed_block(t0, failed.block_addr())?;
-                    }
-                    Err(FlashError::DieFailed(_)) => {
-                        t0 = self.note_die_failures(t0)?;
-                    }
-                    Err(e) => return Err(e),
+                    Err(e) => t0 = self.recover(t0, e)?,
                 }
             }
             let run = self.regions.allocate_run_in(region, idxs.len());
@@ -882,14 +921,7 @@ impl NoFtl {
             // The region filled up mid-run (severely skewed placement): spill
             // the rest to any region with space, like write_in_region does.
             for &i in &idxs[allocs.len()..] {
-                let mut found = None;
-                for r in 0..regions_n {
-                    if let Some(p) = self.regions.allocate_page_in(r) {
-                        found = Some(p);
-                        break;
-                    }
-                }
-                allocs.push((found.ok_or(FlashError::OutOfSpareBlocks)?, i));
+                allocs.push((self.allocate_anywhere()?, i));
             }
             // Dispatch maximal same-die runs (a spill may change the die, and
             // multi-die regions round-robin dies at block boundaries).
@@ -900,106 +932,54 @@ impl NoFtl {
                 while k < allocs.len() && allocs[k].0.die_addr() == die {
                     k += 1;
                 }
-                let ops: Vec<(Ppa, &[u8], Oob)> = allocs[j..k]
+                let die_run = &allocs[j..k];
+                let ops: Vec<(Ppa, &[u8], Oob)> = die_run
                     .iter()
                     .map(|&(ppa, i)| (ppa, pages[i].1, Oob::data(pages[i].0, 0)))
                     .collect();
-                // Depth 1: the synchronous dispatch (identical commands and
-                // stamps).  Deeper: submit into the die's command queue, so
-                // this run pipelines behind whatever earlier submissions
-                // (previous flush cycles, WAL forces) still occupy the die.
-                let res = if self.async_depth > 1 {
-                    self.device.submit_program_pages(t0, &ops).map(|q| q.completion)
-                } else {
-                    self.device.program_pages(t0, &ops)
-                };
-                match res {
-                    Ok(completion) => {
-                        let t_run = completion.completed_at;
-                        end = end.max(t_run);
-                        for &(ppa, i) in &allocs[j..k] {
-                            let lpn = pages[i].0;
-                            if let Some(old) = self.map.update(lpn, ppa.flat(&g)) {
-                                self.device.invalidate_page(Ppa::from_flat(&g, old))?;
-                                self.dead_hinted.remove(old);
-                                if self.redundancy_active {
-                                    self.drop_mirror_of(old)?;
-                                }
-                            }
-                            if self.redundancy_active {
-                                end = end
-                                    .max(self.protect_written(t_run, lpn, ppa, pages[i].1)?);
-                            }
-                            self.stats.host_writes += 1;
-                            self.stats.write_latency.record(t_run.saturating_sub(start));
-                        }
-                    }
-                    Err(FlashError::ProgramFailed(failed)) => {
+                // How much of the run is committed on the device and when
+                // that part finished, plus the failure (if any) to recover
+                // from before re-writing the rest.
+                let (committed, t_run, failure) = match self.dispatch_program_run(t0, t0, &ops) {
+                    Ok(completion) => (die_run.len(), completion.completed_at, None),
+                    Err(e @ FlashError::ProgramFailed(failed)) => {
                         // The run aborted at `failed`; the pages before it
-                        // are committed on the device, so commit their
-                        // mappings, then retire the failing block and
-                        // re-write the rest of the run one page at a time.
-                        // The tail's allocations must be unwound first:
-                        // leaked pages in blocks the device never touched
-                        // would desynchronise the allocator from the blocks'
-                        // sequential write pointers (the failing block's own
-                        // pages are covered by its retirement).
-                        let fail_pos = allocs[j..k]
-                            .iter()
-                            .position(|&(ppa, _)| ppa == failed)
-                            .unwrap_or(0);
-                        // The aborted dispatch charged its partial timing up
-                        // to the failing page.
-                        let t_run = t0.max(self.device.die_busy_until(die));
-                        end = end.max(t_run);
-                        for &(ppa, i) in &allocs[j..j + fail_pos] {
-                            let lpn = pages[i].0;
-                            if let Some(old) = self.map.update(lpn, ppa.flat(&g)) {
-                                self.device.invalidate_page(Ppa::from_flat(&g, old))?;
-                                self.dead_hinted.remove(old);
-                                if self.redundancy_active {
-                                    self.drop_mirror_of(old)?;
-                                }
-                            }
-                            if self.redundancy_active {
-                                end = end
-                                    .max(self.protect_written(t_run, lpn, ppa, pages[i].1)?);
-                            }
-                            self.stats.host_writes += 1;
-                            self.stats.write_latency.record(t_run.saturating_sub(start));
-                        }
-                        let leaked: Vec<Ppa> = allocs[j + fail_pos..k]
-                            .iter()
-                            .map(|&(ppa, _)| ppa)
-                            .filter(|p| p.block_addr() != failed.block_addr())
-                            .collect();
-                        self.regions.rollback_unprogrammed(&leaked);
-                        let t_retired = self.retire_failed_block(t_run, failed.block_addr())?;
-                        end = end.max(t_retired);
-                        for &(_, i) in &allocs[j + fail_pos..k] {
-                            let (lpn, data) = pages[i];
-                            let c = self.write_in_region(t_retired, region, lpn, data)?;
-                            end = end.max(c.completed_at);
-                        }
+                        // are committed on the device, and the aborted
+                        // dispatch charged its partial timing up to the
+                        // failing page.
+                        let fail_pos =
+                            die_run.iter().position(|&(ppa, _)| ppa == failed).unwrap_or(0);
+                        (fail_pos, t0.max(self.device.die_busy_until(die)), Some(e))
                     }
-                    Err(FlashError::DieFailed(_)) => {
-                        // The run's die failed before any page transferred
-                        // (a dead-die submission is rejected up front).
-                        // Unwind the whole run's allocations, mark the die,
-                        // and re-write every page through the per-page path,
-                        // which routes around dead regions.
-                        let leaked: Vec<Ppa> =
-                            allocs[j..k].iter().map(|&(ppa, _)| ppa).collect();
-                        self.regions.rollback_unprogrammed(&leaked);
-                        let t_noted = self.note_die_failures(t0)?;
-                        end = end.max(t_noted);
-                        for &(_, i) in &allocs[j..k] {
-                            let (lpn, data) = pages[i];
-                            let c = self.write_in_region(t_noted, region, lpn, data)?;
-                            end = end.max(c.completed_at);
-                        }
-                    }
+                    // The run's die failed before any page transferred (a
+                    // dead-die submission is rejected up front).
+                    Err(e @ FlashError::DieFailed(_)) => (0, t0, Some(e)),
                     Err(e) => return Err(e),
+                };
+                end = end.max(t_run);
+                let (done, rest) = die_run.split_at(committed);
+                for &(ppa, i) in done {
+                    let (lpn, data) = pages[i];
+                    end = end.max(self.commit_host_write(t_run, lpn, ppa, data)?);
+                    self.stats.write_latency.record(t_run.saturating_sub(now));
+                }
+                if let Some(e) = failure {
+                    // The uncommitted tail's allocations must be unwound
+                    // first: leaked pages in blocks the device never touched
+                    // would desynchronise the allocator from the blocks'
+                    // sequential write pointers (a failing block's own pages
+                    // are covered by its retirement).  Then recover — retire
+                    // the failing block or mark the dead die — and re-write
+                    // the tail one page at a time through the per-page path,
+                    // which routes around retired blocks and dead regions.
+                    self.rollback_unprogrammed(&e, rest.iter().map(|&(ppa, _)| ppa));
+                    let t_rec = self.recover(t_run, e)?;
+                    end = end.max(t_rec);
+                    for &(_, i) in rest {
+                        let (lpn, data) = pages[i];
+                        let c = self.write_in_region(t_rec, region, lpn, data)?;
+                        end = end.max(c.completed_at);
+                    }
                 }
                 j = k;
             }
@@ -1012,7 +992,7 @@ impl NoFtl {
     /// version).  Its physical page becomes garbage immediately and GC will
     /// never copy it.
     pub fn mark_dead(&mut self, lpn: u64) -> FlashResult<()> {
-        self.check_lpn(lpn)?;
+        check_lpn(lpn, self.logical_pages)?;
         let g = *self.device.geometry();
         if let Some(old) = self.map.unmap(lpn) {
             self.device.invalidate_page(Ppa::from_flat(&g, old))?;
@@ -1727,31 +1707,43 @@ impl NoFtl {
         Ok(t)
     }
 
-    /// Unwind the destination allocations of a relocation run that errored
-    /// out: `pending` holds the entries that were never committed (after a
-    /// failed dispatch, [`NoFtl::flush_relocations`] commits and drains the
-    /// prefix, so what remains is the failing entry and everything after it),
-    /// and `extra` is a destination allocated *after* the run.  Pages of a
-    /// failing block are skipped — that block is retired wholesale by the
-    /// caller — while the rest must be returned to the allocator so it stays
-    /// in lockstep with the blocks' sequential write pointers.
-    fn rollback_pending_relocations(
-        &mut self,
-        err: &FlashError,
-        pending: &[(Ppa, Ppa, u64, Vec<u8>, Oob)],
-        extra: Option<Ppa>,
-    ) {
+    /// Return destination pages that were allocated but never programmed —
+    /// the uncommitted tail of a run whose dispatch failed with `err` — to
+    /// the allocator, so it stays in lockstep with the blocks' sequential
+    /// write pointers.  Pages of the block a failed PAGE PROGRAM names are
+    /// skipped: that block is retired wholesale by the caller.
+    fn rollback_unprogrammed(&mut self, err: &FlashError, unprogrammed: impl Iterator<Item = Ppa>) {
         let failed_block = match err {
             FlashError::ProgramFailed(p) => Some(p.block_addr()),
             _ => None,
         };
-        let leaked: Vec<Ppa> = pending
-            .iter()
-            .map(|(_, dst, _, _, _)| *dst)
-            .chain(extra)
+        let leaked: Vec<Ppa> = unprogrammed
             .filter(|p| Some(p.block_addr()) != failed_block)
             .collect();
         self.regions.rollback_unprogrammed(&leaked);
+    }
+
+    /// Commit one relocation: the page of `lpn` moved from `src` to `dst`.
+    /// The mapping follows, the source becomes garbage, and the page's
+    /// redundancy is re-linked at its new address (`data` is the relocated
+    /// content when the move went through host memory, `None` after a
+    /// copyback).  Returns when the re-protection work completed.
+    fn commit_relocation(
+        &mut self,
+        now: SimInstant,
+        src: Ppa,
+        dst: Ppa,
+        lpn: u64,
+        data: Option<&[u8]>,
+    ) -> FlashResult<SimInstant> {
+        let g = *self.device.geometry();
+        self.map.update(lpn, dst.flat(&g));
+        self.device.invalidate_page(src)?;
+        self.stats.gc_page_copies += 1;
+        if self.redundancy_active {
+            return self.relink_redundancy(now, src.flat(&g), dst.flat(&g), lpn, data);
+        }
+        Ok(now)
     }
 
     /// Relocate `survivors` — (source page, logical page) pairs — into
@@ -1760,14 +1752,15 @@ impl NoFtl {
     /// are gone (those would permanently skew `invalid_pages` counts and GC
     /// victim scoring).
     ///
-    /// With `gc_batch_pages <= 1` every survivor moves one command at a time
-    /// — copyback when plane-local, read + program otherwise — exactly the
-    /// legacy path (trace-identical).  Larger settings batch consecutive
-    /// cross-plane survivors through one multi-page program dispatch per
-    /// same-die run ([`nand_flash::NativeFlashInterface::program_pages`]);
-    /// plane-local survivors still use copyback, and any pending run is
-    /// flushed before a copyback so the destination block's sequential
-    /// programming order is preserved.
+    /// Plane-local survivors move by copyback.  Cross-plane survivors are read
+    /// and re-programmed: with `gc_batch_pages <= 1` one command at a time — exactly
+    /// the legacy path (trace-identical) — and with larger settings batched
+    /// through one multi-page program dispatch per same-die run
+    /// ([`nand_flash::NativeFlashInterface::program_pages`]); any pending run
+    /// is flushed before a copyback so the destination block's sequential
+    /// programming order is preserved.  Every relocation command goes through
+    /// the dispatch helpers, so under async background GC queues behind — and
+    /// delays — foreground flush/read traffic.
     ///
     /// When the region runs out of space mid-relocation: with
     /// `abort_on_full` the already-moved prefix is kept (sources
@@ -1780,7 +1773,6 @@ impl NoFtl {
         survivors: &[(Ppa, u64)],
         abort_on_full: bool,
     ) -> FlashResult<(SimInstant, bool)> {
-        let g = *self.device.geometry();
         let mut t = now;
         let cap = self.gc_batch_pages.max(1);
         // Pending cross-plane relocations awaiting one batched dispatch:
@@ -1791,21 +1783,12 @@ impl NoFtl {
         let mut pending: Vec<(Ppa, Ppa, u64, Vec<u8>, Oob)> = Vec::new();
         let mut pending_ready: SimInstant = 0;
         for &(src, lpn) in survivors {
-            let dst = match self.regions.allocate_page_in(region) {
-                Some(p) => p,
-                None => {
-                    t = match self.flush_relocations(t.max(pending_ready), &mut pending) {
-                        Ok(end) => end,
-                        Err(e) => {
-                            self.rollback_pending_relocations(&e, &pending, None);
-                            return Err(e);
-                        }
-                    };
-                    if abort_on_full {
-                        return Ok((t, false));
-                    }
-                    return Err(FlashError::OutOfSpareBlocks);
+            let Some(dst) = self.regions.allocate_page_in(region) else {
+                t = self.flush_relocations(t.max(pending_ready), &mut pending, None)?;
+                if abort_on_full {
+                    return Ok((t, false));
                 }
+                return Err(FlashError::OutOfSpareBlocks);
             };
             // A parity-protected page must re-join the open stripe at its
             // new address, which needs the host-side content — so its
@@ -1818,98 +1801,44 @@ impl NoFtl {
                 && dst.channel == src.channel
                 && dst.die == src.die
                 && dst.plane == src.plane;
-            // At depth 1 every relocation command is the synchronous legacy
-            // dispatch (the trace-equality baseline); deeper settings submit
-            // the same commands through the per-die queues, so background GC
-            // queues behind — and delays — foreground flush/read traffic.
-            let queued = self.async_depth > 1;
-            if self.gc_batch_pages <= 1 {
-                // Legacy per-relocation path.
-                let res = if same_plane {
-                    if queued {
-                        self.device.submit_copyback(t, src, dst, None).map(|q| q.completion)
-                    } else {
-                        self.device.copyback(t, src, dst, None)
-                    }
-                } else {
-                    let mut buf = std::mem::take(&mut self.scratch);
-                    // The source read gets the retry ladder: a survivor whose
-                    // first read overwhelms ECC is usually recoverable on a
-                    // re-sense, and GC must not lose it over one bad draw.
-                    let c = match self.read_page_retrying(t, src, &mut buf) {
-                        Ok((oob, rc)) => {
-                            if queued {
-                                // The program may not issue before its source
-                                // read produced the data (the destination die
-                                // can differ).
-                                self.device
-                                    .submit_program_pages(
-                                        rc.completed_at,
-                                        &[(dst, buf.as_slice(), oob)],
-                                    )
-                                    .map(|p| p.completion)
-                            } else {
-                                self.device.program_page(t, dst, &buf, oob)
-                            }
-                        }
-                        Err(e) => Err(e),
-                    };
-                    self.scratch = buf;
-                    c
-                };
-                let completion = match res {
+            if same_plane {
+                // A copyback programs the destination block's next page, so
+                // a pending run must land first to keep program order.
+                t = self.flush_relocations(t.max(pending_ready), &mut pending, Some(dst))?;
+                pending_ready = 0;
+                let c = match self.dispatch_copyback(t, src, dst) {
                     Ok(c) => c,
                     Err(e) => {
                         // A failed program consumed `dst` (its block is
-                        // retired by the caller); any other error — e.g. an
-                        // unreadable source — leaves `dst` un-programmed and
-                        // it must go back to the allocator.
-                        self.rollback_pending_relocations(&e, &pending, Some(dst));
+                        // retired by the caller); any other error leaves it
+                        // un-programmed and it goes back to the allocator.
+                        self.rollback_unprogrammed(&e, std::iter::once(dst));
                         return Err(e);
                     }
                 };
-                t = t.max(completion.completed_at);
-                self.map.update(lpn, dst.flat(&g));
-                self.device.invalidate_page(src)?;
-                self.stats.gc_page_copies += 1;
-                if self.redundancy_active {
-                    let content = std::mem::take(&mut self.scratch);
-                    let data = (!same_plane).then_some(content.as_slice());
-                    t = self.relink_redundancy(t, src.flat(&g), dst.flat(&g), lpn, data)?;
-                    self.scratch = content;
-                }
-            } else if same_plane {
-                // A copyback programs the destination block's next page, so
-                // the pending run must land first to keep program order.
-                t = match self.flush_relocations(t.max(pending_ready), &mut pending) {
-                    Ok(end) => end,
+                // Copyback is only taken for non-parity pages; a mirror link
+                // just travels with the page.
+                t = self.commit_relocation(t.max(c.completed_at), src, dst, lpn, None)?;
+            } else if self.gc_batch_pages <= 1 {
+                // Legacy per-relocation read + program.  The source read gets
+                // the retry ladder: a survivor whose first read overwhelms
+                // ECC is usually recoverable on a re-sense, and GC must not
+                // lose it over one bad draw.
+                let mut buf = std::mem::take(&mut self.scratch);
+                let moved = self.read_page_retrying(t, src, &mut buf).and_then(|(oob, rc)| {
+                    self.dispatch_program_run(t, rc.completed_at, &[(dst, buf.as_slice(), oob)])
+                });
+                let end = match moved {
+                    Ok(c) => self.commit_relocation(t.max(c.completed_at), src, dst, lpn, Some(&buf)),
                     Err(e) => {
-                        self.rollback_pending_relocations(&e, &pending, Some(dst));
-                        return Err(e);
+                        // As above: only an un-programmed `dst` (e.g. after
+                        // an unreadable source) goes back to the allocator.
+                        self.rollback_unprogrammed(&e, std::iter::once(dst));
+                        Err(e)
                     }
                 };
-                pending_ready = 0;
-                let res = if queued {
-                    self.device.submit_copyback(t, src, dst, None).map(|q| q.completion)
-                } else {
-                    self.device.copyback(t, src, dst, None)
-                };
-                let c = match res {
-                    Ok(c) => c,
-                    Err(e) => {
-                        self.rollback_pending_relocations(&e, &pending, Some(dst));
-                        return Err(e);
-                    }
-                };
-                t = t.max(c.completed_at);
-                self.map.update(lpn, dst.flat(&g));
-                self.device.invalidate_page(src)?;
-                self.stats.gc_page_copies += 1;
-                if self.redundancy_active {
-                    // Copyback is only taken for non-parity pages; a mirror
-                    // link just travels with the page.
-                    t = self.relink_redundancy(t, src.flat(&g), dst.flat(&g), lpn, None)?;
-                }
+                self.scratch = buf;
+                t = end?;
             } else {
                 // Batched: read now, program as part of a same-die run.
                 if pending.len() >= cap
@@ -1917,13 +1846,7 @@ impl NoFtl {
                         .last()
                         .is_some_and(|(_, d, _, _, _)| d.die_addr() != dst.die_addr())
                 {
-                    t = match self.flush_relocations(t.max(pending_ready), &mut pending) {
-                        Ok(end) => end,
-                        Err(e) => {
-                            self.rollback_pending_relocations(&e, &pending, Some(dst));
-                            return Err(e);
-                        }
-                    };
+                    t = self.flush_relocations(t.max(pending_ready), &mut pending, Some(dst))?;
                     pending_ready = 0;
                 }
                 let mut buf = vec![0u8; self.page_size];
@@ -1932,7 +1855,8 @@ impl NoFtl {
                     Err(e) => {
                         // Nothing dispatched: the whole pending run plus this
                         // destination goes back to the allocator.
-                        self.rollback_pending_relocations(&e, &pending, Some(dst));
+                        let dsts = pending.iter().map(|(_, d, _, _, _)| *d).chain([dst]);
+                        self.rollback_unprogrammed(&e, dsts);
                         return Err(e);
                     }
                 };
@@ -1940,95 +1864,64 @@ impl NoFtl {
                 pending.push((src, dst, lpn, buf, oob));
             }
         }
-        t = match self.flush_relocations(t.max(pending_ready), &mut pending) {
-            Ok(end) => end,
-            Err(e) => {
-                self.rollback_pending_relocations(&e, &pending, None);
-                return Err(e);
-            }
-        };
+        t = self.flush_relocations(t.max(pending_ready), &mut pending, None)?;
         Ok((t, true))
     }
 
     /// Dispatch the pending cross-plane relocations as one multi-page
     /// program run and commit their mapping/bookkeeping updates.
+    ///
+    /// On a failed dispatch the destinations that were allocated but never
+    /// programmed — the uncommitted rest of `pending` and `extra`, a
+    /// destination the caller allocated *after* the run — go back to the
+    /// allocator before the error propagates.
     fn flush_relocations(
         &mut self,
         now: SimInstant,
         pending: &mut Vec<(Ppa, Ppa, u64, Vec<u8>, Oob)>,
+        extra: Option<Ppa>,
     ) -> FlashResult<SimInstant> {
         if pending.is_empty() {
             return Ok(now);
         }
-        let g = *self.device.geometry();
         let ops: Vec<(Ppa, &[u8], Oob)> = pending
             .iter()
             .map(|(_, dst, _, data, oob)| (*dst, data.as_slice(), *oob))
             .collect();
-        let res = if self.async_depth > 1 {
-            self.device.submit_program_pages(now, &ops).map(|q| q.completion)
-        } else {
-            self.device.program_pages(now, &ops)
-        };
-        let completion = match res {
-            Ok(c) => c,
-            Err(FlashError::ProgramFailed(failed)) => {
-                // The dispatch aborted at `failed`: the pages before it are
-                // committed on the device, so their mapping updates must land
-                // now (a valid page without a reverse mapping would never be
-                // reclaimed).  The failing relocation and the rest of the
-                // run stay uncommitted — their sources are still valid and
-                // mapped, so the caller can re-collect them after retiring
-                // the failed block, and it rolls their un-programmed
-                // destination allocations back
-                // ([`NoFtl::rollback_pending_relocations`] — the drained
-                // `pending` suffix is exactly that leaked set).
-                let pos = ops
-                    .iter()
-                    .position(|&(dst, _, _)| dst == failed)
-                    .unwrap_or(0);
-                let committed: Vec<(Ppa, Ppa, u64, Vec<u8>)> = pending
-                    .drain(..pos)
-                    .map(|(src, dst, lpn, data, _)| (src, dst, lpn, data))
-                    .collect();
-                let mut t = now;
-                for (src, dst, lpn, data) in committed {
-                    self.map.update(lpn, dst.flat(&g));
-                    self.device.invalidate_page(src)?;
-                    self.stats.gc_page_copies += 1;
-                    if self.redundancy_active {
-                        t = self.relink_redundancy(
-                            t,
-                            src.flat(&g),
-                            dst.flat(&g),
-                            lpn,
-                            Some(&data),
-                        )?;
-                    }
-                }
-                if self.redundancy_active {
-                    // The re-protection work above must still land on the GC
-                    // timeline even though this path propagates an error:
-                    // the retirement that follows picks the horizon up.
-                    self.unwind_horizon = self.unwind_horizon.max(t);
-                }
-                return Err(FlashError::ProgramFailed(failed));
+        // How much of the run is committed on the device.  After a failed
+        // PAGE PROGRAM that is the pages before the failing one: their
+        // mapping updates must land now (a valid page without a reverse
+        // mapping would never be reclaimed), while the failing relocation
+        // and the rest of the run stay uncommitted — their sources are still
+        // valid and mapped, so the caller can re-collect them after retiring
+        // the failed block.
+        let (committed, mut t, failure) = match self.dispatch_program_run(now, now, &ops) {
+            Ok(c) => (pending.len(), now.max(c.completed_at), None),
+            Err(e @ FlashError::ProgramFailed(failed)) => {
+                let pos = ops.iter().position(|&(dst, _, _)| dst == failed).unwrap_or(0);
+                (pos, now, Some(e))
             }
-            Err(e) => return Err(e),
+            Err(e) => (0, now, Some(e)),
         };
-        let mut t = now.max(completion.completed_at);
-        if pending.len() > 1 {
+        if failure.is_none() && pending.len() > 1 {
             self.stats.gc_batch_dispatches += 1;
         }
-        for (src, dst, lpn, data, _) in pending.drain(..) {
-            self.map.update(lpn, dst.flat(&g));
-            self.device.invalidate_page(src)?;
-            self.stats.gc_page_copies += 1;
-            if self.redundancy_active {
-                t = self.relink_redundancy(t, src.flat(&g), dst.flat(&g), lpn, Some(&data))?;
-            }
+        for (src, dst, lpn, data, _) in pending.drain(..committed) {
+            t = self.commit_relocation(t, src, dst, lpn, Some(&data))?;
         }
-        Ok(t)
+        let Some(e) = failure else {
+            return Ok(t);
+        };
+        if self.redundancy_active && matches!(e, FlashError::ProgramFailed(_)) {
+            // The re-protection work above must still land on the GC
+            // timeline even though this path propagates an error: the
+            // retirement that follows the failed program picks the horizon
+            // up.
+            self.unwind_horizon = self.unwind_horizon.max(t);
+        }
+        let dsts = pending.iter().map(|(_, d, _, _, _)| *d).chain(extra);
+        self.rollback_unprogrammed(&e, dsts);
+        Err(e)
     }
 
     /// Erase a reclaimed block, retiring it when it is worn out.  The erase
@@ -2049,15 +1942,7 @@ impl NoFtl {
         if self.redundancy_active {
             now = self.break_redundancy_in_block(now, block)?;
         }
-        // Under async the erase is submitted into the die queue like every
-        // other GC command (a failed submission cannot evict in-flight
-        // commands, and a worn-out attempt still charges its die occupancy).
-        let result = if self.async_depth > 1 {
-            self.device.submit_erase(now, block).map(|q| q.completion)
-        } else {
-            self.device.erase_block(now, block)
-        };
-        match result {
+        match self.dispatch_erase(now, block) {
             Ok(c) => {
                 self.stats.gc_erases += 1;
                 self.regions.release_block(block);
@@ -2083,57 +1968,67 @@ impl NoFtl {
         (t, false)
     }
 
+    /// The pages of `block` a relocation must move: still valid on the device
+    /// and still mapped.
+    fn valid_survivors(&self, block: BlockAddr) -> FlashResult<Vec<(Ppa, u64)>> {
+        let g = *self.device.geometry();
+        let mut survivors: Vec<(Ppa, u64)> = Vec::new();
+        for page_idx in 0..g.pages_per_block {
+            let src = block.page(page_idx);
+            if self.device.page_state(src)? != PageState::Valid {
+                continue;
+            }
+            let Some(lpn) = self.map.reverse(src.flat(&g)) else {
+                continue;
+            };
+            survivors.push((src, lpn));
+        }
+        Ok(survivors)
+    }
+
+    /// Move every survivor out of `block` into its region.  A program
+    /// failure *during* the relocation retires that destination block too
+    /// (recursively) and the relocation resumes with whatever survivors
+    /// remain — those moved before the nested failure are already
+    /// invalidated on `block`, so the re-collection picks up only the rest.
+    /// The recursion is bounded because every level permanently removes one
+    /// block.  Returns the completion time and the pages the final pass moved.
+    fn evacuate_block(&mut self, now: SimInstant, block: BlockAddr) -> FlashResult<(SimInstant, u64)> {
+        let region = self.regions.region_of_block(block);
+        let mut t = now;
+        loop {
+            let survivors = self.valid_survivors(block)?;
+            if survivors.is_empty() {
+                return Ok((t, 0));
+            }
+            match self.relocate_survivors(t, region, &survivors, false) {
+                Ok((end, _)) => return Ok((end, survivors.len() as u64)),
+                Err(FlashError::ProgramFailed(failed)) => {
+                    t = self.retire_failed_block(t, failed.block_addr())?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Retire a block one of whose PAGE PROGRAMs reported failure.  The
     /// failed page is consumed but the rest of the block stays readable, so
-    /// its still-valid pages are relocated into the block's region first —
-    /// only then is the block handed to the bad-block manager.  A *nested*
-    /// program failure during the relocation retires that block too
-    /// (recursively) and the relocation resumes with whatever survivors
-    /// remain; the recursion is bounded because every level permanently
-    /// removes one block.
+    /// its still-valid pages are relocated into the block's region first
+    /// ([`NoFtl::evacuate_block`]) — only then is the block handed to the
+    /// bad-block manager.
     fn retire_failed_block(
         &mut self,
         now: SimInstant,
         block: BlockAddr,
     ) -> FlashResult<SimInstant> {
-        let g = *self.device.geometry();
-        let region = self.regions.region_of_block(block);
         // Out of the allocation pools first, so relocation destinations can
         // never land in the block being retired.
         self.regions.retire_block(block);
         // Fold in re-protection work a failed batched relocation did while
         // unwinding its committed prefix — the error that routed control
         // here could not carry its completion instant.
-        let mut t = now.max(std::mem::take(&mut self.unwind_horizon));
-        loop {
-            let mut survivors: Vec<(Ppa, u64)> = Vec::new();
-            for page_idx in 0..g.pages_per_block {
-                let src = block.page(page_idx);
-                if self.device.page_state(src)? != PageState::Valid {
-                    continue;
-                }
-                let Some(lpn) = self.map.reverse(src.flat(&g)) else {
-                    continue;
-                };
-                survivors.push((src, lpn));
-            }
-            if survivors.is_empty() {
-                break;
-            }
-            match self.relocate_survivors(t, region, &survivors, false) {
-                Ok((end, _)) => {
-                    t = end;
-                    break;
-                }
-                Err(FlashError::ProgramFailed(failed)) => {
-                    // Survivors moved before the nested failure are already
-                    // invalidated on `block`; the re-collection above picks
-                    // up only what remains.
-                    t = self.retire_failed_block(t, failed.block_addr())?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let t = now.max(std::mem::take(&mut self.unwind_horizon));
+        let (mut t, _) = self.evacuate_block(t, block)?;
         // Retirement takes the block's content out of service exactly like
         // an erase: mapped pages were just relocated (their protection moved
         // with them), so what remains are stripe members/parity pages and
@@ -2181,39 +2076,10 @@ impl NoFtl {
         {
             return Ok(now);
         }
-        let region = self.regions.region_of_block(block);
-        let mut t = now;
-        let mut relocated: u64 = 0;
-        loop {
-            let mut survivors: Vec<(Ppa, u64)> = Vec::new();
-            for page_idx in 0..g.pages_per_block {
-                let src = block.page(page_idx);
-                if self.device.page_state(src)? != PageState::Valid {
-                    continue;
-                }
-                let Some(lpn) = self.map.reverse(src.flat(&g)) else {
-                    continue;
-                };
-                survivors.push((src, lpn));
-            }
-            if survivors.is_empty() {
-                break;
-            }
-            match self.relocate_survivors(t, region, &survivors, false) {
-                Ok((end, _)) => {
-                    relocated += survivors.len() as u64;
-                    t = end;
-                    break;
-                }
-                Err(FlashError::ProgramFailed(failed)) => {
-                    t = self.retire_failed_block(t, failed.block_addr())?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let (t, relocated) = self.evacuate_block(now, block)?;
         // Erasing resets the disturb counter; a worn-out or failing erase
         // retires the block instead (erase_reclaimed handles both).
-        t = self.erase_reclaimed(t, block)?.0;
+        let t = self.erase_reclaimed(t, block)?.0;
         self.stats.scrubbed_blocks += 1;
         self.stats.scrub_relocations += relocated;
         Ok(t)
@@ -2258,29 +2124,18 @@ impl NoFtl {
         ) else {
             return Ok(None);
         };
+        // Credit dead-page hints: invalid pages the DBMS declared dead are
+        // garbage GC never had to copy.
         let g = *self.device.geometry();
-
-        // Collect the victim's survivors (valid pages with a live mapping),
-        // crediting dead-page hints for invalid pages the DBMS declared dead.
-        let mut survivors: Vec<(Ppa, u64)> = Vec::new();
         for page_idx in 0..g.pages_per_block {
             let src = victim.page(page_idx);
-            let flat = src.flat(&g);
-            match self.device.page_state(src)? {
-                PageState::Valid => {}
-                PageState::Invalid => {
-                    if self.dead_hinted.remove(flat) {
-                        self.stats.gc_dead_skipped += 1;
-                    }
-                    continue;
-                }
-                PageState::Free => continue,
+            if self.device.page_state(src)? == PageState::Invalid
+                && self.dead_hinted.remove(src.flat(&g))
+            {
+                self.stats.gc_dead_skipped += 1;
             }
-            let Some(lpn) = self.map.reverse(flat) else {
-                continue;
-            };
-            survivors.push((src, lpn));
         }
+        let survivors = self.valid_survivors(victim)?;
         let (mut t, _) = self.relocate_survivors(now, region, &survivors, false)?;
 
         // Erase the victim; a worn-out failure retires the block instead of
@@ -2300,19 +2155,8 @@ impl NoFtl {
         else {
             return Ok(now);
         };
-        let g = *self.device.geometry();
         let cold = migration.cold_block;
-        let mut survivors: Vec<(Ppa, u64)> = Vec::new();
-        for page_idx in 0..g.pages_per_block {
-            let src = cold.page(page_idx);
-            if self.device.page_state(src)? != PageState::Valid {
-                continue;
-            }
-            let Some(lpn) = self.map.reverse(src.flat(&g)) else {
-                continue;
-            };
-            survivors.push((src, lpn));
-        }
+        let survivors = self.valid_survivors(cold)?;
         let (mut t, moved_all) = self.relocate_survivors(now, region, &survivors, true)?;
         if !moved_all {
             // The region filled up mid-migration.  The moved prefix is

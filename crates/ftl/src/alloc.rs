@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use nand_flash::{BlockAddr, FlashGeometry, Ppa};
+use nand_flash::{BlockAddr, FlashError, FlashGeometry, FlashResult, NandDevice, Ppa};
 
 /// Identifier of a plane across the whole device:
 /// `die_flat * planes_per_die + plane`.
@@ -162,6 +162,44 @@ impl BlockPools {
     pub fn is_free(&self, addr: BlockAddr) -> bool {
         let pi = self.plane_of(addr);
         self.free[pi].contains(&addr)
+    }
+
+    /// Greedy GC victim: the block of `device` with the most invalid pages
+    /// among those that are usable and neither active nor free.  Returns
+    /// `None` when no block holds any garbage.
+    pub fn select_victim(&self, device: &NandDevice) -> Option<BlockAddr> {
+        let mut best: Option<(BlockAddr, u32)> = None;
+        for flat in 0..self.geometry.total_blocks() {
+            let addr = BlockAddr::from_flat(&self.geometry, flat);
+            if self.is_active(addr) || self.is_free(addr) {
+                continue;
+            }
+            let info = match device.block_info(addr) {
+                Ok(i) if i.usable => i,
+                _ => continue,
+            };
+            if info.invalid_pages == 0 {
+                continue;
+            }
+            if best.is_none_or(|(_, inv)| info.invalid_pages > inv) {
+                best = Some((addr, info.invalid_pages));
+            }
+        }
+        best.map(|(a, _)| a)
+    }
+
+    /// Allocate the GC destination of the survivor at `src`: on the same
+    /// plane when it has room, so the move can be a COPYBACK, otherwise
+    /// round-robin.  Returns the page and whether it shares `src`'s plane.
+    pub fn allocate_gc_destination(&mut self, src: Ppa) -> FlashResult<(Ppa, bool)> {
+        let plane = plane_index(&self.geometry, src.channel, src.die, src.plane);
+        if let Some(p) = self.allocate_page_on(plane) {
+            return Ok((p, true));
+        }
+        let p = self
+            .allocate_page_round_robin()
+            .ok_or(FlashError::OutOfSpareBlocks)?;
+        Ok((p, p.channel == src.channel && p.die == src.die && p.plane == src.plane))
     }
 
     /// Close the active block of `plane` (e.g. before erasing it).

@@ -8,8 +8,9 @@
 //! overhead behind the paper's observation that DFTL can be up to **3.7×
 //! slower** than pure page-level mapping under TPC-C/-B (§3.1).
 
+use nand_flash::error::{check_buf, check_lpn};
 use nand_flash::{
-    BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
+    DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageKind, PageState, Ppa,
 };
 use serde::{Deserialize, Serialize};
@@ -125,27 +126,6 @@ impl Dftl {
         lpn / self.entries_per_tp
     }
 
-    fn check_lpn(&self, lpn: u64) -> FlashResult<()> {
-        if lpn < self.logical_pages {
-            Ok(())
-        } else {
-            Err(FlashError::InvalidAddress {
-                what: format!("logical page {lpn} out of range (capacity {})", self.logical_pages),
-            })
-        }
-    }
-
-    fn check_buf(&self, len: usize) -> FlashResult<()> {
-        if len == self.page_size {
-            Ok(())
-        } else {
-            Err(FlashError::BufferSizeMismatch {
-                expected: self.page_size,
-                actual: len,
-            })
-        }
-    }
-
     /// Write a (new version of a) translation page for `tvpn`: invalidate the
     /// old copy, program a fresh page, update GTD.  Returns the completion
     /// time of the program.
@@ -245,34 +225,11 @@ impl Dftl {
         }
     }
 
-    fn select_victim(&self) -> Option<BlockAddr> {
-        let g = *self.device.geometry();
-        let mut best: Option<(BlockAddr, u32)> = None;
-        for flat in 0..g.total_blocks() {
-            let addr = BlockAddr::from_flat(&g, flat);
-            if self.pools.is_active(addr) || self.pools.is_free(addr) {
-                continue;
-            }
-            let info = match self.device.block_info(addr) {
-                Ok(i) if i.usable => i,
-                _ => continue,
-            };
-            if info.invalid_pages == 0 {
-                continue;
-            }
-            if best.is_none_or(|(_, inv)| info.invalid_pages > inv) {
-                best = Some((addr, info.invalid_pages));
-            }
-        }
-        best.map(|(a, _)| a)
-    }
-
     fn gc_once(&mut self, now: SimInstant) -> FlashResult<Option<SimInstant>> {
-        let Some(victim) = self.select_victim() else {
+        let Some(victim) = self.pools.select_victim(&self.device) else {
             return Ok(None);
         };
         let g = *self.device.geometry();
-        let victim_plane = self.pools.plane_of(victim);
         let mut t = now;
         let mut touched_tvpns: Vec<u64> = Vec::new();
 
@@ -283,16 +240,7 @@ impl Dftl {
             }
             let oob = self.device.peek_oob(src)?;
             let src_flat = src.flat(&g);
-            let (dst, same_plane) = match self.pools.allocate_page_on(victim_plane) {
-                Some(p) => (p, true),
-                None => match self.pools.allocate_page_round_robin() {
-                    Some(p) => (
-                        p,
-                        p.channel == src.channel && p.die == src.die && p.plane == src.plane,
-                    ),
-                    None => return Err(FlashError::OutOfSpareBlocks),
-                },
-            };
+            let (dst, same_plane) = self.pools.allocate_gc_destination(src)?;
             let completion = if same_plane {
                 self.device.copyback(t, src, dst, None)?
             } else {
@@ -384,8 +332,8 @@ impl Ftl for Dftl {
     }
 
     fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(buf.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(buf.len(), self.page_size)?;
         let g = *self.device.geometry();
         let (ppa, t) = self.lookup(now, lpn)?;
         let Some(flat) = ppa else {
@@ -403,8 +351,8 @@ impl Ftl for Dftl {
     }
 
     fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(data.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(data.len(), self.page_size)?;
         let g = *self.device.geometry();
         let mut t = self.ensure_free_space(now)?;
         let dst = self
@@ -430,7 +378,7 @@ impl Ftl for Dftl {
     }
 
     fn trim(&mut self, _now: SimInstant, lpn: u64) -> FlashResult<()> {
-        self.check_lpn(lpn)?;
+        check_lpn(lpn, self.logical_pages)?;
         let g = *self.device.geometry();
         self.cmt.remove(lpn);
         if let Some(old) = self.global_map.unmap(lpn) {

@@ -20,6 +20,7 @@
 
 use std::collections::VecDeque;
 
+use nand_flash::error::{check_buf, check_lpn};
 use nand_flash::{
     BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
@@ -145,27 +146,6 @@ impl FasterFtl {
     /// + free).
     pub fn log_area_blocks(&self) -> usize {
         self.sealed_logs.len() + self.free_logs.len() + usize::from(self.active_log.is_some())
-    }
-
-    fn check_lpn(&self, lpn: u64) -> FlashResult<()> {
-        if lpn < self.logical_pages {
-            Ok(())
-        } else {
-            Err(FlashError::InvalidAddress {
-                what: format!("logical page {lpn} out of range (capacity {})", self.logical_pages),
-            })
-        }
-    }
-
-    fn check_buf(&self, len: usize) -> FlashResult<()> {
-        if len == self.page_size {
-            Ok(())
-        } else {
-            Err(FlashError::BufferSizeMismatch {
-                expected: self.page_size,
-                actual: len,
-            })
-        }
     }
 
     fn lbn_of(&self, lpn: u64) -> u64 {
@@ -453,8 +433,8 @@ impl Ftl for FasterFtl {
     }
 
     fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(buf.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(buf.len(), self.page_size)?;
         let g = *self.device.geometry();
         let ppa = if let Some(flat) = self.log_map.get(lpn) {
             Ppa::from_flat(&g, flat)
@@ -478,8 +458,8 @@ impl Ftl for FasterFtl {
     }
 
     fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(data.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(data.len(), self.page_size)?;
         let start = now;
         let mut t = self.ensure_log_space(now)?;
         self.invalidate_current(lpn)?;
@@ -495,7 +475,7 @@ impl Ftl for FasterFtl {
     }
 
     fn trim(&mut self, _now: SimInstant, lpn: u64) -> FlashResult<()> {
-        self.check_lpn(lpn)?;
+        check_lpn(lpn, self.logical_pages)?;
         self.invalidate_current(lpn)?;
         self.chanced.remove(lpn);
         self.stats.host_trims += 1;

@@ -11,86 +11,12 @@
 //! [`sim_utils::intmap::IntMap`]): the FTL baselines must not be artificially
 //! slowed by SipHash lookups the paper's comparisons never charged them for.
 
-use sim_utils::flatmap::FlatMap;
 use sim_utils::intmap::IntMap;
 
-/// Sentinel meaning "unmapped".
-pub const UNMAPPED: u64 = u64::MAX;
-
-/// Dense page-level mapping table (logical page number → flat physical page
-/// index) with a dense reverse table for GC.
-#[derive(Debug, Clone)]
-pub struct PageMap {
-    forward: Vec<u64>,
-    /// Physical flat page → LPN, indexed directly by physical page.
-    reverse: FlatMap,
-}
-
-impl PageMap {
-    /// Create a table for `logical_pages` logical pages, all unmapped.  The
-    /// reverse table grows on demand; see [`Self::with_physical_pages`].
-    pub fn new(logical_pages: u64) -> Self {
-        Self {
-            forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::new(),
-        }
-    }
-
-    /// Create a table with the reverse direction pre-sized for
-    /// `physical_pages` flat page indices.
-    pub fn with_physical_pages(logical_pages: u64, physical_pages: u64) -> Self {
-        Self {
-            forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::with_index_capacity(physical_pages as usize),
-        }
-    }
-
-    /// Number of logical pages the table covers.
-    pub fn logical_pages(&self) -> u64 {
-        self.forward.len() as u64
-    }
-
-    /// Physical location of `lpn`, or `None` if unmapped.
-    #[inline]
-    pub fn get(&self, lpn: u64) -> Option<u64> {
-        let v = *self.forward.get(lpn as usize)?;
-        (v != UNMAPPED).then_some(v)
-    }
-
-    /// Which logical page currently lives at physical page `ppa`, if any.
-    #[inline]
-    pub fn lookup_reverse(&self, ppa: u64) -> Option<u64> {
-        self.reverse.get(ppa)
-    }
-
-    /// Map `lpn` to `ppa`, returning the previous physical location (which the
-    /// caller must invalidate on the device), if any.
-    #[inline]
-    pub fn update(&mut self, lpn: u64, ppa: u64) -> Option<u64> {
-        let old = core::mem::replace(&mut self.forward[lpn as usize], ppa);
-        if old != UNMAPPED {
-            self.reverse.remove(old);
-        }
-        self.reverse.insert(ppa, lpn);
-        (old != UNMAPPED).then_some(old)
-    }
-
-    /// Remove the mapping of `lpn`, returning its physical location, if any.
-    #[inline]
-    pub fn unmap(&mut self, lpn: u64) -> Option<u64> {
-        let old = core::mem::replace(&mut self.forward[lpn as usize], UNMAPPED);
-        if old == UNMAPPED {
-            return None;
-        }
-        self.reverse.remove(old);
-        Some(old)
-    }
-
-    /// Number of currently mapped logical pages.
-    pub fn mapped_count(&self) -> usize {
-        self.reverse.len()
-    }
-}
+/// The page-level mapping table: [`sim_utils::pagetable::PageTable`], the
+/// structure NoFTL keeps in host memory under the name
+/// `noftl_core::mapping::HostMappingTable`.
+pub use sim_utils::pagetable::PageTable as PageMap;
 
 /// Entry state inside the [`LruCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,23 +200,6 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_map_roundtrip() {
-        let mut m = PageMap::new(16);
-        assert_eq!(m.get(3), None);
-        assert_eq!(m.update(3, 100), None);
-        assert_eq!(m.get(3), Some(100));
-        assert_eq!(m.lookup_reverse(100), Some(3));
-        // Remap returns old location and fixes reverse map.
-        assert_eq!(m.update(3, 200), Some(100));
-        assert_eq!(m.lookup_reverse(100), None);
-        assert_eq!(m.lookup_reverse(200), Some(3));
-        assert_eq!(m.mapped_count(), 1);
-        assert_eq!(m.unmap(3), Some(200));
-        assert_eq!(m.get(3), None);
-        assert_eq!(m.mapped_count(), 0);
-    }
 
     #[test]
     fn lru_basic_insert_get() {

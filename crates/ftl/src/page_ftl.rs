@@ -7,8 +7,9 @@
 //! block with the most invalid pages is reclaimed, its valid pages are moved
 //! with `COPYBACK` and the block is erased.
 
+use nand_flash::error::{check_buf, check_lpn};
 use nand_flash::{
-    BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
+    DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
 };
 use serde::{Deserialize, Serialize};
@@ -98,59 +99,13 @@ impl PageFtl {
         Self::new(PageFtlConfig::new(geometry))
     }
 
-    fn check_lpn(&self, lpn: u64) -> FlashResult<()> {
-        if lpn < self.logical_pages {
-            Ok(())
-        } else {
-            Err(FlashError::InvalidAddress {
-                what: format!("logical page {lpn} out of range (capacity {})", self.logical_pages),
-            })
-        }
-    }
-
-    fn check_buf(&self, len: usize) -> FlashResult<()> {
-        if len == self.page_size {
-            Ok(())
-        } else {
-            Err(FlashError::BufferSizeMismatch {
-                expected: self.page_size,
-                actual: len,
-            })
-        }
-    }
-
-    /// Pick the GC victim: the non-active, non-free block with the most
-    /// invalid pages. Returns `None` when no block has any garbage.
-    fn select_victim(&self) -> Option<BlockAddr> {
-        let g = *self.device.geometry();
-        let mut best: Option<(BlockAddr, u32)> = None;
-        for flat in 0..g.total_blocks() {
-            let addr = BlockAddr::from_flat(&g, flat);
-            if self.pools.is_active(addr) || self.pools.is_free(addr) {
-                continue;
-            }
-            let info = match self.device.block_info(addr) {
-                Ok(i) if i.usable => i,
-                _ => continue,
-            };
-            if info.invalid_pages == 0 {
-                continue;
-            }
-            if best.is_none_or(|(_, inv)| info.invalid_pages > inv) {
-                best = Some((addr, info.invalid_pages));
-            }
-        }
-        best.map(|(a, _)| a)
-    }
-
     /// Reclaim one victim block. Returns the completion time of the last
     /// flash command, or `None` when no victim exists.
     fn gc_once(&mut self, now: SimInstant) -> FlashResult<Option<SimInstant>> {
-        let Some(victim) = self.select_victim() else {
+        let Some(victim) = self.pools.select_victim(&self.device) else {
             return Ok(None);
         };
         let g = *self.device.geometry();
-        let victim_plane = self.pools.plane_of(victim);
         let mut t = now;
         let mut scratch = vec![0u8; self.page_size];
 
@@ -160,19 +115,12 @@ impl PageFtl {
                 continue;
             }
             let src_flat = src.flat(&g);
-            let Some(lpn) = self.map.lookup_reverse(src_flat) else {
+            let Some(lpn) = self.map.reverse(src_flat) else {
                 // Valid on the device but not referenced by the map — the host
                 // trimmed it concurrently; treat as garbage.
                 continue;
             };
-            // Prefer a destination on the same plane so COPYBACK can be used.
-            let (dst, same_plane) = match self.pools.allocate_page_on(victim_plane) {
-                Some(p) => (p, true),
-                None => match self.pools.allocate_page_round_robin() {
-                    Some(p) => (p, p.channel == src.channel && p.die == src.die && p.plane == src.plane),
-                    None => return Err(FlashError::OutOfSpareBlocks),
-                },
-            };
+            let (dst, same_plane) = self.pools.allocate_gc_destination(src)?;
             let completion = if same_plane {
                 self.device.copyback(t, src, dst, None)?
             } else {
@@ -225,8 +173,8 @@ impl Ftl for PageFtl {
     }
 
     fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(buf.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(buf.len(), self.page_size)?;
         let g = *self.device.geometry();
         let Some(flat) = self.map.get(lpn) else {
             return Err(FlashError::ReadOfUnwrittenPage(Ppa::from_flat(&g, 0)));
@@ -239,8 +187,8 @@ impl Ftl for PageFtl {
     }
 
     fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion> {
-        self.check_lpn(lpn)?;
-        self.check_buf(data.len())?;
+        check_lpn(lpn, self.logical_pages)?;
+        check_buf(data.len(), self.page_size)?;
         let g = *self.device.geometry();
         let t = self.ensure_free_space(now)?;
         let ppa = self
@@ -262,7 +210,7 @@ impl Ftl for PageFtl {
     }
 
     fn trim(&mut self, _now: SimInstant, lpn: u64) -> FlashResult<()> {
-        self.check_lpn(lpn)?;
+        check_lpn(lpn, self.logical_pages)?;
         let g = *self.device.geometry();
         if let Some(old) = self.map.unmap(lpn) {
             self.device.invalidate_page(Ppa::from_flat(&g, old))?;

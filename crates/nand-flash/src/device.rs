@@ -10,7 +10,7 @@ use crate::addr::{BlockAddr, DieAddr, Ppa};
 use crate::bad_block::BadBlockPolicy;
 use crate::block::{Block, BlockHealth};
 use crate::die::Die;
-use crate::error::{FlashError, FlashResult};
+use crate::error::{check_buf, FlashError, FlashResult};
 use crate::fault::{FaultPlan, KillTarget, ReadFaultOutcome};
 use crate::geometry::FlashGeometry;
 use crate::interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, OpKind};
@@ -400,8 +400,42 @@ impl NandDevice {
         self.sequence
     }
 
-    fn trace(&mut self, entry: TraceEntry) {
-        self.tracer.record(entry);
+    /// Epilogue of every page-granularity command: the die's command count
+    /// and the trace entry (BLOCK ERASE, the one block-granularity command,
+    /// writes its own).
+    fn account_page_cmd(
+        &mut self,
+        kind: OpKind,
+        now: SimInstant,
+        done: SimInstant,
+        ppa: Ppa,
+        oob: Oob,
+    ) {
+        let die_idx = self.die_index(ppa.die_addr());
+        self.stats.per_die_ops[die_idx] += 1;
+        self.tracer.record(TraceEntry {
+            kind,
+            issued_at: now,
+            completed_at: done,
+            ppa: Some(ppa),
+            block: None,
+            lpn: oob.has_lpn().then_some(oob.lpn),
+        });
+    }
+
+    /// A page may be programmed only while free and — under the sequential
+    /// programming rule — only as its block's next page, `next`.
+    fn check_programmable(&self, ppa: Ppa, next: u32) -> FlashResult<()> {
+        if self.block_ref(ppa.block_addr()).page(ppa.page).state != PageState::Free {
+            return Err(FlashError::ProgramOnDirtyPage(ppa));
+        }
+        if self.strict_sequential && ppa.page != next {
+            return Err(FlashError::NonSequentialProgram {
+                attempted: ppa,
+                expected_page: next,
+            });
+        }
+        Ok(())
     }
 
     // -- fault injection -----------------------------------------------------
@@ -455,9 +489,6 @@ impl NandDevice {
 
     /// Draw the erase-failure model for the `erase_count`-th cycle.
     fn draw_erase_fault(&mut self, erase_count: u64) -> bool {
-        if self.faults.is_none() {
-            return false;
-        }
         let endurance = self.endurance;
         self.faults
             .as_mut()
@@ -509,16 +540,274 @@ impl NandDevice {
     /// is charged and no completion is recorded (a real controller NAKs the
     /// submission immediately).
     fn check_die_alive(&mut self, die: DieAddr) -> FlashResult<()> {
-        if self
-            .dead_dies
-            .get(die.flat(&self.geometry) as usize)
-            .copied()
-            .unwrap_or(false)
-        {
+        if self.is_die_dead(die) {
             self.stats.dead_die_rejections += 1;
             return Err(FlashError::DieFailed(die));
         }
         Ok(())
+    }
+
+    // -- command bodies ------------------------------------------------------
+    //
+    // PAGE READ and PAGE PROGRAM each have exactly one body: validation, fault
+    // draw, page store, `Timeline` occupancy, `FlashStats` and `TraceEntry`
+    // live here and nowhere else.  A single-page command is a run of one; the
+    // `NativeFlashInterface` methods and the `submit_*` wrappers only adapt
+    // their arguments.
+
+    /// The instant-completion of an empty run: no command issues.
+    fn empty_run(now: SimInstant) -> OpCompletion {
+        OpCompletion {
+            started_at: now,
+            completed_at: now,
+        }
+    }
+
+    /// PAGE READ: one dispatched command sequence reading `ops` (all on one
+    /// die) in order.  Returns the OOB of the last page read — *the* page's
+    /// OOB for a single-page command — and the run's completion.
+    ///
+    /// The whole run pays a single command overhead; array senses serialise
+    /// on the die while data transfers serialise on the channel, so the sense
+    /// of page *j+1* overlaps the transfer of page *j* (the ONFI cache-read
+    /// pipeline).  A run of `k` pages issued to an idle die costs
+    /// `cmd + tR + max(k·transfer, (k-1)·tR + transfer)` — `cmd + tR +
+    /// transfer` for the single page — instead of the `k·(cmd + tR +
+    /// transfer)` a sequential per-page issuer pays.
+    ///
+    /// The run is validated in full before any buffer is touched: a bad entry
+    /// (invalid address, wrong die, unwritten page, buffer size mismatch)
+    /// fails the whole command without filling anything.  The batch counters
+    /// (`multi_page_read_dispatches`, `batched_read_pages`) move only for
+    /// runs longer than one page.
+    ///
+    /// Inlined into its two adapters so PAGE READ gets a copy specialised
+    /// for a run of one: without it a single-page read costs ~20 % more host
+    /// time than the dedicated body it replaced (measured; PAGE PROGRAM shows
+    /// no such difference, so `program_run` is left to the compiler).
+    #[inline(always)]
+    fn read_run(
+        &mut self,
+        now: SimInstant,
+        ops: &mut [(Ppa, &mut [u8])],
+    ) -> FlashResult<(Oob, OpCompletion)> {
+        let Some(first) = ops.first().map(|(ppa, _)| *ppa) else {
+            return Ok((Oob::default(), Self::empty_run(now)));
+        };
+
+        // -- validate the whole run up front (no partial fills) -------------
+        self.tick_kills(now);
+        self.check_ppa(first)?;
+        let die = first.die_addr();
+        self.check_die_alive(die)?;
+        for (ppa, buf) in ops.iter() {
+            self.check_ppa(*ppa)?;
+            if ppa.die_addr() != die {
+                return Err(FlashError::InvalidAddress {
+                    what: format!("multi-page read spans dies: {die:?} vs {:?}", ppa.die_addr()),
+                });
+            }
+            let block_addr = ppa.block_addr();
+            self.check_usable(block_addr)?;
+            check_buf(buf.len(), self.geometry.page_size as usize)?;
+            if self.block_ref(block_addr).page(ppa.page).state == PageState::Free {
+                return Err(FlashError::ReadOfUnwrittenPage(*ppa));
+            }
+        }
+
+        // -- fill + timing: array read on the die, then transfer over the
+        // channel, one command transfer for the whole run ------------------
+        let die_idx = self.die_index(die);
+        let channel = first.channel as usize;
+        let issue = now + self.timing.command_overhead;
+        let xfer = self
+            .timing
+            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
+        let mut oob = Oob::default();
+        let mut started_at = None;
+        let mut completed_at = issue;
+        for (ppa, buf) in ops.iter_mut() {
+            let page = self.block_ref(ppa.block_addr()).page(ppa.page);
+            match &page.data {
+                Some(data) => buf.copy_from_slice(data),
+                None => buf.fill(0),
+            }
+            oob = page.oob;
+            let read_fault = self.draw_read_fault(now, ppa.block_addr());
+
+            let (array_start, array_end) = self.dies[die_idx].occupy(issue, self.timing.read_page);
+            let (_, done) = self.channels[channel].occupy(array_end, xfer);
+            started_at.get_or_insert(array_start);
+            completed_at = completed_at.max(done);
+
+            self.stats.reads += 1;
+            self.stats.bytes_read += self.geometry.page_size as u64;
+            self.stats.read_latency.record(done.saturating_sub(now));
+            self.stats.per_die_reads[die_idx] += 1;
+            self.account_page_cmd(OpKind::Read, now, done, *ppa, oob);
+            match read_fault {
+                ReadFaultOutcome::Clean => {}
+                ReadFaultOutcome::Corrected => self.stats.corrected_reads += 1,
+                ReadFaultOutcome::Uncorrectable => {
+                    // The run aborts at the failing page: senses up to and
+                    // including it were charged, later pages were neither
+                    // sensed nor charged.  The issuer falls back to per-page
+                    // reads (each with its own retry draw).
+                    self.stats.uncorrectable_reads += 1;
+                    self.fault_completion = Some(OpCompletion {
+                        started_at: started_at.unwrap_or(issue),
+                        completed_at,
+                    });
+                    return Err(FlashError::UncorrectableEcc(*ppa));
+                }
+            }
+        }
+        if ops.len() > 1 {
+            self.stats.multi_page_read_dispatches += 1;
+            self.stats.batched_read_pages += ops.len() as u64;
+        }
+        Ok((
+            oob,
+            OpCompletion {
+                started_at: started_at.unwrap_or(issue),
+                completed_at,
+            },
+        ))
+    }
+
+    /// PAGE PROGRAM: one dispatched command sequence programming `ops` (all
+    /// on one die) in order.
+    ///
+    /// The whole run pays a single command overhead; data transfers serialise
+    /// on the die's channel while cell programs serialise on the die, so the
+    /// transfer of page *j+1* overlaps with the program of page *j* (the ONFI
+    /// cache-program pipeline).  A run of `k` pages issued to an idle die
+    /// therefore costs `cmd + max(k·transfer, transfer + k·tPROG)` — `cmd +
+    /// transfer + tPROG` for the single page — instead of the `k·(cmd +
+    /// transfer + tPROG)` a sequential per-page issuer pays, and runs
+    /// dispatched to *different* dies at the same instant overlap almost
+    /// completely — the per-die queue model of the ROADMAP.
+    ///
+    /// The run is validated in full before any page is committed: a bad entry
+    /// (invalid address, wrong die, dirty page, sequential-rule violation)
+    /// fails the whole command without programming anything.  The batch
+    /// counters (`multi_page_dispatches`, `batched_pages`) move only for runs
+    /// longer than one page, and a run of one never touches the validator's
+    /// scratch vectors.
+    fn program_run(
+        &mut self,
+        now: SimInstant,
+        ops: &[(Ppa, &[u8], Oob)],
+    ) -> FlashResult<OpCompletion> {
+        let Some(&(first, _, _)) = ops.first() else {
+            return Ok(Self::empty_run(now));
+        };
+        let batched = ops.len() > 1;
+        // -- validate the whole run up front (no partial batches) ----------
+        self.tick_kills(now);
+        self.check_ppa(first)?;
+        let die = first.die_addr();
+        self.check_die_alive(die)?;
+        // Per-block next page of blocks this run already programs into.
+        let mut expected: Vec<(BlockAddr, u32)> = Vec::new();
+        // Pages already claimed by this run (duplicate detection on
+        // permissive, non-strict-sequential devices).
+        let mut seen: Vec<Ppa> = Vec::new();
+        for (ppa, data, _) in ops {
+            self.check_ppa(*ppa)?;
+            if ppa.die_addr() != die {
+                return Err(FlashError::InvalidAddress {
+                    what: format!("multi-page program spans dies: {die:?} vs {:?}", ppa.die_addr()),
+                });
+            }
+            let block_addr = ppa.block_addr();
+            self.check_usable(block_addr)?;
+            check_buf(data.len(), self.geometry.page_size as usize)?;
+            if batched {
+                if seen.contains(ppa) {
+                    return Err(FlashError::ProgramOnDirtyPage(*ppa));
+                }
+                seen.push(*ppa);
+            }
+            let slot = expected.iter().position(|(b, _)| *b == block_addr);
+            let next = match slot {
+                Some(i) => expected[i].1,
+                None => self.block_ref(block_addr).next_program_page(),
+            };
+            self.check_programmable(*ppa, next)?;
+            match slot {
+                Some(i) => expected[i].1 = ppa.page + 1,
+                None if batched && self.strict_sequential => {
+                    expected.push((block_addr, ppa.page + 1))
+                }
+                None => {}
+            }
+        }
+
+        // -- commit + timing: transfer over the channel, then array program
+        // on the die, one command transfer for the whole run ---------------
+        let die_idx = self.die_index(die);
+        let channel = first.channel as usize;
+        let issue = now + self.timing.command_overhead;
+        let xfer = self
+            .timing
+            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
+        let mut started_at = None;
+        let mut completed_at = issue;
+        let mut programmed = 0;
+        let mut failed = None;
+        for (ppa, data, oob) in ops {
+            let fails = self.draw_program_fault(ppa.block_addr());
+            let stored = if self.store_data {
+                Some(data.to_vec().into_boxed_slice())
+            } else {
+                None
+            };
+            let mut oob = *oob;
+            if oob.sequence == 0 {
+                oob.sequence = self.next_sequence();
+            }
+            self.block_mut(ppa.block_addr()).record_program(ppa.page, stored, oob);
+            self.note_programmed(now, ppa.block_addr());
+
+            let (xfer_start, xfer_end) = self.channels[channel].occupy(issue, xfer);
+            let (_, done) = self.dies[die_idx].occupy(xfer_end, self.timing.program_page);
+            started_at.get_or_insert(xfer_start);
+            completed_at = completed_at.max(done);
+
+            programmed += 1;
+            self.stats.programs += 1;
+            self.stats.bytes_written += self.geometry.page_size as u64;
+            self.stats.program_latency.record(done.saturating_sub(now));
+            self.account_page_cmd(OpKind::Program, now, done, *ppa, oob);
+            if fails {
+                // The page is consumed (NAND cannot retry a page without an
+                // erase) and no longer holds valid data; the full program
+                // timing was charged before the chip reported failure.
+                // Pages before this one committed and stay committed (the
+                // failing [`Ppa`] in the error tells the issuer where the
+                // run split); later pages were never transferred.
+                self.block_mut(ppa.block_addr()).invalidate_page(ppa.page);
+                self.stats.program_failures += 1;
+                failed = Some(*ppa);
+                break;
+            }
+        }
+        if batched {
+            self.stats.multi_page_dispatches += 1;
+            self.stats.batched_pages += programmed;
+        }
+        let completion = OpCompletion {
+            started_at: started_at.unwrap_or(issue),
+            completed_at,
+        };
+        match failed {
+            Some(ppa) => {
+                self.fault_completion = Some(completion);
+                Err(FlashError::ProgramFailed(ppa))
+            }
+            None => Ok(completion),
+        }
     }
 
     // -- queued submission (submit/poll) ------------------------------------
@@ -555,12 +844,6 @@ impl NandDevice {
         self.queues.inflight_reads(now)
     }
 
-    /// Shared spine of every `submit_*` method: admit into the die queue
-    /// (gating behind a full queue), execute the command at the gated issue
-    /// time, account the queued-submission statistics (read submissions and
-    /// read stalls are additionally counted per [`FlashStats`]'s read
-    /// counters), and record the completion for a later poll.  `run` returns
-    /// the command's completion plus any extra payload (e.g. a read's OOB).
     /// Map an error to the completion status of an *injected* device fault.
     /// Only fault-plan failures qualify: they charge real timing and occupy
     /// the die, so their completions belong in the poll stream.  Validation
@@ -575,6 +858,16 @@ impl NandDevice {
         }
     }
 
+    /// Shared spine of every `submit_*` method: admit into the die queue
+    /// (gating behind a full queue), execute the command at the gated issue
+    /// time, account the queued-submission statistics (read submissions and
+    /// read stalls are additionally counted per [`FlashStats`]'s read
+    /// counters), and record the completion for a later poll.  `run` returns
+    /// the command's completion plus any extra payload (e.g. a read's OOB).
+    ///
+    /// An injected fault charged real timing, so it records an
+    /// error-carrying completion too (the command held its die-queue slot and
+    /// a poll must report the failure) before the error propagates.
     fn submit_queued<T>(
         &mut self,
         die_idx: usize,
@@ -583,30 +876,12 @@ impl NandDevice {
         run: impl FnOnce(&mut Self, SimInstant) -> FlashResult<(T, OpCompletion)>,
     ) -> FlashResult<(T, QueuedCompletion)> {
         let (issue, gated) = self.queues.admit(die_idx, now);
-        let (payload, completion) = match run(self, issue) {
-            Ok(pc) => pc,
-            Err(e) => {
-                // An injected fault charged real timing: record an
-                // error-carrying completion (the command held its die-queue
-                // slot and a poll must report the failure), then propagate.
-                if let (Some(status), Some(completion)) =
-                    (Self::fault_status(&e), self.fault_completion.take())
-                {
-                    self.stats.queued_submissions += 1;
-                    if kind == OpKind::Read {
-                        self.stats.queued_reads += 1;
-                    }
-                    if gated {
-                        self.stats.queue_gated_submissions += 1;
-                        if kind == OpKind::Read {
-                            self.stats.read_stalls += 1;
-                        }
-                    }
-                    self.queues
-                        .record_with_status(die_idx, kind, now, issue, completion, status);
-                }
-                return Err(e);
-            }
+        let (payload, completion, status) = match run(self, issue) {
+            Ok((payload, completion)) => (Ok(payload), completion, CommandStatus::Ok),
+            Err(e) => match (Self::fault_status(&e), self.fault_completion.take()) {
+                (Some(status), Some(completion)) => (Err(e), completion, status),
+                _ => return Err(e),
+            },
         };
         self.stats.queued_submissions += 1;
         if kind == OpKind::Read {
@@ -618,18 +893,22 @@ impl NandDevice {
                 self.stats.read_stalls += 1;
             }
         }
-        let id = self.queues.record(die_idx, kind, now, issue, completion);
-        Ok((
-            payload,
-            QueuedCompletion {
-                id,
-                kind,
-                submitted_at: now,
-                issued_at: issue,
-                completion,
-                status: CommandStatus::Ok,
-            },
-        ))
+        let id = self
+            .queues
+            .record_with_status(die_idx, kind, now, issue, completion, status);
+        payload.map(|payload| {
+            (
+                payload,
+                QueuedCompletion {
+                    id,
+                    kind,
+                    submitted_at: now,
+                    issued_at: issue,
+                    completion,
+                    status,
+                },
+            )
+        })
     }
 
     /// Empty-run submission: completes immediately without touching a queue.
@@ -639,10 +918,7 @@ impl NandDevice {
             kind,
             submitted_at: now,
             issued_at: now,
-            completion: OpCompletion {
-                started_at: now,
-                completed_at: now,
-            },
+            completion: Self::empty_run(now),
             status: CommandStatus::Ok,
         }
     }
@@ -778,67 +1054,15 @@ impl NativeFlashInterface for NandDevice {
         ppa: Ppa,
         buf: &mut [u8],
     ) -> FlashResult<(Oob, OpCompletion)> {
-        self.tick_kills(now);
-        self.check_ppa(ppa)?;
-        self.check_die_alive(ppa.die_addr())?;
-        let block_addr = ppa.block_addr();
-        self.check_usable(block_addr)?;
-        if buf.len() != self.geometry.page_size as usize {
-            return Err(FlashError::BufferSizeMismatch {
-                expected: self.geometry.page_size as usize,
-                actual: buf.len(),
-            });
-        }
-        {
-            let page = self.block_ref(block_addr).page(ppa.page);
-            if page.state == PageState::Free {
-                return Err(FlashError::ReadOfUnwrittenPage(ppa));
-            }
-            if let Some(data) = &page.data {
-                buf.copy_from_slice(data);
-            } else {
-                buf.fill(0);
-            }
-        }
-        let oob = self.block_ref(block_addr).page(ppa.page).oob;
-        let read_fault = self.draw_read_fault(now, block_addr);
+        self.read_run(now, &mut [(ppa, buf)])
+    }
 
-        // Timing: array read on the die, then transfer over the channel.
-        let die_idx = self.die_index(ppa.die_addr());
-        let issue = now + self.timing.command_overhead;
-        let (array_start, array_end) = self.dies[die_idx].occupy(issue, self.timing.read_page);
-        let xfer = self
-            .timing
-            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
-        let (_, done) = self.channels[ppa.channel as usize].occupy(array_end, xfer);
-        let completion = OpCompletion {
-            started_at: array_start,
-            completed_at: done,
-        };
-
-        self.stats.reads += 1;
-        self.stats.bytes_read += self.geometry.page_size as u64;
-        self.stats.read_latency.record(completion.latency_from(now));
-        self.stats.per_die_ops[die_idx] += 1;
-        self.stats.per_die_reads[die_idx] += 1;
-        self.trace(TraceEntry {
-            kind: OpKind::Read,
-            issued_at: now,
-            completed_at: done,
-            ppa: Some(ppa),
-            block: None,
-            lpn: oob.has_lpn().then_some(oob.lpn),
-        });
-        match read_fault {
-            ReadFaultOutcome::Clean => {}
-            ReadFaultOutcome::Corrected => self.stats.corrected_reads += 1,
-            ReadFaultOutcome::Uncorrectable => {
-                self.stats.uncorrectable_reads += 1;
-                self.fault_completion = Some(completion);
-                return Err(FlashError::UncorrectableEcc(ppa));
-            }
-        }
-        Ok((oob, completion))
+    fn read_pages(
+        &mut self,
+        now: SimInstant,
+        ops: &mut [(Ppa, &mut [u8])],
+    ) -> FlashResult<OpCompletion> {
+        self.read_run(now, ops).map(|(_, c)| c)
     }
 
     fn read_oob(&mut self, now: SimInstant, ppa: Ppa) -> FlashResult<(Oob, OpCompletion)> {
@@ -865,138 +1089,9 @@ impl NativeFlashInterface for NandDevice {
 
         self.stats.reads += 1;
         self.stats.read_latency.record(completion.latency_from(now));
-        self.stats.per_die_ops[die_idx] += 1;
         self.stats.per_die_reads[die_idx] += 1;
-        self.trace(TraceEntry {
-            kind: OpKind::ReadOob,
-            issued_at: now,
-            completed_at: done,
-            ppa: Some(ppa),
-            block: None,
-            lpn: oob.has_lpn().then_some(oob.lpn),
-        });
+        self.account_page_cmd(OpKind::ReadOob, now, done, ppa, oob);
         Ok((oob, completion))
-    }
-
-    /// Multi-page read: one dispatched command sequence per die.
-    ///
-    /// The whole run pays a single command overhead; array senses serialise
-    /// on the die while data transfers serialise on the channel, so the sense
-    /// of page *j+1* overlaps the transfer of page *j* (the ONFI cache-read
-    /// pipeline).  A run issued to an idle die costs
-    /// `cmd + tR + max(k·transfer, (k-1)·tR + transfer)` instead of the
-    /// `k·(cmd + tR + transfer)` a sequential per-page issuer pays.
-    ///
-    /// The run is validated in full before any buffer is touched: a bad entry
-    /// (wrong die, unwritten page, buffer size mismatch) fails the whole
-    /// command without filling anything.
-    fn read_pages(
-        &mut self,
-        now: SimInstant,
-        ops: &mut [(Ppa, &mut [u8])],
-    ) -> FlashResult<OpCompletion> {
-        // Degenerate runs take the single-command path so a 1-page batch is
-        // bit- and timing-identical to a plain PAGE READ.
-        if ops.len() <= 1 {
-            return match ops.iter_mut().next() {
-                Some((ppa, buf)) => {
-                    let ppa = *ppa;
-                    self.read_page(now, ppa, buf).map(|(_, c)| c)
-                }
-                None => Ok(OpCompletion {
-                    started_at: now,
-                    completed_at: now,
-                }),
-            };
-        }
-
-        // -- validate the whole run up front (no partial fills) -------------
-        self.tick_kills(now);
-        let die = ops[0].0.die_addr();
-        self.check_die_alive(die)?;
-        for (ppa, buf) in ops.iter() {
-            self.check_ppa(*ppa)?;
-            if ppa.die_addr() != die {
-                return Err(FlashError::InvalidAddress {
-                    what: format!("multi-page read spans dies: {die:?} vs {:?}", ppa.die_addr()),
-                });
-            }
-            let block_addr = ppa.block_addr();
-            self.check_usable(block_addr)?;
-            if buf.len() != self.geometry.page_size as usize {
-                return Err(FlashError::BufferSizeMismatch {
-                    expected: self.geometry.page_size as usize,
-                    actual: buf.len(),
-                });
-            }
-            if self.block_ref(block_addr).page(ppa.page).state == PageState::Free {
-                return Err(FlashError::ReadOfUnwrittenPage(*ppa));
-            }
-        }
-
-        // -- fill + timing --------------------------------------------------
-        let die_idx = self.die_index(die);
-        let channel = ops[0].0.channel as usize;
-        // One command transfer for the whole run.
-        let issue = now + self.timing.command_overhead;
-        let xfer = self
-            .timing
-            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
-        let mut started_at = None;
-        let mut completed_at = issue;
-        for (ppa, buf) in ops.iter_mut() {
-            {
-                let page = self.block_ref(ppa.block_addr()).page(ppa.page);
-                if let Some(data) = &page.data {
-                    buf.copy_from_slice(data);
-                } else {
-                    buf.fill(0);
-                }
-            }
-            let oob = self.block_ref(ppa.block_addr()).page(ppa.page).oob;
-            let read_fault = self.draw_read_fault(now, ppa.block_addr());
-
-            let (array_start, array_end) = self.dies[die_idx].occupy(issue, self.timing.read_page);
-            let (_, done) = self.channels[channel].occupy(array_end, xfer);
-            started_at.get_or_insert(array_start);
-            completed_at = completed_at.max(done);
-
-            self.stats.reads += 1;
-            self.stats.bytes_read += self.geometry.page_size as u64;
-            self.stats.read_latency.record(done.saturating_sub(now));
-            self.stats.per_die_ops[die_idx] += 1;
-            self.stats.per_die_reads[die_idx] += 1;
-            self.trace(TraceEntry {
-                kind: OpKind::Read,
-                issued_at: now,
-                completed_at: done,
-                ppa: Some(*ppa),
-                block: None,
-                lpn: oob.has_lpn().then_some(oob.lpn),
-            });
-            match read_fault {
-                ReadFaultOutcome::Clean => {}
-                ReadFaultOutcome::Corrected => self.stats.corrected_reads += 1,
-                ReadFaultOutcome::Uncorrectable => {
-                    // The run aborts at the failing page: senses up to and
-                    // including it were charged, later pages were neither
-                    // sensed nor charged.  The issuer falls back to per-page
-                    // reads (each with its own retry draw).
-                    self.stats.uncorrectable_reads += 1;
-                    self.fault_completion = Some(OpCompletion {
-                        started_at: started_at.unwrap_or(issue),
-                        completed_at,
-                    });
-                    return Err(FlashError::UncorrectableEcc(*ppa));
-                }
-            }
-        }
-        self.stats.multi_page_read_dispatches += 1;
-        self.stats.batched_read_pages += ops.len() as u64;
-        Ok(OpCompletion {
-            started_at: started_at.unwrap_or(issue),
-            completed_at,
-        })
     }
 
     fn program_page(
@@ -1006,228 +1101,15 @@ impl NativeFlashInterface for NandDevice {
         data: &[u8],
         oob: Oob,
     ) -> FlashResult<OpCompletion> {
-        self.tick_kills(now);
-        self.check_ppa(ppa)?;
-        self.check_die_alive(ppa.die_addr())?;
-        let block_addr = ppa.block_addr();
-        self.check_usable(block_addr)?;
-        if data.len() != self.geometry.page_size as usize {
-            return Err(FlashError::BufferSizeMismatch {
-                expected: self.geometry.page_size as usize,
-                actual: data.len(),
-            });
-        }
-        {
-            let block = self.block_ref(block_addr);
-            let page = block.page(ppa.page);
-            if page.state != PageState::Free {
-                return Err(FlashError::ProgramOnDirtyPage(ppa));
-            }
-            if self.strict_sequential && ppa.page != block.next_program_page() {
-                return Err(FlashError::NonSequentialProgram {
-                    attempted: ppa,
-                    expected_page: block.next_program_page(),
-                });
-            }
-        }
-
-        let fails = self.draw_program_fault(block_addr);
-        let stored = if self.store_data {
-            Some(data.to_vec().into_boxed_slice())
-        } else {
-            None
-        };
-        let mut oob = oob;
-        if oob.sequence == 0 {
-            oob.sequence = self.next_sequence();
-        }
-        self.block_mut(block_addr).record_program(ppa.page, stored, oob);
-        self.note_programmed(now, block_addr);
-
-        // Timing: transfer over the channel, then array program on the die.
-        let die_idx = self.die_index(ppa.die_addr());
-        let issue = now + self.timing.command_overhead;
-        let xfer = self
-            .timing
-            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
-        let (xfer_start, xfer_end) = self.channels[ppa.channel as usize].occupy(issue, xfer);
-        let (_, done) = self.dies[die_idx].occupy(xfer_end, self.timing.program_page);
-        let completion = OpCompletion {
-            started_at: xfer_start,
-            completed_at: done,
-        };
-
-        self.stats.programs += 1;
-        self.stats.bytes_written += self.geometry.page_size as u64;
-        self.stats
-            .program_latency
-            .record(completion.latency_from(now));
-        self.stats.per_die_ops[die_idx] += 1;
-        self.trace(TraceEntry {
-            kind: OpKind::Program,
-            issued_at: now,
-            completed_at: done,
-            ppa: Some(ppa),
-            block: None,
-            lpn: oob.has_lpn().then_some(oob.lpn),
-        });
-        if fails {
-            // The page is consumed (NAND cannot retry a page without an
-            // erase) and no longer holds valid data; the full program timing
-            // was charged before the chip reported failure.
-            self.block_mut(block_addr).invalidate_page(ppa.page);
-            self.stats.program_failures += 1;
-            self.fault_completion = Some(completion);
-            return Err(FlashError::ProgramFailed(ppa));
-        }
-        Ok(completion)
+        self.program_run(now, &[(ppa, data, oob)])
     }
 
-    /// Multi-page program: one dispatched command sequence per die.
-    ///
-    /// The whole run pays a single command overhead; data transfers serialise
-    /// on the die's channel while cell programs serialise on the die, so the
-    /// transfer of page *j+1* overlaps with the program of page *j* (the ONFI
-    /// cache-program pipeline).  A run issued to an idle die therefore costs
-    /// `cmd + max(k·transfer, transfer + k·tPROG)` instead of the
-    /// `k·(cmd + transfer + tPROG)` a sequential per-page issuer pays, and
-    /// runs dispatched to *different* dies at the same instant overlap almost
-    /// completely — the per-die queue model of the ROADMAP.
-    ///
-    /// The run is validated in full before any page is committed: a bad entry
-    /// (wrong die, dirty page, sequential-rule violation) fails the whole
-    /// command without programming anything.
     fn program_pages(
         &mut self,
         now: SimInstant,
         ops: &[(Ppa, &[u8], Oob)],
     ) -> FlashResult<OpCompletion> {
-        // Degenerate runs take the single-command path so a 1-page batch is
-        // bit- and timing-identical to a plain PAGE PROGRAM.
-        if ops.len() <= 1 {
-            return match ops.first() {
-                Some((ppa, data, oob)) => self.program_page(now, *ppa, data, *oob),
-                None => Ok(OpCompletion {
-                    started_at: now,
-                    completed_at: now,
-                }),
-            };
-        }
-
-        // -- validate the whole run up front (no partial batches) ----------
-        self.tick_kills(now);
-        let die = ops[0].0.die_addr();
-        self.check_die_alive(die)?;
-        // Per-block expected next page, tracking pages this run will program.
-        let mut expected: Vec<(BlockAddr, u32)> = Vec::new();
-        // Pages already claimed by this run (duplicate detection on
-        // permissive, non-strict-sequential devices).
-        let mut seen: Vec<Ppa> = Vec::new();
-        for (ppa, data, _) in ops {
-            self.check_ppa(*ppa)?;
-            if ppa.die_addr() != die {
-                return Err(FlashError::InvalidAddress {
-                    what: format!("multi-page program spans dies: {die:?} vs {:?}", ppa.die_addr()),
-                });
-            }
-            let block_addr = ppa.block_addr();
-            self.check_usable(block_addr)?;
-            if data.len() != self.geometry.page_size as usize {
-                return Err(FlashError::BufferSizeMismatch {
-                    expected: self.geometry.page_size as usize,
-                    actual: data.len(),
-                });
-            }
-            if self.block_ref(block_addr).page(ppa.page).state != PageState::Free {
-                return Err(FlashError::ProgramOnDirtyPage(*ppa));
-            }
-            if seen.contains(ppa) {
-                return Err(FlashError::ProgramOnDirtyPage(*ppa));
-            }
-            seen.push(*ppa);
-            if self.strict_sequential {
-                let slot = match expected.iter().position(|(b, _)| *b == block_addr) {
-                    Some(i) => i,
-                    None => {
-                        let n = self.block_ref(block_addr).next_program_page();
-                        expected.push((block_addr, n));
-                        expected.len() - 1
-                    }
-                };
-                let next = expected[slot].1;
-                if ppa.page != next {
-                    return Err(FlashError::NonSequentialProgram {
-                        attempted: *ppa,
-                        expected_page: next,
-                    });
-                }
-                expected[slot].1 = ppa.page + 1;
-            }
-        }
-
-        // -- commit + timing ----------------------------------------------
-        let die_idx = self.die_index(die);
-        let channel = ops[0].0.channel as usize;
-        // One command transfer for the whole run.
-        let issue = now + self.timing.command_overhead;
-        let xfer = self
-            .timing
-            .transfer((self.geometry.page_size + self.geometry.oob_size) as u64);
-        let mut started_at = None;
-        let mut completed_at = issue;
-        for (idx, (ppa, data, oob)) in ops.iter().enumerate() {
-            let fails = self.draw_program_fault(ppa.block_addr());
-            let stored = if self.store_data {
-                Some(data.to_vec().into_boxed_slice())
-            } else {
-                None
-            };
-            let mut oob = *oob;
-            if oob.sequence == 0 {
-                oob.sequence = self.next_sequence();
-            }
-            self.block_mut(ppa.block_addr()).record_program(ppa.page, stored, oob);
-            self.note_programmed(now, ppa.block_addr());
-
-            let (xfer_start, xfer_end) = self.channels[channel].occupy(issue, xfer);
-            let (_, done) = self.dies[die_idx].occupy(xfer_end, self.timing.program_page);
-            started_at.get_or_insert(xfer_start);
-            completed_at = completed_at.max(done);
-
-            self.stats.programs += 1;
-            self.stats.bytes_written += self.geometry.page_size as u64;
-            self.stats.program_latency.record(done.saturating_sub(now));
-            self.stats.per_die_ops[die_idx] += 1;
-            self.trace(TraceEntry {
-                kind: OpKind::Program,
-                issued_at: now,
-                completed_at: done,
-                ppa: Some(*ppa),
-                block: None,
-                lpn: oob.has_lpn().then_some(oob.lpn),
-            });
-            if fails {
-                // Pages before this one committed and stay committed (the
-                // failing [`Ppa`] in the error tells the issuer where the
-                // run split); this page is consumed, later pages were never
-                // transferred.
-                self.block_mut(ppa.block_addr()).invalidate_page(ppa.page);
-                self.stats.program_failures += 1;
-                self.stats.multi_page_dispatches += 1;
-                self.stats.batched_pages += (idx + 1) as u64;
-                self.fault_completion = Some(OpCompletion {
-                    started_at: started_at.unwrap_or(issue),
-                    completed_at,
-                });
-                return Err(FlashError::ProgramFailed(*ppa));
-            }
-        }
-        self.stats.multi_page_dispatches += 1;
-        self.stats.batched_pages += ops.len() as u64;
-        Ok(OpCompletion {
-            started_at: started_at.unwrap_or(issue),
-            completed_at,
-        })
+        self.program_run(now, ops)
     }
 
     fn erase_block(&mut self, now: SimInstant, block: BlockAddr) -> FlashResult<OpCompletion> {
@@ -1262,7 +1144,7 @@ impl NativeFlashInterface for NandDevice {
         self.stats.erases += 1;
         self.stats.erase_latency.record(completion.latency_from(now));
         self.stats.per_die_ops[die_idx] += 1;
-        self.trace(TraceEntry {
+        self.tracer.record(TraceEntry {
             kind: OpKind::Erase,
             issued_at: now,
             completed_at: done,
@@ -1306,19 +1188,7 @@ impl NativeFlashInterface for NandDevice {
             }
             (page.data.clone(), page.oob)
         };
-        {
-            let block = self.block_ref(dst.block_addr());
-            let page = block.page(dst.page);
-            if page.state != PageState::Free {
-                return Err(FlashError::ProgramOnDirtyPage(dst));
-            }
-            if self.strict_sequential && dst.page != block.next_program_page() {
-                return Err(FlashError::NonSequentialProgram {
-                    attempted: dst,
-                    expected_page: block.next_program_page(),
-                });
-            }
-        }
+        self.check_programmable(dst, self.block_ref(dst.block_addr()).next_program_page())?;
         let fails = self.draw_program_fault(dst.block_addr());
         let mut oob = new_oob.unwrap_or(src_oob);
         if oob.sequence == 0 {
@@ -1342,15 +1212,7 @@ impl NativeFlashInterface for NandDevice {
         self.stats
             .copyback_latency
             .record(completion.latency_from(now));
-        self.stats.per_die_ops[die_idx] += 1;
-        self.trace(TraceEntry {
-            kind: OpKind::Copyback,
-            issued_at: now,
-            completed_at: done,
-            ppa: Some(dst),
-            block: None,
-            lpn: oob.has_lpn().then_some(oob.lpn),
-        });
+        self.account_page_cmd(OpKind::Copyback, now, done, dst, oob);
         if fails {
             // The program half of the copyback failed: the destination page
             // is consumed, the source page is untouched and still valid.
@@ -1795,19 +1657,108 @@ mod tests {
     }
 
     #[test]
-    fn single_and_empty_batches_degenerate_to_plain_program() {
-        let mut a = tiny_device();
-        let mut b = tiny_device();
-        let data = page_of(&a, 3);
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        let c_plain = a.program_page(100, ppa, &data, Oob::data(5, 0)).unwrap();
-        let c_batch = b
-            .program_pages(100, &[(ppa, data.as_slice(), Oob::data(5, 0))])
-            .unwrap();
-        assert_eq!(c_plain, c_batch, "1-page batch must be timing-identical");
-        assert_eq!(b.stats().multi_page_dispatches, 0);
-        let c_empty = b.program_pages(500, &[]).unwrap();
-        assert_eq!(c_empty.completed_at, 500);
+    fn runs_of_one_two_and_five_pages_cost_their_closed_forms() {
+        // One body serves every run length, so one assertion pins the single
+        // command and the batch: on an idle die a k-page run costs what the
+        // `program_run` / `read_run` docs state, and the single-page trait
+        // methods are runs of one.
+        for k in [1u32, 2, 5] {
+            let mut dev = tiny_device();
+            let t = *dev.timing();
+            let g = *dev.geometry();
+            let xfer = t.transfer((g.page_size + g.oob_size) as u64);
+            let (cmd, t_r, t_prog) = (t.command_overhead, t.read_page, t.program_page);
+            let k64 = k as u64;
+            let batch_counts = if k > 1 { (1, k64) } else { (0, 0) };
+            let data = page_of(&dev, 3);
+            let b0 = BlockAddr::new(0, 0, 0, 0);
+
+            let ops: Vec<(Ppa, &[u8], Oob)> = (0..k)
+                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
+                .collect();
+            let pc = dev.program_pages(100, &ops).unwrap();
+            assert_eq!(
+                pc.completed_at - 100,
+                cmd + (k64 * xfer).max(xfer + k64 * t_prog),
+                "program run of {k}"
+            );
+            let s = dev.stats();
+            assert_eq!((s.multi_page_dispatches, s.batched_pages), batch_counts);
+            assert_eq!(s.programs, k64);
+
+            let t0 = 10_000_000; // die and channel long idle
+            let mut bufs: Vec<Vec<u8>> = (0..k).map(|_| page_of(&dev, 0)).collect();
+            let mut rops: Vec<(Ppa, &mut [u8])> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, b)| (b0.page(i as u32), b.as_mut_slice()))
+                .collect();
+            let rc = dev.read_pages(t0, &mut rops).unwrap();
+            assert_eq!(
+                rc.completed_at - t0,
+                cmd + t_r + (k64 * xfer).max((k64 - 1) * t_r + xfer),
+                "read run of {k}"
+            );
+            let s = dev.stats();
+            assert_eq!((s.multi_page_read_dispatches, s.batched_read_pages), batch_counts);
+            assert_eq!(s.reads, k64);
+            assert!(bufs.iter().all(|b| b == &data));
+
+            if k == 1 {
+                let mut single = tiny_device();
+                let p = single.program_page(100, b0.page(0), &data, Oob::data(0, 0));
+                assert_eq!(p.unwrap(), pc, "PAGE PROGRAM is a run of one");
+                let mut buf = page_of(&single, 0);
+                let (oob, r) = single.read_page(t0, b0.page(0), &mut buf).unwrap();
+                assert_eq!((oob.lpn, r, &buf), (0, rc, &data), "PAGE READ is a run of one");
+            }
+        }
+        // An empty run issues nothing and completes on the spot.
+        let mut dev = tiny_device();
+        assert_eq!(dev.program_pages(500, &[]).unwrap().completed_at, 500);
+        assert_eq!(dev.read_pages(500, &mut []).unwrap().completed_at, 500);
+        assert_eq!(dev.stats().total_ops(), 0);
+    }
+
+    #[test]
+    fn run_validates_its_first_address_before_the_dead_die_check() {
+        // Regression: multi-page runs used to ask whether the first op's die
+        // was alive *before* validating that address, so an out-of-range page
+        // on a dead die was rejected as `DieFailed` (and counted as a
+        // dead-die rejection) by a run but as `InvalidAddress` by the same
+        // address in a single command.
+        let plan = FaultPlan::seeded(1).with_die_kill(0, 0);
+        let mut dev = kill_only_device(plan);
+        let g = *dev.geometry();
+        let data = page_of(&dev, 0x5A);
+        let bad = Ppa::new(0, 0, 0, 0, g.pages_per_block); // page index out of range
+        let ok = Ppa::new(0, 0, 0, 0, 0);
+        let mut b0 = page_of(&dev, 0);
+        let mut b1 = page_of(&dev, 0);
+        // The first command (any command) fires the kill of die 0.
+        assert!(matches!(
+            dev.read_pages(0, &mut [(bad, b0.as_mut_slice()), (ok, b1.as_mut_slice())]),
+            Err(FlashError::InvalidAddress { .. })
+        ));
+        assert!(dev.is_die_dead(DieAddr::new(0, 0)));
+        assert!(matches!(
+            dev.program_pages(
+                0,
+                &[(bad, data.as_slice(), Oob::data(1, 0)), (ok, data.as_slice(), Oob::data(2, 0))]
+            ),
+            Err(FlashError::InvalidAddress { .. })
+        ));
+        assert!(matches!(
+            dev.read_page(0, bad, &mut b0),
+            Err(FlashError::InvalidAddress { .. })
+        ));
+        assert_eq!(dev.stats().dead_die_rejections, 0);
+        // A valid address on the dead die is still the typed die failure.
+        assert!(matches!(
+            dev.read_pages(0, &mut [(ok, b0.as_mut_slice()), (ok, b1.as_mut_slice())]),
+            Err(FlashError::DieFailed(_))
+        ));
+        assert_eq!(dev.stats().dead_die_rejections, 1);
     }
 
     #[test]
@@ -2000,27 +1951,6 @@ mod tests {
             batched < sequential,
             "batched read run ({batched}) must beat sequential issue ({sequential})"
         );
-    }
-
-    #[test]
-    fn single_and_empty_read_batches_degenerate_to_plain_read() {
-        let mut a = tiny_device();
-        let mut b = tiny_device();
-        let data = page_of(&a, 3);
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        a.program_page(0, ppa, &data, Oob::data(5, 0)).unwrap();
-        b.program_page(0, ppa, &data, Oob::data(5, 0)).unwrap();
-        let mut buf_a = page_of(&a, 0);
-        let (_, c_plain) = a.read_page(9000, ppa, &mut buf_a).unwrap();
-        let mut buf_b = page_of(&b, 0);
-        let c_batch = b
-            .read_pages(9000, &mut [(ppa, buf_b.as_mut_slice())])
-            .unwrap();
-        assert_eq!(c_plain, c_batch, "1-page read batch must be timing-identical");
-        assert_eq!(buf_a, buf_b);
-        assert_eq!(b.stats().multi_page_read_dispatches, 0);
-        let c_empty = b.read_pages(500, &mut []).unwrap();
-        assert_eq!(c_empty.completed_at, 500);
     }
 
     #[test]

@@ -73,6 +73,32 @@ pub enum FlashError {
     Busy,
 }
 
+/// `Ok` when a data buffer of `len` bytes is exactly one page of `page_size`
+/// bytes — the precondition of every page-granularity read and write, at
+/// every layer (device, FTLs, NoFTL).
+pub fn check_buf(len: usize, page_size: usize) -> FlashResult<()> {
+    if len == page_size {
+        Ok(())
+    } else {
+        Err(FlashError::BufferSizeMismatch {
+            expected: page_size,
+            actual: len,
+        })
+    }
+}
+
+/// `Ok` when `lpn` addresses one of the `logical_pages` logical pages a
+/// Flash-management layer (an FTL or NoFTL) exports.
+pub fn check_lpn(lpn: u64, logical_pages: u64) -> FlashResult<()> {
+    if lpn < logical_pages {
+        Ok(())
+    } else {
+        Err(FlashError::InvalidAddress {
+            what: format!("logical page {lpn} out of range (capacity {logical_pages})"),
+        })
+    }
+}
+
 impl std::fmt::Display for FlashError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -13,6 +13,18 @@
 //! per-die / per-channel occupancy model so that Flash parallelism (the
 //! subject of §3.2 of the paper) is observable.
 //!
+//! ## One body per command
+//!
+//! Each native command is timed in exactly one place in [`NandDevice`]:
+//! `PAGE READ` and `PAGE PROGRAM` have one private *run* body each
+//! (validation, fault draw, page store, die/channel occupancy, [`FlashStats`]
+//! and trace entry), of which the single-page trait methods are runs of one
+//! and the multi-page methods runs of `k`; `COPYBACK`, `BLOCK ERASE` and the
+//! OOB-only read have one body each.  The [`NativeFlashInterface`] methods
+//! and the `submit_*` wrappers only adapt arguments, so single-page and
+//! batched dispatch cannot drift apart and the closed-form run costs are
+//! asserted for `k = 1` by the same test that asserts them for `k > 1`.
+//!
 //! ## Completion-poll interface
 //!
 //! Beyond the blocking [`NativeFlashInterface`] calls, [`NandDevice`] exposes

@@ -14,6 +14,8 @@
 //! * [`time`] — the simulated-time base types (nanosecond ticks).
 //! * [`flatmap`] — dense directly-indexed map/bitset for per-page hot paths.
 //! * [`intmap`] — open-addressing integer hash map (sparse key spaces).
+//! * [`pagetable`] — the dense page-level translation table (forward +
+//!   reverse) both the FTL baselines and NoFTL map pages with.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,6 +24,7 @@ pub mod dist;
 pub mod flatmap;
 pub mod histogram;
 pub mod intmap;
+pub mod pagetable;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -30,6 +33,7 @@ pub use dist::{NuRand, Zipf};
 pub use flatmap::{FlatBitSet, FlatMap};
 pub use histogram::Histogram;
 pub use intmap::IntMap;
+pub use pagetable::PageTable;
 pub use rng::{SimRng, SplitMix64};
 pub use stats::{fmt_count, fmt_duration_ns, Running};
 pub use time::{SimDuration, SimInstant, MICROS, MILLIS, SECONDS};

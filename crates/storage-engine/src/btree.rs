@@ -12,7 +12,7 @@ use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
-use crate::buffer::PageCache;
+use crate::shard::ShardedBufferPool;
 use crate::free_space::FreeSpaceManager;
 use crate::page::PageId;
 use crate::readahead::ScanPrefetcher;
@@ -121,8 +121,8 @@ pub struct BTree {
 
 impl BTree {
     /// Create a new, empty tree. Allocates the root page.
-    pub fn create<P: PageCache>(
-        pool: &mut P,
+    pub fn create(
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         fsm: &mut FreeSpaceManager,
         now: SimInstant,
@@ -165,9 +165,9 @@ impl BTree {
         self.len == 0
     }
 
-    fn read_node<P: PageCache>(
+    fn read_node(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         page: PageId,
@@ -175,9 +175,9 @@ impl BTree {
         pool.with_page(backend, now, page, Node::decode)
     }
 
-    fn write_node<P: PageCache>(
+    fn write_node(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         page: PageId,
@@ -191,9 +191,9 @@ impl BTree {
     }
 
     /// Look up `key`.
-    pub fn get<P: PageCache>(
+    pub fn get(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         key: u64,
@@ -221,9 +221,9 @@ impl BTree {
 
     /// Insert `key → value`, replacing any previous value.
     /// Returns the previous value (if any) and the time after I/O.
-    pub fn insert<P: PageCache>(
+    pub fn insert(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         fsm: &mut FreeSpaceManager,
         now: SimInstant,
@@ -253,9 +253,9 @@ impl BTree {
     }
 
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn insert_rec<P: PageCache>(
+    fn insert_rec(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         fsm: &mut FreeSpaceManager,
         now: SimInstant,
@@ -365,9 +365,9 @@ impl BTree {
 
     /// Remove `key`. Returns its value if it was present.  Leaves are not
     /// rebalanced (acceptable for workloads that do not shrink).
-    pub fn remove<P: PageCache>(
+    pub fn remove(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         key: u64,
@@ -409,9 +409,9 @@ impl BTree {
     }
 
     /// Visit all `(key, value)` pairs with `key` in `[lo, hi]`, in order.
-    pub fn range<P: PageCache>(
+    pub fn range(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         lo: u64,
@@ -432,9 +432,9 @@ impl BTree {
     /// run is a ROADMAP follow-on).  With an inert prefetcher this is the
     /// frame-at-a-time path, call for call.
     #[allow(clippy::too_many_arguments)]
-    pub fn range_with_readahead<P: PageCache>(
+    pub fn range_with_readahead(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         ra: &mut ScanPrefetcher,
         now: SimInstant,
@@ -506,17 +506,16 @@ impl BTree {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::buffer::BufferPool;
 
     struct Ctx {
-        pool: BufferPool,
+        pool: ShardedBufferPool,
         backend: MemBackend,
         fsm: FreeSpaceManager,
     }
 
     fn setup() -> Ctx {
         Ctx {
-            pool: BufferPool::new(64, 4096),
+            pool: ShardedBufferPool::new(1, 64, 4096),
             backend: MemBackend::new(4096, 4096),
             fsm: FreeSpaceManager::new(0, 4000),
         }
@@ -667,7 +666,7 @@ mod tests {
     #[test]
     fn works_under_buffer_pressure() {
         let mut c = Ctx {
-            pool: BufferPool::new(8, 4096),
+            pool: ShardedBufferPool::new(1, 8, 4096),
             backend: MemBackend::new(4096, 4096),
             fsm: FreeSpaceManager::new(0, 4000),
         };

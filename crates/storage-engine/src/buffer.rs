@@ -711,121 +711,6 @@ impl BufferPool {
     }
 }
 
-/// The page-access surface the storage structures ([`crate::heap::HeapFile`],
-/// [`crate::btree::BTree`], [`crate::readahead::ScanPrefetcher`]) need from a
-/// buffer pool.  [`BufferPool`] implements it directly, and
-/// [`crate::shard::ShardedBufferPool`] — the engine's pool — implements it by
-/// routing each page access to the shard owning that page id; the
-/// heap/B+-tree code is identical over either.
-///
-/// Not object-safe (the access methods are generic over their closures), so
-/// it is used as a generic bound, monomorphised per pool type.
-pub trait PageCache {
-    /// Page size in bytes.
-    fn page_size(&self) -> usize;
-
-    /// The pool's asynchronous miss-fill depth (1 = synchronous).
-    fn async_depth(&self) -> usize;
-
-    /// Whether `page_id` is resident.
-    fn contains(&self, page_id: PageId) -> bool;
-
-    /// Record the readahead window size a scan is running at.
-    fn note_readahead_window(&mut self, window: usize);
-
-    /// Read-access a page through a closure.
-    fn with_page<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)>;
-
-    /// Write-access a page through a closure (marks it dirty).
-    fn with_page_mut<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)>;
-
-    /// Create/overwrite a page without reading it from the backend first.
-    fn new_page<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)>;
-
-    /// Make the pages of `ids` resident with batched backend reads.
-    fn prefetch(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        ids: &[PageId],
-    ) -> FlashResult<SimInstant>;
-}
-
-impl PageCache for BufferPool {
-    fn page_size(&self) -> usize {
-        BufferPool::page_size(self)
-    }
-
-    fn async_depth(&self) -> usize {
-        BufferPool::async_depth(self)
-    }
-
-    fn contains(&self, page_id: PageId) -> bool {
-        BufferPool::contains(self, page_id)
-    }
-
-    fn note_readahead_window(&mut self, window: usize) {
-        BufferPool::note_readahead_window(self, window)
-    }
-
-    fn with_page<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)> {
-        BufferPool::with_page(self, backend, now, page_id, f)
-    }
-
-    fn with_page_mut<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)> {
-        BufferPool::with_page_mut(self, backend, now, page_id, f)
-    }
-
-    fn new_page<R>(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page_id: PageId,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> FlashResult<(R, SimInstant)> {
-        BufferPool::new_page(self, backend, now, page_id, f)
-    }
-
-    fn prefetch(
-        &mut self,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        ids: &[PageId],
-    ) -> FlashResult<SimInstant> {
-        BufferPool::prefetch(self, backend, now, ids)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use crate::backend::{
     BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW, DEFAULT_SLO_FLUSH_OCCUPANCY,
 };
 use crate::btree::BTree;
-use crate::buffer::{BufferStats, PageCache, ReadaheadStats};
+use crate::buffer::{BufferStats, ReadaheadStats};
 use crate::catalog::Catalog;
 use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats, ThrottleStats};
 use crate::free_space::FreeSpaceManager;

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
-use crate::buffer::PageCache;
+use crate::shard::ShardedBufferPool;
 use crate::free_space::FreeSpaceManager;
 use crate::page::{PageId, SlottedPage};
 use crate::readahead::ScanPrefetcher;
@@ -71,9 +71,9 @@ impl HeapFile {
 
     /// Insert a record; returns its RID and the virtual time after I/O.
     #[allow(clippy::too_many_arguments)]
-    pub fn insert<P: PageCache>(
+    pub fn insert(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         fsm: &mut FreeSpaceManager,
         wal: &mut WalManager,
@@ -129,9 +129,9 @@ impl HeapFile {
     }
 
     /// Read the record at `rid`.
-    pub fn get<P: PageCache>(
+    pub fn get(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         rid: Rid,
@@ -145,9 +145,9 @@ impl HeapFile {
     /// Update the record at `rid` in place (the new value must fit the page;
     /// otherwise the record is deleted and reinserted, returning a new RID).
     #[allow(clippy::too_many_arguments)]
-    pub fn update<P: PageCache>(
+    pub fn update(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         fsm: &mut FreeSpaceManager,
         wal: &mut WalManager,
@@ -193,9 +193,9 @@ impl HeapFile {
         Ok((new_rid, t3))
     }
 
-    fn delete_inner<P: PageCache>(
+    fn delete_inner(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         wal: &mut WalManager,
         txn: TxnId,
@@ -223,9 +223,9 @@ impl HeapFile {
     }
 
     /// Delete the record at `rid`.
-    pub fn delete<P: PageCache>(
+    pub fn delete(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         wal: &mut WalManager,
         txn: TxnId,
@@ -237,9 +237,9 @@ impl HeapFile {
 
     /// Full scan: visit every live record.  Returns the number of records
     /// visited and the virtual time after all page reads.
-    pub fn scan<P: PageCache>(
+    pub fn scan(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         visit: impl FnMut(Rid, &[u8]),
@@ -249,13 +249,13 @@ impl HeapFile {
 
     /// [`HeapFile::scan`] with streaming readahead: the page list is fully
     /// known, so the whole extent is fed to `ra`, which keeps a window of
-    /// upcoming pages in flight ([`PageCache::prefetch`] batches — one
+    /// upcoming pages in flight ([`ShardedBufferPool::prefetch`] batches — one
     /// multi-page read dispatch per die) while records of already-filled
     /// pages are visited.  With an inert prefetcher this is the
     /// frame-at-a-time path, call for call.
-    pub fn scan_with_readahead<P: PageCache>(
+    pub fn scan_with_readahead(
         &self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         ra: &mut ScanPrefetcher,
         now: SimInstant,
@@ -286,10 +286,9 @@ impl HeapFile {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::buffer::BufferPool;
 
     struct Ctx {
-        pool: BufferPool,
+        pool: ShardedBufferPool,
         backend: MemBackend,
         fsm: FreeSpaceManager,
         wal: WalManager,
@@ -297,7 +296,7 @@ mod tests {
 
     fn setup() -> Ctx {
         Ctx {
-            pool: BufferPool::new(32, 4096),
+            pool: ShardedBufferPool::new(1, 32, 4096),
             backend: MemBackend::new(4096, 1024),
             fsm: FreeSpaceManager::new(0, 900),
             wal: WalManager::new(900, 100, 4096),
@@ -446,7 +445,7 @@ mod tests {
     fn survives_buffer_pressure() {
         // A pool much smaller than the data forces evictions and re-reads.
         let mut c = Ctx {
-            pool: BufferPool::new(4, 4096),
+            pool: ShardedBufferPool::new(1, 4, 4096),
             backend: MemBackend::new(4096, 1024),
             fsm: FreeSpaceManager::new(0, 900),
             wal: WalManager::new(900, 100, 4096),

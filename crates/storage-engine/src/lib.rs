@@ -155,9 +155,10 @@
 //!   pool is `shards` plain [`buffer::BufferPool`]s routed by `page_id %
 //!   shards`, each with its own clock hand, dirty bitmap, resident table,
 //!   miss-fill read window and db-writer pool, so drifting clients evict and
-//!   flush per shard.  It implements the [`buffer::PageCache`] trait the
-//!   heap/B+-tree/readahead code is generic over.  `StorageEngine::new`
-//!   builds 1 shard — a plain `BufferPool`, identical traces —
+//!   flush per shard.  It is the one pool type the heap/B+-tree/readahead
+//!   code takes (a bare `BufferPool` is reached only as a shard).
+//!   `StorageEngine::new` builds 1 shard — identical traces to a plain
+//!   `BufferPool`, pinned in `shard.rs` —
 //!   `ConcurrentEngine::new` as many as it is given (and, above one, turns on
 //!   the device's gap-backfilling occupancy for out-of-order timestamps).
 //! * **Why one lock serialises exactly as the finer locks did** — every
@@ -280,7 +281,7 @@ pub mod transaction;
 pub mod wal;
 
 pub use backend::{BlockDeviceBackend, MemBackend, NoFtlBackend, StackConfig, StorageBackend};
-pub use buffer::{BufferPool, PageCache, ReadaheadStats};
+pub use buffer::{BufferPool, ReadaheadStats};
 pub use concurrent::{ClientSession, ConcurrentEngine};
 pub use readahead::ScanPrefetcher;
 pub use engine::{EngineConfig, EngineError, EngineResult, StorageEngine};

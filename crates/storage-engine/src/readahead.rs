@@ -12,7 +12,7 @@
 //! computations.
 //!
 //! [`ScanPrefetcher`] maintains a sliding window of upcoming page ids and
-//! issues [`PageCache::prefetch`] batches *ahead of consumption*, so miss
+//! issues [`ShardedBufferPool::prefetch`] batches *ahead of consumption*, so miss
 //! fills overlap with record visits on the device's per-die command queues.
 //! The window ramps adaptively: it starts small, doubles (up to a cap) after
 //! a full window of consecutive useful prefetches, and halves when a
@@ -33,7 +33,7 @@ use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
-use crate::buffer::PageCache;
+use crate::shard::ShardedBufferPool;
 use crate::page::PageId;
 
 /// Smallest window the ramp starts from (and never shrinks below).
@@ -115,9 +115,9 @@ impl ScanPrefetcher {
     /// completion of the batch that fetched `page` (a record visit cannot
     /// observe data that has not arrived).  Inert when disabled: returns
     /// `now` untouched and performs no I/O.
-    pub fn on_access<P: PageCache>(
+    pub fn on_access(
         &mut self,
-        pool: &mut P,
+        pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         page: PageId,
@@ -175,10 +175,9 @@ impl ScanPrefetcher {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::buffer::BufferPool;
 
-    fn setup(frames: usize) -> (BufferPool, MemBackend) {
-        let mut pool = BufferPool::new(frames, 512);
+    fn setup(frames: usize) -> (ShardedBufferPool, MemBackend) {
+        let mut pool = ShardedBufferPool::new(1, frames, 512);
         pool.set_async_depth(4);
         (pool, MemBackend::new(512, 4096))
     }

@@ -8,7 +8,7 @@
 //! through one clock hand, and `with_pinned_pages` pin-stability holds per
 //! shard exactly as it does on a single pool.
 //!
-//! There are no latches here.  Every [`PageCache`] access takes `&mut dyn
+//! There are no latches here.  Every page access takes `&mut dyn
 //! StorageBackend`, so a caller can only reach a shard while it holds the
 //! whole engine exclusively — under the one engine lock of
 //! [`crate::concurrent::ConcurrentEngine`], or as the sole owner of a
@@ -27,7 +27,7 @@ use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
-use crate::buffer::{BufferPool, BufferStats, PageCache, ReadaheadStats};
+use crate::buffer::{BufferPool, BufferStats, ReadaheadStats};
 use crate::page::PageId;
 
 /// A buffer pool partitioned into shards by page id.
@@ -167,29 +167,33 @@ impl ShardedBufferPool {
         }
         Ok(t)
     }
-}
 
-/// Each access goes to exactly the shard owning the requested page id.
-impl PageCache for ShardedBufferPool {
-    fn page_size(&self) -> usize {
+    // -- page access: each goes to exactly the shard owning the page id ------
+
+    /// Page size in bytes.
+    pub fn page_size(&self) -> usize {
         self.shards[0].page_size()
     }
 
-    fn async_depth(&self) -> usize {
-        // Uniform across shards.
+    /// The pool's asynchronous miss-fill depth (1 = synchronous; uniform
+    /// across shards).
+    pub fn async_depth(&self) -> usize {
         self.shards[0].async_depth()
     }
 
-    fn contains(&self, page_id: PageId) -> bool {
+    /// Whether `page_id` is resident.
+    pub fn contains(&self, page_id: PageId) -> bool {
         self.shards[self.shard_of(page_id)].contains(page_id)
     }
 
-    fn note_readahead_window(&mut self, window: usize) {
-        // The window mark is a pool-global high-water; keep it on shard 0.
+    /// Record the readahead window size a scan is running at (a pool-global
+    /// high-water mark, kept on shard 0).
+    pub fn note_readahead_window(&mut self, window: usize) {
         self.shards[0].note_readahead_window(window);
     }
 
-    fn with_page<R>(
+    /// Read-access a page through a closure.
+    pub fn with_page<R>(
         &mut self,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
@@ -199,7 +203,8 @@ impl PageCache for ShardedBufferPool {
         self.owner(page_id).with_page(backend, now, page_id, f)
     }
 
-    fn with_page_mut<R>(
+    /// Write-access a page through a closure (marks it dirty).
+    pub fn with_page_mut<R>(
         &mut self,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
@@ -209,7 +214,8 @@ impl PageCache for ShardedBufferPool {
         self.owner(page_id).with_page_mut(backend, now, page_id, f)
     }
 
-    fn new_page<R>(
+    /// Create/overwrite a page without reading it from the backend first.
+    pub fn new_page<R>(
         &mut self,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
@@ -219,7 +225,8 @@ impl PageCache for ShardedBufferPool {
         self.owner(page_id).new_page(backend, now, page_id, f)
     }
 
-    fn prefetch(
+    /// Make the pages of `ids` resident with batched backend reads.
+    pub fn prefetch(
         &mut self,
         backend: &mut dyn StorageBackend,
         now: SimInstant,

@@ -1,14 +1,15 @@
 //! # workloads
 //!
 //! TPC-style workload drivers for the NoFTL storage stack (§3.3 / §4 of the
-//! paper evaluate live TPC-B, TPC-C, TPC-E and TPC-H runs under Shore-MT):
+//! paper evaluate live TPC-B, TPC-C, TPC-E and TPC-H runs under Shore-MT; the
+//! TPC-H-style Q1/Q6 scan generator lives with its one caller, the perf
+//! suite's `scan_q1_async` workload):
 //!
 //! * [`tpcb`] — TPC-B: the update-heavy banking benchmark (account / teller /
 //!   branch updates plus a history append);
 //! * [`tpcc`] — TPC-C: order-entry OLTP with the standard five-transaction
 //!   mix and NURand skew;
 //! * [`tpce`] — TPC-E (simplified): a read-heavier brokerage mix;
-//! * [`tpch`] — TPC-H (simplified): scan-heavy analytical queries;
 //! * [`driver`] — the benchmark driver: N logical clients interleaved on the
 //!   virtual clock, TPS and response-time reporting;
 //! * [`trace`] — page-level trace recording and replay (the paper's Figure 3
@@ -28,7 +29,6 @@ pub mod rid_codec;
 pub mod tpcb;
 pub mod tpcc;
 pub mod tpce;
-pub mod tpch;
 pub mod trace;
 pub mod workload;
 
@@ -40,6 +40,5 @@ pub use driver::{
 pub use tpcb::{TpcB, TpcBConfig};
 pub use tpcc::{TpcC, TpcCConfig};
 pub use tpce::{TpcE, TpcEConfig};
-pub use tpch::{TpcH, TpcHConfig, TpcHReport};
 pub use trace::{PageTrace, TraceOp, TraceReplayReport};
 pub use workload::Workload;

@@ -33,6 +33,7 @@ use noftl::storage_engine::backend::{
     DEFAULT_THREADS,
 };
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
+use noftl::storage_engine::shard::ShardedBufferPool;
 use noftl::storage_engine::BufferPool;
 use noftl_bench::dbwriters::{render_table as render_fig4, run_dbwriter_scaling};
 use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
@@ -375,7 +376,7 @@ fn traced_heap_scan(
     let noftl = NoFtl::with_device(device, cfg);
     let mut backend = NoFtlBackend::new(noftl);
 
-    let mut pool = BufferPool::new(24, 4096);
+    let mut pool = ShardedBufferPool::new(1, 24, 4096);
     pool.set_async_depth(async_depth);
     let mut fsm = FreeSpaceManager::new(0, 2000);
     let mut wal = WalManager::new(2000, 64, 4096);
@@ -481,7 +482,7 @@ fn btree_range_readahead_visits_identical_key_sequence() {
         cfg.async_queue_depth = depth;
         let noftl = NoFtl::new(cfg);
         let mut backend = NoFtlBackend::new(noftl);
-        let mut pool = BufferPool::new(8, 4096);
+        let mut pool = ShardedBufferPool::new(1, 8, 4096);
         pool.set_async_depth(depth);
         let mut fsm = FreeSpaceManager::new(0, 2000);
         let (mut tree, _) = BTree::create(&mut pool, &mut backend, &mut fsm, 0).unwrap();
@@ -533,7 +534,7 @@ fn readahead_never_evicts_pinned_pages_and_never_loses_dirty_data() {
     cfg.async_queue_depth = 8;
     let noftl = NoFtl::new(cfg);
     let mut backend = NoFtlBackend::new(noftl);
-    let mut pool = BufferPool::new(12, 4096);
+    let mut pool = ShardedBufferPool::new(1, 12, 4096);
     pool.set_async_depth(8);
     let mut fsm = FreeSpaceManager::new(0, 2000);
     let mut wal = WalManager::new(2000, 64, 4096);
@@ -557,7 +558,7 @@ fn readahead_never_evicts_pinned_pages_and_never_loses_dirty_data() {
         .with_page(&mut backend, now, pinned_page, |_| ())
         .unwrap();
     now = t;
-    assert!(pool.pin(pinned_page));
+    assert!(pool.shards_mut()[0].pin(pinned_page));
     let (_, t) = pool
         .with_page_mut(&mut backend, now, dirty_page, |d| d[4000] = 0xEE)
         .unwrap();
@@ -574,12 +575,12 @@ fn readahead_never_evicts_pinned_pages_and_never_loses_dirty_data() {
         pool.contains(pinned_page),
         "readahead must never evict a pinned page"
     );
-    pool.unpin(pinned_page);
+    pool.shards_mut()[0].unpin(pinned_page);
     // The dirty page's update must not have been lost: either still resident
     // and dirty, or written back to the backend during a (legitimate)
     // dirty-victim eviction.
     let mut buf = vec![0u8; 4096];
-    if pool.is_dirty(dirty_page) {
+    if pool.shards()[0].is_dirty(dirty_page) {
         let (seen, _) = pool
             .with_page(&mut backend, end, dirty_page, |d| d[4000])
             .unwrap();

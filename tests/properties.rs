@@ -193,8 +193,8 @@ proptest! {
 
     #[test]
     fn btree_matches_btreemap(ops in prop::collection::vec((0u64..500, any::<u64>(), any::<bool>()), 1..400)) {
-        use noftl::storage_engine::{backend::MemBackend, btree::BTree, buffer::BufferPool, free_space::FreeSpaceManager};
-        let mut pool = BufferPool::new(64, 4096);
+        use noftl::storage_engine::{backend::MemBackend, btree::BTree, free_space::FreeSpaceManager, shard::ShardedBufferPool};
+        let mut pool = ShardedBufferPool::new(1, 64, 4096);
         let mut backend = MemBackend::new(4096, 8192);
         let mut fsm = FreeSpaceManager::new(0, 8000);
         let (mut tree, _) = BTree::create(&mut pool, &mut backend, &mut fsm, 0).unwrap();
