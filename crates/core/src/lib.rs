@@ -81,7 +81,7 @@
 //!
 //! GC relocates a victim's survivors plane-locally via COPYBACK when it can.
 //! Cross-plane survivors go through read + program; with
-//! [`NoFtl::set_gc_batch_pages`] ≥ 2 consecutive cross-plane survivors are
+//! [`NoFtlConfig::gc_batch_pages`] ≥ 2 consecutive cross-plane survivors are
 //! routed through one multi-page program dispatch per same-die run (pending
 //! runs flush before any interleaved copyback so the destination block's
 //! sequential-programming order holds).  Batch size 1 is command- and

@@ -17,7 +17,7 @@
 //! [`HostMappingTable::reverse`], [`HostMappingTable::mapped`], ...) and
 //! `&mut self` writers ([`HostMappingTable::update`],
 //! [`HostMappingTable::unmap`]): no interior mutability, no hidden caches on
-//! the read path.  The table is `Send + Sync`, so under `NOFTL_THREADS` any
+//! the read path.  The table is `Send + Sync`, so with several clients any
 //! number of concurrent readers may share it behind an `RwLock` while device
 //! mutation stays single-writer — the concurrent storage engine keeps it
 //! (inside the NoFTL backend) behind the backend lock, last in its lock
@@ -41,7 +41,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_the_table_under_a_single_writer() {
-        // The NOFTL_THREADS reader-safety contract: N reader threads resolve
+        // The multi-client reader-safety contract: N reader threads resolve
         // translations through a shared RwLock while one writer remaps pages
         // between read bursts.  Readers must only ever observe fully-applied
         // states (forward and reverse agree), never a torn update.

@@ -314,12 +314,6 @@ impl NoFtl {
         self.device.set_backfill_occupancy(on);
     }
 
-    /// Set the maximum pages per batched GC relocation dispatch (`0`/`1`
-    /// keeps the legacy per-relocation path).
-    pub fn set_gc_batch_pages(&mut self, pages: usize) {
-        self.gc_batch_pages = pages;
-    }
-
     /// Set the read-heat penalty of GC victim scoring (`0.0` restores the
     /// read-blind legacy scorer; see [`crate::gc::select_victim`]).
     pub fn set_gc_read_heat_penalty(&mut self, penalty: f64) {
@@ -449,20 +443,6 @@ impl NoFtl {
     /// Apply one redundancy policy to every region.
     pub fn set_redundancy_all(&mut self, policy: RedundancyPolicy) {
         self.redundancy = vec![policy; self.regions.regions()];
-        self.refresh_redundancy();
-    }
-
-    /// Set the redundancy policy of a single region (unset regions stay
-    /// `None`) — e.g. `Mirror` for the small hot WAL region, `Parity` for
-    /// the data regions.
-    pub fn set_redundancy_policy(&mut self, region: RegionId, policy: RedundancyPolicy) {
-        if self.redundancy.len() < self.regions.regions() {
-            self.redundancy
-                .resize(self.regions.regions(), RedundancyPolicy::None);
-        }
-        if region < self.redundancy.len() {
-            self.redundancy[region] = policy;
-        }
         self.refresh_redundancy();
     }
 

@@ -21,7 +21,7 @@
 //! ...) are `&self` over precomputed dense tables — no interior mutability —
 //! while allocator *mutation* ([`RegionManager::allocate_page_in`],
 //! [`RegionManager::release_block`], ...) is `&mut self`.  The manager is
-//! `Send + Sync`: under `NOFTL_THREADS` concurrent readers may resolve
+//! `Send + Sync`: with several clients, concurrent readers may resolve
 //! placement behind an `RwLock` while block allocation stays single-writer
 //! (in the concurrent storage engine it lives inside the NoFTL backend,
 //! behind the backend lock).
@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn concurrent_placement_readers_share_the_manager_with_one_allocator() {
-        // The NOFTL_THREADS reader-safety contract: placement queries from N
+        // The multi-client reader-safety contract: placement queries from N
         // threads share the manager under an RwLock while a single writer
         // allocates pages.  Readers must see consistent placement (striping
         // and die tables are immutable) and a free-block count that only

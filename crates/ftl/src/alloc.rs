@@ -72,11 +72,6 @@ impl BlockPools {
         self.free.len()
     }
 
-    /// Number of free (erased, unallocated) blocks on `plane`.
-    pub fn free_blocks_on(&self, plane: PlaneIndex) -> usize {
-        self.free[plane].len()
-    }
-
     /// Total number of free blocks across all planes.
     pub fn total_free_blocks(&self) -> usize {
         self.free.iter().map(|q| q.len()).sum()
@@ -103,17 +98,6 @@ impl BlockPools {
             }
         }
         self.free[pi].retain(|&b| b != addr);
-    }
-
-    /// Pop a free block from `plane` (FIFO ⇒ natural dynamic wear leveling,
-    /// since blocks re-enter at the back after GC).
-    pub fn take_free_block(&mut self, plane: PlaneIndex) -> Option<BlockAddr> {
-        self.free[plane].pop_front()
-    }
-
-    /// The currently active block of `plane`, if any.
-    pub fn active_block(&self, plane: PlaneIndex) -> Option<(BlockAddr, u32)> {
-        self.active[plane]
     }
 
     /// Allocate the next page to program on `plane`.

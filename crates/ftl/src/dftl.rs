@@ -117,11 +117,6 @@ impl Dftl {
         self.entries_per_tp
     }
 
-    /// Current number of cached mapping entries.
-    pub fn cmt_len(&self) -> usize {
-        self.cmt.len()
-    }
-
     fn tvpn_of(&self, lpn: u64) -> u64 {
         lpn / self.entries_per_tp
     }

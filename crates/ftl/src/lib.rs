@@ -28,7 +28,7 @@ pub mod page_ftl;
 pub mod stats;
 pub mod traits;
 
-pub use block_device::{BlockDevice, FtlBlockDevice, MemBlockDevice};
+pub use block_device::{BlockDevice, FtlBlockDevice};
 pub use dftl::{Dftl, DftlConfig};
 pub use faster::{FasterConfig, FasterFtl};
 pub use page_ftl::{PageFtl, PageFtlConfig};

@@ -272,11 +272,6 @@ impl NandDevice {
         &self.tracer
     }
 
-    /// Mutable access to the command trace (e.g. to clear it between phases).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     fn die_index(&self, die: DieAddr) -> usize {
         die.flat(&self.geometry) as usize
     }

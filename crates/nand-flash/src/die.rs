@@ -47,11 +47,6 @@ impl Die {
         &mut self.blocks[idx as usize]
     }
 
-    /// Number of blocks on the die.
-    pub fn block_count(&self) -> u32 {
-        self.blocks.len() as u32
-    }
-
     /// The instant until which the die is occupied.
     pub fn busy_until(&self) -> SimInstant {
         self.timeline.busy_until()

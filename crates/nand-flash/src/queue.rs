@@ -99,11 +99,6 @@ pub struct QueuedCompletion {
 }
 
 impl QueuedCompletion {
-    /// Whether the command had finished by `now`.
-    pub fn is_done_at(&self, now: SimInstant) -> bool {
-        self.completion.completed_at <= now
-    }
-
     /// The command's outcome as a `Result` (see [`CommandStatus::result`]).
     pub fn result(&self) -> FlashResult<()> {
         self.status.result()

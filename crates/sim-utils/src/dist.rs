@@ -122,11 +122,6 @@ impl NuRand {
         Self::new(8191, 1, 100_000, c)
     }
 
-    /// Standard constants for customer-last-name selection (A = 255).
-    pub fn last_name(c: u64) -> Self {
-        Self::new(255, 0, 999, c)
-    }
-
     /// Draw a value in `[x, y]`.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let r1 = rng.range(0, self.a + 1);

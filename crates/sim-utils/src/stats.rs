@@ -57,11 +57,6 @@ impl Running {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (0 if empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {

@@ -28,9 +28,6 @@ pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 /// Per-die queue depth when `NOFTL_ASYNC` is `on` without a number.
 pub const DEFAULT_ASYNC_DEPTH: usize = 8;
 
-/// Client/shard count when `NOFTL_THREADS` is `on` without a number.
-pub const DEFAULT_THREADS: usize = 8;
-
 /// Proactive-GC read-occupancy threshold (in-flight reads) of the
 /// `NOFTL_SLO` bundle (see
 /// [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`]).
@@ -49,7 +46,7 @@ pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
 /// `NOFTL_REDUNDANCY` asks for parity without a number.
 pub const DEFAULT_PARITY_K: usize = 3;
 
-/// The eight `NOFTL_*` knobs as one typed value: a stack is a pure function
+/// The seven `NOFTL_*` knobs as one typed value: a stack is a pure function
 /// of it.  [`StackConfig::from_env`] is the only place the process
 /// environment is read (the knob-registry lint enforces it); it is called in
 /// `main` of the bench bins and examples and in the env-honouring CI smokes.
@@ -81,10 +78,6 @@ pub struct StackConfig {
     /// *issues* at depth > 1).  Unset / `on` — [`DEFAULT_READAHEAD_WINDOW`];
     /// `off` / `0` — disabled; a number `k` — a cap of `k`.
     pub readahead_window: usize,
-    /// `NOFTL_THREADS`: a client (session / pool-shard) count for drivers
-    /// that sweep or storm with it, not an engine selector.  Unset / `off` /
-    /// `0` / `1` — one; `on` — [`DEFAULT_THREADS`]; a number `k` — `k`.
-    pub threads: usize,
     /// `NOFTL_FAULTS`: seeded fault-injection plan
     /// ([`nand_flash::parse_fault_plan`]).  Unset / `off` / `0` / `no` —
     /// none; `on` — the default plan and seed; a number `k` — seed `k`;
@@ -108,7 +101,6 @@ impl Default for StackConfig {
             batch_global: false,
             async_depth: 1,
             readahead_window: DEFAULT_READAHEAD_WINDOW,
-            threads: 1,
             faults: None,
             slo: false,
             redundancy: None,
@@ -125,8 +117,7 @@ fn parse_pages(v: &str, default: usize) -> usize {
     }
 }
 
-/// `off` / `on` / count-of-at-least-one spelling (`NOFTL_ASYNC`,
-/// `NOFTL_THREADS`).
+/// `off` / `on` / count-of-at-least-one spelling (`NOFTL_ASYNC`).
 fn parse_count(v: &str, on: usize) -> usize {
     match v {
         "on" | "true" => on,
@@ -161,7 +152,6 @@ impl StackConfig {
             batch_global: parse_switch(&get("NOFTL_BATCH_GLOBAL")),
             async_depth: parse_count(&get("NOFTL_ASYNC"), DEFAULT_ASYNC_DEPTH),
             readahead_window: parse_pages(&get("NOFTL_READAHEAD"), DEFAULT_READAHEAD_WINDOW),
-            threads: parse_count(&get("NOFTL_THREADS"), DEFAULT_THREADS),
             faults: nand_flash::parse_fault_plan(&get("NOFTL_FAULTS")),
             slo: parse_switch(&get("NOFTL_SLO")),
             redundancy: parse_redundancy(&get("NOFTL_REDUNDANCY")),
@@ -1041,7 +1031,6 @@ mod tests {
             batch_global: true,
             async_depth: 6,
             readahead_window: 8,
-            threads: 1,
             faults: Some(nand_flash::FaultPlan::seeded(987654)),
             slo: true,
             redundancy: Some(RedundancyPolicy::Mirror),

@@ -3,109 +3,177 @@
 //! Shore-MT provides B+-tree indexes; the TPC drivers use them for primary
 //! keys (customer, stock, account lookups).  Keys and values are `u64`
 //! (values typically encode a [`crate::heap::Rid`] or a row id).  Nodes are
-//! stored one-per-page with a compact binary layout; splits propagate up and
-//! create a new root when needed.  Deletion removes keys from leaves without
-//! rebalancing (sufficient for the TPC workloads, which never shrink tables).
+//! stored one-per-page; splits propagate up and create a new root when
+//! needed.  Deletion removes keys from leaves without rebalancing
+//! (sufficient for the TPC workloads, which never shrink tables).
+//!
+//! A node has one representation, its page: the private `Node<B>` is a view
+//! over the pinned frame's bytes (or, for the image of a node about to split,
+//! over an owned copy) and searches, inserts and removes in place.
+//!
+//! ```text
+//! 0     1       3            16                     16 + 8·(max_keys + 1)
+//! | tag | count | next-leaf+1 | keys[count] … room … | values[count] or children[count + 1] …
+//! ```
+//!
+//! Both arrays have room for `max_keys + 1` keys, so an insert into a full
+//! node may overflow before the node splits.  All-zero bytes read as an
+//! empty leaf.
 
-use bytes::{Buf, BufMut};
+use std::ops::{ControlFlow, Deref, DerefMut};
+
 use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
-use crate::shard::ShardedBufferPool;
 use crate::free_space::FreeSpaceManager;
 use crate::page::PageId;
 use crate::readahead::ScanPrefetcher;
+use crate::shard::ShardedBufferPool;
 
 const LEAF_TAG: u8 = 1;
 const INTERNAL_TAG: u8 = 2;
 /// Node header: tag(1) + key count(2) + next-leaf(8) + padding to 16.
 const NODE_HEADER: usize = 16;
 
-/// In-memory representation of a B+-tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Node {
-    Leaf {
-        keys: Vec<u64>,
-        values: Vec<u64>,
-        next: Option<PageId>,
-    },
-    Internal {
-        keys: Vec<u64>,
-        children: Vec<PageId>,
-    },
+/// Keys a node of `page_size` bytes may hold: each key/value or key/child
+/// pair costs 16 bytes; the two pairs of slack hold the overflowing key and
+/// the extra child.
+fn max_keys(page_size: usize) -> usize {
+    (page_size - NODE_HEADER) / 16 - 2
 }
 
-impl Node {
-    fn encode(&self, page_size: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(page_size);
-        match self {
-            Node::Leaf { keys, values, next } => {
-                buf.put_u8(LEAF_TAG);
-                buf.put_u16_le(keys.len() as u16);
-                buf.put_u64_le(next.map(|p| p + 1).unwrap_or(0));
-                buf.resize(NODE_HEADER, 0);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
-                for v in values {
-                    buf.put_u64_le(*v);
-                }
-            }
-            Node::Internal { keys, children } => {
-                buf.put_u8(INTERNAL_TAG);
-                buf.put_u16_le(keys.len() as u16);
-                buf.put_u64_le(0);
-                buf.resize(NODE_HEADER, 0);
-                for k in keys {
-                    buf.put_u64_le(*k);
-                }
-                for c in children {
-                    buf.put_u64_le(*c);
-                }
-            }
-        }
-        assert!(buf.len() <= page_size, "btree node overflow");
-        buf.resize(page_size, 0);
-        buf
+/// A B+-tree node, viewed over its page bytes.
+struct Node<B> {
+    bytes: B,
+}
+
+impl<B: Deref<Target = [u8]>> Node<B> {
+    fn u64_at(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes"))
     }
 
-    fn decode(data: &[u8]) -> Node {
-        let mut cursor = data;
-        let tag = cursor.get_u8();
-        let count = cursor.get_u16_le() as usize;
-        let next_raw = cursor.get_u64_le();
-        let mut cursor = &data[NODE_HEADER..];
-        match tag {
-            INTERNAL_TAG => {
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(cursor.get_u64_le());
-                }
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..count + 1 {
-                    children.push(cursor.get_u64_le());
-                }
-                Node::Internal { keys, children }
-            }
-            _ => {
-                // A zeroed page decodes as an empty leaf — convenient for
-                // freshly allocated roots.
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(cursor.get_u64_le());
-                }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(cursor.get_u64_le());
-                }
-                Node::Leaf {
-                    keys,
-                    values,
-                    next: (next_raw != 0).then(|| next_raw - 1),
-                }
+    fn is_leaf(&self) -> bool {
+        self.bytes[0] != INTERNAL_TAG
+    }
+
+    fn count(&self) -> usize {
+        u16::from_le_bytes([self.bytes[1], self.bytes[2]]) as usize
+    }
+
+    /// Values of a leaf, children (one more than keys) of an internal node.
+    fn val_count(&self) -> usize {
+        self.count() + usize::from(!self.is_leaf())
+    }
+
+    fn next(&self) -> Option<PageId> {
+        self.u64_at(3).checked_sub(1)
+    }
+
+    /// Byte offset of key `i`.
+    fn key_at(&self, i: usize) -> usize {
+        NODE_HEADER + 8 * i
+    }
+
+    /// Byte offset of value / child `i`.
+    fn val_at(&self, i: usize) -> usize {
+        NODE_HEADER + 8 * (max_keys(self.bytes.len()) + 1 + i)
+    }
+
+    fn key(&self, i: usize) -> u64 {
+        self.u64_at(self.key_at(i))
+    }
+
+    fn val(&self, i: usize) -> u64 {
+        self.u64_at(self.val_at(i))
+    }
+
+    /// Number of leading keys for which `pred` holds (keys are sorted).
+    fn partition_point(&self, pred: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo
+    }
+
+    /// Index of the child covering `key`.
+    fn child_index(&self, key: u64) -> usize {
+        self.partition_point(|k| k <= key)
+    }
+
+    /// Where `key` is or would be inserted, and its value if it is present.
+    fn search(&self, key: u64) -> (usize, Option<u64>) {
+        let i = self.partition_point(|k| k < key);
+        (
+            i,
+            (i < self.count() && self.key(i) == key).then(|| self.val(i)),
+        )
+    }
+
+    /// Copy keys `from..` and their values / children into the empty `right`.
+    fn copy_tail(&self, from: usize, right: &mut Node<&mut [u8]>) {
+        let moved = self.count() - from;
+        let keys = self.key_at(from)..self.key_at(self.count());
+        let vals = self.val_at(from)..self.val_at(self.val_count());
+        right.bytes[self.key_at(0)..self.key_at(moved)].copy_from_slice(&self.bytes[keys]);
+        right.bytes[self.val_at(0)..][..vals.len()].copy_from_slice(&self.bytes[vals]);
+        right.set_count(moved);
+    }
+
+    /// An owned copy of the node.
+    fn image(&self) -> Node<Vec<u8>> {
+        Node {
+            bytes: self.bytes.to_vec(),
+        }
+    }
+}
+
+impl<B: DerefMut<Target = [u8]>> Node<B> {
+    fn format(mut bytes: B, tag: u8, next: Option<PageId>) -> Self {
+        bytes.fill(0);
+        bytes[0] = tag;
+        let mut node = Self { bytes };
+        node.set_next(next);
+        node
+    }
+
+    fn set_count(&mut self, count: usize) {
+        self.bytes[1..3].copy_from_slice(&(count as u16).to_le_bytes());
+    }
+
+    fn set_next(&mut self, next: Option<PageId>) {
+        self.bytes[3..11].copy_from_slice(&next.map_or(0, |p| p + 1).to_le_bytes());
+    }
+
+    fn set_val(&mut self, i: usize, val: u64) {
+        let at = self.val_at(i);
+        self.bytes[at..at + 8].copy_from_slice(&val.to_le_bytes());
+    }
+
+    /// Insert `key` at key index `ki` and `val` at value / child index `vi`.
+    fn insert_at(&mut self, ki: usize, key: u64, vi: usize, val: u64) {
+        let (k, k_end) = (self.key_at(ki), self.key_at(self.count()));
+        let (v, v_end) = (self.val_at(vi), self.val_at(self.val_count()));
+        self.bytes.copy_within(k..k_end, k + 8);
+        self.bytes[k..k + 8].copy_from_slice(&key.to_le_bytes());
+        self.bytes.copy_within(v..v_end, v + 8);
+        self.bytes[v..v + 8].copy_from_slice(&val.to_le_bytes());
+        self.set_count(self.count() + 1);
+    }
+
+    /// Remove key `i` and value `i` of a leaf.
+    fn remove_at(&mut self, i: usize) {
+        let (k, k_end) = (self.key_at(i), self.key_at(self.count()));
+        let (v, v_end) = (self.val_at(i), self.val_at(self.count()));
+        self.bytes.copy_within(k + 8..k_end, k);
+        self.bytes.copy_within(v + 8..v_end, v);
+        self.set_count(self.count() - 1);
     }
 }
 
@@ -113,7 +181,6 @@ impl Node {
 #[derive(Debug, Clone)]
 pub struct BTree {
     root: PageId,
-    page_size: usize,
     /// Maximum keys per node (derived from the page size).
     max_keys: usize,
     len: u64,
@@ -127,22 +194,14 @@ impl BTree {
         fsm: &mut FreeSpaceManager,
         now: SimInstant,
     ) -> FlashResult<(Self, SimInstant)> {
-        let page_size = pool.page_size();
         let root = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-        let node = Node::Leaf {
-            keys: Vec::new(),
-            values: Vec::new(),
-            next: None,
-        };
         let (_, t) = pool.new_page(backend, now, root, |bytes| {
-            bytes.copy_from_slice(&node.encode(page_size));
+            Node::format(bytes, LEAF_TAG, None);
         })?;
-        // Each key/value or key/child pair costs 16 bytes; keep a small slack.
-        let max_keys = (page_size - NODE_HEADER) / 16 - 2;
+        let max_keys = max_keys(pool.page_size());
         Ok((
             Self {
                 root,
-                page_size,
                 max_keys,
                 len: 0,
             },
@@ -165,29 +224,35 @@ impl BTree {
         self.len == 0
     }
 
-    fn read_node(
+    /// Walk from the root to the leaf covering `key`, one `with_page` per
+    /// level: `on_internal` sees each internal node and the child index
+    /// taken, `on_leaf` the leaf.  Returns the leaf's page and result.
+    fn descend<R>(
         &self,
         pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
-        page: PageId,
-    ) -> FlashResult<(Node, SimInstant)> {
-        pool.with_page(backend, now, page, Node::decode)
-    }
-
-    fn write_node(
-        &self,
-        pool: &mut ShardedBufferPool,
-        backend: &mut dyn StorageBackend,
-        now: SimInstant,
-        page: PageId,
-        node: &Node,
-    ) -> FlashResult<SimInstant> {
-        let encoded = node.encode(self.page_size);
-        let (_, t) = pool.with_page_mut(backend, now, page, |bytes| {
-            bytes.copy_from_slice(&encoded);
-        })?;
-        Ok(t)
+        key: u64,
+        mut on_internal: impl FnMut(&Node<&[u8]>, usize),
+        mut on_leaf: impl FnMut(&Node<&[u8]>) -> R,
+    ) -> FlashResult<(PageId, R, SimInstant)> {
+        let (mut t, mut page) = (now, self.root);
+        loop {
+            let (step, t2) = pool.with_page(backend, t, page, |bytes| {
+                let node = Node { bytes };
+                if node.is_leaf() {
+                    return ControlFlow::Break(on_leaf(&node));
+                }
+                let idx = node.child_index(key);
+                on_internal(&node, idx);
+                ControlFlow::Continue(node.val(idx))
+            })?;
+            t = t2;
+            match step {
+                ControlFlow::Continue(child) => page = child,
+                ControlFlow::Break(r) => return Ok((page, r, t)),
+            }
+        }
     }
 
     /// Look up `key`.
@@ -198,25 +263,9 @@ impl BTree {
         now: SimInstant,
         key: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let mut t = now;
-        let mut page = self.root;
-        loop {
-            let (node, t2) = self.read_node(pool, backend, t, page)?;
-            t = t2;
-            match node {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    page = children[idx];
-                }
-                Node::Leaf { keys, values, .. } => {
-                    let found = keys
-                        .binary_search(&key)
-                        .ok()
-                        .map(|i| values[i]);
-                    return Ok((found, t));
-                }
-            }
-        }
+        let (_, (_, found), t) =
+            self.descend(pool, backend, now, key, |_, _| {}, |leaf| leaf.search(key))?;
+        Ok((found, t))
     }
 
     /// Insert `key → value`, replacing any previous value.
@@ -230,18 +279,15 @@ impl BTree {
         key: u64,
         value: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let (result, split, t) = self.insert_rec(pool, backend, fsm, now, self.root, key, value)?;
-        let mut t = t;
+        let (result, split, mut t) =
+            self.insert_rec(pool, backend, fsm, now, self.root, key, value)?;
         if let Some((sep, right)) = split {
             // Grow a new root.
             let new_root = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-            let node = Node::Internal {
-                keys: vec![sep],
-                children: vec![self.root, right],
-            };
-            let encoded = node.encode(self.page_size);
             let (_, t2) = pool.new_page(backend, t, new_root, |bytes| {
-                bytes.copy_from_slice(&encoded);
+                let mut node = Node::format(bytes, INTERNAL_TAG, None);
+                node.set_val(0, self.root);
+                node.insert_at(0, sep, 1, right);
             })?;
             t = t2;
             self.root = new_root;
@@ -263,104 +309,83 @@ impl BTree {
         key: u64,
         value: u64,
     ) -> FlashResult<(Option<u64>, Option<(u64, PageId)>, SimInstant)> {
-        let (node, mut t) = self.read_node(pool, backend, now, page)?;
-        match node {
-            Node::Leaf {
-                mut keys,
-                mut values,
-                next,
-            } => {
-                let old = match keys.binary_search(&key) {
-                    Ok(i) => {
-                        let prev = values[i];
-                        values[i] = value;
-                        Some(prev)
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        None
-                    }
-                };
-                if keys.len() <= self.max_keys {
-                    let t2 = self.write_node(
-                        pool,
-                        backend,
-                        t,
-                        page,
-                        &Node::Leaf { keys, values, next },
-                    )?;
-                    return Ok((old, None, t2));
-                }
-                // Split the leaf.
-                let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid);
-                let right_values = values.split_off(mid);
-                let sep = right_keys[0];
-                let right_page = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-                let right = Node::Leaf {
-                    keys: right_keys,
-                    values: right_values,
-                    next,
-                };
-                let left = Node::Leaf {
-                    keys,
-                    values,
-                    next: Some(right_page),
-                };
-                let encoded = right.encode(self.page_size);
-                let (_, t2) = pool.new_page(backend, t, right_page, |bytes| {
-                    bytes.copy_from_slice(&encoded);
+        // Read pass: where the key goes — a leaf's key index and the value
+        // already there, or an internal node's child index and that child —
+        // and, only if adding a key here would overflow, the node's image.
+        let max_keys = self.max_keys;
+        let ((leaf, idx, hit, full), mut t) = pool.with_page(backend, now, page, |bytes| {
+            let node = Node { bytes };
+            let leaf = node.is_leaf();
+            let (idx, hit) = if leaf {
+                node.search(key)
+            } else {
+                let idx = node.child_index(key);
+                (idx, Some(node.val(idx)))
+            };
+            let full = node.count() >= max_keys && !(leaf && hit.is_some());
+            (leaf, idx, hit, full.then(|| node.image()))
+        })?;
+        if leaf {
+            if let Some(old) = hit {
+                let (_, t2) = pool.with_page_mut(backend, t, page, |bytes| {
+                    Node { bytes }.set_val(idx, value);
                 })?;
-                t = t2;
-                t = self.write_node(pool, backend, t, page, &left)?;
-                Ok((old, Some((sep, right_page)), t))
+                return Ok((Some(old), None, t2));
             }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                let child = children[idx];
-                let (old, split, t2) =
-                    self.insert_rec(pool, backend, fsm, t, child, key, value)?;
-                t = t2;
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    if keys.len() <= self.max_keys {
-                        let t3 = self.write_node(
-                            pool,
-                            backend,
-                            t,
-                            page,
-                            &Node::Internal { keys, children },
-                        )?;
-                        return Ok((old, None, t3));
-                    }
-                    // Split the internal node.
-                    let mid = keys.len() / 2;
-                    let sep_up = keys[mid];
-                    let right_keys = keys.split_off(mid + 1);
-                    keys.pop(); // sep_up moves up
-                    let right_children = children.split_off(mid + 1);
-                    let right_page = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-                    let right_node = Node::Internal {
-                        keys: right_keys,
-                        children: right_children,
-                    };
-                    let left_node = Node::Internal { keys, children };
-                    let encoded = right_node.encode(self.page_size);
-                    let (_, t3) = pool.new_page(backend, t, right_page, |bytes| {
-                        bytes.copy_from_slice(&encoded);
-                    })?;
-                    t = t3;
-                    t = self.write_node(pool, backend, t, page, &left_node)?;
-                    return Ok((old, Some((sep_up, right_page)), t));
-                }
-                Ok((old, None, t))
-            }
+            let (split, t2) = Self::add(pool, backend, fsm, t, page, full, idx, key, idx, value)?;
+            return Ok((None, split, t2));
         }
+        let child = hit.expect("an internal node has a child at every index");
+        let (old, split, t2) = self.insert_rec(pool, backend, fsm, t, child, key, value)?;
+        t = t2;
+        let Some((sep, right)) = split else {
+            return Ok((old, None, t));
+        };
+        let (split, t3) = Self::add(pool, backend, fsm, t, page, full, idx, sep, idx + 1, right)?;
+        Ok((old, split, t3))
+    }
+
+    /// Write pass of an insert: add `key` / `val` to the node on `page` in
+    /// place, or — when the read pass found it `full` — to its image, which
+    /// is then split: upper half to a new right page, lower half back onto
+    /// `page`.  Returns the separator and right page of a split.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    fn add(
+        pool: &mut ShardedBufferPool,
+        backend: &mut dyn StorageBackend,
+        fsm: &mut FreeSpaceManager,
+        now: SimInstant,
+        page: PageId,
+        full: Option<Node<Vec<u8>>>,
+        ki: usize,
+        key: u64,
+        vi: usize,
+        val: u64,
+    ) -> FlashResult<(Option<(u64, PageId)>, SimInstant)> {
+        let Some(mut image) = full else {
+            let (_, t) = pool.with_page_mut(backend, now, page, |bytes| {
+                Node { bytes }.insert_at(ki, key, vi, val);
+            })?;
+            return Ok((None, t));
+        };
+        image.insert_at(ki, key, vi, val);
+        let mid = image.count() / 2;
+        let sep = image.key(mid);
+        let right_page = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
+        let (_, t) = pool.new_page(backend, now, right_page, |bytes| {
+            // A leaf keeps the separator as the right node's first key; an
+            // internal node moves it up.
+            let from = if image.is_leaf() { mid } else { mid + 1 };
+            image.copy_tail(from, &mut Node::format(bytes, image.bytes[0], image.next()));
+        })?;
+        image.set_count(mid);
+        if image.is_leaf() {
+            image.set_next(Some(right_page));
+        }
+        let (_, t) = pool.with_page_mut(backend, t, page, |bytes| {
+            bytes.copy_from_slice(&image.bytes);
+        })?;
+        Ok((Some((sep, right_page)), t))
     }
 
     /// Remove `key`. Returns its value if it was present.  Leaves are not
@@ -372,40 +397,15 @@ impl BTree {
         now: SimInstant,
         key: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let mut t = now;
-        let mut page = self.root;
-        loop {
-            let (node, t2) = self.read_node(pool, backend, t, page)?;
-            t = t2;
-            match node {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    page = children[idx];
-                }
-                Node::Leaf {
-                    mut keys,
-                    mut values,
-                    next,
-                } => {
-                    return match keys.binary_search(&key) {
-                        Ok(i) => {
-                            keys.remove(i);
-                            let v = values.remove(i);
-                            let t3 = self.write_node(
-                                pool,
-                                backend,
-                                t,
-                                page,
-                                &Node::Leaf { keys, values, next },
-                            )?;
-                            self.len -= 1;
-                            Ok((Some(v), t3))
-                        }
-                        Err(_) => Ok((None, t)),
-                    };
-                }
-            }
+        let (page, (idx, found), mut t) =
+            self.descend(pool, backend, now, key, |_, _| {}, |leaf| leaf.search(key))?;
+        if found.is_some() {
+            (_, t) = pool.with_page_mut(backend, t, page, |bytes| {
+                Node { bytes }.remove_at(idx);
+            })?;
+            self.len -= 1;
         }
+        Ok((found, t))
     }
 
     /// Visit all `(key, value)` pairs with `key` in `[lo, hi]`, in order.
@@ -418,11 +418,19 @@ impl BTree {
         hi: u64,
         visit: impl FnMut(u64, u64),
     ) -> FlashResult<(u64, SimInstant)> {
-        self.range_with_readahead(pool, backend, &mut ScanPrefetcher::disabled(), now, lo, hi, visit)
+        self.range_with_readahead(
+            pool,
+            backend,
+            &mut ScanPrefetcher::disabled(),
+            now,
+            lo,
+            hi,
+            visit,
+        )
     }
 
     /// [`BTree::range`] with streaming readahead: when the last internal
-    /// level is decoded during the descent, the child run covering
+    /// level is read during the descent, the child run covering
     /// `[lo, hi]` — exactly the leaf chain the walk below visits — is fed to
     /// `ra` and prefetched ahead of consumption.  Past the fed run (a range
     /// spanning several last-level parents) each leaf's `next` pointer is
@@ -442,30 +450,20 @@ impl BTree {
         hi: u64,
         mut visit: impl FnMut(u64, u64),
     ) -> FlashResult<(u64, SimInstant)> {
-        let mut t = now;
         // Descend to the leaf containing `lo`, remembering the child run of
         // the node we are descending *from*: when the descent bottoms out,
         // that run is the leaf chain covering the range.
-        let mut page = self.root;
         let mut covering_run: Vec<PageId> = Vec::new();
-        loop {
-            let (node, t2) = self.read_node(pool, backend, t, page)?;
-            t = t2;
-            match node {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= lo);
-                    if ra.is_enabled() {
-                        // An inverted range (lo > hi) puts hi's child before
-                        // lo's; clamp so the run is never back-to-front (the
-                        // walk below then terminates on its first key).
-                        let hi_idx = keys.partition_point(|&k| k <= hi).max(idx);
-                        covering_run = children[idx..=hi_idx].to_vec();
-                    }
-                    page = children[idx];
-                }
-                Node::Leaf { .. } => break,
+        let remember_run = |node: &Node<&[u8]>, idx: usize| {
+            if ra.is_enabled() {
+                // An inverted range (lo > hi) puts hi's child before lo's;
+                // clamp so the run is never back-to-front (the walk below
+                // then terminates on its first key).
+                let hi_idx = node.child_index(hi).max(idx);
+                covering_run = (idx..=hi_idx).map(|i| node.val(i)).collect();
             }
-        }
+        };
+        let (page, (), mut t) = self.descend(pool, backend, now, lo, remember_run, |_| ())?;
         if covering_run.len() > 1 {
             // The first entry is the leaf the descent just read (resident);
             // feeding the full run keeps the consume cursor aligned.
@@ -476,27 +474,27 @@ impl BTree {
         let mut current = Some(page);
         while let Some(p) = current {
             t = ra.on_access(pool, backend, t, p)?;
-            let (node, t2) = self.read_node(pool, backend, t, p)?;
-            t = t2;
-            let Node::Leaf { keys, values, next } = node else {
-                break;
-            };
-            // Keep the sibling window warm beyond the fed covering run.
-            if let Some(sibling) = next {
-                if !ra.planned(sibling) {
+            (current, t) = pool.with_page(backend, t, p, |bytes| {
+                let node = Node { bytes };
+                if !node.is_leaf() {
+                    return None;
+                }
+                // Keep the sibling window warm beyond the fed covering run.
+                if let Some(sibling) = node.next().filter(|&s| !ra.planned(s)) {
                     ra.feed(&[sibling]);
                 }
-            }
-            for (k, v) in keys.iter().zip(values.iter()) {
-                if *k > hi {
-                    return Ok((visited, t));
+                for i in 0..node.count() {
+                    let k = node.key(i);
+                    if k > hi {
+                        return None;
+                    }
+                    if k >= lo {
+                        visit(k, node.val(i));
+                        visited += 1;
+                    }
                 }
-                if *k >= lo {
-                    visit(*k, *v);
-                    visited += 1;
-                }
-            }
-            current = next;
+                node.next()
+            })?;
         }
         Ok((visited, t))
     }
@@ -522,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn node_encode_decode_roundtrip() {
-        let leaf = Node::Leaf {
-            keys: vec![1, 5, 9],
-            values: vec![10, 50, 90],
-            next: Some(77),
-        };
-        assert_eq!(Node::decode(&leaf.encode(4096)), leaf);
-        let internal = Node::Internal {
-            keys: vec![100, 200],
-            children: vec![1, 2, 3],
-        };
-        assert_eq!(Node::decode(&internal.encode(4096)), internal);
-        let leaf_no_next = Node::Leaf {
-            keys: vec![],
-            values: vec![],
-            next: None,
-        };
-        assert_eq!(Node::decode(&leaf_no_next.encode(4096)), leaf_no_next);
-    }
-
-    #[test]
     fn insert_get_small() {
         let mut c = setup();
         let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
@@ -564,7 +541,8 @@ mod tests {
     fn insert_overwrites_existing_key() {
         let mut c = setup();
         let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
-        tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, 42, 1).unwrap();
+        tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, 42, 1)
+            .unwrap();
         let (old, _) = tree
             .insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, 42, 2)
             .unwrap();
@@ -625,7 +603,8 @@ mod tests {
         let mut c = setup();
         let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
         for k in 0..2000u64 {
-            tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k).unwrap();
+            tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k)
+                .unwrap();
         }
         let (count, _) = tree
             .range(&mut c.pool, &mut c.backend, 0, 1500, 100, |_, _| {
@@ -636,9 +615,15 @@ mod tests {
         let mut ra = crate::readahead::ScanPrefetcher::new(64, 8);
         assert!(ra.is_enabled());
         let (count, _) = tree
-            .range_with_readahead(&mut c.pool, &mut c.backend, &mut ra, 0, 1500, 100, |_, _| {
-                panic!("inverted range must visit nothing")
-            })
+            .range_with_readahead(
+                &mut c.pool,
+                &mut c.backend,
+                &mut ra,
+                0,
+                1500,
+                100,
+                |_, _| panic!("inverted range must visit nothing"),
+            )
             .unwrap();
         assert_eq!(count, 0);
     }
@@ -648,7 +633,8 @@ mod tests {
         let mut c = setup();
         let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
         for k in 0..500u64 {
-            tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k).unwrap();
+            tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k)
+                .unwrap();
         }
         for k in (0..500u64).step_by(2) {
             let (v, _) = tree.remove(&mut c.pool, &mut c.backend, 0, k).unwrap();
@@ -679,6 +665,110 @@ mod tests {
             let (v, _) = tree.get(&mut c.pool, &mut c.backend, 0, k).unwrap();
             assert_eq!(v, Some(k * 7));
         }
-        assert!(c.pool.stats().evictions > 0, "pressure should cause evictions");
+        assert!(
+            c.pool.stats().evictions > 0,
+            "pressure should cause evictions"
+        );
+    }
+    #[test]
+    fn every_key_count_across_leaf_and_internal_splits_matches_btreemap() {
+        // 256-byte pages hold 13 keys a node, so a few hundred keys take the
+        // tree through `max_keys` → `max_keys + 1` at a leaf (first root
+        // change) and at an internal root (second root change).  The whole
+        // tree is compared with the model after every single insert and
+        // remove, in three insertion orders.
+        let orders: [fn(u64) -> u64; 3] = [|i| i, |i| 399 - i, |i| (i * 149) % 400];
+        for order in orders {
+            let mut c = Ctx {
+                pool: ShardedBufferPool::new(1, 64, 256),
+                backend: MemBackend::new(256, 4096),
+                fsm: FreeSpaceManager::new(0, 4000),
+            };
+            let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
+            assert_eq!(tree.max_keys, 13);
+            let mut model = std::collections::BTreeMap::new();
+            let check =
+                |tree: &BTree, c: &mut Ctx, model: &std::collections::BTreeMap<u64, u64>| {
+                    let mut scanned = Vec::new();
+                    tree.range(&mut c.pool, &mut c.backend, 0, 0, u64::MAX, |k, v| {
+                        scanned.push((k, v))
+                    })
+                    .unwrap();
+                    assert!(scanned
+                        .iter()
+                        .copied()
+                        .eq(model.iter().map(|(&k, &v)| (k, v))));
+                    assert_eq!(tree.len() as usize, model.len());
+                };
+            let mut root_changes = Vec::new();
+            for i in 0..400 {
+                let (k, root) = (order(i), tree.root());
+                let old = tree
+                    .insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k * 3)
+                    .unwrap()
+                    .0;
+                assert_eq!(old, model.insert(k, k * 3));
+                if tree.root() != root {
+                    root_changes.push(model.len());
+                }
+                check(&tree, &mut c, &model);
+            }
+            assert_eq!(
+                root_changes[0], 14,
+                "the root leaf splits on key max_keys + 1"
+            );
+            assert!(
+                root_changes.len() >= 2,
+                "an internal root must have split too"
+            );
+            for i in 0..400 {
+                let k = order((i * 7) % 400);
+                assert_eq!(
+                    tree.remove(&mut c.pool, &mut c.backend, 0, k).unwrap().0,
+                    model.remove(&k)
+                );
+                assert_eq!(tree.get(&mut c.pool, &mut c.backend, 0, k).unwrap().0, None);
+                check(&tree, &mut c, &model);
+            }
+            assert!(tree.is_empty());
+        }
+    }
+
+    #[test]
+    fn pool_access_sequence_is_pinned() {
+        // The in-place node views must touch the pool exactly as the owned
+        // decode → modify → encode nodes did (read pass, then write pass; a
+        // split reads the node, creates the right page, then rewrites the
+        // node): a fixed script on an 8-frame pool, counters recorded at the
+        // commit before the views landed.
+        let mut c = Ctx {
+            pool: ShardedBufferPool::new(1, 8, 4096),
+            backend: MemBackend::new(4096, 4096),
+            fsm: FreeSpaceManager::new(0, 4000),
+        };
+        let (mut tree, _) = BTree::create(&mut c.pool, &mut c.backend, &mut c.fsm, 0).unwrap();
+        let mut rng = sim_utils::rng::SimRng::new(22);
+        for _ in 0..3000 {
+            let k = rng.range(0, 5000);
+            tree.insert(&mut c.pool, &mut c.backend, &mut c.fsm, 0, k, k + 1)
+                .unwrap();
+        }
+        for _ in 0..500 {
+            tree.remove(&mut c.pool, &mut c.backend, 0, rng.range(0, 5000))
+                .unwrap();
+        }
+        let mut visited = 0;
+        for _ in 0..200 {
+            let lo = rng.range(0, 5000);
+            let (n, _) = tree
+                .range(&mut c.pool, &mut c.backend, 0, lo, lo + 300, |_, _| {})
+                .unwrap();
+            visited += n;
+        }
+        let s = c.pool.stats();
+        assert_eq!(
+            (tree.len(), visited, s.hits, s.misses, s.evictions),
+            (2065, 24032, 9851, 901, 893)
+        );
     }
 }

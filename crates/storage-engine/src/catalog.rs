@@ -74,13 +74,6 @@ impl Catalog {
         names.sort();
         names
     }
-
-    /// Names of all indexes.
-    pub fn index_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.indexes.keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]

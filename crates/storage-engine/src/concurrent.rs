@@ -65,7 +65,7 @@ const _: () = {
 /// Construct once, then mint one [`ClientSession`] per client with
 /// [`ConcurrentEngine::session`].  With 1 shard this is exactly
 /// `StorageEngine::new` behind the lock — device traces, WAL contents and
-/// virtual timings are identical (the `NOFTL_THREADS=1` equivalence leg).
+/// virtual timings are identical (the single-client equivalence leg).
 pub struct ConcurrentEngine {
     /// The engine lock: the only lock in this crate.  Never held across two
     /// operations, never re-acquired while held.
@@ -74,7 +74,7 @@ pub struct ConcurrentEngine {
 
 impl ConcurrentEngine {
     /// Create an engine over `backend` with `shards` buffer-pool shards
-    /// (typically the `NOFTL_THREADS` client count).
+    /// (typically the client count).
     pub fn new(
         backend: Box<dyn StorageBackend + Send>,
         config: EngineConfig,
@@ -222,146 +222,12 @@ impl ClientSession {
 }
 
 impl EngineOps for ClientSession {
-    fn begin(&mut self) -> TxnId {
-        self.engine.inner.lock().begin()
-    }
-
-    fn begin_admitted(&mut self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)> {
-        self.engine.inner.lock().begin_admitted(now)
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        self.engine.admission_stats()
-    }
+    crate::ops::forward_engine_ops!(self => self.engine.inner.lock());
 
     fn commit(&mut self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
         let t = self.engine.inner.lock().commit(txn, now)?;
         self.commits.push((txn, t));
         Ok(t)
-    }
-
-    fn abort(&mut self, txn: TxnId) {
-        self.engine.inner.lock().abort(txn)
-    }
-
-    fn create_table(&mut self, name: &str) -> bool {
-        self.engine.inner.lock().create_table(name)
-    }
-
-    fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool> {
-        self.engine.inner.lock().create_index(name, now)
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        self.engine.inner.lock().insert(table, txn, now, record)
-    }
-
-    fn read(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        self.engine.inner.lock().read(table, now, rid)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        self.engine
-            .inner
-            .lock()
-            .update(table, txn, now, rid, record)
-    }
-
-    fn delete(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(bool, SimInstant)> {
-        self.engine.inner.lock().delete(table, txn, now, rid)
-    }
-
-    fn scan(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        visit: &mut dyn FnMut(Rid, &[u8]),
-    ) -> FlashResult<(u64, SimInstant)> {
-        self.engine.inner.lock().scan(table, now, visit)
-    }
-
-    fn index_insert(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-        value: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.engine
-            .inner
-            .lock()
-            .index_insert(index, now, key, value)
-    }
-
-    fn index_get(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        self.engine.inner.lock().index_get(index, now, key)
-    }
-
-    fn index_range(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        lo: u64,
-        hi: u64,
-        visit: &mut dyn FnMut(u64, u64),
-    ) -> FlashResult<(u64, SimInstant)> {
-        self.engine
-            .inner
-            .lock()
-            .index_range(index, now, lo, hi, visit)
-    }
-
-    fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.engine.inner.lock().maybe_flush(now)
-    }
-
-    fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        self.engine.inner.lock().checkpoint(now)
-    }
-
-    fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        self.engine.inner.lock().quiesce(now)
-    }
-
-    fn backend_name(&self) -> String {
-        self.engine.inner.lock().backend_name()
-    }
-
-    fn committed(&self) -> u64 {
-        self.engine.committed()
-    }
-
-    fn dirty_fraction(&self) -> f64 {
-        self.engine.inner.lock().dirty_fraction()
     }
 }
 

@@ -267,11 +267,6 @@ impl StorageEngine {
         ScanPrefetcher::new(self.readahead_window, self.pool.async_depth())
     }
 
-    /// Set the readahead window cap (pages; 0 disables readahead).
-    pub fn set_readahead_window(&mut self, window: usize) {
-        self.readahead_window = window;
-    }
-
     /// Page size of the underlying backend.
     pub fn page_size(&self) -> usize {
         self.backend.page_size()
@@ -715,7 +710,7 @@ impl StorageEngine {
         self.pool.discard(page);
         let c = self
             .backend
-            .write_page(now, page, &rebuilt.to_bytes())
+            .write_page(now, page, rebuilt.as_bytes())
             .map_err(EngineError::Flash)?;
         self.rescued_pages += 1;
         Ok(c.completed_at)

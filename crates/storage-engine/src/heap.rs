@@ -85,35 +85,26 @@ impl HeapFile {
         // Try the cached page first, then allocate a fresh one.
         if let Some(page_id) = self.last_with_space {
             let (slot, t2) = pool.with_page_mut(backend, t, page_id, |bytes| {
-                let mut page = SlottedPage::from_bytes(bytes);
-                let slot = page.insert(record);
-                if slot.is_some() {
-                    bytes.copy_from_slice(&page.to_bytes());
-                }
-                slot
+                SlottedPage::from_bytes(bytes).insert(record)
             })?;
             t = t2;
             if let Some(slot) = slot {
-                let rid = Rid { page: page_id, slot };
-                let lsn = wal.append(LogRecord::Update {
+                wal.append(LogRecord::Update {
                     txn,
                     page: page_id,
                     slot,
                     bytes: record.to_vec(),
                 });
-                let _ = lsn;
                 self.records += 1;
-                return Ok((rid, t));
+                return Ok((Rid { page: page_id, slot }, t));
             }
         }
         // Allocate and format a new page.
         let page_id = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-        let page_size = pool.page_size();
         let (slot, t2) = pool.new_page(backend, t, page_id, |bytes| {
-            let mut page = SlottedPage::new(page_id, page_size);
-            let slot = page.insert(record).expect("fresh page must fit one record");
-            bytes.copy_from_slice(&page.to_bytes());
-            slot
+            SlottedPage::format(bytes, page_id)
+                .insert(record)
+                .expect("fresh page must fit one record")
         })?;
         t = t2;
         self.pages.push(page_id);
@@ -137,8 +128,9 @@ impl HeapFile {
         rid: Rid,
     ) -> FlashResult<(Option<Vec<u8>>, SimInstant)> {
         pool.with_page(backend, now, rid.page, |bytes| {
-            let page = SlottedPage::from_bytes(bytes);
-            page.get(rid.slot).map(|r| r.to_vec())
+            SlottedPage::from_bytes(bytes)
+                .get(rid.slot)
+                .map(|r| r.to_vec())
         })
     }
 
@@ -157,12 +149,7 @@ impl HeapFile {
         record: &[u8],
     ) -> FlashResult<(Rid, SimInstant)> {
         let (updated, mut t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
-            let mut page = SlottedPage::from_bytes(bytes);
-            let new_slot = page.update(rid.slot, record);
-            if new_slot.is_some() {
-                bytes.copy_from_slice(&page.to_bytes());
-            }
-            new_slot
+            SlottedPage::from_bytes(bytes).update(rid.slot, record)
         })?;
         if let Some(slot) = updated {
             if slot != rid.slot {
@@ -187,39 +174,10 @@ impl HeapFile {
             return Ok((Rid { page: rid.page, slot }, t));
         }
         // Did not fit on its page: move the record.
-        let (_, t2) = self.delete_inner(pool, backend, wal, txn, t, rid)?;
+        let (_, t2) = self.delete(pool, backend, wal, txn, t, rid)?;
         t = t2;
         let (new_rid, t3) = self.insert(pool, backend, fsm, wal, txn, t, record)?;
         Ok((new_rid, t3))
-    }
-
-    fn delete_inner(
-        &mut self,
-        pool: &mut ShardedBufferPool,
-        backend: &mut dyn StorageBackend,
-        wal: &mut WalManager,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> FlashResult<(bool, SimInstant)> {
-        let (deleted, t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
-            let mut page = SlottedPage::from_bytes(bytes);
-            let ok = page.delete(rid.slot);
-            if ok {
-                bytes.copy_from_slice(&page.to_bytes());
-            }
-            ok
-        })?;
-        if deleted {
-            wal.append(LogRecord::Update {
-                txn,
-                page: rid.page,
-                slot: rid.slot,
-                bytes: Vec::new(),
-            });
-            self.records = self.records.saturating_sub(1);
-        }
-        Ok((deleted, t))
     }
 
     /// Delete the record at `rid`.
@@ -232,7 +190,19 @@ impl HeapFile {
         now: SimInstant,
         rid: Rid,
     ) -> FlashResult<(bool, SimInstant)> {
-        self.delete_inner(pool, backend, wal, txn, now, rid)
+        let (deleted, t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
+            SlottedPage::from_bytes(bytes).delete(rid.slot)
+        })?;
+        if deleted {
+            wal.append(LogRecord::Update {
+                txn,
+                page: rid.page,
+                slot: rid.slot,
+                bytes: Vec::new(),
+            });
+            self.records = self.records.saturating_sub(1);
+        }
+        Ok((deleted, t))
     }
 
     /// Full scan: visit every live record.  Returns the number of records
@@ -267,9 +237,8 @@ impl HeapFile {
         for &page_id in &self.pages {
             t = ra.on_access(pool, backend, t, page_id)?;
             let (count, t2) = pool.with_page(backend, t, page_id, |bytes| {
-                let page = SlottedPage::from_bytes(bytes);
                 let mut n = 0;
-                for (slot, record) in page.iter() {
+                for (slot, record) in SlottedPage::from_bytes(bytes).iter() {
                     visit(Rid { page: page_id, slot }, record);
                     n += 1;
                 }

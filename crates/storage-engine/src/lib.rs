@@ -18,6 +18,18 @@
 //! (die-wise)* assignment (§3.2), which is what the Figure 4 experiment
 //! varies.
 //!
+//! ## One representation of a page
+//!
+//! A page exists once: as the bytes of the buffer-pool frame that pins it.
+//! [`page::SlottedPage`] and the B+-tree's node are views over those bytes —
+//! `&[u8]` inside `with_page`, `&mut [u8]` inside `with_page_mut` /
+//! `new_page` — that read and write them in place (slot directory from the
+//! front and payload from the back; keys after the node header and values /
+//! children at a fixed second offset).  There is no owned page object to
+//! decode into or encode from; the only owned copies are the rare ones the
+//! algorithms need (the image of a node about to split, a compaction's
+//! scratch, the page the engine rebuilds from the WAL).
+//!
 //! ## The batched multi-page write path
 //!
 //! [`backend::StorageBackend::write_pages`] submits a whole run of pages as
@@ -148,8 +160,8 @@
 //! [`concurrent::ClientSession`] handles that lock it for exactly one
 //! operation, forward, and unlock (each also recording its own commit
 //! stream); `workloads::MultiClientDriver` drives them, laggard-stepped on
-//! one thread or on OS threads.  `NOFTL_THREADS` is only the client count the
-//! `client_scaling` bench sweeps up to; it selects no code path.
+//! one thread or on OS threads.  The client count is an argument of the
+//! driver (`client_scaling [MAX_CLIENTS]`); it selects no code path.
 //!
 //! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the engine's
 //!   pool is `shards` plain [`buffer::BufferPool`]s routed by `page_id %

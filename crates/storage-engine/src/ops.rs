@@ -142,135 +142,54 @@ pub trait EngineOps {
     fn dirty_fraction(&self) -> f64;
 }
 
+/// The one forwarding list: every [`EngineOps`] method except `commit`,
+/// forwarded to the [`StorageEngine`] method of the same name.  `$engine` is
+/// an expression over `$self` that derefs to the engine — `self` for the
+/// engine itself, the locked guard for a session.
+macro_rules! forward_engine_ops {
+    ($self:ident => $engine:expr;
+        $(fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*
+        shared: $(fn $shared:ident(&self) -> $shared_ret:ty;)*
+    ) => {
+        $(fn $name(&mut $self $(, $arg: $ty)*) $(-> $ret)? {
+            StorageEngine::$name(&mut *$engine $(, $arg)*)
+        })*
+        $(fn $shared(&$self) -> $shared_ret {
+            StorageEngine::$shared(&*$engine)
+        })*
+    };
+    ($self:ident => $engine:expr) => {
+        $crate::ops::forward_engine_ops! { $self => $engine;
+            fn begin(&mut self) -> TxnId;
+            fn begin_admitted(&mut self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)>;
+            fn abort(&mut self, txn: TxnId);
+            fn create_table(&mut self, name: &str) -> bool;
+            fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool>;
+            fn insert(&mut self, table: &str, txn: TxnId, now: SimInstant, record: &[u8]) -> EngineResult<(Rid, SimInstant)>;
+            fn read(&mut self, table: &str, now: SimInstant, rid: Rid) -> EngineResult<(Option<Vec<u8>>, SimInstant)>;
+            fn update(&mut self, table: &str, txn: TxnId, now: SimInstant, rid: Rid, record: &[u8]) -> EngineResult<(Rid, SimInstant)>;
+            fn delete(&mut self, table: &str, txn: TxnId, now: SimInstant, rid: Rid) -> EngineResult<(bool, SimInstant)>;
+            fn scan(&mut self, table: &str, now: SimInstant, visit: &mut dyn FnMut(Rid, &[u8])) -> FlashResult<(u64, SimInstant)>;
+            fn index_insert(&mut self, index: &str, now: SimInstant, key: u64, value: u64) -> FlashResult<(Option<u64>, SimInstant)>;
+            fn index_get(&mut self, index: &str, now: SimInstant, key: u64) -> FlashResult<(Option<u64>, SimInstant)>;
+            fn index_range(&mut self, index: &str, now: SimInstant, lo: u64, hi: u64, visit: &mut dyn FnMut(u64, u64)) -> FlashResult<(u64, SimInstant)>;
+            fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant>;
+            fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant>;
+            fn quiesce(&mut self, now: SimInstant) -> SimInstant;
+            shared:
+            fn admission_stats(&self) -> AdmissionStats;
+            fn backend_name(&self) -> String;
+            fn committed(&self) -> u64;
+            fn dirty_fraction(&self) -> f64;
+        }
+    };
+}
+pub(crate) use forward_engine_ops;
+
 impl EngineOps for StorageEngine {
-    fn begin(&mut self) -> TxnId {
-        StorageEngine::begin(self)
-    }
-
-    fn begin_admitted(&mut self, now: SimInstant) -> EngineResult<(TxnId, SimInstant)> {
-        StorageEngine::begin_admitted(self, now)
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        StorageEngine::admission_stats(self)
-    }
+    forward_engine_ops!(self => self);
 
     fn commit(&mut self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
         StorageEngine::commit(self, txn, now)
-    }
-
-    fn abort(&mut self, txn: TxnId) {
-        StorageEngine::abort(self, txn)
-    }
-
-    fn create_table(&mut self, name: &str) -> bool {
-        StorageEngine::create_table(self, name)
-    }
-
-    fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool> {
-        StorageEngine::create_index(self, name, now)
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        StorageEngine::insert(self, table, txn, now, record)
-    }
-
-    fn read(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        StorageEngine::read(self, table, now, rid)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-        record: &[u8],
-    ) -> EngineResult<(Rid, SimInstant)> {
-        StorageEngine::update(self, table, txn, now, rid, record)
-    }
-
-    fn delete(
-        &mut self,
-        table: &str,
-        txn: TxnId,
-        now: SimInstant,
-        rid: Rid,
-    ) -> EngineResult<(bool, SimInstant)> {
-        StorageEngine::delete(self, table, txn, now, rid)
-    }
-
-    fn scan(
-        &mut self,
-        table: &str,
-        now: SimInstant,
-        visit: &mut dyn FnMut(Rid, &[u8]),
-    ) -> FlashResult<(u64, SimInstant)> {
-        StorageEngine::scan(self, table, now, visit)
-    }
-
-    fn index_insert(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-        value: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        StorageEngine::index_insert(self, index, now, key, value)
-    }
-
-    fn index_get(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        key: u64,
-    ) -> FlashResult<(Option<u64>, SimInstant)> {
-        StorageEngine::index_get(self, index, now, key)
-    }
-
-    fn index_range(
-        &mut self,
-        index: &str,
-        now: SimInstant,
-        lo: u64,
-        hi: u64,
-        visit: &mut dyn FnMut(u64, u64),
-    ) -> FlashResult<(u64, SimInstant)> {
-        StorageEngine::index_range(self, index, now, lo, hi, visit)
-    }
-
-    fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        StorageEngine::maybe_flush(self, now)
-    }
-
-    fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        StorageEngine::checkpoint(self, now)
-    }
-
-    fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        StorageEngine::quiesce(self, now)
-    }
-
-    fn backend_name(&self) -> String {
-        StorageEngine::backend_name(self)
-    }
-
-    fn committed(&self) -> u64 {
-        StorageEngine::committed(self)
-    }
-
-    fn dirty_fraction(&self) -> f64 {
-        StorageEngine::dirty_fraction(self)
     }
 }

@@ -1,11 +1,25 @@
 //! Slotted database pages.
 //!
-//! A [`SlottedPage`] is the classic layout: a header, a slot directory
-//! growing from the front and record payloads growing from the back.  Pages
-//! serialize to exactly the backend's page size so they can be written to
-//! Flash pages one-to-one.
+//! A [`SlottedPage`] is the classic layout — a header, a slot directory
+//! growing from the front and record payloads growing from the back — and it
+//! is the page's only representation: `SlottedPage<B>` is a view over the
+//! page's own bytes (`B` is the pinned buffer-pool frame, `&[u8]` to read and
+//! `&mut [u8]` to modify, or an owned `Vec<u8>`), and every accessor and
+//! mutator works on those bytes in place.  The bytes are exactly the
+//! backend's page size, so they are written to Flash pages one-to-one.
+//!
+//! ```text
+//! 0        8        16       20         24      32
+//! | page id| reserved| slots  | payload  | magic | directory →   … free …   ← payload |
+//! ```
+//!
+//! A directory entry is `(offset: u16, length: u16)`; the offset is absolute
+//! within the page, `0xFFFF` marks a tombstone.  `payload` counts the bytes
+//! taken at the back of the page, dead records included, until
+//! [`SlottedPage::compact`] squeezes them out.  All-zero bytes read as an
+//! empty page.
 
-use bytes::{Buf, BufMut};
+use std::ops::{Deref, DerefMut};
 
 /// Identifier of a database page (equals the logical page number on the
 /// storage backend).
@@ -17,71 +31,125 @@ const HEADER_SIZE: usize = 32;
 const SLOT_SIZE: usize = 4;
 /// Sentinel offset meaning "slot deleted".
 const DELETED: u16 = u16::MAX;
+/// Header offsets of the slot count and the payload byte count (both `u32`).
+const SLOTS_AT: usize = 16;
+const PAYLOAD_AT: usize = 20;
+/// Format marker written at byte 24.
+const MAGIC: u64 = 0xD0D0_CAFE_F00D_BABE;
 
-/// A slotted page holding variable-length records.
+/// A slotted page holding variable-length records, viewed over its bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlottedPage {
-    page_id: PageId,
-    /// Log sequence number of the last update (for WAL consistency checks).
-    lsn: u64,
-    page_size: usize,
-    /// Slot directory: (offset, length); offset == DELETED for free slots.
-    slots: Vec<(u16, u16)>,
-    /// Record payload area (packed at the logical "end" of the page).
-    payload: Vec<u8>,
+pub struct SlottedPage<B> {
+    bytes: B,
 }
 
-impl SlottedPage {
-    /// Create an empty page.
+impl SlottedPage<Vec<u8>> {
+    /// Create an empty page in an owned buffer of `page_size` bytes.
     pub fn new(page_id: PageId, page_size: usize) -> Self {
-        assert!(page_size >= HEADER_SIZE + 64, "page size too small");
-        Self {
-            page_id,
-            lsn: 0,
-            page_size,
-            slots: Vec::new(),
-            payload: Vec::new(),
-        }
+        Self::format(vec![0; page_size], page_id)
+    }
+}
+
+impl<B: Deref<Target = [u8]>> SlottedPage<B> {
+    /// View the bytes of a formatted (or all-zero) page.
+    pub fn from_bytes(bytes: B) -> Self {
+        Self { bytes }
+    }
+
+    /// The page image, exactly `page_size` bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    fn u32_at(&self, at: usize) -> usize {
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("4 bytes")) as usize
+    }
+
+    /// Directory entry `i`: `(offset, length)`, offset == DELETED if dead.
+    fn entry(&self, i: usize) -> (u16, usize) {
+        let at = HEADER_SIZE + i * SLOT_SIZE;
+        let half = |at: usize| u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]);
+        (half(at), half(at + 2) as usize)
+    }
+
+    /// `(slot, offset, length)` of every live record, in slot order.
+    fn live(&self) -> impl Iterator<Item = (u16, usize, usize)> + '_ {
+        (0..self.slot_count())
+            .map(|i| (i as u16, self.entry(i)))
+            .filter(|&(_, (off, _))| off != DELETED)
+            .map(|(slot, (off, len))| (slot, off as usize, len))
     }
 
     /// This page's identifier.
     pub fn page_id(&self) -> PageId {
-        self.page_id
-    }
-
-    /// LSN of the last update applied to this page.
-    pub fn lsn(&self) -> u64 {
-        self.lsn
-    }
-
-    /// Set the page LSN (called by the WAL when logging an update).
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.lsn = lsn;
+        u64::from_le_bytes(self.bytes[..8].try_into().expect("8 bytes"))
     }
 
     /// Number of slots (including deleted ones).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.u32_at(SLOTS_AT)
     }
 
     /// Number of live records.
     pub fn record_count(&self) -> usize {
-        self.slots.iter().filter(|(off, _)| *off != DELETED).count()
+        self.live().count()
     }
 
-    /// Bytes of payload + directory currently used.
+    /// Bytes of header + directory + payload currently used (dead records
+    /// count until the page is compacted).
     pub fn used_space(&self) -> usize {
-        HEADER_SIZE + self.slots.len() * SLOT_SIZE + self.payload.len()
+        HEADER_SIZE + self.slot_count() * SLOT_SIZE + self.u32_at(PAYLOAD_AT)
     }
 
     /// Bytes available for a new record (including its slot entry).
     pub fn free_space(&self) -> usize {
-        self.page_size.saturating_sub(self.used_space())
+        self.bytes.len().saturating_sub(self.used_space())
     }
 
     /// Whether a record of `len` bytes fits.
     pub fn fits(&self, len: usize) -> bool {
         self.free_space() >= len + SLOT_SIZE
+    }
+
+    /// Read the record in `slot`, if it exists and is not deleted.
+    pub fn get(&self, slot: u16) -> Option<&[u8]> {
+        if slot as usize >= self.slot_count() {
+            return None;
+        }
+        let (off, len) = self.entry(slot as usize);
+        (off != DELETED).then(|| &self.bytes[off as usize..off as usize + len])
+    }
+
+    /// Iterate over `(slot, record)` pairs of live records.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
+        self.live()
+            .map(|(slot, off, len)| (slot, &self.bytes[off..off + len]))
+    }
+}
+
+impl<B: DerefMut<Target = [u8]>> SlottedPage<B> {
+    /// Format `bytes` as an empty page.  Slot offsets are absolute `u16`s,
+    /// so the page must end below the `0xFFFF` tombstone offset.
+    pub fn format(mut bytes: B, page_id: PageId) -> Self {
+        assert!(bytes.len() >= HEADER_SIZE + 64, "page size too small");
+        assert!(
+            bytes.len() < DELETED as usize,
+            "page size exceeds u16 slot offsets"
+        );
+        bytes.fill(0);
+        bytes[..8].copy_from_slice(&page_id.to_le_bytes());
+        bytes[24..HEADER_SIZE].copy_from_slice(&MAGIC.to_le_bytes());
+        Self { bytes }
+    }
+
+    fn set_entry(&mut self, i: usize, off: u16, len: usize) {
+        let at = HEADER_SIZE + i * SLOT_SIZE;
+        self.bytes[at..at + 2].copy_from_slice(&off.to_le_bytes());
+        self.bytes[at + 2..at + 4].copy_from_slice(&(len as u16).to_le_bytes());
+    }
+
+    fn set_u32(&mut self, at: usize, value: usize) {
+        self.bytes[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
     }
 
     /// Insert a record, returning its slot number, or `None` if it does not
@@ -90,133 +158,71 @@ impl SlottedPage {
         if record.len() > u16::MAX as usize - 1 || !self.fits(record.len()) {
             return None;
         }
-        let offset = self.payload.len() as u16;
-        self.payload.extend_from_slice(record);
-        self.slots.push((offset, record.len() as u16));
-        Some((self.slots.len() - 1) as u16)
-    }
-
-    /// Read the record in `slot`, if it exists and is not deleted.
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        let &(offset, len) = self.slots.get(slot as usize)?;
-        if offset == DELETED {
-            return None;
-        }
-        Some(&self.payload[offset as usize..offset as usize + len as usize])
+        let slot = self.slot_count();
+        let payload = self.u32_at(PAYLOAD_AT) + record.len();
+        let off = self.bytes.len() - payload;
+        self.bytes[off..off + record.len()].copy_from_slice(record);
+        self.set_entry(slot, off as u16, record.len());
+        self.set_u32(SLOTS_AT, slot + 1);
+        self.set_u32(PAYLOAD_AT, payload);
+        Some(slot as u16)
     }
 
     /// Delete the record in `slot`. Returns `true` if a live record was
     /// removed.  Space is reclaimed lazily by [`SlottedPage::compact`].
     pub fn delete(&mut self, slot: u16) -> bool {
-        match self.slots.get_mut(slot as usize) {
-            Some(entry) if entry.0 != DELETED => {
-                *entry = (DELETED, 0);
-                true
-            }
-            _ => false,
+        let live = self.get(slot).is_some();
+        if live {
+            self.set_entry(slot as usize, DELETED, 0);
         }
+        live
     }
 
     /// Update the record in `slot` in place if the new value fits in the old
-    /// space, otherwise delete + reinsert (slot number may change).
-    /// Returns the (possibly new) slot, or `None` if the page is full.
+    /// space, otherwise delete + compact + reinsert (the slot number
+    /// changes).  Returns the (possibly new) slot, or `None` — with the page
+    /// untouched — if the slot is dead or the grown record does not fit.
     pub fn update(&mut self, slot: u16, record: &[u8]) -> Option<u16> {
-        let &(offset, len) = self.slots.get(slot as usize)?;
-        if offset == DELETED {
+        let old_len = self.get(slot)?.len();
+        if record.len() <= old_len {
+            let (off, _) = self.entry(slot as usize);
+            self.bytes[off as usize..off as usize + record.len()].copy_from_slice(record);
+            self.set_entry(slot as usize, off, record.len());
+            return Some(slot);
+        }
+        // Judge the grow before mutating: what `fits` will say once this
+        // record is dead and the page compacted.
+        let live: usize = self.live().map(|(_, _, len)| len).sum();
+        let used = HEADER_SIZE + self.slot_count() * SLOT_SIZE + live - old_len;
+        if record.len() > u16::MAX as usize - 1
+            || self.bytes.len().saturating_sub(used) < record.len() + SLOT_SIZE
+        {
             return None;
         }
-        if record.len() <= len as usize {
-            let start = offset as usize;
-            self.payload[start..start + record.len()].copy_from_slice(record);
-            self.slots[slot as usize] = (offset, record.len() as u16);
-            Some(slot)
-        } else {
-            self.delete(slot);
-            self.compact();
-            self.insert(record)
-        }
+        self.delete(slot);
+        self.compact();
+        self.insert(record)
     }
 
     /// Reclaim the payload space of deleted records (slot numbers of live
     /// records are preserved; deleted slots remain as tombstones).
     pub fn compact(&mut self) {
-        let mut new_payload = Vec::with_capacity(self.payload.len());
-        for entry in &mut self.slots {
-            if entry.0 == DELETED {
+        let size = self.bytes.len();
+        let base = size - self.u32_at(PAYLOAD_AT);
+        let old = self.bytes[base..].to_vec();
+        let mut payload = 0;
+        for i in 0..self.slot_count() {
+            let (off, len) = self.entry(i);
+            if off == DELETED {
                 continue;
             }
-            let start = entry.0 as usize;
-            let end = start + entry.1 as usize;
-            let new_off = new_payload.len() as u16;
-            new_payload.extend_from_slice(&self.payload[start..end]);
-            entry.0 = new_off;
+            payload += len;
+            let from = off as usize - base;
+            self.bytes[size - payload..size - payload + len]
+                .copy_from_slice(&old[from..from + len]);
+            self.set_entry(i, (size - payload) as u16, len);
         }
-        self.payload = new_payload;
-    }
-
-    /// Iterate over `(slot, record)` pairs of live records.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(off, _))| off != DELETED)
-            .map(|(i, &(off, len))| {
-                (i as u16, &self.payload[off as usize..off as usize + len as usize])
-            })
-    }
-
-    /// Serialize the page to exactly `page_size` bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.page_size);
-        buf.put_u64_le(self.page_id);
-        buf.put_u64_le(self.lsn);
-        buf.put_u32_le(self.slots.len() as u32);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_u64_le(0xD0D0_CAFE_F00D_BABE); // magic / format version
-        debug_assert_eq!(buf.len(), HEADER_SIZE);
-        for &(off, len) in &self.slots {
-            buf.put_u16_le(off);
-            buf.put_u16_le(len);
-        }
-        buf.extend_from_slice(&self.payload);
-        assert!(buf.len() <= self.page_size, "page overflow");
-        buf.resize(self.page_size, 0);
-        buf
-    }
-
-    /// Deserialize a page from a buffer of `page_size` bytes.
-    pub fn from_bytes(data: &[u8]) -> Self {
-        let page_size = data.len();
-        let mut cursor = data;
-        let page_id = cursor.get_u64_le();
-        let lsn = cursor.get_u64_le();
-        let slot_count = cursor.get_u32_le() as usize;
-        let payload_len = cursor.get_u32_le() as usize;
-        let _magic = cursor.get_u64_le();
-        let mut slots = Vec::with_capacity(slot_count);
-        for _ in 0..slot_count {
-            let off = cursor.get_u16_le();
-            let len = cursor.get_u16_le();
-            slots.push((off, len));
-        }
-        let payload = cursor[..payload_len].to_vec();
-        Self {
-            page_id,
-            lsn,
-            page_size,
-            slots,
-            payload,
-        }
-    }
-
-    /// Whether a serialized buffer looks like a formatted slotted page
-    /// (rather than zeroes or foreign data).
-    pub fn looks_formatted(data: &[u8]) -> bool {
-        if data.len() < HEADER_SIZE {
-            return false;
-        }
-        let magic = u64::from_le_bytes(data[24..32].try_into().expect("8 bytes"));
-        magic == 0xD0D0_CAFE_F00D_BABE
+        self.set_u32(PAYLOAD_AT, payload);
     }
 }
 
@@ -241,6 +247,7 @@ mod tests {
         let s1 = p.insert(b"def").unwrap();
         assert!(p.delete(s0));
         assert!(!p.delete(s0), "double delete returns false");
+        assert!(!p.delete(9), "a slot that never existed is not deleted");
         assert!(p.get(s0).is_none());
         assert_eq!(p.get(s1).unwrap(), b"def");
         assert_eq!(p.record_count(), 1);
@@ -257,6 +264,24 @@ mod tests {
         // Grow: record is moved (possibly to a new slot).
         let s2 = p.update(s, b"a-much-longer-record").unwrap();
         assert_eq!(p.get(s2).unwrap(), b"a-much-longer-record");
+    }
+
+    #[test]
+    fn grow_is_judged_before_mutating() {
+        let mut p = SlottedPage::new(1, 256);
+        let s = p.insert(&[1u8; 100]).unwrap();
+        p.insert(&[2u8; 100]).unwrap();
+        // With slot 0 dead and compacted away 32 + 2·4 + 100 bytes are used
+        // and 116 free: a 112-byte record plus its 4-byte entry is the
+        // largest grow that fits.
+        let before = p.clone();
+        assert_eq!(p.update(s, &[3u8; 113]), None);
+        assert_eq!(p, before, "a refused grow leaves the page untouched");
+        assert_eq!(p.update(s, &[3u8; 112]), Some(2));
+        assert_eq!(p.get(2).unwrap(), &[3u8; 112]);
+        assert_eq!(p.get(1).unwrap(), &[2u8; 100]);
+        assert!(p.get(s).is_none());
+        assert_eq!(p.free_space(), 0);
     }
 
     #[test]
@@ -293,27 +318,46 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip() {
+    fn a_view_over_the_page_image_is_the_page() {
         let mut p = SlottedPage::new(99, 4096);
-        p.set_lsn(1234);
         let s0 = p.insert(b"alpha").unwrap();
         let s1 = p.insert(b"bravo").unwrap();
         p.delete(s0);
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len(), 4096);
-        assert!(SlottedPage::looks_formatted(&bytes));
-        let q = SlottedPage::from_bytes(&bytes);
+        assert_eq!(p.as_bytes().len(), 4096);
+        // What the heap does on a pinned frame: modify through a `&mut [u8]`
+        // view, read through a `&[u8]` view, no copy in between.
+        let mut frame = p.as_bytes().to_vec();
+        let s2 = SlottedPage::from_bytes(&mut frame[..])
+            .insert(b"charlie")
+            .unwrap();
+        let q = SlottedPage::from_bytes(&frame[..]);
         assert_eq!(q.page_id(), 99);
-        assert_eq!(q.lsn(), 1234);
         assert!(q.get(s0).is_none());
         assert_eq!(q.get(s1).unwrap(), b"bravo");
-        assert_eq!(q, p);
+        assert_eq!(q.get(s2).unwrap(), b"charlie");
     }
 
     #[test]
-    fn zeroed_buffer_is_not_formatted() {
+    fn zeroed_buffer_reads_as_an_empty_page() {
         let zero = vec![0u8; 4096];
-        assert!(!SlottedPage::looks_formatted(&zero));
+        let p = SlottedPage::from_bytes(&zero[..]);
+        assert_eq!(
+            (p.slot_count(), p.record_count(), p.used_space()),
+            (0, 0, HEADER_SIZE)
+        );
+        assert!(p.get(0).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "page size exceeds u16 slot offsets")]
+    fn page_too_large_for_u16_offsets_is_refused() {
+        // Regression: this used to construct, and 70 000 bytes of records
+        // later slot offsets had wrapped and `get` returned the wrong bytes.
+        let mut p = SlottedPage::new(7, 131_072);
+        for i in 0..70u8 {
+            p.insert(&[i; 1000]).unwrap();
+        }
+        assert_eq!(p.get(69).unwrap(), &[69u8; 1000]);
     }
 
     #[test]

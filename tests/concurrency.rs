@@ -678,15 +678,11 @@ fn os_thread_storm_survives_fault_injection() {
     assert_tpcb_partitions_consistent(&engine, clients, end);
 }
 
-/// High-iteration storm smoke for CI: honours `NOFTL_THREADS` for the
-/// client count (at least two — one client is no storm, and its identity to
-/// the plain engine is pinned in `tests/equivalence.rs`) and `NOFTL_FAULTS`
-/// for the fault leg, like the chaos smoke.
+/// High-iteration storm smoke for CI: 16 clients, and `NOFTL_FAULTS` for
+/// the fault leg, like the chaos smoke.
 #[test]
 fn concurrent_storm_smoke() {
-    let knobs = StackConfig::from_env();
-    let clients = knobs.threads.max(2);
-    let faults = knobs.faults.is_some();
-    storm(0xD1E5, clients, false, 8, faults);
-    storm(0xD1E5, clients, true, 8, faults);
+    let faults = StackConfig::from_env().faults.is_some();
+    storm(0xD1E5, 16, false, 8, faults);
+    storm(0xD1E5, 16, true, 8, faults);
 }

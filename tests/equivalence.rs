@@ -30,7 +30,6 @@ use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
 use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::storage_engine::backend::{
     NoFtlBackend, StackConfig, StorageBackend, DEFAULT_ASYNC_DEPTH, DEFAULT_PARITY_K,
-    DEFAULT_THREADS,
 };
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::shard::ShardedBufferPool;
@@ -57,7 +56,7 @@ fn knob_spellings_parse_to_their_documented_values() {
     let d = StackConfig::default;
     let parity = |k| StackConfig { redundancy: Some(RedundancyPolicy::Parity(k)), ..d() };
     let seeded = |seed| Some(FaultPlan::seeded(seed));
-    let table: [(&str, &[&str], StackConfig); 26] = [
+    let table: [(&str, &[&str], StackConfig); 23] = [
         ("NOFTL_BATCH", &["", "on", "TRUE", "64", "garbage"], d()),
         ("NOFTL_BATCH", &["off", "False", "0"], batch_knobs(0)),
         ("NOFTL_BATCH", &["1"], batch_knobs(1)),
@@ -71,9 +70,6 @@ fn knob_spellings_parse_to_their_documented_values() {
         ("NOFTL_READAHEAD", &["off", "False", "0"], StackConfig { readahead_window: 0, ..d() }),
         ("NOFTL_READAHEAD", &["1"], StackConfig { readahead_window: 1, ..d() }),
         ("NOFTL_READAHEAD", &[" 32 "], StackConfig { readahead_window: 32, ..d() }),
-        ("NOFTL_THREADS", &["", "off", "False", "0", "1", "garbage"], d()),
-        ("NOFTL_THREADS", &["on", "TRUE"], StackConfig { threads: DEFAULT_THREADS, ..d() }),
-        ("NOFTL_THREADS", &[" 4 "], StackConfig { threads: 4, ..d() }),
         ("NOFTL_FAULTS", &["", "off", "OFF", "false", "0", "no", "garbage"], d()),
         ("NOFTL_FAULTS", &["on", "true", "yes"], StackConfig { faults: seeded(DEFAULT_FAULT_SEED), ..d() }),
         ("NOFTL_FAULTS", &["12345", "  12345 "], StackConfig { faults: seeded(12345), ..d() }),
@@ -723,9 +719,9 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// One client over the shared engine (PR 7).  `NOFTL_THREADS` is a client
-// count read by the `client_scaling` bin and the storm smoke alone; the
-// figure pipelines never read it, so there is no figure leg to pin here.
+// One client over the shared engine (PR 7).  The client count is an argument
+// of the drivers that sweep or storm with it, not a stack knob, so there is
+// no figure leg to pin here.
 // ---------------------------------------------------------------------------
 
 /// The structural pin behind the knob: one [`ClientSession`] driving a

@@ -15,7 +15,7 @@
 //!
 //! The storm proptest sweeps seeds x arrival rates x session topologies
 //! (1 single-threaded session and 8 sessions over the sharded concurrent
-//! engine — the `NOFTL_THREADS` shapes CI pins) and asserts all three.
+//! engine — the client-count shapes CI pins) and asserts all three.
 
 use proptest::prelude::*;
 

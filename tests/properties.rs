@@ -1,6 +1,6 @@
 //! Property-based tests on the core invariants of the Flash-management
 //! layers: read-your-writes for every scheme, no lost updates across GC,
-//! B+-tree equivalence to a model, slotted-page round-trips.
+//! B+-tree and slotted-page equivalence to a model.
 
 use proptest::prelude::*;
 
@@ -82,6 +82,25 @@ fn run_steps_on_ftl(ftl: &mut dyn Ftl, steps: &[Step]) {
     });
 }
 
+/// One step of the slotted-page model test.
+#[derive(Debug, Clone)]
+enum PageOp {
+    Insert(Vec<u8>),
+    Update(usize, Vec<u8>),
+    Delete(usize),
+    Compact,
+}
+
+fn page_op_strategy() -> impl Strategy<Value = PageOp> {
+    let record = || prop::collection::vec(any::<u8>(), 0..120);
+    prop_oneof![
+        4 => record().prop_map(PageOp::Insert),
+        3 => (0usize..64, record()).prop_map(|(i, r)| PageOp::Update(i, r)),
+        2 => (0usize..64).prop_map(PageOp::Delete),
+        1 => Just(PageOp::Compact),
+    ]
+}
+
 fn tiny_geometry() -> FlashGeometry {
     FlashGeometry {
         channels: 1,
@@ -151,19 +170,85 @@ proptest! {
     }
 
     #[test]
-    fn slotted_page_roundtrips(records in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..120), 1..20)) {
-        let mut page = SlottedPage::new(7, 4096);
-        let mut stored = Vec::new();
-        for r in &records {
-            if let Some(slot) = page.insert(r) {
-                stored.push((slot, r.clone()));
+    fn slotted_page_matches_model(ops in prop::collection::vec(page_op_strategy(), 1..120)) {
+        // Model: the slot directory as `Option<record>` per slot, plus the
+        // bytes taken at the back of the page (dead records included until a
+        // compaction).  `fits` must be exactly header + directory + payload
+        // arithmetic, and a refused operation must leave the bytes untouched.
+        const SIZE: usize = 512;
+        let mut page = SlottedPage::new(7, SIZE);
+        let mut slots: Vec<Option<Vec<u8>>> = Vec::new();
+        let mut payload = 0usize;
+        let live = |slots: &[Option<Vec<u8>>]| slots.iter().flatten().map(Vec::len).sum::<usize>();
+        let room = |n: usize, payload: usize, len: usize| SIZE.saturating_sub(32 + 4 * n + payload) >= len + 4;
+        for op in ops {
+            let before = page.clone();
+            let refused = match op {
+                PageOp::Insert(r) => {
+                    let fits = room(slots.len(), payload, r.len());
+                    prop_assert_eq!(page.fits(r.len()), fits);
+                    prop_assert_eq!(page.insert(&r), fits.then_some(slots.len() as u16));
+                    if fits {
+                        payload += r.len();
+                        slots.push(Some(r));
+                    }
+                    !fits
+                }
+                PageOp::Update(i, r) => {
+                    let i = i % (slots.len() + 1);
+                    let old_len = slots.get(i).and_then(|s| s.as_ref()).map(Vec::len);
+                    let expect = match old_len {
+                        None => None,
+                        Some(old) if r.len() <= old => Some(i),
+                        // A grow is delete + compact + insert, judged up front.
+                        Some(old) => room(slots.len(), live(&slots) - old, r.len()).then_some(slots.len()),
+                    };
+                    prop_assert_eq!(page.update(i as u16, &r), expect.map(|s| s as u16));
+                    match expect {
+                        Some(s) if s == i => slots[i] = Some(r),
+                        Some(_) => {
+                            slots[i] = None;
+                            payload = live(&slots) + r.len();
+                            slots.push(Some(r));
+                        }
+                        None => {}
+                    }
+                    expect.is_none()
+                }
+                PageOp::Delete(i) => {
+                    let i = i % (slots.len() + 1);
+                    let was_live = slots.get(i).is_some_and(|s| s.is_some());
+                    prop_assert_eq!(page.delete(i as u16), was_live);
+                    if was_live {
+                        slots[i] = None;
+                    }
+                    !was_live
+                }
+                PageOp::Compact => {
+                    page.compact();
+                    payload = live(&slots);
+                    false
+                }
+            };
+            prop_assert!(!refused || page == before, "a refused operation changed the page");
+            prop_assert_eq!(page.slot_count(), slots.len());
+            prop_assert_eq!(page.used_space(), 32 + 4 * slots.len() + payload);
+            prop_assert_eq!(page.record_count(), slots.iter().flatten().count());
+            for (i, expected) in slots.iter().enumerate() {
+                prop_assert_eq!(page.get(i as u16), expected.as_deref());
             }
+            prop_assert!(page.get(slots.len() as u16).is_none());
+            let listed: Vec<(u16, &[u8])> = page.iter().collect();
+            let expected: Vec<(u16, &[u8])> = slots.iter().enumerate()
+                .filter_map(|(i, s)| s.as_deref().map(|r| (i as u16, r))).collect();
+            prop_assert_eq!(listed, expected);
         }
-        let bytes = page.to_bytes();
-        prop_assert_eq!(bytes.len(), 4096);
-        let decoded = SlottedPage::from_bytes(&bytes);
-        for (slot, expected) in &stored {
-            prop_assert_eq!(decoded.get(*slot).unwrap(), expected.as_slice());
+        // The image is the page: a view over a copy of the bytes reads the same.
+        let frame = page.as_bytes().to_vec();
+        prop_assert_eq!(frame.len(), SIZE);
+        let view = SlottedPage::from_bytes(&frame[..]);
+        for (i, expected) in slots.iter().enumerate() {
+            prop_assert_eq!(view.get(i as u16), expected.as_deref());
         }
     }
 
