@@ -81,7 +81,7 @@ fn bench_buffer(c: &mut Criterion) {
                 pool.with_page(&mut backend, 0, p, |_| ()).unwrap();
             }
         }
-        b.iter(|| black_box(pool.dirty_pages().len()))
+        b.iter(|| black_box(pool.dirty_pages().count()))
     });
 
     // Repeated new_page on resident pages (fresh-page allocation reuse).
@@ -98,8 +98,8 @@ fn bench_buffer(c: &mut Criterion) {
 
     c.bench_function("flusher/partition_die_wise_vs_global", |b| {
         let backend = MemBackend::new(4096, 65536);
-        let dirty: Vec<u64> = (0..4096).collect();
-        let die_wise = FlusherPool::new(FlusherConfig {
+        let mut dirty: Vec<u64> = (0..4096).collect();
+        let mut die_wise = FlusherPool::new(FlusherConfig {
             writers: 8,
             assignment: FlusherAssignment::DieWise,
             dirty_high_watermark: 0.5,
@@ -108,11 +108,11 @@ fn bench_buffer(c: &mut Criterion) {
             batch_global: false,
             async_depth: 1,
         });
-        let global = FlusherPool::new(FlusherConfig::global(8));
+        let mut global = FlusherPool::new(FlusherConfig::global(8));
         b.iter(|| {
-            let a = die_wise.partition(&backend, &dirty);
-            let b2 = global.partition(&backend, &dirty);
-            black_box((a.len(), b2.len()))
+            let a = die_wise.partition(&backend, &mut dirty).len();
+            let b2 = global.partition(&backend, &mut dirty).len();
+            black_box((a, b2))
         })
     });
 }

@@ -72,7 +72,13 @@ pub struct ScanPointMix {
     config: MixConfig,
     rng: SimRng,
     txn_counter: u64,
-    prefix: String,
+    /// The partition's table and index names (the prefix applied once).
+    table: String,
+    index: String,
+    /// The one row buffer every read fills and every loaded row is built in.
+    row: Vec<u8>,
+    /// Index-range results of the scan leg (reused).
+    rids: Vec<u64>,
 }
 
 impl ScanPointMix {
@@ -84,24 +90,24 @@ impl ScanPointMix {
     /// Create the mix over a `prefix`ed partition (client `i` of a shared
     /// engine uses `"c{i}_"`).
     pub fn with_prefix(config: MixConfig, prefix: impl Into<String>) -> Self {
+        let prefix = prefix.into();
         Self {
             rng: SimRng::new(config.seed),
             config,
             txn_counter: 0,
-            prefix: prefix.into(),
+            table: format!("{prefix}mix"),
+            index: format!("{prefix}mix_pk"),
+            row: Vec::new(),
+            rids: Vec::new(),
         }
-    }
-
-    fn tbl(&self, base: &str) -> String {
-        format!("{}{}", self.prefix, base)
     }
 }
 
-fn mix_row(id: u64, bytes: usize) -> Vec<u8> {
-    let mut row = vec![0u8; bytes.max(16)];
+fn mix_row(row: &mut Vec<u8>, id: u64, bytes: usize) {
+    row.clear();
+    row.resize(bytes.max(16), 0);
     row[..8].copy_from_slice(&id.to_le_bytes());
     row[8..16].copy_from_slice(&(!id).to_le_bytes());
-    row
 }
 
 impl<E: EngineOps> Workload<E> for ScanPointMix {
@@ -111,13 +117,13 @@ impl<E: EngineOps> Workload<E> for ScanPointMix {
 
     fn setup(&mut self, engine: &mut E, now: SimInstant) -> FlashResult<SimInstant> {
         let mut t = now;
-        engine.create_table(&self.tbl("mix"));
-        engine.create_index(&self.tbl("mix_pk"), t)?;
+        engine.create_table(&self.table);
+        engine.create_index(&self.index, t)?;
         let txn = engine.begin();
         for id in 0..self.config.rows {
-            let (rid, t2) =
-                engine.insert(&self.tbl("mix"), txn, t, &mix_row(id, self.config.row_bytes))?;
-            let (_, t3) = engine.index_insert(&self.tbl("mix_pk"), t2, id, rid_to_u64(rid))?;
+            mix_row(&mut self.row, id, self.config.row_bytes);
+            let (rid, t2) = engine.insert(&self.table, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&self.index, t2, id, rid_to_u64(rid))?;
             t = t3;
             if id % 256 == 0 {
                 t = engine.maybe_flush(t)?;
@@ -141,26 +147,26 @@ impl<E: EngineOps> Workload<E> for ScanPointMix {
             // matched rows.
             let span = self.config.scan_rows.min(self.config.rows);
             let lo = self.rng.range(0, (self.config.rows - span).max(1));
-            let mut rids = Vec::new();
+            let rids = &mut self.rids;
+            rids.clear();
             let (n, t2) =
-                engine.index_range(&self.tbl("mix_pk"), t, lo, lo + span - 1, &mut |_, v| {
-                    rids.push(v)
-                })?;
+                engine.index_range(&self.index, t, lo, lo + span - 1, &mut |_, v| rids.push(v))?;
             assert_eq!(n, span, "range scan lost keys");
             t = t2;
             for &packed in rids.iter().step_by((rids.len() / 4).max(1)) {
-                let (row, t2) = engine.read(&self.tbl("mix"), t, u64_to_rid(packed))?;
-                assert!(row.is_some(), "scanned row present");
+                let (found, t2) =
+                    engine.read_into(&self.table, t, u64_to_rid(packed), &mut self.row)?;
+                assert!(found, "scanned row present");
                 t = t2;
             }
         } else {
             for _ in 0..self.config.reads_per_txn {
                 let key = self.rng.range(0, self.config.rows);
-                let (rid, t2) = engine.index_get(&self.tbl("mix_pk"), t, key)?;
+                let (rid, t2) = engine.index_get(&self.index, t, key)?;
                 let rid = u64_to_rid(rid.expect("key loaded at setup"));
-                let (row, t3) = engine.read(&self.tbl("mix"), t2, rid)?;
-                let row = row.expect("row present");
-                assert_eq!(u64::from_le_bytes(row[..8].try_into().unwrap()), key);
+                let (found, t3) = engine.read_into(&self.table, t2, rid, &mut self.row)?;
+                assert!(found, "row present");
+                assert_eq!(u64::from_le_bytes(self.row[..8].try_into().unwrap()), key);
                 t = t3;
             }
         }

@@ -66,6 +66,13 @@ pub struct NoFtl {
     gc_high: usize,
     page_size: usize,
     scratch: Vec<u8>,
+    /// Working lists kept for their capacity between calls (each is taken,
+    /// filled, used and put back): the survivors of the block a GC run or an
+    /// evacuation is emptying, and a write batch's per-region page indices
+    /// and `(allocated page, batch index)` placement.
+    survivors: Vec<(Ppa, u64)>,
+    batch_by_region: Vec<Vec<usize>>,
+    batch_allocs: Vec<(Ppa, usize)>,
     /// Per-die command-queue depth of the asynchronous write path (1 = every
     /// dispatch waits for its predecessor: the synchronous semantics).
     async_depth: usize,
@@ -244,6 +251,9 @@ impl NoFtl {
             gc_high: config.gc_high_watermark.max(config.gc_low_watermark + 1),
             page_size: geometry.page_size as usize,
             scratch: vec![0u8; geometry.page_size as usize],
+            survivors: Vec::new(),
+            batch_by_region: Vec::new(),
+            batch_allocs: Vec::new(),
             async_depth: config.async_queue_depth.max(1),
             gc_batch_pages: config.gc_batch_pages,
             gc_read_heat_penalty: config.gc_read_heat_penalty,
@@ -870,99 +880,122 @@ impl NoFtl {
             check_lpn(*lpn, self.logical_pages)?;
             check_buf(data.len(), self.page_size)?;
         }
-        let regions_n = self.regions.regions();
-        let mut by_region: Vec<Vec<usize>> = vec![Vec::new(); regions_n];
+        let mut by_region = std::mem::take(&mut self.batch_by_region);
+        by_region.resize_with(self.regions.regions(), Vec::new);
+        for idxs in &mut by_region {
+            idxs.clear();
+        }
         for (i, (lpn, _)) in pages.iter().enumerate() {
             by_region[self.regions.region_of_lpn(*lpn)].push(i);
         }
+        let mut allocs = std::mem::take(&mut self.batch_allocs);
+        let end = by_region
+            .iter()
+            .enumerate()
+            .filter(|(_, idxs)| !idxs.is_empty())
+            .try_fold(now, |end, (region, idxs)| {
+                allocs.clear();
+                let t = self.write_region_run(now, pages, region, idxs, &mut allocs)?;
+                Ok(end.max(t))
+            });
+        self.batch_by_region = by_region;
+        self.batch_allocs = allocs;
+        end
+    }
+
+    /// One region's share of a [`NoFtl::write_batch`]: the entries `idxs` of
+    /// `pages`, all striping to `region`.  `allocs` is empty working space.
+    /// Returns when the region's last dispatch (and commit) completed.
+    fn write_region_run(
+        &mut self,
+        now: SimInstant,
+        pages: &[(u64, &[u8])],
+        region: RegionId,
+        idxs: &[usize],
+        allocs: &mut Vec<(Ppa, usize)>,
+    ) -> FlashResult<SimInstant> {
         let mut end = now;
-        for (region, idxs) in by_region.into_iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            // Each region is a disjoint die set: its GC (if needed) and its
-            // program dispatch run on their own timeline starting at `now`.
-            let mut t0 = now;
-            loop {
-                match self.ensure_region_space(t0, region) {
-                    Ok(end) => {
-                        t0 = end;
-                        break;
-                    }
-                    Err(e) => t0 = self.recover(t0, e)?,
+        // Each region is a disjoint die set: its GC (if needed) and its
+        // program dispatch run on their own timeline starting at `now`.
+        let mut t0 = now;
+        loop {
+            match self.ensure_region_space(t0, region) {
+                Ok(end) => {
+                    t0 = end;
+                    break;
                 }
+                Err(e) => t0 = self.recover(t0, e)?,
             }
-            let run = self.regions.allocate_run_in(region, idxs.len());
-            let mut allocs: Vec<(Ppa, usize)> = run
+        }
+        allocs.extend(
+            self.regions
+                .allocate_run_in(region, idxs.len())
+                .zip(idxs.iter().copied()),
+        );
+        // The region filled up mid-run (severely skewed placement): spill
+        // the rest to any region with space, like write_in_region does.
+        for &i in &idxs[allocs.len()..] {
+            allocs.push((self.allocate_anywhere()?, i));
+        }
+        // Dispatch maximal same-die runs (a spill may change the die, and
+        // multi-die regions round-robin dies at block boundaries).
+        let mut j = 0;
+        while j < allocs.len() {
+            let die = allocs[j].0.die_addr();
+            let mut k = j + 1;
+            while k < allocs.len() && allocs[k].0.die_addr() == die {
+                k += 1;
+            }
+            let die_run = &allocs[j..k];
+            let ops: Vec<(Ppa, &[u8], Oob)> = die_run
                 .iter()
-                .zip(idxs.iter())
-                .map(|(&ppa, &i)| (ppa, i))
+                .map(|&(ppa, i)| (ppa, pages[i].1, Oob::data(pages[i].0, 0)))
                 .collect();
-            // The region filled up mid-run (severely skewed placement): spill
-            // the rest to any region with space, like write_in_region does.
-            for &i in &idxs[allocs.len()..] {
-                allocs.push((self.allocate_anywhere()?, i));
-            }
-            // Dispatch maximal same-die runs (a spill may change the die, and
-            // multi-die regions round-robin dies at block boundaries).
-            let mut j = 0;
-            while j < allocs.len() {
-                let die = allocs[j].0.die_addr();
-                let mut k = j + 1;
-                while k < allocs.len() && allocs[k].0.die_addr() == die {
-                    k += 1;
+            // How much of the run is committed on the device and when
+            // that part finished, plus the failure (if any) to recover
+            // from before re-writing the rest.
+            let (committed, t_run, failure) = match self.dispatch_program_run(t0, t0, &ops) {
+                Ok(completion) => (die_run.len(), completion.completed_at, None),
+                Err(e @ FlashError::ProgramFailed(failed)) => {
+                    // The run aborted at `failed`; the pages before it
+                    // are committed on the device, and the aborted
+                    // dispatch charged its partial timing up to the
+                    // failing page.
+                    let fail_pos =
+                        die_run.iter().position(|&(ppa, _)| ppa == failed).unwrap_or(0);
+                    (fail_pos, t0.max(self.device.die_busy_until(die)), Some(e))
                 }
-                let die_run = &allocs[j..k];
-                let ops: Vec<(Ppa, &[u8], Oob)> = die_run
-                    .iter()
-                    .map(|&(ppa, i)| (ppa, pages[i].1, Oob::data(pages[i].0, 0)))
-                    .collect();
-                // How much of the run is committed on the device and when
-                // that part finished, plus the failure (if any) to recover
-                // from before re-writing the rest.
-                let (committed, t_run, failure) = match self.dispatch_program_run(t0, t0, &ops) {
-                    Ok(completion) => (die_run.len(), completion.completed_at, None),
-                    Err(e @ FlashError::ProgramFailed(failed)) => {
-                        // The run aborted at `failed`; the pages before it
-                        // are committed on the device, and the aborted
-                        // dispatch charged its partial timing up to the
-                        // failing page.
-                        let fail_pos =
-                            die_run.iter().position(|&(ppa, _)| ppa == failed).unwrap_or(0);
-                        (fail_pos, t0.max(self.device.die_busy_until(die)), Some(e))
-                    }
-                    // The run's die failed before any page transferred (a
-                    // dead-die submission is rejected up front).
-                    Err(e @ FlashError::DieFailed(_)) => (0, t0, Some(e)),
-                    Err(e) => return Err(e),
-                };
-                end = end.max(t_run);
-                let (done, rest) = die_run.split_at(committed);
-                for &(ppa, i) in done {
+                // The run's die failed before any page transferred (a
+                // dead-die submission is rejected up front).
+                Err(e @ FlashError::DieFailed(_)) => (0, t0, Some(e)),
+                Err(e) => return Err(e),
+            };
+            end = end.max(t_run);
+            let (done, rest) = die_run.split_at(committed);
+            for &(ppa, i) in done {
+                let (lpn, data) = pages[i];
+                end = end.max(self.commit_host_write(t_run, lpn, ppa, data)?);
+                self.stats.write_latency.record(t_run.saturating_sub(now));
+            }
+            if let Some(e) = failure {
+                // The uncommitted tail's allocations must be unwound
+                // first: leaked pages in blocks the device never touched
+                // would desynchronise the allocator from the blocks'
+                // sequential write pointers (a failing block's own pages
+                // are covered by its retirement).  Then recover — retire
+                // the failing block or mark the dead die — and re-write
+                // the tail one page at a time through the per-page path,
+                // which routes around retired blocks and dead regions.
+                self.rollback_unprogrammed(&e, rest.iter().map(|&(ppa, _)| ppa));
+                let t_rec = self.recover(t_run, e)?;
+                end = end.max(t_rec);
+                for &(_, i) in rest {
                     let (lpn, data) = pages[i];
-                    end = end.max(self.commit_host_write(t_run, lpn, ppa, data)?);
-                    self.stats.write_latency.record(t_run.saturating_sub(now));
+                    let c = self.write_in_region(t_rec, region, lpn, data)?;
+                    end = end.max(c.completed_at);
                 }
-                if let Some(e) = failure {
-                    // The uncommitted tail's allocations must be unwound
-                    // first: leaked pages in blocks the device never touched
-                    // would desynchronise the allocator from the blocks'
-                    // sequential write pointers (a failing block's own pages
-                    // are covered by its retirement).  Then recover — retire
-                    // the failing block or mark the dead die — and re-write
-                    // the tail one page at a time through the per-page path,
-                    // which routes around retired blocks and dead regions.
-                    self.rollback_unprogrammed(&e, rest.iter().map(|&(ppa, _)| ppa));
-                    let t_rec = self.recover(t_run, e)?;
-                    end = end.max(t_rec);
-                    for &(_, i) in rest {
-                        let (lpn, data) = pages[i];
-                        let c = self.write_in_region(t_rec, region, lpn, data)?;
-                        end = end.max(c.completed_at);
-                    }
-                }
-                j = k;
             }
+            j = k;
         }
         Ok(end)
     }
@@ -1949,10 +1982,12 @@ impl NoFtl {
     }
 
     /// The pages of `block` a relocation must move: still valid on the device
-    /// and still mapped.
-    fn valid_survivors(&self, block: BlockAddr) -> FlashResult<Vec<(Ppa, u64)>> {
+    /// and still mapped.  The list is the struct's reused one: put it back in
+    /// `self.survivors` when done, to keep its allocation.
+    fn valid_survivors(&mut self, block: BlockAddr) -> FlashResult<Vec<(Ppa, u64)>> {
         let g = *self.device.geometry();
-        let mut survivors: Vec<(Ppa, u64)> = Vec::new();
+        let mut survivors = std::mem::take(&mut self.survivors);
+        survivors.clear();
         for page_idx in 0..g.pages_per_block {
             let src = block.page(page_idx);
             if self.device.page_state(src)? != PageState::Valid {
@@ -1978,11 +2013,15 @@ impl NoFtl {
         let mut t = now;
         loop {
             let survivors = self.valid_survivors(block)?;
-            if survivors.is_empty() {
-                return Ok((t, 0));
-            }
-            match self.relocate_survivors(t, region, &survivors, false) {
-                Ok((end, _)) => return Ok((end, survivors.len() as u64)),
+            let relocated = if survivors.is_empty() {
+                Ok((t, false))
+            } else {
+                self.relocate_survivors(t, region, &survivors, false)
+            };
+            let moved = survivors.len() as u64;
+            self.survivors = survivors;
+            match relocated {
+                Ok((end, _)) => return Ok((end, moved)),
                 Err(FlashError::ProgramFailed(failed)) => {
                     t = self.retire_failed_block(t, failed.block_addr())?;
                 }
@@ -2116,7 +2155,9 @@ impl NoFtl {
             }
         }
         let survivors = self.valid_survivors(victim)?;
-        let (mut t, _) = self.relocate_survivors(now, region, &survivors, false)?;
+        let relocated = self.relocate_survivors(now, region, &survivors, false);
+        self.survivors = survivors;
+        let (mut t, _) = relocated?;
 
         // Erase the victim; a worn-out failure retires the block instead of
         // recycling it (but still costs the erase attempt's latency).
@@ -2137,7 +2178,9 @@ impl NoFtl {
         };
         let cold = migration.cold_block;
         let survivors = self.valid_survivors(cold)?;
-        let (mut t, moved_all) = self.relocate_survivors(now, region, &survivors, true)?;
+        let relocated = self.relocate_survivors(now, region, &survivors, true);
+        self.survivors = survivors;
+        let (mut t, moved_all) = relocated?;
         if !moved_all {
             // The region filled up mid-migration.  The moved prefix is
             // already invalidated on the cold block, so its garbage counts

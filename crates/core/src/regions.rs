@@ -326,23 +326,21 @@ impl RegionManager {
 
     /// Allocate a run of up to `count` physical pages in `region`, in the
     /// exact order [`RegionManager::allocate_page_in`] would hand them out
-    /// one by one.  Stops early when the region is exhausted, so the returned
-    /// run may be shorter than `count` (possibly empty) — the caller falls
-    /// back to per-page allocation with cross-region spill for the rest.
+    /// one by one — each page is allocated as the returned iterator yields
+    /// it.  Stops early when the region is exhausted, so the run may be
+    /// shorter than `count` (possibly empty) — the caller falls back to
+    /// per-page allocation with cross-region spill for the rest.
     ///
     /// Within a die-wise region the run is sequential inside the active
     /// block and rolls over to fresh blocks of the same die, which is what
     /// lets the batch write path hand the whole run to one multi-page
     /// program dispatch per die.
-    pub fn allocate_run_in(&mut self, region: RegionId, count: usize) -> Vec<Ppa> {
-        let mut run = Vec::with_capacity(count);
-        while run.len() < count {
-            match self.allocate_page_in(region) {
-                Some(ppa) => run.push(ppa),
-                None => break,
-            }
-        }
-        run
+    pub fn allocate_run_in(
+        &mut self,
+        region: RegionId,
+        count: usize,
+    ) -> impl Iterator<Item = Ppa> + '_ {
+        (0..count).map_while(move |_| self.allocate_page_in(region))
     }
 
     /// Roll back the un-programmed tail of an aborted multi-page dispatch.
@@ -573,13 +571,17 @@ mod tests {
         assert!(!rm.is_free(b));
     }
 
+    fn run_in(rm: &mut RegionManager, region: RegionId, count: usize) -> Vec<Ppa> {
+        rm.allocate_run_in(region, count).collect()
+    }
+
     #[test]
     fn allocate_run_matches_page_at_a_time_order() {
         let g = FlashGeometry::small();
         let mut a = RegionManager::new(g, StripingMode::DieWise);
         let mut b = RegionManager::new(g, StripingMode::DieWise);
         // A run crossing a block boundary (32 pages per block).
-        let run = a.allocate_run_in(1, 40);
+        let run = run_in(&mut a, 1, 40);
         let singles: Vec<Ppa> = (0..40).filter_map(|_| b.allocate_page_in(1)).collect();
         assert_eq!(run, singles, "batched allocation must preserve the layout");
         assert_eq!(run.len(), 40);
@@ -590,20 +592,20 @@ mod tests {
     fn allocate_run_stops_at_region_exhaustion() {
         let g = FlashGeometry::tiny(); // 64 pages total, one region
         let mut rm = RegionManager::new(g, StripingMode::DieWise);
-        let run = rm.allocate_run_in(0, 100);
+        let run = run_in(&mut rm, 0, 100);
         assert_eq!(run.len() as u64, g.total_pages());
-        assert!(rm.allocate_run_in(0, 4).is_empty());
+        assert!(run_in(&mut rm, 0, 4).is_empty());
     }
 
     #[test]
     fn rollback_unwinds_active_block_pointer() {
         let g = FlashGeometry::small(); // 32 pages per block
         let mut rm = RegionManager::new(g, StripingMode::DieWise);
-        let run = rm.allocate_run_in(0, 8);
+        let run = run_in(&mut rm, 0, 8);
         // Abort after 3 programmed pages: pages 3..8 leaked.
         rm.rollback_unprogrammed(&run[3..]);
         // The next allocations replay the leaked tail exactly.
-        let replay = rm.allocate_run_in(0, 5);
+        let replay = run_in(&mut rm, 0, 5);
         assert_eq!(replay, run[3..].to_vec());
     }
 
@@ -614,9 +616,9 @@ mod tests {
         // Position the active block near its end, then allocate a run that
         // rolls over into two fresh blocks.
         let ppb = g.pages_per_block as usize;
-        let head = rm.allocate_run_in(0, ppb - 2);
+        let head = run_in(&mut rm, 0, ppb - 2);
         let free_before = rm.free_blocks_in(0);
-        let run = rm.allocate_run_in(0, 2 + 2 * ppb);
+        let run = run_in(&mut rm, 0, 2 + 2 * ppb);
         assert_eq!(rm.free_blocks_in(0), free_before - 2);
         // The whole rolled-over tail aborts un-programmed.
         rm.rollback_unprogrammed(&run[2..]);
@@ -624,7 +626,7 @@ mod tests {
         // The committed prefix consumed the old active block, so the next
         // allocation opens a fresh block at page 0 — never a mid-block page
         // of an untouched block.
-        let replay = rm.allocate_run_in(0, 2);
+        let replay = run_in(&mut rm, 0, 2);
         assert_eq!(replay[0].page, 0, "reopened allocation starts a fresh block");
         assert_eq!(head.len(), ppb - 2);
     }
@@ -634,7 +636,7 @@ mod tests {
         let g = FlashGeometry::small();
         let mut rm = RegionManager::new(g, StripingMode::DieWise);
         let free_before = rm.free_blocks_in(0);
-        let run = rm.allocate_run_in(0, 4);
+        let run = run_in(&mut rm, 0, 4);
         assert_eq!(run[0].page, 0);
         rm.rollback_unprogrammed(&run);
         assert_eq!(rm.free_blocks_in(0), free_before);

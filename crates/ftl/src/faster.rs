@@ -86,6 +86,11 @@ pub struct FasterFtl {
     pages_per_block: u64,
     page_size: usize,
     scratch: Vec<u8>,
+    /// The second-chance survivors of the log block being reclaimed — their
+    /// LPNs and, back to back, their page images — kept for their capacity
+    /// between merges.
+    survivor_lpns: Vec<u64>,
+    survivor_bytes: Vec<u8>,
 }
 
 impl FasterFtl {
@@ -134,6 +139,8 @@ impl FasterFtl {
             pages_per_block: geometry.pages_per_block as u64,
             page_size: geometry.page_size as usize,
             scratch: vec![0u8; geometry.page_size as usize],
+            survivor_lpns: Vec::new(),
+            survivor_bytes: Vec::new(),
         }
     }
 
@@ -336,12 +343,31 @@ impl FasterFtl {
             return Ok(t);
         }
 
-        // General case: walk the victim's pages.  Valid pages that have not
-        // had their second chance yet are *survivors*: FASTer copies them
-        // forward to the head of the log (the isolation area) instead of
-        // merging their logical block immediately.  Pages that already had
-        // their chance force a full merge of their logical block.
-        let mut survivors: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut lpns = std::mem::take(&mut self.survivor_lpns);
+        let mut bytes = std::mem::take(&mut self.survivor_bytes);
+        lpns.clear();
+        bytes.clear();
+        let end = self.merge_log_block(t, victim, &mut lpns, &mut bytes);
+        self.survivor_lpns = lpns;
+        self.survivor_bytes = bytes;
+        end
+    }
+
+    /// The general case of [`FasterFtl::reclaim_log_block`]: walk the
+    /// victim's pages.  Valid pages that have not had their second chance
+    /// yet are *survivors* (collected in the empty `lpns` / `bytes`): FASTer
+    /// copies them forward to the head of the log (the isolation area)
+    /// instead of merging their logical block immediately.  Pages that
+    /// already had their chance force a full merge of their logical block.
+    fn merge_log_block(
+        &mut self,
+        now: SimInstant,
+        victim: BlockAddr,
+        lpns: &mut Vec<u64>,
+        bytes: &mut Vec<u8>,
+    ) -> FlashResult<SimInstant> {
+        let g = *self.device.geometry();
+        let mut t = now;
         for page_idx in 0..g.pages_per_block {
             let src = victim.page(page_idx);
             let flat = src.flat(&g);
@@ -355,12 +381,13 @@ impl FasterFtl {
             if give_chance {
                 // Read the survivor out of the victim; it is re-appended to
                 // the log once the victim has been erased (circular log).
-                let mut buf = vec![0u8; self.page_size];
-                let (_, c) = self.device.read_page(t, src, &mut buf)?;
+                let at = bytes.len();
+                bytes.resize(at + self.page_size, 0);
+                let (_, c) = self.device.read_page(t, src, &mut bytes[at..])?;
                 t = t.max(c.completed_at);
                 self.log_map.remove(lpn);
                 self.log_reverse.remove(flat);
-                survivors.push((lpn, buf));
+                lpns.push(lpn);
                 self.chanced.insert(lpn);
             } else {
                 let lbn = self.lbn_of(lpn);
@@ -374,8 +401,8 @@ impl FasterFtl {
         t = t.max(c.completed_at);
         self.stats.gc_erases += 1;
         self.free_logs.push_back(victim);
-        for (lpn, data) in survivors {
-            let (_, end) = self.append_to_log(t, lpn, Some(&data), None)?;
+        for (&lpn, data) in lpns.iter().zip(bytes.chunks(self.page_size)) {
+            let (_, end) = self.append_to_log(t, lpn, Some(data), None)?;
             t = t.max(end);
             self.stats.gc_page_copies += 1;
         }

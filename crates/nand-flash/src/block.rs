@@ -170,9 +170,15 @@ impl Block {
     }
 
     /// Erase the whole block: every page returns to `Free`, wear increases.
-    pub(crate) fn erase(&mut self) {
+    /// The pages' data buffers go to `spare` while it holds fewer than
+    /// `spare_cap`; the rest are freed.
+    pub(crate) fn erase(&mut self, spare: &mut Vec<Box<[u8]>>, spare_cap: usize) {
         for p in &mut self.pages {
-            p.erase();
+            if let Some(buf) = p.erase() {
+                if spare.len() < spare_cap {
+                    spare.push(buf);
+                }
+            }
         }
         self.next_program_page = 0;
         self.valid_pages = 0;
@@ -229,14 +235,18 @@ mod tests {
         b.record_program(0, Some(vec![1u8; 8].into_boxed_slice()), Oob::data(1, 1));
         b.record_program(1, None, Oob::data(2, 2));
         b.invalidate_page(0);
-        b.erase();
+        let mut spare = Vec::new();
+        b.erase(&mut spare, 4);
         assert!(b.is_erased());
         assert_eq!(b.valid_pages(), 0);
         assert_eq!(b.invalid_pages(), 0);
         assert_eq!(b.erase_count(), 1);
         assert!(b.page(0).is_free());
-        b.erase();
+        assert_eq!(spare.len(), 1, "the one stored buffer is handed back");
+        b.record_program(0, spare.pop(), Oob::data(1, 1));
+        b.erase(&mut spare, 0);
         assert_eq!(b.erase_count(), 2);
+        assert!(spare.is_empty(), "a full spare list takes nothing");
     }
 
     #[test]

@@ -131,6 +131,29 @@ pub struct NandDevice {
     kills_applied: Vec<bool>,
     /// Cached `!faults.kills.is_empty()`: gates the per-command kill check.
     has_kills: bool,
+    /// Page buffers handed back by BLOCK ERASE, reused by the next PAGE
+    /// PROGRAM / COPYBACK instead of a fresh allocation per page.  Holds at
+    /// most one erase block's worth per die ([`NandDevice::spare_page_cap`]
+    /// — each die's GC erases a block and then refills one): an unbounded
+    /// list would keep every erased-and-not-yet-reprogrammed page of the
+    /// drive alive.  Always empty when the device stores no data.
+    spare_pages: Vec<Box<[u8]>>,
+    /// Working lists of [`NandDevice::validate_program_run`], kept for their
+    /// capacity between multi-page runs.
+    run_scratch: (Vec<(BlockAddr, u32)>, Vec<Ppa>),
+}
+
+/// An owned copy of `src`, in `spare`'s allocation when there is one of the
+/// right length.  The buffer is overwritten in full: none of its previous
+/// contents survive.
+fn copy_into(spare: Option<Box<[u8]>>, src: &[u8]) -> Box<[u8]> {
+    match spare {
+        Some(mut buf) if buf.len() == src.len() => {
+            buf.copy_from_slice(src);
+            buf
+        }
+        _ => src.into(),
+    }
 }
 
 impl NandDevice {
@@ -181,6 +204,8 @@ impl NandDevice {
             has_kills: config.faults.as_ref().is_some_and(|p| !p.kills.is_empty()),
             faults: config.faults,
             fault_completion: None,
+            spare_pages: Vec::new(),
+            run_scratch: Default::default(),
         };
         for flat in config.bad_blocks.factory_bad_blocks(&g) {
             let addr = BlockAddr::from_flat(&g, flat);
@@ -278,6 +303,11 @@ impl NandDevice {
 
     fn block_local_index(&self, b: &BlockAddr) -> u32 {
         b.plane * self.geometry.blocks_per_plane + b.block
+    }
+
+    /// Bound of the spare page-buffer list: one erase block per die.
+    fn spare_page_cap(&self) -> usize {
+        (self.geometry.total_dies() * self.geometry.pages_per_block) as usize
     }
 
     fn block_ref(&self, addr: BlockAddr) -> &Block {
@@ -670,44 +700,25 @@ impl NandDevice {
         ))
     }
 
-    /// PAGE PROGRAM: one dispatched command sequence programming `ops` (all
-    /// on one die) in order.
-    ///
-    /// The whole run pays a single command overhead; data transfers serialise
-    /// on the die's channel while cell programs serialise on the die, so the
-    /// transfer of page *j+1* overlaps with the program of page *j* (the ONFI
-    /// cache-program pipeline).  A run of `k` pages issued to an idle die
-    /// therefore costs `cmd + max(k·transfer, transfer + k·tPROG)` — `cmd +
-    /// transfer + tPROG` for the single page — instead of the `k·(cmd +
-    /// transfer + tPROG)` a sequential per-page issuer pays, and runs
-    /// dispatched to *different* dies at the same instant overlap almost
-    /// completely — the per-die queue model of the ROADMAP.
-    ///
-    /// The run is validated in full before any page is committed: a bad entry
-    /// (invalid address, wrong die, dirty page, sequential-rule violation)
-    /// fails the whole command without programming anything.  The batch
-    /// counters (`multi_page_dispatches`, `batched_pages`) move only for runs
-    /// longer than one page, and a run of one never touches the validator's
-    /// scratch vectors.
-    fn program_run(
+    /// Validate a whole program run up front (no partial batches).  The two
+    /// working lists of `scratch` (empty on entry) are: the per-block next
+    /// page of blocks this run already programs into, and the pages already
+    /// claimed by this run (duplicate detection on permissive,
+    /// non-strict-sequential devices).
+    fn validate_program_run(
         &mut self,
         now: SimInstant,
         ops: &[(Ppa, &[u8], Oob)],
-    ) -> FlashResult<OpCompletion> {
+        (expected, seen): &mut (Vec<(BlockAddr, u32)>, Vec<Ppa>),
+    ) -> FlashResult<()> {
         let Some(&(first, _, _)) = ops.first() else {
-            return Ok(Self::empty_run(now));
+            return Ok(());
         };
         let batched = ops.len() > 1;
-        // -- validate the whole run up front (no partial batches) ----------
         self.tick_kills(now);
         self.check_ppa(first)?;
         let die = first.die_addr();
         self.check_die_alive(die)?;
-        // Per-block next page of blocks this run already programs into.
-        let mut expected: Vec<(BlockAddr, u32)> = Vec::new();
-        // Pages already claimed by this run (duplicate detection on
-        // permissive, non-strict-sequential devices).
-        let mut seen: Vec<Ppa> = Vec::new();
         for (ppa, data, _) in ops {
             self.check_ppa(*ppa)?;
             if ppa.die_addr() != die {
@@ -738,6 +749,44 @@ impl NandDevice {
                 None => {}
             }
         }
+        Ok(())
+    }
+
+    /// PAGE PROGRAM: one dispatched command sequence programming `ops` (all
+    /// on one die) in order.
+    ///
+    /// The whole run pays a single command overhead; data transfers serialise
+    /// on the die's channel while cell programs serialise on the die, so the
+    /// transfer of page *j+1* overlaps with the program of page *j* (the ONFI
+    /// cache-program pipeline).  A run of `k` pages issued to an idle die
+    /// therefore costs `cmd + max(k·transfer, transfer + k·tPROG)` — `cmd +
+    /// transfer + tPROG` for the single page — instead of the `k·(cmd +
+    /// transfer + tPROG)` a sequential per-page issuer pays, and runs
+    /// dispatched to *different* dies at the same instant overlap almost
+    /// completely — the per-die queue model of the ROADMAP.
+    ///
+    /// The run is validated in full before any page is committed: a bad entry
+    /// (invalid address, wrong die, dirty page, sequential-rule violation)
+    /// fails the whole command without programming anything.  The batch
+    /// counters (`multi_page_dispatches`, `batched_pages`) move only for runs
+    /// longer than one page, and a run of one never touches the validator's
+    /// scratch vectors.
+    fn program_run(
+        &mut self,
+        now: SimInstant,
+        ops: &[(Ppa, &[u8], Oob)],
+    ) -> FlashResult<OpCompletion> {
+        let Some(&(first, _, _)) = ops.first() else {
+            return Ok(Self::empty_run(now));
+        };
+        let batched = ops.len() > 1;
+        let mut scratch = std::mem::take(&mut self.run_scratch);
+        let valid = self.validate_program_run(now, ops, &mut scratch);
+        scratch.0.clear();
+        scratch.1.clear();
+        self.run_scratch = scratch;
+        valid?;
+        let die = first.die_addr();
 
         // -- commit + timing: transfer over the channel, then array program
         // on the die, one command transfer for the whole run ---------------
@@ -753,11 +802,9 @@ impl NandDevice {
         let mut failed = None;
         for (ppa, data, oob) in ops {
             let fails = self.draw_program_fault(ppa.block_addr());
-            let stored = if self.store_data {
-                Some(data.to_vec().into_boxed_slice())
-            } else {
-                None
-            };
+            let stored = self
+                .store_data
+                .then(|| copy_into(self.spare_pages.pop(), data));
             let mut oob = *oob;
             if oob.sequence == 0 {
                 oob.sequence = self.next_sequence();
@@ -1123,7 +1170,10 @@ impl NativeFlashInterface for NandDevice {
             .wears_out(&mut self.rng, erase_count + 1, self.endurance);
         let erase_fails = !wears_out && self.draw_erase_fault(erase_count + 1);
 
-        self.block_mut(block).erase();
+        let mut spare = std::mem::take(&mut self.spare_pages);
+        let spare_cap = self.spare_page_cap();
+        self.block_mut(block).erase(&mut spare, spare_cap);
+        self.spare_pages = spare;
         if wears_out || erase_fails {
             self.block_mut(block).mark_bad(BlockHealth::GrownBad);
         }
@@ -1176,14 +1226,16 @@ impl NativeFlashInterface for NandDevice {
         if src.channel != dst.channel || src.die != dst.die || src.plane != dst.plane {
             return Err(FlashError::CopybackPlaneMismatch { src, dst });
         }
-        let (data, src_oob) = {
-            let page = self.block_ref(src.block_addr()).page(src.page);
-            if page.state == PageState::Free {
-                return Err(FlashError::ReadOfUnwrittenPage(src));
-            }
-            (page.data.clone(), page.oob)
-        };
+        if self.block_ref(src.block_addr()).page(src.page).state == PageState::Free {
+            return Err(FlashError::ReadOfUnwrittenPage(src));
+        }
         self.check_programmable(dst, self.block_ref(dst.block_addr()).next_program_page())?;
+        let spare = self.spare_pages.pop();
+        let page = self.block_ref(src.block_addr()).page(src.page);
+        let (data, src_oob) = match &page.data {
+            Some(bytes) => (Some(copy_into(spare, bytes)), page.oob),
+            None => (None, page.oob),
+        };
         let fails = self.draw_program_fault(dst.block_addr());
         let mut oob = new_oob.unwrap_or(src_oob);
         if oob.sequence == 0 {
@@ -1376,6 +1428,84 @@ mod tests {
         let (oob, _) = dev.read_page(0, dst, &mut buf).unwrap();
         assert_eq!(buf, data);
         assert_eq!(oob.lpn, 9);
+    }
+
+    /// Program every page of `block` with a pattern derived from `seed`.
+    fn fill_block(dev: &mut NandDevice, block: BlockAddr, seed: u8) {
+        for p in 0..dev.geometry().pages_per_block {
+            let data = page_of(dev, seed.wrapping_add(p as u8));
+            dev.program_page(0, block.page(p), &data, Oob::data(p as u64, 0))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn recycled_page_buffers_never_leak_old_bytes() {
+        let mut dev = tiny_device();
+        let (a, b) = (BlockAddr::new(0, 0, 0, 0), BlockAddr::new(0, 0, 0, 1));
+        fill_block(&mut dev, a, 0x10);
+        dev.erase_block(0, a).unwrap();
+        assert_eq!(dev.spare_pages.len(), dev.geometry().pages_per_block as usize);
+        // PROGRAM into a recycled buffer: the read returns exactly the new
+        // page, nothing of the erased one.
+        let mut fresh = page_of(&dev, 0);
+        for (i, byte) in fresh.iter_mut().enumerate() {
+            *byte = (i % 251) as u8;
+        }
+        dev.program_page(0, a.page(0), &fresh, Oob::data(1, 0)).unwrap();
+        let mut buf = page_of(&dev, 0xFF);
+        dev.read_page(0, a.page(0), &mut buf).unwrap();
+        assert_eq!(buf, fresh);
+        // COPYBACK after the neighbour block was erased: the destination
+        // holds the source's bytes, not the spare buffer's previous ones.
+        fill_block(&mut dev, b, 0x80);
+        dev.erase_block(0, b).unwrap();
+        let dst = b.page(0);
+        dev.copyback(0, a.page(0), dst, None).unwrap();
+        dev.read_page(0, dst, &mut buf).unwrap();
+        assert_eq!(buf, fresh);
+    }
+
+    #[test]
+    fn spare_page_list_is_bounded_by_geometry() {
+        let mut dev = tiny_device();
+        let bound = dev.spare_page_cap();
+        assert_eq!(bound, dev.geometry().pages_per_block as usize, "one die: one block's worth");
+        for cycle in 0..10u8 {
+            // Fill and erase more blocks than the list may hold, then
+            // refill some of them from it.
+            for b in 0..6 {
+                fill_block(&mut dev, BlockAddr::new(0, 0, 0, b), cycle);
+            }
+            for b in 0..6 {
+                dev.erase_block(0, BlockAddr::new(0, 0, 0, b)).unwrap();
+                assert!(dev.spare_pages.len() <= bound);
+            }
+            assert_eq!(dev.spare_pages.len(), bound);
+            fill_block(&mut dev, BlockAddr::new(0, 0, 0, 7), cycle);
+            dev.erase_block(0, BlockAddr::new(0, 0, 0, 7)).unwrap();
+            assert_eq!(dev.spare_pages.len(), bound);
+        }
+    }
+
+    #[test]
+    fn device_without_data_storage_keeps_no_buffers() {
+        let mut dev = NandDevice::new(DeviceConfig {
+            store_data: false,
+            ..DeviceConfig::new(FlashGeometry::tiny())
+        });
+        let (a, b) = (BlockAddr::new(0, 0, 0, 0), BlockAddr::new(0, 0, 0, 1));
+        fill_block(&mut dev, a, 1);
+        dev.copyback(0, a.page(0), b.page(0), None).unwrap();
+        assert!(dev.block_ref(a).page(0).data.is_none());
+        assert!(dev.block_ref(b).page(0).data.is_none());
+        dev.erase_block(0, a).unwrap();
+        dev.erase_block(0, b).unwrap();
+        assert!(dev.spare_pages.is_empty());
+        let mut buf = page_of(&dev, 0xFF);
+        fill_block(&mut dev, a, 2);
+        dev.read_page(0, a.page(0), &mut buf).unwrap();
+        assert_eq!(buf, page_of(&dev, 0), "an unstored page reads as zeroes");
     }
 
     #[test]

@@ -41,11 +41,12 @@ impl Page {
         }
     }
 
-    /// Reset to the erased state (drops data).
-    pub fn erase(&mut self) {
+    /// Reset to the erased state, handing back the data buffer (if any) so
+    /// the device can reuse it for a later program.
+    pub fn erase(&mut self) -> Option<Box<[u8]>> {
         self.state = PageState::Free;
-        self.data = None;
         self.oob = Oob::default();
+        self.data.take()
     }
 
     /// Whether the page may be programmed.

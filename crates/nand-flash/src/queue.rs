@@ -127,6 +127,9 @@ pub struct CommandQueues {
     peak_inflight: usize,
 }
 
+/// Completions' worth of capacity [`CommandQueues::poll`] keeps between polls.
+const POLL_KEEP: usize = 4096;
+
 impl CommandQueues {
     /// Create queues for `dies` dies with the given per-die depth (clamped to
     /// at least 1).
@@ -301,10 +304,14 @@ impl CommandQueues {
 
     /// Drain every completion recorded since the last poll, in submit order.
     pub fn poll(&mut self) -> Vec<QueuedCompletion> {
-        std::mem::take(&mut self.completed)
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect()
+        let polled = self.completed.drain(..).map(|(_, c)| c).collect();
+        // The list keeps its capacity for the next burst — but not a
+        // backlog's: set-up may queue a whole drive fill before its first
+        // poll, and that high-water mark would stay resident for good.
+        if self.completed.capacity() > POLL_KEEP {
+            self.completed = Vec::new();
+        }
+        polled
     }
 
     /// Completions not yet polled.

@@ -178,7 +178,7 @@ impl<B: DerefMut<Target = [u8]>> Node<B> {
 }
 
 /// A B+-tree index.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BTree {
     root: PageId,
     /// Maximum keys per node (derived from the page size).

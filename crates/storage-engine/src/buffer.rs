@@ -112,6 +112,24 @@ pub struct BufferPool {
     read_window: InflightWindow,
     /// Virtual CPU nanoseconds charged per buffer hit (0 = hits are free).
     hit_ns: u64,
+    /// Scratch lists of [`BufferPool::prefetch`] and
+    /// [`BufferPool::with_pinned_pages`], kept for their capacity: a
+    /// streaming scan tops its window up one page at a time, and rebuilding
+    /// them per call was four allocations per page.
+    scratch: PoolScratch,
+}
+
+/// Reused working lists (always left empty between calls).
+#[derive(Default)]
+struct PoolScratch {
+    /// Frames of requested pages that were already resident (pinned).
+    resident: Vec<usize>,
+    /// `(frame, page)` claimed for the batch's misses, in request order.
+    claimed: Vec<(usize, PageId)>,
+    /// `claimed` in frame order (the arena is carved front to back).
+    sorted: Vec<(usize, PageId)>,
+    /// `(page, frame)` of the resident pages of a pinned run.
+    pinned: Vec<(PageId, usize)>,
 }
 
 impl BufferPool {
@@ -131,6 +149,7 @@ impl BufferPool {
             async_depth: 1,
             read_window: InflightWindow::new(),
             hit_ns: 0,
+            scratch: PoolScratch::default(),
         }
     }
 
@@ -229,11 +248,8 @@ impl BufferPool {
     }
 
     /// Page ids of all dirty resident pages (bitmap walk, skips clean words).
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.dirty
-            .iter()
-            .map(|i| self.frames[i as usize].page_id)
-            .collect()
+    pub fn dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.dirty.iter().map(|i| self.frames[i as usize].page_id)
     }
 
     /// Whether `page_id` is resident.
@@ -306,10 +322,11 @@ impl BufferPool {
         ids: &[PageId],
         f: impl FnOnce(&[(PageId, &[u8])]) -> R,
     ) -> R {
-        let resident: Vec<(PageId, usize)> = ids
-            .iter()
-            .filter_map(|&p| self.map.get(p).map(|i| (p, i as usize)))
-            .collect();
+        let mut resident = std::mem::take(&mut self.scratch.pinned);
+        resident.extend(
+            ids.iter()
+                .filter_map(|&p| self.map.get(p).map(|i| (p, i as usize))),
+        );
         struct UnpinGuard<'a> {
             frames: &'a mut Vec<Frame>,
             pinned: &'a [(PageId, usize)],
@@ -326,15 +343,21 @@ impl BufferPool {
         for &(_, i) in &resident {
             frames[i].pins += 1;
         }
-        let _guard = UnpinGuard {
-            frames,
-            pinned: &resident,
+        let r = {
+            let _guard = UnpinGuard {
+                frames,
+                pinned: &resident,
+            };
+            // The run borrows the arena, so it cannot live in the scratch.
+            let run: Vec<(PageId, &[u8])> = resident
+                .iter()
+                .map(|&(p, i)| (p, &arena[i * page_size..(i + 1) * page_size]))
+                .collect();
+            f(&run)
         };
-        let run: Vec<(PageId, &[u8])> = resident
-            .iter()
-            .map(|&(p, i)| (p, &arena[i * page_size..(i + 1) * page_size]))
-            .collect();
-        f(&run)
+        resident.clear();
+        self.scratch.pinned = resident;
+        r
     }
 
     /// Mark a resident page clean (after a flusher wrote it out).
@@ -557,10 +580,32 @@ impl BufferPool {
         now: SimInstant,
         ids: &[PageId],
     ) -> FlashResult<SimInstant> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.prefetch_with(backend, now, ids, &mut scratch);
+        scratch.resident.clear();
+        scratch.claimed.clear();
+        scratch.sorted.clear();
+        self.scratch = scratch;
+        result
+    }
+
+    /// [`BufferPool::prefetch`] over the (empty) working lists of `scratch`.
+    fn prefetch_with(
+        &mut self,
+        backend: &mut dyn StorageBackend,
+        now: SimInstant,
+        ids: &[PageId],
+        scratch: &mut PoolScratch,
+    ) -> FlashResult<SimInstant> {
+        let PoolScratch {
+            resident,
+            claimed,
+            sorted,
+            ..
+        } = scratch;
         let mut t = now;
         // Pin the requested pages that are already resident: they must
         // survive the batch's own evictions.
-        let mut resident: Vec<usize> = Vec::new();
         for &page_id in ids {
             if let Some(i) = self.map.get(page_id) {
                 let i = i as usize;
@@ -575,7 +620,6 @@ impl BufferPool {
                 }
             }
         }
-        let mut claimed: Vec<(usize, PageId)> = Vec::new();
         let mut result: FlashResult<()> = Ok(());
         for &page_id in ids {
             if self.map.contains_key(page_id) || claimed.iter().any(|&(_, p)| p == page_id) {
@@ -618,21 +662,30 @@ impl BufferPool {
             } else {
                 t
             };
-            // Carve disjoint arena slices for the batched fill.
-            let mut sorted = claimed.clone();
-            sorted.sort_unstable_by_key(|&(f, _)| f);
             let ps = self.page_size;
-            let mut reqs: Vec<(PageId, &mut [u8])> = Vec::with_capacity(sorted.len());
-            let mut rest: &mut [u8] = &mut self.arena[..];
-            let mut base = 0usize;
-            for &(frame, page_id) in &sorted {
-                let (_, tail) = rest.split_at_mut(frame * ps - base);
-                let (page, tail) = tail.split_at_mut(ps);
-                reqs.push((page_id, page));
-                rest = tail;
-                base = (frame + 1) * ps;
-            }
-            match backend.read_pages(submit_at, &mut reqs) {
+            let filled = if let [(frame, page_id)] = claimed[..] {
+                // One claimed page — every top-up of a streaming scan: the
+                // request list borrows the arena and so cannot be kept, but
+                // a list of one fits on the stack.
+                let page = &mut self.arena[frame * ps..(frame + 1) * ps];
+                backend.read_pages(submit_at, &mut [(page_id, page)])
+            } else {
+                // Carve disjoint arena slices for the batched fill.
+                sorted.extend_from_slice(claimed);
+                sorted.sort_unstable_by_key(|&(f, _)| f);
+                let mut reqs: Vec<(PageId, &mut [u8])> = Vec::with_capacity(sorted.len());
+                let mut rest: &mut [u8] = &mut self.arena[..];
+                let mut base = 0usize;
+                for &(frame, page_id) in sorted.iter() {
+                    let (_, tail) = rest.split_at_mut(frame * ps - base);
+                    let (page, tail) = tail.split_at_mut(ps);
+                    reqs.push((page_id, page));
+                    rest = tail;
+                    base = (frame + 1) * ps;
+                }
+                backend.read_pages(submit_at, &mut reqs)
+            };
+            match filled {
                 Ok(end) => {
                     if self.async_depth > 1 {
                         self.read_window.push_read(end);
@@ -642,7 +695,7 @@ impl BufferPool {
                 Err(e) => result = Err(e),
             }
         }
-        for &(frame, page_id) in &claimed {
+        for &(frame, page_id) in claimed.iter() {
             self.frames[frame].pins -= 1;
             self.frames[frame].referenced = true;
             if result.is_ok() {
@@ -653,7 +706,7 @@ impl BufferPool {
                 self.map.insert(page_id, frame as u64);
             }
         }
-        for &i in &resident {
+        for &i in resident.iter() {
             self.frames[i].pins -= 1;
         }
         result.map(|_| t)
@@ -785,7 +838,7 @@ mod tests {
     fn mark_clean_tracks_flusher_writes() {
         let (mut pool, mut backend) = setup(4);
         pool.new_page(&mut backend, 0, 5, |d| d[0] = 5).unwrap();
-        assert_eq!(pool.dirty_pages(), vec![5]);
+        assert_eq!(pool.dirty_pages().collect::<Vec<_>>(), vec![5]);
         pool.mark_clean(5);
         assert_eq!(pool.dirty_count(), 0);
         assert_eq!(pool.stats().flushed_by_writers, 1);
@@ -1182,7 +1235,7 @@ mod tests {
             // The incremental counter must always agree with a full scan.
             let scanned = (0..64u64).filter(|&q| pool.is_dirty(q)).count();
             assert_eq!(pool.dirty_count(), scanned);
-            assert_eq!(pool.dirty_pages().len(), scanned);
+            assert_eq!(pool.dirty_pages().count(), scanned);
             assert!(pool.resident() <= 8);
         }
     }

@@ -67,6 +67,11 @@ pub enum EngineError {
         /// shed requests honor this instead of hammering the window.
         retry_after_ns: u64,
     },
+    /// A zero-length record was offered to a heap insert or update.  The
+    /// redo log spells a delete as an update with no bytes, so an empty
+    /// record could not be told from a tombstone on replay: refused before
+    /// anything is written or logged.
+    EmptyRecord,
 }
 
 impl std::fmt::Display for EngineError {
@@ -85,6 +90,7 @@ impl std::fmt::Display for EngineError {
                     "admission deadline exceeded ({waited_ns} ns of pressure ahead, retry after {retry_after_ns} ns)"
                 )
             }
+            EngineError::EmptyRecord => write!(f, "zero-length heap record refused"),
         }
     }
 }
@@ -108,6 +114,11 @@ impl From<EngineError> for FlashError {
             // A shed transaction maps onto the device's transient BUSY
             // status — still typed, still retryable, no payload invented.
             EngineError::Overloaded { .. } => FlashError::Busy,
+            // A record must hold at least one byte.
+            EngineError::EmptyRecord => FlashError::BufferSizeMismatch {
+                expected: 1,
+                actual: 0,
+            },
         }
     }
 }
@@ -259,12 +270,6 @@ impl StorageEngine {
             slo_scheduling: config.slo_scheduling,
             backend,
         }
-    }
-
-    /// Build the streaming-readahead state for one scan: inert unless both
-    /// the window knob and the asynchronous depth open it.
-    fn scan_prefetcher(&self) -> ScanPrefetcher {
-        ScanPrefetcher::new(self.readahead_window, self.pool.async_depth())
     }
 
     /// Page size of the underlying backend.
@@ -526,7 +531,7 @@ impl StorageEngine {
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
             })?;
-        Ok(heap.insert(
+        heap.insert(
             &mut self.pool,
             self.backend.as_mut(),
             &mut self.fsm,
@@ -534,7 +539,7 @@ impl StorageEngine {
             txn,
             now,
             record,
-        )?)
+        )
     }
 
     /// Read a record by RID.
@@ -544,29 +549,44 @@ impl StorageEngine {
         now: SimInstant,
         rid: Rid,
     ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        match self.try_read(table, now, rid) {
+        let mut out = Vec::new();
+        let (found, t) = self.read_into(table, now, rid, &mut out)?;
+        Ok((found.then_some(out), t))
+    }
+
+    /// Read a record by RID into the caller's buffer: `out` is cleared and,
+    /// when the record exists (`true`), filled with its bytes — a driver that
+    /// keeps one row buffer reads without allocating.
+    pub fn read_into(
+        &mut self,
+        table: &str,
+        now: SimInstant,
+        rid: Rid,
+        out: &mut Vec<u8>,
+    ) -> EngineResult<(bool, SimInstant)> {
+        match self.try_read_into(table, now, rid, out) {
             Err(EngineError::Flash(e @ FlashError::UncorrectableEcc(_))) => {
                 let t = self.rescue_page(rid.page, now, e)?;
-                self.try_read(table, t, rid)
+                self.try_read_into(table, t, rid, out)
             }
             r => r,
         }
     }
 
-    fn try_read(
+    fn try_read_into(
         &mut self,
         table: &str,
         now: SimInstant,
         rid: Rid,
-    ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
+        out: &mut Vec<u8>,
+    ) -> EngineResult<(bool, SimInstant)> {
         let heap = self
             .catalog
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
-        Ok(heap.get(&mut self.pool, self.backend.as_mut(), now, rid)?)
+            })?;
+        Ok(heap.get(&mut self.pool, self.backend.as_mut(), now, rid, out)?)
     }
 
     /// Update a record by RID (the record may move; the new RID is returned).
@@ -601,7 +621,7 @@ impl StorageEngine {
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
             })?;
-        Ok(heap.update(
+        heap.update(
             &mut self.pool,
             self.backend.as_mut(),
             &mut self.fsm,
@@ -610,7 +630,7 @@ impl StorageEngine {
             now,
             rid,
             record,
-        )?)
+        )
     }
 
     /// Delete a record by RID.
@@ -735,9 +755,8 @@ impl StorageEngine {
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
+            })?;
+        let mut ra = ScanPrefetcher::new(self.readahead_window, self.pool.async_depth());
         heap.scan_with_readahead(&mut self.pool, self.backend.as_mut(), &mut ra, now, visit)
     }
 
@@ -779,8 +798,7 @@ impl StorageEngine {
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
+            })?;
         tree.get(&mut self.pool, self.backend.as_mut(), now, key)
     }
 
@@ -800,9 +818,8 @@ impl StorageEngine {
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
+            })?;
+        let mut ra = ScanPrefetcher::new(self.readahead_window, self.pool.async_depth());
         tree.range_with_readahead(&mut self.pool, self.backend.as_mut(), &mut ra, now, lo, hi, visit)
     }
 
@@ -1433,6 +1450,50 @@ mod tests {
             !bad.lock().unwrap().contains(&rids[0].page),
             "the rescue rewrote the page through the backend"
         );
+    }
+
+    #[test]
+    fn zero_length_record_is_refused_and_its_page_stays_rescuable() {
+        // The WAL spells a delete as an update with no bytes, so a logged
+        // empty record would replay as a tombstone and the rebuilt page's
+        // slots would diverge from the live page's.
+        let bad = std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
+        let backend = UnreadableBackend {
+            inner: MemBackend::new(4096, 4096),
+            bad: bad.clone(),
+        };
+        let mut cfg = EngineConfig::new();
+        cfg.buffer_frames = 8;
+        let mut e = StorageEngine::new(Box::new(backend), cfg);
+        e.create_table("t");
+        let txn = e.begin();
+        let logged = e.wal().current_lsn();
+        assert_eq!(e.insert("t", txn, 0, &[]), Err(EngineError::EmptyRecord));
+        let mut rids = Vec::new();
+        let mut now = 0;
+        for i in 0..40u8 {
+            let (rid, t) = e.insert("t", txn, now, &vec![i; 2000]).unwrap();
+            now = t;
+            rids.push(rid);
+        }
+        let before_update = e.wal().current_lsn();
+        assert_eq!(
+            e.update("t", txn, now, rids[0], &[]),
+            Err(EngineError::EmptyRecord),
+            "an empty update would be replayed as a delete"
+        );
+        assert_eq!(e.wal().current_lsn(), before_update, "a refused record logs nothing");
+        assert!(before_update > logged);
+        now = e.commit(txn, now).unwrap();
+        // Evict the first page, then let it rot on flash.
+        for rid in rids.iter().rev().take(32) {
+            let (_, t) = e.read("t", now, *rid).unwrap();
+            now = t;
+        }
+        bad.lock().unwrap().insert(rids[0].page);
+        let (v, _) = e.read("t", now, rids[0]).unwrap();
+        assert_eq!(v.unwrap(), vec![0u8; 2000], "the page is rebuilt from its log records");
+        assert_eq!(e.rescued_pages(), 1);
     }
 
     #[test]

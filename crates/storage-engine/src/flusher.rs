@@ -169,6 +169,10 @@ pub struct FlusherPool {
     /// over the test suite.
     throttle_occupancy: usize,
     throttle_stats: ThrottleStats,
+    /// The cycle's dirty-page list and its per-writer partition, kept for
+    /// their capacity between cycles.
+    dirty: Vec<PageId>,
+    batches: Vec<Vec<PageId>>,
 }
 
 impl FlusherPool {
@@ -180,6 +184,8 @@ impl FlusherPool {
             windows: vec![InflightWindow::new(); config.writers.max(1)],
             throttle_occupancy: 0,
             throttle_stats: ThrottleStats::default(),
+            dirty: Vec::new(),
+            batches: Vec::new(),
         }
     }
 
@@ -267,33 +273,35 @@ impl FlusherPool {
     /// Under the global policy the dirty list is dealt out in (deterministic)
     /// hash order — the order a buffer-pool hash table hands pages to its
     /// cleaners — so every writer receives pages from the whole address space
-    /// and therefore targets every die in an uncoordinated order.  Under the
-    /// die-wise policy each writer receives exactly the pages whose region it
-    /// owns.
+    /// and therefore targets every die in an uncoordinated order (`dirty` is
+    /// shuffled in place).  Under the die-wise policy each writer receives
+    /// exactly the pages whose region it owns.
     pub fn partition(
-        &self,
+        &mut self,
         backend: &dyn StorageBackend,
-        dirty: &[PageId],
-    ) -> Vec<Vec<PageId>> {
+        dirty: &mut [PageId],
+    ) -> &[Vec<PageId>] {
         let writers = self.config.writers;
-        let mut batches = vec![Vec::new(); writers];
+        self.batches.resize_with(writers, Vec::new);
+        for batch in &mut self.batches {
+            batch.clear();
+        }
         match self.config.assignment {
             FlusherAssignment::Global => {
-                let mut shuffled: Vec<PageId> = dirty.to_vec();
                 let mut rng = sim_utils::rng::SimRng::new(0x0F1D_5EED ^ dirty.len() as u64);
-                rng.shuffle(&mut shuffled);
-                for (i, &p) in shuffled.iter().enumerate() {
-                    batches[i % writers].push(p);
+                rng.shuffle(dirty);
+                for (i, &p) in dirty.iter().enumerate() {
+                    self.batches[i % writers].push(p);
                 }
             }
             FlusherAssignment::DieWise => {
-                for &p in dirty {
+                for &p in dirty.iter() {
                     let region = backend.region_of_page(p);
-                    batches[region % writers].push(p);
+                    self.batches[region % writers].push(p);
                 }
             }
         }
-        batches
+        &self.batches
     }
 
     /// Run one flush cycle starting at `now`: write out dirty pages until the
@@ -315,17 +323,36 @@ impl FlusherPool {
         backend: &mut dyn StorageBackend,
         now: SimInstant,
     ) -> FlashResult<SimInstant> {
-        let mut dirty = pool.dirty_pages();
-        if dirty.is_empty() {
-            return Ok(now);
-        }
-        // Flush enough pages to get back under the low watermark.
-        let target_dirty =
-            (self.config.dirty_low_watermark * pool.capacity() as f64).floor() as usize;
-        let to_flush = dirty.len().saturating_sub(target_dirty).max(1);
-        dirty.truncate(to_flush);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        dirty.extend(pool.dirty_pages());
+        let end = if dirty.is_empty() {
+            Ok(now)
+        } else {
+            // Flush enough pages to get back under the low watermark.
+            let target_dirty =
+                (self.config.dirty_low_watermark * pool.capacity() as f64).floor() as usize;
+            let to_flush = dirty.len().saturating_sub(target_dirty).max(1);
+            dirty.truncate(to_flush);
+            self.partition(backend, &mut dirty);
+            let batches = std::mem::take(&mut self.batches);
+            let end = self.submit_batches(pool, backend, now, &batches);
+            self.batches = batches;
+            end
+        };
+        self.dirty = dirty;
+        end
+    }
 
-        let batches = self.partition(backend, &dirty);
+    /// The submission half of [`FlusherPool::run_cycle`]: writer `i` writes
+    /// out `batches[i]`.
+    fn submit_batches(
+        &mut self,
+        pool: &mut BufferPool,
+        backend: &mut dyn StorageBackend,
+        now: SimInstant,
+        batches: &[Vec<PageId>],
+    ) -> FlashResult<SimInstant> {
         let batch_limit = self.config.effective_batch_pages();
         let depth = self.config.async_depth.max(1);
         let mut cycle_end = now;
@@ -399,9 +426,9 @@ mod tests {
     #[test]
     fn partition_global_is_balanced_and_complete() {
         let backend = MemBackend::new(512, 64);
-        let pool = FlusherPool::new(FlusherConfig::global(3));
+        let mut pool = FlusherPool::new(FlusherConfig::global(3));
         let dirty: Vec<PageId> = (0..10).collect();
-        let batches = pool.partition(&backend, &dirty);
+        let batches = pool.partition(&backend, &mut dirty.clone());
         assert_eq!(batches.len(), 3);
         // Every dirty page is assigned to exactly one writer, batches are
         // within one page of each other in size.
@@ -416,9 +443,9 @@ mod tests {
     fn partition_die_wise_respects_regions() {
         let noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::small())); // 4 regions
         let backend = NoFtlBackend::new(noftl);
-        let flushers = FlusherPool::new(FlusherConfig::die_wise(2));
-        let dirty: Vec<PageId> = (0..16).collect();
-        let batches = flushers.partition(&backend, &dirty);
+        let mut flushers = FlusherPool::new(FlusherConfig::die_wise(2));
+        let mut dirty: Vec<PageId> = (0..16).collect();
+        let batches = flushers.partition(&backend, &mut dirty);
         // Writer 0 owns regions 0 and 2, writer 1 owns regions 1 and 3.
         for &p in &batches[0] {
             assert_eq!(backend.region_of_page(p) % 2, 0);
@@ -647,7 +674,8 @@ mod tests {
                 batch_global: false,
                 async_depth: 1,
             });
-            let batches = flushers.partition(&backend, &pool.dirty_pages());
+            let mut dirty: Vec<PageId> = pool.dirty_pages().collect();
+            let batches = flushers.partition(&backend, &mut dirty);
             assert!(batches.iter().any(|b| b.is_empty()), "one writer must be idle");
             let end = flushers.run_cycle(&mut pool, &mut backend, 0).unwrap();
             if batch_pages == 0 {

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
+use crate::engine::{EngineError, EngineResult};
 use crate::shard::ShardedBufferPool;
 use crate::free_space::FreeSpaceManager;
 use crate::page::{PageId, SlottedPage};
@@ -27,7 +28,7 @@ pub struct Rid {
 }
 
 /// A heap file: a growable list of slotted pages.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HeapFile {
     name: String,
     pages: Vec<PageId>,
@@ -70,6 +71,8 @@ impl HeapFile {
     }
 
     /// Insert a record; returns its RID and the virtual time after I/O.
+    /// A zero-length record is refused ([`EngineError::EmptyRecord`]): the
+    /// redo log spells a delete as an update with no bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
@@ -80,7 +83,10 @@ impl HeapFile {
         txn: TxnId,
         now: SimInstant,
         record: &[u8],
-    ) -> FlashResult<(Rid, SimInstant)> {
+    ) -> EngineResult<(Rid, SimInstant)> {
+        if record.is_empty() {
+            return Err(EngineError::EmptyRecord);
+        }
         let mut t = now;
         // Try the cached page first, then allocate a fresh one.
         if let Some(page_id) = self.last_with_space {
@@ -119,23 +125,28 @@ impl HeapFile {
         Ok((Rid { page: page_id, slot }, t))
     }
 
-    /// Read the record at `rid`.
+    /// Read the record at `rid` into `out` (cleared first); `true` when the
+    /// record exists.
     pub fn get(
         &self,
         pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
         now: SimInstant,
         rid: Rid,
-    ) -> FlashResult<(Option<Vec<u8>>, SimInstant)> {
+        out: &mut Vec<u8>,
+    ) -> FlashResult<(bool, SimInstant)> {
+        out.clear();
         pool.with_page(backend, now, rid.page, |bytes| {
             SlottedPage::from_bytes(bytes)
                 .get(rid.slot)
-                .map(|r| r.to_vec())
+                .map(|r| out.extend_from_slice(r))
+                .is_some()
         })
     }
 
     /// Update the record at `rid` in place (the new value must fit the page;
     /// otherwise the record is deleted and reinserted, returning a new RID).
+    /// A zero-length record is refused, as in [`HeapFile::insert`].
     #[allow(clippy::too_many_arguments)]
     pub fn update(
         &mut self,
@@ -147,7 +158,10 @@ impl HeapFile {
         now: SimInstant,
         rid: Rid,
         record: &[u8],
-    ) -> FlashResult<(Rid, SimInstant)> {
+    ) -> EngineResult<(Rid, SimInstant)> {
+        if record.is_empty() {
+            return Err(EngineError::EmptyRecord);
+        }
         let (updated, mut t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
             SlottedPage::from_bytes(bytes).update(rid.slot, record)
         })?;
@@ -218,8 +232,8 @@ impl HeapFile {
     }
 
     /// [`HeapFile::scan`] with streaming readahead: the page list is fully
-    /// known, so the whole extent is fed to `ra`, which keeps a window of
-    /// upcoming pages in flight ([`ShardedBufferPool::prefetch`] batches — one
+    /// known, so `ra` is fed from it a window cap ahead of the cursor and
+    /// keeps a window of upcoming pages in flight ([`ShardedBufferPool::prefetch`] batches — one
     /// multi-page read dispatch per die) while records of already-filled
     /// pages are visited.  With an inert prefetcher this is the
     /// frame-at-a-time path, call for call.
@@ -231,10 +245,11 @@ impl HeapFile {
         now: SimInstant,
         mut visit: impl FnMut(Rid, &[u8]),
     ) -> FlashResult<(u64, SimInstant)> {
-        ra.feed(&self.pages);
+        let mut fed = 0;
         let mut t = now;
         let mut visited = 0;
         for &page_id in &self.pages {
+            fed = ra.feed_ahead(&self.pages, fed);
             t = ra.on_access(pool, backend, t, page_id)?;
             let (count, t2) = pool.with_page(backend, t, page_id, |bytes| {
                 let mut n = 0;
@@ -272,6 +287,12 @@ mod tests {
         }
     }
 
+    fn get(c: &mut Ctx, heap: &HeapFile, rid: Rid) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        let (found, _) = heap.get(&mut c.pool, &mut c.backend, 0, rid, &mut out).unwrap();
+        found.then_some(out)
+    }
+
     #[test]
     fn insert_and_get() {
         let mut c = setup();
@@ -279,7 +300,7 @@ mod tests {
         let (rid, _) = heap
             .insert(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, b"row-1")
             .unwrap();
-        let (value, _) = heap.get(&mut c.pool, &mut c.backend, 0, rid).unwrap();
+        let value = get(&mut c, &heap, rid);
         assert_eq!(value.unwrap(), b"row-1");
         assert_eq!(heap.record_count(), 1);
     }
@@ -308,7 +329,7 @@ mod tests {
             .update(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, rid, b"tiny")
             .unwrap();
         assert_eq!(same.page, rid.page);
-        let (value, _) = heap.get(&mut c.pool, &mut c.backend, 0, same).unwrap();
+        let value = get(&mut c, &heap, same);
         assert_eq!(value.unwrap(), b"tiny");
         // Grow beyond the page: fill the page first so the record must move.
         let filler = vec![1u8; 1200];
@@ -320,7 +341,7 @@ mod tests {
         let (moved, _) = heap
             .update(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, same, &big)
             .unwrap();
-        let (value, _) = heap.get(&mut c.pool, &mut c.backend, 0, moved).unwrap();
+        let value = get(&mut c, &heap, moved);
         assert_eq!(value.unwrap(), big);
     }
 
@@ -335,7 +356,7 @@ mod tests {
             .delete(&mut c.pool, &mut c.backend, &mut c.wal, 1, 0, rid)
             .unwrap();
         assert!(deleted);
-        let (value, _) = heap.get(&mut c.pool, &mut c.backend, 0, rid).unwrap();
+        let value = get(&mut c, &heap, rid);
         assert!(value.is_none());
         assert_eq!(heap.record_count(), 0);
     }
@@ -432,7 +453,7 @@ mod tests {
             rids.push((rid, rec));
         }
         for (rid, expected) in &rids {
-            let (value, _) = heap.get(&mut c.pool, &mut c.backend, 0, *rid).unwrap();
+            let value = get(&mut c, &heap, *rid);
             assert_eq!(value.unwrap(), *expected);
         }
         assert!(c.pool.stats().evictions > 0);

@@ -69,6 +69,26 @@ pub trait EngineOps {
         rid: Rid,
     ) -> EngineResult<(Option<Vec<u8>>, SimInstant)>;
 
+    /// Read a record by RID into the caller's buffer: `out` is cleared and,
+    /// when the record exists (`true`), filled with its bytes.  The engine
+    /// and its sessions copy straight from the pinned frame, so a driver
+    /// that keeps one row buffer reads without allocating; the default body
+    /// serves wrappers that only implement [`EngineOps::read`].
+    fn read_into(
+        &mut self,
+        table: &str,
+        now: SimInstant,
+        rid: Rid,
+        out: &mut Vec<u8>,
+    ) -> EngineResult<(bool, SimInstant)> {
+        let (row, t) = self.read(table, now, rid)?;
+        out.clear();
+        if let Some(row) = &row {
+            out.extend_from_slice(row);
+        }
+        Ok((row.is_some(), t))
+    }
+
     /// Update a record by RID (the record may move; the new RID is returned).
     fn update(
         &mut self,
@@ -167,6 +187,7 @@ macro_rules! forward_engine_ops {
             fn create_index(&mut self, name: &str, now: SimInstant) -> FlashResult<bool>;
             fn insert(&mut self, table: &str, txn: TxnId, now: SimInstant, record: &[u8]) -> EngineResult<(Rid, SimInstant)>;
             fn read(&mut self, table: &str, now: SimInstant, rid: Rid) -> EngineResult<(Option<Vec<u8>>, SimInstant)>;
+            fn read_into(&mut self, table: &str, now: SimInstant, rid: Rid, out: &mut Vec<u8>) -> EngineResult<(bool, SimInstant)>;
             fn update(&mut self, table: &str, txn: TxnId, now: SimInstant, rid: Rid, record: &[u8]) -> EngineResult<(Rid, SimInstant)>;
             fn delete(&mut self, table: &str, txn: TxnId, now: SimInstant, rid: Rid) -> EngineResult<(bool, SimInstant)>;
             fn scan(&mut self, table: &str, now: SimInstant, visit: &mut dyn FnMut(Rid, &[u8])) -> FlashResult<(u64, SimInstant)>;

@@ -70,12 +70,15 @@ impl ScanPrefetcher {
     /// every access stays on the frame-at-a-time path.
     pub fn new(window_cap: usize, async_depth: usize) -> Self {
         let enabled = window_cap > 0 && async_depth > 1;
+        // Neither queue outgrows the cap on a heap scan: sized once here,
+        // they never reallocate while the window ramps.
+        let queue_cap = if enabled { window_cap } else { 0 };
         Self {
             enabled,
             window: MIN_READAHEAD_WINDOW.min(window_cap.max(1)),
             cap: window_cap,
-            pending: VecDeque::new(),
-            inflight: VecDeque::new(),
+            pending: VecDeque::with_capacity(queue_cap),
+            inflight: VecDeque::with_capacity(queue_cap),
             streak: 0,
         }
     }
@@ -100,6 +103,21 @@ impl ScanPrefetcher {
         if self.enabled {
             self.pending.extend(pages.iter().copied());
         }
+    }
+
+    /// Feed from an extent the caller owns (a heap file's page list) without
+    /// copying it whole: `extent[..fed]` is already in the plan; tops the
+    /// un-issued plan up to one full window cap and returns the new `fed`.
+    /// A top-up never takes more than a window, so called before every
+    /// [`ScanPrefetcher::on_access`] this issues exactly the batches feeding
+    /// the whole extent up front would.
+    pub fn feed_ahead(&mut self, extent: &[PageId], fed: usize) -> usize {
+        if !self.enabled {
+            return extent.len();
+        }
+        let n = self.cap.saturating_sub(self.pending.len()).min(extent.len() - fed);
+        self.feed(&extent[fed..fed + n]);
+        fed + n
     }
 
     /// Whether `page` is already planned (pending or in flight) — used by the
@@ -131,12 +149,11 @@ impl ScanPrefetcher {
         // one's pages are being consumed — that is the overlap.
         if self.inflight.len() < self.window && !self.pending.is_empty() {
             let take = (self.window - self.inflight.len()).min(self.pending.len());
-            let batch: Vec<PageId> = self.pending.drain(..take).collect();
-            pool.note_readahead_window(self.inflight.len() + batch.len());
-            let ready = pool.prefetch(backend, t, &batch)?;
-            for p in batch {
-                self.inflight.push_back((p, ready));
-            }
+            let batch = &self.pending.make_contiguous()[..take];
+            pool.note_readahead_window(self.inflight.len() + take);
+            let ready = pool.prefetch(backend, t, batch)?;
+            self.inflight.extend(batch.iter().map(|&p| (p, ready)));
+            self.pending.drain(..take);
         }
         // Consume the plan entry for `page`.
         if let Some(pos) = self.inflight.iter().position(|&(p, _)| p == page) {

@@ -33,6 +33,8 @@ use crate::page::PageId;
 /// A buffer pool partitioned into shards by page id.
 pub struct ShardedBufferPool {
     shards: Vec<BufferPool>,
+    /// Per-shard split of a prefetch batch, kept for its capacity.
+    by_shard: Vec<Vec<PageId>>,
 }
 
 impl ShardedBufferPool {
@@ -45,6 +47,7 @@ impl ShardedBufferPool {
             shards: (0..shards)
                 .map(|_| BufferPool::new(per_shard, page_size))
                 .collect(),
+            by_shard: vec![Vec::new(); shards],
         }
     }
 
@@ -240,12 +243,14 @@ impl ShardedBufferPool {
         if n == 1 {
             return self.shards[0].prefetch(backend, now, ids);
         }
-        let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); n];
+        for batch in &mut self.by_shard {
+            batch.clear();
+        }
         for &id in ids {
-            by_shard[self.shard_of(id)].push(id);
+            self.by_shard[(id % n as u64) as usize].push(id);
         }
         let mut t = now;
-        for (shard, batch) in self.shards.iter_mut().zip(&by_shard) {
+        for (shard, batch) in self.shards.iter_mut().zip(&self.by_shard) {
             if batch.is_empty() {
                 continue;
             }

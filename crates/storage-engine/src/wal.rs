@@ -100,11 +100,22 @@ impl LogRecord {
 
     /// Serialize to a length-prefixed byte record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u8(self.kind_tag());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the length-prefixed byte record to `out` — the log buffer
+    /// itself, so a record is encoded where it will live — and return the
+    /// number of bytes appended.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+        let start = out.len();
+        // The length prefix is patched in once the body is written.
+        out.put_u32_le(0);
+        out.put_u8(self.kind_tag());
         match self {
             LogRecord::Begin { txn } | LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                body.put_u64_le(*txn);
+                out.put_u64_le(*txn);
             }
             LogRecord::Update {
                 txn,
@@ -112,18 +123,17 @@ impl LogRecord {
                 slot,
                 bytes,
             } => {
-                body.put_u64_le(*txn);
-                body.put_u64_le(*page);
-                body.put_u16_le(*slot);
-                body.put_u32_le(bytes.len() as u32);
-                body.extend_from_slice(bytes);
+                out.put_u64_le(*txn);
+                out.put_u64_le(*page);
+                out.put_u16_le(*slot);
+                out.put_u32_le(bytes.len() as u32);
+                out.extend_from_slice(bytes);
             }
             LogRecord::Checkpoint => {}
         }
-        let mut out = Vec::with_capacity(body.len() + 4);
-        out.put_u32_le(body.len() as u32);
-        out.extend_from_slice(&body);
-        out
+        let body_len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+        out.len() - start
     }
 
     /// Decode one record from the front of `data`; returns the record and the
@@ -215,6 +225,9 @@ pub struct WalManager {
     force_starts: std::collections::VecDeque<(u64, Lsn)>,
     /// Complete, decoded copy of everything appended (recovery source).
     records: Vec<(Lsn, LogRecord)>,
+    /// The framed log pages of the submission in progress, back to back —
+    /// at most one batch's worth, kept for its capacity between forces.
+    frame_bytes: Vec<u8>,
 }
 
 impl WalManager {
@@ -250,6 +263,7 @@ impl WalManager {
             checkpoint_lsn: 0,
             force_starts: std::collections::VecDeque::new(),
             records: Vec::new(),
+            frame_bytes: Vec::new(),
         }
     }
 
@@ -343,9 +357,7 @@ impl WalManager {
     /// flush/force.
     pub fn append(&mut self, record: LogRecord) -> Lsn {
         let lsn = self.next_lsn;
-        let encoded = record.encode();
-        self.next_lsn += encoded.len() as u64;
-        self.buffer.extend_from_slice(&encoded);
+        self.next_lsn += record.encode_into(&mut self.buffer) as u64;
         self.records.push((lsn, record));
         lsn
     }
@@ -403,9 +415,8 @@ impl WalManager {
         backend: &mut dyn StorageBackend,
         now: SimInstant,
     ) -> FlashResult<SimInstant> {
-        let mut t = now;
         if self.buffer.is_empty() {
-            return Ok(t);
+            return Ok(now);
         }
         if self.async_depth <= 1 {
             // Synchronous semantics: no carry-over between forces.
@@ -413,29 +424,8 @@ impl WalManager {
         }
         self.forces += 1;
         self.pending_commits = 0;
-        // Frame the tail into self-describing log pages.
         let payload_cap = self.page_size - LOG_PAGE_HEADER;
-        let mut frames: Vec<(PageId, Vec<u8>, bool)> = Vec::new();
-        let mut offset = 0;
-        let mut seq = self.next_log_page;
-        while offset < self.buffer.len() {
-            let chunk = (self.buffer.len() - offset).min(payload_cap);
-            // The buffer holds whole records, so the force's first page is
-            // record-aligned — flag it as a recovery resynchronisation point.
-            let len_field = chunk as u16 | if offset == 0 { LOG_PAGE_ALIGNED } else { 0 };
-            let mut page = vec![0u8; self.page_size];
-            page[0..2].copy_from_slice(&LOG_PAGE_MAGIC.to_le_bytes());
-            page[2..4].copy_from_slice(&len_field.to_le_bytes());
-            page[4..8].copy_from_slice(&(seq as u32).to_le_bytes());
-            page[LOG_PAGE_HEADER..LOG_PAGE_HEADER + chunk]
-                .copy_from_slice(&self.buffer[offset..offset + chunk]);
-            let page_id = self.log_start + (seq % self.log_pages);
-            // `true` marks a lap over an old log page: the backend gets a
-            // dead-page hint before the rewrite (log truncation knowledge).
-            frames.push((page_id, page, seq >= self.log_pages));
-            seq += 1;
-            offset += chunk;
-        }
+        let pages = self.buffer.len().div_ceil(payload_cap) as u64;
         // Keep the start-of-log pointer live across wraps.  This force's
         // pages overwrite every slot whose sequence lies more than one lap
         // behind its end; if that overruns the checkpointed pointer, advance
@@ -445,7 +435,7 @@ impl WalManager {
         // survives, and the pointer moves past it.
         let force_start_seq = self.next_log_page;
         self.force_starts.push_back((force_start_seq, self.flushed_lsn));
-        let end_seq = force_start_seq + frames.len() as u64;
+        let end_seq = force_start_seq + pages;
         let oldest_live = end_seq.saturating_sub(self.log_pages);
         while self
             .force_starts
@@ -466,38 +456,12 @@ impl WalManager {
                 }
             }
         }
-        if self.batch_pages == 0 {
-            for (page_id, page, wraps) in &frames {
-                let submit_at = self.inflight.gate(self.async_depth, now);
-                if *wraps {
-                    backend.free_page_hint(submit_at, *page_id)?;
-                }
-                let c = backend.write_page(submit_at, *page_id, page)?;
-                self.inflight.push(c.completed_at);
-                t = t.max(c.completed_at);
-            }
-        } else {
-            // Cap groups at the segment length so a page id can never repeat
-            // within one submission; pages within a group are placed die-wise
-            // and overlap, groups are gated by the in-flight window (depth 1:
-            // each group chains on the previous one's completion).
-            let group_cap = self.batch_pages.min(self.log_pages as usize);
-            for group in frames.chunks(group_cap) {
-                let submit_at = self.inflight.gate(self.async_depth, now);
-                for (page_id, _, wraps) in group {
-                    if *wraps {
-                        backend.free_page_hint(submit_at, *page_id)?;
-                    }
-                }
-                let batch: Vec<(PageId, &[u8])> =
-                    group.iter().map(|(p, b, _)| (*p, b.as_slice())).collect();
-                let end = backend.write_pages(submit_at, &batch)?;
-                self.inflight.push(end);
-                t = t.max(end);
-            }
-        }
-        self.next_log_page += frames.len() as u64;
-        self.log_writes += frames.len() as u64;
+        let mut frames = std::mem::take(&mut self.frame_bytes);
+        let written = self.write_tail(backend, now, &mut frames);
+        self.frame_bytes = frames;
+        let t = written?;
+        self.next_log_page += pages;
+        self.log_writes += pages;
         self.buffer.clear();
         self.flushed_lsn = self.next_lsn;
         // Log durability is prefix-ordered: this force's records are only
@@ -506,6 +470,72 @@ impl WalManager {
         // reported durability instant therefore covers the whole window —
         // without draining it, so later forces keep pipelining.
         Ok(self.inflight.horizon(t))
+    }
+
+    /// Frame the buffered tail into self-describing log pages and write
+    /// them, one submission's worth at a time through `frames`.  Returns
+    /// when the last write completes.
+    fn write_tail(
+        &mut self,
+        backend: &mut dyn StorageBackend,
+        now: SimInstant,
+        frames: &mut Vec<u8>,
+    ) -> FlashResult<SimInstant> {
+        let payload_cap = self.page_size - LOG_PAGE_HEADER;
+        // Batching off: one page per submission.  Otherwise cap groups at the
+        // segment length so a page id can never repeat within one submission;
+        // pages within a group are placed die-wise and overlap, groups are
+        // gated by the in-flight window (depth 1: each group chains on the
+        // previous one's completion).
+        let group_cap = self.batch_pages.min(self.log_pages as usize).max(1);
+        let (log_start, log_pages) = (self.log_start, self.log_pages);
+        let page_id = |seq: u64| log_start + seq % log_pages;
+        let force_start_seq = self.next_log_page;
+        let mut seq = force_start_seq;
+        let mut t = now;
+        for group in self.buffer.chunks(group_cap * payload_cap) {
+            let first_seq = seq;
+            frames.clear();
+            frames.resize(group.len().div_ceil(payload_cap) * self.page_size, 0);
+            for (page, chunk) in frames
+                .chunks_exact_mut(self.page_size)
+                .zip(group.chunks(payload_cap))
+            {
+                // The buffer holds whole records, so the force's first page
+                // is record-aligned — flag it as a recovery
+                // resynchronisation point.
+                let aligned = if seq == force_start_seq { LOG_PAGE_ALIGNED } else { 0 };
+                let len_field = chunk.len() as u16 | aligned;
+                page[0..2].copy_from_slice(&LOG_PAGE_MAGIC.to_le_bytes());
+                page[2..4].copy_from_slice(&len_field.to_le_bytes());
+                page[4..8].copy_from_slice(&(seq as u32).to_le_bytes());
+                page[LOG_PAGE_HEADER..LOG_PAGE_HEADER + chunk.len()].copy_from_slice(chunk);
+                seq += 1;
+            }
+            let submit_at = self.inflight.gate(self.async_depth, now);
+            // A lap over an old log page: the backend gets a dead-page hint
+            // before the rewrite (log truncation knowledge).
+            for lap in (first_seq..seq).filter(|&s| s >= log_pages) {
+                backend.free_page_hint(submit_at, page_id(lap))?;
+            }
+            let end = if self.batch_pages == 0 {
+                backend
+                    .write_page(submit_at, page_id(first_seq), frames)?
+                    .completed_at
+            } else if seq == first_seq + 1 {
+                // The usual force is one log page: no list to build.
+                backend.write_pages(submit_at, &[(page_id(first_seq), frames)])?
+            } else {
+                let batch: Vec<(PageId, &[u8])> = (first_seq..seq)
+                    .map(page_id)
+                    .zip(frames.chunks(self.page_size))
+                    .collect();
+                backend.write_pages(submit_at, &batch)?
+            };
+            self.inflight.push(end);
+            t = t.max(end);
+        }
+        Ok(t)
     }
 
     /// Rebuild the durable record stream from the backend alone — what crash
@@ -650,12 +680,23 @@ mod tests {
             LogRecord::Abort { txn: 8 },
             LogRecord::Checkpoint,
         ];
+        // Every variant, encoded into one shared buffer behind a prefix (the
+        // log buffer is never empty mid-transaction) and appended to a log.
+        let mut shared = b"earlier records".to_vec();
+        let mut wal = WalManager::new(32, 16, 4096);
         for r in records {
             let enc = r.encode();
             let (dec, used) = LogRecord::decode(&enc).unwrap();
             assert_eq!(dec, r);
             assert_eq!(used, enc.len());
+            let at = shared.len();
+            assert_eq!(r.encode_into(&mut shared), enc.len());
+            assert_eq!(shared[at..], enc[..], "encode_into appends exactly encode()'s bytes");
+            assert_eq!(LogRecord::decode(&shared[at..]), Some((r.clone(), enc.len())));
+            let lsn = wal.append(r);
+            assert_eq!(wal.current_lsn(), lsn + enc.len() as u64);
         }
+        assert!(shared.starts_with(b"earlier records"), "the prefix is left alone");
     }
 
     #[test]

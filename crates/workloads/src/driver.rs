@@ -651,6 +651,8 @@ impl OpenLoopDriver {
         let nurand = NuRand::customer_id(cfg.seed);
         let n = sessions.len();
         let mut session_free = vec![start; n];
+        // The one row buffer every request reads into (and updates from).
+        let mut row = Vec::new();
         let mut arrival = start;
         let mut observed = (0u64, 0u64, 0u64); // (admitted, delayed, shed)
         let mut latency = Histogram::new();
@@ -725,12 +727,14 @@ impl OpenLoopDriver {
             let mut t = t;
             if let Some(packed) = slot {
                 let rid = u64_to_rid(packed);
-                let (value, t2) = session
-                    .read(Self::TABLE, t, rid)
+                let (found, t2) = session
+                    .read_into(Self::TABLE, t, rid, &mut row)
                     .map_err(nand_flash::FlashError::from)?;
                 t = t2;
                 if is_update {
-                    let mut row = value.unwrap_or_else(|| vec![0u8; cfg.row_bytes.max(16)]);
+                    if !found {
+                        row.resize(cfg.row_bytes.max(16), 0);
+                    }
                     row[8..16].copy_from_slice(&i.to_le_bytes());
                     let (_, t3) = session
                         .update(Self::TABLE, txn, t, rid, &row)

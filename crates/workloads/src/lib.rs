@@ -42,3 +42,14 @@ pub use tpcc::{TpcC, TpcCConfig};
 pub use tpce::{TpcE, TpcEConfig};
 pub use trace::{PageTrace, TraceOp, TraceReplayReport};
 pub use workload::Workload;
+
+/// Build a synthetic row image in `row` (a driver's one reused buffer):
+/// `len` bytes, zero except for `fields` as consecutive little-endian 64-bit
+/// words from the front.
+pub(crate) fn fill_row(row: &mut Vec<u8>, len: usize, fields: &[u64]) {
+    row.clear();
+    row.resize(len, 0);
+    for (word, field) in row.chunks_exact_mut(8).zip(fields) {
+        word.copy_from_slice(&field.to_le_bytes());
+    }
+}

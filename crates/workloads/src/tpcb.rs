@@ -12,6 +12,7 @@ use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
 use storage_engine::EngineOps;
 
+use crate::fill_row;
 use crate::rid_codec::{rid_to_u64, u64_to_rid};
 use crate::workload::{TxnKind, Workload};
 
@@ -57,40 +58,55 @@ pub struct TpcB {
     config: TpcBConfig,
     rng: SimRng,
     history_counter: u64,
-    /// Table/index name prefix — concurrent clients of one shared engine use
-    /// disjoint prefixes ("c0_", "c1_", ...) so their data partitions never
-    /// overlap (the engine is redo-only; isolation comes from partitioning).
-    prefix: String,
+    /// Table/index names under this client's prefix — concurrent clients of
+    /// one shared engine use disjoint prefixes ("c0_", "c1_", ...) so their
+    /// data partitions never overlap (the engine is redo-only; isolation
+    /// comes from partitioning).
+    names: Names,
+    /// The one row buffer every read fills and every written row is built in.
+    row: Vec<u8>,
 }
 
-/// Fixed-size row images (sizes follow the TPC-B minimum row sizes).
-fn account_row(id: u64, branch: u64, balance: i64) -> Vec<u8> {
-    let mut row = vec![0u8; 100];
-    row[..8].copy_from_slice(&id.to_le_bytes());
-    row[8..16].copy_from_slice(&branch.to_le_bytes());
-    row[16..24].copy_from_slice(&balance.to_le_bytes());
-    row
+/// The four tables and three indexes, each name resolved once: the prefix is
+/// fixed at construction, so no transaction formats a name.
+struct Names {
+    branch: String,
+    teller: String,
+    account: String,
+    history: String,
+    branch_pk: String,
+    teller_pk: String,
+    account_pk: String,
 }
 
-fn teller_row(id: u64, branch: u64, balance: i64) -> Vec<u8> {
-    account_row(id, branch, balance)
+impl Names {
+    fn new(prefix: &str) -> Self {
+        let name = |base: &str| format!("{prefix}{base}");
+        Self {
+            branch: name("branch"),
+            teller: name("teller"),
+            account: name("account"),
+            history: name("history"),
+            branch_pk: name("branch_pk"),
+            teller_pk: name("teller_pk"),
+            account_pk: name("account_pk"),
+        }
+    }
 }
 
-fn branch_row(id: u64, balance: i64) -> Vec<u8> {
-    let mut row = vec![0u8; 100];
-    row[..8].copy_from_slice(&id.to_le_bytes());
-    row[8..16].copy_from_slice(&balance.to_le_bytes());
-    row
+// Fixed-size row images, built in `row` (sizes follow the TPC-B minimum row
+// sizes).
+
+fn account_row(row: &mut Vec<u8>, id: u64, branch: u64, balance: i64) {
+    fill_row(row, 100, &[id, branch, balance as u64]);
 }
 
-fn history_row(account: u64, teller: u64, branch: u64, delta: i64, seq: u64) -> Vec<u8> {
-    let mut row = vec![0u8; 50];
-    row[..8].copy_from_slice(&account.to_le_bytes());
-    row[8..16].copy_from_slice(&teller.to_le_bytes());
-    row[16..24].copy_from_slice(&branch.to_le_bytes());
-    row[24..32].copy_from_slice(&delta.to_le_bytes());
-    row[32..40].copy_from_slice(&seq.to_le_bytes());
-    row
+fn branch_row(row: &mut Vec<u8>, id: u64, balance: i64) {
+    fill_row(row, 100, &[id, balance as u64]);
+}
+
+fn history_row(row: &mut Vec<u8>, account: u64, teller: u64, branch: u64, delta: i64, seq: u64) {
+    fill_row(row, 50, &[account, teller, branch, delta as u64, seq]);
 }
 
 /// Read the balance field out of an account/teller/branch row.
@@ -112,7 +128,8 @@ impl TpcB {
             rng: SimRng::new(config.seed),
             config,
             history_counter: 0,
-            prefix: prefix.into(),
+            names: Names::new(&prefix.into()),
+            row: Vec::new(),
         }
     }
 
@@ -121,9 +138,6 @@ impl TpcB {
         self.config
     }
 
-    fn tbl(&self, base: &str) -> String {
-        format!("{}{}", self.prefix, base)
-    }
 }
 
 impl<E: EngineOps> Workload<E> for TpcB {
@@ -132,32 +146,34 @@ impl<E: EngineOps> Workload<E> for TpcB {
     }
 
     fn setup(&mut self, engine: &mut E, now: SimInstant) -> FlashResult<SimInstant> {
+        let n = &self.names;
         let mut t = now;
-        for table in ["branch", "teller", "account", "history"] {
-            engine.create_table(&self.tbl(table));
+        for table in [&n.branch, &n.teller, &n.account, &n.history] {
+            engine.create_table(table);
         }
-        for index in ["branch_pk", "teller_pk", "account_pk"] {
-            engine.create_index(&self.tbl(index), t)?;
+        for index in [&n.branch_pk, &n.teller_pk, &n.account_pk] {
+            engine.create_index(index, t)?;
         }
         let txn = engine.begin();
         for b in 0..self.config.scale_factor {
-            let (rid, t2) = engine.insert(&self.tbl("branch"), txn, t, &branch_row(b, 0))?;
-            let (_, t3) = engine.index_insert(&self.tbl("branch_pk"), t2, b, rid_to_u64(rid))?;
+            branch_row(&mut self.row, b, 0);
+            let (rid, t2) = engine.insert(&n.branch, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.branch_pk, t2, b, rid_to_u64(rid))?;
             t = t3;
         }
         for teller in 0..self.config.tellers() {
             let branch = teller / self.config.tellers_per_branch;
-            let (rid, t2) =
-                engine.insert(&self.tbl("teller"), txn, t, &teller_row(teller, branch, 0))?;
-            let (_, t3) = engine.index_insert(&self.tbl("teller_pk"), t2, teller, rid_to_u64(rid))?;
+            // A teller row has the account row's layout.
+            account_row(&mut self.row, teller, branch, 0);
+            let (rid, t2) = engine.insert(&n.teller, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.teller_pk, t2, teller, rid_to_u64(rid))?;
             t = t3;
         }
         for account in 0..self.config.accounts() {
             let branch = account / self.config.accounts_per_branch;
-            let (rid, t2) =
-                engine.insert(&self.tbl("account"), txn, t, &account_row(account, branch, 0))?;
-            let (_, t3) =
-                engine.index_insert(&self.tbl("account_pk"), t2, account, rid_to_u64(rid))?;
+            account_row(&mut self.row, account, branch, 0);
+            let (rid, t2) = engine.insert(&n.account, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.account_pk, t2, account, rid_to_u64(rid))?;
             t = t3;
             // Keep the load phase from overflowing the buffer pool.
             if account % 512 == 0 {
@@ -182,52 +198,49 @@ impl<E: EngineOps> Workload<E> for TpcB {
         let delta = self.rng.range(0, 2_000_000) as i64 - 1_000_000;
 
         let txn = engine.begin();
+        let (n, row) = (&self.names, &mut self.row);
         let mut t = now;
 
         // Account: index lookup, read, update balance.
-        let (acct_ref, t2) = engine.index_get(&self.tbl("account_pk"), t, account)?;
+        let (acct_ref, t2) = engine.index_get(&n.account_pk, t, account)?;
         t = t2;
         let acct_rid = u64_to_rid(acct_ref.expect("account must exist"));
-        let (row, t2) = engine.read(&self.tbl("account"), t, acct_rid)?;
+        let (found, t2) = engine.read_into(&n.account, t, acct_rid, row)?;
         t = t2;
-        let mut row = row.expect("account row present");
-        let balance = row_balance(&row) + delta;
+        assert!(found, "account row present");
+        let balance = row_balance(row) + delta;
         row[16..24].copy_from_slice(&balance.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("account"), txn, t, acct_rid, &row)?;
+        let (_, t2) = engine.update(&n.account, txn, t, acct_rid, row)?;
         t = t2;
 
         // Teller.
-        let (teller_ref, t2) = engine.index_get(&self.tbl("teller_pk"), t, teller)?;
+        let (teller_ref, t2) = engine.index_get(&n.teller_pk, t, teller)?;
         t = t2;
         let teller_rid = u64_to_rid(teller_ref.expect("teller must exist"));
-        let (row, t2) = engine.read(&self.tbl("teller"), t, teller_rid)?;
+        let (found, t2) = engine.read_into(&n.teller, t, teller_rid, row)?;
         t = t2;
-        let mut row = row.expect("teller row present");
-        let tbal = row_balance(&row) + delta;
+        assert!(found, "teller row present");
+        let tbal = row_balance(row) + delta;
         row[16..24].copy_from_slice(&tbal.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("teller"), txn, t, teller_rid, &row)?;
+        let (_, t2) = engine.update(&n.teller, txn, t, teller_rid, row)?;
         t = t2;
 
         // Branch.
-        let (branch_ref, t2) = engine.index_get(&self.tbl("branch_pk"), t, branch)?;
+        let (branch_ref, t2) = engine.index_get(&n.branch_pk, t, branch)?;
         t = t2;
         let branch_rid = u64_to_rid(branch_ref.expect("branch must exist"));
-        let (row, t2) = engine.read(&self.tbl("branch"), t, branch_rid)?;
+        let (found, t2) = engine.read_into(&n.branch, t, branch_rid, row)?;
         t = t2;
-        let mut row = row.expect("branch row present");
+        assert!(found, "branch row present");
         let bbal = i64::from_le_bytes(row[8..16].try_into().unwrap()) + delta;
         row[8..16].copy_from_slice(&bbal.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("branch"), txn, t, branch_rid, &row)?;
+        let (_, t2) = engine.update(&n.branch, txn, t, branch_rid, row)?;
         t = t2;
 
         // History append.
         self.history_counter += 1;
-        let (_, t2) = engine.insert(
-            &self.tbl("history"),
-            txn,
-            t,
-            &history_row(account, teller, branch, delta, self.history_counter),
-        )?;
+        history_row(row, account, teller, branch, delta, self.history_counter);
+        let (_, t2) = engine.insert(&n.history, txn, t, row)?;
         t = t2;
 
         let t = engine.commit(txn, t)?;
@@ -311,8 +324,13 @@ mod tests {
 
     #[test]
     fn row_sizes_match_spec_minimums() {
-        assert_eq!(account_row(1, 1, 0).len(), 100);
-        assert_eq!(branch_row(1, 0).len(), 100);
-        assert_eq!(history_row(1, 1, 1, 5, 1).len(), 50);
+        let mut row = Vec::new();
+        account_row(&mut row, 1, 1, 0);
+        assert_eq!(row.len(), 100);
+        branch_row(&mut row, 1, 0);
+        assert_eq!(row.len(), 100);
+        history_row(&mut row, 1, 1, 1, 5, 1);
+        assert_eq!(row.len(), 50);
+        assert_eq!(row[24..32], 5i64.to_le_bytes(), "fields are consecutive words");
     }
 }

@@ -69,9 +69,14 @@ impl TpcCConfig {
 /// The TPC-C workload driver.
 pub struct TpcC {
     config: TpcCConfig,
-    /// Table/index name prefix — concurrent clients of one shared engine use
-    /// disjoint prefixes so their data partitions never overlap.
-    prefix: String,
+    /// Table/index names under this client's prefix — concurrent clients of
+    /// one shared engine use disjoint prefixes so their data partitions
+    /// never overlap.
+    names: Names,
+    /// The one row buffer every read fills and every written row is built in.
+    row: Vec<u8>,
+    /// Index-range results of Order-Status / Stock-Level (reused).
+    refs: Vec<u64>,
     rng: SimRng,
     nurand_customer: NuRand,
     nurand_item: NuRand,
@@ -83,11 +88,54 @@ pub struct TpcC {
     pub mix_counts: [u64; 5],
 }
 
-fn row(len: usize, key: u64, extra: u64) -> Vec<u8> {
-    let mut r = vec![0u8; len.max(16)];
-    r[..8].copy_from_slice(&key.to_le_bytes());
-    r[8..16].copy_from_slice(&extra.to_le_bytes());
-    r
+/// The nine tables and seven indexes, each name resolved once: the prefix is
+/// fixed at construction, so no transaction formats a name.
+struct Names {
+    warehouse: String,
+    district: String,
+    customer: String,
+    item: String,
+    stock: String,
+    orders: String,
+    order_line: String,
+    new_order: String,
+    history: String,
+    warehouse_pk: String,
+    district_pk: String,
+    customer_pk: String,
+    item_pk: String,
+    stock_pk: String,
+    orders_pk: String,
+    order_line_pk: String,
+}
+
+impl Names {
+    fn new(prefix: &str) -> Self {
+        let name = |base: &str| format!("{prefix}{base}");
+        Self {
+            warehouse: name("warehouse"),
+            district: name("district"),
+            customer: name("customer"),
+            item: name("item"),
+            stock: name("stock"),
+            orders: name("orders"),
+            order_line: name("order_line"),
+            new_order: name("new_order"),
+            history: name("history"),
+            warehouse_pk: name("warehouse_pk"),
+            district_pk: name("district_pk"),
+            customer_pk: name("customer_pk"),
+            item_pk: name("item_pk"),
+            stock_pk: name("stock_pk"),
+            orders_pk: name("orders_pk"),
+            order_line_pk: name("order_line_pk"),
+        }
+    }
+}
+
+/// Build a synthetic row of `len` bytes (at least 16) in `out`.
+fn row(out: &mut Vec<u8>, len: usize, key: u64, extra: u64) {
+    crate::fill_row(out, len.max(16), &[key, extra]);
 }
 
 impl TpcC {
@@ -101,7 +149,9 @@ impl TpcC {
     /// their partitions are disjoint.
     pub fn with_prefix(config: TpcCConfig, prefix: impl Into<String>) -> Self {
         Self {
-            prefix: prefix.into(),
+            names: Names::new(&prefix.into()),
+            row: Vec::new(),
+            refs: Vec::new(),
             rng: SimRng::new(config.seed),
             nurand_customer: NuRand::new(1023, 0, config.customers_per_district - 1, 661),
             nurand_item: NuRand::new(8191, 0, config.items - 1, 7911),
@@ -129,23 +179,21 @@ impl TpcC {
         w * self.config.items + item
     }
 
-    fn tbl(&self, base: &str) -> String {
-        format!("{}{}", self.prefix, base)
-    }
-
-    /// Helper: index lookup + heap read; panics if the row is missing
-    /// (load-time invariant).
+    /// Helper: index lookup + heap read into `row`; panics if the row is
+    /// missing (load-time invariant).
     fn read_by_key<E: EngineOps>(
         engine: &mut E,
         index: &str,
         table: &str,
         key: u64,
         now: SimInstant,
-    ) -> FlashResult<(storage_engine::heap::Rid, Vec<u8>, SimInstant)> {
+        row: &mut Vec<u8>,
+    ) -> FlashResult<(storage_engine::heap::Rid, SimInstant)> {
         let (rid_ref, t) = engine.index_get(index, now, key)?;
         let rid = u64_to_rid(rid_ref.unwrap_or_else(|| panic!("{table} key {key} missing")));
-        let (bytes, t) = engine.read(table, t, rid)?;
-        Ok((rid, bytes.expect("row present"), t))
+        let (found, t) = engine.read_into(table, t, rid, row)?;
+        assert!(found, "row present");
+        Ok((rid, t))
     }
 
     // --- the five transactions ---------------------------------------------
@@ -159,54 +207,58 @@ impl TpcC {
         let d = self.rng.range(0, self.config.districts_per_warehouse);
         let c = self.nurand_customer.sample(&mut self.rng);
         let txn = engine.begin();
+        let n = &self.names;
         let mut t = now;
 
         // Warehouse and customer reads.
-        let (_, _, t2) = Self::read_by_key(engine, &self.tbl("warehouse_pk"), &self.tbl("warehouse"), w, t)?;
+        let (_, t2) = Self::read_by_key(engine, &n.warehouse_pk, &n.warehouse, w, t, &mut self.row)?;
         t = t2;
-        let (_, _, t2) =
-            Self::read_by_key(engine, &self.tbl("customer_pk"), &self.tbl("customer"), self.customer_key(w, d, c), t)?;
+        let ckey = self.customer_key(w, d, c);
+        let (_, t2) = Self::read_by_key(engine, &n.customer_pk, &n.customer, ckey, t, &mut self.row)?;
         t = t2;
 
         // District read + update (next order id).
         let dkey = self.district_key(w, d);
-        let (drid, mut drow, t2) = Self::read_by_key(engine, &self.tbl("district_pk"), &self.tbl("district"), dkey, t)?;
+        let (drid, t2) = Self::read_by_key(engine, &n.district_pk, &n.district, dkey, t, &mut self.row)?;
         t = t2;
-        let next_oid = u64::from_le_bytes(drow[8..16].try_into().unwrap()) + 1;
-        drow[8..16].copy_from_slice(&next_oid.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("district"), txn, t, drid, &drow)?;
+        let next_oid = u64::from_le_bytes(self.row[8..16].try_into().unwrap()) + 1;
+        self.row[8..16].copy_from_slice(&next_oid.to_le_bytes());
+        let (_, t2) = engine.update(&n.district, txn, t, drid, &self.row)?;
         t = t2;
 
         // Insert the order and its lines.
         self.next_order_id += 1;
         let o_id = self.next_order_id;
         let ol_cnt = self.rng.range(5, 16);
-        let (orid, t2) = engine.insert(&self.tbl("orders"), txn, t, &row(32, o_id, ol_cnt))?;
+        row(&mut self.row, 32, o_id, ol_cnt);
+        let (orid, t2) = engine.insert(&n.orders, txn, t, &self.row)?;
         t = t2;
-        let (_, t2) = engine.index_insert(&self.tbl("orders_pk"), t, o_id, rid_to_u64(orid))?;
+        let (_, t2) = engine.index_insert(&n.orders_pk, t, o_id, rid_to_u64(orid))?;
         t = t2;
-        let (_, t2) = engine.insert(&self.tbl("new_order"), txn, t, &row(8, o_id, 0))?;
+        row(&mut self.row, 8, o_id, 0);
+        let (_, t2) = engine.insert(&n.new_order, txn, t, &self.row)?;
         t = t2;
         self.undelivered[w as usize].push_back(o_id);
 
         for line in 0..ol_cnt {
             let item = self.nurand_item.sample(&mut self.rng);
             // Item read (read-only table).
-            let (_, _, t2) = Self::read_by_key(engine, &self.tbl("item_pk"), &self.tbl("item"), item, t)?;
+            let (_, t2) = Self::read_by_key(engine, &n.item_pk, &n.item, item, t, &mut self.row)?;
             t = t2;
             // Stock read + update.
             let skey = self.stock_key(w, item);
-            let (srid, mut srow, t2) = Self::read_by_key(engine, &self.tbl("stock_pk"), &self.tbl("stock"), skey, t)?;
+            let (srid, t2) = Self::read_by_key(engine, &n.stock_pk, &n.stock, skey, t, &mut self.row)?;
             t = t2;
-            let qty = u64::from_le_bytes(srow[8..16].try_into().unwrap());
+            let qty = u64::from_le_bytes(self.row[8..16].try_into().unwrap());
             let new_qty = if qty > 10 { qty - 5 } else { qty + 91 };
-            srow[8..16].copy_from_slice(&new_qty.to_le_bytes());
-            let (_, t2) = engine.update(&self.tbl("stock"), txn, t, srid, &srow)?;
+            self.row[8..16].copy_from_slice(&new_qty.to_le_bytes());
+            let (_, t2) = engine.update(&n.stock, txn, t, srid, &self.row)?;
             t = t2;
             // Order line insert + index entry (o_id * 16 + line).
-            let (olrid, t2) = engine.insert(&self.tbl("order_line"), txn, t, &row(54, o_id, item))?;
+            row(&mut self.row, 54, o_id, item);
+            let (olrid, t2) = engine.insert(&n.order_line, txn, t, &self.row)?;
             t = t2;
-            let (_, t2) = engine.index_insert(&self.tbl("order_line_pk"), t, o_id * 16 + line, rid_to_u64(olrid))?;
+            let (_, t2) = engine.index_insert(&n.order_line_pk, t, o_id * 16 + line, rid_to_u64(olrid))?;
             t = t2;
         }
         engine.commit(txn, t)
@@ -218,36 +270,38 @@ impl TpcC {
         let c = self.nurand_customer.sample(&mut self.rng);
         let amount = self.rng.range(1, 5000) as i64;
         let txn = engine.begin();
+        let n = &self.names;
         let mut t = now;
 
         // Warehouse read + update (YTD).
-        let (wrid, mut wrow, t2) = Self::read_by_key(engine, &self.tbl("warehouse_pk"), &self.tbl("warehouse"), w, t)?;
+        let (wrid, t2) = Self::read_by_key(engine, &n.warehouse_pk, &n.warehouse, w, t, &mut self.row)?;
         t = t2;
-        let ytd = i64::from_le_bytes(wrow[8..16].try_into().unwrap()) + amount;
-        wrow[8..16].copy_from_slice(&ytd.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("warehouse"), txn, t, wrid, &wrow)?;
+        let ytd = i64::from_le_bytes(self.row[8..16].try_into().unwrap()) + amount;
+        self.row[8..16].copy_from_slice(&ytd.to_le_bytes());
+        let (_, t2) = engine.update(&n.warehouse, txn, t, wrid, &self.row)?;
         t = t2;
 
         // District read + update.
         let dkey = self.district_key(w, d);
-        let (drid, mut drow, t2) = Self::read_by_key(engine, &self.tbl("district_pk"), &self.tbl("district"), dkey, t)?;
+        let (drid, t2) = Self::read_by_key(engine, &n.district_pk, &n.district, dkey, t, &mut self.row)?;
         t = t2;
-        let dytd = i64::from_le_bytes(drow[16..24].try_into().unwrap()) + amount;
-        drow[16..24].copy_from_slice(&dytd.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("district"), txn, t, drid, &drow)?;
+        let dytd = i64::from_le_bytes(self.row[16..24].try_into().unwrap()) + amount;
+        self.row[16..24].copy_from_slice(&dytd.to_le_bytes());
+        let (_, t2) = engine.update(&n.district, txn, t, drid, &self.row)?;
         t = t2;
 
         // Customer read + update (balance).
         let ckey = self.customer_key(w, d, c);
-        let (crid, mut crow, t2) = Self::read_by_key(engine, &self.tbl("customer_pk"), &self.tbl("customer"), ckey, t)?;
+        let (crid, t2) = Self::read_by_key(engine, &n.customer_pk, &n.customer, ckey, t, &mut self.row)?;
         t = t2;
-        let bal = i64::from_le_bytes(crow[8..16].try_into().unwrap()) - amount;
-        crow[8..16].copy_from_slice(&bal.to_le_bytes());
-        let (_, t2) = engine.update(&self.tbl("customer"), txn, t, crid, &crow)?;
+        let bal = i64::from_le_bytes(self.row[8..16].try_into().unwrap()) - amount;
+        self.row[8..16].copy_from_slice(&bal.to_le_bytes());
+        let (_, t2) = engine.update(&n.customer, txn, t, crid, &self.row)?;
         t = t2;
 
         // History append.
-        let (_, t2) = engine.insert(&self.tbl("history"), txn, t, &row(46, ckey, amount as u64))?;
+        row(&mut self.row, 46, ckey, amount as u64);
+        let (_, t2) = engine.insert(&n.history, txn, t, &self.row)?;
         t = t2;
         engine.commit(txn, t)
     }
@@ -261,26 +315,27 @@ impl TpcC {
         let d = self.rng.range(0, self.config.districts_per_warehouse);
         let c = self.nurand_customer.sample(&mut self.rng);
         let txn = engine.begin();
+        let n = &self.names;
         let mut t = now;
-        let (_, _, t2) =
-            Self::read_by_key(engine, &self.tbl("customer_pk"), &self.tbl("customer"), self.customer_key(w, d, c), t)?;
+        let ckey = self.customer_key(w, d, c);
+        let (_, t2) = Self::read_by_key(engine, &n.customer_pk, &n.customer, ckey, t, &mut self.row)?;
         t = t2;
         // Read a recent order and its lines.
         if self.next_order_id > 0 {
             let lo = self.next_order_id.saturating_sub(20).max(1);
             let o_id = self.rng.range(lo, self.next_order_id + 1);
-            if let (Some(oref), t2) = engine.index_get(&self.tbl("orders_pk"), t, o_id)? {
+            if let (Some(oref), t2) = engine.index_get(&n.orders_pk, t, o_id)? {
                 t = t2;
-                let (orow, t2) = engine.read(&self.tbl("orders"), t, u64_to_rid(oref))?;
+                let (_, t2) = engine.read_into(&n.orders, t, u64_to_rid(oref), &mut self.row)?;
                 t = t2;
-                let _ = orow;
-                let mut line_refs = Vec::new();
-                let (_, t2) = engine.index_range(&self.tbl("order_line_pk"), t, o_id * 16, o_id * 16 + 15, &mut |_, v| {
-                    line_refs.push(v);
+                let refs = &mut self.refs;
+                refs.clear();
+                let (_, t2) = engine.index_range(&n.order_line_pk, t, o_id * 16, o_id * 16 + 15, &mut |_, v| {
+                    refs.push(v);
                 })?;
                 t = t2;
-                for r in line_refs {
-                    let (_, t2) = engine.read(&self.tbl("order_line"), t, u64_to_rid(r))?;
+                for &r in self.refs.iter() {
+                    let (_, t2) = engine.read_into(&n.order_line, t, u64_to_rid(r), &mut self.row)?;
                     t = t2;
                 }
             } else {
@@ -293,20 +348,21 @@ impl TpcC {
     fn delivery<E: EngineOps>(&mut self, engine: &mut E, now: SimInstant) -> FlashResult<SimInstant> {
         let w = self.rng.range(0, self.config.warehouses) as usize;
         let txn = engine.begin();
+        let n = &self.names;
         let mut t = now;
         for _ in 0..10 {
             let Some(o_id) = self.undelivered[w].pop_front() else {
                 break;
             };
-            if let (Some(oref), t2) = engine.index_get(&self.tbl("orders_pk"), t, o_id)? {
+            if let (Some(oref), t2) = engine.index_get(&n.orders_pk, t, o_id)? {
                 t = t2;
                 let orid = u64_to_rid(oref);
-                let (orow, t2) = engine.read(&self.tbl("orders"), t, orid)?;
+                let (found, t2) = engine.read_into(&n.orders, t, orid, &mut self.row)?;
                 t = t2;
-                if let Some(mut orow) = orow {
+                if found {
                     // Set the carrier id field.
-                    orow[8..16].copy_from_slice(&7u64.to_le_bytes());
-                    let (_, t2) = engine.update(&self.tbl("orders"), txn, t, orid, &orow)?;
+                    self.row[8..16].copy_from_slice(&7u64.to_le_bytes());
+                    let (_, t2) = engine.update(&n.orders, txn, t, orid, &self.row)?;
                     t = t2;
                 }
             }
@@ -314,11 +370,11 @@ impl TpcC {
             let d = self.rng.range(0, self.config.districts_per_warehouse);
             let c = self.rng.range(0, self.config.customers_per_district);
             let ckey = self.customer_key(w as u64, d, c);
-            let (crid, mut crow, t2) = Self::read_by_key(engine, &self.tbl("customer_pk"), &self.tbl("customer"), ckey, t)?;
+            let (crid, t2) = Self::read_by_key(engine, &n.customer_pk, &n.customer, ckey, t, &mut self.row)?;
             t = t2;
-            let bal = i64::from_le_bytes(crow[8..16].try_into().unwrap()) + 100;
-            crow[8..16].copy_from_slice(&bal.to_le_bytes());
-            let (_, t2) = engine.update(&self.tbl("customer"), txn, t, crid, &crow)?;
+            let bal = i64::from_le_bytes(self.row[8..16].try_into().unwrap()) + 100;
+            self.row[8..16].copy_from_slice(&bal.to_le_bytes());
+            let (_, t2) = engine.update(&n.customer, txn, t, crid, &self.row)?;
             t = t2;
         }
         engine.commit(txn, t)
@@ -332,29 +388,31 @@ impl TpcC {
         let w = self.rng.range(0, self.config.warehouses);
         let d = self.rng.range(0, self.config.districts_per_warehouse);
         let txn = engine.begin();
+        let n = &self.names;
         let mut t = now;
-        let (_, _, t2) =
-            Self::read_by_key(engine, &self.tbl("district_pk"), &self.tbl("district"), self.district_key(w, d), t)?;
+        let dkey = self.district_key(w, d);
+        let (_, t2) = Self::read_by_key(engine, &n.district_pk, &n.district, dkey, t, &mut self.row)?;
         t = t2;
         // Examine the order lines of the last 20 orders and read their stock.
         if self.next_order_id > 0 {
             let lo = self.next_order_id.saturating_sub(20).max(1);
-            let mut items = Vec::new();
+            let refs = &mut self.refs;
+            refs.clear();
             let (_, t2) = engine.index_range(
-                &self.tbl("order_line_pk"),
+                &n.order_line_pk,
                 t,
                 lo * 16,
                 self.next_order_id * 16 + 15,
-                &mut |_, v| items.push(v),
+                &mut |_, v| refs.push(v),
             )?;
             t = t2;
-            for r in items.into_iter().take(40) {
-                let (line, t2) = engine.read(&self.tbl("order_line"), t, u64_to_rid(r))?;
+            for &r in self.refs.iter().take(40) {
+                let (found, t2) = engine.read_into(&n.order_line, t, u64_to_rid(r), &mut self.row)?;
                 t = t2;
-                if let Some(line) = line {
-                    let item = u64::from_le_bytes(line[8..16].try_into().unwrap());
-                    let (_, _, t2) =
-                        Self::read_by_key(engine, &self.tbl("stock_pk"), &self.tbl("stock"), self.stock_key(w, item), t)?;
+                if found {
+                    let item = u64::from_le_bytes(self.row[8..16].try_into().unwrap());
+                    let skey = self.stock_key(w, item);
+                    let (_, t2) = Self::read_by_key(engine, &n.stock_pk, &n.stock, skey, t, &mut self.row)?;
                     t = t2;
                 }
             }
@@ -369,60 +427,66 @@ impl<E: EngineOps> Workload<E> for TpcC {
     }
 
     fn setup(&mut self, engine: &mut E, now: SimInstant) -> FlashResult<SimInstant> {
+        let n = &self.names;
         let mut t = now;
         for table in [
-            "warehouse",
-            "district",
-            "customer",
-            "item",
-            "stock",
-            "orders",
-            "order_line",
-            "new_order",
-            "history",
+            &n.warehouse,
+            &n.district,
+            &n.customer,
+            &n.item,
+            &n.stock,
+            &n.orders,
+            &n.order_line,
+            &n.new_order,
+            &n.history,
         ] {
-            engine.create_table(&self.tbl(table));
+            engine.create_table(table);
         }
         for index in [
-            "warehouse_pk",
-            "district_pk",
-            "customer_pk",
-            "item_pk",
-            "stock_pk",
-            "orders_pk",
-            "order_line_pk",
+            &n.warehouse_pk,
+            &n.district_pk,
+            &n.customer_pk,
+            &n.item_pk,
+            &n.stock_pk,
+            &n.orders_pk,
+            &n.order_line_pk,
         ] {
-            engine.create_index(&self.tbl(index), t)?;
+            engine.create_index(index, t)?;
         }
         let txn = engine.begin();
         for w in 0..self.config.warehouses {
-            let (rid, t2) = engine.insert(&self.tbl("warehouse"), txn, t, &row(89, w, 0))?;
-            let (_, t3) = engine.index_insert(&self.tbl("warehouse_pk"), t2, w, rid_to_u64(rid))?;
+            row(&mut self.row, 89, w, 0);
+            let (rid, t2) = engine.insert(&n.warehouse, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.warehouse_pk, t2, w, rid_to_u64(rid))?;
             t = t3;
         }
         for d in 0..self.config.districts() {
-            let (rid, t2) = engine.insert(&self.tbl("district"), txn, t, &row(95, d, 1))?;
-            let (_, t3) = engine.index_insert(&self.tbl("district_pk"), t2, d, rid_to_u64(rid))?;
+            row(&mut self.row, 95, d, 1);
+            let (rid, t2) = engine.insert(&n.district, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.district_pk, t2, d, rid_to_u64(rid))?;
             t = t3;
         }
         for c in 0..self.config.customers() {
-            let (rid, t2) = engine.insert(&self.tbl("customer"), txn, t, &row(650, c, 0))?;
-            let (_, t3) = engine.index_insert(&self.tbl("customer_pk"), t2, c, rid_to_u64(rid))?;
+            row(&mut self.row, 650, c, 0);
+            let (rid, t2) = engine.insert(&n.customer, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.customer_pk, t2, c, rid_to_u64(rid))?;
             t = t3;
             if c % 256 == 0 {
                 t = engine.maybe_flush(t)?;
             }
         }
         for i in 0..self.config.items {
-            let (rid, t2) = engine.insert(&self.tbl("item"), txn, t, &row(82, i, 0))?;
-            let (_, t3) = engine.index_insert(&self.tbl("item_pk"), t2, i, rid_to_u64(rid))?;
+            row(&mut self.row, 82, i, 0);
+            let (rid, t2) = engine.insert(&n.item, txn, t, &self.row)?;
+            let (_, t3) = engine.index_insert(&n.item_pk, t2, i, rid_to_u64(rid))?;
             t = t3;
         }
         for w in 0..self.config.warehouses {
             for i in 0..self.config.items {
                 let key = self.stock_key(w, i);
-                let (rid, t2) = engine.insert(&self.tbl("stock"), txn, t, &row(306, key, 50))?;
-                let (_, t3) = engine.index_insert(&self.tbl("stock_pk"), t2, key, rid_to_u64(rid))?;
+                row(&mut self.row, 306, key, 50);
+                let (rid, t2) = engine.insert(&n.stock, txn, t, &self.row)?;
+                let (_, t3) = engine.index_insert(&n.stock_pk, t2, key, rid_to_u64(rid))?;
                 t = t3;
                 if key.is_multiple_of(256) {
                     t = engine.maybe_flush(t)?;

@@ -66,16 +66,16 @@ pub struct TpcE {
     rng: SimRng,
     customer_dist: Zipf,
     next_trade_id: u64,
+    /// The one row buffer every read fills and every written row is built in.
+    row: Vec<u8>,
     /// Committed transactions per type: [trade_order, trade_result,
     /// trade_lookup, customer_position].
     pub mix_counts: [u64; 4],
 }
 
-fn row(len: usize, key: u64, extra: u64) -> Vec<u8> {
-    let mut r = vec![0u8; len];
-    r[..8].copy_from_slice(&key.to_le_bytes());
-    r[8..16].copy_from_slice(&extra.to_le_bytes());
-    r
+/// Build a synthetic row of `len` bytes in `out`.
+fn row(out: &mut Vec<u8>, len: usize, key: u64, extra: u64) {
+    crate::fill_row(out, len, &[key, extra]);
 }
 
 impl TpcE {
@@ -85,6 +85,7 @@ impl TpcE {
             rng: SimRng::new(config.seed),
             customer_dist: Zipf::new(config.customers, config.customer_skew),
             next_trade_id: 0,
+            row: Vec::new(),
             mix_counts: [0; 4],
             config,
         }
@@ -100,11 +101,13 @@ impl TpcE {
         table: &str,
         key: u64,
         now: SimInstant,
-    ) -> FlashResult<(storage_engine::heap::Rid, Vec<u8>, SimInstant)> {
+        row: &mut Vec<u8>,
+    ) -> FlashResult<(storage_engine::heap::Rid, SimInstant)> {
         let (rid_ref, t) = engine.index_get(index, now, key)?;
         let rid = u64_to_rid(rid_ref.unwrap_or_else(|| panic!("{table} key {key} missing")));
-        let (bytes, t) = engine.read(table, t, rid)?;
-        Ok((rid, bytes.expect("row present"), t))
+        let (found, t) = engine.read_into(table, t, rid, row)?;
+        assert!(found, "row present");
+        Ok((rid, t))
     }
 
     /// Trade-Order: insert a trade and debit the account.
@@ -115,19 +118,20 @@ impl TpcE {
         let security = self.rng.range(0, self.config.securities);
         let txn = engine.begin();
         let mut t = now;
-        let (_, _, t2) = Self::read_by_key(engine, "customer_pk", "customer", customer, t)?;
+        let (_, t2) = Self::read_by_key(engine, "customer_pk", "customer", customer, t, &mut self.row)?;
         t = t2;
-        let (_, _, t2) = Self::read_by_key(engine, "security_pk", "security", security, t)?;
+        let (_, t2) = Self::read_by_key(engine, "security_pk", "security", security, t, &mut self.row)?;
         t = t2;
-        let (arid, mut arow, t2) = Self::read_by_key(engine, "account_pk", "account", account, t)?;
+        let (arid, t2) = Self::read_by_key(engine, "account_pk", "account", account, t, &mut self.row)?;
         t = t2;
-        let bal = i64::from_le_bytes(arow[8..16].try_into().unwrap()) - 500;
-        arow[8..16].copy_from_slice(&bal.to_le_bytes());
-        let (_, t2) = engine.update("account", txn, t, arid, &arow)?;
+        let bal = i64::from_le_bytes(self.row[8..16].try_into().unwrap()) - 500;
+        self.row[8..16].copy_from_slice(&bal.to_le_bytes());
+        let (_, t2) = engine.update("account", txn, t, arid, &self.row)?;
         t = t2;
         self.next_trade_id += 1;
         let trade_id = self.next_trade_id;
-        let (trid, t2) = engine.insert("trade", txn, t, &row(140, trade_id, security))?;
+        row(&mut self.row, 140, trade_id, security);
+        let (trid, t2) = engine.insert("trade", txn, t, &self.row)?;
         t = t2;
         let (_, t2) = engine.index_insert("trade_pk", t, trade_id, rid_to_u64(trid))?;
         t = t2;
@@ -144,21 +148,21 @@ impl TpcE {
             if let (Some(tref), t2) = engine.index_get("trade_pk", t, trade_id)? {
                 t = t2;
                 let trid = u64_to_rid(tref);
-                if let (Some(mut trow), t2) = engine.read("trade", t, trid)? {
+                if let (true, t2) = engine.read_into("trade", t, trid, &mut self.row)? {
                     t = t2;
-                    trow[16..24].copy_from_slice(&1u64.to_le_bytes()); // status = completed
-                    let (_, t2) = engine.update("trade", txn, t, trid, &trow)?;
+                    self.row[16..24].copy_from_slice(&1u64.to_le_bytes()); // status = completed
+                    let (_, t2) = engine.update("trade", txn, t, trid, &self.row)?;
                     t = t2;
                 }
             }
         }
         let customer = self.customer_dist.sample(&mut self.rng);
         let account = self.account_key(customer, 0);
-        let (arid, mut arow, t2) = Self::read_by_key(engine, "account_pk", "account", account, t)?;
+        let (arid, t2) = Self::read_by_key(engine, "account_pk", "account", account, t, &mut self.row)?;
         t = t2;
-        let bal = i64::from_le_bytes(arow[8..16].try_into().unwrap()) + 500;
-        arow[8..16].copy_from_slice(&bal.to_le_bytes());
-        let (_, t2) = engine.update("account", txn, t, arid, &arow)?;
+        let bal = i64::from_le_bytes(self.row[8..16].try_into().unwrap()) + 500;
+        self.row[8..16].copy_from_slice(&bal.to_le_bytes());
+        let (_, t2) = engine.update("account", txn, t, arid, &self.row)?;
         t = t2;
         engine.commit(txn, t)
     }
@@ -173,7 +177,7 @@ impl TpcE {
             let (_, t2) = engine.index_range("trade_pk", t, lo, self.next_trade_id, |_, v| refs.push(v))?;
             t = t2;
             for r in refs {
-                let (_, t2) = engine.read("trade", t, u64_to_rid(r))?;
+                let (_, t2) = engine.read_into("trade", t, u64_to_rid(r), &mut self.row)?;
                 t = t2;
             }
         }
@@ -189,11 +193,11 @@ impl TpcE {
         let customer = self.customer_dist.sample(&mut self.rng);
         let txn = engine.begin();
         let mut t = now;
-        let (_, _, t2) = Self::read_by_key(engine, "customer_pk", "customer", customer, t)?;
+        let (_, t2) = Self::read_by_key(engine, "customer_pk", "customer", customer, t, &mut self.row)?;
         t = t2;
         for slot in 0..self.config.accounts_per_customer {
-            let (_, _, t2) =
-                Self::read_by_key(engine, "account_pk", "account", self.account_key(customer, slot), t)?;
+            let account = self.account_key(customer, slot);
+            let (_, t2) = Self::read_by_key(engine, "account_pk", "account", account, t, &mut self.row)?;
             t = t2;
         }
         engine.commit(txn, t)
@@ -215,12 +219,14 @@ impl Workload for TpcE {
         }
         let txn = engine.begin();
         for c in 0..self.config.customers {
-            let (rid, t2) = engine.insert("customer", txn, t, &row(280, c, 0))?;
+            row(&mut self.row, 280, c, 0);
+            let (rid, t2) = engine.insert("customer", txn, t, &self.row)?;
             let (_, t3) = engine.index_insert("customer_pk", t2, c, rid_to_u64(rid))?;
             t = t3;
         }
         for a in 0..self.config.accounts() {
-            let (rid, t2) = engine.insert("account", txn, t, &row(120, a, 10_000))?;
+            row(&mut self.row, 120, a, 10_000);
+            let (rid, t2) = engine.insert("account", txn, t, &self.row)?;
             let (_, t3) = engine.index_insert("account_pk", t2, a, rid_to_u64(rid))?;
             t = t3;
             if a % 256 == 0 {
@@ -228,7 +234,8 @@ impl Workload for TpcE {
             }
         }
         for s in 0..self.config.securities {
-            let (rid, t2) = engine.insert("security", txn, t, &row(180, s, 0))?;
+            row(&mut self.row, 180, s, 0);
+            let (rid, t2) = engine.insert("security", txn, t, &self.row)?;
             let (_, t3) = engine.index_insert("security_pk", t2, s, rid_to_u64(rid))?;
             t = t3;
         }
