@@ -172,7 +172,7 @@ fn wal_force_virtual(async_depth: usize) -> u64 {
             txn,
             page: txn,
             slot: 0,
-            bytes: vec![txn as u8; 4000],
+            bytes: &[txn as u8; 4000],
         });
     }
     let t = wal.flush(&mut backend, 0).unwrap();
@@ -193,7 +193,7 @@ fn bench_wal_force(b: &mut criterion::Bencher, batch_pages: usize) {
                 txn,
                 page: txn,
                 slot: 0,
-                bytes: payload.clone(),
+                bytes: &payload,
             });
         }
         black_box(wal.flush(&mut backend, 0).unwrap())

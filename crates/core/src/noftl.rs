@@ -947,14 +947,20 @@ impl NoFtl {
                 k += 1;
             }
             let die_run = &allocs[j..k];
-            let ops: Vec<(Ppa, &[u8], Oob)> = die_run
-                .iter()
-                .map(|&(ppa, i)| (ppa, pages[i].1, Oob::data(pages[i].0, 0)))
-                .collect();
+            let op = |&(ppa, i): &(Ppa, usize)| (ppa, pages[i].1, Oob::data(pages[i].0, 0));
+            // A one-page run (a short log force striped over the dies) needs
+            // no list.
+            let dispatched = match die_run {
+                [one] => self.dispatch_program_run(t0, t0, &[op(one)]),
+                _ => {
+                    let ops: Vec<(Ppa, &[u8], Oob)> = die_run.iter().map(op).collect();
+                    self.dispatch_program_run(t0, t0, &ops)
+                }
+            };
             // How much of the run is committed on the device and when
             // that part finished, plus the failure (if any) to recover
             // from before re-writing the rest.
-            let (committed, t_run, failure) = match self.dispatch_program_run(t0, t0, &ops) {
+            let (committed, t_run, failure) = match dispatched {
                 Ok(completion) => (die_run.len(), completion.completed_at, None),
                 Err(e @ FlashError::ProgramFailed(failed)) => {
                     // The run aborted at `failed`; the pages before it

@@ -696,7 +696,7 @@ impl StorageEngine {
         let page_size = self.backend.page_size();
         let mut rebuilt = SlottedPage::new(page, page_size);
         let mut touched = false;
-        for (_, record) in self.wal.records() {
+        for (_, record) in self.wal.records().iter() {
             let LogRecord::Update {
                 page: p,
                 slot,
@@ -706,11 +706,10 @@ impl StorageEngine {
             else {
                 continue;
             };
-            if *p != page {
+            if p != page {
                 continue;
             }
             touched = true;
-            let slot = *slot;
             let replayed = if bytes.is_empty() {
                 // Deletes of already-dead slots are legal (idempotent replay).
                 rebuilt.delete(slot);

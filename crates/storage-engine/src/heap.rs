@@ -99,7 +99,7 @@ impl HeapFile {
                     txn,
                     page: page_id,
                     slot,
-                    bytes: record.to_vec(),
+                    bytes: record,
                 });
                 self.records += 1;
                 return Ok((Rid { page: page_id, slot }, t));
@@ -119,7 +119,7 @@ impl HeapFile {
             txn,
             page: page_id,
             slot,
-            bytes: record.to_vec(),
+            bytes: record,
         });
         self.records += 1;
         Ok((Rid { page: page_id, slot }, t))
@@ -176,14 +176,14 @@ impl HeapFile {
                     txn,
                     page: rid.page,
                     slot: rid.slot,
-                    bytes: Vec::new(),
+                    bytes: &[],
                 });
             }
             wal.append(LogRecord::Update {
                 txn,
                 page: rid.page,
                 slot,
-                bytes: record.to_vec(),
+                bytes: record,
             });
             return Ok((Rid { page: rid.page, slot }, t));
         }
@@ -212,7 +212,7 @@ impl HeapFile {
                 txn,
                 page: rid.page,
                 slot: rid.slot,
-                bytes: Vec::new(),
+                bytes: &[],
             });
             self.records = self.records.saturating_sub(1);
         }
@@ -392,7 +392,7 @@ mod tests {
             .wal
             .records()
             .iter()
-            .any(|(_, r)| matches!(r, LogRecord::Update { bytes, .. } if bytes == b"logged"));
+            .any(|(_, r)| matches!(r, LogRecord::Update { bytes: b"logged", .. }));
         assert!(has_update, "insert must be WAL-logged");
     }
 
@@ -412,12 +412,12 @@ mod tests {
             .unwrap();
         assert_eq!(moved.page, rid.page, "the grown record still fits its page");
         assert_ne!(moved.slot, rid.slot, "the move gets a fresh slot");
-        let tail: Vec<&LogRecord> = c.wal.records().iter().map(|(_, r)| r).collect();
+        let tail: Vec<LogRecord<'_>> = c.wal.records().iter().map(|(_, r)| r).collect();
         assert!(
             matches!(
                 tail[tail.len() - 2],
-                LogRecord::Update { page, slot, bytes, .. }
-                    if *page == rid.page && *slot == rid.slot && bytes.is_empty()
+                LogRecord::Update { page, slot, bytes: [], .. }
+                    if page == rid.page && slot == rid.slot
             ),
             "the old slot's tombstone must be logged before the re-insert"
         );
@@ -425,7 +425,7 @@ mod tests {
             matches!(
                 tail[tail.len() - 1],
                 LogRecord::Update { page, slot, bytes, .. }
-                    if *page == moved.page && *slot == moved.slot && bytes == &grown
+                    if page == moved.page && slot == moved.slot && bytes == grown
             ),
             "the re-insert carries the new slot and the post-image"
         );

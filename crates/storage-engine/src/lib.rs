@@ -303,4 +303,4 @@ pub use ops::EngineOps;
 pub use page::{PageId, SlottedPage};
 pub use shard::ShardedBufferPool;
 pub use transaction::{AdmissionConfig, AdmissionControl, AdmissionStats, TxnId, TxnState};
-pub use wal::{LogRecord, Lsn, WalManager};
+pub use wal::{LogRecord, LogStream, Lsn, WalManager};

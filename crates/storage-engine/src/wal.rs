@@ -8,8 +8,14 @@
 //! back to the backend via dead-page hints — one more example of the DBMS
 //! knowledge NoFTL can exploit.
 //!
-//! **Group commit.** The log buffer accumulates records across transactions
-//! and a force writes the whole multi-page tail as *one* batched
+//! **One copy of the log.** A record is encoded once, when it is appended,
+//! into the manager's [`LogStream`]; that stream is at once the log buffer
+//! (its unflushed tail is what a force frames into pages), the history page
+//! rescue replays, and the form recovery rebuilds from the medium.  Decoding
+//! hands out [`LogRecord`] views into it, so no record is kept twice.
+//!
+//! **Group commit.** The stream's tail accumulates records across
+//! transactions and a force writes it as *one* batched
 //! [`StorageBackend::write_pages`] submission: consecutive log pages stripe
 //! die-wise (page ids are sequential, and the NoFTL backend places
 //! `lpn mod regions`), so a k-page force fans out over k dies in parallel
@@ -28,7 +34,7 @@
 //! unambiguously.  `page_seq` is the monotone log-page counter, so a stale
 //! page from an earlier lap of the (wrapped) segment terminates the scan.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
@@ -50,12 +56,27 @@ const LOG_PAGE_MAGIC: u16 = 0x574C;
 /// the hole as the end of the log.
 const LOG_PAGE_ALIGNED: u16 = 0x8000;
 
+/// Bytes of a record's length prefix.
+const LEN_PREFIX: usize = 4;
+
+/// Capacity of one [`LogStream`] segment.  Large enough that a TPC-C
+/// transaction's records cost a few thousandths of an allocation, small
+/// enough that the unfilled tail of the newest segment is noise next to
+/// the log it holds.
+const SEGMENT_BYTES: usize = 1 << 20;
+
+/// Longest log-page group a force lists on the stack; a longer group (a
+/// large tail under a large batch size) builds its list on the heap.
+const STACK_GROUP_PAGES: usize = 8;
+
 /// Log sequence number (byte offset in the logical log).
 pub type Lsn = u64;
 
-/// One log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
+/// One log record.  An update borrows its record image: the log keeps a
+/// record only as its encoding in a [`LogStream`], and a decoded record is
+/// a view into those bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogRecord<'a> {
     /// A transaction started.
     Begin {
         /// Transaction id.
@@ -71,7 +92,7 @@ pub enum LogRecord {
         /// Slot within the page.
         slot: u16,
         /// New record image.
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
     /// Transaction committed.
     Commit {
@@ -87,7 +108,7 @@ pub enum LogRecord {
     Checkpoint,
 }
 
-impl LogRecord {
+impl LogRecord<'_> {
     fn kind_tag(&self) -> u8 {
         match self {
             LogRecord::Begin { .. } => 1,
@@ -98,20 +119,28 @@ impl LogRecord {
         }
     }
 
+    /// Size of the length-prefixed encoding.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let fields = match self {
+            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => 8,
+            LogRecord::Update { bytes, .. } => 8 + 8 + 2 + 4 + bytes.len(),
+            LogRecord::Checkpoint => 0,
+        };
+        LEN_PREFIX + 1 + fields
+    }
+
     /// Serialize to a length-prefixed byte record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
 
-    /// Append the length-prefixed byte record to `out` — the log buffer
-    /// itself, so a record is encoded where it will live — and return the
-    /// number of bytes appended.
+    /// Append the length-prefixed byte record to `out` and return the number
+    /// of bytes appended.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        let start = out.len();
-        // The length prefix is patched in once the body is written.
-        out.put_u32_le(0);
+        let len = self.encoded_len();
+        out.put_u32_le((len - LEN_PREFIX) as u32);
         out.put_u8(self.kind_tag());
         match self {
             LogRecord::Begin { txn } | LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
@@ -127,68 +156,194 @@ impl LogRecord {
                 out.put_u64_le(*page);
                 out.put_u16_le(*slot);
                 out.put_u32_le(bytes.len() as u32);
-                out.extend_from_slice(bytes);
+                out.put_slice(bytes);
             }
             LogRecord::Checkpoint => {}
         }
-        let body_len = (out.len() - start - 4) as u32;
-        out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-        out.len() - start
+        len
     }
+}
 
+impl<'a> LogRecord<'a> {
     /// Decode one record from the front of `data`; returns the record and the
-    /// number of bytes consumed, or `None` for a truncated/empty record.
-    pub fn decode(data: &[u8]) -> Option<(LogRecord, usize)> {
-        if data.len() < 4 {
-            return None;
-        }
-        let mut cursor = data;
-        let len = cursor.get_u32_le() as usize;
-        if len == 0 || cursor.len() < len {
-            return None;
-        }
-        let mut body = &cursor[..len];
-        let tag = body.get_u8();
+    /// number of bytes consumed, or `None` for a truncated, empty or
+    /// malformed record (a length prefix that does not cover exactly the
+    /// fields its kind declares, or an unknown kind).  Never panics, whatever
+    /// the input: recovery decodes whatever the medium returns.
+    pub fn decode(data: &'a [u8]) -> Option<(LogRecord<'a>, usize)> {
+        let (len, rest) = data.split_first_chunk::<LEN_PREFIX>()?;
+        let len = u32::from_le_bytes(*len) as usize;
+        let (&tag, mut body) = rest.get(..len)?.split_first()?;
         let record = match tag {
             1 => LogRecord::Begin {
-                txn: body.get_u64_le(),
+                txn: u64::from_le_bytes(take(&mut body)?),
             },
             2 => {
-                let txn = body.get_u64_le();
-                let page = body.get_u64_le();
-                let slot = body.get_u16_le();
-                let blen = body.get_u32_le() as usize;
+                let txn = u64::from_le_bytes(take(&mut body)?);
+                let page = u64::from_le_bytes(take(&mut body)?);
+                let slot = u16::from_le_bytes(take(&mut body)?);
+                let blen = u32::from_le_bytes(take(&mut body)?) as usize;
                 LogRecord::Update {
                     txn,
                     page,
                     slot,
-                    bytes: body[..blen].to_vec(),
+                    bytes: body.get(..blen)?,
                 }
             }
             3 => LogRecord::Commit {
-                txn: body.get_u64_le(),
+                txn: u64::from_le_bytes(take(&mut body)?),
             },
             4 => LogRecord::Abort {
-                txn: body.get_u64_le(),
+                txn: u64::from_le_bytes(take(&mut body)?),
             },
             5 => LogRecord::Checkpoint,
             _ => return None,
         };
-        Some((record, 4 + len))
+        let used = LEN_PREFIX + len;
+        (record.encoded_len() == used).then_some((record, used))
     }
 }
 
-/// The log manager: an append-only buffer flushed to a dedicated page range.
+/// Split `N` bytes off the front of `cursor`.
+fn take<const N: usize>(cursor: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = cursor.split_first_chunk::<N>()?;
+    *cursor = tail;
+    Some(*head)
+}
+
+/// An append-only stream of encoded log records — the one form in which the
+/// log keeps what it was given.  The WAL's history is one (its unflushed
+/// tail is the stretch a force frames into log pages), and so is what
+/// recovery rebuilds from the medium.  A record's LSN is its byte offset in
+/// the stream.
+///
+/// The bytes live in 1 MiB segments, each allocated once at full capacity
+/// and holding whole records, so appending never moves earlier bytes and a
+/// decoded record is a slice of the segment it sits in.
+#[derive(Clone, Default)]
+pub struct LogStream {
+    /// `(LSN of the first record, encoded records)` per segment.
+    segments: Vec<(Lsn, Vec<u8>)>,
+    /// Bytes in the stream: the LSN the next record gets.
+    end: Lsn,
+    /// Records in the stream.
+    len: usize,
+}
+
+impl LogStream {
+    /// Append `record`; returns its LSN.
+    pub(crate) fn push(&mut self, record: &LogRecord<'_>) -> Lsn {
+        let lsn = self.end;
+        let need = record.encoded_len();
+        let fits = self
+            .segments
+            .last()
+            .is_some_and(|(_, seg)| seg.capacity() - seg.len() >= need);
+        if !fits {
+            self.segments
+                .push((lsn, Vec::with_capacity(need.max(SEGMENT_BYTES))));
+        }
+        if let Some((_, seg)) = self.segments.last_mut() {
+            self.end += record.encode_into(seg) as u64;
+            self.len += 1;
+        }
+        lsn
+    }
+
+    /// Bytes in the stream, which is the LSN the next record gets.
+    pub fn end_lsn(&self) -> Lsn {
+        self.end
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the stream holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records with their LSNs, in order.
+    pub fn iter(&self) -> Records<'_> {
+        Records {
+            segments: self.segments.iter(),
+            lsn: 0,
+            rest: &[],
+        }
+    }
+
+    /// Copy the encoded bytes `[lsn, lsn + dst.len())` into `dst`, across
+    /// segment boundaries.  The range must lie within the stream.
+    fn copy_out(&self, mut lsn: Lsn, dst: &mut [u8]) {
+        let mut segment = self.segments.partition_point(|&(base, _)| base <= lsn) - 1;
+        let mut filled = 0;
+        while filled < dst.len() {
+            let (base, bytes) = &self.segments[segment];
+            let src = &bytes[(lsn - base) as usize..];
+            let n = src.len().min(dst.len() - filled);
+            dst[filled..filled + n].copy_from_slice(&src[..n]);
+            filled += n;
+            lsn += n as u64;
+            segment += 1;
+        }
+    }
+}
+
+/// Two streams are equal when they hold the same records at the same LSNs,
+/// however their bytes are segmented.
+impl PartialEq for LogStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for LogStream {}
+
+impl std::fmt::Debug for LogStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`LogStream`]'s records, decoding in place.
+pub struct Records<'a> {
+    segments: std::slice::Iter<'a, (Lsn, Vec<u8>)>,
+    /// LSN of the front of `rest`.
+    lsn: Lsn,
+    /// Undecoded part of the current segment.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (Lsn, LogRecord<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.rest.is_empty() {
+            let (base, bytes) = self.segments.next()?;
+            self.lsn = *base;
+            self.rest = bytes;
+        }
+        let (record, used) = LogRecord::decode(self.rest)?;
+        let lsn = self.lsn;
+        self.lsn += used as u64;
+        self.rest = &self.rest[used..];
+        Some((lsn, record))
+    }
+}
+
+/// The log manager: an append-only record stream whose tail is flushed to a
+/// dedicated page range.
 pub struct WalManager {
     /// First page id of the log segment.
     log_start: PageId,
     /// Number of pages in the log segment.
     log_pages: u64,
     page_size: usize,
-    /// In-memory tail of the log not yet flushed.
-    buffer: Vec<u8>,
-    /// Next LSN to assign (logical byte offset).
-    next_lsn: Lsn,
+    /// Everything appended, encoded once: `[flushed_lsn, end)` is the tail
+    /// the next force writes, the whole stream is what page rescue replays.
+    log: LogStream,
     /// LSN up to which the log is durable.
     flushed_lsn: Lsn,
     /// Next log page (within the segment) to write.
@@ -223,8 +378,6 @@ pub struct WalManager {
     /// the record-aligned points the start-of-log pointer may advance to when
     /// a wrap overruns it.  Bounded by the number of forces per lap.
     force_starts: std::collections::VecDeque<(u64, Lsn)>,
-    /// Complete, decoded copy of everything appended (recovery source).
-    records: Vec<(Lsn, LogRecord)>,
     /// The framed log pages of the submission in progress, back to back —
     /// at most one batch's worth, kept for its capacity between forces.
     frame_bytes: Vec<u8>,
@@ -248,8 +401,7 @@ impl WalManager {
             log_start,
             log_pages,
             page_size,
-            buffer: Vec::new(),
-            next_lsn: 0,
+            log: LogStream::default(),
             flushed_lsn: 0,
             next_log_page: 0,
             log_writes: 0,
@@ -262,7 +414,6 @@ impl WalManager {
             recovery_start_seq: 0,
             checkpoint_lsn: 0,
             force_starts: std::collections::VecDeque::new(),
-            records: Vec::new(),
             frame_bytes: Vec::new(),
         }
     }
@@ -277,7 +428,7 @@ impl WalManager {
     /// returned sequence).
     pub fn note_checkpoint(&mut self) -> u64 {
         self.recovery_start_seq = self.next_log_page;
-        // The buffer holds exactly [flushed_lsn, next_lsn): the first record
+        // The unflushed tail is exactly [flushed_lsn, end): the first record
         // that can land at the new start sequence begins at flushed_lsn.
         self.checkpoint_lsn = self.flushed_lsn;
         // Force starts behind the pointer can never be recovery targets.
@@ -355,16 +506,13 @@ impl WalManager {
 
     /// Append a record; returns its LSN. The record is durable only after a
     /// flush/force.
-    pub fn append(&mut self, record: LogRecord) -> Lsn {
-        let lsn = self.next_lsn;
-        self.next_lsn += record.encode_into(&mut self.buffer) as u64;
-        self.records.push((lsn, record));
-        lsn
+    pub fn append(&mut self, record: LogRecord<'_>) -> Lsn {
+        self.log.push(&record)
     }
 
     /// LSN that would be assigned to the next record.
     pub fn current_lsn(&self) -> Lsn {
-        self.next_lsn
+        self.log.end_lsn()
     }
 
     /// LSN up to which the log is known durable.
@@ -415,7 +563,8 @@ impl WalManager {
         backend: &mut dyn StorageBackend,
         now: SimInstant,
     ) -> FlashResult<SimInstant> {
-        if self.buffer.is_empty() {
+        let tail = (self.log.end_lsn() - self.flushed_lsn) as usize;
+        if tail == 0 {
             return Ok(now);
         }
         if self.async_depth <= 1 {
@@ -425,7 +574,7 @@ impl WalManager {
         self.forces += 1;
         self.pending_commits = 0;
         let payload_cap = self.page_size - LOG_PAGE_HEADER;
-        let pages = self.buffer.len().div_ceil(payload_cap) as u64;
+        let pages = tail.div_ceil(payload_cap) as u64;
         // Keep the start-of-log pointer live across wraps.  This force's
         // pages overwrite every slot whose sequence lies more than one lap
         // behind its end; if that overruns the checkpointed pointer, advance
@@ -452,7 +601,7 @@ impl WalManager {
                 }
                 None => {
                     self.recovery_start_seq = end_seq;
-                    self.checkpoint_lsn = self.next_lsn;
+                    self.checkpoint_lsn = self.log.end_lsn();
                 }
             }
         }
@@ -462,8 +611,7 @@ impl WalManager {
         let t = written?;
         self.next_log_page += pages;
         self.log_writes += pages;
-        self.buffer.clear();
-        self.flushed_lsn = self.next_lsn;
+        self.flushed_lsn = self.log.end_lsn();
         // Log durability is prefix-ordered: this force's records are only
         // recoverable once every earlier in-flight log write has landed too
         // (recovery's monotone page_seq scan stops at the first hole).  The
@@ -472,7 +620,7 @@ impl WalManager {
         Ok(self.inflight.horizon(t))
     }
 
-    /// Frame the buffered tail into self-describing log pages and write
+    /// Frame the unflushed tail into self-describing log pages and write
     /// them, one submission's worth at a time through `frames`.  Returns
     /// when the last write completes.
     fn write_tail(
@@ -492,24 +640,26 @@ impl WalManager {
         let page_id = |seq: u64| log_start + seq % log_pages;
         let force_start_seq = self.next_log_page;
         let mut seq = force_start_seq;
+        let mut lsn = self.flushed_lsn;
         let mut t = now;
-        for group in self.buffer.chunks(group_cap * payload_cap) {
+        while lsn < self.log.end_lsn() {
             let first_seq = seq;
+            let group_bytes = ((self.log.end_lsn() - lsn) as usize).min(group_cap * payload_cap);
             frames.clear();
-            frames.resize(group.len().div_ceil(payload_cap) * self.page_size, 0);
-            for (page, chunk) in frames
-                .chunks_exact_mut(self.page_size)
-                .zip(group.chunks(payload_cap))
-            {
-                // The buffer holds whole records, so the force's first page
-                // is record-aligned — flag it as a recovery
+            frames.resize(group_bytes.div_ceil(payload_cap) * self.page_size, 0);
+            for page in frames.chunks_exact_mut(self.page_size) {
+                let len = ((self.log.end_lsn() - lsn) as usize).min(payload_cap);
+                // The tail starts on a record boundary, so the force's first
+                // page is record-aligned — flag it as a recovery
                 // resynchronisation point.
                 let aligned = if seq == force_start_seq { LOG_PAGE_ALIGNED } else { 0 };
-                let len_field = chunk.len() as u16 | aligned;
+                let len_field = len as u16 | aligned;
                 page[0..2].copy_from_slice(&LOG_PAGE_MAGIC.to_le_bytes());
                 page[2..4].copy_from_slice(&len_field.to_le_bytes());
                 page[4..8].copy_from_slice(&(seq as u32).to_le_bytes());
-                page[LOG_PAGE_HEADER..LOG_PAGE_HEADER + chunk.len()].copy_from_slice(chunk);
+                self.log
+                    .copy_out(lsn, &mut page[LOG_PAGE_HEADER..LOG_PAGE_HEADER + len]);
+                lsn += len as u64;
                 seq += 1;
             }
             let submit_at = self.inflight.gate(self.async_depth, now);
@@ -518,19 +668,23 @@ impl WalManager {
             for lap in (first_seq..seq).filter(|&s| s >= log_pages) {
                 backend.free_page_hint(submit_at, page_id(lap))?;
             }
+            let n = (seq - first_seq) as usize;
+            let group = (first_seq..seq)
+                .map(page_id)
+                .zip(frames.chunks(self.page_size));
             let end = if self.batch_pages == 0 {
                 backend
                     .write_page(submit_at, page_id(first_seq), frames)?
                     .completed_at
-            } else if seq == first_seq + 1 {
-                // The usual force is one log page: no list to build.
-                backend.write_pages(submit_at, &[(page_id(first_seq), frames)])?
+            } else if n <= STACK_GROUP_PAGES {
+                // The usual force is a page or two: list it on the stack.
+                let mut batch = [(0, &[][..]); STACK_GROUP_PAGES];
+                for (slot, page) in batch.iter_mut().zip(group) {
+                    *slot = page;
+                }
+                backend.write_pages(submit_at, &batch[..n])?
             } else {
-                let batch: Vec<(PageId, &[u8])> = (first_seq..seq)
-                    .map(page_id)
-                    .zip(frames.chunks(self.page_size))
-                    .collect();
-                backend.write_pages(submit_at, &batch)?
+                backend.write_pages(submit_at, &group.collect::<Vec<_>>())?
             };
             self.inflight.push(end);
             t = t.max(end);
@@ -547,7 +701,7 @@ impl WalManager {
         log_pages: u64,
         page_size: usize,
         now: SimInstant,
-    ) -> Vec<(Lsn, LogRecord)> {
+    ) -> LogStream {
         Self::recover_records_from(backend, log_start, log_pages, page_size, 0, now)
     }
 
@@ -573,8 +727,8 @@ impl WalManager {
     ///
     /// **Unreadable log pages.** A read error (for example an uncorrectable
     /// ECC result from a log page whose block was later retired) does *not*
-    /// end the scan: the hole's bytes are gone, so the current record run is
-    /// closed, the scan continues, and decoding resynchronises at the next
+    /// end the scan: the hole's bytes are gone, so the record torn by it is
+    /// dropped, the scan continues, and decoding resynchronises at the next
     /// page flagged record-aligned (the first page of a force — see
     /// [`LOG_PAGE_ALIGNED`]).  Only a stale or never-written page — wrong
     /// magic or out-of-sequence header — marks the durable frontier and
@@ -586,26 +740,22 @@ impl WalManager {
         page_size: usize,
         start_seq: u64,
         now: SimInstant,
-    ) -> Vec<(Lsn, LogRecord)> {
+    ) -> LogStream {
         let payload_cap = page_size - LOG_PAGE_HEADER;
-        // Contiguous, record-aligned byte runs; a hole (or the mid-record
-        // pages following one) separates runs.  The scan start is always
-        // record-aligned: it is page-sequence 0 or a checkpointed force
-        // start.
-        let mut runs: Vec<Vec<u8>> = Vec::new();
-        let mut current: Option<Vec<u8>> = Some(Vec::new());
+        let mut records = LogStream::default();
+        // Payload bytes read but not yet decoded: the head of a record that
+        // continues on the next page.  `None` while resynchronising after a
+        // hole.  The scan start is always record-aligned: it is
+        // page-sequence 0 or a checkpointed force start.
+        let mut pending: Option<Vec<u8>> = Some(Vec::new());
         let mut buf = vec![0u8; page_size];
         for seq in start_seq..start_seq + log_pages {
             let slot = log_start + (seq % log_pages);
             if backend.read_page(now, slot, &mut buf).is_err() {
                 // Unreadable log page: its records are lost, but committed
-                // records on later pages are not — close the run and keep
-                // scanning rather than declaring end-of-log.
-                if let Some(run) = current.take() {
-                    if !run.is_empty() {
-                        runs.push(run);
-                    }
-                }
+                // records on later pages are not — drop the torn record and
+                // keep scanning rather than declaring end-of-log.
+                pending = None;
                 continue;
             }
             let magic = u16::from_le_bytes([buf[0], buf[1]]);
@@ -617,47 +767,37 @@ impl WalManager {
             {
                 break;
             }
-            match current.as_mut() {
-                Some(run) => run.extend_from_slice(&buf[LOG_PAGE_HEADER..LOG_PAGE_HEADER + len]),
+            let run = match pending.as_mut() {
+                Some(run) => run,
+                // The next force start opens a fresh run.
+                None if aligned => pending.insert(Vec::new()),
                 // Resynchronising after a hole: pages continuing a record
-                // whose head fell into the hole cannot be decoded and are
-                // dropped; the next force start opens a fresh run.
-                None if aligned => {
-                    let mut run = Vec::new();
-                    run.extend_from_slice(&buf[LOG_PAGE_HEADER..LOG_PAGE_HEADER + len]);
-                    current = Some(run);
-                }
-                None => {}
+                // whose head fell into the hole cannot be decoded.
+                None => continue,
+            };
+            run.extend_from_slice(&buf[LOG_PAGE_HEADER..LOG_PAGE_HEADER + len]);
+            let mut decoded = 0;
+            while let Some((record, used)) = LogRecord::decode(&run[decoded..]) {
+                records.push(&record);
+                decoded += used;
             }
-        }
-        if let Some(run) = current.take() {
-            if !run.is_empty() {
-                runs.push(run);
-            }
-        }
-        let mut records = Vec::new();
-        let mut lsn: Lsn = 0;
-        for run in &runs {
-            let mut cursor = &run[..];
-            while let Some((record, used)) = LogRecord::decode(cursor) {
-                records.push((lsn, record));
-                lsn += used as u64;
-                cursor = &cursor[used..];
-            }
+            run.drain(..decoded);
         }
         records
     }
 
     /// All records appended so far (durable or not), with their LSNs.
     /// Recovery replays the durable prefix.
-    pub fn records(&self) -> &[(Lsn, LogRecord)] {
-        &self.records
+    pub fn records(&self) -> &LogStream {
+        &self.log
     }
 
     /// Records with LSN strictly below the durable horizon — what recovery
     /// would see after a crash.
-    pub fn durable_records(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> + '_ {
-        self.records.iter().filter(move |(lsn, _)| *lsn < self.flushed_lsn)
+    pub fn durable_records(&self) -> impl Iterator<Item = (Lsn, LogRecord<'_>)> + '_ {
+        self.log
+            .iter()
+            .take_while(move |(lsn, _)| *lsn < self.flushed_lsn)
     }
 }
 
@@ -674,29 +814,35 @@ mod tests {
                 txn: 7,
                 page: 12,
                 slot: 3,
-                bytes: b"payload".to_vec(),
+                bytes: b"payload",
             },
             LogRecord::Commit { txn: 7 },
             LogRecord::Abort { txn: 8 },
             LogRecord::Checkpoint,
         ];
-        // Every variant, encoded into one shared buffer behind a prefix (the
-        // log buffer is never empty mid-transaction) and appended to a log.
+        // Every variant, encoded into one shared buffer behind a prefix (a
+        // log segment is never empty mid-transaction) and appended to a log.
         let mut shared = b"earlier records".to_vec();
         let mut wal = WalManager::new(32, 16, 4096);
-        for r in records {
+        for &r in &records {
             let enc = r.encode();
+            assert_eq!(enc.len(), r.encoded_len());
             let (dec, used) = LogRecord::decode(&enc).unwrap();
             assert_eq!(dec, r);
             assert_eq!(used, enc.len());
             let at = shared.len();
             assert_eq!(r.encode_into(&mut shared), enc.len());
             assert_eq!(shared[at..], enc[..], "encode_into appends exactly encode()'s bytes");
-            assert_eq!(LogRecord::decode(&shared[at..]), Some((r.clone(), enc.len())));
+            assert_eq!(LogRecord::decode(&shared[at..]), Some((r, enc.len())));
             let lsn = wal.append(r);
             assert_eq!(wal.current_lsn(), lsn + enc.len() as u64);
         }
         assert!(shared.starts_with(b"earlier records"), "the prefix is left alone");
+        // The WAL keeps the records only as that encoding, and hands back
+        // exactly what it was given.
+        let kept: Vec<LogRecord<'_>> = wal.records().iter().map(|(_, r)| r).collect();
+        assert_eq!(kept, records);
+        assert_eq!(wal.records().len(), records.len());
     }
 
     #[test]
@@ -705,6 +851,116 @@ mod tests {
         assert!(LogRecord::decode(&enc[..2]).is_none());
         assert!(LogRecord::decode(&[]).is_none());
         assert!(LogRecord::decode(&[0, 0, 0, 0]).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_malformed_records_without_panicking() {
+        // Regression: a length prefix shorter than the fields its kind
+        // declares made the field reads panic, and an update whose image
+        // length ran past its body panicked on the slice.  Recovery decodes
+        // whatever the medium returns, so malformed input is `None`.
+        let update = LogRecord::Update {
+            txn: 1,
+            page: 2,
+            slot: 3,
+            bytes: b"abc",
+        }
+        .encode();
+        let with_len = |bytes: &[u8], len: u32| {
+            let mut v = bytes.to_vec();
+            v[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+            v
+        };
+        // An update cut to its kind tag and half its txn id, prefix agreeing.
+        assert_eq!(LogRecord::decode(&with_len(&update[..9], 5)), None);
+        // An image length beyond the body.
+        let mut long_image = update.clone();
+        long_image[LEN_PREFIX + 1 + 18..][..4].copy_from_slice(&100u32.to_le_bytes());
+        assert_eq!(LogRecord::decode(&long_image), None);
+        // A prefix covering bytes the kind does not declare.
+        let mut padded = LogRecord::Commit { txn: 1 }.encode();
+        padded.extend_from_slice(&[0; 3]);
+        assert_eq!(LogRecord::decode(&with_len(&padded, 9 + 3)), None);
+        // A prefix longer than the input, and an unknown kind.
+        assert_eq!(LogRecord::decode(&with_len(&update, u32::MAX)), None);
+        assert_eq!(LogRecord::decode(&[1, 0, 0, 0, 9]), None);
+        // Well-formed input still decodes.
+        assert_eq!(
+            LogRecord::decode(&update).map(|(_, used)| used),
+            Some(update.len())
+        );
+    }
+
+    #[test]
+    fn a_force_spanning_two_stream_segments_writes_the_exact_stream() {
+        // Fill the first segment until a 3 000-byte update no longer fits
+        // behind one more `Begin`, force, then append that `Begin` (it closes
+        // the first segment) and the update (it opens the second): the next
+        // force frames a tail that straddles the segment boundary.
+        let mut backend = MemBackend::new(4096, 1024);
+        let mut wal = WalManager::new(0, 1024, 4096);
+        let image = [0x5A; 3000];
+        let update = |txn| LogRecord::Update {
+            txn,
+            page: txn,
+            slot: 0,
+            bytes: &image,
+        };
+        let begin_len = LogRecord::Begin { txn: 0 }.encoded_len() as u64;
+        let mut txn = 0;
+        let room_to_leave = update(0).encoded_len() as u64 + begin_len;
+        while SEGMENT_BYTES as u64 - wal.current_lsn() >= room_to_leave {
+            wal.append(update(txn));
+            txn += 1;
+        }
+        wal.flush(&mut backend, 0).unwrap();
+        let tail_start = wal.flushed_lsn();
+        wal.append(LogRecord::Begin { txn });
+        wal.append(update(txn));
+        assert_eq!(wal.log.segments.len(), 2);
+        let boundary = wal.log.segments[1].0;
+        assert!(
+            tail_start < boundary && boundary < wal.current_lsn(),
+            "the tail straddles"
+        );
+        wal.flush(&mut backend, 0).unwrap();
+        let recovered = WalManager::recover_records(&mut backend, 0, 1024, 4096, 0);
+        assert_eq!(recovered.len(), txn as usize + 2);
+        assert_eq!(
+            recovered,
+            *wal.records(),
+            "the medium holds the stream byte for byte"
+        );
+    }
+
+    #[test]
+    fn a_record_larger_than_a_segment_gets_a_segment_of_its_own() {
+        let mut log = LogStream::default();
+        let huge = vec![7u8; SEGMENT_BYTES + 1];
+        let records = [
+            LogRecord::Begin { txn: 1 },
+            LogRecord::Update {
+                txn: 1,
+                page: 9,
+                slot: 0,
+                bytes: &huge,
+            },
+            LogRecord::Commit { txn: 1 },
+        ];
+        let lsns: Vec<Lsn> = records.iter().map(|r| log.push(r)).collect();
+        assert_eq!(
+            log.segments.len(),
+            3,
+            "the huge record fits neither neighbour's segment"
+        );
+        assert_eq!(
+            log.iter().collect::<Vec<_>>(),
+            lsns.into_iter().zip(records).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            log.end_lsn(),
+            records.iter().map(|r| r.encoded_len() as u64).sum::<u64>()
+        );
     }
 
     #[test]
@@ -743,7 +999,7 @@ mod tests {
                 txn: i,
                 page: i,
                 slot: 0,
-                bytes: vec![0u8; 200],
+                bytes: &[0u8; 200],
             });
             wal.flush(&mut backend, 0).unwrap();
         }
@@ -782,7 +1038,7 @@ mod tests {
                     txn: round,
                     page: i,
                     slot: i as u16,
-                    bytes: vec![round as u8; 200],
+                    bytes: &[round as u8; 200],
                 });
             }
             wal.append(LogRecord::Commit { txn: round });
@@ -790,9 +1046,13 @@ mod tests {
         }
         wal.append(LogRecord::Begin { txn: 99 });
         let recovered = WalManager::recover_records(&mut backend, 32, 64, 512, 0);
-        let durable: Vec<_> = wal.durable_records().cloned().collect();
+        let durable: Vec<_> = wal.durable_records().collect();
         assert_eq!(recovered.len(), 15, "3 rounds x 5 records, tail excluded");
-        assert_eq!(recovered, durable, "backend scan must agree with the durable view");
+        assert_eq!(
+            recovered.iter().collect::<Vec<_>>(),
+            durable,
+            "backend scan must agree with the durable view"
+        );
     }
 
     #[test]
@@ -831,7 +1091,7 @@ mod tests {
                 txn: i,
                 page: i,
                 slot: 0,
-                bytes: vec![1u8; 400],
+                bytes: &[1u8; 400],
             });
         }
         wal.flush(&mut backend, 0).unwrap();
@@ -850,7 +1110,7 @@ mod tests {
                     txn: i,
                     page: i,
                     slot: 0,
-                    bytes: vec![i as u8; 300],
+                    bytes: &[i as u8; 300],
                 });
             }
             let t = wal.flush(&mut backend, 0).unwrap();
@@ -878,7 +1138,7 @@ mod tests {
         use crate::backend::NoFtlBackend;
         use noftl_core::{NoFtl, NoFtlConfig};
 
-        let run = |depth: usize| -> (SimInstant, Vec<(Lsn, LogRecord)>) {
+        let run = |depth: usize| -> (SimInstant, LogStream) {
             let geometry = nand_flash::FlashGeometry::with_dies(8, 1024, 32, 4096);
             let noftl = NoFtl::new(NoFtlConfig::new(geometry));
             let mut backend = NoFtlBackend::new(noftl);
@@ -891,7 +1151,7 @@ mod tests {
                     txn,
                     page: txn,
                     slot: 0,
-                    bytes: vec![txn as u8; 4000],
+                    bytes: &[txn as u8; 4000],
                 });
             }
             let done = wal.flush(&mut backend, 0).unwrap();
@@ -937,7 +1197,7 @@ mod tests {
                 txn,
                 page: txn,
                 slot: 0,
-                bytes: vec![txn as u8; 4000],
+                bytes: &[txn as u8; 4000],
             });
         }
         let t_a = wal.flush(&mut backend, 0).unwrap();
@@ -964,7 +1224,7 @@ mod tests {
                 txn: i,
                 page: i,
                 slot: 0,
-                bytes: vec![i as u8; 300],
+                bytes: &[i as u8; 300],
             });
         }
         let t = wal.flush(&mut backend, 500).unwrap();
@@ -977,11 +1237,12 @@ mod tests {
         let mut backend = MemBackend::new(512, 64);
         // A 4-page segment wraps after four single-page forces.
         let mut wal = WalManager::new(8, 4, 512);
+        let payloads: Vec<[u8; 300]> = (0..11).map(|i| [i as u8; 300]).collect();
         let update = |i: u64| LogRecord::Update {
             txn: i,
             page: i,
             slot: 0,
-            bytes: vec![i as u8; 300], // one log page per force
+            bytes: &payloads[i as usize], // one log page per force
         };
         for i in 0..6u64 {
             wal.append(update(i));
@@ -1001,15 +1262,15 @@ mod tests {
         // records — across the wrap (seqs 6, 7 at slots 2, 3; seq 8 at 0).
         let recovered =
             WalManager::recover_records_from(&mut backend, 8, 4, 512, start, 0);
-        let expected: Vec<LogRecord> = wal
+        let expected: Vec<LogRecord<'_>> = wal
             .records()
             .iter()
             .filter(|(lsn, _)| *lsn >= wal.checkpoint_lsn())
-            .map(|(_, r)| r.clone())
+            .map(|(_, r)| r)
             .collect();
         assert_eq!(expected.len(), 3);
         assert_eq!(
-            recovered.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            recovered.iter().map(|(_, r)| r).collect::<Vec<_>>(),
             expected,
             "recovery must replay the wrapped post-checkpoint stream"
         );
@@ -1024,11 +1285,12 @@ mod tests {
         // pointer now rides forward to the oldest fully-live force start.
         let mut backend = MemBackend::new(512, 64);
         let mut wal = WalManager::new(8, 4, 512);
+        let payloads: Vec<[u8; 300]> = (0..11).map(|i| [i as u8; 300]).collect();
         let update = |i: u64| LogRecord::Update {
             txn: i,
             page: i,
             slot: 0,
-            bytes: vec![i as u8; 300], // one log page per force
+            bytes: &payloads[i as usize], // one log page per force
         };
         for i in 0..6u64 {
             wal.append(update(i));
@@ -1054,14 +1316,14 @@ mod tests {
             wal.recovery_start_seq(),
             0,
         );
-        let expected: Vec<LogRecord> = (7..11).map(update).collect();
+        let expected: Vec<LogRecord<'_>> = (7..11).map(update).collect();
         assert_eq!(
-            recovered.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            recovered.iter().map(|(_, r)| r).collect::<Vec<_>>(),
             expected,
             "recovery must replay every still-live durable force"
         );
         // The in-memory durable view agrees with the pointer.
-        let durable: Vec<&LogRecord> = wal
+        let durable: Vec<LogRecord<'_>> = wal
             .records()
             .iter()
             .filter(|(lsn, _)| *lsn >= wal.checkpoint_lsn())
@@ -1150,7 +1412,7 @@ mod tests {
                 txn,
                 page: 40 + txn,
                 slot: 0,
-                bytes: vec![txn as u8; 32],
+                bytes: &[txn as u8; 32],
             });
             wal.append(LogRecord::Commit { txn });
             wal.flush(&mut backend, 0).unwrap();
@@ -1161,13 +1423,13 @@ mod tests {
         let txns: Vec<u64> = recovered
             .iter()
             .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
+                LogRecord::Commit { txn } => Some(txn),
                 _ => None,
             })
             .collect();
         assert_eq!(txns, vec![1, 3], "txn 2 sat on the hole; 1 and 3 survive");
         assert_eq!(recovered.len(), 6, "three records per surviving txn");
-        let lsns: Vec<Lsn> = recovered.iter().map(|(lsn, _)| *lsn).collect();
+        let lsns: Vec<Lsn> = recovered.iter().map(|(lsn, _)| lsn).collect();
         let mut sorted = lsns.clone();
         sorted.sort_unstable();
         assert_eq!(lsns, sorted, "LSNs stay monotone across the hole");
@@ -1186,7 +1448,7 @@ mod tests {
             txn: 1,
             page: 50,
             slot: 0,
-            bytes: vec![0xAB; 1200],
+            bytes: &[0xAB; 1200],
         });
         wal.flush(&mut backend, 0).unwrap();
         assert_eq!(wal.log_writes(), 3, "the big record spans three pages");
@@ -1200,21 +1462,31 @@ mod tests {
             LogRecord::Commit { txn: 2 },
         ];
         assert_eq!(
-            recovered.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+            recovered.iter().map(|(_, r)| r).collect::<Vec<_>>(),
             expected,
             "torn force dropped, later force recovered"
         );
     }
 
-    fn record_strategy() -> impl Strategy<Value = LogRecord> {
+    /// A record, as its encoding: a record borrows its image, so the
+    /// generated value owns the bytes and [`rec`] views them.
+    fn record_strategy() -> impl Strategy<Value = Vec<u8>> {
         prop_oneof![
-            2 => (1..40u64).prop_map(|txn| LogRecord::Begin { txn }),
+            2 => (1..40u64).prop_map(|txn| LogRecord::Begin { txn }.encode()),
             4 => (1..40u64, 0..2000u64, 0..16u16, prop::collection::vec(any::<u8>(), 0..48))
-                .prop_map(|(txn, page, slot, bytes)| LogRecord::Update { txn, page, slot, bytes }),
-            2 => (1..40u64).prop_map(|txn| LogRecord::Commit { txn }),
-            1 => (1..40u64).prop_map(|txn| LogRecord::Abort { txn }),
-            1 => (0..1u64).prop_map(|_| LogRecord::Checkpoint),
+                .prop_map(|(txn, page, slot, bytes)| {
+                    LogRecord::Update { txn, page, slot, bytes: &bytes }.encode()
+                }),
+            2 => (1..40u64).prop_map(|txn| LogRecord::Commit { txn }.encode()),
+            1 => (1..40u64).prop_map(|txn| LogRecord::Abort { txn }.encode()),
+            1 => (0..1u64).prop_map(|_| LogRecord::Checkpoint.encode()),
         ]
+    }
+
+    fn rec(encoded: &[u8]) -> LogRecord<'_> {
+        LogRecord::decode(encoded)
+            .expect("generated records decode")
+            .0
     }
 
     use proptest::prelude::*;
@@ -1237,21 +1509,21 @@ mod tests {
                 let mut wal = WalManager::new(64, 256, 256);
                 wal.set_batch_pages(batch);
                 for r in &records[..cut] {
-                    wal.append(r.clone());
+                    wal.append(rec(r));
                 }
                 wal.flush(&mut backend, 0).unwrap();
                 for r in &records[cut..] {
-                    wal.append(r.clone());
+                    wal.append(rec(r));
                 }
                 // Crash: only the backend survives.
                 let recovered = WalManager::recover_records(&mut backend, 64, 256, 256, 0);
                 prop_assert_eq!(recovered.len(), cut, "batch={} cut={}", batch, cut);
-                for (i, (_, rec)) in recovered.iter().enumerate() {
-                    prop_assert_eq!(rec, &records[i]);
+                for (i, (_, r)) in recovered.iter().enumerate() {
+                    prop_assert_eq!(r, rec(&records[i]));
                 }
                 // The in-memory durable view agrees with the backend view.
-                let durable: Vec<&LogRecord> = wal.durable_records().map(|(_, r)| r).collect();
-                prop_assert_eq!(durable.len(), cut);
+                let durable: Vec<_> = wal.durable_records().collect();
+                prop_assert_eq!(durable, recovered.iter().collect::<Vec<_>>());
             }
         }
 
@@ -1271,7 +1543,7 @@ mod tests {
                 wal.set_batch_pages(2);
                 let mut last_cp = 0usize;
                 for (i, r) in records[..cut].iter().enumerate() {
-                    wal.append(r.clone());
+                    wal.append(rec(r));
                     wal.flush(&mut backend, 0).unwrap();
                     // Checkpoint every 4 forces: the pointer always advances
                     // before a full lap could overwrite the live head.
@@ -1281,7 +1553,7 @@ mod tests {
                     }
                 }
                 for r in &records[cut..] {
-                    wal.append(r.clone()); // unflushed tail dies in the crash
+                    wal.append(rec(r)); // unflushed tail dies in the crash
                 }
                 let recovered = WalManager::recover_records_from(
                     &mut backend, 64, SEG, 256, wal.recovery_start_seq(), 0);
@@ -1290,9 +1562,29 @@ mod tests {
                     cut - last_cp,
                     "cut={} last_cp={}", cut, last_cp
                 );
-                for (j, (_, rec)) in recovered.iter().enumerate() {
-                    prop_assert_eq!(rec, &records[last_cp + j]);
+                for (j, (_, r)) in recovered.iter().enumerate() {
+                    prop_assert_eq!(r, rec(&records[last_cp + j]));
                 }
+            }
+        }
+
+        /// Whatever the bytes, decoding returns `None` or a record whose
+        /// encoding is exactly the bytes it consumed — never a panic.
+        #[test]
+        fn decode_never_panics_and_consumes_exactly_an_encoding(
+            data in prop::collection::vec(any::<u8>(), 0..64),
+            len in 0u32..64,
+            kind in 0u8..7,
+        ) {
+            // Steer the length prefix and the tag byte into range, so every
+            // kind meets bodies too short, exact and too long for it.
+            let mut data = data;
+            if data.len() > LEN_PREFIX {
+                data[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+                data[LEN_PREFIX] = kind;
+            }
+            if let Some((record, used)) = LogRecord::decode(&data) {
+                prop_assert_eq!(record.encode(), data[..used].to_vec());
             }
         }
 

@@ -202,20 +202,18 @@ fn assert_committed_log_durable(
 
     let ckpt_lsn = engine.wal().checkpoint_lsn();
     let start_seq = engine.wal().recovery_start_seq();
-    let expected: Vec<LogRecord> = engine
+    let page_size = engine.page_size();
+    let log_start = engine.backend().num_pages() - LOG_PAGES;
+    let recovered =
+        WalManager::recover_records_from(engine.backend_mut(), log_start, LOG_PAGES, page_size, start_seq, t);
+    let recovered: Vec<LogRecord<'_>> = recovered.iter().map(|(_, r)| r).collect();
+    let expected: Vec<LogRecord<'_>> = engine
         .wal()
         .records()
         .iter()
         .filter(|(lsn, _)| *lsn >= ckpt_lsn)
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| r)
         .collect();
-    let page_size = engine.page_size();
-    let log_start = engine.backend().num_pages() - LOG_PAGES;
-    let recovered: Vec<LogRecord> =
-        WalManager::recover_records_from(engine.backend_mut(), log_start, LOG_PAGES, page_size, start_seq, t)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
     assert_eq!(
         recovered, expected,
         "a crash at the run boundary must find every record since the checkpoint durable"

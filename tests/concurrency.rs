@@ -427,29 +427,26 @@ fn crash_recovery_leg(seed: u64, depth: usize, faults: bool) {
 
     let ckpt_lsn = engine.with_wal(|w| w.checkpoint_lsn());
     let start_seq = engine.with_wal(|w| w.recovery_start_seq());
-    let expected: Vec<LogRecord> = engine.with_wal(|w| {
-        w.records()
-            .iter()
-            .filter(|(lsn, _)| *lsn >= ckpt_lsn)
-            .map(|(_, r)| r.clone())
-            .collect()
-    });
+    let history = engine.with_wal(|w| w.records().clone());
+    let expected: Vec<LogRecord<'_>> = history
+        .iter()
+        .filter(|(lsn, _)| *lsn >= ckpt_lsn)
+        .map(|(_, r)| r)
+        .collect();
     let page_size = engine.with_backend(|b| b.page_size());
     let num_pages = engine.with_backend(|b| b.num_pages());
 
     drop(sessions);
     let mut medium = engine.into_backend();
-    let recovered: Vec<LogRecord> = WalManager::recover_records_from(
+    let recovered = WalManager::recover_records_from(
         medium.as_mut(),
         num_pages - LOG_PAGES,
         LOG_PAGES,
         page_size,
         start_seq,
         t,
-    )
-    .into_iter()
-    .map(|(_, r)| r)
-    .collect();
+    );
+    let recovered: Vec<LogRecord<'_>> = recovered.iter().map(|(_, r)| r).collect();
     assert_eq!(
         recovered, expected,
         "a crash must find every record since the checkpoint durable"
@@ -531,10 +528,10 @@ fn checkpoint_barriers_all_shards_inflight_windows() {
         engine.shard_occupancy().iter().all(|&(_, d)| d == 0),
         "per-shard dirty counts must all be zero after checkpoint"
     );
-    let last = engine.with_wal(|w| w.records().last().map(|(_, r)| r.clone()));
+    let last = engine.with_wal(|w| w.records().iter().last().map(|(_, r)| r.encode()));
     assert_eq!(
         last,
-        Some(LogRecord::Checkpoint),
+        Some(LogRecord::Checkpoint.encode()),
         "the checkpoint record must land after every barriered write"
     );
 
@@ -552,7 +549,7 @@ fn checkpoint_barriers_all_shards_inflight_windows() {
         t,
     );
     assert_eq!(
-        recovered.last().map(|(_, r)| r.clone()),
+        recovered.iter().last().map(|(_, r)| r),
         Some(LogRecord::Checkpoint),
         "the durable log must end with the checkpoint record"
     );

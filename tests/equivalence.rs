@@ -617,7 +617,7 @@ fn async_crash_with_commands_in_flight_recovers_exact_durable_prefix() {
             txn,
             page: txn,
             slot: 0,
-            bytes: vec![txn as u8; 4000],
+            bytes: &[txn as u8; 4000],
         });
     }
     let done = wal.flush(&mut backend, 0).unwrap();
@@ -637,7 +637,7 @@ fn async_crash_with_commands_in_flight_recovers_exact_durable_prefix() {
         }
     }
     assert!(page_done.len() >= 16, "force must have written 16+ log pages");
-    let all_records = wal.records().to_vec();
+    let all_records: Vec<_> = wal.records().iter().collect();
     let mut kills: Vec<u64> = page_done.values().copied().collect();
     kills.sort_unstable();
     kills.dedup();
@@ -660,7 +660,7 @@ fn async_crash_with_commands_in_flight_recovers_exact_durable_prefix() {
             WalManager::recover_records(&mut survived, log_start, log_pages, page_size, 0);
         // Exact prefix: same LSNs, same records, in order.
         assert_eq!(
-            recovered.as_slice(),
+            recovered.iter().collect::<Vec<_>>(),
             &all_records[..recovered.len()],
             "recovery at kill={kill} must replay an exact prefix"
         );
@@ -687,10 +687,9 @@ fn async_crash_with_commands_in_flight_recovers_exact_durable_prefix() {
 #[test]
 fn wal_log_contents_identical_for_all_batch_sizes() {
     use noftl::storage_engine::backend::MemBackend;
-    use noftl::storage_engine::{LogRecord, WalManager};
+    use noftl::storage_engine::{LogRecord, LogStream, WalManager};
 
-    let reference: Option<Vec<(u64, LogRecord)>> = None;
-    let mut reference = reference;
+    let mut reference: Option<LogStream> = None;
     for batch in [0usize, 1, 2, 4, 64] {
         let mut backend = MemBackend::new(512, 512);
         let mut wal = WalManager::new(32, 128, 512);
@@ -701,7 +700,7 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
                 txn,
                 page: txn * 3,
                 slot: 1,
-                bytes: vec![txn as u8; 150],
+                bytes: &[txn as u8; 150],
             });
             wal.append(LogRecord::Commit { txn });
             if txn % 3 == 2 {
@@ -739,8 +738,7 @@ mod threads_single_client_identity {
     use noftl::sim_utils::time::SimInstant;
     use noftl::storage_engine::backend::NoFtlBackend;
     use noftl::storage_engine::{
-        ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, LogRecord, Lsn,
-        StorageEngine,
+        ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, LogStream, StorageEngine,
     };
     use noftl::workloads::{TpcB, TpcBConfig, Workload};
 
@@ -748,7 +746,7 @@ mod threads_single_client_identity {
     #[derive(Debug, PartialEq)]
     struct RunImage {
         trace: Vec<String>,
-        wal: Vec<(Lsn, LogRecord)>,
+        wal: LogStream,
         end: SimInstant,
         committed: u64,
         forces: u64,
@@ -810,7 +808,7 @@ mod threads_single_client_identity {
                 .iter()
                 .map(|e| format!("{e:?}"))
                 .collect(),
-            wal: engine.wal().records().to_vec(),
+            wal: engine.wal().records().clone(),
             end,
             committed: engine.committed(),
             forces: engine.wal().forces(),
@@ -836,7 +834,7 @@ mod threads_single_client_identity {
                     .map(|e| format!("{e:?}"))
                     .collect()
             }),
-            wal: engine.with_wal(|w| w.records().to_vec()),
+            wal: engine.with_wal(|w| w.records().clone()),
             end,
             committed: engine.committed(),
             forces: engine.log_forces(),
