@@ -55,8 +55,8 @@ pub struct NoFtlConfig {
     /// Per-die command-queue depth used by the asynchronous write path
     /// (`1` = synchronous dispatch; see [`crate::NoFtl::set_async_depth`]).
     pub async_queue_depth: usize,
-    /// Maximum pages per batched GC relocation dispatch (`0`/`1` keeps the
-    /// legacy one-relocation-at-a-time path, which is trace-identical).
+    /// Maximum pages per GC relocation program dispatch (`0` and `1` both
+    /// dispatch each relocation as a run of one).
     pub gc_batch_pages: usize,
     /// Read-heat penalty of GC victim scoring (`0.0` = off, the default:
     /// victim selection is read-blind and identical to the legacy scorer).

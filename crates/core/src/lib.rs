@@ -46,7 +46,7 @@
 //! The before/after numbers for each structure are recorded in the PR 1
 //! entry of `CHANGES.md`.
 //!
-//! ## Asynchronous I/O path (completion-poll interface)
+//! ## Asynchronous I/O path
 //!
 //! [`NoFtl::write_batch`] normally dispatches its per-die program runs
 //! synchronously.  With [`NoFtl::set_async_depth`] above 1 the runs are
@@ -54,13 +54,13 @@
 //! (`nand_flash::NandDevice::submit_program_pages`) instead: a dispatch no
 //! longer waits for commands still in flight on other dies, and runs from
 //! **different submissions** — successive flush cycles, WAL group commits —
-//! pipeline behind each other on the die they target.  Completions are
-//! deterministic and travel with each submission; [`NoFtl::drain`] is the
-//! barrier the storage engine uses at checkpoints, and
-//! [`NoFtl::poll_completions`] drains the completion stream a poll-driven
-//! engine scheduler advances its clock off.  Depth 1 is bit- and
-//! cycle-identical to the synchronous dispatch (the `NOFTL_ASYNC=1`
-//! equivalence leg in `tests/equivalence.rs`).
+//! pipeline behind each other on the die they target.  A single-page
+//! [`NoFtl::write`] is a run of one on the same path, so it queues too.
+//! Each submission's completion is deterministic and comes back as the
+//! return value of the call that issued it — there is no second completion
+//! stream; [`NoFtl::drain`] is the barrier the storage engine uses at
+//! checkpoints.  Depth 1 is bit- and cycle-identical to the synchronous
+//! dispatch (the `NOFTL_ASYNC=1` equivalence leg in `tests/equivalence.rs`).
 //!
 //! Since PR 4 **reads ride the same queues**: [`NoFtl::read`] submits its
 //! PAGE READ into the target die's queue at depth > 1, so a foreground point
@@ -80,12 +80,12 @@
 //! ## GC relocation batching
 //!
 //! GC relocates a victim's survivors plane-locally via COPYBACK when it can.
-//! Cross-plane survivors go through read + program; with
-//! [`NoFtlConfig::gc_batch_pages`] ≥ 2 consecutive cross-plane survivors are
-//! routed through one multi-page program dispatch per same-die run (pending
-//! runs flush before any interleaved copyback so the destination block's
-//! sequential-programming order holds).  Batch size 1 is command- and
-//! cycle-identical to the legacy per-relocation path.
+//! Cross-plane survivors go through read + program in same-die runs of up to
+//! `max(`[`NoFtlConfig::gc_batch_pages`]`, 1)` pages: one program dispatch
+//! per run, issued once the run's source reads completed (pending runs flush
+//! before any interleaved copyback so the destination block's
+//! sequential-programming order holds).  The default is a run of one per
+//! relocation; there is no second per-page body.
 //!
 //! ## Flash-fault recovery (PR 6)
 //!

@@ -18,7 +18,6 @@ use nand_flash::error::{check_buf, check_lpn};
 use nand_flash::{
     BlockAddr, DeviceConfig, DeviceIdentification, FaultPlan, FlashError, FlashGeometry,
     FlashResult, FlashStats, NandDevice, NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
-    QueuedCompletion,
 };
 use sim_utils::flatmap::FlatBitSet;
 use sim_utils::time::SimInstant;
@@ -65,18 +64,21 @@ pub struct NoFtl {
     gc_low: usize,
     gc_high: usize,
     page_size: usize,
-    scratch: Vec<u8>,
     /// Working lists kept for their capacity between calls (each is taken,
     /// filled, used and put back): the survivors of the block a GC run or an
-    /// evacuation is emptying, and a write batch's per-region page indices
-    /// and `(allocated page, batch index)` placement.
+    /// evacuation is emptying, the pending relocation run and its page
+    /// contents (page `i` of the run at `i * page_size`), and a write
+    /// batch's per-region page indices and `(allocated page, batch index)`
+    /// placement.
     survivors: Vec<(Ppa, u64)>,
+    relocation_run: Vec<Relocation>,
+    relocation_data: Vec<u8>,
     batch_by_region: Vec<Vec<usize>>,
     batch_allocs: Vec<(Ppa, usize)>,
     /// Per-die command-queue depth of the asynchronous write path (1 = every
     /// dispatch waits for its predecessor: the synchronous semantics).
     async_depth: usize,
-    /// Pages per batched GC relocation dispatch (<= 1 = legacy per-page path).
+    /// Pages per GC relocation program dispatch (0 and 1 both mean one).
     gc_batch_pages: usize,
     /// Read-heat penalty of GC victim scoring (0.0 = read-blind, identical
     /// to the legacy scorer; see [`crate::gc::select_victim`]).
@@ -157,6 +159,10 @@ const READ_RETRY_LIMIT: u32 = 3;
 /// small so foreground traffic slips between steps (the SLO scheduler
 /// additionally defers steps into read-cold instants).
 const REBUILD_BATCH_PAGES: u64 = 8;
+
+/// A cross-plane relocation read into host memory and waiting for its run's
+/// program dispatch: `(source page, destination page, logical page, OOB)`.
+type Relocation = (Ppa, Ppa, u64, Oob);
 
 /// XOR `data` into `acc` (parity accumulation and reconstruction).
 fn xor_into(acc: &mut [u8], data: &[u8]) {
@@ -250,8 +256,9 @@ impl NoFtl {
             gc_low: config.gc_low_watermark.max(1),
             gc_high: config.gc_high_watermark.max(config.gc_low_watermark + 1),
             page_size: geometry.page_size as usize,
-            scratch: vec![0u8; geometry.page_size as usize],
             survivors: Vec::new(),
+            relocation_run: Vec::new(),
+            relocation_data: Vec::new(),
             batch_by_region: Vec::new(),
             batch_allocs: Vec::new(),
             async_depth: config.async_queue_depth.max(1),
@@ -307,7 +314,7 @@ impl NoFtl {
     /// Set the per-die queue depth for batched write dispatches.  At depth 1
     /// every dispatch takes the synchronous `program_pages` path — commands,
     /// timing and statistics are identical to the pre-async code.  Deeper
-    /// queues route dispatches through the device's submit/poll interface so
+    /// queues route dispatches through the device's queued interface so
     /// runs from *different* submissions (successive flush cycles, WAL group
     /// commits) pipeline on the per-die command queues.
     pub fn set_async_depth(&mut self, depth: usize) {
@@ -399,13 +406,6 @@ impl NoFtl {
     /// in-flight dispatch has completed (at least `now`).
     pub fn drain(&mut self, now: SimInstant) -> SimInstant {
         self.device.drain_queues(now)
-    }
-
-    /// Drain every queued completion recorded since the last poll, in submit
-    /// order — the completion stream a poll-driven engine scheduler advances
-    /// its clock off.
-    pub fn poll_completions(&mut self) -> Vec<QueuedCompletion> {
-        self.device.poll_completions()
     }
 
     /// NoFTL-level statistics.
@@ -528,10 +528,11 @@ impl NoFtl {
 
     /// PAGE PROGRAM run on one die.  `data_ready` is the instant the payload
     /// exists in host memory (a relocation's source-read completion; `now`
-    /// for host data): a queued program may not issue before it because the
-    /// destination die can differ from the source die, whereas the
+    /// for host data): a queued program may not issue before it, whereas the
     /// synchronous dispatch issues at `now` and lets die/channel occupancy
-    /// order it — the two legs the depth-1 equivalence tests pin.
+    /// order it — the two legs the depth-1 equivalence tests pin.  A caller
+    /// whose occupancy does not order the program behind its data (a
+    /// relocation onto another die) passes `now >= data_ready`.
     fn dispatch_program_run(
         &mut self,
         now: SimInstant,
@@ -750,7 +751,10 @@ impl NoFtl {
 
     /// Write logical page `lpn` into an explicitly chosen region.  Used by
     /// the Flash-aware flusher experiments where placement is driven by the
-    /// db-writer that owns the page.
+    /// db-writer that owns the page.  A single page is a run of one: it
+    /// takes the program dispatch, failure recovery and commit of
+    /// [`NoFtl::write_batch`], so at any queue depth it queues on its die
+    /// like every other command.
     pub fn write_in_region(
         &mut self,
         now: SimInstant,
@@ -760,38 +764,11 @@ impl NoFtl {
     ) -> FlashResult<OpCompletion> {
         check_lpn(lpn, self.logical_pages)?;
         check_buf(data.len(), self.page_size)?;
-        let mut t = now;
-        // Failure-recovery loop ([`NoFtl::recover`]): a failed PAGE PROGRAM
-        // consumes the attempted page and a dead die never transferred it, so
-        // after recovery the write repeats on a fresh allocation.  The loop
-        // terminates because every retry removes a block or a die; when the
-        // device runs out the allocation itself fails.
-        let (ppa, completion) = loop {
-            match self.ensure_region_space(t, region) {
-                Ok(end) => t = end,
-                Err(e) => {
-                    // GC hit a failing destination block or a dying die.
-                    t = self.recover(t, e)?;
-                    continue;
-                }
-            }
-            let ppa = match self.regions.allocate_page_in(region) {
-                Some(p) => p,
-                // The region is genuinely full (e.g. severely skewed
-                // placement): fall back to any region with space.
-                None => self.allocate_anywhere()?,
-            };
-            match self.device.program_page(t, ppa, data, Oob::data(lpn, 0)) {
-                Ok(c) => break (ppa, c),
-                Err(e) => t = self.recover(t, e)?,
-            }
-        };
-        t = self.commit_host_write(t.max(completion.completed_at), lpn, ppa, data)?;
-        self.stats.write_latency.record(t.saturating_sub(now));
-        Ok(OpCompletion {
-            started_at: completion.started_at,
-            completed_at: t,
-        })
+        let mut allocs = std::mem::take(&mut self.batch_allocs);
+        allocs.clear();
+        let written = self.write_region_run(now, &[(lpn, data)], region, &[0], &mut allocs);
+        self.batch_allocs = allocs;
+        written
     }
 
     /// Recover from a device failure that a write or its GC ran into, and
@@ -895,17 +872,19 @@ impl NoFtl {
             .filter(|(_, idxs)| !idxs.is_empty())
             .try_fold(now, |end, (region, idxs)| {
                 allocs.clear();
-                let t = self.write_region_run(now, pages, region, idxs, &mut allocs)?;
-                Ok(end.max(t))
+                let c = self.write_region_run(now, pages, region, idxs, &mut allocs)?;
+                Ok(end.max(c.completed_at))
             });
         self.batch_by_region = by_region;
         self.batch_allocs = allocs;
         end
     }
 
-    /// One region's share of a [`NoFtl::write_batch`]: the entries `idxs` of
-    /// `pages`, all striping to `region`.  `allocs` is empty working space.
-    /// Returns when the region's last dispatch (and commit) completed.
+    /// One region's share of a [`NoFtl::write_batch`] (or a single-page
+    /// [`NoFtl::write_in_region`]): the entries `idxs` of `pages`, all bound
+    /// for `region`.  `allocs` is empty working space.  Returns when the
+    /// region's first dispatch started and its last dispatch (and commit)
+    /// completed.
     fn write_region_run(
         &mut self,
         now: SimInstant,
@@ -913,8 +892,9 @@ impl NoFtl {
         region: RegionId,
         idxs: &[usize],
         allocs: &mut Vec<(Ppa, usize)>,
-    ) -> FlashResult<SimInstant> {
+    ) -> FlashResult<OpCompletion> {
         let mut end = now;
+        let mut started = None;
         // Each region is a disjoint die set: its GC (if needed) and its
         // program dispatch run on their own timeline starting at `now`.
         let mut t0 = now;
@@ -961,7 +941,10 @@ impl NoFtl {
             // that part finished, plus the failure (if any) to recover
             // from before re-writing the rest.
             let (committed, t_run, failure) = match dispatched {
-                Ok(completion) => (die_run.len(), completion.completed_at, None),
+                Ok(completion) => {
+                    started.get_or_insert(completion.started_at);
+                    (die_run.len(), completion.completed_at, None)
+                }
                 Err(e @ FlashError::ProgramFailed(failed)) => {
                     // The run aborted at `failed`; the pages before it
                     // are committed on the device, and the aborted
@@ -990,20 +973,27 @@ impl NoFtl {
                 // sequential write pointers (a failing block's own pages
                 // are covered by its retirement).  Then recover — retire
                 // the failing block or mark the dead die — and re-write
-                // the tail one page at a time through the per-page path,
-                // which routes around retired blocks and dead regions.
+                // the tail one page at a time, each a run of one on a fresh
+                // allocation, which routes around retired blocks and dead
+                // regions.  The recursion ends because every failure removes
+                // a block or a die; when the device runs out, the allocation
+                // itself fails.
                 self.rollback_unprogrammed(&e, rest.iter().map(|&(ppa, _)| ppa));
                 let t_rec = self.recover(t_run, e)?;
                 end = end.max(t_rec);
                 for &(_, i) in rest {
                     let (lpn, data) = pages[i];
                     let c = self.write_in_region(t_rec, region, lpn, data)?;
+                    started.get_or_insert(c.started_at);
                     end = end.max(c.completed_at);
                 }
             }
             j = k;
         }
-        Ok(end)
+        Ok(OpCompletion {
+            started_at: started.unwrap_or(now),
+            completed_at: end,
+        })
     }
 
     /// Dead-page hint from the DBMS free-space manager: the logical page no
@@ -1772,14 +1762,14 @@ impl NoFtl {
     /// victim scoring).
     ///
     /// Plane-local survivors move by copyback.  Cross-plane survivors are read
-    /// and re-programmed: with `gc_batch_pages <= 1` one command at a time — exactly
-    /// the legacy path (trace-identical) — and with larger settings batched
-    /// through one multi-page program dispatch per same-die run
-    /// ([`nand_flash::NativeFlashInterface::program_pages`]); any pending run
+    /// into host memory and re-programmed in same-die runs of up to
+    /// `max(gc_batch_pages, 1)` pages, one program dispatch per run
+    /// ([`nand_flash::NativeFlashInterface::program_pages`]) ordered behind
+    /// the run's source reads ([`NoFtl::flush_relocations`]); any pending run
     /// is flushed before a copyback so the destination block's sequential
-    /// programming order is preserved.  Every relocation command goes through
-    /// the dispatch helpers, so under async background GC queues behind — and
-    /// delays — foreground flush/read traffic.
+    /// programming order is preserved.  Every relocation command goes through the dispatch
+    /// helpers, so under async background GC queues behind — and delays —
+    /// foreground flush/read traffic.
     ///
     /// When the region runs out of space mid-relocation: with
     /// `abort_on_full` the already-moved prefix is kept (sources
@@ -1792,18 +1782,35 @@ impl NoFtl {
         survivors: &[(Ppa, u64)],
         abort_on_full: bool,
     ) -> FlashResult<(SimInstant, bool)> {
+        let mut run = std::mem::take(&mut self.relocation_run);
+        let mut data = std::mem::take(&mut self.relocation_data);
+        run.clear();
+        let moved = self.relocate_runs(now, region, survivors, abort_on_full, &mut run, &mut data);
+        self.relocation_run = run;
+        self.relocation_data = data;
+        moved
+    }
+
+    /// The body of [`NoFtl::relocate_survivors`] over its working lists:
+    /// `run` (empty on entry) is the pending relocation run and `data` its
+    /// page contents.
+    fn relocate_runs(
+        &mut self,
+        now: SimInstant,
+        region: RegionId,
+        survivors: &[(Ppa, u64)],
+        abort_on_full: bool,
+        run: &mut Vec<Relocation>,
+        data: &mut Vec<u8>,
+    ) -> FlashResult<(SimInstant, bool)> {
         let mut t = now;
         let cap = self.gc_batch_pages.max(1);
-        // Pending cross-plane relocations awaiting one batched dispatch:
-        // (src, dst, lpn, data, oob), plus the completion horizon of their
-        // source reads — the dispatch may not issue before the data exists
-        // (the destination die can differ from the source die, so die
-        // occupancy alone does not order them).
-        let mut pending: Vec<(Ppa, Ppa, u64, Vec<u8>, Oob)> = Vec::new();
-        let mut pending_ready: SimInstant = 0;
+        let ps = self.page_size;
+        // Completion horizon of the pending run's source reads.
+        let mut ready: SimInstant = 0;
         for &(src, lpn) in survivors {
             let Some(dst) = self.regions.allocate_page_in(region) else {
-                t = self.flush_relocations(t.max(pending_ready), &mut pending, None)?;
+                t = self.flush_relocations(t, ready, run, data, None)?;
                 if abort_on_full {
                     return Ok((t, false));
                 }
@@ -1820,11 +1827,19 @@ impl NoFtl {
                 && dst.channel == src.channel
                 && dst.die == src.die
                 && dst.plane == src.plane;
+            // A copyback programs the destination block's next page, so a
+            // pending run must land first to keep program order; a full run
+            // or one bound for another die dispatches before this page joins.
+            if same_plane
+                || run.len() >= cap
+                || run
+                    .last()
+                    .is_some_and(|&(_, d, _, _)| d.die_addr() != dst.die_addr())
+            {
+                t = self.flush_relocations(t, ready, run, data, Some(dst))?;
+                ready = 0;
+            }
             if same_plane {
-                // A copyback programs the destination block's next page, so
-                // a pending run must land first to keep program order.
-                t = self.flush_relocations(t.max(pending_ready), &mut pending, Some(dst))?;
-                pending_ready = 0;
                 let c = match self.dispatch_copyback(t, src, dst) {
                     Ok(c) => c,
                     Err(e) => {
@@ -1838,75 +1853,76 @@ impl NoFtl {
                 // Copyback is only taken for non-parity pages; a mirror link
                 // just travels with the page.
                 t = self.commit_relocation(t.max(c.completed_at), src, dst, lpn, None)?;
-            } else if self.gc_batch_pages <= 1 {
-                // Legacy per-relocation read + program.  The source read gets
-                // the retry ladder: a survivor whose first read overwhelms
-                // ECC is usually recoverable on a re-sense, and GC must not
-                // lose it over one bad draw.
-                let mut buf = std::mem::take(&mut self.scratch);
-                let moved = self.read_page_retrying(t, src, &mut buf).and_then(|(oob, rc)| {
-                    self.dispatch_program_run(t, rc.completed_at, &[(dst, buf.as_slice(), oob)])
-                });
-                let end = match moved {
-                    Ok(c) => self.commit_relocation(t.max(c.completed_at), src, dst, lpn, Some(&buf)),
-                    Err(e) => {
-                        // As above: only an un-programmed `dst` (e.g. after
-                        // an unreadable source) goes back to the allocator.
-                        self.rollback_unprogrammed(&e, std::iter::once(dst));
-                        Err(e)
-                    }
-                };
-                self.scratch = buf;
-                t = end?;
-            } else {
-                // Batched: read now, program as part of a same-die run.
-                if pending.len() >= cap
-                    || pending
-                        .last()
-                        .is_some_and(|(_, d, _, _, _)| d.die_addr() != dst.die_addr())
-                {
-                    t = self.flush_relocations(t.max(pending_ready), &mut pending, Some(dst))?;
-                    pending_ready = 0;
-                }
-                let mut buf = vec![0u8; self.page_size];
-                let (oob, c) = match self.read_page_retrying(t, src, &mut buf) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        // Nothing dispatched: the whole pending run plus this
-                        // destination goes back to the allocator.
-                        let dsts = pending.iter().map(|(_, d, _, _, _)| *d).chain([dst]);
-                        self.rollback_unprogrammed(&e, dsts);
-                        return Err(e);
-                    }
-                };
-                pending_ready = pending_ready.max(c.completed_at);
-                pending.push((src, dst, lpn, buf, oob));
+                continue;
             }
+            // Read now, program as part of the run.  The source read gets
+            // the retry ladder: a survivor whose first read overwhelms ECC
+            // is usually recoverable on a re-sense, and GC must not lose it
+            // over one bad draw.
+            let slot = run.len() * ps;
+            if data.len() < slot + ps {
+                data.resize(slot + ps, 0);
+            }
+            let (oob, c) = match self.read_page_retrying(t, src, &mut data[slot..slot + ps]) {
+                Ok(r) => r,
+                Err(e) => {
+                    // Nothing dispatched: the whole pending run plus this
+                    // destination goes back to the allocator.
+                    let dsts = run.iter().map(|&(_, d, _, _)| d).chain([dst]);
+                    self.rollback_unprogrammed(&e, dsts);
+                    return Err(e);
+                }
+            };
+            ready = ready.max(c.completed_at);
+            run.push((src, dst, lpn, oob));
         }
-        t = self.flush_relocations(t.max(pending_ready), &mut pending, None)?;
+        t = self.flush_relocations(t, ready, run, data, None)?;
         Ok((t, true))
     }
 
-    /// Dispatch the pending cross-plane relocations as one multi-page
-    /// program run and commit their mapping/bookkeeping updates.
+    /// Dispatch the pending relocation `run` (page `i`'s content at
+    /// `data[i * page_size..]`), whose source reads completed by `ready`,
+    /// as one program run at `now` and commit their mapping/bookkeeping
+    /// updates.  Leaves `run` empty.
+    ///
+    /// The dispatch may not start before its data exists.  A run bound for
+    /// the die its sources were read from is ordered behind those reads by
+    /// the die's channel, so it issues at `now` like any synchronous command
+    /// (and queued, at `ready`); a run onto another die always waits for
+    /// `ready`, whatever the queue depth.
     ///
     /// On a failed dispatch the destinations that were allocated but never
-    /// programmed — the uncommitted rest of `pending` and `extra`, a
-    /// destination the caller allocated *after* the run — go back to the
-    /// allocator before the error propagates.
+    /// programmed — the uncommitted rest of `run` and `extra`, a destination
+    /// the caller allocated *after* the run — go back to the allocator
+    /// before the error propagates.
     fn flush_relocations(
         &mut self,
         now: SimInstant,
-        pending: &mut Vec<(Ppa, Ppa, u64, Vec<u8>, Oob)>,
+        ready: SimInstant,
+        run: &mut Vec<Relocation>,
+        data: &[u8],
         extra: Option<Ppa>,
     ) -> FlashResult<SimInstant> {
-        if pending.is_empty() {
-            return Ok(now);
-        }
-        let ops: Vec<(Ppa, &[u8], Oob)> = pending
+        let cross_die = run
             .iter()
-            .map(|(_, dst, _, data, oob)| (*dst, data.as_slice(), *oob))
-            .collect();
+            .any(|&(src, dst, _, _)| src.die_addr() != dst.die_addr());
+        let now = if cross_die { now.max(ready) } else { now };
+        let ps = self.page_size;
+        let page = |i: usize| &data[i * ps..(i + 1) * ps];
+        let dispatched = match run.as_slice() {
+            [] => return Ok(now),
+            // A run of one (every relocation at the default batch size)
+            // needs no list.
+            &[(_, dst, _, oob)] => self.dispatch_program_run(now, ready, &[(dst, page(0), oob)]),
+            _ => {
+                let ops: Vec<(Ppa, &[u8], Oob)> = run
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, dst, _, oob))| (dst, page(i), oob))
+                    .collect();
+                self.dispatch_program_run(now, ready, &ops)
+            }
+        };
         // How much of the run is committed on the device.  After a failed
         // PAGE PROGRAM that is the pages before the failing one: their
         // mapping updates must land now (a valid page without a reverse
@@ -1914,21 +1930,22 @@ impl NoFtl {
         // and the rest of the run stay uncommitted — their sources are still
         // valid and mapped, so the caller can re-collect them after retiring
         // the failed block.
-        let (committed, mut t, failure) = match self.dispatch_program_run(now, now, &ops) {
-            Ok(c) => (pending.len(), now.max(c.completed_at), None),
+        let (committed, mut t, failure) = match dispatched {
+            Ok(c) => (run.len(), now.max(c.completed_at), None),
             Err(e @ FlashError::ProgramFailed(failed)) => {
-                let pos = ops.iter().position(|&(dst, _, _)| dst == failed).unwrap_or(0);
+                let pos = run.iter().position(|&(_, dst, _, _)| dst == failed).unwrap_or(0);
                 (pos, now, Some(e))
             }
             Err(e) => (0, now, Some(e)),
         };
-        if failure.is_none() && pending.len() > 1 {
+        if failure.is_none() && run.len() > 1 {
             self.stats.gc_batch_dispatches += 1;
         }
-        for (src, dst, lpn, data, _) in pending.drain(..committed) {
-            t = self.commit_relocation(t, src, dst, lpn, Some(&data))?;
+        for (i, &(src, dst, lpn, _)) in run[..committed].iter().enumerate() {
+            t = self.commit_relocation(t, src, dst, lpn, Some(page(i)))?;
         }
         let Some(e) = failure else {
+            run.clear();
             return Ok(t);
         };
         if self.redundancy_active && matches!(e, FlashError::ProgramFailed(_)) {
@@ -1938,8 +1955,9 @@ impl NoFtl {
             // up.
             self.unwind_horizon = self.unwind_horizon.max(t);
         }
-        let dsts = pending.iter().map(|(_, d, _, _, _)| *d).chain(extra);
+        let dsts = run[committed..].iter().map(|&(_, d, _, _)| d).chain(extra);
         self.rollback_unprogrammed(&e, dsts);
+        run.clear();
         Err(e)
     }
 
@@ -2762,23 +2780,16 @@ mod tests {
     }
 
     #[test]
-    fn gc_batch_size_one_is_trace_identical_to_legacy() {
+    fn batched_gc_relocation_preserves_content_and_work() {
         let (trace_legacy, contents_legacy, copies_l, erases_l, dispatches_l) = gc_storm(0);
-        let (trace_one, contents_one, copies_1, erases_1, dispatches_1) = gc_storm(1);
+        let (trace_one, _, _, _, _) = gc_storm(1);
         assert!(erases_l > 0, "storm must trigger GC");
         assert!(copies_l > 0, "storm must relocate survivors");
         assert_eq!(
             trace_legacy, trace_one,
-            "gc batch size 1 must be command- and cycle-identical to legacy"
+            "batch sizes 0 and 1 both mean runs of one"
         );
-        assert_eq!(contents_legacy, contents_one);
-        assert_eq!((copies_l, erases_l), (copies_1, erases_1));
-        assert_eq!((dispatches_l, dispatches_1), (0, 0));
-    }
-
-    #[test]
-    fn batched_gc_relocation_preserves_content_and_work() {
-        let (_, contents_legacy, copies_l, erases_l, _) = gc_storm(0);
+        assert_eq!(dispatches_l, 0, "runs of one are not batch dispatches");
         let (_, contents_batched, copies_b, erases_b, dispatches_b) = gc_storm(8);
         assert!(
             dispatches_b > 0,
@@ -2791,41 +2802,73 @@ mod tests {
 
     #[test]
     fn batched_gc_cross_die_program_waits_for_its_source_reads() {
-        // Regression (code review): the batched relocation path must not
-        // dispatch a program run before the reads that produced its data
-        // completed — with a cross-die destination, die occupancy alone does
-        // not order them.
-        let g = FlashGeometry::small(); // 4 dies
-        let mut cfg = NoFtlConfig::new(g);
-        cfg.striping = StripingMode::Single;
-        cfg.gc_batch_pages = 8;
-        let mut n = NoFtl::new(cfg);
-        let data = vec![5u8; n.page_size];
-        let ppb = g.pages_per_block as u64;
-        // Fill the die-0 block, then open the next block (die 1 under the
-        // round-robin cursor) so relocations allocate on a different die.
-        for lpn in 0..=ppb {
-            n.write(0, lpn, &data).unwrap();
+        // Regression (code review): a relocation program run must not
+        // dispatch before the reads that produced its data completed — with
+        // a cross-die destination, die occupancy alone does not order them.
+        // Runs of one (the default) and runs of eight take the same path.
+        for cap in [1usize, 8] {
+            let g = FlashGeometry::small(); // 4 dies
+            let mut cfg = NoFtlConfig::new(g);
+            cfg.striping = StripingMode::Single;
+            cfg.gc_batch_pages = cap;
+            let mut n = NoFtl::new(cfg);
+            let data = vec![5u8; n.page_size];
+            let ppb = g.pages_per_block as u64;
+            // Fill the die-0 block, then open the next block (die 1 under the
+            // round-robin cursor) so relocations allocate on a different die.
+            for lpn in 0..=ppb {
+                n.write(0, lpn, &data).unwrap();
+            }
+            let src_block = BlockAddr::new(0, 0, 0, 0);
+            let survivors: Vec<(Ppa, u64)> =
+                (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
+            let t0 = 10_000_000;
+            let programs = n.device.stats().programs;
+            let (end, all) = n.relocate_survivors(t0, 0, &survivors, false).unwrap();
+            assert!(all);
+            assert_eq!(n.device.stats().programs - programs, 4);
+            assert_eq!(n.stats().gc_batch_dispatches, u64::from(cap > 1), "cap {cap}");
+            let timing = n.device.timing();
+            let floor = if cap > 1 {
+                timing.read_page + timing.program_page
+            } else {
+                4 * (timing.read_page + timing.program_page)
+            };
+            assert!(
+                end - t0 >= floor,
+                "cap {cap}: each dispatch must be charged behind its source reads: end-t0={}",
+                end - t0
+            );
+            // The sources moved: invalidated on the old block, readable content.
+            assert_eq!(n.device.block_info(src_block).unwrap().invalid_pages, 4);
+            let mut buf = vec![0u8; n.page_size];
+            for lpn in 0..4u64 {
+                n.read(end, lpn, &mut buf).unwrap();
+                assert_eq!(buf, data);
+            }
         }
-        let src_block = BlockAddr::new(0, 0, 0, 0);
-        let survivors: Vec<(Ppa, u64)> = (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
-        let t0 = 10_000_000;
-        let (end, all) = n.relocate_survivors(t0, 0, &survivors, false).unwrap();
-        assert!(all);
-        assert_eq!(n.stats().gc_batch_dispatches, 1);
-        let timing = n.device.timing();
-        assert!(
-            end - t0 >= timing.read_page + timing.program_page,
-            "the dispatch must be charged behind its source reads: end-t0={}",
-            end - t0
-        );
-        // The sources moved: invalidated on the old block, readable content.
-        assert_eq!(n.device.block_info(src_block).unwrap().invalid_pages, 4);
-        let mut buf = vec![0u8; n.page_size];
-        for lpn in 0..4u64 {
-            n.read(end, lpn, &mut buf).unwrap();
-            assert_eq!(buf, data);
-        }
+    }
+
+    #[test]
+    fn single_page_write_queues_on_its_die_at_depth() {
+        // Regression: at depth > 1 a single-page host write (a one-page WAL
+        // force, a per-page flush) used to program its die directly, past
+        // the die queue — neither gated behind a full queue nor visible to
+        // the occupancy signals the flush throttle and `schedule_gc` read.
+        let mut n = small_noftl();
+        n.set_async_depth(8);
+        let g = *n.device().geometry();
+        let data = page(&n, 3);
+        let regions = n.regions() as u64;
+        // Every lpn ≡ 0 (mod regions) stripes to region 0, one die.
+        let run: Vec<(u64, &[u8])> = (0..4).map(|k| (k * regions, data.as_slice())).collect();
+        n.write_batch(0, &run).unwrap();
+        let die = Ppa::from_flat(&g, n.map.get(0).unwrap()).die_addr();
+        assert_eq!(n.flash_stats().queued_submissions, 1);
+        assert_eq!(n.device.inflight_on(die, 0), 1);
+        n.write(0, 4 * regions, &data).unwrap();
+        assert_eq!(n.flash_stats().queued_submissions, 2, "the write is a queued submission");
+        assert_eq!(n.device.inflight_on(die, 0), 2, "and holds a slot of its die's window");
     }
 
     #[test]

@@ -182,10 +182,9 @@ impl EmulatedNativeFlash {
     /// die's command queue **without blocking on its completion**: the link
     /// admits the run as one command (one queue slot, one protocol overhead)
     /// and hands it to the device queue, which may gate the issue behind
-    /// commands already in flight on that die.  The returned record carries
-    /// the admission, issue and completion stamps; the caller learns about
-    /// completions by keeping the record or by draining
-    /// [`EmulatedNativeFlash::poll_completions`].
+    /// commands already in flight on that die.  The returned record — the
+    /// command's only completion report — carries the admission, issue and
+    /// completion stamps.
     pub fn submit_program_pages(
         &mut self,
         now: SimInstant,
@@ -212,12 +211,6 @@ impl EmulatedNativeFlash {
         let queued = self.device.submit_read_pages(start, ops)?;
         self.host.complete(queued.completion.completed_at);
         Ok(queued)
-    }
-
-    /// Drain the completions of queued submissions recorded since the last
-    /// poll, in submit order.
-    pub fn poll_completions(&mut self) -> Vec<QueuedCompletion> {
-        self.device.poll_completions()
     }
 
     /// Barrier: the instant by which every in-flight queued command has
@@ -320,7 +313,7 @@ mod tests {
     fn queued_submissions_overlap_across_dies_without_blocking() {
         // Two runs on different dies submitted at the same instant through
         // the async path: both admitted (two host commands), issue times not
-        // serialised, completions retrievable by poll.
+        // serialised, each completion returned by its submission.
         let profile = DeviceProfile::small();
         let data = vec![6u8; profile.geometry.page_size as usize];
         let b0 = nand_flash::BlockAddr::new(0, 0, 0, 0);
@@ -338,9 +331,11 @@ mod tests {
         assert_eq!(native.host().admitted(), 2);
         // Different channels: the second run is not gated behind the first.
         assert!(q1.issued_at < q0.completion.completed_at);
-        let polled = native.poll_completions();
-        assert_eq!(polled.len(), 2);
-        assert_eq!(polled[0].id, q0.id);
+        assert_eq!(
+            q0.submitted_at, q1.submitted_at,
+            "the link admits both at once"
+        );
+        assert_eq!(native.device().stats().queued_submissions, 2);
         let barrier = native.drain(0);
         assert_eq!(
             barrier,

@@ -16,14 +16,6 @@ fn checked(config: &Config) -> Result<Device, FlashError> {
     Device::build(config)
 }
 
-fn drain(dev: &mut Device) -> usize {
-    let mut n = 0;
-    for c in dev.poll_completions() {
-        n += c.pages;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -21,10 +21,6 @@ fn abort_on_fault() {
     panic!("device fault");
 }
 
-fn first_completion(dev: &mut Device) -> Completion {
-    dev.poll_completions()[0]
-}
-
 fn reasonless(dev: &mut Device) -> Completion {
     // lint:allow(panic-path)
     dev.drain_queues()[0]

@@ -8,8 +8,8 @@
 //!
 //! - `.unwrap()` / `.expect(...)`
 //! - `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-//! - direct `[...]` indexing of device completion batches
-//!   (`poll_completions()[...]`, `drain_queues()[...]`)
+//! - direct `[...]` indexing of a device completion batch
+//!   (`drain_queues()[...]`)
 //!
 //! Escape hatch: `// lint:allow(panic-path): <reason>` on the offending line
 //! or in the comment block directly above it.  The reason is mandatory.
@@ -30,10 +30,6 @@ const BANNED: &[(&str, &str)] = &[
     ("unreachable!", "restructure the match so the compiler proves the arm dead"),
     ("todo!", "device-facing code must not ship unimplemented paths"),
     ("unimplemented!", "device-facing code must not ship unimplemented paths"),
-    (
-        "poll_completions()[",
-        "completion batches may be shorter than expected under faults; iterate or use .get()",
-    ),
     (
         "drain_queues()[",
         "completion batches may be shorter than expected under faults; iterate or use .get()",

@@ -138,14 +138,14 @@ fn panic_path_clean_fixture_has_no_findings() {
 fn panic_path_violation_fixture_flags_every_construct() {
     let report = run_pass("panic_path", "violation", "panic-path");
     let file = "crates/nand-flash/src/device.rs";
-    // .unwrap(), .expect(, unreachable!, panic!, completion indexing, and
-    // the drain_queues indexing whose reasonless allow must not suppress.
+    // .unwrap(), .expect(, unreachable!, panic!, and the drain_queues
+    // indexing whose reasonless allow must not suppress.
     assert_eq!(
         lines_of(&report, "panic-path", file),
-        BTreeSet::from([5, 9, 16, 21, 25, 30])
+        BTreeSet::from([5, 9, 16, 21, 26])
     );
     // The reasonless directive is itself a finding.
-    assert_eq!(lines_of(&report, "allow-policy", file), BTreeSet::from([29]));
+    assert_eq!(lines_of(&report, "allow-policy", file), BTreeSet::from([25]));
 }
 
 // --- determinism ---------------------------------------------------------

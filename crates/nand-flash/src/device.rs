@@ -17,7 +17,7 @@ use crate::interface::{DeviceIdentification, NativeFlashInterface, OpCompletion,
 use crate::nand_type::TimingProfile;
 use crate::oob::Oob;
 use crate::page::PageState;
-use crate::queue::{CommandId, CommandQueues, CommandStatus, QueuedCompletion};
+use crate::queue::{CommandQueues, QueuedCompletion};
 use crate::stats::FlashStats;
 use crate::timing::Channel;
 use crate::trace::{TraceEntry, Tracer};
@@ -118,7 +118,8 @@ pub struct NandDevice {
     faults: Option<FaultPlan>,
     /// Completion stamps of the most recent *failed* command (set only at
     /// fault-injection sites, where timing is still charged).  The queued
-    /// submission spine consumes this to record an error-carrying completion.
+    /// submission spine consumes it so the failed command holds its
+    /// die-queue slot for the time it occupied the die.
     fault_completion: Option<OpCompletion>,
     /// Dies that have failed permanently (flat die index).  All-false unless
     /// a [`KillSpec`](crate::fault::KillSpec) fired.
@@ -524,8 +525,9 @@ impl NandDevice {
     /// due, as of `now`.  A strict no-op (no counter, no scan) unless the
     /// plan carries kill specs, so the kill-free device stays bit- and
     /// cycle-identical.  When a kill fires, the die is marked dead, its
-    /// in-flight queued commands complete with
-    /// [`CommandStatus::DieFailed`], and its queue window is cleared.
+    /// in-flight queued commands are lost (counted in
+    /// [`FlashStats::inflight_die_failures`]), and its queue window is
+    /// cleared.
     fn tick_kills(&mut self, now: SimInstant) {
         if !self.has_kills {
             return;
@@ -554,9 +556,7 @@ impl NandDevice {
             if die < self.dead_dies.len() && !self.dead_dies[die] {
                 self.dead_dies[die] = true;
                 self.stats.die_failures += 1;
-                let addr = DieAddr::from_flat(&self.geometry, die as u64);
-                self.stats.inflight_die_failures +=
-                    self.queues.fail_die(die, now, addr) as u64;
+                self.stats.inflight_die_failures += self.queues.fail_die(die, now) as u64;
             }
         }
     }
@@ -852,12 +852,7 @@ impl NandDevice {
         }
     }
 
-    // -- queued submission (submit/poll) ------------------------------------
-
-    /// Per-die queue depth in effect for queued submissions.
-    pub fn queue_depth(&self) -> usize {
-        self.queues.depth()
-    }
+    // -- queued submission ----------------------------------------------------
 
     /// Set the per-die queue depth (clamped to at least 1; capped at the
     /// `max_queue_per_die` the `IDENTIFY` response advertises).  Depth 1 makes
@@ -886,30 +881,17 @@ impl NandDevice {
         self.queues.inflight_reads(now)
     }
 
-    /// Map an error to the completion status of an *injected* device fault.
-    /// Only fault-plan failures qualify: they charge real timing and occupy
-    /// the die, so their completions belong in the poll stream.  Validation
-    /// errors (and the fault-free `WornOut` wear model) return `None` and
-    /// keep the historical propagate-without-recording behaviour.
-    fn fault_status(e: &FlashError) -> Option<CommandStatus> {
-        match e {
-            FlashError::ProgramFailed(ppa) => Some(CommandStatus::ProgramFailed(*ppa)),
-            FlashError::EraseFailed(b) => Some(CommandStatus::EraseFailed(*b)),
-            FlashError::UncorrectableEcc(ppa) => Some(CommandStatus::Uncorrectable(*ppa)),
-            _ => None,
-        }
-    }
-
     /// Shared spine of every `submit_*` method: admit into the die queue
     /// (gating behind a full queue), execute the command at the gated issue
     /// time, account the queued-submission statistics (read submissions and
     /// read stalls are additionally counted per [`FlashStats`]'s read
-    /// counters), and record the completion for a later poll.  `run` returns
-    /// the command's completion plus any extra payload (e.g. a read's OOB).
+    /// counters), and hold the command's slot in the die's window until it
+    /// completes.  `run` returns the command's completion plus any extra
+    /// payload (e.g. a read's OOB).
     ///
-    /// An injected fault charged real timing, so it records an
-    /// error-carrying completion too (the command held its die-queue slot and
-    /// a poll must report the failure) before the error propagates.
+    /// An injected fault charged real timing, so the failed command holds
+    /// its slot too (its stamps come from `fault_completion`) before the
+    /// error propagates; a validation error issued nothing and holds none.
     fn submit_queued<T>(
         &mut self,
         die_idx: usize,
@@ -918,14 +900,18 @@ impl NandDevice {
         run: impl FnOnce(&mut Self, SimInstant) -> FlashResult<(T, OpCompletion)>,
     ) -> FlashResult<(T, QueuedCompletion)> {
         let (issue, gated) = self.queues.admit(die_idx, now);
-        let (payload, completion, status) = match run(self, issue) {
-            Ok((payload, completion)) => (Ok(payload), completion, CommandStatus::Ok),
-            Err(e) => match (Self::fault_status(&e), self.fault_completion.take()) {
-                (Some(status), Some(completion)) => (Err(e), completion, status),
-                _ => return Err(e),
+        // Only a fault of *this* command may hold a slot, not a stale stamp
+        // left by an earlier synchronous call.
+        self.fault_completion = None;
+        let (payload, completion) = match run(self, issue) {
+            Ok((payload, completion)) => (Ok(payload), completion),
+            Err(e) => match self.fault_completion.take() {
+                Some(completion) => (Err(e), completion),
+                None => return Err(e),
             },
         };
         self.stats.queued_submissions += 1;
+        self.stats.queue_wait_ns += completion.started_at.saturating_sub(now);
         if kind == OpKind::Read {
             self.stats.queued_reads += 1;
         }
@@ -935,19 +921,16 @@ impl NandDevice {
                 self.stats.read_stalls += 1;
             }
         }
-        let id = self
-            .queues
-            .record_with_status(die_idx, kind, now, issue, completion, status);
+        self.queues
+            .record(die_idx, kind, issue, completion.completed_at);
         payload.map(|payload| {
             (
                 payload,
                 QueuedCompletion {
-                    id,
                     kind,
                     submitted_at: now,
                     issued_at: issue,
                     completion,
-                    status,
                 },
             )
         })
@@ -956,20 +939,18 @@ impl NandDevice {
     /// Empty-run submission: completes immediately without touching a queue.
     fn empty_submission(kind: OpKind, now: SimInstant) -> QueuedCompletion {
         QueuedCompletion {
-            id: CommandId(0),
             kind,
             submitted_at: now,
             issued_at: now,
             completion: Self::empty_run(now),
-            status: CommandStatus::Ok,
         }
     }
 
     /// Submit a multi-page program run (one die) into the die's command
     /// queue.  The run is admitted at `now`; if the queue is full its issue is
     /// gated behind the oldest in-flight command.  The returned
-    /// [`QueuedCompletion`] carries both stamps plus the device-computed
-    /// completion; it is also retained for [`NandDevice::poll_completions`].
+    /// [`QueuedCompletion`] — the command's only completion report — carries
+    /// both stamps plus the device-computed completion.
     pub fn submit_program_pages(
         &mut self,
         now: SimInstant,
@@ -1054,12 +1035,6 @@ impl NandDevice {
             dev.copyback(issue, src, dst, new_oob).map(|c| ((), c))
         })
         .map(|((), q)| q)
-    }
-
-    /// Drain every queued completion recorded since the last poll, in submit
-    /// order.
-    pub fn poll_completions(&mut self) -> Vec<QueuedCompletion> {
-        self.queues.poll()
     }
 
     /// Barrier over the command queues: the instant by which every in-flight
@@ -1954,7 +1929,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_and_drain_report_submitted_commands() {
+    fn submissions_return_their_completions_and_drain_barriers() {
         let g = FlashGeometry::small();
         let mut dev = NandDevice::with_geometry(g);
         dev.set_queue_depth(4);
@@ -1968,11 +1943,17 @@ mod tests {
         let e = dev.submit_erase(0, BlockAddr::new(0, 1, 0, 3)).unwrap();
         assert_eq!(dev.stats().queued_submissions, 3);
         assert_eq!(dev.inflight_on(DieAddr::new(0, 0), 0), 1);
-        let polled = dev.poll_completions();
-        assert_eq!(polled.len(), 3);
-        assert_eq!(polled[0].id, a.id);
-        assert_eq!(polled[1].id, b.id);
-        assert_eq!(polled[2].kind, OpKind::Erase);
+        assert_eq!(
+            (a.kind, b.kind, e.kind),
+            (OpKind::Program, OpKind::Program, OpKind::Erase)
+        );
+        assert!([a, b, e].iter().all(|q| q.submitted_at == 0));
+        let waited: u64 = [a, b, e].iter().map(|q| q.completion.started_at).sum();
+        assert_eq!(
+            dev.stats().queue_wait_ns,
+            waited,
+            "wait = start - submit, summed"
+        );
         let barrier = dev.drain_queues(0);
         let slowest = [a, b, e]
             .iter()
@@ -1980,7 +1961,7 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(barrier, slowest);
-        assert!(dev.poll_completions().is_empty());
+        assert_eq!(dev.inflight_total(0), 0, "the barrier empties every window");
     }
 
     #[test]
@@ -2010,7 +1991,7 @@ mod tests {
         let q = dev.submit_program_pages(42, &[]).unwrap();
         assert_eq!(q.completion.completed_at, 42);
         assert_eq!(dev.stats().queued_submissions, 0);
-        assert!(dev.poll_completions().is_empty());
+        assert_eq!(dev.inflight_total(0), 0);
     }
 
     #[test]
@@ -2205,11 +2186,7 @@ mod tests {
         assert_eq!(s.queued_submissions, 2);
         assert_eq!(s.per_die_reads, vec![1]);
         assert_eq!(s.per_die_ops[0], 5, "4 programs + 1 read on die 0");
-        // Both completions are pollable, in submit order.
-        let polled = dev.poll_completions();
-        assert_eq!(polled.len(), 2);
-        assert_eq!(polled[0].kind, OpKind::Program);
-        assert_eq!(polled[1].kind, OpKind::Read);
+        assert_eq!((q.kind, r.kind), (OpKind::Program, OpKind::Read));
         // An ungated read on an idle die is not a stall.
         dev.drain_queues(r.completion.completed_at);
         let (_, r2) = dev
@@ -2364,19 +2341,22 @@ mod tests {
     }
 
     #[test]
-    fn failed_submissions_surface_in_the_poll_stream() {
+    fn failed_submission_holds_its_die_queue_slot() {
         let mut dev = faulty_device(certain_program_failure());
-        dev.set_queue_depth(4);
+        dev.set_queue_depth(1);
         let data = page_of(&dev, 0x44);
         let ppa = Ppa::new(0, 0, 0, 0, 0);
         let ops: Vec<(Ppa, &[u8], Oob)> = vec![(ppa, data.as_slice(), Oob::data(1, 0))];
         let err = dev.submit_program_pages(0, &ops).unwrap_err();
         assert_eq!(err, FlashError::ProgramFailed(ppa));
-        let polled = dev.poll_completions();
-        assert_eq!(polled.len(), 1, "the failed command still completes");
-        assert_eq!(polled[0].status, CommandStatus::ProgramFailed(ppa));
-        assert_eq!(polled[0].result(), Err(FlashError::ProgramFailed(ppa)));
+        // The failed program occupied the die for its full duration: it is
+        // counted and holds its slot, so the next submission is gated.
         assert_eq!(dev.stats().queued_submissions, 1);
+        assert_eq!(dev.inflight_on(ppa.die_addr(), 0), 1);
+        let busy = dev.die_busy_until(ppa.die_addr());
+        let q = dev.submit_erase(0, BlockAddr::new(0, 0, 0, 1)).unwrap();
+        assert_eq!(q.issued_at, busy, "gated behind the failed program");
+        assert_eq!(dev.stats().queue_gated_submissions, 1);
     }
 
     #[test]
@@ -2496,14 +2476,7 @@ mod tests {
         assert_eq!(
             dev.stats().inflight_die_failures,
             1,
-            "the in-flight program completes with an error"
-        );
-        let polled = dev.poll_completions();
-        assert_eq!(polled.len(), 1);
-        assert_eq!(
-            polled[0].status,
-            CommandStatus::DieFailed(DieAddr::new(0, 1)),
-            "the poll stream reports the lost in-flight command"
+            "the in-flight program is lost with its die"
         );
         assert_eq!(dev.inflight_on(DieAddr::new(0, 1), 0), 0);
     }

@@ -59,8 +59,9 @@ pub enum FlashError {
     EraseFailed(BlockAddr),
     /// The die (or its whole channel) failed permanently — injected by a
     /// deterministic [`crate::fault::KillSpec`].  Every subsequent command
-    /// addressed to the die is rejected with this error; in-flight queued
-    /// commands complete with [`crate::queue::CommandStatus::DieFailed`].
+    /// addressed to the die is rejected with this error; queued commands
+    /// still in flight on it are lost (counted in
+    /// [`crate::FlashStats::inflight_die_failures`]).
     /// Data on the die is unrecoverable from the device itself; only
     /// host-side redundancy (mirroring, parity stripes) can reconstruct it.
     DieFailed(DieAddr),

@@ -26,10 +26,9 @@
 //!   models above this class is deterministic by construction: the kill
 //!   fires at a fixed command index, not from an RNG draw, so a test can
 //!   place the failure exactly between two known operations.  When it fires,
-//!   commands still in flight on the die's queue complete with
-//!   [`crate::queue::CommandStatus::DieFailed`] (a real driver learns about
-//!   a dropped die from error completions), and every later command
-//!   addressed to the die is rejected up front with
+//!   commands still in flight on the die's queue are lost with it (counted
+//!   in [`crate::FlashStats::inflight_die_failures`]), and every later
+//!   command addressed to the die is rejected up front with
 //!   [`crate::FlashError::DieFailed`].  Data on the die is gone as far as
 //!   the device is concerned — surviving it is the host's job (the
 //!   NoFTL-side redundancy policies).

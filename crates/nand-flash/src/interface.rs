@@ -79,8 +79,8 @@ pub struct DeviceIdentification {
 /// an [`OpCompletion`] describing when the device could actually start and
 /// finish the command given die/channel occupancy.  These calls are the
 /// *blocking* protocol; hosts that want several commands in flight per die
-/// use the device's queued submission path (`submit_program_pages` /
-/// `poll_completions` on `crate::NandDevice`, bounded by
+/// use the device's queued submission path (`submit_program_pages` and its
+/// siblings on `crate::NandDevice`, bounded by
 /// [`DeviceIdentification::max_queue_per_die`]).
 pub trait NativeFlashInterface {
     /// Device geometry (cheap accessor; same data as [`Self::identify`]).

@@ -25,7 +25,7 @@
 //! batched dispatch cannot drift apart and the closed-form run costs are
 //! asserted for `k = 1` by the same test that asserts them for `k > 1`.
 //!
-//! ## Completion-poll interface
+//! ## Queued submission interface
 //!
 //! Beyond the blocking [`NativeFlashInterface`] calls, [`NandDevice`] exposes
 //! a queued submission path ([`NandDevice::submit_program_pages`],
@@ -33,12 +33,14 @@
 //! ([`queue::CommandQueues`]).  A submission is admitted at the caller's
 //! virtual `now`; when the target die's queue is full, its issue is gated
 //! behind the oldest in-flight command — the behaviour of a real driver
-//! spinning on a full hardware queue.  Completions accumulate until the host
-//! drains them with [`NandDevice::poll_completions`] (or barriers with
-//! [`NandDevice::drain_queues`]), so an issuer can keep several commands in
-//! flight per die and overlap channel transfers on one die with cell programs
-//! on any die behind the channel.  A queue depth of 1 reproduces the
-//! synchronous dispatch exactly (the `NOFTL_ASYNC=1` equivalence leg).
+//! spinning on a full hardware queue.  Each `submit_*` call returns its
+//! command's [`QueuedCompletion`] — the only place a completion is reported —
+//! and the queue keeps just the completion instants of its in-flight window
+//! ([`NandDevice::drain_queues`] barriers on them), so an issuer can keep
+//! several commands in flight per die and overlap channel transfers on one
+//! die with cell programs on any die behind the channel.  A queue depth of 1
+//! reproduces the synchronous dispatch exactly (the `NOFTL_ASYNC=1`
+//! equivalence leg).
 //!
 //! ## Fault model
 //!
@@ -59,11 +61,13 @@
 //!   succeeds; beyond it the read fails with [`FlashError::UncorrectableEcc`]
 //!   (each retry draws independently, so a read-retry ladder can succeed).
 //!
-//! Failed queued commands still produce a [`QueuedCompletion`] carrying a
-//! non-Ok [`CommandStatus`], so poll-driven issuers observe faults the same
-//! way a real driver reads a status register.  Recovery (block retirement,
-//! survivor relocation, read retries, scrubbing) is deliberately *not* done
-//! here — it is the DBMS's job (`noftl-core`), per the NoFTL argument.
+//! A queued command that fails on the device returns its typed
+//! [`FlashError`] from its `submit_*` call, the way a real driver reads a
+//! status register; it still holds its die-queue slot for the time it
+//! occupied the die, so fault runs keep their timing.  Recovery (block
+//! retirement, survivor relocation, read retries, scrubbing) is deliberately
+//! *not* done here — it is the DBMS's job (`noftl-core`), per the NoFTL
+//! argument.
 //!
 //! The higher layers built on top of this crate are the `ftl` crate
 //! (on-device FTL baselines behind a legacy block interface) and `noftl-core`
@@ -101,6 +105,6 @@ pub use interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, Op
 pub use nand_type::{NandType, TimingProfile};
 pub use oob::{Oob, PageKind};
 pub use page::PageState;
-pub use queue::{CommandId, CommandQueues, CommandStatus, QueuedCompletion};
+pub use queue::{CommandQueues, QueuedCompletion};
 pub use stats::FlashStats;
 pub use trace::{TraceEntry, Tracer};

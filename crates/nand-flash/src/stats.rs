@@ -27,11 +27,16 @@ pub struct FlashStats {
     pub multi_page_read_dispatches: u64,
     /// Pages read through multi-page dispatches.
     pub batched_read_pages: u64,
-    /// Commands submitted through the queued (submit/poll) interface.
+    /// Commands submitted through the queued (`submit_*`) interface.
     pub queued_submissions: u64,
+    /// Σ (device start − host submit) over queued submissions, in virtual
+    /// ns: the time commands spent waiting for their die queue, die and
+    /// channel.  Divided by [`FlashStats::queued_submissions`] it is the
+    /// mean queue wait per command.
+    pub queue_wait_ns: u64,
     /// Queued submissions whose issue was gated behind a full die queue.
     pub queue_gated_submissions: u64,
-    /// Read commands submitted through the queued (submit/poll) interface
+    /// Read commands submitted through the queued (`submit_*`) interface
     /// (a subset of [`FlashStats::queued_submissions`]).
     pub queued_reads: u64,
     /// Queued read submissions whose issue was gated behind a full die queue
@@ -55,8 +60,8 @@ pub struct FlashStats {
     pub die_failures: u64,
     /// Commands rejected up front because they addressed a dead die.
     pub dead_die_rejections: u64,
-    /// Queued commands that were in flight when their die failed and
-    /// completed with [`crate::queue::CommandStatus::DieFailed`].
+    /// Queued commands that were still in their die's in-flight window when
+    /// the die failed: they are lost with it.
     pub inflight_die_failures: u64,
     /// Bytes transferred from the device to the host.
     pub bytes_read: u64,
@@ -116,6 +121,7 @@ impl FlashStats {
         self.multi_page_read_dispatches += other.multi_page_read_dispatches;
         self.batched_read_pages += other.batched_read_pages;
         self.queued_submissions += other.queued_submissions;
+        self.queue_wait_ns += other.queue_wait_ns;
         self.queue_gated_submissions += other.queue_gated_submissions;
         self.queued_reads += other.queued_reads;
         self.read_stalls += other.read_stalls;
@@ -208,7 +214,9 @@ mod tests {
         let mut b = FlashStats::new(2);
         b.die_failures = 2;
         b.inflight_die_failures = 5;
+        b.queue_wait_ns = 40;
         a.merge(&b);
+        assert_eq!(a.queue_wait_ns, 40);
         assert_eq!(a.die_failures, 3);
         assert_eq!(a.dead_die_rejections, 3);
         assert_eq!(a.inflight_die_failures, 5);

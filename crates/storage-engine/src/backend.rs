@@ -245,8 +245,8 @@ pub fn redundancy_op_ratio(base: f64, policy: Option<RedundancyPolicy>) -> f64 {
 }
 
 /// Class of an in-flight submission, for the mixed read/write windows the
-/// poll-driven engine scheduler keeps (reads from buffer-pool miss fills,
-/// writes from db-writers and the WAL).
+/// engine's scheduler keeps (reads from buffer-pool miss fills, writes from
+/// db-writers and the WAL).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// A read submission (page fill, point read).
@@ -473,10 +473,10 @@ pub trait StorageBackend {
         Ok(t)
     }
 
-    /// Drain the completions of queued asynchronous submissions recorded
-    /// since the last poll, in submit order — the stream a poll-driven
-    /// engine loop advances its clock off.  Back ends without device queues
-    /// have nothing to report.
+    /// Always empty: every back end reports a completion once, as the return
+    /// value of the call that issued it.  Kept only because the `perf` suite
+    /// (`perf/src/shims.rs` and its TPC-B and scan workloads) still calls
+    /// it; nothing in the stack does.
     fn poll_completions(&mut self) -> Vec<nand_flash::QueuedCompletion> {
         Vec::new()
     }
@@ -645,10 +645,6 @@ impl StorageBackend for NoFtlBackend {
         reqs: &mut [(PageId, &mut [u8])],
     ) -> FlashResult<SimInstant> {
         self.noftl.read_batch(now, reqs)
-    }
-
-    fn poll_completions(&mut self) -> Vec<nand_flash::QueuedCompletion> {
-        self.noftl.poll_completions()
     }
 
     fn free_page_hint(&mut self, _now: SimInstant, page_id: u64) -> FlashResult<()> {
@@ -1121,13 +1117,12 @@ mod tests {
             b.noftl().flash_stats().multi_page_read_dispatches > 0,
             "batch must reach the multi-page read command"
         );
-        // The queued read submissions are pollable in submit order.
-        let polled = b.poll_completions();
-        assert!(!polled.is_empty());
-        assert!(polled
-            .iter()
-            .any(|q| q.kind == nand_flash::OpKind::Read));
-        assert!(b.poll_completions().is_empty(), "poll drains the stream");
+        // The reads went through the device queues; their completions came
+        // back as the call's return, so there is no stream left to poll.
+        let stats = b.noftl().flash_stats();
+        assert!(stats.queued_reads > 0);
+        assert_eq!(stats.queued_reads, stats.multi_page_read_dispatches);
+        assert!(b.poll_completions().is_empty());
         // The default (mem backend) read_pages loop also fills correctly.
         let mut m = MemBackend::new(512, 32);
         m.write_page(0, 3, &vec![7u8; 512]).unwrap();

@@ -106,7 +106,7 @@ pub struct BufferPool {
     /// inline, bit- and cycle-identical to the pre-async code).
     async_depth: usize,
     /// In-flight miss-fill reads — the pool's lane of the engine's shared
-    /// poll-driven scheduler ([`InflightWindow`], read class); under async,
+    /// window scheduler ([`InflightWindow`], read class); under async,
     /// point-read fills pipeline here while the flushers' write windows
     /// pipeline next to them on the same per-die device queues.
     read_window: InflightWindow,
@@ -266,11 +266,6 @@ impl BufferPool {
     }
 
     #[inline]
-    fn data(&self, frame: usize) -> &[u8] {
-        &self.arena[frame * self.page_size..(frame + 1) * self.page_size]
-    }
-
-    #[inline]
     fn data_mut(&mut self, frame: usize) -> &mut [u8] {
         &mut self.arena[frame * self.page_size..(frame + 1) * self.page_size]
     }
@@ -291,32 +286,11 @@ impl BufferPool {
         }
     }
 
-    /// Borrow the raw bytes of a resident page (used by flushers).
-    pub fn page_bytes(&self, page_id: PageId) -> Option<&[u8]> {
-        self.map.get(page_id).map(|i| self.data(i as usize))
-    }
-
-    /// Pin `page_id` for the duration of `f` and hand `f` its bytes straight
-    /// from the arena (no copy).  Used by the per-page flusher path: the
-    /// frame cannot be reclaimed while the backend writes from it, even if
-    /// `f` panics.  Returns `None` when the page is not resident.
-    pub fn with_page_bytes<R>(
-        &mut self,
-        page_id: PageId,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Option<R> {
-        let i = self.map.get(page_id)? as usize;
-        let page_size = self.page_size;
-        let (frames, arena) = (&mut self.frames, &self.arena);
-        let _pin = PinGuard::new(&mut frames[i].pins);
-        Some(f(&arena[i * page_size..(i + 1) * page_size]))
-    }
-
     /// Pin every resident page of `ids`, hand `f` the `(page_id, bytes)` run
     /// in `ids` order (non-resident ids are skipped) borrowed straight from
     /// the arena, then unpin — even if `f` panics.  This is what lets the
-    /// batched flushers submit whole runs to the backend with no per-page
-    /// copy.
+    /// flushers submit their runs to the backend with no per-page copy; a
+    /// run of one page (every per-page flush) is built on the stack.
     pub fn with_pinned_pages<R>(
         &mut self,
         ids: &[PageId],
@@ -348,12 +322,12 @@ impl BufferPool {
                 frames,
                 pinned: &resident,
             };
-            // The run borrows the arena, so it cannot live in the scratch.
-            let run: Vec<(PageId, &[u8])> = resident
-                .iter()
-                .map(|&(p, i)| (p, &arena[i * page_size..(i + 1) * page_size]))
-                .collect();
-            f(&run)
+            let page = |&(p, i): &(PageId, usize)| (p, &arena[i * page_size..(i + 1) * page_size]);
+            match resident.as_slice() {
+                [one] => f(&[page(one)]),
+                // The run borrows the arena, so it cannot live in the scratch.
+                run => f(&run.iter().map(page).collect::<Vec<_>>()),
+            }
         };
         resident.clear();
         self.scratch.pinned = resident;
@@ -472,7 +446,7 @@ impl BufferPool {
         }
         // Load the new page.  Under async (depth > 1) the fill is gated only
         // by the pool's bounded read window — not chained on anything else —
-        // and its completion is recorded for the poll-driven scheduler; the
+        // and its completion is recorded in the pool's read window; the
         // device-side queues are what make it honestly wait its turn behind
         // in-flight flush traffic on the same die.
         if read_from_backend {
@@ -861,14 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn page_bytes_visible_to_flushers() {
-        let (mut pool, mut backend) = setup(4);
-        pool.new_page(&mut backend, 0, 11, |d| d[0] = 0x44).unwrap();
-        assert_eq!(pool.page_bytes(11).unwrap()[0], 0x44);
-        assert!(pool.page_bytes(999).is_none());
-    }
-
-    #[test]
     fn dirty_fraction_reflects_state() {
         let (mut pool, mut backend) = setup(4);
         assert_eq!(pool.dirty_fraction(), 0.0);
@@ -952,20 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn with_page_bytes_pins_for_closure_duration() {
-        let (mut pool, mut backend) = setup(4);
-        pool.new_page(&mut backend, 0, 3, |d| d[0] = 0x5A).unwrap();
-        let seen = pool.with_page_bytes(3, |bytes| bytes[0]);
-        assert_eq!(seen, Some(0x5A));
-        assert!(pool.with_page_bytes(99, |_| ()).is_none());
-        // The pin is released afterwards: the page can be evicted again.
-        for p in 10..14u64 {
-            pool.new_page(&mut backend, 0, p, |_| ()).unwrap();
-        }
-        assert!(!pool.contains(3));
-    }
-
-    #[test]
     fn with_pinned_pages_exposes_run_in_order_and_unpins() {
         let (mut pool, mut backend) = setup(8);
         for p in [4u64, 2, 7] {
@@ -976,6 +928,14 @@ mod tests {
             run.iter().map(|&(p, bytes)| (p, bytes[0])).collect::<Vec<_>>()
         });
         assert_eq!(collected, vec![(4, 4), (2, 2), (7, 7)]);
+        // A run of one (the per-page flush) and a run of nothing.
+        let one = pool.with_pinned_pages(&[2], |run| {
+            run.iter()
+                .map(|&(p, bytes)| (p, bytes[0]))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(one, vec![(2, 2)]);
+        assert!(pool.with_pinned_pages(&[99], |run| run.is_empty()));
         // All pins released: every frame can be evicted.
         for p in 20..28u64 {
             pool.new_page(&mut backend, 0, p, |_| ()).unwrap();

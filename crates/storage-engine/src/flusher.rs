@@ -11,17 +11,18 @@
 //!   flushes pages that stripe to those regions, so writers never compete for
 //!   a Flash chip.
 //!
-//! Each writer is modelled as a sequential actor.  Under the legacy
-//! (per-page) I/O model it issues its next page write only after the
-//! previous one completed.  Under the *batched* model — a capability of the
-//! Flash-aware (die-wise) configuration — a writer collects its run of dirty
-//! pages and submits it as one [`StorageBackend::write_pages`] batch straight
-//! out of the buffer-pool arena (no per-page copy): the NoFTL backend turns
-//! the run into one multi-page program dispatch per die, so the dies the
-//! writer owns work in parallel and each die pipelines data transfers with
-//! cell programs.  The conventional global writers keep the per-page model:
-//! without the region knowledge of §3.2 there is nothing to group a batch
-//! by, which is precisely the asymmetry the paper exploits.
+//! Each writer is modelled as a sequential actor that submits its dirty
+//! pages as [`StorageBackend::write_pages`] runs straight out of the
+//! buffer-pool arena (no per-page copy).  Under the legacy (per-page) I/O
+//! model every run is one page, and the writer issues its next page only
+//! after the previous one completed.  Under the *batched* model — a
+//! capability of the Flash-aware (die-wise) configuration — a run is up to
+//! [`FlusherConfig::batch_pages`] pages: the NoFTL backend turns it into one
+//! multi-page program dispatch per die, so the dies the writer owns work in
+//! parallel and each die pipelines data transfers with cell programs.  The
+//! conventional global writers keep the per-page model: without the region
+//! knowledge of §3.2 there is nothing to group a batch by, which is
+//! precisely the asymmetry the paper exploits.
 //!
 //! A flush *cycle* starts all writers at the same virtual instant and ends
 //! when the last one finishes — exactly the quantity that differs between
@@ -55,7 +56,8 @@ pub struct FlusherConfig {
     /// (flush-everything when 0.0).
     pub dirty_low_watermark: f64,
     /// Maximum pages per batched backend submission under the die-wise
-    /// assignment; `0` keeps the legacy one-`write_page`-per-page model.
+    /// assignment; `0` keeps the legacy per-page model (one page per
+    /// submission).
     /// Defaults to [`DEFAULT_BATCH_PAGES`].  The engine's WAL batches by the
     /// same number, whatever the assignment.
     pub batch_pages: usize,
@@ -119,7 +121,8 @@ pub struct FlusherStats {
     pub cycles: u64,
     /// Pages written out by the writers.
     pub pages_flushed: u64,
-    /// Batched `write_pages` submissions issued (0 on the legacy path).
+    /// `write_pages` submissions issued (one page each under the per-page
+    /// model).
     pub batch_submissions: u64,
     /// Sum of cycle wall-clock durations (virtual ns).
     pub total_cycle_time: u64,
@@ -353,7 +356,8 @@ impl FlusherPool {
         now: SimInstant,
         batches: &[Vec<PageId>],
     ) -> FlashResult<SimInstant> {
-        let batch_limit = self.config.effective_batch_pages();
+        // The per-page model submits runs of one.
+        let run_pages = self.config.effective_batch_pages().max(1);
         let depth = self.config.async_depth.max(1);
         let mut cycle_end = now;
         let mut last_submit = now;
@@ -363,45 +367,26 @@ impl FlusherPool {
                 // Synchronous semantics: no carry-over between cycles.
                 window.clear();
             }
-            if batch_limit == 0 {
-                // Legacy model: one write per page, gated on the writer's
-                // window (depth 1: issued at the completion of the previous
-                // one), straight from the pinned arena frame.
-                for &page_id in batch {
-                    let submit_at = window.gate(depth, now);
-                    let Some(written) = pool.with_page_bytes(page_id, |bytes| {
-                        backend.write_page(submit_at, page_id, bytes)
-                    }) else {
-                        continue;
-                    };
-                    let c = written?;
-                    window.push(c.completed_at);
-                    cycle_end = cycle_end.max(c.completed_at);
-                    last_submit = last_submit.max(submit_at);
+            // Submit runs of up to `run_pages` pages as one backend call,
+            // borrowed straight out of the arena under pins.  The window
+            // bounds how many runs are in flight (depth 1: each is issued at
+            // the completion of the previous one); the backend overlaps the
+            // dies *within* a run, the device queues pipeline runs *across*
+            // submissions.
+            for chunk in batch.chunks(run_pages) {
+                let submit_at = window.gate(depth, now);
+                let (submitted, written) = pool.with_pinned_pages(chunk, |run| {
+                    (backend.write_pages(submit_at, run), run.len() as u64)
+                });
+                let end = submitted?;
+                window.push(end);
+                cycle_end = cycle_end.max(end);
+                last_submit = last_submit.max(submit_at);
+                for &page_id in chunk {
                     pool.mark_clean(page_id);
-                    self.stats.pages_flushed += 1;
                 }
-            } else {
-                // Batched model: submit runs of up to `batch_limit` pages as
-                // one backend call, borrowed straight out of the arena under
-                // pins.  The window bounds how many runs are in flight; the
-                // backend overlaps the dies *within* a run, the device
-                // queues pipeline runs *across* submissions.
-                for chunk in batch.chunks(batch_limit) {
-                    let submit_at = window.gate(depth, now);
-                    let (submitted, written) = pool.with_pinned_pages(chunk, |run| {
-                        (backend.write_pages(submit_at, run), run.len() as u64)
-                    });
-                    let end = submitted?;
-                    window.push(end);
-                    cycle_end = cycle_end.max(end);
-                    last_submit = last_submit.max(submit_at);
-                    for &page_id in chunk {
-                        pool.mark_clean(page_id);
-                    }
-                    self.stats.pages_flushed += written;
-                    self.stats.batch_submissions += 1;
-                }
+                self.stats.pages_flushed += written;
+                self.stats.batch_submissions += 1;
             }
         }
         let duration = cycle_end.saturating_sub(now);
@@ -557,7 +542,7 @@ mod tests {
         let (one, s_one) = die_wise_cycle(1, 2, 8, 64);
         assert_eq!(off, one, "batch size 1 must be timing-identical to off");
         assert_eq!(s_off.pages_flushed, s_one.pages_flushed);
-        assert_eq!(s_off.batch_submissions, 0);
+        assert_eq!(s_off.batch_submissions, 64, "off submits one page per run");
         assert_eq!(s_one.batch_submissions, 64);
     }
 
@@ -610,7 +595,11 @@ mod tests {
         });
         assert_eq!(flushers.config().effective_batch_pages(), 0);
         flushers.run_cycle(&mut pool, &mut backend, 0).unwrap();
-        assert_eq!(flushers.stats().batch_submissions, 0);
+        let s = flushers.stats();
+        assert_eq!(
+            s.batch_submissions, s.pages_flushed,
+            "one page per submission"
+        );
         assert_eq!(backend.noftl().flash_stats().multi_page_dispatches, 0);
     }
 
@@ -802,7 +791,10 @@ mod tests {
         let (global_legacy, s_legacy) = run(FlusherAssignment::Global, false);
         let (global_batched, s_batched) = run(FlusherAssignment::Global, true);
         let (die_wise, _) = run(FlusherAssignment::DieWise, false);
-        assert_eq!(s_legacy.batch_submissions, 0, "ablation off keeps the per-page model");
+        assert_eq!(
+            s_legacy.batch_submissions, s_legacy.pages_flushed,
+            "ablation off keeps the per-page model: one page per submission"
+        );
         assert!(s_batched.batch_submissions > 0, "ablation on must batch");
         assert!(
             global_batched < global_legacy,

@@ -71,7 +71,7 @@
 //!
 //! * **Buffer pool** ([`buffer`]) — a miss fill is gated by the pool's
 //!   bounded read window (an [`backend::InflightWindow`] lane of read-class
-//!   entries) and its completion is recorded for the poll-driven scheduler;
+//!   entries) and its completion is recorded in that window;
 //!   [`buffer::BufferPool::prefetch`] turns a burst of misses into one
 //!   batched [`backend::StorageBackend::read_pages`] submission — one
 //!   multi-page read dispatch per die on the NoFTL backend.
@@ -81,11 +81,11 @@
 //!   the device-side per-die queues are where reads and writes genuinely
 //!   contend, which is what makes a point read honestly queue behind
 //!   in-flight flush, WAL and GC traffic.
-//! * **Poll-driven engine** ([`engine`]) — `StorageEngine::poll_completions`
-//!   drains the queued completion stream (submit order);
-//!   `StorageEngine::quiesce` barriers flusher windows, the read window, the
-//!   WAL window and the device queues.  Depth 1 of every lane is bit- and
-//!   cycle-identical to the synchronous code.
+//! * **Completion-driven engine** ([`engine`]) — every queued submission
+//!   returns its own completion, and each lane keeps the instant in its
+//!   window; `StorageEngine::quiesce` barriers flusher windows, the read
+//!   window, the WAL window and the device queues.  Depth 1 of every lane
+//!   is bit- and cycle-identical to the synchronous code.
 //!
 //! ## Streaming readahead for sequential scans (PR 5)
 //!

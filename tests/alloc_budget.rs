@@ -1,8 +1,9 @@
 //! Allocation budgets of the steady state, counted by this binary's own
 //! allocator: a read does not clone its table's catalog entry, the log keeps
 //! its records without an allocation per record, a TPC-C transaction stays
-//! within a fixed number of heap allocations, and a streaming scan allocates
-//! per batch of pages, not per page.
+//! within a fixed number of heap allocations, a streaming scan allocates
+//! per batch of pages, not per page, and queued device commands keep
+//! nothing once they retire.
 //!
 //! The counts are exact for a given build, so the budgets sit well above
 //! what is measured today (noted at each assertion) and well below what the
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use noftl::nand_flash::FlashGeometry;
+use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice, NativeFlashInterface, Oob, Ppa};
 use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
 use noftl::storage_engine::{
     backend::{MemBackend, NoFtlBackend},
@@ -21,6 +22,7 @@ use noftl::storage_engine::{
 use noftl::workloads::{TpcC, TpcCConfig, Workload};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
@@ -29,6 +31,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -38,11 +41,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,9 +63,21 @@ fn exclusive() -> MutexGuard<'static, ()> {
 
 /// Allocator calls made while `f` runs.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    allocations_and_bytes_in(f).0
+}
+
+/// Allocator calls made while `f` runs, and the bytes they asked for (a
+/// `realloc` counts its new size).
+fn allocations_and_bytes_in(f: impl FnOnce()) -> (u64, u64) {
+    let (calls, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    (
+        ALLOCS.load(Ordering::Relaxed) - calls,
+        BYTES.load(Ordering::Relaxed) - bytes,
+    )
 }
 
 #[test]
@@ -210,9 +227,7 @@ fn a_streaming_scan_allocates_per_batch_not_per_page() {
         let scan = |e: &mut StorageEngine, now: u64| {
             let (count, end) = e.scan("t", now, |_, _| {}).unwrap();
             assert_eq!(count, rows);
-            let end = e.quiesce(end);
-            e.poll_completions();
-            end
+            e.quiesce(end)
         };
         // Warm-up: every reused list reaches its working size.
         now = scan(&mut e, now);
@@ -224,8 +239,9 @@ fn a_streaming_scan_allocates_per_batch_not_per_page() {
     };
     let (allocs_5x, pages_5x) = scan_allocations(5);
     let (allocs_10x, pages_10x) = scan_allocations(10);
-    // Measured: 40 allocations for 320 pages and 40 for 640 — the ramp-up's
-    // few multi-page batches and the completion list; four per page before.
+    // Measured: 39 allocations for 320 pages and 39 for 640 — the ramp-up's
+    // few multi-page batches (40 while the device also kept a completion
+    // list for polling); four per page before.
     assert!(
         allocs_5x <= pages_5x / 4,
         "{allocs_5x} allocations to scan {pages_5x} pages"
@@ -235,4 +251,45 @@ fn a_streaming_scan_allocates_per_batch_not_per_page() {
         "{pages_5x} -> {pages_10x} pages took {allocs_5x} -> {allocs_10x} allocations: \
          the streaming top-ups must not allocate"
     );
+}
+
+#[test]
+fn queued_commands_keep_nothing_once_they_retire() {
+    let _turn = exclusive();
+    // 8 dies x 16 384 pages; page `k` of the sequence goes to die `k % 8`,
+    // so each die's blocks fill in program order.
+    let g = FlashGeometry::with_dies(8, 4096, 32, 4096);
+    let dies = g.total_dies() as u64;
+    let data = vec![0u8; g.page_size as usize];
+    for depth in [1, 8] {
+        let mut dev = NandDevice::new(DeviceConfig::metadata_only(g));
+        dev.set_queue_depth(depth);
+        let program = |dev: &mut NandDevice, k: u64| {
+            let flat = (k % dies) * g.pages_per_die() + k / dies;
+            let ppa = Ppa::from_flat(&g, flat);
+            let q = dev
+                .submit_program_pages(0, &[(ppa, &data, Oob::data(k, 0))])
+                .unwrap();
+            assert!(q.issued_at >= q.submitted_at);
+        };
+        // Warm-up: every die's window reaches its depth.
+        const WARM: u64 = 1024;
+        for k in 0..WARM {
+            program(&mut dev, k);
+        }
+        const PROGRAMS: u64 = 100_000;
+        let (allocs, bytes) = allocations_and_bytes_in(|| {
+            for k in WARM..WARM + PROGRAMS {
+                program(&mut dev, k);
+            }
+        });
+        assert_eq!(dev.stats().queued_submissions, WARM + PROGRAMS);
+        // Measured: 0 allocations, 0 bytes.  While the device also kept
+        // every completion for a poll nobody made, that list grew to 101 024
+        // entries: 7 allocations asking for 20 MB in all.
+        assert!(
+            allocs < 16 && bytes < 64 * 1024,
+            "depth {depth}: {allocs} allocations, {bytes} bytes for {PROGRAMS} programs"
+        );
+    }
 }
