@@ -23,5 +23,5 @@ fn abort_on_fault() {
 
 fn reasonless(dev: &mut Device) -> Completion {
     // lint:allow(panic-path)
-    dev.drain_queues()[0]
+    dev.next_completion().unwrap()
 }

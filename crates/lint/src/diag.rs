@@ -9,7 +9,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Pass that produced the finding (`latch-order`, `panic-path`, ...).
+    /// Pass that produced the finding (`one-lock`, `panic-path`, ...).
     pub pass: &'static str,
     /// Human-readable description, including the suggested fix.
     pub message: String,

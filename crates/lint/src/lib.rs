@@ -11,11 +11,14 @@
 //!
 //! | Pass | What it enforces |
 //! |---|---|
-//! | `latch-order` | The acquisition-order graph over every `Mutex`/`RwLock` field in `storage-engine` (inter-procedural, scope-aware) has no cycles; no still-held lock is re-acquired. See [`passes::latch_order`]. |
-//! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` or completion-batch indexing in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
+//! | `one-lock` | `storage-engine` has one lock, `ConcurrentEngine.inner`, taken only in `concurrent.rs` and only as a temporary of one statement; no statement, and no closure passed to `with_backend` / `with_wal` anywhere, takes it again while it is held; nothing below the lock names `ConcurrentEngine` / `ClientSession`. See [`passes::one_lock`]. |
+//! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
 //! | `determinism` | No hash-ordered containers, wall-clock reads, or ambient RNGs in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, and `SimInstant`. See [`passes::determinism`]. |
 //! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is exercised by CI, documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
-//! | `stats-reconciliation` | Every counter field on `FlashStats`/`ReadaheadStats` is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
+//! | `stats-reconciliation` | Every counter field on the six audited stats structs (`FlashStats`, `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`, `RedundancyStats`, `RebuildStats`) is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
+//!
+//! `panic-path` and `determinism` are two tables ([`passes::Banned`]) over
+//! one banned-token scan, [`passes::scan`].
 //!
 //! ## `lint:allow` policy
 //!
@@ -45,16 +48,15 @@ use std::path::Path;
 
 use diag::Diagnostic;
 use passes::knob_registry::KnobRegistry;
-use passes::latch_order::LatchReport;
 
 /// The combined result of a lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Latch-order coverage data (empty when the pass did not run).
-    pub latch: LatchReport,
-    /// The derived knob registry (empty when the pass did not run).
+    /// `.lock()` sites the `one-lock` pass saw (0 when it did not run).
+    pub lock_sites: usize,
+    /// The derived knob registry, whichever passes run.
     pub knobs: KnobRegistry,
 }
 
@@ -67,10 +69,10 @@ pub fn run(root: &Path, selected: Option<&[String]>) -> LintReport {
     let enabled = |name: &str| selected.is_none_or(|s| s.iter().any(|p| p == name));
     let mut report = LintReport::default();
 
-    if enabled(passes::latch_order::PASS) {
-        let (diags, latch) = passes::latch_order::run(&sources);
+    if enabled(passes::one_lock::PASS) {
+        let (diags, lock_sites) = passes::one_lock::run(&sources);
         report.diagnostics.extend(diags);
-        report.latch = latch;
+        report.lock_sites = lock_sites;
     }
     if enabled(passes::panic_path::PASS) {
         report.diagnostics.extend(passes::panic_path::run(&sources));
@@ -78,14 +80,13 @@ pub fn run(root: &Path, selected: Option<&[String]>) -> LintReport {
     if enabled(passes::determinism::PASS) {
         report.diagnostics.extend(passes::determinism::run(&sources));
     }
+    let ci = workspace::read_text(root, ".github/workflows/ci.yml");
+    let roadmap = workspace::read_text(root, "ROADMAP.md");
+    let (diags, knobs) = passes::knob_registry::run(&sources, ci.as_deref(), roadmap.as_deref());
     if enabled(passes::knob_registry::PASS) {
-        let ci = workspace::read_text(root, ".github/workflows/ci.yml");
-        let roadmap = workspace::read_text(root, "ROADMAP.md");
-        let (diags, knobs) =
-            passes::knob_registry::run(&sources, ci.as_deref(), roadmap.as_deref());
         report.diagnostics.extend(diags);
-        report.knobs = knobs;
     }
+    report.knobs = knobs;
     if enabled(passes::stats_recon::PASS) {
         report.diagnostics.extend(passes::stats_recon::run(&sources));
     }

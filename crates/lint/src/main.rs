@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Exits non-zero when any pass reports a finding.  `--emit-knobs` prints
-//! the derived `NOFTL_*` knob registry as a markdown table (and still runs
-//! the selected passes).
+//! the derived `NOFTL_*` knob registry as a markdown table, whichever passes
+//! `--pass` selects (and still runs them).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,13 +55,10 @@ fn main() -> ExitCode {
     for d in &report.diagnostics {
         println!("{d}");
     }
-    let sites = report.latch.sites.len();
-    let edges = report.latch.edges.len();
     eprintln!(
-        "noftl-lint: {} finding(s); latch coverage: {sites} acquisition site(s), \
-         {edges} order edge(s), {} lock(s); {} registered knob(s)",
+        "noftl-lint: {} finding(s); {} engine-lock site(s); {} registered knob(s)",
         report.diagnostics.len(),
-        report.latch.locks.len(),
+        report.lock_sites,
         report.knobs.knobs.len(),
     );
     if report.diagnostics.is_empty() {

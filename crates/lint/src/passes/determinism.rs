@@ -18,8 +18,9 @@
 //!
 //! Escape hatch: `// lint:allow(determinism): <reason>` (reason mandatory).
 
+use super::{scan, Banned};
 use crate::diag::Diagnostic;
-use crate::source::{AllowState, SourceFile};
+use crate::source::SourceFile;
 
 /// Pass name used in diagnostics and allow directives.
 pub const PASS: &str = "determinism";
@@ -35,81 +36,28 @@ pub const SIM_CRATES: &[&str] = &[
     "workloads",
 ];
 
-const BANNED: &[(&str, &str)] = &[
-    (
-        "HashMap",
-        "iteration order is randomized per process; use BTreeMap or sim_utils::{flatmap::FlatMap, intmap::IntMap}",
-    ),
-    (
-        "HashSet",
-        "iteration order is randomized per process; use BTreeSet or sim_utils::flatmap::FlatBitSet",
-    ),
-    (
-        "RandomState",
-        "per-process hash seeding breaks run-to-run reproducibility",
-    ),
-    (
-        "Instant::now",
-        "wall-clock reads break virtual-time determinism; use sim_utils::time::SimInstant",
-    ),
-    (
-        "SystemTime",
-        "wall-clock reads break virtual-time determinism; use sim_utils::time::SimInstant",
-    ),
-    (
-        "thread_rng",
-        "ambient randomness; use a sim_utils::rng generator seeded from config",
-    ),
-    (
-        "rand::random",
-        "ambient randomness; use a sim_utils::rng generator seeded from config",
-    ),
-];
+const TABLE: Banned = Banned {
+    pass: PASS,
+    crates: SIM_CRATES,
+    scope: "sim-deterministic",
+    tokens: &[
+        ("HashMap", "iteration order is randomized per process; use BTreeMap or sim_utils::{flatmap::FlatMap, intmap::IntMap}"),
+        ("HashSet", "iteration order is randomized per process; use BTreeSet or sim_utils::flatmap::FlatBitSet"),
+        ("RandomState", "per-process hash seeding breaks run-to-run reproducibility"),
+        ("Instant::now", "wall-clock reads break virtual-time determinism; use sim_utils::time::SimInstant"),
+        ("SystemTime", "wall-clock reads break virtual-time determinism; use sim_utils::time::SimInstant"),
+        ("thread_rng", "ambient randomness; use a sim_utils::rng generator seeded from config"),
+        ("rand::random", "ambient randomness; use a sim_utils::rng generator seeded from config"),
+    ],
+    // Identifier boundaries on both sides: `SimInstant` must not fire
+    // `Instant`, `HashMapExt` must not fire `HashMap`.
+    boundary: |code, at, pat| {
+        let id = |c: char| c.is_alphanumeric() || c == '_';
+        !code[..at].ends_with(id) && !code[at + pat.len()..].starts_with(id)
+    },
+};
 
 /// Run the pass over preprocessed sources.
 pub fn run(sources: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in sources {
-        let in_scope = f
-            .crate_dir
-            .as_deref()
-            .is_some_and(|c| SIM_CRATES.contains(&c));
-        if !in_scope {
-            continue;
-        }
-        for (no, line) in f.numbered() {
-            if line.in_test {
-                continue;
-            }
-            for (pat, fix) in BANNED {
-                let mut from = 0;
-                while let Some(p) = line.code[from..].find(pat) {
-                    let at = from + p;
-                    from = at + pat.len();
-                    // Identifier boundaries on both sides: `SimInstant` must
-                    // not fire `Instant`, `HashMapExt` must not fire
-                    // `HashMap`.
-                    let prev = line.code[..at].chars().next_back();
-                    let next = line.code[at + pat.len()..].chars().next();
-                    let left_ok = !prev.is_some_and(|c| c.is_alphanumeric() || c == '_');
-                    let right_ok = !next.is_some_and(|c| c.is_alphanumeric() || c == '_');
-                    if !(left_ok && right_ok) {
-                        continue;
-                    }
-                    match f.allow_state(no, PASS) {
-                        AllowState::Allowed => {}
-                        AllowState::NotAllowed | AllowState::AllowedNoReason(_) => {
-                            out.push(Diagnostic::new(
-                                &f.rel,
-                                no,
-                                PASS,
-                                format!("`{pat}` in sim-deterministic non-test code; {fix}"),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    scan(sources, &TABLE)
 }

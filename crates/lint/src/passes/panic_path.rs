@@ -8,14 +8,13 @@
 //!
 //! - `.unwrap()` / `.expect(...)`
 //! - `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-//! - direct `[...]` indexing of a device completion batch
-//!   (`drain_queues()[...]`)
 //!
 //! Escape hatch: `// lint:allow(panic-path): <reason>` on the offending line
 //! or in the comment block directly above it.  The reason is mandatory.
 
+use super::{scan, Banned};
 use crate::diag::Diagnostic;
-use crate::source::{AllowState, SourceFile};
+use crate::source::SourceFile;
 
 /// Pass name used in diagnostics and allow directives.
 pub const PASS: &str = "panic-path";
@@ -23,63 +22,27 @@ pub const PASS: &str = "panic-path";
 /// Crate directories (under `crates/`) the pass applies to.
 pub const DEVICE_CRATES: &[&str] = &["core", "nand-flash", "flash-emulator"];
 
-const BANNED: &[(&str, &str)] = &[
-    (".unwrap()", "use `?`, a typed FlashError, or a checked alternative"),
-    (".expect(", "use `?`, a typed FlashError, or a checked alternative"),
-    ("panic!", "return a typed error instead of aborting the simulation"),
-    ("unreachable!", "restructure the match so the compiler proves the arm dead"),
-    ("todo!", "device-facing code must not ship unimplemented paths"),
-    ("unimplemented!", "device-facing code must not ship unimplemented paths"),
-    (
-        "drain_queues()[",
-        "completion batches may be shorter than expected under faults; iterate or use .get()",
-    ),
-];
+const TABLE: Banned = Banned {
+    pass: PASS,
+    crates: DEVICE_CRATES,
+    scope: "device-facing",
+    tokens: &[
+        (".unwrap()", "use `?`, a typed FlashError, or a checked alternative"),
+        (".expect(", "use `?`, a typed FlashError, or a checked alternative"),
+        ("panic!", "return a typed error instead of aborting the simulation"),
+        ("unreachable!", "restructure the match so the compiler proves the arm dead"),
+        ("todo!", "device-facing code must not ship unimplemented paths"),
+        ("unimplemented!", "device-facing code must not ship unimplemented paths"),
+    ],
+    // A method token is whole by its leading dot; a macro needs a word
+    // boundary on the left so e.g. `dont_panic!` never fires.
+    boundary: |code, at, pat| {
+        pat.starts_with('.')
+            || !code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_' || c == ':')
+    },
+};
 
 /// Run the pass over preprocessed sources.
 pub fn run(sources: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in sources {
-        let in_scope = f
-            .crate_dir
-            .as_deref()
-            .is_some_and(|c| DEVICE_CRATES.contains(&c));
-        if !in_scope {
-            continue;
-        }
-        for (no, line) in f.numbered() {
-            if line.in_test {
-                continue;
-            }
-            for (pat, fix) in BANNED {
-                let mut from = 0;
-                while let Some(p) = line.code[from..].find(pat) {
-                    let at = from + p;
-                    from = at + pat.len();
-                    // Word boundary on the left so e.g. `dont_panic!` or a
-                    // method named `my_unwrap()` never fires.
-                    let prev = line.code[..at].chars().next_back();
-                    let boundary = match pat.chars().next() {
-                        Some('.') | Some('[') => true,
-                        _ => !prev.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == ':'),
-                    };
-                    if !boundary {
-                        continue;
-                    }
-                    match f.allow_state(no, PASS) {
-                        AllowState::Allowed => {}
-                        AllowState::NotAllowed | AllowState::AllowedNoReason(_) => {
-                            out.push(Diagnostic::new(
-                                &f.rel,
-                                no,
-                                PASS,
-                                format!("`{pat}` in device-facing non-test code; {fix}"),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    scan(sources, &TABLE)
 }

@@ -3,8 +3,9 @@
 //!
 //! A counter that is declared but never incremented silently reports zero; a
 //! counter no test asserts can rot without anyone noticing.  For every
-//! integer counter field on the audited stats structs (`FlashStats`,
-//! `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`) this pass requires:
+//! integer counter field on the [`AUDITED`] stats structs (`FlashStats`,
+//! `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`, `RedundancyStats`,
+//! `RebuildStats`) this pass requires:
 //!
 //! - an **update site** in non-test code (`.field += ...`, `.field = ...`,
 //!   or an indexed update for `Vec` counters), and

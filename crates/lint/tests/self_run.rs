@@ -1,6 +1,6 @@
 //! Self-run test: the linter must come up clean on the real workspace, and
-//! its latch-order analysis must demonstrably cover the engine lock's
-//! acquisition sites — otherwise a "no findings" result proves nothing.
+//! its `one-lock` pass must demonstrably see the engine lock's acquisition
+//! sites — otherwise a "no findings" result proves nothing.
 //!
 //! Clean includes the knob-registry's single parse point: the environment is
 //! read in `StackConfig::from_env` and nowhere else — no other function,
@@ -32,71 +32,14 @@ fn real_workspace_is_lint_clean() {
 }
 
 #[test]
-fn latch_pass_covers_the_concurrent_engine() {
-    let report = noftl_lint::run(&workspace_root(), None);
-    let latch = &report.latch;
-
-    // Exactly one lock in the storage engine: the engine lock every session
-    // operation takes.  A second `Mutex`/`RwLock` field anywhere in the crate
-    // fails here before it can grow an order to get wrong.
-    assert_eq!(
-        latch.locks.iter().collect::<Vec<_>>(),
-        [(&"ConcurrentEngine.inner".to_string(), &false)],
-    );
-
-    // Every acquisition is in concurrent.rs, and the pass sees the
-    // hand-written ones: the engine's own accessors plus the session's
-    // `commit`.  The other session operations are generated from the one
-    // `forward_engine_ops!` list — a single `lock()` in the macro
-    // invocation, each expansion `StorageEngine::name(&mut *guard, ..)` —
-    // so there is no per-operation body left to get wrong.
-    assert!(latch.sites.len() >= 17, "sites: {}", latch.sites.len());
-    assert!(latch
-        .sites
-        .iter()
-        .all(|s| s.file == "crates/storage-engine/src/concurrent.rs"));
-
-    // Field-chain resolution (`self.engine.inner.lock()` in a session) and
-    // the engine's own accessors both reach the lock.
-    for f in [
-        "ClientSession::commit",
-        "ConcurrentEngine::committed",
-        "ConcurrentEngine::with_backend",
-    ] {
-        let acquires = latch
-            .fn_acquires
-            .get(f)
-            .unwrap_or_else(|| panic!("fn_acquires should cover {f}"));
-        assert!(
-            acquires.contains("ConcurrentEngine.inner"),
-            "{f}: {acquires:?}"
-        );
-    }
-    // ...and nothing below the lock takes it again.
-    for f in [
-        "StorageEngine::insert",
-        "StorageEngine::maybe_flush",
-        "StorageEngine::checkpoint",
-    ] {
-        assert!(
-            latch.fn_acquires[f].is_empty(),
-            "{f}: {:?}",
-            latch.fn_acquires[f]
-        );
-    }
-
-    // One node: no order, so no edges and no cycles; re-acquisition would
-    // have been a diagnostic.
-    assert!(latch.edges.is_empty(), "edges: {:?}", latch.edges);
-    assert!(latch.cycles.is_empty(), "cycles: {:?}", latch.cycles);
-    assert!(
-        !report
-            .diagnostics
-            .iter()
-            .any(|d| d.message.contains("re-acquired")),
-        "{:?}",
-        report.diagnostics
-    );
+fn one_lock_pass_sees_every_engine_lock_site() {
+    let report = noftl_lint::run(&workspace_root(), Some(&["one-lock".to_string()]));
+    // The engine's accessors, the two combinators, the session's `commit`
+    // and the one `forward_engine_ops!` invocation that generates every
+    // other session operation: a clean result over fewer sites would mean
+    // the pass stopped looking.
+    assert!(report.lock_sites >= 17, "lock sites: {}", report.lock_sites);
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
 }
 
 #[test]
@@ -117,4 +60,22 @@ fn knob_registry_matches_the_documented_knobs() {
     );
     assert!(report.knobs.in_ci.values().all(|v| *v), "{:?}", report.knobs.in_ci);
     assert!(report.knobs.in_roadmap.values().all(|v| *v), "{:?}", report.knobs.in_roadmap);
+}
+
+#[test]
+fn emit_knobs_prints_the_registry_under_any_pass_filter() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_noftl-lint"))
+        .arg("--root")
+        .arg(workspace_root())
+        .args(["--emit-knobs", "--pass", "panic-path"])
+        .output()
+        .expect("run noftl-lint");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8(out.stdout).expect("utf-8 output");
+    let rows = table.lines().filter(|l| l.starts_with("| `NOFTL_")).count();
+    assert_eq!(rows, 7, "{table}");
 }

@@ -19,7 +19,7 @@
 //! shard) could only ever be taken by the one caller already holding the
 //! backend, so they serialised nothing further; with a single non-reentrant
 //! lock the only deadlock left is re-acquiring it while it is held, which
-//! `noftl-lint`'s latch-order pass checks for.
+//! `noftl-lint`'s `one-lock` pass rejects.
 //!
 //! ## Serialization points
 //!
@@ -117,14 +117,13 @@ impl ConcurrentEngine {
     /// Per-shard buffer statistics, in shard-index order.  The concurrency
     /// harness reconciles their sum against [`Self::buffer_stats`].
     pub fn shard_buffer_stats(&self) -> Vec<BufferStats> {
-        let engine = self.inner.lock();
-        engine.pool().shards().iter().map(|s| s.stats()).collect()
+        self.inner.lock().pool().shards().iter().map(|s| s.stats()).collect()
     }
 
     /// Per-shard `(resident, dirty)` frame counts, in shard-index order.
     pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
-        let engine = self.inner.lock();
-        engine
+        self.inner
+            .lock()
             .pool()
             .shards()
             .iter()
@@ -154,13 +153,16 @@ impl ConcurrentEngine {
     }
 
     /// Run `f` on the backend with the engine locked (downcasting / detailed
-    /// statistics).  `f` must not call back into this engine or its sessions.
+    /// statistics).  `f` must not call back into this engine or its sessions:
+    /// the lock is not reentrant, and `noftl-lint`'s `one-lock` pass rejects
+    /// a closure that takes it.
     pub fn with_backend<R>(&self, f: impl FnOnce(&mut dyn StorageBackend) -> R) -> R {
         f(self.inner.lock().backend_mut())
     }
 
     /// Run `f` on the WAL with the engine locked (recovery tests).  `f` must
-    /// not call back into this engine or its sessions.
+    /// not call back into this engine or its sessions (checked by `one-lock`,
+    /// as for [`Self::with_backend`]).
     pub fn with_wal<R>(&self, f: impl FnOnce(&WalManager) -> R) -> R {
         f(self.inner.lock().wal())
     }

@@ -185,7 +185,8 @@
 //!   counter reads ran outside the backend lock.  The engine lock serialises
 //!   the same operations in the same order — the order sessions acquire it —
 //!   with nothing left to order, so the only deadlock is re-acquiring it
-//!   while held, which `noftl-lint`'s latch-order pass rejects.
+//!   while held, which `noftl-lint`'s `one-lock` pass rejects along with
+//!   any second lock in this crate.
 //! * **Serialization points** — a commit appends its record and forces the
 //!   WAL inside one locked operation, so the durable commit order is the
 //!   lock-acquisition order and each client sees a serializable commit
