@@ -377,7 +377,8 @@ impl NoFtl {
     /// Returns `Ok(None)` when scheduling is off (threshold 0), no region is
     /// under pressure (every region is above the high watermark), the
     /// instant is read-hot, or the chosen region holds no reclaimable
-    /// garbage.
+    /// garbage.  A device failure the relocation runs into is recovered
+    /// from as on the demand path: the next call picks the work up.
     pub fn schedule_gc(&mut self, now: SimInstant) -> FlashResult<Option<SimInstant>> {
         if self.gc_schedule_read_occupancy == 0 {
             return Ok(None);
@@ -395,11 +396,16 @@ impl NoFtl {
             self.stats.gc_deferred_hot += 1;
             return Ok(None);
         }
-        let end = self.gc_region_once(now, region)?;
-        if end.is_some() {
-            self.stats.gc_scheduled_cold += 1;
+        match self.gc_region_once(now, region) {
+            Ok(end) => {
+                if end.is_some() {
+                    self.stats.gc_scheduled_cold += 1;
+                }
+                Ok(end)
+            }
+            // No block was reclaimed: recovered, but not counted.
+            Err(e) => self.recover(now, e).map(Some),
         }
-        Ok(end)
     }
 
     /// Barrier over the device command queues: the instant by which every
@@ -1771,21 +1777,18 @@ impl NoFtl {
     /// helpers, so under async background GC queues behind — and delays —
     /// foreground flush/read traffic.
     ///
-    /// When the region runs out of space mid-relocation: with
-    /// `abort_on_full` the already-moved prefix is kept (sources
-    /// invalidated) and `(t, false)` is returned; otherwise the relocation
-    /// fails with [`FlashError::OutOfSpareBlocks`].
+    /// When the region runs out of space mid-relocation the already-moved
+    /// prefix is kept (sources invalidated) and `(t, false)` is returned.
     fn relocate_survivors(
         &mut self,
         now: SimInstant,
         region: RegionId,
         survivors: &[(Ppa, u64)],
-        abort_on_full: bool,
     ) -> FlashResult<(SimInstant, bool)> {
         let mut run = std::mem::take(&mut self.relocation_run);
         let mut data = std::mem::take(&mut self.relocation_data);
         run.clear();
-        let moved = self.relocate_runs(now, region, survivors, abort_on_full, &mut run, &mut data);
+        let moved = self.relocate_runs(now, region, survivors, &mut run, &mut data);
         self.relocation_run = run;
         self.relocation_data = data;
         moved
@@ -1799,7 +1802,6 @@ impl NoFtl {
         now: SimInstant,
         region: RegionId,
         survivors: &[(Ppa, u64)],
-        abort_on_full: bool,
         run: &mut Vec<Relocation>,
         data: &mut Vec<u8>,
     ) -> FlashResult<(SimInstant, bool)> {
@@ -1811,10 +1813,7 @@ impl NoFtl {
         for &(src, lpn) in survivors {
             let Some(dst) = self.regions.allocate_page_in(region) else {
                 t = self.flush_relocations(t, ready, run, data, None)?;
-                if abort_on_full {
-                    return Ok((t, false));
-                }
-                return Err(FlashError::OutOfSpareBlocks);
+                return Ok((t, false));
             };
             // A parity-protected page must re-join the open stripe at its
             // new address, which needs the host-side content — so its
@@ -2030,22 +2029,26 @@ impl NoFtl {
     /// (recursively) and the relocation resumes with whatever survivors
     /// remain — those moved before the nested failure are already
     /// invalidated on `block`, so the re-collection picks up only the rest.
-    /// The recursion is bounded because every level permanently removes one
-    /// block.  Returns the completion time and the pages the final pass moved.
+    /// A region that fills up first gives up one block of redundancy pages
+    /// ([`NoFtl::reclaim_redundancy_block`]) and the relocation resumes the
+    /// same way.  The recursion is bounded because every level permanently
+    /// removes one block or frees one.  Returns the completion time and the
+    /// pages the final pass moved.
     fn evacuate_block(&mut self, now: SimInstant, block: BlockAddr) -> FlashResult<(SimInstant, u64)> {
         let region = self.regions.region_of_block(block);
         let mut t = now;
         loop {
             let survivors = self.valid_survivors(block)?;
             let relocated = if survivors.is_empty() {
-                Ok((t, false))
+                Ok((t, true))
             } else {
-                self.relocate_survivors(t, region, &survivors, false)
+                self.relocate_survivors(t, region, &survivors)
             };
             let moved = survivors.len() as u64;
             self.survivors = survivors;
             match relocated {
-                Ok((end, _)) => return Ok((end, moved)),
+                Ok((end, true)) => return Ok((end, moved)),
+                Ok((end, false)) => t = self.reclaim_redundancy_block(end, region)?,
                 Err(FlashError::ProgramFailed(failed)) => {
                     t = self.retire_failed_block(t, failed.block_addr())?;
                 }
@@ -2128,6 +2131,47 @@ impl NoFtl {
         Ok(t)
     }
 
+    /// Make room in a `region` too full to relocate into: erase one of its
+    /// blocks that holds only redundancy pages — parity pages and mirror
+    /// copies, valid on the device but mapped to no logical page.  Victim
+    /// scoring never picks such a block while its stripes live (it counts no
+    /// invalid pages), and a stripe lives until one of its blocks erases —
+    /// which, for members in a region with plenty of free space, may be
+    /// never.  Yet the content is derived: the erase breaks the block's
+    /// stripes and mirror pairs, and [`NoFtl::erase_reclaimed`] re-protects
+    /// their still-mapped pages on other dies.  Fails with
+    /// [`FlashError::OutOfSpareBlocks`] when the region holds no such block
+    /// (always, with redundancy off).
+    fn reclaim_redundancy_block(
+        &mut self,
+        now: SimInstant,
+        region: RegionId,
+    ) -> FlashResult<SimInstant> {
+        let g = *self.device.geometry();
+        let redundancy_only = |n: &Self, b: BlockAddr| {
+            !n.regions.is_active(b)
+                && !n.regions.is_free(b)
+                && n.device
+                    .block_info(b)
+                    .is_ok_and(|i| i.usable && i.valid_pages > 0)
+                && (0..g.pages_per_block).all(|p| n.map.reverse(b.page(p).flat(&g)).is_none())
+        };
+        let block = self
+            .regions
+            .dies_of(region)
+            .iter()
+            .filter(|die| self.redundancy_active && !self.regions.die_dead(die.flat(&g) as usize))
+            .flat_map(|die| {
+                (0..g.planes_per_die).flat_map(move |plane| {
+                    (0..g.blocks_per_plane)
+                        .map(move |b| BlockAddr::new(die.channel, die.die, plane, b))
+                })
+            })
+            .find(|&b| redundancy_only(self, b))
+            .ok_or(FlashError::OutOfSpareBlocks)?;
+        Ok(self.erase_reclaimed(now, block)?.0)
+    }
+
     /// Reclaim one block in `region`. Returns the completion time of the last
     /// command, or `None` when the region holds no reclaimable garbage.
     fn gc_region_once(
@@ -2179,9 +2223,15 @@ impl NoFtl {
             }
         }
         let survivors = self.valid_survivors(victim)?;
-        let relocated = self.relocate_survivors(now, region, &survivors, false);
+        let relocated = self.relocate_survivors(now, region, &survivors);
         self.survivors = survivors;
-        let (mut t, _) = relocated?;
+        let (mut t, moved_all) = relocated?;
+        if !moved_all {
+            // The victim's survivors did not fit.  The moved prefix is
+            // already invalidated on the victim, so a later pass picks up
+            // only the rest once a redundancy block made room.
+            return self.reclaim_redundancy_block(t, region).map(Some);
+        }
 
         // Erase the victim; a worn-out failure retires the block instead of
         // recycling it (but still costs the erase attempt's latency).
@@ -2202,7 +2252,7 @@ impl NoFtl {
         };
         let cold = migration.cold_block;
         let survivors = self.valid_survivors(cold)?;
-        let relocated = self.relocate_survivors(now, region, &survivors, true);
+        let relocated = self.relocate_survivors(now, region, &survivors);
         self.survivors = survivors;
         let (mut t, moved_all) = relocated?;
         if !moved_all {
@@ -2824,7 +2874,7 @@ mod tests {
                 (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
             let t0 = 10_000_000;
             let programs = n.device.stats().programs;
-            let (end, all) = n.relocate_survivors(t0, 0, &survivors, false).unwrap();
+            let (end, all) = n.relocate_survivors(t0, 0, &survivors).unwrap();
             assert!(all);
             assert_eq!(n.device.stats().programs - programs, 4);
             assert_eq!(n.stats().gc_batch_dispatches, u64::from(cap > 1), "cap {cap}");
@@ -3909,5 +3959,45 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, 0, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn parity_with_program_failures_keeps_gc_going() {
+        // Parity pages are valid but mapped to no logical page, and the seal
+        // places each on the lowest-numbered die disjoint from its members.
+        // So die 0's region fills with live parity down to its GC reserve,
+        // and a block retirement takes that reserve: the next relocation
+        // found no room and the write failed with OutOfSpareBlocks.  The
+        // region must erase a parity block instead, and lose no page.  With
+        // proactive GC on, a program failure inside a scheduled relocation
+        // must be recovered from like one on the demand path.
+        for schedule_gc in [false, true] {
+            let mut plan = FaultPlan::seeded(3);
+            plan.program_fail_base = 1e-3;
+            plan.program_fail_wear_scale = 0.0;
+            plan.read_error_base = 0.0;
+            let mut cfg = NoFtlConfig::new(FlashGeometry::with_dies(8, 256, 16, 512));
+            cfg.redundancy = vec![RedundancyPolicy::Parity(3); 8];
+            cfg.gc_schedule_read_occupancy = usize::from(schedule_gc);
+            let mut n = faulty_noftl(plan, cfg);
+            let lpns = n.logical_pages() / 4;
+            let mut rng = sim_utils::rng::SimRng::new(3);
+            let mut last = vec![0u8; lpns as usize];
+            let mut now = 0;
+            for i in 0..lpns * 3 {
+                let lpn = if i < lpns { i } else { rng.range(0, lpns) };
+                last[lpn as usize] = i as u8;
+                let data = vec![i as u8; n.page_size];
+                now = n.write(now, lpn, &data).unwrap().completed_at;
+                now = n.schedule_gc(now).unwrap().unwrap_or(now);
+            }
+            assert!(n.stats().program_fail_retirements > 0);
+            assert_eq!(n.stats().gc_scheduled_cold > 0, schedule_gc);
+            let mut buf = vec![0u8; n.page_size];
+            for lpn in 0..lpns {
+                n.read(now, lpn, &mut buf).unwrap();
+                assert_eq!(buf, vec![last[lpn as usize]; n.page_size], "lpn {lpn}");
+            }
+        }
     }
 }

@@ -16,20 +16,17 @@
 //!   the emulator (Demo Scenario 1);
 //! * [`validation`] — self-validation of emulator latencies against the
 //!   reference timing of the emulated NAND (the stand-in for the paper's
-//!   validation against the physical OpenSSD board);
-//! * [`clock`] — the virtual clock shared by drivers.
+//!   validation against the physical OpenSSD board).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
 pub mod emulator;
 pub mod fio;
 pub mod host_interface;
 pub mod profiles;
 pub mod validation;
 
-pub use clock::VirtualClock;
 pub use emulator::{EmulatedNativeFlash, EmulatedSsd};
 pub use fio::{run_fio, AccessPattern, FioJob, FioReport};
 pub use host_interface::{HostInterface, HostLink};

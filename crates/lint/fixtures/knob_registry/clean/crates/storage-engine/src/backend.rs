@@ -1,6 +1,6 @@
 //! Clean fixture central knob module: both knobs parsed here, the
-//! environment read in `from_env` alone, and both knobs covered by the
-//! fixture CI matrix and ROADMAP table.
+//! environment read in `from_env` alone, and both knobs set by the
+//! fixture CI steps and listed in its ROADMAP table.
 
 pub struct StackConfig {
     pub batch: bool,

@@ -1,5 +1,5 @@
-//! Violation fixture central knob module: registers two knobs; the
-//! fixture CI misses NOFTL_TRACE and the fixture ROADMAP misses
+//! Violation fixture central knob module: registers two knobs; the fixture
+//! CI names NOFTL_TRACE but never sets it, the fixture ROADMAP misses
 //! NOFTL_BATCH; `trace_from_env` is a second env-reading function.
 
 pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> (bool, bool) {

@@ -14,7 +14,7 @@
 //! | `one-lock` | `storage-engine` has one lock, `ConcurrentEngine.inner`, taken only in `concurrent.rs` and only as a temporary of one statement; no statement, and no closure passed to `with_backend` / `with_wal` anywhere, takes it again while it is held; nothing below the lock names `ConcurrentEngine` / `ClientSession`. See [`passes::one_lock`]. |
 //! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
 //! | `determinism` | No hash-ordered containers, wall-clock reads, or ambient RNGs in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, and `SimInstant`. See [`passes::determinism`]. |
-//! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is exercised by CI, documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
+//! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is set by a CI step (`NOFTL_X=` or `NOFTL_X:` outside a YAML comment), documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
 //! | `stats-reconciliation` | Every counter field on the six audited stats structs (`FlashStats`, `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`, `RedundancyStats`, `RebuildStats`) is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
 //!
 //! `panic-path` and `determinism` are two tables ([`passes::Banned`]) over

@@ -13,8 +13,11 @@
 //!    a fixture that reads the environment asserts about whatever leg it
 //!    happens to run under.  `set_var` stays legal (the one test that
 //!    exercises `from_env` needs it).
-//! 2. **CI coverage** — every registered knob must appear in
-//!    `.github/workflows/ci.yml`; a knob no CI leg exercises is dead config.
+//! 2. **CI coverage** — every registered knob must be set in
+//!    `.github/workflows/ci.yml`: `NOFTL_X=` (a shell assignment) or
+//!    `NOFTL_X:` (an `env:` key) outside a YAML comment.  A knob no CI step
+//!    sets is dead config; naming it in a comment, a step name or an `echo`
+//!    sets nothing.
 //! 3. **Docs coverage** — every registered knob must appear in `ROADMAP.md`'s
 //!    knob table.
 //! 4. **No drift** — a `NOFTL_*` token appearing in any workspace string
@@ -112,6 +115,19 @@ fn knob_tokens(text: &str) -> Vec<String> {
     out
 }
 
+/// The knobs a CI `line` sets: a `NOFTL_*` token outside the line's YAML
+/// comment (a `#` at the start or after whitespace) that is followed by `=`
+/// (a shell assignment) or `:` (an `env:` key).
+fn knobs_set(line: &str) -> Vec<String> {
+    let b = line.as_bytes();
+    let cut = (0..b.len()).find(|&i| b[i] == b'#' && (i == 0 || b[i - 1].is_ascii_whitespace()));
+    let code = &line[..cut.unwrap_or(b.len())];
+    knob_tokens(code)
+        .into_iter()
+        .filter(|k| code.contains(&format!("{k}=")) || code.contains(&format!("{k}:")))
+        .collect()
+}
+
 /// Run the pass.  `ci` and `roadmap` are the CI config and ROADMAP texts
 /// (when present in the linted tree).
 pub fn run(
@@ -182,9 +198,10 @@ pub fn run(
         }
     }
 
-    // 2./3. Registry knobs must appear in CI and ROADMAP.
+    // 2./3. Registry knobs must be set by CI and appear in the ROADMAP.
+    let ci_set: Vec<String> = ci.into_iter().flat_map(str::lines).flat_map(knobs_set).collect();
     for (k, line) in &reg.knobs {
-        let ci_has = ci.map(|t| t.contains(k.as_str())).unwrap_or(false);
+        let ci_has = ci_set.contains(k);
         let rm_has = roadmap.map(|t| t.contains(k.as_str())).unwrap_or(false);
         reg.in_ci.insert(k.clone(), ci_has);
         reg.in_roadmap.insert(k.clone(), rm_has);
@@ -193,7 +210,7 @@ pub fn run(
                 CENTRAL,
                 *line,
                 PASS,
-                format!("knob `{k}` is registered but no CI leg exercises it (.github/workflows/ci.yml)"),
+                format!("knob `{k}` is registered but no CI step sets it (`{k}=` or `{k}:` outside a comment in .github/workflows/ci.yml)"),
             ));
         }
         if !rm_has {

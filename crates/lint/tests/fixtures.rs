@@ -188,7 +188,8 @@ fn knob_registry_violation_fixture_flags_all_four_rules() {
         );
     }
     assert!(find(central, 11).is_empty());
-    // Rule 2: registered knob missing from CI.
+    // Rule 2: registered knob that CI names (comment, step name, echo) but
+    // never sets.
     assert!(find(central, 7).iter().any(|m| m.contains(&trace) && m.contains("CI")));
     // Rule 3: registered knob missing from the ROADMAP.
     assert!(find(central, 7).iter().any(|m| m.contains("NOFTL_BATCH") && m.contains("ROADMAP")));

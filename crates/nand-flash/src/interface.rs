@@ -112,9 +112,7 @@ pub trait NativeFlashInterface {
     /// serialise on the channel, so the sense of page *j+1* overlaps the
     /// transfer of page *j* (the ONFI cache-read pipeline): a k-page run
     /// costs roughly `cmd + tR + k·transfer ∥ k·tR` instead of
-    /// `k·(cmd + tR + transfer)`.  The default implementation degrades to a
-    /// sequential per-page loop (each read issued at the completion of the
-    /// previous one), which is exactly the legacy single-page behaviour.
+    /// `k·(cmd + tR + transfer)`.
     ///
     /// Returns the completion of the whole run (`started_at` of the first
     /// sense, `completed_at` of the last transfer).  An empty run completes
@@ -123,22 +121,7 @@ pub trait NativeFlashInterface {
         &mut self,
         now: SimInstant,
         ops: &mut [(Ppa, &mut [u8])],
-    ) -> FlashResult<OpCompletion> {
-        let mut completion = OpCompletion {
-            started_at: now,
-            completed_at: now,
-        };
-        let mut t = now;
-        for (i, (ppa, buf)) in ops.iter_mut().enumerate() {
-            let (_, c) = self.read_page(t, *ppa, buf)?;
-            if i == 0 {
-                completion.started_at = c.started_at;
-            }
-            t = t.max(c.completed_at);
-        }
-        completion.completed_at = t;
-        Ok(completion)
-    }
+    ) -> FlashResult<OpCompletion>;
 
     /// PAGE PROGRAM: write `data` (+ OOB) to the erased page `ppa`.
     fn program_page(
@@ -157,9 +140,7 @@ pub trait NativeFlashInterface {
     /// model the run as *one* command transfer — a single per-run command
     /// overhead — whose data transfers pipeline with the cell programs, so a
     /// k-page run costs roughly `cmd + k·transfer ∥ k·tPROG` instead of
-    /// `k·(cmd + transfer + tPROG)`.  The default implementation degrades to a
-    /// sequential per-page loop (each program issued at the completion of the
-    /// previous one), which is exactly the legacy single-page behaviour.
+    /// `k·(cmd + transfer + tPROG)`.
     ///
     /// Returns the completion of the whole run (`started_at` of the first
     /// page, `completed_at` of the last).  An empty run completes at `now`.
@@ -167,22 +148,7 @@ pub trait NativeFlashInterface {
         &mut self,
         now: SimInstant,
         ops: &[(Ppa, &[u8], Oob)],
-    ) -> FlashResult<OpCompletion> {
-        let mut completion = OpCompletion {
-            started_at: now,
-            completed_at: now,
-        };
-        let mut t = now;
-        for (i, (ppa, data, oob)) in ops.iter().enumerate() {
-            let c = self.program_page(t, *ppa, data, *oob)?;
-            if i == 0 {
-                completion.started_at = c.started_at;
-            }
-            t = t.max(c.completed_at);
-        }
-        completion.completed_at = t;
-        Ok(completion)
-    }
+    ) -> FlashResult<OpCompletion>;
 
     /// BLOCK ERASE.
     fn erase_block(&mut self, now: SimInstant, block: BlockAddr) -> FlashResult<OpCompletion>;

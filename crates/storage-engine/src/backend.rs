@@ -62,9 +62,9 @@ pub const DEFAULT_PARITY_K: usize = 3;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackConfig {
     /// `NOFTL_BATCH`: pages per batched write submission (die-wise writers
-    /// and the WAL).  Unset / `on` — [`DEFAULT_BATCH_PAGES`]; `off` / `0` —
-    /// the legacy one-`write_page`-per-page path; a number `k` — runs of at
-    /// most `k` pages (`1` is bit- and cycle-identical to `off`).
+    /// and the WAL), at least 1.  Unset / `on` — [`DEFAULT_BATCH_PAGES`];
+    /// `off` / `0` / `1` — 1, one page per submission; a number `k` — runs
+    /// of at most `k` pages.
     pub batch_pages: usize,
     /// `NOFTL_BATCH_GLOBAL`: ablation letting the conventional *global*
     /// writers batch too (default off, preserving the Figure 4 asymmetry);
@@ -148,7 +148,7 @@ impl StackConfig {
     pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Self {
         let get = |name: &str| lookup(name).unwrap_or_default().trim().to_ascii_lowercase();
         Self {
-            batch_pages: parse_pages(&get("NOFTL_BATCH"), DEFAULT_BATCH_PAGES),
+            batch_pages: parse_pages(&get("NOFTL_BATCH"), DEFAULT_BATCH_PAGES).max(1),
             batch_global: parse_switch(&get("NOFTL_BATCH_GLOBAL")),
             async_depth: parse_count(&get("NOFTL_ASYNC"), DEFAULT_ASYNC_DEPTH),
             readahead_window: parse_pages(&get("NOFTL_READAHEAD"), DEFAULT_READAHEAD_WINDOW),

@@ -242,9 +242,9 @@ impl StorageEngine {
         // same asynchronous submission model as the db-writers, so log writes
         // and point reads overlap in-flight flush traffic on the device's
         // per-die queues.  The WAL batches whatever the writer assignment
-        // (hence the raw `batch_pages`, not `effective_batch_pages()`).
+        // (hence `run_pages()`, not `effective_batch_pages()`).
         wal.set_async_depth(config.flushers.async_depth);
-        wal.set_batch_pages(config.flushers.batch_pages);
+        wal.set_batch_pages(config.flushers.run_pages());
         let mut pool = ShardedBufferPool::new(shards, config.buffer_frames, page_size);
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
@@ -949,7 +949,7 @@ mod tests {
             e.wal().inflight_writes()
         };
         // Global writers (the default) never batch, yet the WAL does: it
-        // takes the raw `batch_pages`, one submission per force.
+        // takes `run_pages()`, one submission per force.
         assert_eq!(inflight_after_three_forces(1, 64), 1, "sync: nothing carries over");
         assert_eq!(inflight_after_three_forces(8, 64), 3, "depth 8: one group per force");
         assert_eq!(inflight_after_three_forces(8, 0), 6, "batching off: one per log page");

@@ -29,10 +29,8 @@
 //! the two assignments in Figure 4.
 //!
 //! Batching is controlled by [`FlusherConfig::batch_pages`] (the
-//! `NOFTL_BATCH` knob of [`crate::backend::StackConfig`]).  A batch size of 1
-//! submits degenerate single-page runs through the batch API and is bit- and
-//! timing-identical to batching off — the golden-trace equivalence suite
-//! pins that down.
+//! `NOFTL_BATCH` knob of [`crate::backend::StackConfig`]).  Batching off is a
+//! batch size of 1: single-page runs through the same batch API.
 
 use nand_flash::FlashResult;
 use noftl_core::FlusherAssignment;
@@ -56,8 +54,7 @@ pub struct FlusherConfig {
     /// (flush-everything when 0.0).
     pub dirty_low_watermark: f64,
     /// Maximum pages per batched backend submission under the die-wise
-    /// assignment; `0` keeps the legacy per-page model (one page per
-    /// submission).
+    /// assignment, at least 1 (read it through [`FlusherConfig::run_pages`]).
     /// Defaults to [`DEFAULT_BATCH_PAGES`].  The engine's WAL batches by the
     /// same number, whatever the assignment.
     pub batch_pages: usize,
@@ -101,15 +98,20 @@ impl FlusherConfig {
         }
     }
 
+    /// Maximum pages per batched submission: [`FlusherConfig::batch_pages`],
+    /// where batching off is a run of one page.
+    pub fn run_pages(&self) -> usize {
+        self.batch_pages.max(1)
+    }
+
     /// Pages per batched submission actually in effect: batching requires
     /// the region knowledge of the die-wise assignment; the conventional
-    /// global writers run the legacy per-page model unless the
+    /// global writers submit one page at a time unless the
     /// [`FlusherConfig::batch_global`] ablation is switched on.
     pub fn effective_batch_pages(&self) -> usize {
         match self.assignment {
-            FlusherAssignment::DieWise => self.batch_pages,
-            FlusherAssignment::Global if self.batch_global => self.batch_pages,
-            FlusherAssignment::Global => 0,
+            FlusherAssignment::Global if !self.batch_global => 1,
+            _ => self.run_pages(),
         }
     }
 }
@@ -356,8 +358,7 @@ impl FlusherPool {
         now: SimInstant,
         batches: &[Vec<PageId>],
     ) -> FlashResult<SimInstant> {
-        // The per-page model submits runs of one.
-        let run_pages = self.config.effective_batch_pages().max(1);
+        let run_pages = self.config.effective_batch_pages();
         let depth = self.config.async_depth.max(1);
         let mut cycle_end = now;
         let mut last_submit = now;
@@ -535,14 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_is_identical_to_batching_off() {
-        // The degenerate batch path must produce the same cycle timing as
-        // the legacy per-page path (the golden-trace equivalence invariant).
+    fn batching_off_is_a_batch_of_one() {
+        // Batch size 0 runs as 1: the same cycle timing, one page per
+        // submission.
         let (off, s_off) = die_wise_cycle(0, 2, 8, 64);
         let (one, s_one) = die_wise_cycle(1, 2, 8, 64);
-        assert_eq!(off, one, "batch size 1 must be timing-identical to off");
+        assert_eq!(off, one, "batch size 0 must run as batch size 1");
         assert_eq!(s_off.pages_flushed, s_one.pages_flushed);
-        assert_eq!(s_off.batch_submissions, 64, "off submits one page per run");
+        assert_eq!(s_off.batch_submissions, 64, "one page per submission");
         assert_eq!(s_one.batch_submissions, 64);
     }
 
@@ -593,7 +594,7 @@ mod tests {
             batch_global: false,
             async_depth: 1,
         });
-        assert_eq!(flushers.config().effective_batch_pages(), 0);
+        assert_eq!(flushers.config().effective_batch_pages(), 1);
         flushers.run_cycle(&mut pool, &mut backend, 0).unwrap();
         let s = flushers.stats();
         assert_eq!(

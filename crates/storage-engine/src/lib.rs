@@ -54,10 +54,8 @@
 //! Invariants of the protocol: after the returned instant every page of the
 //! batch is durable with the content passed in; a duplicated page id
 //! resolves to the later entry (as sequential writes would); a 1-page batch
-//! is command-, timing- and counter-identical to `write_page`; batching off
-//! (`NOFTL_BATCH=off`) and batch size 1 produce bit-identical results —
-//! the golden-trace equivalence suite (`tests/equivalence.rs`) enforces
-//! this against the Figure 3 / Figure 4 reproductions.
+//! is command-, timing- and counter-identical to `write_page`.  Batching
+//! off (`NOFTL_BATCH=off`) is batch size 1: one value, one code path.
 //!
 //! The `NOFTL_BATCH_GLOBAL` ablation ([`flusher::FlusherConfig::batch_global`],
 //! default off) lets the conventional global writers batch too — isolating
@@ -197,7 +195,7 @@
 //!
 //! ## One config
 //!
-//! A stack is a pure function of its configuration values.  The eight
+//! A stack is a pure function of its configuration values.  The seven
 //! `NOFTL_*` knobs are one typed [`backend::StackConfig`], parsed by exactly
 //! one function ([`backend::StackConfig::parse`]) and read from the process
 //! environment by exactly one other ([`backend::StackConfig::from_env`],

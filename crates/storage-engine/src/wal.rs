@@ -352,7 +352,7 @@ pub struct WalManager {
     log_writes: u64,
     /// Number of forced flushes (commits).
     forces: u64,
-    /// Max pages per batched log write; 0 = legacy one-page-at-a-time forces.
+    /// Max pages per batched log write (at least 1).
     batch_pages: usize,
     /// Log-write submissions kept in flight before gating on the oldest
     /// completion (1 = synchronous chaining, identical to the pre-async code).
@@ -449,9 +449,10 @@ impl WalManager {
         self.checkpoint_lsn
     }
 
-    /// Set the maximum pages per batched log write (0 disables batching).
+    /// Set the maximum pages per batched log write (clamped to at least 1;
+    /// 1 writes one log page per submission).
     pub fn set_batch_pages(&mut self, batch_pages: usize) {
-        self.batch_pages = batch_pages;
+        self.batch_pages = batch_pages.max(1);
     }
 
     /// Set the number of log-write submissions kept in flight (clamped to at
@@ -630,12 +631,11 @@ impl WalManager {
         frames: &mut Vec<u8>,
     ) -> FlashResult<SimInstant> {
         let payload_cap = self.page_size - LOG_PAGE_HEADER;
-        // Batching off: one page per submission.  Otherwise cap groups at the
-        // segment length so a page id can never repeat within one submission;
-        // pages within a group are placed die-wise and overlap, groups are
-        // gated by the in-flight window (depth 1: each group chains on the
-        // previous one's completion).
-        let group_cap = self.batch_pages.min(self.log_pages as usize).max(1);
+        // Groups are capped at the segment length so a page id can never
+        // repeat within one submission; pages within a group are placed
+        // die-wise and overlap, groups are gated by the in-flight window
+        // (depth 1: each group chains on the previous one's completion).
+        let group_cap = self.batch_pages.min(self.log_pages as usize);
         let (log_start, log_pages) = (self.log_start, self.log_pages);
         let page_id = |seq: u64| log_start + seq % log_pages;
         let force_start_seq = self.next_log_page;
@@ -672,11 +672,7 @@ impl WalManager {
             let group = (first_seq..seq)
                 .map(page_id)
                 .zip(frames.chunks(self.page_size));
-            let end = if self.batch_pages == 0 {
-                backend
-                    .write_page(submit_at, page_id(first_seq), frames)?
-                    .completed_at
-            } else if n <= STACK_GROUP_PAGES {
+            let end = if n <= STACK_GROUP_PAGES {
                 // The usual force is a page or two: list it on the stack.
                 let mut batch = [(0, &[][..]); STACK_GROUP_PAGES];
                 for (slot, page) in batch.iter_mut().zip(group) {
@@ -1188,7 +1184,7 @@ mod tests {
         let mut backend = NoFtlBackend::new(noftl);
         backend.set_async_depth(4);
         let mut wal = WalManager::new(0, 32, 4096);
-        wal.set_batch_pages(0); // one submission per log page
+        wal.set_batch_pages(1); // one submission per log page
         wal.set_async_depth(4);
         // Force A spans 3 pages: die 0 gets pages 0 and 2 (two chained
         // programs), die 1 gets page 1.

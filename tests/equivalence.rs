@@ -1,12 +1,10 @@
 //! Golden-trace equivalence of the batched multi-page write path and the
 //! asynchronous per-die command queues.
 //!
-//! The batch write protocol promises that batching **off** (`NOFTL_BATCH=off`,
-//! legacy one-`write_page`-per-page everywhere) and batching **on with batch
-//! size 1** (every write routed through the `write_pages` API as a degenerate
-//! single-page run) are indistinguishable: same Figure 3 / Figure 4 outputs,
-//! same emulator command traces, same timing.  Larger batch sizes may change
-//! *timing* (that is the point) but never page *contents*.
+//! Every write goes through the `write_pages` API; batching off
+//! (`NOFTL_BATCH=off`) is a batch size of 1, the same value and so the same
+//! run.  Larger batch sizes may change *timing* (that is the point) but never
+//! page *contents*.
 //!
 //! The asynchronous submission protocol (PR 3) makes the same promise for
 //! `NOFTL_ASYNC`: depth 1 — every submission waits for its predecessor — is
@@ -21,9 +19,6 @@
 //! pinned once ([`same_config_same_trace`]), and that every off / unset /
 //! default spelling of a knob *is* the default value is a table
 //! ([`knob_spellings_parse_to_their_documented_values`]).
-//!
-//! The figure legs run the same library entry points the `fig3_gc_overhead`
-//! and `fig4_dbwriters` bins print.
 
 use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
 use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
@@ -34,9 +29,6 @@ use noftl::storage_engine::backend::{
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::shard::ShardedBufferPool;
 use noftl::storage_engine::BufferPool;
-use noftl_bench::dbwriters::{render_table as render_fig4, run_dbwriter_scaling};
-use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
-use noftl_bench::setup::{Benchmark, Scale};
 
 /// The default knobs with `NOFTL_BATCH` at `batch_pages`.
 fn batch_knobs(batch_pages: usize) -> StackConfig {
@@ -56,10 +48,9 @@ fn knob_spellings_parse_to_their_documented_values() {
     let d = StackConfig::default;
     let parity = |k| StackConfig { redundancy: Some(RedundancyPolicy::Parity(k)), ..d() };
     let seeded = |seed| Some(FaultPlan::seeded(seed));
-    let table: [(&str, &[&str], StackConfig); 23] = [
+    let table: [(&str, &[&str], StackConfig); 22] = [
         ("NOFTL_BATCH", &["", "on", "TRUE", "64", "garbage"], d()),
-        ("NOFTL_BATCH", &["off", "False", "0"], batch_knobs(0)),
-        ("NOFTL_BATCH", &["1"], batch_knobs(1)),
+        ("NOFTL_BATCH", &["off", "False", "0", "1"], batch_knobs(1)),
         ("NOFTL_BATCH", &[" 16 "], batch_knobs(16)),
         ("NOFTL_BATCH_GLOBAL", &["", "off", "0", "garbage"], d()),
         ("NOFTL_BATCH_GLOBAL", &["on", "TRUE", "1", " yes "], StackConfig { batch_global: true, ..d() }),
@@ -88,32 +79,6 @@ fn knob_spellings_parse_to_their_documented_values() {
             assert_eq!(parsed, expect, "{name}={v:?}");
         }
     }
-}
-
-#[test]
-fn fig3_output_identical_with_batching_off_vs_batch_size_one() {
-    let off = render_fig3(&run_gc_overhead(&batch_knobs(0), Scale::Quick));
-    let one = render_fig3(&run_gc_overhead(&batch_knobs(1), Scale::Quick));
-    assert!(off.contains("TPC-C") && off.contains("TPC-B") && off.contains("TPC-E"));
-    assert_eq!(
-        off, one,
-        "Figure 3 output must be bit-identical with batching off vs batch size 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_batching_off_vs_batch_size_one() {
-    let dies = [1u32, 2, 4, 8];
-    let fig4 = |batch_pages| {
-        let knobs = batch_knobs(batch_pages);
-        render_fig4(&run_dbwriter_scaling(&knobs, Benchmark::TpcB, Scale::Quick, &dies))
-    };
-    let (off, one) = (fig4(0), fig4(1));
-    assert!(off.contains("TPC-B"));
-    assert_eq!(
-        off, one,
-        "Figure 4 output must be bit-identical with batching off vs batch size 1"
-    );
 }
 
 /// Run two die-wise flush cycles over a traced device and return
@@ -176,29 +141,11 @@ fn traced_flush_cycles(batch_pages: usize, async_depth: usize) -> (Vec<String>, 
     (trace, contents, end)
 }
 
-/// The single-cycle fixture used by the PR 2 batch-equivalence legs.
-fn traced_flush_cycle(batch_pages: usize) -> (Vec<String>, Vec<Vec<u8>>, u64) {
-    traced_flush_cycles(batch_pages, 1)
-}
-
-#[test]
-fn emulator_command_traces_identical_for_off_vs_batch_size_one() {
-    let (trace_off, contents_off, end_off) = traced_flush_cycle(0);
-    let (trace_one, contents_one, end_one) = traced_flush_cycle(1);
-    assert!(!trace_off.is_empty());
-    assert_eq!(
-        trace_off, trace_one,
-        "device command traces must be identical (commands, addresses, timing)"
-    );
-    assert_eq!(contents_off, contents_one);
-    assert_eq!(end_off, end_one);
-}
-
 #[test]
 fn page_contents_identical_for_all_batch_sizes() {
-    let (_, reference, _) = traced_flush_cycle(0);
+    let (_, reference, _) = traced_flush_cycles(0, 1);
     for batch_pages in [1usize, 2, 3, 8, 64] {
-        let (_, contents, _) = traced_flush_cycle(batch_pages);
+        let (_, contents, _) = traced_flush_cycles(batch_pages, 1);
         assert_eq!(
             contents, reference,
             "batch size {batch_pages} changed page contents"
