@@ -7,15 +7,12 @@
 //! over an identically sized Flash device, and the GC command counts are
 //! compared.
 
-use std::sync::Arc;
-
 use ftl::faster::{FasterConfig, FasterFtl};
 use noftl_core::{NoFtl, NoFtlConfig};
-use parking_lot::Mutex;
 use storage_engine::backend::{MemBackend, StackConfig};
 use storage_engine::StorageEngine;
 use workloads::{BenchmarkDriver, DriverConfig, PageTrace, TraceReplayReport};
-use workloads::trace::TracingBackend;
+use workloads::trace::{TraceHandle, TracingBackend};
 
 use workloads::{TpcB, TpcBConfig, TpcC, TpcCConfig, TpcE, TpcEConfig, Workload};
 
@@ -96,7 +93,7 @@ pub fn record_trace(
     scale: Scale,
     transactions: u64,
 ) -> PageTrace {
-    let (backend, trace): (TracingBackend<MemBackend>, Arc<Mutex<PageTrace>>) =
+    let (backend, trace): (TracingBackend<MemBackend>, TraceHandle) =
         TracingBackend::new(MemBackend::new(4096, 1 << 20));
     let mut cfg = knobs.engine();
     // A deliberately small buffer pool relative to the database pushes more

@@ -124,18 +124,15 @@
 //! and without crash-recovery at commit boundaries, and assert zero
 //! committed-data loss against those stats.
 //!
-//! ## Concurrency model (PR 7)
+//! ## Concurrency model
 //!
 //! The crate's hot tables split cleanly into `&self` readers and `&mut self`
 //! writers with no interior mutability: [`mapping::HostMappingTable`]
-//! lookups and [`regions::RegionManager`] placement queries are safe for any
-//! number of concurrent readers (`Send + Sync`, shareable behind an
-//! `RwLock`), while mapping updates and block allocation stay single-writer.
-//! The multi-session storage engine (`storage-engine`'s `ConcurrentEngine`)
-//! keeps the single-writer half of that split by construction: it holds the
-//! whole stack, this crate included, behind one engine lock, so device-state
-//! mutation is serialised and never observed half-applied.  See the
-//! reader-safety sections of [`mapping`] and [`regions`].
+//! lookups and [`regions::RegionManager`] placement queries read, mapping
+//! updates and block allocation write.  The whole stack runs on one thread:
+//! the multi-session storage engine (`storage-engine`'s `ConcurrentEngine`)
+//! interleaves its clients on the virtual clock, so device-state mutation is
+//! serialised and never observed half-applied.
 //!
 //! ## Die-level reliability (PR 10)
 //!

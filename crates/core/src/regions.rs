@@ -13,18 +13,12 @@
 //!   to them, eliminating chip contention (up to 1.5× higher TPC-C
 //!   throughput, Figure 4).
 //!
-//! ## Reader safety (concurrent engine)
-//!
 //! Placement *queries* ([`RegionManager::region_of_lpn`],
 //! [`RegionManager::region_of_die`], [`RegionManager::region_of_block`],
 //! [`RegionManager::free_blocks_in`], [`RegionManager::flusher_for_lpn`],
 //! ...) are `&self` over precomputed dense tables — no interior mutability —
 //! while allocator *mutation* ([`RegionManager::allocate_page_in`],
-//! [`RegionManager::release_block`], ...) is `&mut self`.  The manager is
-//! `Send + Sync`: with several clients, concurrent readers may resolve
-//! placement behind an `RwLock` while block allocation stays single-writer
-//! (in the concurrent storage engine it lives inside the NoFTL backend,
-//! behind the backend lock).
+//! [`RegionManager::release_block`], ...) is `&mut self`.
 
 use std::collections::VecDeque;
 
@@ -435,63 +429,10 @@ impl RegionManager {
     }
 }
 
-// Reader-safety invariant: placement queries are `&self` over precomputed
-// tables with no interior mutability, so shared references are safe across
-// threads (concurrent readers under an RwLock).
-const _: () = {
-    fn assert_send_sync<T: Send + Sync>() {}
-    let _ = assert_send_sync::<RegionManager>;
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nand_flash::FlashGeometry;
-
-    #[test]
-    fn concurrent_placement_readers_share_the_manager_with_one_allocator() {
-        // The multi-client reader-safety contract: placement queries from N
-        // threads share the manager under an RwLock while a single writer
-        // allocates pages.  Readers must see consistent placement (striping
-        // and die tables are immutable) and a free-block count that only
-        // moves by whole allocator steps.
-        use parking_lot::RwLock;
-        use std::sync::Arc;
-
-        let g = FlashGeometry::small();
-        let rm = Arc::new(RwLock::new(RegionManager::new(g, StripingMode::DieWise)));
-        let regions = rm.read().regions();
-        let readers: Vec<_> = (0..4)
-            .map(|r| {
-                let rm = Arc::clone(&rm);
-                std::thread::spawn(move || {
-                    for lpn in 0..4_000u64 {
-                        let guard = rm.read();
-                        let region = guard.region_of_lpn(lpn + r);
-                        assert!(region < regions);
-                        assert_eq!(guard.dies_of(region).len(), 1, "die-wise: one die per region");
-                        let f = guard.flusher_for_lpn(FlusherAssignment::DieWise, lpn + r, 2);
-                        assert_eq!(f, region % 2, "placement must be stable under readers");
-                    }
-                })
-            })
-            .collect();
-        let writer = {
-            let rm = Arc::clone(&rm);
-            std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    let mut guard = rm.write();
-                    let region = (i as usize) % regions;
-                    let _ = guard.allocate_page_in(region);
-                }
-            })
-        };
-        for h in readers {
-            h.join().unwrap();
-        }
-        writer.join().unwrap();
-        assert!(rm.read().total_free_blocks() > 0);
-    }
 
     #[test]
     fn die_wise_striping_one_region_per_die() {

@@ -18,6 +18,13 @@ fn tick(now: SimInstant, t: &mut Tracker) -> SimInstant {
     now
 }
 
+// Identifiers that only contain a banned token are not findings.
+fn guards(_: MutexGuard<'_, u64>, _: RwLockReadGuard<'_, u64>) {}
+
+std::thread_local! {
+    static SCRATCH: u64 = 0;
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -27,5 +34,11 @@ mod tests {
         let mut m = HashMap::new();
         m.insert(1, 2);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn tests_may_spawn() {
+        let m = std::sync::Mutex::new(0);
+        std::thread::scope(|s| s.spawn(|| *m.lock().unwrap() += 1));
     }
 }

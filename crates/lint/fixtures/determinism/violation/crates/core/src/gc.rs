@@ -20,3 +20,12 @@ fn wall() -> u64 {
 fn jitter() -> u64 {
     thread_rng().next_u64()
 }
+
+fn spawn_writer() {
+    std::thread::spawn(|| ());
+}
+
+struct Shared {
+    engine: Mutex<Tracker>,
+    table: RwLock<Vec<u64>>,
+}

@@ -11,9 +11,8 @@
 //!
 //! | Pass | What it enforces |
 //! |---|---|
-//! | `one-lock` | `storage-engine` has one lock, `ConcurrentEngine.inner`, taken only in `concurrent.rs` and only as a temporary of one statement; no statement, and no closure passed to `with_backend` / `with_wal` anywhere, takes it again while it is held; nothing below the lock names `ConcurrentEngine` / `ClientSession`. See [`passes::one_lock`]. |
 //! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
-//! | `determinism` | No hash-ordered containers, wall-clock reads, or ambient RNGs in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, and `SimInstant`. See [`passes::determinism`]. |
+//! | `determinism` | No hash-ordered containers, wall-clock reads, ambient RNGs, OS threads or locks (`std::thread`, `Mutex`, `RwLock`) in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, `SimInstant`, and clients stepped on the one virtual clock. See [`passes::determinism`]. |
 //! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is set by a CI step (`NOFTL_X=` or `NOFTL_X:` outside a YAML comment), documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
 //! | `stats-reconciliation` | Every counter field on the six audited stats structs (`FlashStats`, `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`, `RedundancyStats`, `RebuildStats`) is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
 //!
@@ -54,8 +53,6 @@ use passes::knob_registry::KnobRegistry;
 pub struct LintReport {
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// `.lock()` sites the `one-lock` pass saw (0 when it did not run).
-    pub lock_sites: usize,
     /// The derived knob registry, whichever passes run.
     pub knobs: KnobRegistry,
 }
@@ -69,11 +66,6 @@ pub fn run(root: &Path, selected: Option<&[String]>) -> LintReport {
     let enabled = |name: &str| selected.is_none_or(|s| s.iter().any(|p| p == name));
     let mut report = LintReport::default();
 
-    if enabled(passes::one_lock::PASS) {
-        let (diags, lock_sites) = passes::one_lock::run(&sources);
-        report.diagnostics.extend(diags);
-        report.lock_sites = lock_sites;
-    }
     if enabled(passes::panic_path::PASS) {
         report.diagnostics.extend(passes::panic_path::run(&sources));
     }

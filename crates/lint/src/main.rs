@@ -56,9 +56,8 @@ fn main() -> ExitCode {
         println!("{d}");
     }
     eprintln!(
-        "noftl-lint: {} finding(s); {} engine-lock site(s); {} registered knob(s)",
+        "noftl-lint: {} finding(s); {} registered knob(s)",
         report.diagnostics.len(),
-        report.lock_sites,
         report.knobs.knobs.len(),
     );
     if report.diagnostics.is_empty() {

@@ -1,14 +1,12 @@
-//! The five lint passes, and the banned-token scan two of them share.
+//! The four lint passes, and the banned-token scan two of them share.
 
 pub mod determinism;
 pub mod knob_registry;
-pub mod one_lock;
 pub mod panic_path;
 pub mod stats_recon;
 
 /// All pass names, in execution order.
 pub const ALL: &[&str] = &[
-    one_lock::PASS,
     panic_path::PASS,
     determinism::PASS,
     knob_registry::PASS,

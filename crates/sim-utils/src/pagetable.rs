@@ -16,7 +16,7 @@
 //! The API splits into `&self` readers ([`PageTable::get`],
 //! [`PageTable::reverse`], [`PageTable::mapped`]) and `&mut self` writers
 //! ([`PageTable::update`], [`PageTable::unmap`]): no interior mutability, no
-//! hidden caches on the read path, so the table is `Send + Sync`.
+//! hidden caches on the read path.
 
 use crate::flatmap::FlatMap;
 

@@ -1,45 +1,40 @@
-//! N client sessions over one storage engine behind one lock.
+//! N client sessions over one storage engine, on one thread.
 //!
 //! [`ConcurrentEngine`] is a [`StorageEngine`] with N buffer-pool shards
-//! inside an `Arc<Mutex<_>>`; each client drives it through a
+//! inside an `Rc<RefCell<_>>`; each client drives it through a
 //! [`ClientSession`] handle implementing [`EngineOps`] — the same trait
 //! surface [`StorageEngine`] itself exposes, so the TPC workloads run
-//! unchanged on either.  A session locks the engine for exactly one
-//! operation, forwards to the engine method of the same name and unlocks; it
-//! holds no engine logic of its own.  Each session records its own commit
-//! stream `(txn, commit-time)`, which is what the concurrency test harness
-//! asserts serializable per-client prefixes over.
+//! unchanged on either.  A session borrows the engine for exactly one
+//! operation and forwards to the engine method of the same name; it holds no
+//! engine logic of its own.  Each session records its own commit stream
+//! `(txn, commit-time)`, which is what the concurrency test harness asserts
+//! serializable per-client prefixes over.
 //!
-//! ## One lock
-//!
-//! The virtual-time device model is single-writer: every page access takes
-//! `&mut dyn StorageBackend`, so an operation that touches a page needs the
-//! backend exclusively for its whole duration.  The engine lock states that
-//! directly.  Finer-grained locks underneath it (per component, per pool
-//! shard) could only ever be taken by the one caller already holding the
-//! backend, so they serialised nothing further; with a single non-reentrant
-//! lock the only deadlock left is re-acquiring it while it is held, which
-//! `noftl-lint`'s `one-lock` pass rejects.
+//! Clients are concurrent on the virtual clock only: one thread steps them,
+//! so a multi-client run is a pure function of its config.  A closure passed
+//! to [`ConcurrentEngine::with_backend`] / [`ConcurrentEngine::with_wal`]
+//! that calls back into the engine finds it borrowed and panics, the first
+//! time it runs.
 //!
 //! ## Serialization points
 //!
 //! * **WAL force order** — a commit appends its Commit record and forces the
-//!   log inside one locked operation, so the durable commit order is the
-//!   lock acquisition order; each client's own commits are totally ordered
-//!   in it (serializable per-client commit prefixes).
+//!   log inside one operation, so the durable commit order is the order the
+//!   driver steps its clients in; each client's own commits are totally
+//!   ordered in it (serializable per-client commit prefixes).
 //! * **Data partitioning** — the engine is redo-only (no undo), so the
 //!   workload layer keeps clients on disjoint tables (per-client table-name
 //!   prefixes); pool frames, WAL bandwidth, flusher capacity and the per-die
 //!   device queues remain genuinely shared and contended on the virtual
 //!   clock.
-//! * **Quiesce barrier** — `quiesce` and `checkpoint` are single locked
-//!   operations of the engine, so the WAL checkpoint record can never land
-//!   before an in-flight write of *any* shard completes.
+//! * **Quiesce barrier** — `quiesce` and `checkpoint` are single operations
+//!   of the engine, so the WAL checkpoint record can never land before an
+//!   in-flight write of *any* shard completes.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nand_flash::FlashResult;
-use parking_lot::Mutex;
 use sim_utils::time::SimInstant;
 
 use crate::backend::{BackendCounters, StorageBackend};
@@ -51,37 +46,27 @@ use crate::ops::EngineOps;
 use crate::transaction::{AdmissionStats, TxnId};
 use crate::wal::WalManager;
 
-const _: () = {
-    fn assert_send_sync<T: Send + Sync>() {}
-    fn check() {
-        assert_send_sync::<ConcurrentEngine>();
-        assert_send_sync::<ClientSession>();
-    }
-    let _ = check;
-};
-
-/// A storage engine shared by N concurrent clients.
+/// A storage engine shared by N clients.
 ///
 /// Construct once, then mint one [`ClientSession`] per client with
 /// [`ConcurrentEngine::session`].  With 1 shard this is exactly
-/// `StorageEngine::new` behind the lock — device traces, WAL contents and
-/// virtual timings are identical (the single-client equivalence leg).
+/// `StorageEngine::new` — device traces, WAL contents and virtual timings
+/// are identical (the single-client equivalence leg).
 pub struct ConcurrentEngine {
-    /// The engine lock: the only lock in this crate.  Never held across two
-    /// operations, never re-acquired while held.
-    inner: Arc<Mutex<StorageEngine>>,
+    /// Borrowed for one operation at a time, never across two.
+    inner: Rc<RefCell<StorageEngine>>,
 }
 
 impl ConcurrentEngine {
     /// Create an engine over `backend` with `shards` buffer-pool shards
     /// (typically the client count).
     pub fn new(
-        backend: Box<dyn StorageBackend + Send>,
+        backend: Box<dyn StorageBackend>,
         config: EngineConfig,
         shards: usize,
     ) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(StorageEngine::with_shards(
+            inner: Rc::new(RefCell::new(StorageEngine::with_shards(
                 backend, config, shards,
             ))),
         }
@@ -92,7 +77,7 @@ impl ConcurrentEngine {
     pub fn session(&self) -> ClientSession {
         ClientSession {
             engine: ConcurrentEngine {
-                inner: Arc::clone(&self.inner),
+                inner: Rc::clone(&self.inner),
             },
             commits: Vec::new(),
         }
@@ -100,30 +85,30 @@ impl ConcurrentEngine {
 
     /// Number of buffer-pool shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.lock().pool().shard_count()
+        self.inner.borrow_mut().pool().shard_count()
     }
 
     /// Aggregate buffer-pool statistics (summed over shards; each counter is
     /// maintained by exactly one shard, so the sum is exact).
     pub fn buffer_stats(&self) -> BufferStats {
-        self.inner.lock().buffer_stats()
+        self.inner.borrow_mut().buffer_stats()
     }
 
     /// Aggregate readahead statistics.
     pub fn readahead_stats(&self) -> ReadaheadStats {
-        self.inner.lock().readahead_stats()
+        self.inner.borrow_mut().readahead_stats()
     }
 
     /// Per-shard buffer statistics, in shard-index order.  The concurrency
     /// harness reconciles their sum against [`Self::buffer_stats`].
     pub fn shard_buffer_stats(&self) -> Vec<BufferStats> {
-        self.inner.lock().pool().shards().iter().map(|s| s.stats()).collect()
+        self.inner.borrow_mut().pool().shards().iter().map(|s| s.stats()).collect()
     }
 
     /// Per-shard `(resident, dirty)` frame counts, in shard-index order.
     pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
         self.inner
-            .lock()
+            .borrow_mut()
             .pool()
             .shards()
             .iter()
@@ -133,70 +118,68 @@ impl ConcurrentEngine {
 
     /// Aggregate db-writer statistics, summed over the per-shard pools.
     pub fn flusher_stats(&self) -> FlusherStats {
-        self.inner.lock().flusher_stats()
+        self.inner.borrow_mut().flusher_stats()
     }
 
     /// Aggregate flusher-throttle statistics, summed over the per-shard
     /// pools (all zero unless `NOFTL_SLO` scheduling is on).
     pub fn throttle_stats(&self) -> ThrottleStats {
-        self.inner.lock().throttle_stats()
+        self.inner.borrow_mut().throttle_stats()
     }
 
     /// Truthful admission counters (all zero when no window is configured).
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.inner.lock().admission_stats()
+        self.inner.borrow_mut().admission_stats()
     }
 
     /// Backend I/O counters.
     pub fn backend_counters(&self) -> BackendCounters {
-        self.inner.lock().backend_counters()
+        self.inner.borrow_mut().backend_counters()
     }
 
-    /// Run `f` on the backend with the engine locked (downcasting / detailed
-    /// statistics).  `f` must not call back into this engine or its sessions:
-    /// the lock is not reentrant, and `noftl-lint`'s `one-lock` pass rejects
-    /// a closure that takes it.
+    /// Run `f` on the backend (downcasting / detailed statistics).  `f` must
+    /// not call back into this engine or its sessions: the engine is
+    /// borrowed while `f` runs, so such a call panics.
     pub fn with_backend<R>(&self, f: impl FnOnce(&mut dyn StorageBackend) -> R) -> R {
-        f(self.inner.lock().backend_mut())
+        f(self.inner.borrow_mut().backend_mut())
     }
 
-    /// Run `f` on the WAL with the engine locked (recovery tests).  `f` must
-    /// not call back into this engine or its sessions (checked by `one-lock`,
-    /// as for [`Self::with_backend`]).
+    /// Run `f` on the WAL (recovery tests).  `f` must not call back into
+    /// this engine or its sessions, as for [`Self::with_backend`].
     pub fn with_wal<R>(&self, f: impl FnOnce(&WalManager) -> R) -> R {
-        f(self.inner.lock().wal())
+        f(self.inner.borrow_mut().wal())
     }
 
     /// Number of committed transactions (all clients).
     pub fn committed(&self) -> u64 {
-        self.inner.lock().committed()
+        self.inner.borrow_mut().committed()
     }
 
     /// Number of WAL forces (group commits).
     pub fn log_forces(&self) -> u64 {
-        self.inner.lock().log_forces()
+        self.inner.borrow_mut().log_forces()
     }
 
     /// Data pages reconstructed from WAL replay after uncorrectable reads.
     pub fn rescued_pages(&self) -> u64 {
-        self.inner.lock().rescued_pages()
+        self.inner.borrow_mut().rescued_pages()
     }
 
     /// Total resident pages across shards.
     pub fn resident(&self) -> usize {
-        self.inner.lock().pool().resident()
+        self.inner.borrow_mut().pool().resident()
     }
 
     /// Total dirty pages across shards.
     pub fn dirty_count(&self) -> usize {
-        self.inner.lock().pool().dirty_count()
+        self.inner.borrow_mut().pool().dirty_count()
     }
 
     /// Tear the engine down and hand back the backend (crash-recovery legs
     /// re-run WAL recovery against the medium).  Panics if any
     /// [`ClientSession`] is still alive.
-    pub fn into_backend(self) -> Box<dyn StorageBackend + Send> {
-        Arc::try_unwrap(self.inner)
+    pub fn into_backend(self) -> Box<dyn StorageBackend> {
+        Rc::try_unwrap(self.inner)
             .unwrap_or_else(|_| panic!("sessions still alive at into_backend"))
             .into_inner()
             .into_backend()
@@ -206,8 +189,8 @@ impl ConcurrentEngine {
 /// One client's handle onto a shared [`ConcurrentEngine`].
 ///
 /// Implements [`EngineOps`], so the TPC workloads drive it exactly like a
-/// [`StorageEngine`]: every method locks the engine, calls the engine method
-/// of the same name and unlocks.  Commits are recorded per session: the
+/// [`StorageEngine`]: every method borrows the engine and calls the engine
+/// method of the same name.  Commits are recorded per session: the
 /// stream of `(txn, commit-time)` pairs in commit order, which the
 /// concurrency test harness asserts serializable per-client prefixes and
 /// crash-recovery durability over.
@@ -224,10 +207,10 @@ impl ClientSession {
 }
 
 impl EngineOps for ClientSession {
-    crate::ops::forward_engine_ops!(self => self.engine.inner.lock());
+    crate::ops::forward_engine_ops!(self => self.engine.inner.borrow_mut());
 
     fn commit(&mut self, txn: TxnId, now: SimInstant) -> FlashResult<SimInstant> {
-        let t = self.engine.inner.lock().commit(txn, now)?;
+        let t = self.engine.inner.borrow_mut().commit(txn, now)?;
         self.commits.push((txn, t));
         Ok(t)
     }
@@ -237,7 +220,6 @@ impl EngineOps for ClientSession {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::engine::EngineError;
 
     fn engine(shards: usize) -> ConcurrentEngine {
         let backend = MemBackend::new(4096, 4096);
@@ -290,116 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn os_threads_drive_sessions_safely() {
-        // The real-thread smoke: N std threads hammer disjoint tables on one
-        // engine.  Assertions are schedule-agnostic (counts, durability).
-        let e = engine(4);
-        {
-            let mut setup = e.session();
-            for c in 0..4 {
-                assert!(setup.create_table(&format!("c{c}_t")));
-            }
-        }
-        let e = std::sync::Arc::new(e);
-        let handles: Vec<_> = (0..4)
-            .map(|c| {
-                let eng = std::sync::Arc::clone(&e);
-                std::thread::spawn(move || {
-                    let mut s = eng.session();
-                    let table = format!("c{c}_t");
-                    let mut now = 0;
-                    let mut rids = Vec::new();
-                    for i in 0..50u64 {
-                        let txn = s.begin();
-                        let mut rec = vec![c as u8; 64];
-                        rec[1..9].copy_from_slice(&i.to_le_bytes());
-                        let (rid, t) = s.insert(&table, txn, now, &rec).unwrap();
-                        now = s.commit(txn, t).unwrap();
-                        rids.push(rid);
-                        now = s.maybe_flush(now).unwrap();
-                    }
-                    // Every committed row is readable afterwards.
-                    for (i, rid) in rids.iter().enumerate() {
-                        let (v, t) = s.read(&table, now, *rid).unwrap();
-                        let v = v.unwrap();
-                        assert_eq!(v[0], c as u8);
-                        assert_eq!(&v[1..9], &(i as u64).to_le_bytes());
-                        now = t;
-                    }
-                    s.commits().len()
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 200);
-        let e = std::sync::Arc::try_unwrap(e).unwrap_or_else(|_| panic!("leak"));
-        assert_eq!(e.committed(), 200);
-        // Counter reconciliation: hits + misses over shards equals the
-        // aggregate (nothing lost or double-counted under real threads).
-        let st = e.buffer_stats();
-        assert!(st.hits + st.misses > 0);
-    }
-
-    #[test]
-    fn concurrent_admission_sheds_under_threaded_pressure() {
-        use crate::transaction::AdmissionConfig;
-        // Same shed semantics as the single-threaded engine, but reached
-        // through sessions on OS threads: counters must reconcile exactly
-        // with what the clients observed.
-        let backend = MemBackend::new(4096, 4096);
-        let mut cfg = EngineConfig::new();
-        cfg.buffer_frames = 64;
-        // Zero-group window with a horizon that can never move on MemBackend
-        // admits everything (the livelock guard); dirty watermark 0 with an
-        // empty pool likewise.  Use an impossible dirty watermark and a full
-        // group window of 0 to exercise the admit path, then flip to a shed
-        // fixture below.
-        cfg.admission = Some(AdmissionConfig {
-            max_inflight_groups: 0,
-            dirty_high_watermark: 1.1,
-            deadline_ns: 10,
-        });
-        let e = ConcurrentEngine::new(Box::new(backend), cfg, 2);
-        {
-            let mut setup = e.session();
-            setup.create_table("t");
-        }
-        let e = std::sync::Arc::new(e);
-        let handles: Vec<_> = (0..2)
-            .map(|c| {
-                let eng = std::sync::Arc::clone(&e);
-                std::thread::spawn(move || {
-                    let mut s = eng.session();
-                    let mut observed = (0u64, 0u64); // (admitted, shed)
-                    let mut now = 0;
-                    for i in 0..20u64 {
-                        match s.begin_admitted(now) {
-                            Ok((txn, t)) => {
-                                observed.0 += 1;
-                                let (_, t) = s.insert("t", txn, t, &[c as u8; 32]).unwrap();
-                                now = s.commit(txn, t).unwrap();
-                                let _ = i;
-                            }
-                            Err(EngineError::Overloaded { .. }) => observed.1 += 1,
-                            Err(other) => panic!("unexpected error {other:?}"),
-                        }
-                    }
-                    observed
-                })
-            })
-            .collect();
-        let mut admitted = 0;
-        let mut shed = 0;
-        for h in handles {
-            let (a, s) = h.join().unwrap();
-            admitted += a;
-            shed += s;
-        }
-        let stats = e.admission_stats();
-        assert_eq!(stats.admitted, admitted, "engine admitted = clients observed");
-        assert_eq!(stats.shed, shed);
-        assert_eq!(admitted + shed, 40, "every arrival lands in one bucket");
-        assert_eq!(e.committed(), admitted, "zero committed-transaction loss");
+    #[should_panic(expected = "already borrowed")]
+    fn a_closure_that_reenters_the_engine_panics() {
+        let e = engine(2);
+        e.with_backend(|_| e.committed());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the virtual clock — the TPS numbers of the paper's Figures.
 //!
 //! There is one engine.  Every operation takes `&mut self`, so a sole owner
-//! drives it directly and N client sessions share it behind the one lock of
+//! drives it directly and N client sessions share it through
 //! [`crate::concurrent::ConcurrentEngine`] — the same code either way.  The
 //! buffer pool is split into page-id-routed shards, each flushed by its own
 //! db-writer pool ([`crate::shard`]); [`StorageEngine::new`] builds one
@@ -189,7 +189,7 @@ impl Default for EngineConfig {
 
 /// The storage engine.
 pub struct StorageEngine {
-    backend: Box<dyn StorageBackend + Send>,
+    backend: Box<dyn StorageBackend>,
     pool: ShardedBufferPool,
     fsm: FreeSpaceManager,
     wal: WalManager,
@@ -208,7 +208,7 @@ pub struct StorageEngine {
 
 impl StorageEngine {
     /// Create an engine over `backend` with a single buffer-pool shard.
-    pub fn new(backend: Box<dyn StorageBackend + Send>, config: EngineConfig) -> Self {
+    pub fn new(backend: Box<dyn StorageBackend>, config: EngineConfig) -> Self {
         Self::with_shards(backend, config, 1)
     }
 
@@ -216,7 +216,7 @@ impl StorageEngine {
     /// page-id-routed pool shards (at least two frames each), every shard
     /// with its own db-writer pool.
     pub(crate) fn with_shards(
-        mut backend: Box<dyn StorageBackend + Send>,
+        mut backend: Box<dyn StorageBackend>,
         config: EngineConfig,
         shards: usize,
     ) -> Self {
@@ -346,7 +346,7 @@ impl StorageEngine {
 
     /// Tear the engine down and hand back the backend (crash-recovery legs
     /// re-run WAL recovery against the medium).
-    pub fn into_backend(self) -> Box<dyn StorageBackend + Send> {
+    pub fn into_backend(self) -> Box<dyn StorageBackend> {
         self.backend
     }
 

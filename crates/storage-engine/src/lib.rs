@@ -149,17 +149,19 @@
 //! * **Buffer pool** — a frame whose fill errors out is detached before the
 //!   read, so no poisoned frame can enter the map.
 //!
-//! ## Concurrency model: one engine, one lock
+//! ## Concurrency model: one engine, one thread, one virtual clock
 //!
 //! There is one implementation of the engine, [`engine::StorageEngine`];
 //! every operation takes `&mut self`.  A single client owns it and calls it
 //! directly.  N clients share it as a [`concurrent::ConcurrentEngine`] — the
-//! same engine inside an `Arc<Mutex<_>>` — through per-client
-//! [`concurrent::ClientSession`] handles that lock it for exactly one
-//! operation, forward, and unlock (each also recording its own commit
-//! stream); `workloads::MultiClientDriver` drives them, laggard-stepped on
-//! one thread or on OS threads.  The client count is an argument of the
-//! driver (`client_scaling [MAX_CLIENTS]`); it selects no code path.
+//! same engine inside an `Rc<RefCell<_>>` — through per-client
+//! [`concurrent::ClientSession`] handles that borrow it for exactly one
+//! operation and forward (each also recording its own commit stream);
+//! `workloads::MultiClientDriver` drives them, laggard-stepped on one thread.
+//! Clients are concurrent on the virtual clock only, so a multi-client run
+//! is a function of its config like any other.  The client count is an
+//! argument of the driver (`client_scaling [MAX_CLIENTS]`); it selects no
+//! code path.
 //!
 //! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the engine's
 //!   pool is `shards` plain [`buffer::BufferPool`]s routed by `page_id %
@@ -171,23 +173,9 @@
 //!   `BufferPool`, pinned in `shard.rs` —
 //!   `ConcurrentEngine::new` as many as it is given (and, above one, turns on
 //!   the device's gap-backfilling occupancy for out-of-order timestamps).
-//! * **Why one lock serialises exactly as the finer locks did** — every
-//!   page access takes `&mut dyn StorageBackend`: the virtual-time device
-//!   model is single-writer, so any operation that touches a page holds the
-//!   backend exclusively from its first access to its last.  Earlier
-//!   revisions put each component (catalog, transactions, free space, WAL,
-//!   flushers, backend, each pool shard) behind its own lock in a fixed
-//!   order, but every DML, scan, flush and checkpoint took the backend lock
-//!   for its whole duration and only then a shard latch, so those inner locks
-//!   never had a second contender; only `begin`/`abort`/`create_table` and
-//!   counter reads ran outside the backend lock.  The engine lock serialises
-//!   the same operations in the same order — the order sessions acquire it —
-//!   with nothing left to order, so the only deadlock is re-acquiring it
-//!   while held, which `noftl-lint`'s `one-lock` pass rejects along with
-//!   any second lock in this crate.
 //! * **Serialization points** — a commit appends its record and forces the
-//!   WAL inside one locked operation, so the durable commit order is the
-//!   lock-acquisition order and each client sees a serializable commit
+//!   WAL inside one operation, so the durable commit order is the order the
+//!   driver steps its clients in and each client sees a serializable commit
 //!   prefix; `quiesce` and `checkpoint` are single operations too, draining
 //!   *every* shard's flusher windows, then every shard's miss-fill read
 //!   window, then the WAL window, then the device queues, so a checkpoint

@@ -2,7 +2,7 @@
 //!
 //! [`EngineOps`] is implemented by [`StorageEngine`] itself (a sole owner
 //! calling the engine directly) and by a
-//! [`crate::concurrent::ClientSession`] (one of N handles that lock the
+//! [`crate::concurrent::ClientSession`] (one of N handles that borrow the
 //! shared engine of a [`crate::concurrent::ConcurrentEngine`] per call), so
 //! the TPC drivers (`workloads::TpcB`, `workloads::TpcC`) run unchanged
 //! against either.  Both impls only forward: every operation has exactly one
@@ -165,7 +165,7 @@ pub trait EngineOps {
 /// The one forwarding list: every [`EngineOps`] method except `commit`,
 /// forwarded to the [`StorageEngine`] method of the same name.  `$engine` is
 /// an expression over `$self` that derefs to the engine — `self` for the
-/// engine itself, the locked guard for a session.
+/// engine itself, the borrowed engine for a session.
 macro_rules! forward_engine_ops {
     ($self:ident => $engine:expr;
         $(fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*

@@ -10,11 +10,10 @@
 //!
 //! There are no latches here.  Every page access takes `&mut dyn
 //! StorageBackend`, so a caller can only reach a shard while it holds the
-//! whole engine exclusively — under the one engine lock of
-//! [`crate::concurrent::ConcurrentEngine`], or as the sole owner of a
-//! [`crate::engine::StorageEngine`].  Per-shard latches inside that exclusive
-//! section never had a second contender; the `&mut self` receivers state the
-//! same exclusion in the type system.
+//! whole engine exclusively — one operation of a
+//! [`crate::concurrent::ConcurrentEngine`] session, or the sole owner of a
+//! [`crate::engine::StorageEngine`].  The `&mut self` receivers state that
+//! exclusion in the type system.
 //!
 //! Whole-pool sweeps (`flush_all`, `drain_reads`, `prefetch`, `stats`) visit
 //! shards in ascending index.  A 1-shard pool is exactly a plain

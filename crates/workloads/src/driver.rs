@@ -5,8 +5,8 @@
 //!   and response times — the numbers shown on the paper's Figure 4 axes.
 //! * [`MultiClientDriver`] runs N clients as separate [`ClientSession`]s of
 //!   one shared [`ConcurrentEngine`] (the multi-client path), each with
-//!   its own workload instance over a disjoint data partition, either
-//!   deterministically interleaved or on real OS threads.
+//!   its own workload instance over a disjoint data partition, stepped on
+//!   the one virtual clock.
 //! * [`OpenLoopDriver`] offers requests at a configured *arrival rate*
 //!   (Poisson or fixed-interval on the virtual clock) instead of waiting for
 //!   the previous response: when the engine falls behind, requests queue and
@@ -196,19 +196,6 @@ impl BenchmarkDriver {
     }
 }
 
-/// How [`MultiClientDriver`] executes its clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriveMode {
-    /// One driver thread steps the clients on the virtual clock, always
-    /// advancing the furthest-behind client (bounded drift) — fully
-    /// deterministic: same seeds, same schedule, same report.
-    Deterministic,
-    /// One OS thread per client, all hammering the shared engine
-    /// concurrently.  The interleaving is whatever the scheduler produces,
-    /// so assertions over such runs must be schedule-agnostic.
-    OsThreads,
-}
-
 /// [`MultiClientDriver`] configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiClientConfig {
@@ -216,26 +203,14 @@ pub struct MultiClientConfig {
     pub transactions_per_client: u64,
     /// Warm-up transactions per client (run, not measured).
     pub warmup_per_client: u64,
-    /// Execution mode.
-    pub mode: DriveMode,
 }
 
 impl MultiClientConfig {
-    /// `per_client` measured transactions per client, 10 % warm-up,
-    /// deterministic interleaving.
+    /// `per_client` measured transactions per client, 10 % warm-up.
     pub fn new(per_client: u64) -> Self {
         Self {
             transactions_per_client: per_client,
             warmup_per_client: per_client / 10,
-            mode: DriveMode::Deterministic,
-        }
-    }
-
-    /// Same, but on real OS threads.
-    pub fn os_threads(per_client: u64) -> Self {
-        Self {
-            mode: DriveMode::OsThreads,
-            ..Self::new(per_client)
         }
     }
 }
@@ -279,14 +254,14 @@ pub struct MultiClientReport {
 /// Each client owns a workload instance (over a disjoint table-name
 /// partition — construct them via `TpcB::with_prefix` / `TpcC::with_prefix`)
 /// and a [`ClientSession`].  Setup runs sequentially on the virtual clock;
-/// the measured phase runs per [`DriveMode`].
+/// the measured phase steps the furthest-behind client each time (bounded
+/// drift), so the same seeds give the same schedule and the same report.
 pub struct MultiClientDriver {
     config: MultiClientConfig,
 }
 
-/// A workload a [`MultiClientDriver`] client can own (possibly on another
-/// thread).
-pub type ClientWorkload = Box<dyn Workload<ClientSession> + Send>;
+/// A workload a [`MultiClientDriver`] client owns.
+pub type ClientWorkload = Box<dyn Workload<ClientSession>>;
 
 impl MultiClientDriver {
     /// Create a driver.
@@ -309,21 +284,8 @@ impl MultiClientDriver {
         for (w, s) in workloads.iter_mut().zip(sessions.iter_mut()) {
             t = w.setup(s, t)?;
         }
-        let t0 = t;
-        match self.config.mode {
-            DriveMode::Deterministic => self.run_deterministic(workloads, sessions, t0),
-            DriveMode::OsThreads => self.run_os_threads(workloads, sessions, t0),
-        }
-    }
-
-    fn run_deterministic(
-        &self,
-        mut workloads: Vec<ClientWorkload>,
-        mut sessions: Vec<ClientSession>,
-        t0: SimInstant,
-    ) -> FlashResult<MultiClientReport> {
         let n = workloads.len();
-        let mut time = vec![t0; n];
+        let mut time = vec![t; n];
         for _ in 0..self.config.warmup_per_client * n as u64 {
             let c = BenchmarkDriver::laggard(&time);
             let (end, _) = workloads[c].run_transaction(&mut sessions[c], c, time[c])?;
@@ -360,48 +322,6 @@ impl MultiClientDriver {
                 commits: s.commits().to_vec(),
             })
             .collect();
-        Ok(self.report(clients, measure_start))
-    }
-
-    fn run_os_threads(
-        &self,
-        workloads: Vec<ClientWorkload>,
-        sessions: Vec<ClientSession>,
-        t0: SimInstant,
-    ) -> FlashResult<MultiClientReport> {
-        let per_client = self.config.transactions_per_client + self.config.warmup_per_client;
-        let warmup = self.config.warmup_per_client;
-        let handles: Vec<_> = workloads
-            .into_iter()
-            .zip(sessions)
-            .enumerate()
-            .map(|(i, (mut w, mut s))| {
-                std::thread::spawn(move || -> FlashResult<ClientRun> {
-                    let mut now = t0;
-                    let mut measure_start = t0;
-                    for k in 0..per_client {
-                        if k == warmup {
-                            measure_start = now;
-                        }
-                        let (end, _) = w.run_transaction(&mut s, i, now)?;
-                        now = s.maybe_flush(end)?.max(end);
-                    }
-                    Ok(ClientRun {
-                        client: i,
-                        workload: Workload::<ClientSession>::name(&*w).to_string(),
-                        transactions: per_client - warmup,
-                        start: measure_start,
-                        end: now,
-                        commits: s.commits().to_vec(),
-                    })
-                })
-            })
-            .collect();
-        let mut clients = Vec::with_capacity(handles.len());
-        for h in handles {
-            clients.push(h.join().expect("client thread panicked")?);
-        }
-        let measure_start = clients.iter().map(|c| c.start).max().expect("clients");
         Ok(self.report(clients, measure_start))
     }
 
@@ -1056,17 +976,5 @@ mod tests {
         for (x, y) in a.clients.iter().zip(&b.clients) {
             assert_eq!(x.commits, y.commits, "same seeds must give same streams");
         }
-    }
-
-    #[test]
-    fn multi_client_os_threads_run_commits_everything() {
-        let e = concurrent_engine(4);
-        let driver = MultiClientDriver::new(MultiClientConfig::os_threads(20));
-        let report = driver.run(&e, client_workloads(4), 0).unwrap();
-        assert_eq!(report.transactions, 80);
-        let total: usize = report.clients.iter().map(|c| c.commits.len()).sum();
-        // setup + warmup + measured per client, none lost across threads.
-        assert_eq!(total, 4 * 23);
-        assert_eq!(e.committed(), 4 * 23);
     }
 }

@@ -33,7 +33,7 @@ pub mod trace;
 pub mod workload;
 
 pub use driver::{
-    Arrivals, BenchmarkDriver, ClientRun, ClientWorkload, DriveMode, DriverConfig, DriverReport,
+    Arrivals, BenchmarkDriver, ClientRun, ClientWorkload, DriverConfig, DriverReport,
     MultiClientConfig, MultiClientDriver, MultiClientReport, OpenLoopConfig, OpenLoopDriver,
     OpenLoopReport,
 };

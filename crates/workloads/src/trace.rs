@@ -11,10 +11,7 @@
 //!   the recorded page stream against an FTL or a NoFTL instance sized like
 //!   the experiment's drive and report the copyback / erase counts.
 
-use std::sync::Arc;
-
 use nand_flash::{FlashResult, NativeFlashInterface, OpCompletion};
-use parking_lot::Mutex;
 use sim_utils::time::SimInstant;
 
 use ftl::traits::Ftl;
@@ -183,22 +180,27 @@ pub struct TraceReplayReport {
     pub duration_ns: u64,
 }
 
+/// The recorded trace, shared between a [`TracingBackend`] and its caller.
+// lint:allow(determinism): the perf suite's trace replay reads the recorded
+// trace through `lock()` on this handle; no thread ever shares it.
+pub type TraceHandle = std::sync::Arc<parking_lot::Mutex<PageTrace>>;
+
 /// A storage backend wrapper that records every operation into a shared
 /// [`PageTrace`].
 pub struct TracingBackend<B: StorageBackend> {
     inner: B,
-    trace: Arc<Mutex<PageTrace>>,
+    trace: TraceHandle,
 }
 
 impl<B: StorageBackend> TracingBackend<B> {
     /// Wrap `inner`; the returned handle can be cloned cheaply and read after
     /// the engine (which owns the backend) is dropped.
-    pub fn new(inner: B) -> (Self, Arc<Mutex<PageTrace>>) {
-        let trace = Arc::new(Mutex::new(PageTrace::default()));
+    pub fn new(inner: B) -> (Self, TraceHandle) {
+        let trace = TraceHandle::default();
         (
             Self {
                 inner,
-                trace: Arc::clone(&trace),
+                trace: TraceHandle::clone(&trace),
             },
             trace,
         )

@@ -15,12 +15,11 @@ pub enum TxnKind {
 
 /// A benchmark workload: schema setup plus a stream of transactions.
 ///
-/// The engine parameter defaults to the single-threaded
-/// [`StorageEngine`], so existing `dyn Workload` call sites keep meaning
-/// "a workload over the single-threaded engine".  Workloads implemented
-/// generically over [`EngineOps`] (TPC-B, TPC-C) additionally run against a
-/// `storage_engine::ClientSession` — one of N concurrent clients sharing a
-/// `storage_engine::ConcurrentEngine`.
+/// The engine parameter defaults to [`StorageEngine`], so existing
+/// `dyn Workload` call sites keep meaning "a workload over one engine".
+/// Workloads implemented generically over [`EngineOps`] (TPC-B, TPC-C)
+/// additionally run against a `storage_engine::ClientSession` — one of N
+/// clients sharing a `storage_engine::ConcurrentEngine`.
 pub trait Workload<E: EngineOps = StorageEngine> {
     /// Workload name ("tpcb", "tpcc", ...).
     fn name(&self) -> &'static str;

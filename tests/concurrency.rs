@@ -6,7 +6,7 @@
 //! * **Serializable per-client commit prefixes** — each client's commit
 //!   stream is strictly monotone in transaction id and non-decreasing in
 //!   commit time, and transaction ids never collide across clients (the
-//!   shared transaction manager hands them out under the engine lock).
+//!   engine's one transaction manager hands them out).
 //! * **Zero committed-data loss** — after a storm the per-client TPC-B
 //!   consistency conditions hold on each client's private table partition,
 //!   and on the crash legs the durable log recovered from the medium alone
@@ -16,9 +16,9 @@
 //!   exactly one shard), and the clients' commit streams account for
 //!   every committed transaction the engine reports.
 //!
-//! The deterministic drive mode pins reproducibility (same seeds → same
-//! schedule → identical commit streams); the OS-thread mode runs one real
-//! thread per client with schedule-agnostic assertions.  The checkpoint
+//! One thread steps the clients on the virtual clock, so a storm is
+//! reproducible (same seeds → same schedule → identical commit streams) and
+//! every assertion can be exact.  The checkpoint
 //! regression leg pins the barrier contract: a checkpoint taken while other
 //! shards still have asynchronous flush windows in flight must drain them
 //! *all* before the WAL checkpoint record lands.
@@ -631,48 +631,6 @@ fn sessions_maybe_flush_drives_the_online_rebuild_on_parity() {
 #[test]
 fn sessions_maybe_flush_drives_the_online_rebuild_on_mirror() {
     rebuild_rides_the_sessions_maybe_flush(RedundancyPolicy::Mirror);
-}
-
-/// OS-thread stress: one real thread per client against the shared engine.
-/// The interleaving is whatever the scheduler produces, so the assertions
-/// are schedule-agnostic: per-client streams monotone, ids globally unique,
-/// every commit accounted for, partitions consistent.
-#[test]
-fn os_thread_storm_holds_schedule_agnostic_invariants() {
-    let clients = 4;
-    let engine = concurrent_engine(None, 8, clients);
-    let driver = MultiClientDriver::new(MultiClientConfig::os_threads(20));
-    let report = driver
-        .run(&engine, client_workloads(clients, false, 7), 0)
-        .expect("OS-thread storm");
-
-    assert_eq!(report.transactions, 20 * clients as u64);
-    assert_serializable_streams(&report);
-    assert_counters_reconcile(&engine, &report);
-    let end = engine
-        .session()
-        .quiesce(report.clients.iter().map(|c| c.end).max().unwrap_or(0));
-    assert_tpcb_partitions_consistent(&engine, clients, end);
-}
-
-/// OS-thread stress under faults: the recovery machinery must stay correct
-/// when real threads race through it.
-#[test]
-fn os_thread_storm_survives_fault_injection() {
-    let clients = 3;
-    let engine = concurrent_engine(Some(storm_plan(11)), 8, clients);
-    let driver = MultiClientDriver::new(MultiClientConfig::os_threads(12));
-    let report = driver
-        .run(&engine, client_workloads(clients, false, 11), 0)
-        .expect("OS-thread storm under faults");
-
-    assert_serializable_streams(&report);
-    assert_counters_reconcile(&engine, &report);
-    assert_truthful_fault_stats(&engine);
-    let end = engine
-        .session()
-        .quiesce(report.clients.iter().map(|c| c.end).max().unwrap_or(0));
-    assert_tpcb_partitions_consistent(&engine, clients, end);
 }
 
 /// High-iteration storm smoke for CI: 16 clients, and `NOFTL_FAULTS` for

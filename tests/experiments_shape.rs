@@ -135,3 +135,45 @@ fn dftl_shape_small_cache_slower_than_page_mapping() {
         page_report.duration_ns
     );
 }
+
+/// The reference chain every ratio is measured from: on the Figure 3 trace
+/// an ideal page FTL, a DFTL whose cache holds every mapping, and NoFTL with
+/// its defaults do the same GC work.  `PageFtl` is the anchor.
+fn reference_chain_anchor(trace: &PageTrace) -> (u64, u64, u64) {
+    use noftl::ftl::page_ftl::{PageFtl, PageFtlConfig};
+    let mut page_ftl = PageFtl::new(PageFtlConfig::new(FlashGeometry::small()));
+    let r = trace.replay_on_ftl(&mut page_ftl).unwrap();
+    (r.gc_page_copies, r.erases, r.duration_ns)
+}
+
+#[test]
+fn reference_chain_dftl_with_every_mapping_cached_is_page_ftl() {
+    use noftl::ftl::dftl::{Dftl, DftlConfig};
+
+    let trace = oltp_trace(5200, 9000);
+    let page = reference_chain_anchor(&trace);
+    assert_eq!(page, (4_805, 352, 5_069_531_320));
+
+    let mut cfg = DftlConfig::new(FlashGeometry::small());
+    cfg.cmt_entries = 1 << 20;
+    let r = trace.replay_on_ftl(&mut Dftl::new(cfg)).unwrap();
+    assert_eq!((r.gc_page_copies, r.erases, r.duration_ns), page);
+}
+
+#[test]
+fn reference_chain_noftl_matches_page_ftl_within_half_a_percent() {
+    let trace = oltp_trace(5200, 9000);
+    let page = reference_chain_anchor(&trace);
+
+    let mut noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::small()));
+    let r = trace.replay_on_noftl(&mut noftl).unwrap();
+    assert_eq!((r.gc_page_copies, r.erases, r.duration_ns), (4_797, 352, 5_066_482_000));
+    for (name, noftl, page) in [
+        ("copies", r.gc_page_copies, page.0),
+        ("erases", r.erases, page.1),
+        ("duration", r.duration_ns, page.2),
+    ] {
+        let gap = (noftl as f64 - page as f64).abs() / page as f64;
+        assert!(gap <= 0.005, "{name}: NoFTL {noftl} vs PageFtl {page} ({:.3} %)", gap * 100.0);
+    }
+}
