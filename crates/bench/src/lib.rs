@@ -1,8 +1,7 @@
 //! # noftl-bench
 //!
-//! Shared experiment harness behind the per-figure binaries and the Criterion
-//! benches.  Every table and figure of the paper's evaluation has a
-//! corresponding entry point here:
+//! Shared experiment harness behind the per-figure binaries.  Every table and
+//! figure of the paper's evaluation has a corresponding entry point here:
 //!
 //! | Paper artefact | Harness function | Binary |
 //! |---|---|---|
@@ -29,21 +28,3 @@ pub mod setup;
 pub mod slo;
 pub mod throughput;
 pub mod validation;
-
-/// Pretty-print a ratio ("2.15x").
-pub fn fmt_ratio(a: u64, b: u64) -> String {
-    if b == 0 {
-        "n/a".to_string()
-    } else {
-        format!("{:.2}x", a as f64 / b as f64)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(super::fmt_ratio(4, 2), "2.00x");
-        assert_eq!(super::fmt_ratio(1, 0), "n/a");
-    }
-}

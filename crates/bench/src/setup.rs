@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: device sizing, engine construction per
-//! storage stack, workload construction per benchmark.
+//! Shared experiment plumbing: device sizing and engine construction per
+//! storage stack.
 
 use flash_emulator::{EmulatedSsd, HostLink};
 use ftl::dftl::{Dftl, DftlConfig};
@@ -11,7 +11,6 @@ use storage_engine::{
     backend::{BlockDeviceBackend, MemBackend, StackConfig},
     FlusherConfig, StorageEngine,
 };
-use workloads::{TpcB, TpcBConfig, TpcC, TpcCConfig, TpcE, TpcEConfig};
 
 /// Which storage stack an experiment runs on (the alternatives of Figure 1 /
 /// Figure 6 of the paper).
@@ -64,8 +63,8 @@ impl Benchmark {
     }
 }
 
-/// Experiment scale knob: `quick` keeps everything small enough for CI and
-/// Criterion runs; `full` approaches the paper's relative database sizes.
+/// Experiment scale: `quick` keeps everything small enough for CI; `full`
+/// approaches the paper's relative database sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small databases / few transactions (seconds).
@@ -124,35 +123,6 @@ pub fn build_engine_with_buffer(
     }
 }
 
-/// Build a workload instance for `benchmark` at `scale`.
-pub fn build_workload(benchmark: Benchmark, scale: Scale) -> Box<dyn workloads::Workload> {
-    match (benchmark, scale) {
-        (Benchmark::TpcB, Scale::Quick) => Box::new(TpcB::new(TpcBConfig {
-            scale_factor: 4,
-            tellers_per_branch: 10,
-            accounts_per_branch: 200,
-            seed: 0xB0B,
-        })),
-        (Benchmark::TpcB, Scale::Full) => Box::new(TpcB::new(TpcBConfig::scaled(32))),
-        (Benchmark::TpcC, Scale::Quick) => Box::new(TpcC::new(TpcCConfig {
-            warehouses: 2,
-            districts_per_warehouse: 10,
-            customers_per_district: 60,
-            items: 400,
-            seed: 0xCC,
-        })),
-        (Benchmark::TpcC, Scale::Full) => Box::new(TpcC::new(TpcCConfig::scaled(8))),
-        (Benchmark::TpcE, Scale::Quick) => Box::new(TpcE::new(TpcEConfig {
-            customers: 100,
-            accounts_per_customer: 3,
-            securities: 50,
-            customer_skew: 0.85,
-            seed: 0xEE,
-        })),
-        (Benchmark::TpcE, Scale::Full) => Box::new(TpcE::new(TpcEConfig::scaled(1000))),
-    }
-}
-
 /// Default number of measured transactions for a benchmark at a scale.
 pub fn default_transactions(scale: Scale) -> u64 {
     match scale {
@@ -196,14 +166,6 @@ mod tests {
                 Stack::NoFtl => "noftl",
                 _ => "ftl",
             }));
-        }
-    }
-
-    #[test]
-    fn workloads_build_for_every_benchmark() {
-        for b in [Benchmark::TpcB, Benchmark::TpcC, Benchmark::TpcE] {
-            let w = build_workload(b, Scale::Quick);
-            assert!(!w.name().is_empty());
         }
     }
 }

@@ -4,8 +4,8 @@
 //! comments and string-literal interiors out of the `code` view (so token
 //! searches never fire on prose), collects string literals separately (for
 //! knob detection), tracks which lines sit inside test-only regions
-//! (`#[cfg(test)]` modules, `#[test]` functions, `tests/` and `benches/`
-//! trees), and extracts `lint:allow` directives from comments.
+//! (`#[cfg(test)]` modules, `#[test]` functions, `tests/` trees), and
+//! extracts `lint:allow` directives from comments.
 //!
 //! The scanner is line/token-level by design — no external parser crates —
 //! and handles nested block comments, raw strings (`r#"..."#`), byte strings,
@@ -45,7 +45,7 @@ pub struct SourceFile {
     pub rel: String,
     /// `crates/<dir>/...` → `<dir>`; `None` for top-level files.
     pub crate_dir: Option<String>,
-    /// Whole file is test code (`tests/`, `benches/` trees).
+    /// Whole file is test code (a `tests/` tree).
     pub is_test_file: bool,
     /// The preprocessed lines.
     pub lines: Vec<Line>,
@@ -69,10 +69,7 @@ impl SourceFile {
             .strip_prefix("crates/")
             .and_then(|rest| rest.split('/').next())
             .map(|s| s.to_string());
-        let is_test_file = rel.starts_with("tests/")
-            || rel.contains("/tests/")
-            || rel.starts_with("benches/")
-            || rel.contains("/benches/");
+        let is_test_file = rel.starts_with("tests/") || rel.contains("/tests/");
         let mut lines = mask(text);
         mark_test_regions(&mut lines, is_test_file);
         for line in &mut lines {

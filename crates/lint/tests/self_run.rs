@@ -38,7 +38,6 @@ fn knob_registry_matches_the_documented_knobs() {
         vec![
             "NOFTL_ASYNC",
             "NOFTL_BATCH",
-            "NOFTL_BATCH_GLOBAL",
             "NOFTL_FAULTS",
             "NOFTL_READAHEAD",
             "NOFTL_REDUNDANCY",
@@ -64,5 +63,5 @@ fn emit_knobs_prints_the_registry_under_any_pass_filter() {
     );
     let table = String::from_utf8(out.stdout).expect("utf-8 output");
     let rows = table.lines().filter(|l| l.starts_with("| `NOFTL_")).count();
-    assert_eq!(rows, 7, "{table}");
+    assert_eq!(rows, 6, "{table}");
 }

@@ -46,7 +46,7 @@ pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
 /// `NOFTL_REDUNDANCY` asks for parity without a number.
 pub const DEFAULT_PARITY_K: usize = 3;
 
-/// The seven `NOFTL_*` knobs as one typed value: a stack is a pure function
+/// The six `NOFTL_*` knobs as one typed value: a stack is a pure function
 /// of it.  [`StackConfig::from_env`] is the only place the process
 /// environment is read (the knob-registry lint enforces it); it is called in
 /// `main` of the bench bins and examples and in the env-honouring CI smokes.
@@ -66,10 +66,6 @@ pub struct StackConfig {
     /// `off` / `0` / `1` — 1, one page per submission; a number `k` — runs
     /// of at most `k` pages.
     pub batch_pages: usize,
-    /// `NOFTL_BATCH_GLOBAL`: ablation letting the conventional *global*
-    /// writers batch too (default off, preserving the Figure 4 asymmetry);
-    /// `on` / `true` / `1` / `yes` turn it on.
-    pub batch_global: bool,
     /// `NOFTL_ASYNC`: submission depth per die / per submitter.  Unset /
     /// `off` / `0` / `1` — synchronous dispatch; `on` —
     /// [`DEFAULT_ASYNC_DEPTH`]; a number `k` — a window of `k`.
@@ -98,7 +94,6 @@ impl Default for StackConfig {
     fn default() -> Self {
         Self {
             batch_pages: DEFAULT_BATCH_PAGES,
-            batch_global: false,
             async_depth: 1,
             readahead_window: DEFAULT_READAHEAD_WINDOW,
             faults: None,
@@ -125,7 +120,7 @@ fn parse_count(v: &str, on: usize) -> usize {
     }
 }
 
-/// Boolean policy spelling (`NOFTL_BATCH_GLOBAL`, `NOFTL_SLO`).
+/// Boolean policy spelling (`NOFTL_SLO`).
 fn parse_switch(v: &str) -> bool {
     matches!(v, "on" | "true" | "1" | "yes")
 }
@@ -149,7 +144,6 @@ impl StackConfig {
         let get = |name: &str| lookup(name).unwrap_or_default().trim().to_ascii_lowercase();
         Self {
             batch_pages: parse_pages(&get("NOFTL_BATCH"), DEFAULT_BATCH_PAGES).max(1),
-            batch_global: parse_switch(&get("NOFTL_BATCH_GLOBAL")),
             async_depth: parse_count(&get("NOFTL_ASYNC"), DEFAULT_ASYNC_DEPTH),
             readahead_window: parse_pages(&get("NOFTL_READAHEAD"), DEFAULT_READAHEAD_WINDOW),
             faults: nand_flash::parse_fault_plan(&get("NOFTL_FAULTS")),
@@ -180,7 +174,6 @@ impl StackConfig {
         FlusherConfig {
             assignment,
             batch_pages: self.batch_pages,
-            batch_global: self.batch_global,
             async_depth: self.async_depth,
             ..FlusherConfig::global(writers)
         }
@@ -1024,7 +1017,6 @@ mod tests {
     fn set_knobs_project_onto_every_layer() {
         let knobs = StackConfig {
             batch_pages: 16,
-            batch_global: true,
             async_depth: 6,
             readahead_window: 8,
             faults: Some(nand_flash::FaultPlan::seeded(987654)),
@@ -1038,8 +1030,8 @@ mod tests {
         assert_eq!(format!("{:?}", e.flushers), format!("{global:?}"));
         let f = knobs.flushers(FlusherAssignment::DieWise, 3);
         assert_eq!(
-            (f.writers, f.assignment, f.batch_pages, f.batch_global, f.async_depth),
-            (3, FlusherAssignment::DieWise, 16, true, 6)
+            (f.writers, f.assignment, f.batch_pages, f.async_depth),
+            (3, FlusherAssignment::DieWise, 16, 6)
         );
         let b = knobs.noftl_backend(NoFtlConfig::new(FlashGeometry::small()));
         assert_eq!(b.noftl().async_depth(), 6);

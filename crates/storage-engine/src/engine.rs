@@ -334,7 +334,7 @@ impl StorageEngine {
         self.backend.counters()
     }
 
-    /// Borrow the backend (downcasting / detailed statistics in benches).
+    /// Borrow the backend (downcasting / detailed statistics).
     pub fn backend(&self) -> &dyn StorageBackend {
         self.backend.as_ref()
     }
@@ -1268,7 +1268,7 @@ mod tests {
         use crate::flusher::FlusherConfig;
         use noftl_core::FlusherAssignment;
 
-        let run = |window: usize| -> (Vec<u64>, crate::buffer::ReadaheadStats) {
+        let run = |window: usize| -> (u64, Vec<u64>, crate::buffer::ReadaheadStats) {
             let geometry = FlashGeometry::with_dies(8, 64, 32, 4096);
             let mut noftl_cfg = NoFtlConfig::new(geometry);
             noftl_cfg.async_queue_depth = 8;
@@ -1301,16 +1301,19 @@ mod tests {
                     keys.push(k);
                 })
                 .unwrap();
-            e.quiesce(end);
-            (keys, e.readahead_stats())
+            (e.quiesce(end) - now, keys, e.readahead_stats())
         };
-        let (keys_base, _) = run(0);
-        let (keys_ra, ra_on) = run(64);
+        let (frame_at_a_time, keys_base, _) = run(0);
+        let (streamed, keys_ra, ra_on) = run(64);
         assert_eq!(keys_base, keys_ra, "readahead must not change the key sequence");
         assert_eq!(keys_base.len(), 3001);
         assert!(
             ra_on.prefetch_issued > 0,
             "the leaf chain must stream through the prefetcher"
+        );
+        assert!(
+            streamed <= frame_at_a_time,
+            "leaf-chain readahead must never slow a range read: {streamed} vs {frame_at_a_time}"
         );
     }
 

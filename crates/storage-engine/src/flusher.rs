@@ -770,7 +770,7 @@ mod tests {
 
     #[test]
     fn global_batching_ablation_quantifies_the_batching_share_of_the_gap() {
-        // NOFTL_BATCH_GLOBAL off (the default): global writers run the legacy
+        // `batch_global` off (the default): global writers run the legacy
         // per-page model even with a batch size configured.  On: they batch,
         // quantifying how much of the Figure 4 gap NCQ-style batching alone
         // closes — without the writer-to-region association.

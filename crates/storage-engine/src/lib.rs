@@ -57,9 +57,9 @@
 //! is command-, timing- and counter-identical to `write_page`.  Batching
 //! off (`NOFTL_BATCH=off`) is batch size 1: one value, one code path.
 //!
-//! The `NOFTL_BATCH_GLOBAL` ablation ([`flusher::FlusherConfig::batch_global`],
-//! default off) lets the conventional global writers batch too — isolating
-//! how much of the Figure 4 gap is NCQ-style batching versus the
+//! The [`flusher::FlusherConfig::batch_global`] ablation (default off, set
+//! in code) lets the conventional global writers batch too — isolating how
+//! much of the Figure 4 gap is NCQ-style batching versus the
 //! writer-to-region association itself.
 //!
 //! ## The asynchronous read/completion pipeline (PR 4)
@@ -183,7 +183,7 @@
 //!
 //! ## One config
 //!
-//! A stack is a pure function of its configuration values.  The seven
+//! A stack is a pure function of its configuration values.  The six
 //! `NOFTL_*` knobs are one typed [`backend::StackConfig`], parsed by exactly
 //! one function ([`backend::StackConfig::parse`]) and read from the process
 //! environment by exactly one other ([`backend::StackConfig::from_env`],

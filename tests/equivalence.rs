@@ -48,12 +48,10 @@ fn knob_spellings_parse_to_their_documented_values() {
     let d = StackConfig::default;
     let parity = |k| StackConfig { redundancy: Some(RedundancyPolicy::Parity(k)), ..d() };
     let seeded = |seed| Some(FaultPlan::seeded(seed));
-    let table: [(&str, &[&str], StackConfig); 22] = [
+    let table: [(&str, &[&str], StackConfig); 20] = [
         ("NOFTL_BATCH", &["", "on", "TRUE", "64", "garbage"], d()),
         ("NOFTL_BATCH", &["off", "False", "0", "1"], batch_knobs(1)),
         ("NOFTL_BATCH", &[" 16 "], batch_knobs(16)),
-        ("NOFTL_BATCH_GLOBAL", &["", "off", "0", "garbage"], d()),
-        ("NOFTL_BATCH_GLOBAL", &["on", "TRUE", "1", " yes "], StackConfig { batch_global: true, ..d() }),
         ("NOFTL_ASYNC", &["", "off", "False", "0", "1", "garbage"], d()),
         ("NOFTL_ASYNC", &["on", "TRUE"], StackConfig { async_depth: DEFAULT_ASYNC_DEPTH, ..d() }),
         ("NOFTL_ASYNC", &[" 4 "], StackConfig { async_depth: 4, ..d() }),
