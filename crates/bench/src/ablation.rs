@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies of the design choices that ROADMAP item 5's attribution
+//! ladders split into rungs:
 //!
 //! 1. **Dead-page hints** — NoFTL's GC advantage partly comes from the DBMS
 //!    free-space manager declaring pages dead; how much GC work do the hints

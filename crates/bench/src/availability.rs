@@ -176,36 +176,6 @@ pub struct AvailabilityPoint {
     pub committed: u64,
 }
 
-impl AvailabilityPoint {
-    /// One JSON object (hand-rendered; the bench crate carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"mode\": \"{}\", \"requests\": {}, ",
-                "\"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, ",
-                "\"stall_ns\": {}, \"degraded_reads\": {}, ",
-                "\"rebuilt_in_run\": {}, \"pages_rebuilt\": {}, \"pages_lost\": {}, ",
-                "\"rebuild_scheduled\": {}, \"rebuild_deferred_hot\": {}, ",
-                "\"committed\": {}}}"
-            ),
-            self.mode,
-            self.requests,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.max_ns,
-            self.stall_ns,
-            self.degraded_reads,
-            self.rebuilt_in_run,
-            self.pages_rebuilt,
-            self.pages_lost,
-            self.rebuild_scheduled,
-            self.rebuild_deferred_hot,
-            self.committed,
-        )
-    }
-}
-
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -310,25 +280,6 @@ pub fn render_table(points: &[AvailabilityPoint]) -> String {
         ));
     }
     out
-}
-
-/// Render the sweep as a JSON document.
-pub fn render_json(points: &[AvailabilityPoint]) -> String {
-    let body: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        concat!(
-            "{{\n  \"experiment\": \"pr10-availability\",\n",
-            "  \"note\": \"die killed at request {} of {} on a Parity(3) stack; ",
-            "fixed arrivals every {} ns; latency measured from scheduled arrival ",
-            "(queueing included), so the naive leg's foreground rebuild_all stall ",
-            "is charged to every request it delays\",\n",
-            "  \"points\": [\n{}\n  ]\n}}\n"
-        ),
-        KILL_AT,
-        REQUESTS,
-        ARRIVAL_GAP_NS,
-        body.join(",\n")
-    )
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Ablation studies for the design choices DESIGN.md calls out: dead-page
-//! hints, GC victim-selection policy, over-provisioning and FASTer's second
-//! chance.
+//! Ablation studies of the design choices that ROADMAP item 5's attribution
+//! ladders split into rungs: dead-page hints, GC victim-selection policy,
+//! over-provisioning and FASTer's second chance.
 //!
-//! Usage: `cargo run --release -p noftl-bench --bin ablation [--full]`
+//! Usage: `cargo run --release -p noftl-bench --bin ablation`
 
 use noftl_bench::ablation::{
     ablate_dead_page_hints, ablate_faster_second_chance, ablate_gc_policy,
@@ -10,11 +10,7 @@ use noftl_bench::ablation::{
 };
 
 fn main() {
-    let (pages, overwrites) = if std::env::args().any(|a| a == "--full") {
-        (6_500, 40_000)
-    } else {
-        (5_500, 9_000)
-    };
+    let (pages, overwrites) = (5_500, 9_000);
     eprintln!("running ablations over a {pages}-page database with {overwrites} skewed overwrites...");
     print!(
         "{}",

@@ -2,20 +2,14 @@
 //! ERASE overhead of garbage collection under FASTer vs NoFTL, off-line
 //! trace-driven (TPC-C, TPC-B, TPC-E).
 //!
-//! Usage: `cargo run --release -p noftl-bench --bin fig3_gc_overhead [--full]`
+//! Usage: `cargo run --release -p noftl-bench --bin fig3_gc_overhead`
 
 use noftl_bench::gc_overhead::{render_table, run_gc_overhead};
-use noftl_bench::setup::Scale;
 use storage_engine::backend::StackConfig;
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    eprintln!("recording in-memory traces and replaying against FASTer / NoFTL ({scale:?})...");
-    let rows = run_gc_overhead(&StackConfig::from_env(), scale);
+    eprintln!("recording in-memory traces and replaying against FASTer / NoFTL...");
+    let rows = run_gc_overhead(&StackConfig::from_env());
     println!("{}", render_table(&rows));
     for row in &rows {
         println!(

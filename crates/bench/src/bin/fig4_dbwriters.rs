@@ -4,46 +4,24 @@
 //! NCQ-vs-native companion: the same flush-wave burst swept over per-die
 //! queue depth × host link.
 //!
-//! Usage:
-//!   `cargo run --release -p noftl-bench --bin fig4_dbwriters [tpcc|tpcb] [--full]`
+//! Usage: `cargo run --release -p noftl-bench --bin fig4_dbwriters`
 
 use noftl_bench::dbwriters::{
     render_depth_link_table, render_table, run_dbwriter_scaling, run_depth_link_sweep,
 };
-use noftl_bench::setup::{Benchmark, Scale};
+use noftl_bench::setup::Benchmark;
 use storage_engine::backend::StackConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    let benchmarks: Vec<Benchmark> = if args.iter().any(|a| a == "tpcb") {
-        vec![Benchmark::TpcB]
-    } else if args.iter().any(|a| a == "tpcc") {
-        vec![Benchmark::TpcC]
-    } else {
-        vec![Benchmark::TpcC, Benchmark::TpcB]
-    };
-    let die_counts: Vec<u32> = match scale {
-        Scale::Quick => vec![1, 2, 4, 8],
-        Scale::Full => vec![1, 2, 4, 8, 16, 32],
-    };
     let knobs = StackConfig::from_env();
-    for b in benchmarks {
-        eprintln!("running {} die-scaling sweep ({scale:?})...", b.name());
-        let result = run_dbwriter_scaling(&knobs, b, scale, &die_counts);
+    for b in [Benchmark::TpcC, Benchmark::TpcB] {
+        eprintln!("running {} die-scaling sweep...", b.name());
+        let result = run_dbwriter_scaling(&knobs, b, &[1, 2, 4, 8]);
         println!("{}", render_table(&result));
     }
     // The NCQ-vs-native argument as a figure table: per-die queue depth
     // (the NOFTL_ASYNC axis) × host link on the flush-wave burst.
     eprintln!("running queue depth x host link sweep...");
-    let depths: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 2, 4, 8],
-        Scale::Full => vec![1, 2, 4, 8, 16, 32],
-    };
-    let sweep = run_depth_link_sweep(8, &depths);
+    let sweep = run_depth_link_sweep(8, &[1, 2, 4, 8]);
     println!("{}", render_depth_link_table(&sweep));
 }

@@ -2,24 +2,14 @@
 //! offered rates, with the `NOFTL_SLO` policies off vs on, over 1 and 4
 //! client sessions.
 //!
-//! Prints an aligned table to stdout, or with `--json` a JSON document.
-//!
-//! Usage:
-//!   `cargo run --release -p noftl-bench --bin slo_overload [--json]`
+//! Usage: `cargo run --release -p noftl-bench --bin slo_overload`
 
-use noftl_bench::slo::{render_json, render_table, run_sweep};
+use noftl_bench::slo::{render_table, run_sweep};
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     eprintln!("running SLO overload sweep (arrival rate x NOFTL_SLO x clients)...");
     match run_sweep() {
-        Ok(points) => {
-            if json {
-                println!("{}", render_json(&points));
-            } else {
-                println!("{}", render_table(&points));
-            }
-        }
+        Ok(points) => println!("{}", render_table(&points)),
         Err(e) => {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);

@@ -12,13 +12,8 @@ use flash_emulator::{EmulatedNativeFlash, HostLink};
 use nand_flash::{BlockAddr, DeviceConfig, FlashGeometry, NandDevice, Oob, Ppa};
 use noftl_core::FlusherAssignment;
 use storage_engine::backend::StackConfig;
-use workloads::{BenchmarkDriver, DriverConfig};
 
-use crate::gc_overhead::gc_workload;
-use crate::setup::{
-    build_engine_with_buffer, default_flushers, default_transactions, geometry_for_pages,
-    Benchmark, Scale, Stack,
-};
+use crate::setup::{run_live, Benchmark, Stack};
 
 /// One measured point of Figure 4.
 #[derive(Debug, Clone)]
@@ -60,34 +55,16 @@ impl DbWriterScaling {
 }
 
 /// Run one point under `knobs`: `dies` dies, `dies` db-writers, the given
-/// assignment.
+/// assignment.  The drive's total capacity is fixed and split over the dies,
+/// as in the paper's fixed 10 GB drive.
 pub fn run_point(
     knobs: &StackConfig,
     benchmark: Benchmark,
-    scale: Scale,
     dies: u32,
     assignment: FlusherAssignment,
     clients: usize,
 ) -> DbWriterPoint {
-    // Fixed total capacity split over a varying number of dies, as in the
-    // paper's fixed 10 GB drive; the database is several times larger than
-    // the buffer pool so the db-writers are on the critical path.
-    let mut workload = gc_workload(benchmark, scale);
-    let logical_pages = match scale {
-        Scale::Quick => 24_000,
-        Scale::Full => 120_000,
-    };
-    let geometry = geometry_for_pages(logical_pages, 0.85, dies);
-    let mut flushers = default_flushers(knobs, assignment, dies as usize);
-    flushers.dirty_high_watermark = 0.3;
-    flushers.dirty_low_watermark = 0.02;
-    let mut engine = build_engine_with_buffer(knobs, Stack::NoFtl, geometry, flushers, 512);
-    let start = workload.setup(&mut engine, 0).expect("setup");
-    let transactions = default_transactions(scale) * 2;
-    let driver = BenchmarkDriver::new(DriverConfig::write_pressure(clients, transactions));
-    let report = driver
-        .run(&mut engine, workload.as_mut(), start)
-        .expect("driver run");
+    let report = run_live(knobs, benchmark, Stack::NoFtl, dies, assignment, clients);
     DbWriterPoint {
         dies,
         assignment,
@@ -100,7 +77,6 @@ pub fn run_point(
 pub fn run_dbwriter_scaling(
     knobs: &StackConfig,
     benchmark: Benchmark,
-    scale: Scale,
     die_counts: &[u32],
 ) -> DbWriterScaling {
     // The paper uses 16 read processes.
@@ -108,7 +84,7 @@ pub fn run_dbwriter_scaling(
     let mut points = Vec::new();
     for &dies in die_counts {
         for assignment in [FlusherAssignment::Global, FlusherAssignment::DieWise] {
-            points.push(run_point(knobs, benchmark, scale, dies, assignment, clients));
+            points.push(run_point(knobs, benchmark, dies, assignment, clients));
         }
     }
     DbWriterScaling {
@@ -317,7 +293,7 @@ mod tests {
     #[test]
     fn single_point_runs_and_reports_tps() {
         let knobs = StackConfig::default();
-        let p = run_point(&knobs, Benchmark::TpcB, Scale::Quick, 2, FlusherAssignment::DieWise, 4);
+        let p = run_point(&knobs, Benchmark::TpcB, 2, FlusherAssignment::DieWise, 4);
         assert!(p.tps > 0.0);
         assert!(p.response_ms > 0.0);
     }
@@ -356,8 +332,7 @@ mod tests {
 
     #[test]
     fn die_wise_not_slower_than_global_at_scale() {
-        let result =
-            run_dbwriter_scaling(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, &[4]);
+        let result = run_dbwriter_scaling(&StackConfig::default(), Benchmark::TpcB, &[4]);
         let speedup = result.speedup(4).expect("both assignments measured");
         assert!(
             speedup > 0.9,

@@ -10,7 +10,7 @@ use storage_engine::backend::StackConfig;
 use workloads::PageTrace;
 
 use crate::gc_overhead::record_trace;
-use crate::setup::{geometry_for_pages, Benchmark, Scale};
+use crate::setup::{geometry_for_pages, Benchmark};
 
 /// Result of replaying one trace against the two mapping schemes.
 #[derive(Debug, Clone)]
@@ -70,16 +70,11 @@ pub fn compare_on_trace(
 }
 
 /// Run the experiment for TPC-C and TPC-B (traces recorded under `knobs`).
-pub fn run_dftl_slowdown(
-    knobs: &StackConfig,
-    scale: Scale,
-    cmt_fraction: f64,
-) -> Vec<DftlSlowdownRow> {
-    let transactions = crate::setup::default_transactions(scale) * 2;
+pub fn run_dftl_slowdown(knobs: &StackConfig, cmt_fraction: f64) -> Vec<DftlSlowdownRow> {
     [Benchmark::TpcC, Benchmark::TpcB]
         .iter()
         .map(|&b| {
-            let trace = record_trace(knobs, b, scale, transactions);
+            let trace = record_trace(knobs, b, 800);
             compare_on_trace(b, &trace, cmt_fraction)
         })
         .collect()
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn dftl_is_slower_with_tiny_cmt() {
-        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 300);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, 300);
         let row = compare_on_trace(Benchmark::TpcB, &trace, 0.002);
         assert!(
             row.slowdown() >= 1.0,

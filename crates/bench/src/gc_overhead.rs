@@ -16,7 +16,7 @@ use workloads::trace::{TraceHandle, TracingBackend};
 
 use workloads::{TpcB, TpcBConfig, TpcC, TpcCConfig, TpcE, TpcEConfig, Workload};
 
-use crate::setup::{geometry_for_pages, Benchmark, Scale};
+use crate::setup::{geometry_for_pages, Benchmark};
 
 /// One row of the Figure 3 table.
 #[derive(Debug, Clone)]
@@ -51,32 +51,29 @@ impl GcOverheadRow {
     }
 }
 
-/// Workload configurations used for the Figure 3 traces.  They are larger
-/// than the generic quick configurations so the database spans thousands of
-/// pages and the replay drives reach steady-state garbage collection, as in
-/// the paper's 60-minute runs (TPC-C SF 30, TPC-B SF 350, TPC-E 1K customers,
-/// proportionally scaled down).
-pub fn gc_workload(benchmark: Benchmark, scale: Scale) -> Box<dyn Workload> {
-    let factor = match scale {
-        Scale::Quick => 1,
-        Scale::Full => 4,
-    };
+/// Workload configurations of the Figure 3 traces and of the live runs
+/// ([`crate::setup::run_live`]).  They are larger than the generic quick
+/// configurations so the database spans thousands of pages and the replay
+/// drives reach steady-state garbage collection, as in the paper's 60-minute
+/// runs (TPC-C SF 30, TPC-B SF 350, TPC-E 1K customers, proportionally
+/// scaled down).
+pub fn gc_workload(benchmark: Benchmark) -> Box<dyn Workload> {
     match benchmark {
         Benchmark::TpcC => Box::new(TpcC::new(TpcCConfig {
-            warehouses: 3 * factor,
+            warehouses: 3,
             districts_per_warehouse: 10,
             customers_per_district: 300,
             items: 2_000,
             seed: 0xCC,
         })),
         Benchmark::TpcB => Box::new(TpcB::new(TpcBConfig {
-            scale_factor: 16 * factor,
+            scale_factor: 16,
             tellers_per_branch: 10,
             accounts_per_branch: 2_000,
             seed: 0xB0B,
         })),
         Benchmark::TpcE => Box::new(TpcE::new(TpcEConfig {
-            customers: 1_000 * factor,
+            customers: 1_000,
             accounts_per_customer: 5,
             securities: 500,
             customer_skew: 0.85,
@@ -87,12 +84,7 @@ pub fn gc_workload(benchmark: Benchmark, scale: Scale) -> Box<dyn Workload> {
 
 /// Record a page-level trace by running `benchmark` on an in-memory engine
 /// configured under `knobs`.
-pub fn record_trace(
-    knobs: &StackConfig,
-    benchmark: Benchmark,
-    scale: Scale,
-    transactions: u64,
-) -> PageTrace {
+pub fn record_trace(knobs: &StackConfig, benchmark: Benchmark, transactions: u64) -> PageTrace {
     let (backend, trace): (TracingBackend<MemBackend>, TraceHandle) =
         TracingBackend::new(MemBackend::new(4096, 1 << 20));
     let mut cfg = knobs.engine();
@@ -103,7 +95,7 @@ pub fn record_trace(
     cfg.flushers.dirty_high_watermark = 0.3;
     cfg.flushers.dirty_low_watermark = 0.05;
     let mut engine = StorageEngine::new(Box::new(backend), cfg);
-    let mut workload = gc_workload(benchmark, scale);
+    let mut workload = gc_workload(benchmark);
     let start = workload.setup(&mut engine, 0).expect("setup");
     let driver = BenchmarkDriver::new(DriverConfig::new(8, transactions));
     driver
@@ -145,15 +137,11 @@ pub fn replay_trace(benchmark: Benchmark, trace: &PageTrace, utilisation: f64) -
 
 /// Run the full Figure 3 experiment: TPC-C, TPC-B and TPC-E traces replayed
 /// against FASTer and NoFTL.
-pub fn run_gc_overhead(knobs: &StackConfig, scale: Scale) -> Vec<GcOverheadRow> {
-    let transactions = match scale {
-        Scale::Quick => 12_000,
-        Scale::Full => 40_000,
-    };
+pub fn run_gc_overhead(knobs: &StackConfig) -> Vec<GcOverheadRow> {
     [Benchmark::TpcC, Benchmark::TpcB, Benchmark::TpcE]
         .iter()
         .map(|&b| {
-            let trace = record_trace(knobs, b, scale, transactions);
+            let trace = record_trace(knobs, b, 12_000);
             // The paper's drives hold the database at moderate space
             // utilisation (SF-30 TPC-C on a 10 GB drive); 55 % reproduces that
             // regime: NoFTL's GC stays cheap while FASTer's small log area
@@ -194,14 +182,14 @@ mod tests {
 
     #[test]
     fn trace_recording_produces_writes() {
-        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 60);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, 60);
         assert!(trace.writes() > 0, "trace must contain page writes");
         assert!(trace.max_page > 0);
     }
 
     #[test]
     fn replay_produces_figure3_shape() {
-        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, Scale::Quick, 200);
+        let trace = record_trace(&StackConfig::default(), Benchmark::TpcB, 200);
         let row = replay_trace(Benchmark::TpcB, &trace, 0.85);
         assert_eq!(row.faster.host_writes, row.noftl.host_writes);
         // The headline relationship of Figure 3: FASTer does more GC work.

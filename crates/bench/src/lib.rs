@@ -10,7 +10,7 @@
 //! | §1/§5 headline (NoFTL ≥ 2.4× over FTL stacks) | [`throughput::run_headline`] | `headline_throughput` |
 //! | §3.1 (DFTL up to 3.7× slower than page mapping) | [`dftl_slowdown::run_dftl_slowdown`] | `dftl_slowdown` |
 //! | §3 latency example (0.45 ms avg writes, ~80 ms outliers) | [`latency::run_latency_profile`] | `latency_profile` |
-//! | Demo scenario 1 (emulator validation & parallelism) | [`validation::run_validation`] | `emulator_validation` |
+//! | Demo scenario 1 (emulator validation & parallelism) | [`flash_emulator::validation::validate_standard_profiles`], [`validation::run_parallelism_sweep`] | `emulator_validation` |
 //! | §4 concurrency argument (N clients over the shared engine) | [`client_scaling::run_client_scaling`] | `client_scaling` |
 //! | §3 motivation under overload (PR 9: open-loop SLO sweep) | [`slo::run_sweep`] | `slo_overload` |
 

@@ -1,16 +1,18 @@
-//! Shared experiment plumbing: device sizing and engine construction per
-//! storage stack.
+//! Shared experiment plumbing: device sizing, engine construction per
+//! storage stack, and the one live TPC run behind Figure 4 and the headline.
 
 use flash_emulator::{EmulatedSsd, HostLink};
 use ftl::dftl::{Dftl, DftlConfig};
 use ftl::faster::{FasterConfig, FasterFtl};
-use ftl::page_ftl::{PageFtl, PageFtlConfig};
 use nand_flash::FlashGeometry;
 use noftl_core::{FlusherAssignment, NoFtlConfig};
 use storage_engine::{
-    backend::{BlockDeviceBackend, MemBackend, StackConfig},
-    FlusherConfig, StorageEngine,
+    backend::{BlockDeviceBackend, StackConfig},
+    EngineConfig, StorageEngine,
 };
+use workloads::{BenchmarkDriver, DriverConfig, DriverReport};
+
+use crate::gc_overhead::gc_workload;
 
 /// Which storage stack an experiment runs on (the alternatives of Figure 1 /
 /// Figure 6 of the paper).
@@ -22,10 +24,6 @@ pub enum Stack {
     Faster,
     /// Conventional SSD with DFTL behind SATA2.
     Dftl,
-    /// Conventional SSD with pure page-level mapping behind SATA2.
-    PageFtl,
-    /// Zero-latency in-memory backend (trace recording / baselines).
-    Mem,
 }
 
 impl Stack {
@@ -35,8 +33,6 @@ impl Stack {
             Stack::NoFtl => "noftl",
             Stack::Faster => "ftl-faster",
             Stack::Dftl => "ftl-dftl",
-            Stack::PageFtl => "ftl-page",
-            Stack::Mem => "mem",
         }
     }
 }
@@ -63,16 +59,6 @@ impl Benchmark {
     }
 }
 
-/// Experiment scale: `quick` keeps everything small enough for CI; `full`
-/// approaches the paper's relative database sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Small databases / few transactions (seconds).
-    Quick,
-    /// Larger databases / more transactions (minutes).
-    Full,
-}
-
 /// Build a geometry providing at least `logical_pages` logical pages at the
 /// given utilisation, spread over `dies` dies.
 pub fn geometry_for_pages(logical_pages: u64, utilisation: f64, dies: u32) -> FlashGeometry {
@@ -82,20 +68,14 @@ pub fn geometry_for_pages(logical_pages: u64, utilisation: f64, dies: u32) -> Fl
     FlashGeometry::with_dies(dies, blocks_total as u32, pages_per_block as u32, 4096)
 }
 
-/// Construct a storage engine on the requested stack over a device with the
-/// given geometry, under `knobs`, with `buffer_frames` pool frames.  The paper's
-/// live experiments use buffer pools far smaller than the database, so the
-/// I/O path — and therefore the storage stack — dominates.
-pub fn build_engine_with_buffer(
+/// Construct a storage engine with configuration `cfg` on the requested
+/// stack over a device with the given geometry, under `knobs`.
+pub fn build_engine(
     knobs: &StackConfig,
     stack: Stack,
     geometry: FlashGeometry,
-    flushers: FlusherConfig,
-    buffer_frames: usize,
+    cfg: EngineConfig,
 ) -> StorageEngine {
-    let mut cfg = knobs.engine();
-    cfg.buffer_frames = buffer_frames;
-    cfg.flushers = flushers;
     match stack {
         Stack::NoFtl => {
             let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
@@ -111,36 +91,34 @@ pub fn build_engine_with_buffer(
             let ssd = EmulatedSsd::new(ftl, HostLink::sata2());
             StorageEngine::new(Box::new(BlockDeviceBackend::new(ssd, "ftl-dftl")), cfg)
         }
-        Stack::PageFtl => {
-            let ftl = PageFtl::new(PageFtlConfig::new(geometry));
-            let ssd = EmulatedSsd::new(ftl, HostLink::sata2());
-            StorageEngine::new(Box::new(BlockDeviceBackend::new(ssd, "ftl-page")), cfg)
-        }
-        Stack::Mem => {
-            let backend = MemBackend::new(geometry.page_size as usize, geometry.total_pages());
-            StorageEngine::new(Box::new(backend), cfg)
-        }
     }
 }
 
-/// Default number of measured transactions for a benchmark at a scale.
-pub fn default_transactions(scale: Scale) -> u64 {
-    match scale {
-        Scale::Quick => 400,
-        Scale::Full => 4_000,
-    }
-}
-
-/// The db-writer configuration of the live experiments, under `knobs`.
-pub fn default_flushers(
+/// One live run under `knobs`: 800 write-pressure transactions of
+/// `benchmark` from `clients` clients on `stack`, over a fixed 24 000-page
+/// drive at 0.85 utilisation split over `dies` dies, with `dies` db-writers
+/// in the given assignment.  The 512-frame buffer pool is a small fraction
+/// of the database, so the storage stack is on the critical path.
+pub fn run_live(
     knobs: &StackConfig,
+    benchmark: Benchmark,
+    stack: Stack,
+    dies: u32,
     assignment: FlusherAssignment,
-    writers: usize,
-) -> FlusherConfig {
-    let mut cfg = knobs.flushers(assignment, writers);
-    cfg.dirty_high_watermark = 0.4;
-    cfg.dirty_low_watermark = 0.05;
-    cfg
+    clients: usize,
+) -> DriverReport {
+    let mut workload = gc_workload(benchmark);
+    let geometry = geometry_for_pages(24_000, 0.85, dies);
+    let mut cfg = knobs.engine();
+    cfg.buffer_frames = 512;
+    cfg.flushers = knobs.flushers(assignment, dies as usize);
+    cfg.flushers.dirty_high_watermark = 0.3;
+    cfg.flushers.dirty_low_watermark = 0.02;
+    let mut engine = build_engine(knobs, stack, geometry, cfg);
+    let start = workload.setup(&mut engine, 0).expect("setup");
+    BenchmarkDriver::new(DriverConfig::write_pressure(clients, 800))
+        .run(&mut engine, workload.as_mut(), start)
+        .expect("driver run")
 }
 
 #[cfg(test)]
@@ -157,12 +135,11 @@ mod tests {
     #[test]
     fn engines_build_on_every_stack() {
         let g = geometry_for_pages(4_000, 0.8, 4);
-        for stack in [Stack::NoFtl, Stack::Faster, Stack::Dftl, Stack::PageFtl, Stack::Mem] {
-            let knobs = StackConfig::default();
-            let engine = build_engine_with_buffer(&knobs, stack, g, FlusherConfig::global(2), 2048);
+        let knobs = StackConfig::default();
+        for stack in [Stack::NoFtl, Stack::Faster, Stack::Dftl] {
+            let engine = build_engine(&knobs, stack, g, knobs.engine());
             assert!(engine.page_size() > 0);
             assert!(engine.backend_name().contains(match stack {
-                Stack::Mem => "mem",
                 Stack::NoFtl => "noftl",
                 _ => "ftl",
             }));

@@ -179,33 +179,6 @@ impl SloPoint {
             setup_committed,
         }
     }
-
-    /// One JSON object (hand-rendered; the bench crate carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"slo\": {}, \"clients\": {}, \"interarrival_ns\": {}, ",
-                "\"offered_tps\": {:.1}, \"completed_tps\": {:.1}, ",
-                "\"requests\": {}, \"completed\": {}, \"shed\": {}, ",
-                "\"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, ",
-                "\"admitted\": {}, \"delayed\": {}, \"admission_shed\": {}}}"
-            ),
-            self.slo,
-            self.clients,
-            self.interarrival_ns,
-            self.offered_tps,
-            self.completed_tps,
-            self.requests,
-            self.completed,
-            self.shed,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.admitted,
-            self.delayed,
-            self.admission_shed,
-        )
-    }
 }
 
 /// Run one sweep point: `requests` measured open-loop requests at the given
@@ -281,20 +254,6 @@ pub fn render_table(points: &[SloPoint]) -> String {
         ));
     }
     out
-}
-
-/// Render the sweep as a JSON document.
-pub fn render_json(points: &[SloPoint]) -> String {
-    let body: Vec<String> = points.iter().map(|p| format!("    {}", p.to_json())).collect();
-    format!(
-        concat!(
-            "{{\n  \"experiment\": \"pr9-slo-overload\",\n",
-            "  \"note\": \"open-loop Poisson arrivals; latency measured from scheduled ",
-            "arrival (queueing included); divergence point at interarrival 150000 ns\",\n",
-            "  \"points\": [\n{}\n  ]\n}}\n"
-        ),
-        body.join(",\n")
-    )
 }
 
 #[cfg(test)]

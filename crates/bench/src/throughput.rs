@@ -5,13 +5,8 @@
 
 use noftl_core::FlusherAssignment;
 use storage_engine::backend::StackConfig;
-use workloads::{BenchmarkDriver, DriverConfig};
 
-use crate::gc_overhead::gc_workload;
-use crate::setup::{
-    build_engine_with_buffer, default_flushers, default_transactions, geometry_for_pages,
-    Benchmark, Scale, Stack,
-};
+use crate::setup::{run_live, Benchmark, Stack};
 
 /// TPS of one (benchmark, stack) combination.
 #[derive(Debug, Clone)]
@@ -28,37 +23,16 @@ pub struct ThroughputPoint {
     pub p99_ms: f64,
 }
 
-/// Run one benchmark on one stack under `knobs`.
-pub fn run_stack(
-    knobs: &StackConfig,
-    benchmark: Benchmark,
-    stack: Stack,
-    scale: Scale,
-) -> ThroughputPoint {
-    let mut workload = gc_workload(benchmark, scale);
-    // The drive is a few times larger than the database (as in the paper's
-    // 10 GB drives), and the buffer pool is a small fraction of the database
-    // so the storage stack is on the critical path.
-    let logical_pages = match scale {
-        Scale::Quick => 24_000,
-        Scale::Full => 120_000,
+/// Run one benchmark on one stack under `knobs`: 8 dies, 8 db-writers, 16
+/// clients.  NoFTL gets the Flash-aware die-wise flusher assignment; the FTL
+/// stacks cannot (the block interface hides the layout), so they use the
+/// global scheme.
+pub fn run_stack(knobs: &StackConfig, benchmark: Benchmark, stack: Stack) -> ThroughputPoint {
+    let assignment = match stack {
+        Stack::NoFtl => FlusherAssignment::DieWise,
+        _ => FlusherAssignment::Global,
     };
-    let geometry = geometry_for_pages(logical_pages, 0.85, 8);
-    // NoFTL gets the Flash-aware flusher assignment; the FTL stacks cannot
-    // (the block interface hides the layout), so they use the global scheme.
-    let mut flushers = match stack {
-        Stack::NoFtl => default_flushers(knobs, FlusherAssignment::DieWise, 8),
-        _ => default_flushers(knobs, FlusherAssignment::Global, 8),
-    };
-    flushers.dirty_high_watermark = 0.3;
-    flushers.dirty_low_watermark = 0.02;
-    let mut engine = build_engine_with_buffer(knobs, stack, geometry, flushers, 512);
-    let start = workload.setup(&mut engine, 0).expect("setup");
-    let transactions = default_transactions(scale) * 2;
-    let driver = BenchmarkDriver::new(DriverConfig::write_pressure(16, transactions));
-    let report = driver
-        .run(&mut engine, workload.as_mut(), start)
-        .expect("driver run");
+    let report = run_live(knobs, benchmark, stack, 8, assignment, 16);
     ThroughputPoint {
         benchmark: benchmark.name().to_string(),
         stack: stack.name().to_string(),
@@ -69,15 +43,11 @@ pub fn run_stack(
 }
 
 /// Run the headline comparison: each benchmark on FASTer, DFTL and NoFTL.
-pub fn run_headline(
-    knobs: &StackConfig,
-    scale: Scale,
-    benchmarks: &[Benchmark],
-) -> Vec<ThroughputPoint> {
+pub fn run_headline(knobs: &StackConfig, benchmarks: &[Benchmark]) -> Vec<ThroughputPoint> {
     let mut rows = Vec::new();
     for &b in benchmarks {
         for stack in [Stack::Faster, Stack::Dftl, Stack::NoFtl] {
-            rows.push(run_stack(knobs, b, stack, scale));
+            rows.push(run_stack(knobs, b, stack));
         }
     }
     rows
@@ -134,8 +104,8 @@ mod tests {
     #[test]
     fn noftl_beats_faster_on_tpcb_quick() {
         let knobs = StackConfig::default();
-        let rows = [run_stack(&knobs, Benchmark::TpcB, Stack::Faster, Scale::Quick),
-            run_stack(&knobs, Benchmark::TpcB, Stack::NoFtl, Scale::Quick)];
+        let rows = [run_stack(&knobs, Benchmark::TpcB, Stack::Faster),
+            run_stack(&knobs, Benchmark::TpcB, Stack::NoFtl)];
         let faster = rows.iter().find(|r| r.stack == "ftl-faster").unwrap().tps;
         let noftl = rows.iter().find(|r| r.stack == "noftl").unwrap().tps;
         assert!(

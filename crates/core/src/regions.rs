@@ -13,12 +13,15 @@
 //!   to them, eliminating chip contention (up to 1.5× higher TPC-C
 //!   throughput, Figure 4).
 //!
+//! The storage engine's flusher pool (`FlusherPool::partition`) splits the
+//! dirty pages among the writers under either policy.
+//!
 //! Placement *queries* ([`RegionManager::region_of_lpn`],
 //! [`RegionManager::region_of_die`], [`RegionManager::region_of_block`],
-//! [`RegionManager::free_blocks_in`], [`RegionManager::flusher_for_lpn`],
-//! ...) are `&self` over precomputed dense tables — no interior mutability —
-//! while allocator *mutation* ([`RegionManager::allocate_page_in`],
-//! [`RegionManager::release_block`], ...) is `&mut self`.
+//! [`RegionManager::free_blocks_in`], ...) are `&self` over precomputed dense
+//! tables — no interior mutability — while allocator *mutation*
+//! ([`RegionManager::allocate_page_in`], [`RegionManager::release_block`],
+//! ...) is `&mut self`.
 
 use std::collections::VecDeque;
 
@@ -394,39 +397,6 @@ impl RegionManager {
         }
         None
     }
-
-    /// Regions owned by flusher `flusher_id` out of `flushers` under the given
-    /// assignment policy.
-    pub fn regions_for_flusher(
-        &self,
-        assignment: FlusherAssignment,
-        flusher_id: usize,
-        flushers: usize,
-    ) -> Vec<RegionId> {
-        assert!(flushers > 0);
-        match assignment {
-            FlusherAssignment::Global => (0..self.regions()).collect(),
-            FlusherAssignment::DieWise => (0..self.regions())
-                .filter(|r| r % flushers == flusher_id % flushers)
-                .collect(),
-        }
-    }
-
-    /// Which flusher is responsible for a logical page under the given
-    /// assignment (for `Global` the pages are spread round-robin regardless of
-    /// region; for `DieWise` the flusher owning the page's region).
-    pub fn flusher_for_lpn(
-        &self,
-        assignment: FlusherAssignment,
-        lpn: u64,
-        flushers: usize,
-    ) -> usize {
-        assert!(flushers > 0);
-        match assignment {
-            FlusherAssignment::Global => (lpn % flushers as u64) as usize,
-            FlusherAssignment::DieWise => self.region_of_lpn(lpn) % flushers,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -582,41 +552,6 @@ mod tests {
         rm.rollback_unprogrammed(&run);
         assert_eq!(rm.free_blocks_in(0), free_before);
         assert!(!rm.is_active(run[0].block_addr()));
-    }
-
-    #[test]
-    fn die_wise_flusher_assignment_partitions_regions() {
-        let g = FlashGeometry::with_dies(8, 512, 32, 4096);
-        let rm = RegionManager::new(g, StripingMode::DieWise);
-        let flushers = 4;
-        let mut seen = vec![false; rm.regions()];
-        for f in 0..flushers {
-            for r in rm.regions_for_flusher(FlusherAssignment::DieWise, f, flushers) {
-                assert!(!seen[r], "region {r} owned by two flushers");
-                seen[r] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every region must have an owner");
-    }
-
-    #[test]
-    fn global_assignment_gives_everyone_everything() {
-        let g = FlashGeometry::small();
-        let rm = RegionManager::new(g, StripingMode::DieWise);
-        let all = rm.regions_for_flusher(FlusherAssignment::Global, 2, 4);
-        assert_eq!(all.len(), rm.regions());
-    }
-
-    #[test]
-    fn flusher_for_lpn_consistent_with_region_ownership() {
-        let g = FlashGeometry::small();
-        let rm = RegionManager::new(g, StripingMode::DieWise);
-        let flushers = 2;
-        for lpn in 0..100u64 {
-            let f = rm.flusher_for_lpn(FlusherAssignment::DieWise, lpn, flushers);
-            let owned = rm.regions_for_flusher(FlusherAssignment::DieWise, f, flushers);
-            assert!(owned.contains(&rm.region_of_lpn(lpn)));
-        }
     }
 
     #[test]

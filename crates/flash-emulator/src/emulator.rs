@@ -32,11 +32,6 @@ impl<F: Ftl> EmulatedSsd<F> {
         &self.ftl
     }
 
-    /// Mutably borrow the embedded FTL.
-    pub fn ftl_mut(&mut self) -> &mut F {
-        &mut self.ftl
-    }
-
     /// Borrow the host-interface state (queue-wait accounting).
     pub fn host(&self) -> &HostInterface {
         &self.host

@@ -76,20 +76,6 @@ impl FioJob {
         }
     }
 
-    /// Sequential write job.
-    pub fn sequential_write(ops: u64) -> Self {
-        Self {
-            name: "seq-write".into(),
-            read_fraction: 0.0,
-            pattern: AccessPattern::Sequential,
-            ops,
-            queue_depth: 1,
-            working_set: 0.8,
-            seed: 42,
-            prefill: false,
-        }
-    }
-
     /// Mixed 70/30 read/write OLTP-like job with Zipf skew.
     pub fn oltp_mix(ops: u64, queue_depth: u32) -> Self {
         Self {
@@ -286,15 +272,6 @@ mod tests {
             qd8 > qd1 * 1.5,
             "queue depth should raise IOPS: qd1={qd1:.0} qd8={qd8:.0}"
         );
-    }
-
-    #[test]
-    fn sequential_and_random_writes_both_complete() {
-        let mut ssd = small_ssd();
-        let job = FioJob::sequential_write(400);
-        let report = run_fio(&mut ssd, &job, 0);
-        assert_eq!(report.ops, 400);
-        assert!(report.throughput_mib_s > 0.0);
     }
 
     #[test]

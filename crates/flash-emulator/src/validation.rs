@@ -143,6 +143,11 @@ mod tests {
             assert!(r.measured_read_ns > 0.0);
             assert!(r.measured_write_ns > 0.0);
         }
+        assert!(
+            reports.iter().filter(|r| r.passed).count() >= 3,
+            "most profiles should validate: {:?}",
+            reports.iter().map(|r| (r.profile.clone(), r.passed)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl BlockPools {
             .ok_or(FlashError::OutOfSpareBlocks)?;
         Ok((p, p.channel == src.channel && p.die == src.die && p.plane == src.plane))
     }
-
-    /// Close the active block of `plane` (e.g. before erasing it).
-    pub fn close_active(&mut self, plane: PlaneIndex) -> Option<BlockAddr> {
-        self.active[plane].take().map(|(a, _)| a)
-    }
 }
 
 #[cfg(test)]
@@ -263,18 +258,6 @@ mod tests {
         pools.retire_block(b);
         assert!(!pools.is_free(b));
         assert_eq!(pools.total_free_blocks(), 0);
-    }
-
-    #[test]
-    fn close_active_prevents_further_allocation_from_it() {
-        let g = FlashGeometry::tiny();
-        let mut pools = BlockPools::new_all_free(g);
-        let a = pools.allocate_page_on(0).unwrap();
-        let closed = pools.close_active(0).unwrap();
-        assert_eq!(closed, a.block_addr());
-        let next = pools.allocate_page_on(0).unwrap();
-        assert_ne!(next.block_addr(), a.block_addr());
-        assert_eq!(next.page, 0);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl<F: Ftl> FtlBlockDevice<F> {
     pub fn ftl(&self) -> &F {
         &self.ftl
     }
-
-    /// Mutably borrow the wrapped FTL.
-    pub fn ftl_mut(&mut self) -> &mut F {
-        &mut self.ftl
-    }
 }
 
 impl<F: Ftl> BlockDevice for FtlBlockDevice<F> {

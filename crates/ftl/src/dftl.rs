@@ -112,11 +112,6 @@ impl Dftl {
         Self::new(DftlConfig::new(geometry))
     }
 
-    /// Number of entries one translation page covers.
-    pub fn entries_per_translation_page(&self) -> u64 {
-        self.entries_per_tp
-    }
-
     fn tvpn_of(&self, lpn: u64) -> u64 {
         lpn / self.entries_per_tp
     }
@@ -548,11 +543,5 @@ mod tests {
         ftl.trim(0, 3).unwrap();
         let mut buf = page(&ftl, 0);
         assert!(ftl.read(0, 3, &mut buf).is_err());
-    }
-
-    #[test]
-    fn entries_per_translation_page_matches_page_size() {
-        let ftl = small_dftl(64);
-        assert_eq!(ftl.entries_per_translation_page(), 4096 / 8);
     }
 }

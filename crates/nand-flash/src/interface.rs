@@ -46,11 +46,6 @@ impl OpCompletion {
     pub fn latency_from(&self, issued_at: SimInstant) -> u64 {
         self.completed_at.saturating_sub(issued_at)
     }
-
-    /// Service time of the command itself (completion − start).
-    pub fn service_time(&self) -> u64 {
-        self.completed_at.saturating_sub(self.started_at)
-    }
 }
 
 /// Response of the `IDENTIFY` command: everything a DBMS needs to know about
@@ -186,7 +181,6 @@ mod tests {
             completed_at: 200,
         };
         assert_eq!(c.latency_from(100), 100);
-        assert_eq!(c.service_time(), 50);
         assert_eq!(c.latency_from(300), 0); // saturating
     }
 }

@@ -58,11 +58,6 @@ impl Page {
     pub fn is_valid(&self) -> bool {
         self.state == PageState::Valid
     }
-
-    /// Whether the page holds reclaimable garbage.
-    pub fn is_invalid(&self) -> bool {
-        self.state == PageState::Invalid
-    }
 }
 
 impl Default for Page {
@@ -80,7 +75,6 @@ mod tests {
         let p = Page::erased();
         assert!(p.is_free());
         assert!(!p.is_valid());
-        assert!(!p.is_invalid());
         assert!(p.data.is_none());
     }
 

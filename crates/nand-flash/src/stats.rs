@@ -98,12 +98,6 @@ impl FlashStats {
         self.reads + self.programs + self.erases + self.copybacks
     }
 
-    /// Total page-program operations including copybacks (each copyback
-    /// programs one page internally) — the write-wear measure.
-    pub fn total_page_writes(&self) -> u64 {
-        self.programs + self.copybacks
-    }
-
     /// Reset all counters and histograms.
     pub fn clear(&mut self) {
         let dies = self.per_die_ops.len();
@@ -151,29 +145,6 @@ impl FlashStats {
             *a += *b;
         }
     }
-
-    /// Coefficient of variation of per-die operation counts — a quick measure
-    /// of how evenly work spreads over the Flash parallel units.
-    pub fn die_balance_cv(&self) -> f64 {
-        let n = self.per_die_ops.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mean = self.per_die_ops.iter().sum::<u64>() as f64 / n as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .per_die_ops
-            .iter()
-            .map(|&x| {
-                let d = x as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        var.sqrt() / mean
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +159,6 @@ mod tests {
         s.erases = 2;
         s.copybacks = 3;
         assert_eq!(s.total_ops(), 20);
-        assert_eq!(s.total_page_writes(), 8);
     }
 
     #[test]
@@ -232,21 +202,5 @@ mod tests {
         assert_eq!(s.programs, 0);
         assert_eq!(s.per_die_ops, vec![0, 0, 0]);
         assert_eq!(s.program_latency.count(), 0);
-    }
-
-    #[test]
-    fn balance_cv_detects_imbalance() {
-        let mut balanced = FlashStats::new(4);
-        balanced.per_die_ops = vec![100, 100, 100, 100];
-        let mut skewed = FlashStats::new(4);
-        skewed.per_die_ops = vec![400, 0, 0, 0];
-        assert!(balanced.die_balance_cv() < 0.01);
-        assert!(skewed.die_balance_cv() > 1.0);
-    }
-
-    #[test]
-    fn empty_cv_is_zero() {
-        assert_eq!(FlashStats::new(0).die_balance_cv(), 0.0);
-        assert_eq!(FlashStats::new(4).die_balance_cv(), 0.0);
     }
 }

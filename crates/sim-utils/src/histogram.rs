@@ -74,18 +74,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Record `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_index(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -242,19 +230,6 @@ mod tests {
         assert_eq!(a.count(), 200);
         assert!(a.max() >= 1099);
         assert_eq!(a.min(), 0);
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(777, 50);
-        for _ in 0..50 {
-            b.record(777);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.percentile(0.5), b.percentile(0.5));
-        assert!((a.mean() - b.mean()).abs() < 1e-9);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   (Zipf, TPC-C NURand, uniform ranges).
 //! * [`histogram`] — latency histograms with percentile queries, used to
 //!   report response-time distributions and FTL outliers.
-//! * [`stats`] — small running-statistics helpers (mean / min / max /
-//!   variance) and human-readable formatting of counts, bytes and durations.
+//! * [`stats`] — human-readable formatting of counts.
 //! * [`time`] — the simulated-time base types (nanosecond ticks).
 //! * [`flatmap`] — dense directly-indexed map/bitset for per-page hot paths.
 //! * [`intmap`] — open-addressing integer hash map (sparse key spaces).
@@ -35,5 +34,5 @@ pub use histogram::Histogram;
 pub use intmap::IntMap;
 pub use pagetable::PageTable;
 pub use rng::{SimRng, SplitMix64};
-pub use stats::{fmt_count, fmt_duration_ns, Running};
+pub use stats::fmt_count;
 pub use time::{SimDuration, SimInstant, MICROS, MILLIS, SECONDS};

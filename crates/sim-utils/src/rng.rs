@@ -126,12 +126,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Fork a statistically independent child generator (for per-client or
-    /// per-die streams) without consuming much state of the parent.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64() ^ 0xA5A5_5A5A_DEAD_BEEF)
-    }
 }
 
 #[cfg(test)]
@@ -204,15 +198,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn fork_produces_distinct_stream() {
-        let mut parent = SimRng::new(21);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..16).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..16).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

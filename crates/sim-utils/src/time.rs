@@ -38,18 +38,6 @@ pub const fn seconds(s: u64) -> SimDuration {
     s * SECONDS
 }
 
-/// Convert a [`SimDuration`] to fractional seconds (for reporting only).
-#[inline]
-pub fn to_secs_f64(d: SimDuration) -> f64 {
-    d as f64 / SECONDS as f64
-}
-
-/// Convert a [`SimDuration`] to fractional milliseconds (for reporting only).
-#[inline]
-pub fn to_millis_f64(d: SimDuration) -> f64 {
-    d as f64 / MILLIS as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +49,5 @@ mod tests {
         assert_eq!(seconds(1), 1_000_000_000);
         assert_eq!(micros(1_000), millis(1));
         assert_eq!(millis(1_000), seconds(1));
-    }
-
-    #[test]
-    fn float_conversions() {
-        assert!((to_secs_f64(seconds(2)) - 2.0).abs() < 1e-12);
-        assert!((to_millis_f64(micros(1500)) - 1.5).abs() < 1e-12);
     }
 }

@@ -67,13 +67,6 @@ impl Catalog {
     pub fn drop_table(&mut self, name: &str) -> Option<HeapFile> {
         self.tables.remove(name)
     }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +81,6 @@ mod tests {
         assert!(!cat.add_table(HeapFile::new("warehouse")), "duplicate rejected");
         assert!(cat.table("warehouse").is_some());
         assert!(cat.table("missing").is_none());
-        assert_eq!(cat.table_names(), vec!["district", "warehouse"]);
     }
 
     #[test]

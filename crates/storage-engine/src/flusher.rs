@@ -132,17 +132,6 @@ pub struct FlusherStats {
     pub max_cycle_time: u64,
 }
 
-impl FlusherStats {
-    /// Mean cycle duration in nanoseconds.
-    pub fn mean_cycle_time(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.total_cycle_time as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Truthful accounting of the load-aware wave throttle: every
 /// [`FlusherPool::throttled_wave`] probe with the throttle on lands in
 /// exactly one of `throttled_waves` / `clear_waves`.
@@ -876,6 +865,5 @@ mod tests {
         }
         assert_eq!(flushers.stats().cycles, 3);
         assert_eq!(flushers.stats().pages_flushed, 12);
-        assert!(flushers.stats().mean_cycle_time() >= 0.0);
     }
 }

@@ -160,8 +160,8 @@
 //! `workloads::MultiClientDriver` drives them, laggard-stepped on one thread.
 //! Clients are concurrent on the virtual clock only, so a multi-client run
 //! is a function of its config like any other.  The client count is an
-//! argument of the driver (`client_scaling [MAX_CLIENTS]`); it selects no
-//! code path.
+//! argument of the driver (`client_scaling` sweeps 1, 2, 4 and 8); it
+//! selects no code path.
 //!
 //! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the engine's
 //!   pool is `shards` plain [`buffer::BufferPool`]s routed by `page_id %
