@@ -11,6 +11,6 @@ fn main() {
     eprintln!("recording traces and replaying against page-mapping and DFTL...");
     // Device RAM big enough for ~0.5 % of the mapping table — the regime the
     // paper targets.
-    let rows = run_dftl_slowdown(&StackConfig::from_env(), 0.005);
+    let rows = run_dftl_slowdown(&StackConfig::default(), 0.005);
     println!("{}", render_table(&rows));
 }

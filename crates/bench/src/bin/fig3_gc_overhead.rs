@@ -9,7 +9,7 @@ use storage_engine::backend::StackConfig;
 
 fn main() {
     eprintln!("recording in-memory traces and replaying against FASTer / NoFTL...");
-    let rows = run_gc_overhead(&StackConfig::from_env());
+    let rows = run_gc_overhead(&StackConfig::default());
     println!("{}", render_table(&rows));
     for row in &rows {
         println!(

@@ -13,14 +13,14 @@ use noftl_bench::setup::Benchmark;
 use storage_engine::backend::StackConfig;
 
 fn main() {
-    let knobs = StackConfig::from_env();
+    let knobs = StackConfig::default();
     for b in [Benchmark::TpcC, Benchmark::TpcB] {
         eprintln!("running {} die-scaling sweep...", b.name());
         let result = run_dbwriter_scaling(&knobs, b, &[1, 2, 4, 8]);
         println!("{}", render_table(&result));
     }
     // The NCQ-vs-native argument as a figure table: per-die queue depth
-    // (the NOFTL_ASYNC axis) × host link on the flush-wave burst.
+    // × host link on the flush-wave burst.
     eprintln!("running queue depth x host link sweep...");
     let sweep = run_depth_link_sweep(8, &[1, 2, 4, 8]);
     println!("{}", render_depth_link_table(&sweep));

@@ -10,7 +10,7 @@ use storage_engine::backend::StackConfig;
 
 fn main() {
     eprintln!("running TPC-C / TPC-B on faster, dftl and noftl stacks...");
-    let knobs = StackConfig::from_env();
+    let knobs = StackConfig::default();
     let rows = run_headline(&knobs, &[Benchmark::TpcC, Benchmark::TpcB]);
     println!("{}", render_table(&rows));
 }

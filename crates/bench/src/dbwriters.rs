@@ -4,7 +4,7 @@
 //!
 //! The companion queue-depth sweep ([`run_depth_link_sweep`]) reproduces the
 //! §3.2 NCQ-vs-native host-link argument as a figure table: the same
-//! flush-wave-plus-point-reads burst, swept over `NOFTL_ASYNC`-style per-die
+//! flush-wave-plus-point-reads burst, swept over per-die
 //! queue depths behind a SATA2-NCQ link (32 outstanding commands, 20 µs
 //! protocol overhead) and a native link (1024 outstanding, 2 µs).
 
@@ -123,7 +123,7 @@ pub fn render_table(result: &DbWriterScaling) -> String {
 /// One measured point of the queue-depth × host-link sweep.
 #[derive(Debug, Clone)]
 pub struct DepthLinkPoint {
-    /// Per-die queue depth (the `NOFTL_ASYNC` axis).
+    /// Per-die queue depth.
     pub depth: usize,
     /// Host-link name ("sata2-ncq" or "native").
     pub link: &'static str,

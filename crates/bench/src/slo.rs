@@ -64,7 +64,7 @@ fn overload_backend(slo: bool) -> NoFtlBackend {
     let geometry = geometry_for_pages(2_048, 0.55, DIES);
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = DEPTH;
-    // The SLO bundle's GC policies, exactly as `NOFTL_SLO=on` projects them.
+    // The SLO bundle's GC policies, exactly as `StackConfig::slo` projects them.
     let knobs = StackConfig {
         slo,
         ..StackConfig::default()

@@ -79,15 +79,15 @@ pub struct NoFtlConfig {
     /// Read-disturb scrub threshold: when a block serves this many reads
     /// since its last erase, the scrubber relocates its live pages and
     /// erases it preventively.  Only consulted while the device runs with a
-    /// fault plan (`NOFTL_FAULTS`); without one the device does not even
+    /// fault plan (`StackConfig::faults`); without one the device does not even
     /// maintain the counter.
     pub scrub_read_disturb_threshold: u64,
     /// Per-region redundancy policy (index = region id).  Empty — the
     /// default — means [`RedundancyPolicy::None`] everywhere, which keeps
     /// every write path bit- and cycle-identical to a build without the
     /// redundancy machinery.  A shorter-than-regions vector leaves the
-    /// remaining regions unprotected.  The `NOFTL_REDUNDANCY` knob
-    /// (`storage_engine::backend::StackConfig::noftl`) sets one policy for
+    /// remaining regions unprotected.
+    /// `storage_engine::backend::StackConfig::noftl` sets one policy for
     /// every region.
     pub redundancy: Vec<RedundancyPolicy>,
 }

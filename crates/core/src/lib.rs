@@ -60,7 +60,7 @@
 //! return value of the call that issued it — there is no second completion
 //! stream; [`NoFtl::drain`] is the barrier the storage engine uses at
 //! checkpoints.  Depth 1 is bit- and cycle-identical to the synchronous
-//! dispatch (the `NOFTL_ASYNC=1` equivalence leg in `tests/equivalence.rs`).
+//! dispatch (the depth-1 equivalence leg in `tests/equivalence.rs`).
 //!
 //! Since PR 4 **reads ride the same queues**: [`NoFtl::read`] submits its
 //! PAGE READ into the target die's queue at depth > 1, so a foreground point
@@ -92,7 +92,7 @@
 //! With NoFTL there is no device firmware to paper over media errors — the
 //! DBMS layer *is* the error-handling layer.  The device model injects
 //! deterministic, seeded program/erase/read failures
-//! (`nand_flash::fault::FaultPlan`, enabled via the `NOFTL_FAULTS` knob;
+//! (`nand_flash::fault::FaultPlan`, armed by `StackConfig::faults`;
 //! off is bit- and cycle-identical to a fault-free build), and this crate
 //! recovers from every class without losing committed data:
 //!
@@ -140,7 +140,7 @@
 //! block; a *die* failure takes out every block of a plane group at once,
 //! and without an FTL the DBMS again is the layer that must answer for it.
 //! Each region carries a [`RedundancyPolicy`] (config field
-//! [`NoFtlConfig::redundancy`], which the `NOFTL_REDUNDANCY` knob of
+//! [`NoFtlConfig::redundancy`], which the `redundancy` field of
 //! `storage_engine::backend::StackConfig` projects onto; default `None` is
 //! bit- and cycle-identical to a build without the feature):
 //!

@@ -436,8 +436,8 @@ impl NoFtl {
 
     /// Install (or clear) the device's fault-injection plan, keeping the
     /// cached fault-path gate in sync (chaos tests arm a die kill mid-run;
-    /// `storage_engine::backend::StackConfig::noftl_backend` installs the
-    /// `NOFTL_FAULTS` plan).
+    /// `storage_engine::backend::StackConfig::noftl_backend` installs its
+    /// `faults` plan).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.device.set_fault_plan(plan);
         self.faults_active = self.device.faults_enabled();
@@ -848,7 +848,9 @@ impl NoFtl {
     ///   paths may place differently: the sequential path re-checks GC
     ///   before every page, while the batch path runs GC once per region
     ///   per submission and spills a drained region's remainder to other
-    ///   regions (batched GC relocation is a ROADMAP follow-on);
+    ///   regions.  That GC relocates cross-plane survivors in same-die runs
+    ///   of up to `max(`[`NoFtlConfig::gc_batch_pages`]`, 1)` pages, one
+    ///   program dispatch per run, as every GC does;
     /// * if the same LPN appears twice, the later entry supersedes the
     ///   earlier one, exactly as sequential writes would.
     ///
@@ -3701,9 +3703,9 @@ mod tests {
         let mut cfg = NoFtlConfig::new(FlashGeometry::small());
         // Parity(3) keeps ~1 extra live page per 3 logical ones — plus the
         // parity of superseded versions, pinned until their blocks erase —
-        // so the over-provisioning must budget for it (the
-        // `NOFTL_REDUNDANCY` knob wiring applies the same accounting when it
-        // builds the config).
+        // so the over-provisioning must budget for it
+        // (`storage_engine::backend::redundancy_op_ratio` applies the same
+        // accounting when a harness sizes its config).
         cfg.op_ratio = 0.60;
         cfg.gc_low_watermark = 2;
         cfg.gc_high_watermark = 4;

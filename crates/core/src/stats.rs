@@ -76,7 +76,8 @@ impl NoFtlStats {
     }
 }
 
-/// Counters of the per-region redundancy machinery (`NOFTL_REDUNDANCY`):
+/// Counters of the per-region redundancy machinery
+/// ([`crate::config::NoFtlConfig::redundancy`]):
 /// parity striping, mirroring, and degraded reads that reconstruct pages
 /// lost to a die failure.  All zero while every region runs
 /// [`crate::config::RedundancyPolicy::None`].

@@ -29,3 +29,15 @@ struct Shared {
     engine: Mutex<Tracker>,
     table: RwLock<Vec<u64>>,
 }
+
+fn victim_policy() -> String {
+    std::env::var("GC_POLICY").unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_not_read_the_environment_either() {
+        assert!(std::env::var_os("GC_POLICY").is_none());
+    }
+}

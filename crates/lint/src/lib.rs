@@ -12,8 +12,7 @@
 //! | Pass | What it enforces |
 //! |---|---|
 //! | `panic-path` | No `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the device-facing crates (`core`, `nand-flash`, `flash-emulator`). See [`passes::panic_path`]. |
-//! | `determinism` | No hash-ordered containers, wall-clock reads, ambient RNGs, OS threads or locks (`std::thread`, `Mutex`, `RwLock`) in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, `SimInstant`, and clients stepped on the one virtual clock. See [`passes::determinism`]. |
-//! | `knob-registry` | The environment is read in one function only, `storage_engine::backend::StackConfig::from_env` (tests and examples included); every `NOFTL_*` knob it parses is set by a CI step (`NOFTL_X=` or `NOFTL_X:` outside a YAML comment), documented in the ROADMAP, and no stale knob token survives anywhere. See [`passes::knob_registry`]. |
+//! | `determinism` | No hash-ordered containers, wall-clock reads, ambient RNGs, OS threads or locks (`std::thread`, `Mutex`, `RwLock`) in non-test code of the simulation crates; offenders are pointed at `sim_utils::{FlatMap, IntMap, FlatBitSet}`, `BTreeMap`/`BTreeSet`, `SimInstant`, and clients stepped on the one virtual clock.  No environment read (`env::var(`, `env::var_os(`) in any linted file, test code, `tests/` and `examples/` included: a stack is the `StackConfig` value its caller states. See [`passes::determinism`]. |
 //! | `stats-reconciliation` | Every counter field on the six audited stats structs (`FlashStats`, `ReadaheadStats`, `AdmissionStats`, `ThrottleStats`, `RedundancyStats`, `RebuildStats`) is updated in non-test code and asserted by at least one test. See [`passes::stats_recon`]. |
 //!
 //! `panic-path` and `determinism` are two tables ([`passes::Banned`]) over
@@ -46,15 +45,12 @@ pub mod workspace;
 use std::path::Path;
 
 use diag::Diagnostic;
-use passes::knob_registry::KnobRegistry;
 
 /// The combined result of a lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// The derived knob registry, whichever passes run.
-    pub knobs: KnobRegistry,
 }
 
 /// Run the selected passes (`None` = all) over the workspace at `root`.
@@ -72,13 +68,6 @@ pub fn run(root: &Path, selected: Option<&[String]>) -> LintReport {
     if enabled(passes::determinism::PASS) {
         report.diagnostics.extend(passes::determinism::run(&sources));
     }
-    let ci = workspace::read_text(root, ".github/workflows/ci.yml");
-    let roadmap = workspace::read_text(root, "ROADMAP.md");
-    let (diags, knobs) = passes::knob_registry::run(&sources, ci.as_deref(), roadmap.as_deref());
-    if enabled(passes::knob_registry::PASS) {
-        report.diagnostics.extend(diags);
-    }
-    report.knobs = knobs;
     if enabled(passes::stats_recon::PASS) {
         report.diagnostics.extend(passes::stats_recon::run(&sources));
     }

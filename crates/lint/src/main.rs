@@ -1,12 +1,10 @@
 //! `noftl-lint` — workspace static-analysis gate.
 //!
 //! ```text
-//! noftl-lint [--root <dir>] [--pass <name>]... [--emit-knobs]
+//! noftl-lint [--root <dir>] [--pass <name>]...
 //! ```
 //!
-//! Exits non-zero when any pass reports a finding.  `--emit-knobs` prints
-//! the derived `NOFTL_*` knob registry as a markdown table, whichever passes
-//! `--pass` selects (and still runs them).
+//! Exits non-zero when any pass reports a finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,7 +12,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut selected: Vec<String> = Vec::new();
-    let mut emit_knobs = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -34,7 +31,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage("--pass requires a pass name"),
             },
-            "--emit-knobs" => emit_knobs = true,
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument `{other}`")),
         }
@@ -49,17 +45,10 @@ fn main() -> ExitCode {
         },
     );
 
-    if emit_knobs {
-        print!("{}", report.knobs.to_markdown());
-    }
     for d in &report.diagnostics {
         println!("{d}");
     }
-    eprintln!(
-        "noftl-lint: {} finding(s); {} registered knob(s)",
-        report.diagnostics.len(),
-        report.knobs.knobs.len(),
-    );
+    eprintln!("noftl-lint: {} finding(s)", report.diagnostics.len());
     if report.diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -71,7 +60,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("noftl-lint: {err}");
     }
-    eprintln!("usage: noftl-lint [--root <dir>] [--pass <name>]... [--emit-knobs]");
+    eprintln!("usage: noftl-lint [--root <dir>] [--pass <name>]...");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

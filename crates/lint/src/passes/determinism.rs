@@ -21,11 +21,18 @@
 //!   its sessions borrow (`Rc<RefCell<_>>`); under OS threads the host
 //!   scheduler would pick the interleaving
 //!
+//! One input is banned everywhere, not only in simulation crates: the
+//! process environment.  `env::var(` and `env::var_os(` fire in every linted
+//! file — test code, `tests/` and `examples/` included.  A stack is the
+//! `StackConfig` value its caller states in code; a run that read the
+//! environment would assert about whatever stack it happened to get.
+//! (`env!` at compile time and `env::args` are not environment reads.)
+//!
 //! Escape hatch: `// lint:allow(determinism): <reason>` (reason mandatory).
 
 use super::{scan, Banned};
 use crate::diag::Diagnostic;
-use crate::source::SourceFile;
+use crate::source::{AllowState, SourceFile};
 
 /// Pass name used in diagnostics and allow directives.
 pub const PASS: &str = "determinism";
@@ -66,7 +73,23 @@ const TABLE: Banned = Banned {
     },
 };
 
+/// Environment reads, banned in every linted file.
+const ENV_READS: &[&str] = &["env::var(", "env::var_os("];
+
 /// Run the pass over preprocessed sources.
 pub fn run(sources: &[SourceFile]) -> Vec<Diagnostic> {
-    scan(sources, &TABLE)
+    let mut out = scan(sources, &TABLE);
+    for f in sources {
+        for (no, line) in f.numbered() {
+            for pat in ENV_READS.iter().filter(|p| line.code.contains(**p)) {
+                if f.allow_state(no, PASS) != AllowState::Allowed {
+                    let msg = format!(
+                        "`{pat}` reads the process environment; state the stack as a StackConfig value"
+                    );
+                    out.push(Diagnostic::new(&f.rel, no, PASS, msg));
+                }
+            }
+        }
+    }
+    out
 }

@@ -1,17 +1,11 @@
-//! The four lint passes, and the banned-token scan two of them share.
+//! The three lint passes, and the banned-token scan two of them share.
 
 pub mod determinism;
-pub mod knob_registry;
 pub mod panic_path;
 pub mod stats_recon;
 
 /// All pass names, in execution order.
-pub const ALL: &[&str] = &[
-    panic_path::PASS,
-    determinism::PASS,
-    knob_registry::PASS,
-    stats_recon::PASS,
-];
+pub const ALL: &[&str] = &[panic_path::PASS, determinism::PASS, stats_recon::PASS];
 
 use crate::diag::Diagnostic;
 use crate::source::{AllowState, SourceFile};

@@ -2,10 +2,9 @@
 //!
 //! Every pass consumes [`SourceFile`]s instead of raw text: the scanner masks
 //! comments and string-literal interiors out of the `code` view (so token
-//! searches never fire on prose), collects string literals separately (for
-//! knob detection), tracks which lines sit inside test-only regions
-//! (`#[cfg(test)]` modules, `#[test]` functions, `tests/` trees), and
-//! extracts `lint:allow` directives from comments.
+//! searches never fire on prose), tracks which lines sit inside test-only
+//! regions (`#[cfg(test)]` modules, `#[test]` functions, `tests/` trees),
+//! and extracts `lint:allow` directives from comments.
 //!
 //! The scanner is line/token-level by design — no external parser crates —
 //! and handles nested block comments, raw strings (`r#"..."#`), byte strings,
@@ -30,8 +29,6 @@ pub struct Line {
     pub code: String,
     /// Concatenated comment text on this line (without `//`/`/*` markers).
     pub comment: String,
-    /// Contents of string literals *starting* on this line.
-    pub strings: Vec<String>,
     /// Whether the line is inside a test-only region.
     pub in_test: bool,
     /// Parsed `lint:allow` directive, if the comment carries one.
@@ -151,15 +148,12 @@ enum State {
 }
 
 /// Split `text` into lines with comments and string interiors masked out of
-/// the `code` view.  String-literal contents are collected per starting line.
+/// the `code` view.
 fn mask(text: &str) -> Vec<Line> {
     let chars: Vec<char> = text.chars().collect();
     let mut lines: Vec<Line> = Vec::new();
     let mut code = String::new();
     let mut comment = String::new();
-    let mut cur_string = String::new();
-    let mut string_start_line: usize = 0;
-    let mut pending: Vec<(usize, String)> = Vec::new(); // (line, content)
     let mut raw_line = String::new();
     let mut state = State::Normal;
     let mut i = 0usize;
@@ -170,7 +164,6 @@ fn mask(text: &str) -> Vec<Line> {
                 raw: std::mem::take(&mut raw_line),
                 code: std::mem::take(&mut code),
                 comment: std::mem::take(&mut comment),
-                strings: Vec::new(),
                 in_test: false,
                 allow: None,
             });
@@ -205,8 +198,6 @@ fn mask(text: &str) -> Vec<Line> {
                 } else if c == '"' {
                     state = State::Str { raw_hashes: None };
                     code.push('"');
-                    cur_string.clear();
-                    string_start_line = lines.len();
                 } else if (c == 'r' || c == 'b') && !prev_ident {
                     // Possible raw/byte string prefix: r", r#", b", br#", rb...
                     let mut j = i + 1;
@@ -235,8 +226,6 @@ fn mask(text: &str) -> Vec<Line> {
                         state = State::Str {
                             raw_hashes: if raw { Some(hashes) } else { None },
                         };
-                        cur_string.clear();
-                        string_start_line = lines.len();
                         i = j + 1;
                         continue;
                     } else {
@@ -296,25 +285,21 @@ fn mask(text: &str) -> Vec<Line> {
                     if c == '\\' {
                         code.push(' ');
                         comment.push(' ');
-                        cur_string.push(c);
                         if let Some(n) = chars.get(i + 1).copied() {
                             if n != '\n' {
                                 raw_line.push(n);
                                 code.push(' ');
                                 comment.push(' ');
-                                cur_string.push(n);
                                 i += 1;
                             }
                         }
                     } else if c == '"' {
                         code.push('"');
                         comment.push(' ');
-                        pending.push((string_start_line, std::mem::take(&mut cur_string)));
                         state = State::Normal;
                     } else {
                         code.push(' ');
                         comment.push(' ');
-                        cur_string.push(c);
                     }
                 }
                 Some(h) => {
@@ -330,17 +315,14 @@ fn mask(text: &str) -> Vec<Line> {
                                 comment.push(' ');
                             }
                             i += h as usize;
-                            pending.push((string_start_line, std::mem::take(&mut cur_string)));
                             state = State::Normal;
                         } else {
                             code.push(' ');
                             comment.push(' ');
-                            cur_string.push(c);
                         }
                     } else {
                         code.push(' ');
                         comment.push(' ');
-                        cur_string.push(c);
                     }
                 }
             },
@@ -367,13 +349,6 @@ fn mask(text: &str) -> Vec<Line> {
     }
     if !raw_line.is_empty() || !code.is_empty() {
         flush_line!();
-    }
-    // Attach completed string literals to the line they started on (a
-    // multi-line literal only completes after its start line was flushed).
-    for (l, s) in pending {
-        if let Some(line) = lines.get_mut(l) {
-            line.strings.push(s);
-        }
     }
     lines
 }
@@ -437,7 +412,6 @@ mod tests {
         );
         assert!(!f.lines[0].code.contains("HashMap"));
         assert!(f.lines[0].comment.contains("HashMap in a comment"));
-        assert_eq!(f.lines[0].strings, vec!["HashMap in a string".to_string()]);
         assert!(f.lines[1].code.contains("let b = 1;"));
     }
 
@@ -446,19 +420,18 @@ mod tests {
         let src = "let r = r#\"unwrap() \"quoted\" inside\"#;\nlet c = '\\'';\nlet l: &'static str = \"x\";\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
         assert!(!f.lines[0].code.contains("unwrap"));
-        assert_eq!(f.lines[0].strings.len(), 1);
-        assert!(f.lines[0].strings[0].contains("unwrap() \"quoted\" inside"));
+        assert!(!f.lines[0].code.contains("quoted") && !f.lines[0].code.contains("inside"));
         assert!(f.lines[2].code.contains("&'static str"));
-        assert_eq!(f.lines[2].strings, vec!["x".to_string()]);
+        assert!(!f.lines[2].code.contains('x'));
     }
 
     #[test]
-    fn multiline_strings_attach_to_start_line() {
+    fn multiline_strings_stay_masked_to_their_close() {
         let src = "let s = \"line one\nline two\";\nlet t = 5;\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert_eq!(f.lines[0].strings.len(), 1);
-        assert!(f.lines[0].strings[0].contains("line two"));
-        assert!(f.lines[1].strings.is_empty());
+        assert!(!f.lines[0].code.contains("line one"));
+        assert!(!f.lines[1].code.contains("line two"));
+        assert!(f.lines[1].code.contains(';'));
         assert!(f.lines[2].code.contains("let t"));
     }
 

@@ -30,11 +30,6 @@ pub fn collect_sources(root: &Path) -> Vec<SourceFile> {
         .collect()
 }
 
-/// Read a non-Rust text file under `root` (CI config, ROADMAP) if present.
-pub fn read_text(root: &Path, rel: &str) -> Option<String> {
-    fs::read_to_string(root.join(rel)).ok()
-}
-
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,

@@ -48,8 +48,8 @@ pub struct DeviceConfig {
     pub endurance_override: Option<u64>,
     /// Deterministic fault-injection plan (program/erase/read failures).
     /// `None` — the default — makes the device bit- and cycle-identical to a
-    /// build without fault injection.  The `NOFTL_FAULTS` knob is the
-    /// `faults` field of `storage_engine::backend::StackConfig`; a device
+    /// build without fault injection.  A stack sets it from the `faults`
+    /// field of `storage_engine::backend::StackConfig`; a device
     /// never consults the environment, so its behaviour is a pure function
     /// of this configuration.
     pub faults: Option<FaultPlan>,

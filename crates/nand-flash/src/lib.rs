@@ -39,14 +39,14 @@
 //! ([`NandDevice::drain_queues`] barriers on them), so an issuer can keep
 //! several commands in flight per die and overlap channel transfers on one
 //! die with cell programs on any die behind the channel.  A queue depth of 1
-//! reproduces the synchronous dispatch exactly (the `NOFTL_ASYNC=1`
-//! equivalence leg).
+//! reproduces the synchronous dispatch exactly (the depth-1 equivalence
+//! leg).
 //!
 //! ## Fault model
 //!
 //! [`fault::FaultPlan`] is a seeded, deterministic model of the three ways
-//! real NAND fails in the field, gated by the `NOFTL_FAULTS` environment
-//! knob (off by default — when off, the device draws **zero** random numbers
+//! real NAND fails in the field, armed through [`DeviceConfig::faults`]
+//! (off by default — when off, the device draws **zero** random numbers
 //! from the plan and is bit- and cycle-identical to a fault-free build):
 //!
 //! - **Program failures** ([`FlashError::ProgramFailed`]): probability grows
@@ -97,9 +97,7 @@ pub mod trace;
 pub use addr::{BlockAddr, DieAddr, Ppa};
 pub use device::{DeviceConfig, NandDevice};
 pub use error::{FlashError, FlashResult};
-pub use fault::{
-    parse_fault_plan, FaultPlan, KillSpec, KillTarget, ReadFaultOutcome, DEFAULT_FAULT_SEED,
-};
+pub use fault::{FaultPlan, KillSpec, KillTarget, ReadFaultOutcome};
 pub use geometry::FlashGeometry;
 pub use interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, OpKind};
 pub use nand_type::{NandType, TimingProfile};

@@ -20,7 +20,7 @@
 //! it is admitted; the queue's job is to bound the in-flight window and to
 //! re-order *issue* times the way a real per-die queue would.  With a queue
 //! depth of 1 every submission waits for its predecessor on the same die —
-//! the synchronous dispatch — which is what makes the `NOFTL_ASYNC` depth-1
+//! the synchronous dispatch — which is what makes the depth-1
 //! equivalence leg of the test suite possible.
 
 use std::collections::VecDeque;

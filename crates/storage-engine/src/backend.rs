@@ -19,74 +19,56 @@ use crate::transaction::AdmissionConfig;
 /// import with [`crate::page`]).
 type PageId = u64;
 
-/// Pages per batched write submission when `NOFTL_BATCH` is unset or `on`.
+/// Pages per batched write submission of the default stack
+/// ([`StackConfig::batch_pages`]).
 pub const DEFAULT_BATCH_PAGES: usize = 64;
 
-/// Readahead window cap (pages) when `NOFTL_READAHEAD` is unset or `on`.
+/// Readahead window cap (pages) of the default stack
+/// ([`StackConfig::readahead_window`]).
 pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 
-/// Per-die queue depth when `NOFTL_ASYNC` is `on` without a number.
-pub const DEFAULT_ASYNC_DEPTH: usize = 8;
-
 /// Proactive-GC read-occupancy threshold (in-flight reads) of the
-/// `NOFTL_SLO` bundle (see
+/// [`StackConfig::slo`] bundle (see
 /// [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`]).
 pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
 
-/// GC read-heat victim penalty of the `NOFTL_SLO` bundle (see
+/// GC read-heat victim penalty of the [`StackConfig::slo`] bundle (see
 /// [`noftl_core::NoFtlConfig::gc_read_heat_penalty`]).
 pub const DEFAULT_SLO_GC_READ_HEAT_PENALTY: f64 = 1.0;
 
 /// Device-queue occupancy (in-flight operations) at which a flusher wave
-/// defers to foreground traffic under the `NOFTL_SLO` bundle (see
+/// defers to foreground traffic under the [`StackConfig::slo`] bundle (see
 /// [`crate::flusher::FlusherPool::set_throttle_occupancy`]).
 pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
 
-/// Parity stripe width — data members per parity page — when
-/// `NOFTL_REDUNDANCY` asks for parity without a number.
-pub const DEFAULT_PARITY_K: usize = 3;
-
-/// The six `NOFTL_*` knobs as one typed value: a stack is a pure function
-/// of it.  [`StackConfig::from_env`] is the only place the process
-/// environment is read (the knob-registry lint enforces it); it is called in
-/// `main` of the bench bins and examples and in the env-honouring CI smokes.
-/// Everything else — every constructor in this workspace — is pure, and a
-/// caller that wants the knobs honoured projects the value onto the
-/// configuration structs with [`StackConfig::engine`],
+/// The six stack-wide settings as one typed value: a stack is a pure
+/// function of it, and its caller states it in code — nothing in this
+/// workspace reads the process environment.  A caller projects the value
+/// onto the configuration structs with [`StackConfig::engine`],
 /// [`StackConfig::flushers`], [`StackConfig::noftl`] and
-/// [`StackConfig::noftl_backend`].  A knob at its default leaves the
-/// projected base untouched; a knob that is set wins.
+/// [`StackConfig::noftl_backend`].  A field at its default leaves the
+/// projected base untouched; a field that is set wins.
 ///
-/// [`Default`] is the default column of the ROADMAP knob registry, and every
-/// knob's default leg is pinned trace-identical to the pre-knob behaviour.
+/// [`Default`] is the stack the paper figures run, and every field's default
+/// is pinned trace-identical to the behaviour before the field existed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StackConfig {
-    /// `NOFTL_BATCH`: pages per batched write submission (die-wise writers
-    /// and the WAL), at least 1.  Unset / `on` — [`DEFAULT_BATCH_PAGES`];
-    /// `off` / `0` / `1` — 1, one page per submission; a number `k` — runs
-    /// of at most `k` pages.
+    /// Pages per batched write submission (die-wise writers and the WAL), at
+    /// least 1: 1 is one page per submission, `k` runs of at most `k` pages.
+    /// Default [`DEFAULT_BATCH_PAGES`].
     pub batch_pages: usize,
-    /// `NOFTL_ASYNC`: submission depth per die / per submitter.  Unset /
-    /// `off` / `0` / `1` — synchronous dispatch; `on` —
-    /// [`DEFAULT_ASYNC_DEPTH`]; a number `k` — a window of `k`.
+    /// Submission depth per die / per submitter: 1 (the default) is
+    /// synchronous dispatch, `k` a window of `k`.
     pub async_depth: usize,
-    /// `NOFTL_READAHEAD`: streaming-readahead window cap in pages (it only
-    /// *issues* at depth > 1).  Unset / `on` — [`DEFAULT_READAHEAD_WINDOW`];
-    /// `off` / `0` — disabled; a number `k` — a cap of `k`.
+    /// Streaming-readahead window cap in pages (it only *issues* at depth
+    /// > 1); 0 disables it.  Default [`DEFAULT_READAHEAD_WINDOW`].
     pub readahead_window: usize,
-    /// `NOFTL_FAULTS`: seeded fault-injection plan
-    /// ([`nand_flash::parse_fault_plan`]).  Unset / `off` / `0` / `no` —
-    /// none; `on` — the default plan and seed; a number `k` — seed `k`;
-    /// anything else — none (a fault knob fails safe).
+    /// Seeded fault-injection plan armed on the device; default none.
     pub faults: Option<nand_flash::FaultPlan>,
-    /// `NOFTL_SLO`: the overload bundle — WAL commit-admission window,
-    /// load-aware flusher throttling, proactive GC into read-cold instants.
-    /// `on` / `true` / `1` / `yes` turn it on; anything else is off.
+    /// The overload bundle — WAL commit-admission window, load-aware flusher
+    /// throttling, proactive GC into read-cold instants; default off.
     pub slo: bool,
-    /// `NOFTL_REDUNDANCY`: one policy for every region.  Unset / `off` /
-    /// `0` / `no` / `none` — none; `on` / `parity` —
-    /// `Parity(`[`DEFAULT_PARITY_K`]`)`; `parity:k`; `mirror`; anything else
-    /// — none (a reliability knob fails safe).
+    /// One redundancy policy for every region; default none.
     pub redundancy: Option<RedundancyPolicy>,
 }
 
@@ -103,61 +85,8 @@ impl Default for StackConfig {
     }
 }
 
-/// `on` / `off` / page-count spelling (`NOFTL_BATCH`, `NOFTL_READAHEAD`).
-fn parse_pages(v: &str, default: usize) -> usize {
-    match v {
-        "" | "on" | "true" => default,
-        "off" | "false" => 0,
-        _ => v.parse().unwrap_or(default),
-    }
-}
-
-/// `off` / `on` / count-of-at-least-one spelling (`NOFTL_ASYNC`).
-fn parse_count(v: &str, on: usize) -> usize {
-    match v {
-        "on" | "true" => on,
-        _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
-    }
-}
-
-/// Boolean policy spelling (`NOFTL_SLO`).
-fn parse_switch(v: &str) -> bool {
-    matches!(v, "on" | "true" | "1" | "yes")
-}
-
-fn parse_redundancy(v: &str) -> Option<RedundancyPolicy> {
-    match v {
-        "on" | "true" | "yes" | "parity" => Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K)),
-        "mirror" => Some(RedundancyPolicy::Mirror),
-        _ => v
-            .strip_prefix("parity:")
-            .and_then(|k| k.trim().parse::<usize>().ok())
-            .filter(|&k| k >= 1)
-            .map(RedundancyPolicy::Parity),
-    }
-}
-
 impl StackConfig {
-    /// Parse the knobs from `lookup(name)` (`None` = unset).  Spellings are
-    /// trimmed and case-insensitive; unset and empty mean the default.
-    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        let get = |name: &str| lookup(name).unwrap_or_default().trim().to_ascii_lowercase();
-        Self {
-            batch_pages: parse_pages(&get("NOFTL_BATCH"), DEFAULT_BATCH_PAGES).max(1),
-            async_depth: parse_count(&get("NOFTL_ASYNC"), DEFAULT_ASYNC_DEPTH),
-            readahead_window: parse_pages(&get("NOFTL_READAHEAD"), DEFAULT_READAHEAD_WINDOW),
-            faults: nand_flash::parse_fault_plan(&get("NOFTL_FAULTS")),
-            slo: parse_switch(&get("NOFTL_SLO")),
-            redundancy: parse_redundancy(&get("NOFTL_REDUNDANCY")),
-        }
-    }
-
-    /// The knobs of this process's environment.
-    pub fn from_env() -> Self {
-        Self::parse(|name| std::env::var(name).ok())
-    }
-
-    /// [`EngineConfig::new`] under these knobs.
+    /// [`EngineConfig::new`] under these settings.
     pub fn engine(&self) -> EngineConfig {
         EngineConfig {
             flushers: self.flushers(FlusherAssignment::Global, 4),
@@ -169,7 +98,7 @@ impl StackConfig {
     }
 
     /// [`FlusherConfig::global`] / [`FlusherConfig::die_wise`] under these
-    /// knobs.  The engine hands the same depth and batch size to its WAL.
+    /// settings.  The engine hands the same depth and batch size to its WAL.
     pub fn flushers(&self, assignment: FlusherAssignment, writers: usize) -> FlusherConfig {
         FlusherConfig {
             assignment,
@@ -179,7 +108,7 @@ impl StackConfig {
         }
     }
 
-    /// `base` under these knobs: queue depth, the SLO bundle's GC policies
+    /// `base` under these settings: queue depth, the SLO bundle's GC policies
     /// and the redundancy policy (applied to every region).
     pub fn noftl(&self, mut base: NoFtlConfig) -> NoFtlConfig {
         if self.async_depth > 1 {
@@ -196,7 +125,7 @@ impl StackConfig {
     }
 
     /// A NoFTL backend over a fresh device, built from `base` under these
-    /// knobs — [`StackConfig::noftl`] plus the fault plan, which lives on the
+    /// settings — [`StackConfig::noftl`] plus the fault plan, which lives on the
     /// device.
     pub fn noftl_backend(&self, base: NoFtlConfig) -> NoFtlBackend {
         let mut noftl = NoFtl::new(self.noftl(base));
@@ -214,7 +143,7 @@ impl StackConfig {
 /// keeps ≈ `1/k` extra live pages per mapped page (the sealed parity — and
 /// stale stripes pin their parity until an erase breaks them, so churny
 /// workloads pin more), a `Mirror` region a full copy.  A config built for
-/// the unprotected baseline therefore deadlocks the allocator when the knob
+/// the unprotected baseline therefore deadlocks the allocator when the policy
 /// turns on.  Harnesses that size a run's logical capacity pass their
 /// baseline ratio through here:
 ///
@@ -985,24 +914,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_reads_the_process_environment() {
-        // The one test that touches the environment; nothing else in this
-        // binary reads it (the spelling table lives in tests/equivalence.rs).
-        std::env::set_var("NOFTL_ASYNC", " 6 ");
-        std::env::set_var("NOFTL_REDUNDANCY", "Mirror");
-        let knobs = StackConfig::from_env();
-        assert_eq!(knobs.async_depth, 6);
-        assert_eq!(knobs.redundancy, Some(RedundancyPolicy::Mirror));
-        std::env::remove_var("NOFTL_ASYNC");
-        std::env::remove_var("NOFTL_REDUNDANCY");
-        let knobs = StackConfig::from_env();
-        assert_eq!((knobs.async_depth, knobs.redundancy), (1, None));
-    }
-
-    #[test]
     fn default_knobs_project_onto_the_pure_constructors() {
         let knobs = StackConfig::default();
-        assert_eq!(knobs, StackConfig::parse(|_| None));
         assert_eq!(format!("{:?}", knobs.engine()), format!("{:?}", EngineConfig::new()));
         assert_eq!(
             format!("{:?}", knobs.flushers(FlusherAssignment::DieWise, 3)),

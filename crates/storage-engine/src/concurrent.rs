@@ -122,7 +122,7 @@ impl ConcurrentEngine {
     }
 
     /// Aggregate flusher-throttle statistics, summed over the per-shard
-    /// pools (all zero unless `NOFTL_SLO` scheduling is on).
+    /// pools (all zero unless `StackConfig::slo` scheduling is on).
     pub fn throttle_stats(&self) -> ThrottleStats {
         self.inner.borrow_mut().throttle_stats()
     }

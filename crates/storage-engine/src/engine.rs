@@ -164,9 +164,9 @@ impl EngineConfig {
     /// Reasonable defaults: 1024 frames, 4 global db-writers, 64 log pages,
     /// force-per-commit (group commit still batches the multi-page tail of
     /// each force; raising `wal_group_commit` additionally shares one force
-    /// among several committing transactions), every `NOFTL_*` knob at its
-    /// default.  [`crate::backend::StackConfig::engine`] is this under a
-    /// given set of knobs.
+    /// among several committing transactions) — the
+    /// `StackConfig::default()` engine.  [`crate::backend::StackConfig::engine`]
+    /// is this under a given stack configuration.
     pub fn new() -> Self {
         Self {
             buffer_frames: 1024,
@@ -318,7 +318,7 @@ impl StorageEngine {
     }
 
     /// Flusher-throttle statistics, summed over the per-shard pools (all
-    /// zero unless `NOFTL_SLO` scheduling is on).
+    /// zero unless `StackConfig::slo` scheduling is on).
     pub fn throttle_stats(&self) -> ThrottleStats {
         let mut total = ThrottleStats::default();
         for f in &self.flushers {
@@ -368,7 +368,7 @@ impl StorageEngine {
     }
 
     /// Begin a transaction through the commit-admission window (the
-    /// `NOFTL_SLO` overload policy).  With no window configured this is
+    /// `StackConfig::slo` overload policy).  With no window configured this is
     /// exactly [`StorageEngine::begin`] at `now`.  Otherwise the arrival
     /// waits on the virtual clock while the WAL group window is full or the
     /// dirty pool is over its high watermark — dirty pressure is actively
@@ -828,7 +828,7 @@ impl StorageEngine {
     /// exceeded run.  Returns the time after the slowest flush cycle (or
     /// `now` if nothing ran).
     ///
-    /// Under `NOFTL_SLO` scheduling this wave additionally defers to a busy
+    /// Under `StackConfig::slo` scheduling this wave additionally defers to a busy
     /// device queue ([`FlusherPool::throttled_wave`]) and, after the flush
     /// decision, offers the backend a proactive GC step into the current
     /// instant if it is read-cold

@@ -29,7 +29,7 @@
 //! the two assignments in Figure 4.
 //!
 //! Batching is controlled by [`FlusherConfig::batch_pages`] (the
-//! `NOFTL_BATCH` knob of [`crate::backend::StackConfig`]).  Batching off is a
+//! `batch_pages` field of [`crate::backend::StackConfig`]).  Batching off is a
 //! batch size of 1: single-page runs through the same batch API.
 
 use nand_flash::FlashResult;
@@ -75,9 +75,9 @@ pub struct FlusherConfig {
 
 impl FlusherConfig {
     /// Conventional configuration: `writers` db-writers with global
-    /// assignment, flushing at 50 % dirty, every `NOFTL_*` knob at its
-    /// default ([`crate::backend::StackConfig::flushers`] is this under a
-    /// given set of knobs).
+    /// assignment, flushing at 50 % dirty, the `StackConfig::default()`
+    /// writers ([`crate::backend::StackConfig::flushers`] is this under a
+    /// given stack configuration).
     pub fn global(writers: usize) -> Self {
         Self {
             writers: writers.max(1),
@@ -158,7 +158,7 @@ pub struct FlusherPool {
     windows: Vec<InflightWindow>,
     /// Load-aware wave throttle: defer a flush wave while the backend has
     /// this many commands in flight (0 = off, the pinned legacy behaviour).
-    /// Set by the engine from the `NOFTL_SLO` bundle — deliberately not a
+    /// Set by the engine from the `StackConfig::slo` bundle — deliberately not a
     /// [`FlusherConfig`] field, whose exhaustive literals are pinned all
     /// over the test suite.
     throttle_occupancy: usize,

@@ -55,7 +55,8 @@
 //! batch is durable with the content passed in; a duplicated page id
 //! resolves to the later entry (as sequential writes would); a 1-page batch
 //! is command-, timing- and counter-identical to `write_page`.  Batching
-//! off (`NOFTL_BATCH=off`) is batch size 1: one value, one code path.
+//! off (`StackConfig::batch_pages` = 1) is batch size 1: one value, one code
+//! path.
 //!
 //! The [`flusher::FlusherConfig::batch_global`] ablation (default off, set
 //! in code) lets the conventional global writers batch too — isolating how
@@ -64,7 +65,7 @@
 //!
 //! ## The asynchronous read/completion pipeline (PR 4)
 //!
-//! Under `NOFTL_ASYNC` (depth > 1) reads share the write path's per-die
+//! At a per-die queue depth above 1 reads share the write path's per-die
 //! command queues end to end:
 //!
 //! * **Buffer pool** ([`buffer`]) — a miss fill is gated by the pool's
@@ -95,24 +96,24 @@
 //! * **[`readahead::ScanPrefetcher`]** maintains a sliding window of
 //!   upcoming page ids and issues [`buffer::BufferPool::prefetch`] batches
 //!   *ahead of consumption*; on the NoFTL backend each batch becomes one
-//!   multi-page read dispatch per die, and at `NOFTL_ASYNC` depth > 1 the
+//!   multi-page read dispatch per die, and at queue depth > 1 the
 //!   batches pipeline on the pool's bounded read window and the per-die
 //!   device queues, so miss fills overlap with record visits.
 //! * **Adaptive window ramp** — the window starts at
 //!   [`readahead::MIN_READAHEAD_WINDOW`] pages, doubles (up to the
-//!   `NOFTL_READAHEAD` cap) after a full window of consecutive useful
+//!   `StackConfig::readahead_window` cap) after a full window of consecutive useful
 //!   prefetches, and halves whenever a prefetched page was evicted before
 //!   the scan reached it (pool pressure: running further ahead than the
 //!   pool can hold is pure waste).  The pool tracks `prefetch_issued` /
 //!   `prefetch_useful` / `prefetch_wasted` and the window high-water mark
 //!   ([`buffer::ReadaheadStats`], surfaced through
 //!   `StorageEngine::readahead_stats`).
-//! * **Interaction with the knobs** — `NOFTL_READAHEAD` caps the window
-//!   (`off`/`0` disables; default 64).  Readahead only *issues* at
-//!   `NOFTL_ASYNC` depth > 1: with the window at 0 **or** depth 1 every
+//! * **Interaction with the stack settings** —
+//!   `StackConfig::readahead_window` caps the window (0 disables; default
+//!   64).  Readahead only *issues* at queue depth > 1: with the window at 0 **or** depth 1 every
 //!   scan stays on the frame-at-a-time path, bit- and cycle-identical to
 //!   the pre-readahead code (pinned by `tests/equivalence.rs`).  The
-//!   batches themselves ride the `NOFTL_BATCH`-era multi-page read
+//!   batches themselves ride the batched-I/O multi-page read
 //!   dispatches, so readahead composes with — rather than bypasses — the
 //!   batched I/O protocol; a prefetch never evicts a pinned frame, and a
 //!   dirty victim is written back before its frame is reused, exactly like
@@ -129,7 +130,7 @@
 //!
 //! ## Flash-fault recovery (PR 6)
 //!
-//! Under a `NOFTL_FAULTS` plan the device injects program, erase and read
+//! Under a `StackConfig::faults` plan the device injects program, erase and read
 //! failures; the NoFTL core recovers what it can (block retirement with
 //! survivor relocation, a bounded read-retry ladder, read-disturb
 //! scrubbing).  What still surfaces here is handled without panicking:
@@ -183,22 +184,20 @@
 //!
 //! ## One config
 //!
-//! A stack is a pure function of its configuration values.  The six
-//! `NOFTL_*` knobs are one typed [`backend::StackConfig`], parsed by exactly
-//! one function ([`backend::StackConfig::parse`]) and read from the process
-//! environment by exactly one other ([`backend::StackConfig::from_env`],
-//! called in `main` of the bench bins and examples and in the env-honouring
-//! CI smokes).  Every constructor — [`engine::EngineConfig::new`],
-//! [`flusher::FlusherConfig::global`] / `die_wise`,
-//! [`backend::NoFtlBackend::new`], [`wal::WalManager::new`] — is pure and
-//! means "every knob at its default"; a caller that wants the knobs honoured
-//! projects the value with `StackConfig::{engine, flushers, noftl,
+//! A stack is a pure function of its configuration values, and its caller
+//! states them in code: nothing in the workspace reads the process
+//! environment.  The six stack-wide settings are one typed
+//! [`backend::StackConfig`].  Every constructor —
+//! [`engine::EngineConfig::new`], [`flusher::FlusherConfig::global`] /
+//! `die_wise`, [`backend::NoFtlBackend::new`], [`wal::WalManager::new`] — is
+//! pure and means `StackConfig::default()`; a caller that wants another
+//! stack projects its value with `StackConfig::{engine, flushers, noftl,
 //! noftl_backend}`.  The engine hands its WAL the db-writers' depth and batch
 //! size, so an engine given `flushers.async_depth = k` has a depth-`k` WAL.
 //!
 //! ## Overload and scheduling (PR 9)
 //!
-//! `NOFTL_SLO` gates graceful degradation under open-loop overload — an
+//! `StackConfig::slo` gates graceful degradation under open-loop overload — an
 //! arrival-rate-driven workload (`workloads::OpenLoopDriver`) keeps
 //! offering work whether or not the engine kept up, so queueing delay is
 //! part of every latency sample and an engine without back-pressure shows
@@ -231,15 +230,15 @@
 //!
 //! Engine-side the bundle enters through [`engine::EngineConfig`]
 //! (`admission`, `slo_scheduling`), both off by default;
-//! [`backend::StackConfig::engine`] turns them on under the knob.
+//! [`backend::StackConfig::engine`] turns them on when `slo` is set.
 //!
 //! ## Die-level failure tolerance (PR 10)
 //!
-//! `NOFTL_REDUNDANCY` ([`backend::StackConfig::redundancy`], projected onto
+//! [`backend::StackConfig::redundancy`] (projected onto
 //! [`noftl_core::NoFtlConfig::redundancy`] by [`backend::StackConfig::noftl`])
-//! arms per-region redundancy in the NoFTL core: `parity` / `parity:k` for
-//! die-disjoint XOR stripes, `mirror` for per-page die-disjoint copies,
-//! `off` (the default) bit- and cycle-identical to unset.  The engine's part
+//! arms per-region redundancy in the NoFTL core: `Parity(k)` for
+//! die-disjoint XOR stripes, `Mirror` for per-page die-disjoint copies,
+//! `None` (the default) bit- and cycle-identical to a build without it.  The engine's part
 //! of the bargain:
 //!
 //! * [`backend::StorageBackend::schedule_rebuild`] — `maybe_flush` offers

@@ -26,7 +26,7 @@ pub trait EngineOps {
     fn begin(&mut self) -> TxnId;
 
     /// Begin a transaction through the engine's commit-admission window (the
-    /// `NOFTL_SLO` overload policy).  Returns the transaction and the
+    /// `StackConfig::slo` overload policy).  Returns the transaction and the
     /// instant it was actually admitted (>= `now`; the difference is
     /// queueing delay the caller should charge to its latency), or a typed
     /// [`crate::EngineError::Overloaded`] if the arrival was shed.  Engines

@@ -19,9 +19,9 @@
 //! prefetched page was evicted before the scan reached it (pool pressure —
 //! prefetching further ahead than the pool can hold is pure waste).
 //!
-//! The prefetcher is **inert** unless both knobs are open: a window of 0
-//! (`NOFTL_READAHEAD=off`) or an asynchronous depth of 1 (`NOFTL_ASYNC`
-//! unset) leaves every access on the frame-at-a-time path, bit- and
+//! The prefetcher is **inert** unless both settings are open: a window of 0
+//! (`StackConfig::readahead_window` = 0) or a per-die queue depth of 1 (the
+//! default) leaves every access on the frame-at-a-time path, bit- and
 //! cycle-identical to the pre-readahead code — the equivalence suite pins
 //! this.  At depth > 1 the issued batches pipeline on the pool's bounded
 //! read window and the per-die device queues like every other read

@@ -15,8 +15,8 @@ use crate::wal::{LogRecord, WalManager};
 /// Transaction identifier.
 pub type TxnId = u64;
 
-/// Commit-admission window: the bounded-queueing policy of the `NOFTL_SLO`
-/// overload bundle.  A new transaction is admitted immediately while the WAL
+/// Commit-admission window: the bounded-queueing policy of the
+/// `StackConfig::slo` overload bundle.  A new transaction is admitted immediately while the WAL
 /// has fewer than [`AdmissionConfig::max_inflight_groups`] group commits
 /// genuinely in flight *and* the buffer pool is below
 /// [`AdmissionConfig::dirty_high_watermark`]; otherwise it waits on the

@@ -12,7 +12,7 @@
 //!   the previous response: when the engine falls behind, requests queue and
 //!   every latency sample includes the queueing delay — the regime where an
 //!   engine without back-pressure shows an unbounded p999 and the
-//!   `NOFTL_SLO` admission/scheduling bundle has to degrade gracefully.
+//!   `StackConfig::slo` admission/scheduling bundle has to degrade gracefully.
 
 use nand_flash::FlashResult;
 use sim_utils::dist::{NuRand, Zipf};

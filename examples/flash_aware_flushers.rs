@@ -32,8 +32,8 @@ fn run(knobs: &StackConfig, dies: u32, assignment: FlusherAssignment) -> f64 {
 }
 
 fn main() {
-    // The `NOFTL_*` knobs of the environment (batching, queue depth, ...).
-    let knobs = StackConfig::from_env();
+    // The default stack (batching, queue depth, ...), stated as one value.
+    let knobs = StackConfig::default();
     println!("TPC-B throughput: global vs die-wise db-writer association (16 clients)\n");
     println!("{:>6} {:>14} {:>14} {:>10}", "dies", "global TPS", "die-wise TPS", "speedup");
     for dies in [1u32, 2, 4, 8] {

@@ -20,9 +20,9 @@ fn main() {
         geometry.page_size,
         geometry.capacity_bytes() >> 20
     );
-    // One value carries every `NOFTL_*` knob of the environment; the stack
-    // below is a pure function of it.
-    let knobs = StackConfig::from_env();
+    // One value carries every stack-wide setting; the stack below is a pure
+    // function of it.
+    let knobs = StackConfig::default();
     let backend = knobs.noftl_backend(NoFtlConfig::new(geometry));
     println!(
         "noftl: {} logical pages over {} regions (die-wise striping)",

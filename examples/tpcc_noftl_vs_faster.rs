@@ -41,7 +41,7 @@ fn run(name: &str, mut engine: StorageEngine) -> f64 {
 }
 
 fn main() {
-    let knobs = StackConfig::from_env();
+    let knobs = StackConfig::default();
     let geometry = FlashGeometry::with_dies(8, 2048, 64, 4096);
     println!(
         "TPC-C (2 warehouses) on a {} MiB, 8-die emulated Flash device\n",

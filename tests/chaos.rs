@@ -15,18 +15,16 @@
 //!   retry), and the grown-bad-block census matches the retirement count.
 //!
 //! The storms run both the synchronous model (depth 1) and the asynchronous
-//! per-die queues at depth 8.  `fault_storm_smoke` and
-//! `redundancy_rebuild_smoke` honour the `NOFTL_FAULTS` / `NOFTL_REDUNDANCY`
-//! knobs through `StackConfig::from_env()` so CI can pin a seed or a policy;
-//! everything else states its configuration and ignores the environment.
+//! per-die queues at depth 8.  Every case states its configuration — seed,
+//! policy, depth — in code.
 
 use proptest::prelude::*;
 
-use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
+use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::{NoFtlBackend, StackConfig, DEFAULT_PARITY_K};
+use noftl::storage_engine::backend::NoFtlBackend;
 use noftl::storage_engine::{
     EngineConfig, FlusherConfig, LogRecord, StorageEngine, WalManager,
 };
@@ -748,29 +746,23 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
     );
 }
 
-/// CI smoke: one die-kill rebuild storm whose policy honours the
-/// `NOFTL_REDUNDANCY` knob (`NOFTL_REDUNDANCY=parity` pins `Parity(3)`,
-/// `parity:k` and `mirror` pin theirs); with the knob off or unset the
-/// default parity policy is used, so the smoke always exercises a
-/// mid-workload die failure, the online rebuild and the loss accounting.
+/// Smoke: one die-kill rebuild storm on `Parity(3)` stripes — a
+/// mid-workload die failure, the online rebuild and the loss accounting, at
+/// depth 8 with a crash leg and at depth 1.
 #[test]
 fn redundancy_rebuild_smoke() {
-    let policy = StackConfig::from_env()
-        .redundancy
-        .unwrap_or(RedundancyPolicy::Parity(DEFAULT_PARITY_K));
+    let policy = RedundancyPolicy::Parity(3);
     die_kill_storm(policy, 0xD1E5EED, 8, true);
     die_kill_storm(policy, 0xD1E5EED, 1, false);
 }
 
-/// CI smoke: one TPC-B storm with a crash-at-boundary leg.  The plan's seed
-/// honours the `NOFTL_FAULTS` knob (`NOFTL_FAULTS=12345` pins seed 12345);
-/// with the knob off or unset the default fault seed is used, so the smoke
-/// always exercises the recovery machinery.
+/// Smoke: TPC-B storms under two fixed fault seeds, each at depth 8 with a
+/// crash-at-boundary leg and at depth 1, so the recovery machinery always
+/// runs end to end.
 #[test]
 fn fault_storm_smoke() {
-    let seed = StackConfig::from_env()
-        .faults
-        .map_or(DEFAULT_FAULT_SEED, |plan| plan.seed);
-    tpcb_storm(seed, 8, true);
-    tpcb_storm(seed, 1, false);
+    for seed in [0xFA17_5EED, 0xDEAD_BEEF] {
+        tpcb_storm(seed, 8, true);
+        tpcb_storm(seed, 1, false);
+    }
 }

@@ -30,7 +30,7 @@ use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::{NoFtlBackend, StackConfig};
+use noftl::storage_engine::backend::NoFtlBackend;
 use noftl::storage_engine::{
     ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, LogRecord,
     TxnId, WalManager,
@@ -633,11 +633,10 @@ fn sessions_maybe_flush_drives_the_online_rebuild_on_mirror() {
     rebuild_rides_the_sessions_maybe_flush(RedundancyPolicy::Mirror);
 }
 
-/// High-iteration storm smoke for CI: 16 clients, and `NOFTL_FAULTS` for
-/// the fault leg, like the chaos smoke.
+/// High-iteration storm smoke: 16 clients at depth 8, TPC-B and TPC-C,
+/// fault-free (the fault legs are `concurrent_storms_uphold_engine_promises`).
 #[test]
 fn concurrent_storm_smoke() {
-    let faults = StackConfig::from_env().faults.is_some();
-    storm(0xD1E5, 16, false, 8, faults);
-    storm(0xD1E5, 16, true, 8, faults);
+    storm(0xD1E5, 16, false, 8, false);
+    storm(0xD1E5, 16, true, 8, false);
 }

@@ -2,82 +2,27 @@
 //! asynchronous per-die command queues.
 //!
 //! Every write goes through the `write_pages` API; batching off
-//! (`NOFTL_BATCH=off`) is a batch size of 1, the same value and so the same
-//! run.  Larger batch sizes may change *timing* (that is the point) but never
-//! page *contents*.
+//! (`StackConfig::batch_pages` = 1) is a batch size of 1, the same value and
+//! so the same run.  Larger batch sizes may change *timing* (that is the
+//! point) but never page *contents*.
 //!
 //! The asynchronous submission protocol (PR 3) makes the same promise for
-//! `NOFTL_ASYNC`: depth 1 — every submission waits for its predecessor — is
-//! the synchronous dispatch; deeper windows may change timing but never
-//! contents, and a crash with commands still in flight recovers exactly the
-//! durable prefix.
+//! the per-die queue depth: depth 1 — every submission waits for its
+//! predecessor — is the synchronous dispatch; deeper windows may change
+//! timing but never contents, and a crash with commands still in flight
+//! recovers exactly the durable prefix.
 //!
 //! Every leg states the configuration values it compares: a stack is a pure
-//! function of them ([`StackConfig`]), so nothing here touches the process
-//! environment and the legs run in parallel.  A leg exists only where its
-//! two sides are *different* values; that equal values give equal runs is
-//! pinned once ([`same_config_same_trace`]), and that every off / unset /
-//! default spelling of a knob *is* the default value is a table
-//! ([`knob_spellings_parse_to_their_documented_values`]).
+//! function of them (`StackConfig`), and the legs run in parallel.  A leg
+//! exists only where its two sides are *different* values; that equal values
+//! give equal runs is pinned once ([`same_config_same_trace`]).
 
-use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
 use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
-use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig, RedundancyPolicy};
-use noftl::storage_engine::backend::{
-    NoFtlBackend, StackConfig, StorageBackend, DEFAULT_ASYNC_DEPTH, DEFAULT_PARITY_K,
-};
+use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
+use noftl::storage_engine::backend::{NoFtlBackend, StorageBackend};
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::shard::ShardedBufferPool;
 use noftl::storage_engine::BufferPool;
-
-/// The default knobs with `NOFTL_BATCH` at `batch_pages`.
-fn batch_knobs(batch_pages: usize) -> StackConfig {
-    StackConfig {
-        batch_pages,
-        ..StackConfig::default()
-    }
-}
-
-/// Every knob, every documented spelling (trimmed, case-insensitive).  The
-/// `off` / unset / default spellings must parse to [`StackConfig::default`]
-/// itself — which is what makes "`NOFTL_X=off` is bit-identical to unset" a
-/// statement about one value rather than about two runs — and every
-/// on-spelling to its documented value.
-#[test]
-fn knob_spellings_parse_to_their_documented_values() {
-    let d = StackConfig::default;
-    let parity = |k| StackConfig { redundancy: Some(RedundancyPolicy::Parity(k)), ..d() };
-    let seeded = |seed| Some(FaultPlan::seeded(seed));
-    let table: [(&str, &[&str], StackConfig); 20] = [
-        ("NOFTL_BATCH", &["", "on", "TRUE", "64", "garbage"], d()),
-        ("NOFTL_BATCH", &["off", "False", "0", "1"], batch_knobs(1)),
-        ("NOFTL_BATCH", &[" 16 "], batch_knobs(16)),
-        ("NOFTL_ASYNC", &["", "off", "False", "0", "1", "garbage"], d()),
-        ("NOFTL_ASYNC", &["on", "TRUE"], StackConfig { async_depth: DEFAULT_ASYNC_DEPTH, ..d() }),
-        ("NOFTL_ASYNC", &[" 4 "], StackConfig { async_depth: 4, ..d() }),
-        ("NOFTL_READAHEAD", &["", "on", "TRUE", "64", "garbage"], d()),
-        ("NOFTL_READAHEAD", &["off", "False", "0"], StackConfig { readahead_window: 0, ..d() }),
-        ("NOFTL_READAHEAD", &["1"], StackConfig { readahead_window: 1, ..d() }),
-        ("NOFTL_READAHEAD", &[" 32 "], StackConfig { readahead_window: 32, ..d() }),
-        ("NOFTL_FAULTS", &["", "off", "OFF", "false", "0", "no", "garbage"], d()),
-        ("NOFTL_FAULTS", &["on", "true", "yes"], StackConfig { faults: seeded(DEFAULT_FAULT_SEED), ..d() }),
-        ("NOFTL_FAULTS", &["12345", "  12345 "], StackConfig { faults: seeded(12345), ..d() }),
-        ("NOFTL_SLO", &["", "off", "False", "0", "no", "garbage"], d()),
-        ("NOFTL_SLO", &["on", "TRUE", "1", " yes "], StackConfig { slo: true, ..d() }),
-        ("NOFTL_REDUNDANCY", &["", "off", "False", "0", "no", "none", "garbage"], d()),
-        ("NOFTL_REDUNDANCY", &["parity:0", "parity:junk"], d()),
-        ("NOFTL_REDUNDANCY", &["on", "TRUE", " yes ", "parity"], parity(DEFAULT_PARITY_K)),
-        ("NOFTL_REDUNDANCY", &["Parity:2", "parity: 2 "], parity(2)),
-        ("NOFTL_REDUNDANCY", &["MIRROR"], StackConfig { redundancy: Some(RedundancyPolicy::Mirror), ..d() }),
-    ];
-    assert_eq!(StackConfig::parse(|_| None), d(), "everything unset");
-    for (name, spellings, expect) in table {
-        for &v in spellings {
-            let parsed = StackConfig::parse(|k| (k == name).then(|| v.to_string()));
-            assert_eq!(parsed, expect, "{name}={v:?}");
-        }
-    }
-}
 
 /// Run two die-wise flush cycles over a traced device and return
 /// (command trace, per-page readback, completion barrier).  `async_depth` 1
@@ -810,7 +755,7 @@ mod threads_single_client_identity {
     }
 }
 
-/// `NOFTL_SLO=on` by value.  Off is the default value, and an engine built
+/// `StackConfig::slo` on by value.  Off is the default value, and an engine built
 /// from it has no admission window, throttle or proactive GC to differ by;
 /// on may change timing (that is the point) but must stay consistent.
 mod slo_off_identity {
