@@ -120,7 +120,7 @@
 //!
 //! [`stats::NoFtlStats`] reports the recovery truthfully (retirement counts
 //! per failure class, retry/scrub counters) — the chaos storms in
-//! `tests/chaos.rs` drive TPC-B/TPC-C mixes under seeded fault plans, with
+//! `tests/storms.rs` drive TPC-B/TPC-C mixes under seeded fault plans, with
 //! and without crash-recovery at commit boundaries, and assert zero
 //! committed-data loss against those stats.
 //!
@@ -166,7 +166,7 @@
 //! foreground variant), and **honest loss accounting** (unprotected pages
 //! keep their dead mapping, reads fail typed `DieFailed` so WAL-replay can
 //! take over, and [`stats::RebuildStats`]`::pages_lost` counts them —
-//! truthfulness is pinned by `tests/chaos.rs`' die-failure storms).
+//! truthfulness is pinned by `tests/storms.rs`' die-failure storms).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

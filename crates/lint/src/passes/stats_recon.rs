@@ -9,8 +9,8 @@
 //!
 //! - an **update site** in non-test code (`.field += ...`, `.field = ...`,
 //!   or an indexed update for `Vec` counters), and
-//! - an **assertion** naming the field inside an `assert*`/`prop_assert*`
-//!   macro call in test code.
+//! - an **assertion** naming the field inside an `assert*` macro call in
+//!   test code.
 //!
 //! Latency `Histogram` fields are exempt (they are distributions, not
 //! counters, and are exercised through their own crate's tests).

@@ -2,50 +2,52 @@
 //! arbitrary geometries, state-machine invariants of program/erase/copyback,
 //! and conservation of per-block page counts.
 
-use proptest::prelude::*;
-
 use nand_flash::{
     BlockAddr, DeviceConfig, FlashGeometry, NandDevice, NandType, NativeFlashInterface, Oob,
     PageState, Ppa,
 };
+use sim_utils::rng::SimRng;
 
-fn geometry_strategy() -> impl Strategy<Value = FlashGeometry> {
-    (1u32..4, 1u32..4, 1u32..3, 2u32..12, 2u32..12).prop_map(
-        |(channels, dies, planes, blocks, pages)| FlashGeometry {
-            channels,
-            dies_per_channel: dies,
-            planes_per_die: planes,
-            blocks_per_plane: blocks,
-            pages_per_block: pages,
-            page_size: 512,
-            oob_size: 16,
-            nand_type: NandType::Slc,
-        },
-    )
+/// A geometry of 1..4 channels, 1..4 dies per channel, 1..3 planes and
+/// 2..12 blocks of 2..12 pages.
+fn geometry(rng: &mut SimRng) -> FlashGeometry {
+    FlashGeometry {
+        channels: rng.range(1, 4) as u32,
+        dies_per_channel: rng.range(1, 4) as u32,
+        planes_per_die: rng.range(1, 3) as u32,
+        blocks_per_plane: rng.range(2, 12) as u32,
+        pages_per_block: rng.range(2, 12) as u32,
+        page_size: 512,
+        oob_size: 16,
+        nand_type: NandType::Slc,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn flat_addressing_roundtrips_for_any_geometry(g in geometry_strategy()) {
+#[test]
+fn flat_addressing_roundtrips_for_any_geometry() {
+    for case in 0..64 {
+        let mut rng = SimRng::new(case);
+        let g = geometry(&mut rng);
         for flat in 0..g.total_pages() {
             let ppa = Ppa::from_flat(&g, flat);
-            prop_assert!(ppa.is_valid(&g));
-            prop_assert_eq!(ppa.flat(&g), flat);
+            assert!(ppa.is_valid(&g));
+            assert_eq!(ppa.flat(&g), flat);
         }
         for flat in 0..g.total_blocks() {
             let b = BlockAddr::from_flat(&g, flat);
-            prop_assert!(b.is_valid(&g));
-            prop_assert_eq!(b.flat(&g), flat);
+            assert!(b.is_valid(&g));
+            assert_eq!(b.flat(&g), flat);
         }
     }
+}
 
-    #[test]
-    fn page_counts_are_conserved(
-        g in geometry_strategy(),
-        ops in prop::collection::vec((0u64..64, 0u8..3), 1..200),
-    ) {
+#[test]
+fn page_counts_are_conserved() {
+    for case in 0..64 {
+        let mut rng = SimRng::new(case);
+        let g = geometry(&mut rng);
+        let n = rng.range(1, 200);
+        let ops: Vec<(u64, u64)> = (0..n).map(|_| (rng.range(0, 64), rng.range(0, 3))).collect();
         // Apply an arbitrary sequence of program/invalidate/erase operations
         // and check that valid + invalid + free always equals pages_per_block.
         let mut dev = NandDevice::new(DeviceConfig::metadata_only(g));
@@ -76,17 +78,20 @@ proptest! {
                 }
             }
             let info = dev.block_info(addr).unwrap();
-            prop_assert_eq!(
+            assert_eq!(
                 info.valid_pages + info.invalid_pages + info.free_pages,
                 g.pages_per_block
             );
         }
     }
+}
 
-    #[test]
-    fn programmed_data_survives_until_erase(
-        writes in prop::collection::vec(any::<u8>(), 1..8),
-    ) {
+#[test]
+fn programmed_data_survives_until_erase() {
+    for case in 0..64 {
+        let mut rng = SimRng::new(case);
+        let n = rng.range(1, 8);
+        let writes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
         let g = FlashGeometry::tiny();
         let mut dev = NandDevice::with_geometry(g);
         let block = BlockAddr::new(0, 0, 0, 0);
@@ -99,18 +104,21 @@ proptest! {
         let mut buf = vec![0u8; g.page_size as usize];
         for (i, byte) in expected.iter().enumerate() {
             dev.read_page(0, block.page(i as u32), &mut buf).unwrap();
-            prop_assert!(buf.iter().all(|b| b == byte));
+            assert!(buf.iter().all(|b| b == byte));
         }
         dev.erase_block(0, block).unwrap();
         for i in 0..expected.len() {
-            prop_assert!(dev.read_page(0, block.page(i as u32), &mut buf).is_err());
+            assert!(dev.read_page(0, block.page(i as u32), &mut buf).is_err());
         }
     }
+}
 
-    #[test]
-    fn completion_times_never_precede_issue(
-        issue_times in prop::collection::vec(0u64..1_000_000, 1..50),
-    ) {
+#[test]
+fn completion_times_never_precede_issue() {
+    for case in 0..64 {
+        let mut rng = SimRng::new(case);
+        let n = rng.range(1, 50);
+        let issue_times: Vec<u64> = (0..n).map(|_| rng.range(0, 1_000_000)).collect();
         let g = FlashGeometry::small();
         let mut dev = NandDevice::with_geometry(g);
         let data = vec![1u8; g.page_size as usize];
@@ -119,8 +127,8 @@ proptest! {
             let ppa = Ppa::from_flat(&g, flat % g.total_pages());
             // Some programs fail (non-sequential) — only check timing on success.
             if let Ok(c) = dev.program_page(now, ppa, &data, Oob::data(flat, 0)) {
-                prop_assert!(c.started_at >= now);
-                prop_assert!(c.completed_at > c.started_at);
+                assert!(c.started_at >= now);
+                assert!(c.completed_at > c.started_at);
             }
             flat += g.pages_per_block as u64; // first page of successive blocks
         }

@@ -257,7 +257,7 @@
 //!
 //! Zero committed-data loss across a mid-workload die kill — and bit-identical
 //! degraded reads before the rebuild lands — is pinned by the die-failure
-//! storms in `tests/chaos.rs`.
+//! storms in `tests/storms.rs`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

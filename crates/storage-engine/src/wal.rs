@@ -801,6 +801,7 @@ impl WalManager {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use sim_utils::rng::SimRng;
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -1465,18 +1466,33 @@ mod tests {
     }
 
     /// A record, as its encoding: a record borrows its image, so the
-    /// generated value owns the bytes and [`rec`] views them.
-    fn record_strategy() -> impl Strategy<Value = Vec<u8>> {
-        prop_oneof![
-            2 => (1..40u64).prop_map(|txn| LogRecord::Begin { txn }.encode()),
-            4 => (1..40u64, 0..2000u64, 0..16u16, prop::collection::vec(any::<u8>(), 0..48))
-                .prop_map(|(txn, page, slot, bytes)| {
-                    LogRecord::Update { txn, page, slot, bytes: &bytes }.encode()
-                }),
-            2 => (1..40u64).prop_map(|txn| LogRecord::Commit { txn }.encode()),
-            1 => (1..40u64).prop_map(|txn| LogRecord::Abort { txn }.encode()),
-            1 => (0..1u64).prop_map(|_| LogRecord::Checkpoint.encode()),
-        ]
+    /// generated value owns the bytes and [`rec`] views them.  Begin,
+    /// Update, Commit, Abort and Checkpoint are drawn 2 : 4 : 2 : 1 : 1.
+    fn record(rng: &mut SimRng) -> Vec<u8> {
+        let txn = rng.range(1, 40);
+        match rng.range(0, 10) {
+            0 | 1 => LogRecord::Begin { txn }.encode(),
+            2..=5 => {
+                let (page, slot) = (rng.range(0, 2000), rng.range(0, 16) as u16);
+                let bytes = bytes(rng, 48);
+                LogRecord::Update { txn, page, slot, bytes: &bytes }.encode()
+            }
+            6 | 7 => LogRecord::Commit { txn }.encode(),
+            8 => LogRecord::Abort { txn }.encode(),
+            _ => LogRecord::Checkpoint.encode(),
+        }
+    }
+
+    /// `lo..hi` records.
+    fn records(rng: &mut SimRng, lo: u64, hi: u64) -> Vec<Vec<u8>> {
+        let n = rng.range(lo, hi);
+        (0..n).map(|_| record(rng)).collect()
+    }
+
+    /// 0..`max` random bytes.
+    fn bytes(rng: &mut SimRng, max: u64) -> Vec<u8> {
+        let n = rng.range(0, max);
+        (0..n).map(|_| rng.next_u64() as u8).collect()
     }
 
     fn rec(encoded: &[u8]) -> LogRecord<'_> {
@@ -1485,21 +1501,17 @@ mod tests {
             .0
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// Kill the WAL at *every* record boundary: for each cut point the
-        /// records before the cut are forced, the rest sit in the volatile
-        /// buffer when the crash hits.  Recovery — rebuilt from the backend
-        /// alone — must replay exactly the durable prefix: every forced
-        /// record, nothing after the cut, in order.
-        #[test]
-        fn crash_at_every_record_boundary_replays_exact_prefix(
-            records in prop::collection::vec(record_strategy(), 1..20),
-            batch in 0usize..6,
-        ) {
+    /// Kill the WAL at *every* record boundary: for each cut point the
+    /// records before the cut are forced, the rest sit in the volatile
+    /// buffer when the crash hits.  Recovery — rebuilt from the backend
+    /// alone — must replay exactly the durable prefix: every forced
+    /// record, nothing after the cut, in order.
+    #[test]
+    fn crash_at_every_record_boundary_replays_exact_prefix() {
+        for case in 0..12 {
+            let mut rng = SimRng::new(case);
+            let records = records(&mut rng, 1, 20);
+            let batch = rng.range_usize(0, 6);
             for cut in 0..=records.len() {
                 let mut backend = MemBackend::new(256, 1024);
                 let mut wal = WalManager::new(64, 256, 256);
@@ -1513,26 +1525,28 @@ mod tests {
                 }
                 // Crash: only the backend survives.
                 let recovered = WalManager::recover_records(&mut backend, 64, 256, 256, 0);
-                prop_assert_eq!(recovered.len(), cut, "batch={} cut={}", batch, cut);
+                assert_eq!(recovered.len(), cut, "batch={} cut={}", batch, cut);
                 for (i, (_, r)) in recovered.iter().enumerate() {
-                    prop_assert_eq!(r, rec(&records[i]));
+                    assert_eq!(r, rec(&records[i]));
                 }
                 // The in-memory durable view agrees with the backend view.
                 let durable: Vec<_> = wal.durable_records().collect();
-                prop_assert_eq!(durable, recovered.iter().collect::<Vec<_>>());
+                assert_eq!(durable, recovered.iter().collect::<Vec<_>>());
             }
         }
+    }
 
-        /// Wrap the log across a tiny segment and kill at *every* record
-        /// boundary: recovery from the checkpointed start-of-log pointer must
-        /// replay exactly the records forced since the last checkpoint —
-        /// every one of them, nothing older (overwritten laps), nothing from
-        /// the unflushed tail — in order, across the wrap point.
-        #[test]
-        fn wrapped_log_crash_replays_exactly_the_post_checkpoint_records(
-            records in prop::collection::vec(record_strategy(), 4..24),
-        ) {
-            const SEG: u64 = 6;
+    /// Wrap the log across a tiny segment and kill at *every* record
+    /// boundary: recovery from the checkpointed start-of-log pointer must
+    /// replay exactly the records forced since the last checkpoint —
+    /// every one of them, nothing older (overwritten laps), nothing from
+    /// the unflushed tail — in order, across the wrap point.
+    #[test]
+    fn wrapped_log_crash_replays_exactly_the_post_checkpoint_records() {
+        const SEG: u64 = 6;
+        for case in 0..12 {
+            let mut rng = SimRng::new(case);
+            let records = records(&mut rng, 4, 24);
             for cut in 0..=records.len() {
                 let mut backend = MemBackend::new(256, 1024);
                 let mut wal = WalManager::new(64, SEG, 256);
@@ -1553,44 +1567,46 @@ mod tests {
                 }
                 let recovered = WalManager::recover_records_from(
                     &mut backend, 64, SEG, 256, wal.recovery_start_seq(), 0);
-                prop_assert_eq!(
+                assert_eq!(
                     recovered.len(),
                     cut - last_cp,
                     "cut={} last_cp={}", cut, last_cp
                 );
                 for (j, (_, r)) in recovered.iter().enumerate() {
-                    prop_assert_eq!(r, rec(&records[last_cp + j]));
+                    assert_eq!(r, rec(&records[last_cp + j]));
                 }
             }
         }
+    }
 
-        /// Whatever the bytes, decoding returns `None` or a record whose
-        /// encoding is exactly the bytes it consumed — never a panic.
-        #[test]
-        fn decode_never_panics_and_consumes_exactly_an_encoding(
-            data in prop::collection::vec(any::<u8>(), 0..64),
-            len in 0u32..64,
-            kind in 0u8..7,
-        ) {
+    /// Whatever the bytes, decoding returns `None` or a record whose
+    /// encoding is exactly the bytes it consumed — never a panic.
+    #[test]
+    fn decode_never_panics_and_consumes_exactly_an_encoding() {
+        for case in 0..12 {
+            let mut rng = SimRng::new(case);
+            let mut data = bytes(&mut rng, 64);
+            let (len, kind) = (rng.range(0, 64) as u32, rng.range(0, 7) as u8);
             // Steer the length prefix and the tag byte into range, so every
             // kind meets bodies too short, exact and too long for it.
-            let mut data = data;
             if data.len() > LEN_PREFIX {
                 data[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
                 data[LEN_PREFIX] = kind;
             }
             if let Some((record, used)) = LogRecord::decode(&data) {
-                prop_assert_eq!(record.encode(), data[..used].to_vec());
+                assert_eq!(record.encode(), data[..used].to_vec());
             }
         }
+    }
 
-        /// Group commit mid-batch crash: commits whose group never filled are
-        /// not durable; recovery sees exactly the forced groups.
-        #[test]
-        fn group_commit_crash_loses_only_pending_group(
-            txns in 2..12u64,
-            group in 2..5usize,
-        ) {
+    /// Group commit mid-batch crash: commits whose group never filled are
+    /// not durable; recovery sees exactly the forced groups.
+    #[test]
+    fn group_commit_crash_loses_only_pending_group() {
+        for case in 0..12 {
+            let mut rng = SimRng::new(case);
+            let txns = rng.range(2, 12);
+            let group = rng.range_usize(2, 5);
             let mut backend = MemBackend::new(512, 1024);
             let mut wal = WalManager::new(64, 256, 512);
             wal.set_group_commit(group);
@@ -1607,8 +1623,8 @@ mod tests {
             }
             // Crash now, mid-group.
             let recovered = WalManager::recover_records(&mut backend, 64, 256, 512, 0);
-            prop_assert_eq!(recovered.len() as u64, durable_expected);
-            prop_assert!(wal.pending_commits() < group as u64);
+            assert_eq!(recovered.len() as u64, durable_expected);
+            assert!(wal.pending_commits() < group as u64);
         }
     }
 }

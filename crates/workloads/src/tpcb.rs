@@ -109,7 +109,8 @@ fn history_row(row: &mut Vec<u8>, account: u64, teller: u64, branch: u64, delta:
     fill_row(row, 50, &[account, teller, branch, delta as u64, seq]);
 }
 
-/// Read the balance field out of an account/teller/branch row.
+/// Read the balance field (bytes 16..24) out of an account or teller row.
+/// A branch row keeps its balance at bytes 8..16 instead.
 pub fn row_balance(row: &[u8]) -> i64 {
     i64::from_le_bytes(row[16..24].try_into().expect("row too short"))
 }

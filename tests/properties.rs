@@ -2,14 +2,13 @@
 //! layers: read-your-writes for every scheme, no lost updates across GC,
 //! B+-tree and slotted-page equivalence to a model.
 
-use proptest::prelude::*;
-
 use noftl::ftl::dftl::{Dftl, DftlConfig};
 use noftl::ftl::faster::FasterFtl;
 use noftl::ftl::page_ftl::{PageFtl, PageFtlConfig};
 use noftl::ftl::Ftl;
 use noftl::nand_flash::FlashGeometry;
 use noftl::noftl_core::{NoFtl, NoFtlConfig};
+use noftl::sim_utils::rng::SimRng;
 use noftl::storage_engine::page::SlottedPage;
 
 /// An abstract workload step applied to a logical-page store.
@@ -20,12 +19,19 @@ enum Step {
     Read(u64),
 }
 
-fn step_strategy(lpns: u64) -> impl Strategy<Value = Step> {
-    prop_oneof![
-        3 => (0..lpns, any::<u8>()).prop_map(|(l, b)| Step::Write(l, b)),
-        1 => (0..lpns).prop_map(Step::Trim),
-        2 => (0..lpns).prop_map(Step::Read),
-    ]
+/// 1..200 steps over `lpns` pages, writes, trims and reads weighted 3 : 1 : 2.
+fn steps(rng: &mut SimRng, lpns: u64) -> Vec<Step> {
+    let n = rng.range(1, 200);
+    (0..n)
+        .map(|_| {
+            let l = rng.range(0, lpns);
+            match rng.range(0, 6) {
+                0..=2 => Step::Write(l, rng.next_u64() as u8),
+                3 => Step::Trim(l),
+                _ => Step::Read(l),
+            }
+        })
+        .collect()
 }
 
 /// Apply the steps to an implementation and to a simple model, checking that
@@ -91,14 +97,24 @@ enum PageOp {
     Compact,
 }
 
-fn page_op_strategy() -> impl Strategy<Value = PageOp> {
-    let record = || prop::collection::vec(any::<u8>(), 0..120);
-    prop_oneof![
-        4 => record().prop_map(PageOp::Insert),
-        3 => (0usize..64, record()).prop_map(|(i, r)| PageOp::Update(i, r)),
-        2 => (0usize..64).prop_map(PageOp::Delete),
-        1 => Just(PageOp::Compact),
-    ]
+/// A record of 0..120 random bytes.
+fn record(rng: &mut SimRng) -> Vec<u8> {
+    let n = rng.range(0, 120);
+    (0..n).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// 1..120 page operations: inserts, updates, deletes and compactions
+/// weighted 4 : 3 : 2 : 1.
+fn page_ops(rng: &mut SimRng) -> Vec<PageOp> {
+    let n = rng.range(1, 120);
+    (0..n)
+        .map(|_| match rng.range(0, 10) {
+            0..=3 => PageOp::Insert(record(rng)),
+            4..=6 => PageOp::Update(rng.range_usize(0, 64), record(rng)),
+            7 | 8 => PageOp::Delete(rng.range_usize(0, 64)),
+            _ => PageOp::Compact,
+        })
+        .collect()
 }
 
 fn tiny_geometry() -> FlashGeometry {
@@ -114,34 +130,46 @@ fn tiny_geometry() -> FlashGeometry {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn page_ftl_never_loses_updates(steps in prop::collection::vec(step_strategy(40), 1..200)) {
+#[test]
+fn page_ftl_never_loses_updates() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let steps = steps(&mut rng, 40);
         let mut cfg = PageFtlConfig::new(tiny_geometry());
         cfg.op_ratio = 0.3;
         let mut ftl = PageFtl::new(cfg);
         run_steps_on_ftl(&mut ftl, &steps);
     }
+}
 
-    #[test]
-    fn dftl_never_loses_updates(steps in prop::collection::vec(step_strategy(40), 1..200)) {
+#[test]
+fn dftl_never_loses_updates() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let steps = steps(&mut rng, 40);
         let mut cfg = DftlConfig::new(tiny_geometry());
         cfg.op_ratio = 0.3;
         cfg.cmt_entries = 8; // tiny cache => constant evictions
         let mut ftl = Dftl::new(cfg);
         run_steps_on_ftl(&mut ftl, &steps);
     }
+}
 
-    #[test]
-    fn faster_never_loses_updates(steps in prop::collection::vec(step_strategy(40), 1..200)) {
+#[test]
+fn faster_never_loses_updates() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let steps = steps(&mut rng, 40);
         let mut ftl = FasterFtl::with_geometry(tiny_geometry());
         run_steps_on_ftl(&mut ftl, &steps);
     }
+}
 
-    #[test]
-    fn noftl_never_loses_updates(steps in prop::collection::vec(step_strategy(40), 1..200)) {
+#[test]
+fn noftl_never_loses_updates() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let steps = steps(&mut rng, 40);
         let mut cfg = NoFtlConfig::new(tiny_geometry());
         cfg.op_ratio = 0.3;
         let mut noftl = NoFtl::new(cfg);
@@ -168,9 +196,13 @@ proptest! {
             },
         });
     }
+}
 
-    #[test]
-    fn slotted_page_matches_model(ops in prop::collection::vec(page_op_strategy(), 1..120)) {
+#[test]
+fn slotted_page_matches_model() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let ops = page_ops(&mut rng);
         // Model: the slot directory as `Option<record>` per slot, plus the
         // bytes taken at the back of the page (dead records included until a
         // compaction).  `fits` must be exactly header + directory + payload
@@ -186,8 +218,8 @@ proptest! {
             let refused = match op {
                 PageOp::Insert(r) => {
                     let fits = room(slots.len(), payload, r.len());
-                    prop_assert_eq!(page.fits(r.len()), fits);
-                    prop_assert_eq!(page.insert(&r), fits.then_some(slots.len() as u16));
+                    assert_eq!(page.fits(r.len()), fits);
+                    assert_eq!(page.insert(&r), fits.then_some(slots.len() as u16));
                     if fits {
                         payload += r.len();
                         slots.push(Some(r));
@@ -203,7 +235,7 @@ proptest! {
                         // A grow is delete + compact + insert, judged up front.
                         Some(old) => room(slots.len(), live(&slots) - old, r.len()).then_some(slots.len()),
                     };
-                    prop_assert_eq!(page.update(i as u16, &r), expect.map(|s| s as u16));
+                    assert_eq!(page.update(i as u16, &r), expect.map(|s| s as u16));
                     match expect {
                         Some(s) if s == i => slots[i] = Some(r),
                         Some(_) => {
@@ -218,7 +250,7 @@ proptest! {
                 PageOp::Delete(i) => {
                     let i = i % (slots.len() + 1);
                     let was_live = slots.get(i).is_some_and(|s| s.is_some());
-                    prop_assert_eq!(page.delete(i as u16), was_live);
+                    assert_eq!(page.delete(i as u16), was_live);
                     if was_live {
                         slots[i] = None;
                     }
@@ -230,30 +262,35 @@ proptest! {
                     false
                 }
             };
-            prop_assert!(!refused || page == before, "a refused operation changed the page");
-            prop_assert_eq!(page.slot_count(), slots.len());
-            prop_assert_eq!(page.used_space(), 32 + 4 * slots.len() + payload);
-            prop_assert_eq!(page.record_count(), slots.iter().flatten().count());
+            assert!(!refused || page == before, "a refused operation changed the page");
+            assert_eq!(page.slot_count(), slots.len());
+            assert_eq!(page.used_space(), 32 + 4 * slots.len() + payload);
+            assert_eq!(page.record_count(), slots.iter().flatten().count());
             for (i, expected) in slots.iter().enumerate() {
-                prop_assert_eq!(page.get(i as u16), expected.as_deref());
+                assert_eq!(page.get(i as u16), expected.as_deref());
             }
-            prop_assert!(page.get(slots.len() as u16).is_none());
+            assert!(page.get(slots.len() as u16).is_none());
             let listed: Vec<(u16, &[u8])> = page.iter().collect();
             let expected: Vec<(u16, &[u8])> = slots.iter().enumerate()
                 .filter_map(|(i, s)| s.as_deref().map(|r| (i as u16, r))).collect();
-            prop_assert_eq!(listed, expected);
+            assert_eq!(listed, expected);
         }
         // The image is the page: a view over a copy of the bytes reads the same.
         let frame = page.as_bytes().to_vec();
-        prop_assert_eq!(frame.len(), SIZE);
+        assert_eq!(frame.len(), SIZE);
         let view = SlottedPage::from_bytes(&frame[..]);
         for (i, expected) in slots.iter().enumerate() {
-            prop_assert_eq!(view.get(i as u16), expected.as_deref());
+            assert_eq!(view.get(i as u16), expected.as_deref());
         }
     }
+}
 
-    #[test]
-    fn erase_counts_only_grow(writes in prop::collection::vec(0u64..60, 50..300)) {
+#[test]
+fn erase_counts_only_grow() {
+    for case in 0..24 {
+        let mut rng = SimRng::new(case);
+        let n = rng.range(50, 300);
+        let writes: Vec<u64> = (0..n).map(|_| rng.range(0, 60)).collect();
         // Wear (erase counts) must be monotonically non-decreasing no matter
         // the write pattern.
         use noftl::nand_flash::NativeFlashInterface;
@@ -267,18 +304,20 @@ proptest! {
         for w in writes {
             now = ftl.write(now, w % lpns, &page).unwrap().completed_at;
             let erases = ftl.device().stats().erases;
-            prop_assert!(erases >= last_erases);
+            assert!(erases >= last_erases);
             last_erases = erases;
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn btree_matches_btreemap(ops in prop::collection::vec((0u64..500, any::<u64>(), any::<bool>()), 1..400)) {
-        use noftl::storage_engine::{backend::MemBackend, btree::BTree, free_space::FreeSpaceManager, shard::ShardedBufferPool};
+#[test]
+fn btree_matches_btreemap() {
+    use noftl::storage_engine::{backend::MemBackend, btree::BTree, free_space::FreeSpaceManager, shard::ShardedBufferPool};
+    for case in 0..12 {
+        let mut rng = SimRng::new(case);
+        let n = rng.range(1, 400);
+        let ops: Vec<(u64, u64, bool)> =
+            (0..n).map(|_| (rng.range(0, 500), rng.next_u64(), rng.range(0, 2) == 1)).collect();
         let mut pool = ShardedBufferPool::new(1, 64, 4096);
         let mut backend = MemBackend::new(4096, 8192);
         let mut fsm = FreeSpaceManager::new(0, 8000);
@@ -288,22 +327,22 @@ proptest! {
             if remove {
                 let expected = model.remove(&key);
                 let (got, _) = tree.remove(&mut pool, &mut backend, 0, key).unwrap();
-                prop_assert_eq!(got, expected);
+                assert_eq!(got, expected);
             } else {
                 let expected = model.insert(key, value);
                 let (got, _) = tree.insert(&mut pool, &mut backend, &mut fsm, 0, key, value).unwrap();
-                prop_assert_eq!(got, expected);
+                assert_eq!(got, expected);
             }
         }
-        prop_assert_eq!(tree.len() as usize, model.len());
+        assert_eq!(tree.len() as usize, model.len());
         for (&k, &v) in &model {
             let (got, _) = tree.get(&mut pool, &mut backend, 0, k).unwrap();
-            prop_assert_eq!(got, Some(v));
+            assert_eq!(got, Some(v));
         }
         // Ordered iteration agrees with the model.
         let mut scanned = Vec::new();
         tree.range(&mut pool, &mut backend, 0, 0, u64::MAX, |k, v| scanned.push((k, v))).unwrap();
         let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(scanned, expected);
+        assert_eq!(scanned, expected);
     }
 }

@@ -1,0 +1,422 @@
+//! Fault, die-failure and overload storms against the full NoFTL stack.
+//!
+//! One client under the chaos fault mix (TPC-B and TPC-C, sync and at depth
+//! 8), a die killed mid-run on a redundancy policy, every pair of the seven
+//! storm axes composed, and the commit-admission window under overload.
+//! Every storm is a `harness::Scenario` and goes through the shared
+//! harness's one stack build, driver step, checker and crash leg; the
+//! session storms in `tests/concurrency.rs` use the same harness.
+
+pub mod harness;
+
+use harness::*;
+use noftl::nand_flash::{FlashError, FlashGeometry};
+use noftl::noftl_core::{NoFtlConfig, RedundancyPolicy};
+use noftl::sim_utils::rng::SimRng;
+use noftl::storage_engine::{AdmissionConfig, EngineError, EngineOps, StackConfig};
+use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver};
+
+use RedundancyPolicy::{Mirror, Parity};
+
+// ---------------------------------------------------------------------------
+// Fault storms: one client under the chaos mix, sync and at depth 8
+// ---------------------------------------------------------------------------
+
+/// A lone client's fault storm, the crash leg optional.  The leg runs an odd
+/// number of commits, so a log that forced only every second commit would
+/// leave the last one volatile.
+fn chaos(mix: Mix, depth: usize, seed: u64, crash: bool) -> Scenario {
+    let mut sc = Scenario::new(mix, 1, depth, seed).faults(true);
+    sc.base.endurance_override = Some(64);
+    let k = if mix == Mix::TpcB { 5 } else { 3 };
+    sc.crash(if crash { k } else { 0 })
+}
+
+/// 26 seeded fault storms, the crash leg on about half of them.
+fn chaos_sweep(mix: Mix, depth: usize) {
+    for case in 0..26 {
+        let mut rng = SimRng::new(case);
+        storm(chaos(mix, depth, rng.next_u64(), rng.range(0, 2) == 1));
+    }
+}
+
+#[test]
+fn tpcb_storms_survive_fault_plans_sync() {
+    chaos_sweep(Mix::TpcB, 1);
+}
+
+#[test]
+fn tpcb_storms_survive_fault_plans_async_depth8() {
+    chaos_sweep(Mix::TpcB, 8);
+}
+
+#[test]
+fn tpcc_storms_survive_fault_plans_sync() {
+    chaos_sweep(Mix::TpcC, 1);
+}
+
+#[test]
+fn tpcc_storms_survive_fault_plans_async_depth8() {
+    chaos_sweep(Mix::TpcC, 8);
+}
+
+/// Smoke: TPC-B storms under two fixed fault seeds, each at depth 8 with the
+/// crash leg and at depth 1.
+#[test]
+fn fault_storm_smoke() {
+    for seed in [0xFA17_5EED, 0xDEAD_BEEF] {
+        storm(chaos(Mix::TpcB, 8, seed, true));
+        storm(chaos(Mix::TpcB, 1, seed, false));
+    }
+}
+
+/// One run with every failure mode cranked high enough that all three fault
+/// classes demonstrably fire — and are all recovered — in a single storm.
+#[test]
+fn storm_injects_and_recovers_every_fault_class() {
+    let mut sc = chaos(Mix::TpcB, 8, 0xC4A05, false);
+    let plan = sc.stack.faults.as_mut().expect("chaos plan");
+    plan.program_fail_base = 0.004;
+    plan.erase_fail_prob = 0.4;
+    plan.read_error_base = 0.02;
+    // Endurance 32: erase failures ramp with wear from the first P/E cycles.
+    // A deliberately tiny device (2 dies x 16 blocks x 8 pages) with 50 %
+    // over-provisioning keeps GC running throughout the storm — so erases,
+    // and their failure draws, actually happen — while the small blocks
+    // leave enough spares to absorb the retirements; a 12-frame pool sends
+    // reads to the device.
+    sc.base = NoFtlConfig::new(FlashGeometry::with_dies(2, 32, 8, 4096));
+    sc.base.op_ratio = 0.5;
+    sc.base.endurance_override = Some(32);
+    sc.frames = 12;
+    sc.txns = 250;
+    let (_, mut medium) = storm(sc);
+    let n = noftl(medium.as_mut());
+    let flash = n.flash_stats();
+    assert!(flash.program_failures > 0, "storm must inject program failures");
+    assert!(flash.erase_failures > 0, "storm must inject erase failures");
+    assert!(flash.corrected_reads > 0, "storm must inject correctable read errors");
+    assert!(n.stats().retired_blocks > 0, "recovery must have retired blocks");
+}
+
+// ---------------------------------------------------------------------------
+// Die-failure storms: a whole die dies mid-workload while every region runs
+// a redundancy policy.  The workload completes across the failure, reads of
+// lost pages come back bit-identical through reconstruction, the rebuild
+// re-homes them, and nothing committed is lost.
+// ---------------------------------------------------------------------------
+
+/// A lone client's TPC-B storm on a `policy`-protected stack, die `seed % 4`
+/// killed halfway, the crash leg (an odd number of commits) optional.
+fn die_kill(policy: RedundancyPolicy, seed: u64, depth: usize, crash: bool) -> Scenario {
+    let sc = Scenario::new(Mix::TpcB, 1, depth, seed).kill(policy, (seed % 4) as u32).slo();
+    sc.crash(if crash { 5 } else { 0 })
+}
+
+fn die_kill_sweep(policy: RedundancyPolicy, depth: usize) {
+    for case in 0..10 {
+        let mut rng = SimRng::new(case);
+        storm(die_kill(policy, rng.next_u64(), depth, rng.range(0, 2) == 1));
+    }
+}
+
+#[test]
+fn die_kill_storms_parity_sync() {
+    die_kill_sweep(Parity(3), 1);
+}
+
+#[test]
+fn die_kill_storms_parity_async_depth8() {
+    die_kill_sweep(Parity(3), 8);
+}
+
+#[test]
+fn die_kill_storms_mirror_sync() {
+    die_kill_sweep(Mirror, 1);
+}
+
+#[test]
+fn die_kill_storms_mirror_async_depth8() {
+    die_kill_sweep(Mirror, 8);
+}
+
+/// Smoke: one die-kill rebuild storm on `Parity(3)` stripes, at depth 8 with
+/// the crash leg and at depth 1.
+#[test]
+fn redundancy_rebuild_smoke() {
+    storm(die_kill(Parity(3), 0xD1E5EED, 8, true));
+    storm(die_kill(Parity(3), 0xD1E5EED, 1, false));
+}
+
+/// Before any rebuild runs, reads of pages lost to a dead die must be served
+/// **bit-identical** through reconstruction: a degraded leg (die killed
+/// after the storm, no rebuild) scans the same rows as a healthy leg of the
+/// identical seeded run — and scans them again, still identical, after the
+/// rebuild re-homes them.
+#[test]
+fn degraded_reads_after_die_loss_are_bit_identical() {
+    let mut sc = Scenario::new(Mix::TpcB, 1, 1, 0xD1E).kill(Parity(3), 2).slo();
+    // A pool far smaller than the database: the scans reach the dead die.
+    sc.frames = 6;
+    let tables = ["account", "teller", "branch", "history"];
+    let run = |kill: bool| -> Vec<Vec<Vec<u8>>> {
+        let mut s = Storm::new(sc.clone());
+        s.drive(20);
+        if kill {
+            s.arm_kill(2);
+        }
+        let rows = tables.map(|t| s.scan(t)).to_vec();
+        if kill {
+            s.engine.noftl(|n| {
+                assert!(n.any_die_dead(), "the scan must have fired the kill");
+                assert!(
+                    n.redundancy_stats().degraded_reads > 0,
+                    "scans of a quarter-dead device must serve degraded reads"
+                );
+                assert_eq!(n.rebuild_stats().pages_lost, 0);
+            });
+            s.drain_rebuild();
+            assert!(s.engine.noftl(|n| n.rebuild_stats().pages_rebuilt) > 0);
+            for (table, before) in tables.iter().zip(&rows) {
+                assert_eq!(&s.scan(table), before, "{table} changed across the rebuild");
+            }
+        }
+        rows
+    };
+    assert_eq!(run(false), run(true), "degraded reads must be bit-identical to the healthy leg");
+}
+
+/// Without redundancy a die failure *is* data loss — and the stack must say
+/// so: typed read failures on lost pages, truthful loss counters, and no
+/// phantom reconstructions.
+#[test]
+fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
+    let mut s = Storm::new(Scenario::new(Mix::TpcB, 1, 1, 0xDEAD).kill(RedundancyPolicy::None, 1).slo());
+    s.drive(20);
+    s.arm_kill(1);
+    let now = s.now;
+    let mut buf = vec![0u8; 4096];
+    // One device read fires the armed kill (on whichever die it targets).
+    s.engine.noftl(|n| {
+        let _ = n.read(now, 0, &mut buf);
+        assert!(n.any_die_dead(), "the kill must fire on the first command");
+    });
+    s.drain_rebuild();
+    let now = s.now;
+    s.engine.noftl(|n| {
+        let rb = n.rebuild_stats();
+        assert_eq!(rb.die_failures_detected, 1);
+        assert_eq!(rb.pages_rebuilt, 0, "nothing to rebuild from without redundancy");
+        assert!(rb.pages_lost > 0, "losses must be counted, not hidden");
+        assert!(rb.accounted());
+        assert_eq!(n.redundancy_stats().reconstructed_pages, 0);
+        // Every lost page fails typed — the WAL-replay layer above can take
+        // over — and the loss counter matches the typed failures one for one.
+        let mut typed = 0u64;
+        for lpn in 0..n.logical_pages() {
+            match n.read(now, lpn, &mut buf) {
+                Ok(_) => {}
+                Err(FlashError::DieFailed(_)) => typed += 1,
+                // Logical pages the workload never wrote have no mapping.
+                Err(FlashError::ReadOfUnwrittenPage(_)) => {}
+                Err(e) => panic!("read of lpn {lpn}: expected DieFailed, got {e}"),
+            }
+        }
+        assert!(typed > 0, "a quarter of the mapped pages died with the die");
+        assert_eq!(
+            typed,
+            n.rebuild_stats().pages_lost,
+            "the loss counter must match the typed read failures exactly"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Every pair of axes, composed
+// ---------------------------------------------------------------------------
+
+/// Seven axes — workload, clients, depth, faults, die kill, SLO bundle,
+/// crash leg — and a table of storms that holds every pair of their values
+/// at least once (the table checks that itself).  Each row with a kill
+/// demands the kill fired, the rebuild lost nothing and every promise held
+/// across it.
+#[test]
+fn every_pair_of_axes_composes() {
+    use Mix::{TpcB as B, TpcC as C};
+    let rows = [
+        // mix, clients, depth, faults, kill, slo, crash
+        (C, 1, 8, true, None, true, false),
+        (B, 1, 1, true, Some(Parity(3)), false, false),
+        (C, 3, 8, false, Some(Parity(3)), true, true),
+        (C, 3, 1, true, Some(Mirror), false, true),
+        (B, 1, 8, false, Some(Mirror), false, true),
+        (B, 3, 1, false, Some(Mirror), true, false),
+        (B, 3, 1, false, None, false, true),
+    ];
+    let values: Vec<[usize; 7]> = rows
+        .iter()
+        .map(|&(mix, clients, depth, faults, kill, slo, crash)| {
+            let kill = match kill {
+                None => 0,
+                Some(Parity(_)) => 1,
+                Some(_) => 2,
+            };
+            [(mix == C) as usize, (clients == 3) as usize, (depth == 8) as usize, faults as usize, kill, slo as usize, crash as usize]
+        })
+        .collect();
+    let levels = [2, 2, 2, 2, 3, 2, 2];
+    for a in 0..7 {
+        for b in a + 1..7 {
+            for (va, vb) in (0..levels[a]).flat_map(|va| (0..levels[b]).map(move |vb| (va, vb))) {
+                assert!(
+                    values.iter().any(|v| v[a] == va && v[b] == vb),
+                    "no row composes value {va} of axis {a} with value {vb} of axis {b}"
+                );
+            }
+        }
+    }
+    for (i, &(mix, clients, depth, faults, kill, slo, crash)) in rows.iter().enumerate() {
+        let seed = 0xA11_0000 + i as u64;
+        let mut sc = Scenario::new(mix, clients, depth, seed).faults(faults);
+        if let Some(policy) = kill {
+            sc = sc.kill(policy, (seed % 4) as u32);
+        }
+        sc.stack.slo = slo;
+        storm(sc.crash(if crash { 3 } else { 0 }));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Overload: the commit-admission window (`EngineConfig::admission`) promises
+// that a shed request fails before anything is begun or logged (no
+// committed-data loss), that `admitted + delayed + shed` matches the clients'
+// view call for call (truthful stats), and that degenerate windows shed or
+// admit but never hang the virtual clock (no livelock).
+// ---------------------------------------------------------------------------
+
+/// The overload stack: a 4-die drive, 128 frames, four die-wise writers and
+/// the SLO bundle with `admission` as its window, for `sessions` clients.
+fn overload(sessions: usize, admission: AdmissionConfig) -> Engine {
+    let mut sc = Scenario::new(Mix::TpcB, sessions, 1, 0);
+    sc.stack = StackConfig { slo: true, ..StackConfig::default() };
+    sc.base = NoFtlConfig::new(FlashGeometry::with_dies(4, 128, 64, 4096));
+    sc.frames = 128;
+    sc.writers = 4;
+    sc.admission = Some(admission);
+    build(&sc)
+}
+
+/// An engine with one committed update transaction whose WAL force is the
+/// single retained in-flight entry; returns the engine and the commit end.
+fn engine_with_one_force(admission: AdmissionConfig) -> (Engine, u64) {
+    let mut engine = overload(1, admission);
+    let e = engine.ops(0);
+    e.create_table("t");
+    let txn = e.begin();
+    let (_, t) = e.insert("t", txn, 0, &[7u8; 64]).expect("insert");
+    let end = e.commit(txn, t).expect("commit");
+    assert!(end > 0, "the commit force takes real virtual time");
+    (engine, end)
+}
+
+#[test]
+fn window_of_one_admits_on_an_idle_engine() {
+    // Window 1 on a fresh engine: nothing in flight, nothing dirty — the
+    // arrival admits immediately (the livelock guard, not the deadline).
+    let admission = AdmissionConfig { max_inflight_groups: 1, deadline_ns: 10, ..AdmissionConfig::default() };
+    let mut engine = overload(1, admission);
+    let e = engine.ops(0);
+    let (_, at) = e.begin_admitted(5).expect("idle engine admits");
+    assert_eq!(at, 5);
+    let stats = e.admission_stats();
+    assert_eq!((stats.admitted, stats.delayed, stats.shed), (1, 0, 0));
+}
+
+#[test]
+fn window_of_one_waits_out_the_inflight_force() {
+    // An arrival that lands while the previous commit's WAL force is still
+    // in flight (its completion is after the arrival instant) waits until
+    // the force clears, and the delay is counted.
+    let admission = AdmissionConfig { max_inflight_groups: 1, deadline_ns: u64::MAX, ..AdmissionConfig::default() };
+    let (mut engine, end) = engine_with_one_force(admission);
+    let e = engine.ops(0);
+    let (_, at) = e.begin_admitted(1).expect("bounded wait admits");
+    assert!(at >= end, "admission waits for the in-flight force: admitted {at}, force ends {end}");
+    let stats = e.admission_stats();
+    assert_eq!((stats.admitted, stats.delayed), (1, 1));
+    assert!(stats.total_delay_ns >= end - 1);
+}
+
+#[test]
+fn deadline_shorter_than_one_wal_group_sheds_with_typed_error() {
+    // The force in flight takes longer than the whole admission deadline, so
+    // the arrival cannot clear pressure in time: typed shed, nothing begun.
+    let admission = AdmissionConfig { max_inflight_groups: 1, deadline_ns: 1, ..AdmissionConfig::default() };
+    let (mut engine, end) = engine_with_one_force(admission);
+    let e = engine.ops(0);
+    let committed_before = e.committed();
+    match e.begin_admitted(1) {
+        Err(EngineError::Overloaded { waited_ns, retry_after_ns }) => {
+            assert!(waited_ns >= end - 1, "the error reports the pressure ahead: {waited_ns}");
+            assert_eq!(
+                retry_after_ns,
+                waited_ns - 1,
+                "the back-off hint is the pressure ahead minus the deadline budget"
+            );
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    let stats = e.admission_stats();
+    assert_eq!((stats.shed, stats.admitted), (1, 0));
+    assert_eq!(e.committed(), committed_before, "a shed begin leaves the durability ledger untouched");
+}
+
+/// Across seeds, arrival rates, deadlines and session topologies (one
+/// client, and eight sessions over the sharded engine): no committed-data
+/// loss, and the engine's admission counters reconcile call for call with
+/// what the clients observed.
+#[test]
+fn open_loop_storms_never_lose_committed_data() {
+    for case in 0..12 {
+        let mut rng = SimRng::new(case);
+        let seed = rng.range(0, 1_000_000);
+        let mean_gap_ns = *rng.choose(&[50_000, 150_000, 600_000]);
+        let deadline_ns = *rng.choose(&[1, 500_000, 2_000_000]);
+        let sessions = *rng.choose(&[1, 8]);
+
+        let admission = AdmissionConfig { max_inflight_groups: 1, dirty_high_watermark: 0.25, deadline_ns };
+        let mut engine = overload(sessions, admission);
+        let mut olcfg = OpenLoopConfig::new(150, Arrivals::Poisson { mean_interarrival_ns: mean_gap_ns });
+        olcfg.rows = 300;
+        olcfg.row_bytes = 64;
+        olcfg.update_every = 2;
+        olcfg.seed = seed;
+        let driver = OpenLoopDriver::new(olcfg);
+        let t0 = match &mut engine {
+            Engine::One(e) => driver.setup(e.as_mut(), 0),
+            Engine::Many(_, s) => driver.setup(&mut s[0], 0),
+        }
+        .expect("setup");
+        let setup_committed = engine.ops(0).committed();
+        let mut slots: Vec<&mut dyn EngineOps> = match &mut engine {
+            Engine::One(e) => vec![e.as_mut()],
+            Engine::Many(_, s) => s.iter_mut().map(|s| s as &mut dyn EngineOps).collect(),
+        };
+        let report = driver.run(&mut slots, t0).expect("run");
+
+        let total = 165; // 150 measured + 15 warmup
+        let (admitted, delayed, shed) = report.observed;
+        // Every offered request is admitted or shed — none vanish.
+        assert_eq!(admitted + shed, total);
+        assert!(delayed <= admitted);
+        // Engine-side counters match the client-side observations exactly.
+        assert_eq!(report.admission.admitted, admitted);
+        assert_eq!(report.admission.delayed, delayed);
+        assert_eq!(report.admission.shed, shed);
+        // Zero committed-transaction loss: the durability ledger is setup
+        // plus exactly the admitted begins — shed requests never logged.
+        assert_eq!(report.committed, setup_committed + admitted);
+        // The measured phase accounts for every request.
+        assert_eq!(report.completed + report.shed, report.requests);
+    }
+}
