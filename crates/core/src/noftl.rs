@@ -331,12 +331,6 @@ impl NoFtl {
         self.device.set_backfill_occupancy(on);
     }
 
-    /// Set the read-heat penalty of GC victim scoring (`0.0` restores the
-    /// read-blind legacy scorer; see [`crate::gc::select_victim`]).
-    pub fn set_gc_read_heat_penalty(&mut self, penalty: f64) {
-        self.gc_read_heat_penalty = penalty;
-    }
-
     /// Current read-heat penalty of GC victim scoring.
     pub fn gc_read_heat_penalty(&self) -> f64 {
         self.gc_read_heat_penalty
@@ -346,12 +340,6 @@ impl NoFtl {
     /// [`NoFtl::schedule_gc`]).
     pub fn gc_schedule_read_occupancy(&self) -> usize {
         self.gc_schedule_read_occupancy
-    }
-
-    /// Set the proactive GC scheduling threshold, in in-flight device reads
-    /// (`0` disables [`NoFtl::schedule_gc`] entirely).
-    pub fn set_gc_schedule_read_occupancy(&mut self, occupancy: usize) {
-        self.gc_schedule_read_occupancy = occupancy;
     }
 
     /// Commands in flight across every die as of `now` — the foreground-load
@@ -2612,7 +2600,7 @@ mod tests {
         assert_eq!(n.stats().gc_deferred_hot, 0);
 
         // Read-hot instant: one read in flight defers the relocation.
-        n.set_gc_schedule_read_occupancy(1);
+        n.gc_schedule_read_occupancy = 1;
         let ppa_flat = n.map.get(0).expect("lpn 0 is mapped");
         let g = *n.device.geometry();
         let mut buf = vec![0u8; n.page_size];
@@ -3671,7 +3659,7 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, live_lpn, &mut buf).unwrap();
         // Read-hot instant: one read in flight defers the rebuild step.
-        n.set_gc_schedule_read_occupancy(1);
+        n.gc_schedule_read_occupancy = 1;
         let live_flat = n.map.get(live_lpn).unwrap();
         let (_, sub) = n
             .device
@@ -3749,8 +3737,8 @@ mod tests {
         let g = FlashGeometry::small();
         let mut cfg = NoFtlConfig::new(g);
         cfg.striping = StripingMode::Single;
+        cfg.gc_read_heat_penalty = 4.0;
         let mut n = NoFtl::new(cfg);
-        n.set_gc_read_heat_penalty(4.0);
         let data = vec![1u8; n.page_size];
         let ppb = g.pages_per_block as u64;
         let mut now = 0;

@@ -14,7 +14,6 @@ use nand_flash::{
     NativeFlashInterface, Oob, OpCompletion, PageKind, PageState, Ppa,
 };
 use serde::{Deserialize, Serialize};
-use sim_utils::flatmap::FlatMap;
 use sim_utils::time::SimInstant;
 
 use crate::alloc::BlockPools;
@@ -65,9 +64,6 @@ pub struct Dftl {
     global_map: PageMap,
     /// GTD: translation-virtual-page → flat PPA of the translation page.
     gtd: Vec<Option<u64>>,
-    /// Dense reverse table for translation pages (flat PPA → tvpn) used by
-    /// GC — directly indexed by physical page, like the data-page maps.
-    translation_reverse: FlatMap,
     cmt: LruCache,
     pools: BlockPools,
     stats: FtlStats,
@@ -94,7 +90,6 @@ impl Dftl {
             device,
             global_map: PageMap::with_physical_pages(logical_pages, geometry.total_pages()),
             gtd: vec![None; translation_pages as usize],
-            translation_reverse: FlatMap::with_index_capacity(geometry.total_pages() as usize),
             cmt: LruCache::new(config.cmt_entries.max(1)),
             pools: BlockPools::new_all_free(geometry),
             stats: FtlStats::new(),
@@ -130,7 +125,6 @@ impl Dftl {
             t = t.max(c.completed_at);
             self.stats.translation_reads += 1;
             self.device.invalidate_page(Ppa::from_flat(&g, old))?;
-            self.translation_reverse.remove(old);
         }
         let dst = self
             .pools
@@ -141,9 +135,7 @@ impl Dftl {
             .device
             .program_page(t, dst, &payload, Oob::translation(tvpn, 0))?;
         t = t.max(c.completed_at);
-        let flat = dst.flat(&g);
-        self.gtd[tvpn as usize] = Some(flat);
-        self.translation_reverse.insert(flat, tvpn);
+        self.gtd[tvpn as usize] = Some(dst.flat(&g));
         self.stats.translation_writes += 1;
         Ok(t)
     }
@@ -245,12 +237,8 @@ impl Dftl {
             self.stats.gc_page_copies += 1;
 
             match oob.kind {
-                PageKind::Translation => {
-                    let tvpn = oob.lpn;
-                    self.gtd[tvpn as usize] = Some(dst_flat);
-                    self.translation_reverse.remove(src_flat);
-                    self.translation_reverse.insert(dst_flat, tvpn);
-                }
+                // GC reads the tvpn from the OOB, so no reverse table is kept.
+                PageKind::Translation => self.gtd[oob.lpn as usize] = Some(dst_flat),
                 _ => {
                     let lpn = oob.lpn;
                     if lpn == Oob::NO_LPN {

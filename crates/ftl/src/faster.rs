@@ -26,9 +26,10 @@ use nand_flash::{
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
 };
 use serde::{Deserialize, Serialize};
-use sim_utils::flatmap::{FlatBitSet, FlatMap};
+use sim_utils::flatmap::FlatBitSet;
 use sim_utils::time::SimInstant;
 
+use crate::mapping::PageMap;
 use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
@@ -66,10 +67,8 @@ pub struct FasterFtl {
     device: NandDevice,
     /// Logical block → physical data block.
     block_map: Vec<Option<BlockAddr>>,
-    /// Page-level map of the log area, indexed directly by LPN.
-    log_map: FlatMap,
-    /// Reverse map of the log area, indexed directly by flat PPA.
-    log_reverse: FlatMap,
+    /// Page-level map of the log area (LPN → flat PPA, and back).
+    log_map: PageMap,
     /// Sealed log blocks, oldest first.
     sealed_logs: VecDeque<BlockAddr>,
     /// Currently filling log block and its next page offset.
@@ -126,8 +125,7 @@ impl FasterFtl {
         Self {
             device,
             block_map: vec![None; data_blocks as usize],
-            log_map: FlatMap::with_index_capacity(logical_pages as usize),
-            log_reverse: FlatMap::with_index_capacity(geometry.total_pages() as usize),
+            log_map: PageMap::with_physical_pages(logical_pages, geometry.total_pages()),
             sealed_logs: VecDeque::new(),
             active_log: None,
             free_logs,
@@ -166,8 +164,7 @@ impl FasterFtl {
     /// Invalidate whatever version of `lpn` is currently live.
     fn invalidate_current(&mut self, lpn: u64) -> FlashResult<()> {
         let g = *self.device.geometry();
-        if let Some(old) = self.log_map.remove(lpn) {
-            self.log_reverse.remove(old);
+        if let Some(old) = self.log_map.unmap(lpn) {
             self.device.invalidate_page(Ppa::from_flat(&g, old))?;
             return Ok(());
         }
@@ -206,13 +203,7 @@ impl FasterFtl {
 
     /// Append a page to the log area on behalf of the host or of the
     /// second-chance pass. The caller must have ensured space exists.
-    fn append_to_log(
-        &mut self,
-        now: SimInstant,
-        lpn: u64,
-        data: Option<&[u8]>,
-        src_for_copy: Option<Ppa>,
-    ) -> FlashResult<(Ppa, SimInstant)> {
+    fn append_to_log(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<SimInstant> {
         let g = *self.device.geometry();
         // Open a log block if needed.
         if self
@@ -232,19 +223,9 @@ impl FasterFtl {
         let dst = block.page(next);
         self.active_log = Some((block, next + 1));
 
-        let t = match (data, src_for_copy) {
-            (Some(bytes), _) => {
-                let c = self.device.program_page(now, dst, bytes, Oob::log(lpn, 0))?;
-                c.completed_at
-            }
-            (None, Some(src)) => self.relocate(now, src, dst, Oob::log(lpn, 0))?,
-            (None, None) => unreachable!("append_to_log needs data or a source page"),
-        };
-
-        let flat = dst.flat(&g);
-        self.log_map.insert(lpn, flat);
-        self.log_reverse.insert(flat, lpn);
-        Ok((dst, t))
+        let c = self.device.program_page(now, dst, data, Oob::log(lpn, 0))?;
+        self.log_map.update(lpn, dst.flat(&g));
+        Ok(c.completed_at)
     }
 
     /// Whether the log area can absorb one more page without a merge.
@@ -275,8 +256,7 @@ impl FasterFtl {
                 let src = Ppa::from_flat(&g, log_flat);
                 t = self.relocate(t, src, dst, Oob::data(lpn, 0))?.max(t);
                 self.device.invalidate_page(src)?;
-                self.log_map.remove(lpn);
-                self.log_reverse.remove(log_flat);
+                self.log_map.unmap(lpn);
                 self.chanced.remove(lpn);
             } else if let Some(old_block) = old_data {
                 let src = old_block.page(offset);
@@ -323,9 +303,7 @@ impl FasterFtl {
             self.block_map[lbn as usize] = Some(victim);
             for offset in 0..g.pages_per_block {
                 let lpn = lbn * self.pages_per_block + offset as u64;
-                if let Some(flat) = self.log_map.remove(lpn) {
-                    self.log_reverse.remove(flat);
-                }
+                self.log_map.unmap(lpn);
                 self.chanced.remove(lpn);
             }
             if let Some(old_block) = old {
@@ -371,7 +349,7 @@ impl FasterFtl {
         for page_idx in 0..g.pages_per_block {
             let src = victim.page(page_idx);
             let flat = src.flat(&g);
-            let Some(lpn) = self.log_reverse.get(flat) else {
+            let Some(lpn) = self.log_map.reverse(flat) else {
                 continue; // stale or never-written page
             };
             if self.device.page_state(src)? != PageState::Valid {
@@ -385,8 +363,7 @@ impl FasterFtl {
                 bytes.resize(at + self.page_size, 0);
                 let (_, c) = self.device.read_page(t, src, &mut bytes[at..])?;
                 t = t.max(c.completed_at);
-                self.log_map.remove(lpn);
-                self.log_reverse.remove(flat);
+                self.log_map.unmap(lpn);
                 lpns.push(lpn);
                 self.chanced.insert(lpn);
             } else {
@@ -402,8 +379,7 @@ impl FasterFtl {
         self.stats.gc_erases += 1;
         self.free_logs.push_back(victim);
         for (&lpn, data) in lpns.iter().zip(bytes.chunks(self.page_size)) {
-            let (_, end) = self.append_to_log(t, lpn, Some(data), None)?;
-            t = t.max(end);
+            t = t.max(self.append_to_log(t, lpn, data)?);
             self.stats.gc_page_copies += 1;
         }
         Ok(t)
@@ -420,7 +396,7 @@ impl FasterFtl {
                 return Ok(None);
             }
             let flat = src.flat(&g);
-            let Some(lpn) = self.log_reverse.get(flat) else {
+            let Some(lpn) = self.log_map.reverse(flat) else {
                 return Ok(None);
             };
             if self.offset_of(lpn) != page_idx {
@@ -491,8 +467,7 @@ impl Ftl for FasterFtl {
         let mut t = self.ensure_log_space(now)?;
         self.invalidate_current(lpn)?;
         self.chanced.remove(lpn);
-        let (_, end) = self.append_to_log(t, lpn, Some(data), None)?;
-        t = t.max(end);
+        t = t.max(self.append_to_log(t, lpn, data)?);
         self.stats.host_writes += 1;
         self.stats.write_latency.record(t.saturating_sub(start));
         Ok(OpCompletion {

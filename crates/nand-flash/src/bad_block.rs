@@ -39,16 +39,6 @@ impl BadBlockPolicy {
         Self::default()
     }
 
-    /// A policy resembling production MLC NAND: 0.2 % factory bad blocks and
-    /// probabilistic failure past the endurance limit.
-    pub fn realistic(seed: u64) -> Self {
-        Self {
-            factory_bad_fraction: 0.002,
-            wear_out_failure_prob: 0.3,
-            seed,
-        }
-    }
-
     /// Decide which flat block indices are factory-bad for `geometry`.
     pub fn factory_bad_blocks(&self, geometry: &FlashGeometry) -> Vec<u64> {
         if self.factory_bad_fraction <= 0.0 {
@@ -74,6 +64,16 @@ impl BadBlockPolicy {
 mod tests {
     use super::*;
 
+    /// 0.2 % factory bad blocks and probabilistic failure past the
+    /// endurance limit, like production MLC NAND.
+    fn mlc_like(seed: u64) -> BadBlockPolicy {
+        BadBlockPolicy {
+            factory_bad_fraction: 0.002,
+            wear_out_failure_prob: 0.3,
+            seed,
+        }
+    }
+
     #[test]
     fn none_policy_produces_no_factory_bads() {
         let g = FlashGeometry::small();
@@ -85,7 +85,7 @@ mod tests {
     fn realistic_policy_fraction_is_respected_roughly() {
         let mut g = FlashGeometry::small();
         g.blocks_per_plane = 4096; // enough blocks for the fraction to show
-        let policy = BadBlockPolicy::realistic(7);
+        let policy = mlc_like(7);
         let bads = policy.factory_bad_blocks(&g);
         let frac = bads.len() as f64 / g.total_blocks() as f64;
         assert!(frac > 0.0 && frac < 0.01, "factory bad fraction {frac}");
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn factory_bads_are_deterministic() {
         let g = FlashGeometry::small();
-        let policy = BadBlockPolicy::realistic(42);
+        let policy = mlc_like(42);
         assert_eq!(policy.factory_bad_blocks(&g), policy.factory_bad_blocks(&g));
     }
 

@@ -11,7 +11,7 @@ use crate::bad_block::BadBlockPolicy;
 use crate::block::{Block, BlockHealth};
 use crate::die::Die;
 use crate::error::{check_buf, FlashError, FlashResult};
-use crate::fault::{FaultPlan, KillTarget, ReadFaultOutcome};
+use crate::fault::{FaultPlan, ReadFaultOutcome};
 use crate::geometry::FlashGeometry;
 use crate::interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, OpKind};
 use crate::nand_type::TimingProfile;
@@ -534,25 +534,13 @@ impl NandDevice {
         }
         let cmd = self.kill_commands;
         self.kill_commands += 1;
-        let mut to_kill: Vec<usize> = Vec::new();
-        if let Some(plan) = &self.faults {
-            for (i, spec) in plan.kills.iter().enumerate() {
-                if self.kills_applied[i] || cmd < spec.at_command {
-                    continue;
-                }
-                self.kills_applied[i] = true;
-                match spec.target {
-                    KillTarget::Die(d) => to_kill.push(d as usize),
-                    KillTarget::Channel(c) => {
-                        for d in 0..self.geometry.dies_per_channel {
-                            to_kill
-                                .push((c * self.geometry.dies_per_channel + d) as usize);
-                        }
-                    }
-                }
+        let Some(plan) = &self.faults else { return };
+        for (i, spec) in plan.kills.iter().enumerate() {
+            if self.kills_applied[i] || cmd < spec.at_command {
+                continue;
             }
-        }
-        for die in to_kill {
+            self.kills_applied[i] = true;
+            let die = spec.die as usize;
             if die < self.dead_dies.len() && !self.dead_dies[die] {
                 self.dead_dies[die] = true;
                 self.stats.die_failures += 1;
@@ -2432,26 +2420,6 @@ mod tests {
         // Host bookkeeping on a dead die stays allowed.
         dev.invalidate_page(Ppa::new(0, 1, 0, 0, 0)).unwrap();
         dev.mark_block_bad(BlockAddr::new(0, 1, 0, 0)).unwrap();
-    }
-
-    #[test]
-    fn channel_kill_takes_down_every_die_on_the_channel() {
-        let plan = FaultPlan::seeded(1).with_channel_kill(0, 1);
-        let mut dev = kill_only_device(plan);
-        let data = page_of(&dev, 0x22);
-        // The very first command fires the kill: channel 1 = flat dies 2, 3.
-        let err = dev
-            .program_page(0, Ppa::new(1, 0, 0, 0, 0), &data, Oob::data(1, 0))
-            .unwrap_err();
-        assert_eq!(err, FlashError::DieFailed(DieAddr::new(1, 0)));
-        assert!(dev.is_die_dead(DieAddr::new(1, 0)));
-        assert!(dev.is_die_dead(DieAddr::new(1, 1)));
-        assert!(!dev.is_die_dead(DieAddr::new(0, 0)));
-        assert_eq!(dev.stats().die_failures, 2);
-        assert_eq!(dev.dead_dies(), &[false, false, true, true]);
-        // Channel-0 dies are untouched.
-        dev.program_page(0, Ppa::new(0, 0, 0, 0, 0), &data, Oob::data(2, 0))
-            .unwrap();
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub enum FlashError {
     /// A BLOCK ERASE reported failure (injected by the fault plan); the
     /// block is marked grown-bad.
     EraseFailed(BlockAddr),
-    /// The die (or its whole channel) failed permanently — injected by a
+    /// The die failed permanently — injected by a
     /// deterministic [`crate::fault::KillSpec`].  Every subsequent command
     /// addressed to the die is rejected with this error; queued commands
     /// still in flight on it are lost (counted in

@@ -20,9 +20,9 @@
 //!   by the modelled ECC engine (counted, data intact); an uncorrectable one
 //!   surfaces as [`crate::FlashError::UncorrectableEcc`] and each retry draws
 //!   independently — the read-retry ladder of a real controller.
-//! * **Die and channel failures** — a [`KillSpec`] declares that a die (or
-//!   every die on a channel) goes *permanently* dead once the device has
-//!   executed a given number of array commands.  Unlike the probabilistic
+//! * **Die failures** — a [`KillSpec`] declares that a die goes
+//!   *permanently* dead once the device has executed a given number of array
+//!   commands.  Unlike the probabilistic
 //!   models above this class is deterministic by construction: the kill
 //!   fires at a fixed command index, not from an RNG draw, so a test can
 //!   place the failure exactly between two known operations.  When it fires,
@@ -58,18 +58,7 @@ pub enum ReadFaultOutcome {
     Uncorrectable,
 }
 
-/// What a [`KillSpec`] takes down: one die or a whole channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KillTarget {
-    /// One die, addressed by its flat index
-    /// (`channel * dies_per_channel + die`, see
-    /// [`crate::addr::DieAddr::flat`]).
-    Die(u32),
-    /// Every die on the given channel (a channel controller failure).
-    Channel(u32),
-}
-
-/// A deterministic die/channel failure: the target goes permanently dead
+/// A deterministic die failure: the die goes permanently dead
 /// once the device has executed `at_command` array commands (reads,
 /// programs, erases, copybacks — queued or synchronous).  The count is a
 /// property of the command *sequence*, not of the virtual clock, so the same
@@ -79,8 +68,10 @@ pub struct KillSpec {
     /// Array-command index at which the failure fires (the command with this
     /// index is the first one affected).
     pub at_command: u64,
-    /// The die or channel that fails.
-    pub target: KillTarget,
+    /// The die that fails, by its flat index
+    /// (`channel * dies_per_channel + die`, see
+    /// [`crate::addr::DieAddr::flat`]).
+    pub die: u32,
 }
 
 /// A seeded, deterministic fault-injection plan.
@@ -118,7 +109,7 @@ pub struct FaultPlan {
     /// Of the reads that see bit errors, the fraction the modelled ECC engine
     /// cannot correct.
     pub uncorrectable_fraction: f64,
-    /// Deterministic die/channel failures (empty by default — the
+    /// Deterministic die failures (empty by default — the
     /// probabilistic models alone never take a die down).
     pub kills: Vec<KillSpec>,
     rng: SimRng,
@@ -147,20 +138,7 @@ impl FaultPlan {
     /// Add a deterministic die failure at array-command index `at_command`
     /// (`die_flat` is the die's flat index; builder style, chainable).
     pub fn with_die_kill(mut self, at_command: u64, die_flat: u32) -> Self {
-        self.kills.push(KillSpec {
-            at_command,
-            target: KillTarget::Die(die_flat),
-        });
-        self
-    }
-
-    /// Add a deterministic channel failure (every die on `channel` dies) at
-    /// array-command index `at_command`.
-    pub fn with_channel_kill(mut self, at_command: u64, channel: u32) -> Self {
-        self.kills.push(KillSpec {
-            at_command,
-            target: KillTarget::Channel(channel),
-        });
+        self.kills.push(KillSpec { at_command, die: die_flat });
         self
     }
 

@@ -97,7 +97,7 @@ pub mod trace;
 pub use addr::{BlockAddr, DieAddr, Ppa};
 pub use device::{DeviceConfig, NandDevice};
 pub use error::{FlashError, FlashResult};
-pub use fault::{FaultPlan, KillSpec, KillTarget, ReadFaultOutcome};
+pub use fault::{FaultPlan, KillSpec, ReadFaultOutcome};
 pub use geometry::FlashGeometry;
 pub use interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, OpKind};
 pub use nand_type::{NandType, TimingProfile};

@@ -55,8 +55,7 @@ pub struct FlashStats {
     /// PAGE READ commands whose bit errors exceeded the ECC correction
     /// budget (each retry of the read-retry ladder counts separately).
     pub uncorrectable_reads: u64,
-    /// Dies that failed permanently (deterministic die/channel kills; a
-    /// channel kill counts every die it takes down).
+    /// Dies that failed permanently (deterministic die kills).
     pub die_failures: u64,
     /// Commands rejected up front because they addressed a dead die.
     pub dead_die_rejections: u64,

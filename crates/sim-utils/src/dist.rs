@@ -117,11 +117,6 @@ impl NuRand {
         Self::new(1023, 1, 3000, c)
     }
 
-    /// Standard constants for item-id selection (A = 8191).
-    pub fn item_id(c: u64) -> Self {
-        Self::new(8191, 1, 100_000, c)
-    }
-
     /// Draw a value in `[x, y]`.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let r1 = rng.range(0, self.a + 1);
@@ -191,16 +186,6 @@ mod tests {
         for _ in 0..10_000 {
             let v = nu.sample(&mut rng);
             assert!((1..=3000).contains(&v));
-        }
-    }
-
-    #[test]
-    fn nurand_item_bounds() {
-        let nu = NuRand::item_id(77);
-        let mut rng = SimRng::new(5);
-        for _ in 0..10_000 {
-            let v = nu.sample(&mut rng);
-            assert!((1..=100_000).contains(&v));
         }
     }
 

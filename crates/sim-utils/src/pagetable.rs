@@ -7,8 +7,8 @@
 //! access, no hashing anywhere on the per-page path.
 //!
 //! This is the one definition behind both names the stack uses for it:
-//! `ftl::mapping::PageMap` (the on-device table of the page-mapping FTL and
-//! DFTL's global translation directory) and
+//! `ftl::mapping::PageMap` (the on-device table of the page-mapping FTL,
+//! DFTL's global translation directory and FASTer's log area) and
 //! `noftl_core::mapping::HostMappingTable` (the same table held in DBMS
 //! memory).  The paper's argument (§3.1) is about *where* the table lives,
 //! not about what it is.

@@ -166,28 +166,17 @@ pub fn redundancy_op_ratio(base: f64, policy: Option<RedundancyPolicy>) -> f64 {
     }
 }
 
-/// Class of an in-flight submission, for the mixed read/write windows the
-/// engine's scheduler keeps (reads from buffer-pool miss fills, writes from
-/// db-writers and the WAL).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// A read submission (page fill, point read).
-    Read,
-    /// A write submission (flush run, WAL force).
-    Write,
-}
-
-/// Bounded window of in-flight asynchronous submissions, shared by the
-/// issuer streams (each db-writer, the WAL's group submissions, the buffer
-/// pool's miss fills): completion times of submissions issued but not yet
-/// waited for, each tagged with its [`OpClass`] so mixed read/write streams
-/// share one scheduler and stay individually observable.
+/// Bounded window of in-flight asynchronous submissions, one per issuer
+/// stream (each db-writer, the WAL's group submissions, the buffer pool's
+/// miss fills): a FIFO of the completion times of submissions issued but not
+/// yet waited for.  A window carries one class of work — the pool's holds
+/// reads, the flushers' and the WAL's hold writes.
 ///
 /// At depth 1 [`InflightWindow::gate`] makes every submission wait for its
 /// predecessor — the synchronous chaining the pre-async code performed.
 #[derive(Debug, Clone, Default)]
 pub struct InflightWindow {
-    completions: std::collections::VecDeque<(SimInstant, OpClass)>,
+    completions: std::collections::VecDeque<SimInstant>,
 }
 
 impl InflightWindow {
@@ -206,35 +195,17 @@ impl InflightWindow {
         self.completions.is_empty()
     }
 
-    /// In-flight read submissions.
-    pub fn reads_inflight(&self) -> usize {
-        self.completions
-            .iter()
-            .filter(|(_, c)| *c == OpClass::Read)
-            .count()
-    }
-
-    /// In-flight write submissions.
-    pub fn writes_inflight(&self) -> usize {
-        self.completions
-            .iter()
-            .filter(|(_, c)| *c == OpClass::Write)
-            .count()
-    }
-
     /// Forget every in-flight entry without waiting (synchronous-mode reset).
     pub fn clear(&mut self) {
         self.completions.clear();
     }
 
     /// Earliest time a new submission may issue: pops window entries until
-    /// fewer than `depth` remain, waiting for each popped completion.  The
-    /// gate is class-blind — the window models one bounded submission stream,
-    /// whatever mix of reads and writes flows through it.
+    /// fewer than `depth` remain, waiting for each popped completion.
     pub fn gate(&mut self, depth: usize, now: SimInstant) -> SimInstant {
         let mut at = now;
         while self.completions.len() >= depth.max(1) {
-            let (free_at, _) = self
+            let free_at = self
                 .completions
                 .pop_front()
                 .expect("window cannot be empty here");
@@ -243,20 +214,9 @@ impl InflightWindow {
         at
     }
 
-    /// Record a write submission's completion time (the historical default —
-    /// the PR 3 issuer streams were write-only).
+    /// Record a submission's completion time.
     pub fn push(&mut self, completed_at: SimInstant) {
-        self.push_class(completed_at, OpClass::Write);
-    }
-
-    /// Record a read submission's completion time.
-    pub fn push_read(&mut self, completed_at: SimInstant) {
-        self.push_class(completed_at, OpClass::Read);
-    }
-
-    /// Record a submission's completion time with an explicit class.
-    pub fn push_class(&mut self, completed_at: SimInstant, class: OpClass) {
-        self.completions.push_back((completed_at, class));
+        self.completions.push_back(completed_at);
     }
 
     /// Barrier: the instant by which everything in flight has completed (at
@@ -271,7 +231,7 @@ impl InflightWindow {
     /// `now`) — like [`InflightWindow::drain`] but leaves the window intact,
     /// so submissions keep pipelining while the caller reports a horizon.
     pub fn horizon(&self, now: SimInstant) -> SimInstant {
-        self.completions.iter().fold(now, |t, &(c, _)| t.max(c))
+        self.completions.iter().fold(now, |t, &c| t.max(c))
     }
 
     /// Entries still genuinely in flight *as of* `now` (completion after
@@ -279,7 +239,7 @@ impl InflightWindow {
     /// whose completion has already passed but which the gate has not yet
     /// popped — the honest pressure signal admission control reads.
     pub fn inflight_at(&self, now: SimInstant) -> usize {
-        self.completions.iter().filter(|&&(c, _)| c > now).count()
+        self.completions.iter().filter(|&&c| c > now).count()
     }
 }
 
@@ -978,24 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn inflight_window_tracks_mixed_read_write_classes() {
-        let mut w = InflightWindow::new();
-        w.push(500); // write (historical default)
-        w.push_read(700);
-        w.push_class(900, OpClass::Write);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.writes_inflight(), 2);
-        assert_eq!(w.reads_inflight(), 1);
-        // The gate is class-blind: one bounded submission stream (depth 3
-        // full → the oldest entry, a write, retires to make room).
-        assert_eq!(w.gate(3, 100), 500);
-        assert_eq!(w.writes_inflight(), 1);
-        assert_eq!(w.reads_inflight(), 1);
-        assert_eq!(w.drain(0), 900);
-        assert_eq!(w.reads_inflight(), 0);
-    }
-
-    #[test]
     fn noftl_backend_batches_reads_and_surfaces_completions() {
         let noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::small()));
         let mut b = NoFtlBackend::new(noftl);
@@ -1089,7 +1031,7 @@ mod tests {
     fn inflight_window_reports_honest_occupancy() {
         let mut w = InflightWindow::new();
         w.push(500);
-        w.push_read(700);
+        w.push(700);
         assert_eq!(w.len(), 2);
         assert_eq!(w.inflight_at(100), 2);
         assert_eq!(w.inflight_at(500), 1, "a passed completion is not in flight");

@@ -105,8 +105,7 @@ pub struct BufferPool {
     /// completion (1 = the synchronous model: every fill is waited for
     /// inline, bit- and cycle-identical to the pre-async code).
     async_depth: usize,
-    /// In-flight miss-fill reads — the pool's lane of the engine's shared
-    /// window scheduler ([`InflightWindow`], read class); under async,
+    /// In-flight miss-fill reads — the pool's [`InflightWindow`]; under async,
     /// point-read fills pipeline here while the flushers' write windows
     /// pipeline next to them on the same per-die device queues.
     read_window: InflightWindow,
@@ -174,7 +173,7 @@ impl BufferPool {
 
     /// Miss-fill reads currently in flight.
     pub fn inflight_reads(&self) -> usize {
-        self.read_window.reads_inflight()
+        self.read_window.len()
     }
 
     /// Barrier: the instant by which every in-flight miss-fill read has
@@ -458,7 +457,7 @@ impl BufferPool {
             };
             let c = backend.read_page(submit_at, page_id, &mut self.arena[range])?;
             if self.async_depth > 1 {
-                self.read_window.push_read(c.completed_at);
+                self.read_window.push(c.completed_at);
             }
             t = t.max(c.completed_at);
         } else {
@@ -662,7 +661,7 @@ impl BufferPool {
             match filled {
                 Ok(end) => {
                     if self.async_depth > 1 {
-                        self.read_window.push_read(end);
+                        self.read_window.push(end);
                     }
                     t = t.max(end);
                 }

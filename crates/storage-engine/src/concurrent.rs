@@ -37,10 +37,10 @@ use std::rc::Rc;
 use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
-use crate::backend::{BackendCounters, StorageBackend};
+use crate::backend::StorageBackend;
 use crate::buffer::{BufferStats, ReadaheadStats};
 use crate::engine::{EngineConfig, EngineResult, StorageEngine};
-use crate::flusher::{FlusherStats, ThrottleStats};
+use crate::flusher::FlusherStats;
 use crate::heap::Rid;
 use crate::ops::EngineOps;
 use crate::transaction::{AdmissionStats, TxnId};
@@ -121,22 +121,6 @@ impl ConcurrentEngine {
         self.inner.borrow_mut().flusher_stats()
     }
 
-    /// Aggregate flusher-throttle statistics, summed over the per-shard
-    /// pools (all zero unless `StackConfig::slo` scheduling is on).
-    pub fn throttle_stats(&self) -> ThrottleStats {
-        self.inner.borrow_mut().throttle_stats()
-    }
-
-    /// Truthful admission counters (all zero when no window is configured).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.inner.borrow_mut().admission_stats()
-    }
-
-    /// Backend I/O counters.
-    pub fn backend_counters(&self) -> BackendCounters {
-        self.inner.borrow_mut().backend_counters()
-    }
-
     /// Run `f` on the backend (downcasting / detailed statistics).  `f` must
     /// not call back into this engine or its sessions: the engine is
     /// borrowed while `f` runs, so such a call panics.
@@ -158,11 +142,6 @@ impl ConcurrentEngine {
     /// Number of WAL forces (group commits).
     pub fn log_forces(&self) -> u64 {
         self.inner.borrow_mut().log_forces()
-    }
-
-    /// Data pages reconstructed from WAL replay after uncorrectable reads.
-    pub fn rescued_pages(&self) -> u64 {
-        self.inner.borrow_mut().rescued_pages()
     }
 
     /// Total resident pages across shards.

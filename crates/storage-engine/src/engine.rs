@@ -382,7 +382,7 @@ impl StorageEngine {
         let Some(cfg) = self.admission.as_ref().map(|a| a.config()) else {
             return Ok((self.begin(), now));
         };
-        let deadline = now.saturating_add(cfg.deadline_ns);
+        let deadline = cfg.deadline(now);
         let mut t = now;
         // Two relieving rounds bound the loop: one for the WAL horizon, one
         // for a flusher cycle — pressure still standing after both either
@@ -391,7 +391,7 @@ impl StorageEngine {
         for _ in 0..2 {
             let groups = self.wal.inflight_groups_at(t);
             let dirty = self.pool.dirty_fraction();
-            if groups < cfg.max_inflight_groups && dirty < cfg.dirty_high_watermark {
+            if !cfg.over_pressure(groups, dirty) {
                 break;
             }
             let mut clear = self.wal.inflight_horizon(t);
@@ -430,12 +430,6 @@ impl StorageEngine {
             t = t.max(flusher.run_cycle(shard, self.backend.as_mut(), now)?);
         }
         Ok(t)
-    }
-
-    /// Replace the commit-admission window (`None` disables admission
-    /// control); resets the admission counters.
-    pub fn set_admission(&mut self, config: Option<AdmissionConfig>) {
-        self.admission = config.map(AdmissionControl::new);
     }
 
     /// Truthful admission counters (all zero when no window is configured).
@@ -915,17 +909,29 @@ mod tests {
     use noftl_core::{NoFtl, NoFtlConfig};
 
     fn mem_engine() -> StorageEngine {
+        mem_engine_admitting(None)
+    }
+
+    fn mem_engine_admitting(admission: Option<AdmissionConfig>) -> StorageEngine {
         let backend = MemBackend::new(4096, 4096);
         let mut cfg = EngineConfig::new();
         cfg.buffer_frames = 64;
+        cfg.admission = admission;
         StorageEngine::new(Box::new(backend), cfg)
     }
 
     fn noftl_engine() -> StorageEngine {
+        noftl_engine_admitting(None)
+    }
+
+    /// The admission window only governs `begin_admitted`, so a fixture may
+    /// build its pressure with plain `begin`s under it.
+    fn noftl_engine_admitting(admission: Option<AdmissionConfig>) -> StorageEngine {
         let noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::small()));
         let mut cfg = EngineConfig::new();
         cfg.buffer_frames = 64;
         cfg.flushers = FlusherConfig::die_wise(4);
+        cfg.admission = admission;
         StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), cfg)
     }
 
@@ -968,7 +974,11 @@ mod tests {
 
     #[test]
     fn begin_admitted_waits_out_dirty_pressure_and_counts_the_delay() {
-        let mut e = noftl_engine();
+        let mut e = noftl_engine_admitting(Some(AdmissionConfig {
+            max_inflight_groups: usize::MAX,
+            dirty_high_watermark: 0.2,
+            deadline_ns: u64::MAX,
+        }));
         e.create_table("t");
         let txn = e.begin();
         let mut t = 0;
@@ -978,11 +988,6 @@ mod tests {
             t = t2;
         }
         assert!(e.dirty_fraction() > 0.2, "fixture must build dirty pressure");
-        e.set_admission(Some(AdmissionConfig {
-            max_inflight_groups: usize::MAX,
-            dirty_high_watermark: 0.2,
-            deadline_ns: u64::MAX,
-        }));
         let (txn2, admitted_at) = e.begin_admitted(t).unwrap();
         assert!(admitted_at > t, "the relieving flush must cost virtual time");
         let s = e.admission_stats();
@@ -996,7 +1001,11 @@ mod tests {
 
     #[test]
     fn begin_admitted_sheds_past_deadline_with_typed_error() {
-        let mut e = noftl_engine();
+        let mut e = noftl_engine_admitting(Some(AdmissionConfig {
+            max_inflight_groups: usize::MAX,
+            dirty_high_watermark: 0.2,
+            deadline_ns: 1,
+        }));
         e.create_table("t");
         let txn = e.begin();
         let mut t = 0;
@@ -1004,11 +1013,6 @@ mod tests {
             let (_, t2) = e.insert("t", txn, t, &vec![i as u8; 3000]).unwrap();
             t = t2;
         }
-        e.set_admission(Some(AdmissionConfig {
-            max_inflight_groups: usize::MAX,
-            dirty_high_watermark: 0.2,
-            deadline_ns: 1,
-        }));
         match e.begin_admitted(t) {
             Err(EngineError::Overloaded {
                 waited_ns,
@@ -1039,8 +1043,7 @@ mod tests {
     fn zero_group_window_admits_when_nothing_can_clear() {
         // Watermark 0 on an idle engine: over pressure by definition, but the
         // horizon cannot move, so the arrival admits instead of livelocking.
-        let mut e = mem_engine();
-        e.set_admission(Some(AdmissionConfig {
+        let mut e = mem_engine_admitting(Some(AdmissionConfig {
             max_inflight_groups: 0,
             dirty_high_watermark: 1.1,
             deadline_ns: 1000,

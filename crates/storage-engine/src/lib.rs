@@ -69,15 +69,15 @@
 //! command queues end to end:
 //!
 //! * **Buffer pool** ([`buffer`]) — a miss fill is gated by the pool's
-//!   bounded read window (an [`backend::InflightWindow`] lane of read-class
-//!   entries) and its completion is recorded in that window;
+//!   bounded read window (an [`backend::InflightWindow`] of read
+//!   completions) and its completion is recorded in that window;
 //!   [`buffer::BufferPool::prefetch`] turns a burst of misses into one
 //!   batched [`backend::StorageBackend::read_pages`] submission — one
 //!   multi-page read dispatch per die on the NoFTL backend.
-//! * **Shared scheduler** — [`backend::InflightWindow`] entries carry an
-//!   [`backend::OpClass`] (read or write), so db-writer windows, the WAL's
-//!   group-submission window and the pool's fill window are one mechanism;
-//!   the device-side per-die queues are where reads and writes genuinely
+//! * **One window type** — db-writer windows, the WAL's group-submission
+//!   window and the pool's fill window are each an
+//!   [`backend::InflightWindow`], a FIFO of completion instants holding one
+//!   class of work; the device-side per-die queues are where reads and writes genuinely
 //!   contend, which is what makes a point read honestly queue behind
 //!   in-flight flush, WAL and GC traffic.
 //! * **Completion-driven engine** ([`engine`]) — every queued submission
@@ -204,7 +204,8 @@
 //! an unbounded p999.  Three cooperating policies, all off by default (the
 //! off leg is pinned bit- and cycle-identical by `tests/equivalence.rs`):
 //!
-//! * **WAL admission control** ([`transaction::AdmissionControl`]) —
+//! * **WAL admission control** ([`transaction::AdmissionConfig`] decides,
+//!   [`transaction::AdmissionControl`] counts) —
 //!   `begin_admitted` bounds the commit queue: while the WAL has
 //!   [`transaction::AdmissionConfig::max_inflight_groups`] group commits
 //!   genuinely in flight ([`wal::WalManager::inflight_groups_at`]) or the
@@ -251,9 +252,8 @@
 //!   `(k+1)/k`, mirroring by 2.
 //! * A shed [`engine::EngineError::Overloaded`] now carries
 //!   `retry_after_ns`, the earliest re-offer instant whose remaining
-//!   admission wait fits the deadline budget; `workloads::OpenLoopDriver`
-//!   honours it (opt-in `retry_shed`) with bounded re-offers that still
-//!   reconcile admitted + shed against offered, call for call.
+//!   admission wait fits the deadline budget, for a client that re-offers;
+//!   `workloads::OpenLoopDriver` fails a shed request fast.
 //!
 //! Zero committed-data loss across a mid-workload die kill — and bit-identical
 //! degraded reads before the rebuild lands — is pinned by the die-failure

@@ -37,6 +37,19 @@ pub struct AdmissionConfig {
     pub deadline_ns: u64,
 }
 
+impl AdmissionConfig {
+    /// Whether an arrival must wait: the WAL group window is full or the
+    /// dirty pool passed the high watermark.
+    pub fn over_pressure(&self, inflight_groups: usize, dirty_fraction: f64) -> bool {
+        inflight_groups >= self.max_inflight_groups || dirty_fraction >= self.dirty_high_watermark
+    }
+
+    /// Latest instant an arrival at `arrival` may still be admitted.
+    pub fn deadline(&self, arrival: SimInstant) -> SimInstant {
+        arrival.saturating_add(self.deadline_ns)
+    }
+}
+
 impl Default for AdmissionConfig {
     /// Defaults tuned against the SLO bench fixture: a 4-group window, the
     /// pool's emergency dirty level, and a 20 ms virtual deadline (hundreds
@@ -69,8 +82,9 @@ pub struct AdmissionStats {
 
 /// Admission-control state an engine embeds: the configured window plus the
 /// truthful counters.  The engine owns the pressure probes (WAL in-flight
-/// groups, dirty fraction) and the relieving actions; this type only decides
-/// and accounts.
+/// groups, dirty fraction) and the relieving actions; the window's
+/// [`AdmissionConfig::over_pressure`] and [`AdmissionConfig::deadline`]
+/// decide, and this type accounts.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionControl {
     config: AdmissionConfig,
@@ -94,18 +108,6 @@ impl AdmissionControl {
     /// Current counters.
     pub fn stats(&self) -> AdmissionStats {
         self.stats
-    }
-
-    /// Whether an arrival must wait: the WAL group window is full or the
-    /// dirty pool passed the high watermark.
-    pub fn over_pressure(&self, inflight_groups: usize, dirty_fraction: f64) -> bool {
-        inflight_groups >= self.config.max_inflight_groups
-            || dirty_fraction >= self.config.dirty_high_watermark
-    }
-
-    /// Latest instant an arrival at `arrival` may still be admitted.
-    pub fn deadline(&self, arrival: SimInstant) -> SimInstant {
-        arrival.saturating_add(self.config.deadline_ns)
     }
 
     /// Account one admission; a wait (`admitted_at > arrival`) also counts
@@ -139,7 +141,6 @@ pub enum TxnState {
 #[derive(Debug, Default)]
 pub struct TransactionManager {
     next_txn: TxnId,
-    active: Vec<TxnId>,
     committed: u64,
     aborted: u64,
 }
@@ -154,7 +155,6 @@ impl TransactionManager {
     pub fn begin(&mut self, wal: &mut WalManager) -> TxnId {
         self.next_txn += 1;
         let txn = self.next_txn;
-        self.active.push(txn);
         wal.append(LogRecord::Begin { txn });
         txn
     }
@@ -173,7 +173,6 @@ impl TransactionManager {
     ) -> FlashResult<SimInstant> {
         wal.append(LogRecord::Commit { txn });
         let t = wal.commit_force(backend, now)?;
-        self.active.retain(|&t2| t2 != txn);
         self.committed += 1;
         Ok(t)
     }
@@ -181,13 +180,7 @@ impl TransactionManager {
     /// Abort: append the Abort record (no force needed).
     pub fn abort(&mut self, txn: TxnId, wal: &mut WalManager) {
         wal.append(LogRecord::Abort { txn });
-        self.active.retain(|&t2| t2 != txn);
         self.aborted += 1;
-    }
-
-    /// Number of transactions currently active.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
     }
 
     /// Number of committed transactions.
@@ -214,9 +207,7 @@ mod tests {
         let t1 = tm.begin(&mut wal);
         let t2 = tm.begin(&mut wal);
         assert_ne!(t1, t2);
-        assert_eq!(tm.active_count(), 2);
         tm.commit(t1, &mut wal, &mut backend, 0).unwrap();
-        assert_eq!(tm.active_count(), 1);
         assert_eq!(tm.committed(), 1);
         // Commit forced the log.
         assert_eq!(wal.flushed_lsn(), wal.current_lsn());
@@ -229,7 +220,6 @@ mod tests {
         let t = tm.begin(&mut wal);
         tm.abort(t, &mut wal);
         assert_eq!(tm.aborted(), 1);
-        assert_eq!(tm.active_count(), 0);
         assert_eq!(wal.flushed_lsn(), 0, "abort must not force the log");
     }
 
@@ -245,21 +235,21 @@ mod tests {
 
     #[test]
     fn admission_pressure_covers_both_watermarks() {
-        let ctl = AdmissionControl::new(AdmissionConfig {
+        let cfg = AdmissionConfig {
             max_inflight_groups: 4,
             dirty_high_watermark: 0.9,
             deadline_ns: 1000,
-        });
-        assert!(!ctl.over_pressure(3, 0.5));
-        assert!(ctl.over_pressure(4, 0.5), "full group window is pressure");
-        assert!(ctl.over_pressure(0, 0.9), "dirty watermark is pressure");
-        assert_eq!(ctl.deadline(500), 1500);
+        };
+        assert!(!cfg.over_pressure(3, 0.5));
+        assert!(cfg.over_pressure(4, 0.5), "full group window is pressure");
+        assert!(cfg.over_pressure(0, 0.9), "dirty watermark is pressure");
+        assert_eq!(cfg.deadline(500), 1500);
         // Watermark 0: every arrival probes (the engine still admits when
         // the horizon cannot move — pinned by the overload suite).
-        let zero = AdmissionControl::new(AdmissionConfig {
+        let zero = AdmissionConfig {
             max_inflight_groups: 0,
             ..AdmissionConfig::default()
-        });
+        };
         assert!(zero.over_pressure(0, 0.0));
     }
 

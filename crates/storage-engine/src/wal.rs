@@ -29,7 +29,7 @@
 //! `magic (u16) | payload_len (u16) | page_seq (u32)` followed by
 //! `payload_len` bytes of the record stream.  Records may straddle pages
 //! within one force; the header's payload length is what lets
-//! [`WalManager::recover_records`] rebuild the exact durable record stream
+//! [`WalManager::recover_records_from`] rebuild the exact durable record stream
 //! from the backend alone after a crash, skipping end-of-force padding
 //! unambiguously.  `page_seq` is the monotone log-page counter, so a stale
 //! page from an earlier lap of the (wrapped) segment terminates the scan.
@@ -688,19 +688,6 @@ impl WalManager {
         Ok(t)
     }
 
-    /// Rebuild the durable record stream from the backend alone — what crash
-    /// recovery sees for a log that never wrapped (start-of-log pointer 0).
-    /// See [`WalManager::recover_records_from`] for the wrapped-segment form.
-    pub fn recover_records(
-        backend: &mut dyn StorageBackend,
-        log_start: PageId,
-        log_pages: u64,
-        page_size: usize,
-        now: SimInstant,
-    ) -> LogStream {
-        Self::recover_records_from(backend, log_start, log_pages, page_size, 0, now)
-    }
-
     /// Rebuild the durable record stream from the backend alone, starting at
     /// the checkpointed start-of-log pointer `start_seq` (see
     /// [`WalManager::note_checkpoint`]) — what crash recovery sees.
@@ -921,7 +908,7 @@ mod tests {
             "the tail straddles"
         );
         wal.flush(&mut backend, 0).unwrap();
-        let recovered = WalManager::recover_records(&mut backend, 0, 1024, 4096, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 0, 1024, 4096, 0, 0);
         assert_eq!(recovered.len(), txn as usize + 2);
         assert_eq!(
             recovered,
@@ -1042,7 +1029,7 @@ mod tests {
             wal.flush(&mut backend, 0).unwrap();
         }
         wal.append(LogRecord::Begin { txn: 99 });
-        let recovered = WalManager::recover_records(&mut backend, 32, 64, 512, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 32, 64, 512, 0, 0);
         let durable: Vec<_> = wal.durable_records().collect();
         assert_eq!(recovered.len(), 15, "3 rounds x 5 records, tail excluded");
         assert_eq!(
@@ -1072,7 +1059,7 @@ mod tests {
         assert_eq!(wal.forces(), 1);
         assert_eq!(wal.flushed_lsn(), wal.current_lsn());
         assert_eq!(wal.pending_commits(), 0);
-        let recovered = WalManager::recover_records(&mut backend, 128, 64, 4096, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 128, 64, 4096, 0, 0);
         assert_eq!(recovered.len(), 6, "all three transactions in one force");
     }
 
@@ -1154,7 +1141,7 @@ mod tests {
             let done = wal.flush(&mut backend, 0).unwrap();
             let done = wal.drain(done).max(backend.drain(done));
             let recovered =
-                WalManager::recover_records(&mut backend, 0, 64, 4096, done);
+                WalManager::recover_records_from(&mut backend, 0, 64, 4096, 0, done);
             (done, recovered)
         };
         let (sync, records_sync) = run(1);
@@ -1253,7 +1240,7 @@ mod tests {
         }
         // The un-pointered scan (seq 0 at slot 0) finds only stale pages: the
         // segment wrapped, so slot 0 now holds a later lap's sequence.
-        let flat = WalManager::recover_records(&mut backend, 8, 4, 512, 0);
+        let flat = WalManager::recover_records_from(&mut backend, 8, 4, 512, 0, 0);
         assert!(flat.is_empty(), "a wrapped log is invisible without the pointer");
         // The checkpointed pointer recovers exactly the post-checkpoint
         // records — across the wrap (seqs 6, 7 at slots 2, 3; seq 8 at 0).
@@ -1416,7 +1403,7 @@ mod tests {
         }
         assert_eq!(wal.log_writes(), 3, "one log page per force");
         backend.bad_pages.insert(1);
-        let recovered = WalManager::recover_records(&mut backend, 0, 64, 512, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 0, 64, 512, 0, 0);
         let txns: Vec<u64> = recovered
             .iter()
             .filter_map(|(_, r)| match r {
@@ -1453,7 +1440,7 @@ mod tests {
         wal.append(LogRecord::Commit { txn: 2 });
         wal.flush(&mut backend, 0).unwrap();
         backend.bad_pages.insert(1);
-        let recovered = WalManager::recover_records(&mut backend, 0, 64, 512, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 0, 64, 512, 0, 0);
         let expected = vec![
             LogRecord::Begin { txn: 2 },
             LogRecord::Commit { txn: 2 },
@@ -1524,7 +1511,7 @@ mod tests {
                     wal.append(rec(r));
                 }
                 // Crash: only the backend survives.
-                let recovered = WalManager::recover_records(&mut backend, 64, 256, 256, 0);
+                let recovered = WalManager::recover_records_from(&mut backend, 64, 256, 256, 0, 0);
                 assert_eq!(recovered.len(), cut, "batch={} cut={}", batch, cut);
                 for (i, (_, r)) in recovered.iter().enumerate() {
                     assert_eq!(r, rec(&records[i]));
@@ -1622,7 +1609,7 @@ mod tests {
                 }
             }
             // Crash now, mid-group.
-            let recovered = WalManager::recover_records(&mut backend, 64, 256, 512, 0);
+            let recovered = WalManager::recover_records_from(&mut backend, 64, 256, 512, 0, 0);
             assert_eq!(recovered.len() as u64, durable_expected);
             assert!(wal.pending_commits() < group as u64);
         }

@@ -411,13 +411,6 @@ pub struct OpenLoopConfig {
     pub update_every: u64,
     /// RNG seed (arrival gaps and key choices).
     pub seed: u64,
-    /// Re-offer shed requests after the engine's back-off hint
-    /// ([`storage_engine::EngineError::Overloaded`]`::retry_after_ns`): a
-    /// shed request is offered again at `shed instant + hint` (at most
-    /// [`OpenLoopDriver::MAX_REOFFERS`] times) instead of being dropped.
-    /// Off — the default, and the PR 9 behaviour — a shed request fails fast
-    /// and is never retried.
-    pub retry_shed: bool,
 }
 
 impl OpenLoopConfig {
@@ -434,7 +427,6 @@ impl OpenLoopConfig {
             zipf_theta: 0.99,
             update_every: 10,
             seed: 42,
-            retry_shed: false,
         }
     }
 }
@@ -449,19 +441,14 @@ pub struct OpenLoopReport {
     /// Measured requests that completed (committed).
     pub completed: u64,
     /// Measured requests shed by admission control
-    /// ([`storage_engine::EngineError::Overloaded`]) — with
-    /// [`OpenLoopConfig::retry_shed`] on, only requests whose every re-offer
-    /// was also shed.
+    /// ([`storage_engine::EngineError::Overloaded`]); a shed request fails
+    /// fast and is never re-offered.
     pub shed: u64,
     /// Whole-run client-side observations, for reconciling against the
     /// engine's [`AdmissionStats`]: `(admitted, delayed, shed)` over *every*
-    /// `begin_admitted` call including warm-up and re-offers — so
-    /// `observed.0 + observed.2` equals the total offers made.
+    /// `begin_admitted` call including warm-up — so `observed.0 +
+    /// observed.2` equals the requests offered.
     pub observed: (u64, u64, u64),
-    /// Re-offers of shed requests made after honoring the engine's
-    /// `retry_after_ns` back-off hint (0 unless
-    /// [`OpenLoopConfig::retry_shed`] is on).
-    pub reoffered: u64,
     /// Engine-side admission counters at the end of the run (all zero
     /// without a configured window).
     pub admission: AdmissionStats,
@@ -516,11 +503,6 @@ impl OpenLoopDriver {
     pub const TABLE: &'static str = "ol";
     /// Primary-key index name.
     pub const INDEX: &'static str = "ol_pk";
-    /// Bound on re-offers of one shed request under
-    /// [`OpenLoopConfig::retry_shed`] — an open-loop client gives up after
-    /// this many backed-off retries rather than retrying forever into a
-    /// saturated engine.
-    pub const MAX_REOFFERS: u32 = 3;
 
     /// Create a driver.
     pub fn new(config: OpenLoopConfig) -> Self {
@@ -580,7 +562,6 @@ impl OpenLoopDriver {
         let mut update_latency = Histogram::new();
         let mut completed = 0u64;
         let mut shed = 0u64;
-        let mut reoffered = 0u64;
         let mut measure_start = start;
         let mut measure_end = start;
         let total = cfg.warmup + cfg.requests;
@@ -598,42 +579,24 @@ impl OpenLoopDriver {
             // — the backlog of queued-ahead work — are visible pressure, not
             // invisible client-side queueing.
             let session = &mut *sessions[s];
-            let mut offer_at = arrival;
-            let mut reoffers = 0u32;
-            let admitted = loop {
-                match session.begin_admitted(offer_at) {
-                    Ok(ok) => {
-                        observed.0 += 1;
-                        if ok.1 > offer_at {
-                            observed.1 += 1;
-                        }
-                        break Some(ok);
+            let (txn, admitted_at) = match session.begin_admitted(arrival) {
+                Ok(ok) => {
+                    observed.0 += 1;
+                    if ok.1 > arrival {
+                        observed.1 += 1;
                     }
-                    Err(EngineError::Overloaded { retry_after_ns, .. }) => {
-                        observed.2 += 1;
-                        if cfg.retry_shed && reoffers < Self::MAX_REOFFERS {
-                            // Honor the engine's back-off hint: re-offer at
-                            // the earliest instant a retry could clear the
-                            // admission deadline (never the same instant —
-                            // the horizon has not moved).
-                            offer_at += retry_after_ns.max(1);
-                            reoffers += 1;
-                            reoffered += 1;
-                            continue;
-                        }
-                        break None;
+                    ok
+                }
+                Err(EngineError::Overloaded { .. }) => {
+                    observed.2 += 1;
+                    if measured {
+                        shed += 1;
                     }
-                    Err(other) => return Err(other.into()),
+                    // A shed request leaves the session free at the shed
+                    // decision; the client sees a fast typed error.
+                    continue;
                 }
-            };
-            let Some((txn, admitted_at)) = admitted else {
-                if measured {
-                    shed += 1;
-                }
-                // A shed request leaves the session free at the shed
-                // decision; the client sees a fast typed error (after its
-                // bounded back-off retries, when those are on).
-                continue;
+                Err(other) => return Err(other.into()),
             };
             let key = if is_update {
                 nurand.sample(&mut rng) % cfg.rows.max(1)
@@ -685,7 +648,6 @@ impl OpenLoopDriver {
             completed,
             shed,
             observed,
-            reoffered,
             admission: sessions[0].admission_stats(),
             committed: sessions[0].committed(),
             latency,
@@ -702,7 +664,7 @@ impl OpenLoopDriver {
 mod tests {
     use super::*;
     use crate::tpcb::{TpcB, TpcBConfig};
-    use storage_engine::{backend::MemBackend, EngineConfig, StorageEngine};
+    use storage_engine::{backend::MemBackend, AdmissionConfig, EngineConfig, StorageEngine};
 
     fn engine() -> StorageEngine {
         let mut cfg = EngineConfig::new();
@@ -767,12 +729,13 @@ mod tests {
             .collect()
     }
 
-    fn open_noftl_engine() -> StorageEngine {
+    fn open_noftl_engine(admission: Option<AdmissionConfig>) -> StorageEngine {
         use noftl_core::{NoFtl, NoFtlConfig};
         use storage_engine::backend::NoFtlBackend;
         let noftl = NoFtl::new(NoFtlConfig::new(nand_flash::FlashGeometry::small()));
         let mut cfg = EngineConfig::new();
         cfg.buffer_frames = 64;
+        cfg.admission = admission;
         StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), cfg)
     }
 
@@ -817,7 +780,7 @@ mod tests {
         // behind earlier ones, so tail latency grows far past the service
         // time of any single transaction — the open-loop signature a
         // closed-loop driver cannot produce.
-        let mut e = open_noftl_engine();
+        let mut e = open_noftl_engine(None);
         let driver = OpenLoopDriver::new(small_open_loop(300, Arrivals::Fixed { interval_ns: 100 }));
         let start = driver.setup(&mut e, 0).unwrap();
         let report = driver.run(&mut [&mut e], start).unwrap();
@@ -862,24 +825,22 @@ mod tests {
 
     #[test]
     fn open_loop_sheds_reconcile_with_engine_counters() {
-        use storage_engine::AdmissionConfig;
-        let mut e = open_noftl_engine();
+        // Setup runs plain `begin`s, so the window only governs the run.
+        let mut e = open_noftl_engine(Some(AdmissionConfig {
+            max_inflight_groups: usize::MAX,
+            dirty_high_watermark: 0.05,
+            deadline_ns: 1,
+        }));
         let mut olcfg = small_open_loop(300, Arrivals::Fixed { interval_ns: 100 });
         olcfg.update_every = 1; // all updates: dirty pressure builds fast
         let driver = OpenLoopDriver::new(olcfg);
         let start = driver.setup(&mut e, 0).unwrap();
         let setup_commits = e.committed();
-        e.set_admission(Some(AdmissionConfig {
-            max_inflight_groups: usize::MAX,
-            dirty_high_watermark: 0.05,
-            deadline_ns: 1,
-        }));
         let report = driver.run(&mut [&mut e], start).unwrap();
         assert!(report.shed > 0, "overload fixture must shed");
         let (admitted, _, shed) = report.observed;
         assert_eq!(report.admission.admitted, admitted);
         assert_eq!(report.admission.shed, shed);
-        assert_eq!(report.reoffered, 0, "retries are opt-in");
         assert_eq!(
             admitted + shed,
             330,
@@ -888,54 +849,6 @@ mod tests {
         // Zero committed-transaction loss: every admitted request committed.
         assert_eq!(report.committed, setup_commits + admitted);
         assert_eq!(report.completed + report.shed, report.requests);
-    }
-
-    #[test]
-    fn open_loop_reoffers_shed_requests_on_the_backoff_hint() {
-        use storage_engine::AdmissionConfig;
-        let mut e = open_noftl_engine();
-        let mut olcfg = small_open_loop(300, Arrivals::Fixed { interval_ns: 100 });
-        olcfg.update_every = 1;
-        olcfg.retry_shed = true;
-        let driver = OpenLoopDriver::new(olcfg);
-        let start = driver.setup(&mut e, 0).unwrap();
-        let setup_commits = e.committed();
-        e.set_admission(Some(AdmissionConfig {
-            max_inflight_groups: usize::MAX,
-            dirty_high_watermark: 0.05,
-            deadline_ns: 1,
-        }));
-        let report = driver.run(&mut [&mut e], start).unwrap();
-        assert!(report.reoffered > 0, "a shedding run must exercise re-offers");
-        let (admitted, _, shed) = report.observed;
-        // The reconciliation still holds offer for offer: every offer —
-        // 330 arrivals plus every re-offer — is admitted or shed, and the
-        // engine's counters agree with the client's observations exactly.
-        assert_eq!(admitted + shed, 330 + report.reoffered);
-        assert_eq!(report.admission.admitted, admitted);
-        assert_eq!(report.admission.shed, shed);
-        // Zero committed-transaction loss, retries included.
-        assert_eq!(report.committed, setup_commits + admitted);
-        assert_eq!(report.completed + report.shed, report.requests);
-        // The backed-off retries rescue at least one request a fail-fast
-        // client would have dropped.
-        let mut fail_fast_cfg = small_open_loop(300, Arrivals::Fixed { interval_ns: 100 });
-        fail_fast_cfg.update_every = 1;
-        let fail_fast = OpenLoopDriver::new(fail_fast_cfg);
-        let mut e2 = open_noftl_engine();
-        let start2 = fail_fast.setup(&mut e2, 0).unwrap();
-        e2.set_admission(Some(AdmissionConfig {
-            max_inflight_groups: usize::MAX,
-            dirty_high_watermark: 0.05,
-            deadline_ns: 1,
-        }));
-        let base = fail_fast.run(&mut [&mut e2], start2).unwrap();
-        assert!(
-            report.completed >= base.completed,
-            "honoring the hint must not complete fewer requests ({} vs {})",
-            report.completed,
-            base.completed
-        );
     }
 
     #[test]

@@ -73,33 +73,7 @@ impl PageTrace {
     /// Write data is synthetic (zero-filled pages); only command counts and
     /// timing matter.
     pub fn replay_on_ftl(&self, ftl: &mut dyn Ftl) -> FlashResult<TraceReplayReport> {
-        let page_size = ftl.device().geometry().page_size as usize;
-        let capacity = ftl.logical_pages();
-        let data = vec![0u8; page_size];
-        let mut buf = vec![0u8; page_size];
-        let mut t: SimInstant = 0;
-        let mut host_reads = 0u64;
-        let mut host_writes = 0u64;
-        for op in &self.ops {
-            match op {
-                TraceOp::Write(p) => {
-                    let c = ftl.write(t, p % capacity, &data)?;
-                    t = t.max(c.completed_at);
-                    host_writes += 1;
-                }
-                TraceOp::Read(p) => {
-                    // Reads of never-written pages are skipped (the in-memory
-                    // run may have read zero pages the replay never wrote).
-                    if let Ok(c) = ftl.read(t, p % capacity, &mut buf) {
-                        t = t.max(c.completed_at);
-                    }
-                    host_reads += 1;
-                }
-                TraceOp::Free(p) => {
-                    ftl.trim(t, p % capacity)?;
-                }
-            }
-        }
+        let (host_reads, host_writes, t) = self.replay(ftl)?;
         let flash = ftl.flash_stats();
         let s = ftl.ftl_stats();
         Ok(TraceReplayReport {
@@ -118,31 +92,7 @@ impl PageTrace {
     /// `Free` hints map to [`NoFtl::mark_dead`] — the information an on-device
     /// FTL never sees.
     pub fn replay_on_noftl(&self, noftl: &mut NoFtl) -> FlashResult<TraceReplayReport> {
-        let page_size = noftl.device().geometry().page_size as usize;
-        let capacity = noftl.logical_pages();
-        let data = vec![0u8; page_size];
-        let mut buf = vec![0u8; page_size];
-        let mut t: SimInstant = 0;
-        let mut host_reads = 0u64;
-        let mut host_writes = 0u64;
-        for op in &self.ops {
-            match op {
-                TraceOp::Write(p) => {
-                    let c = noftl.write(t, p % capacity, &data)?;
-                    t = t.max(c.completed_at);
-                    host_writes += 1;
-                }
-                TraceOp::Read(p) => {
-                    if let Ok(c) = noftl.read(t, p % capacity, &mut buf) {
-                        t = t.max(c.completed_at);
-                    }
-                    host_reads += 1;
-                }
-                TraceOp::Free(p) => {
-                    noftl.mark_dead(p % capacity)?;
-                }
-            }
-        }
+        let (host_reads, host_writes, t) = self.replay(noftl)?;
         let flash = noftl.flash_stats();
         let s = noftl.stats();
         Ok(TraceReplayReport {
@@ -155,6 +105,76 @@ impl PageTrace {
             write_amplification: s.write_amplification(),
             duration_ns: t,
         })
+    }
+
+    /// The one replay loop: every page id folds onto the target's logical
+    /// capacity.  Returns `(host_reads, host_writes, end instant)`.
+    fn replay<T: ReplayTarget + ?Sized>(&self, target: &mut T) -> FlashResult<(u64, u64, SimInstant)> {
+        let (page_size, capacity) = target.shape();
+        let data = vec![0u8; page_size];
+        let mut buf = vec![0u8; page_size];
+        let mut t: SimInstant = 0;
+        let mut host_reads = 0u64;
+        let mut host_writes = 0u64;
+        for op in &self.ops {
+            match op {
+                TraceOp::Write(p) => {
+                    let c = target.write(t, p % capacity, &data)?;
+                    t = t.max(c.completed_at);
+                    host_writes += 1;
+                }
+                TraceOp::Read(p) => {
+                    // Reads of never-written pages are skipped (the in-memory
+                    // run may have read zero pages the replay never wrote).
+                    if let Ok(c) = target.read(t, p % capacity, &mut buf) {
+                        t = t.max(c.completed_at);
+                    }
+                    host_reads += 1;
+                }
+                TraceOp::Free(p) => target.free(t, p % capacity)?,
+            }
+        }
+        Ok((host_reads, host_writes, t))
+    }
+}
+
+/// What a trace replays against: an FTL or NoFTL.
+trait ReplayTarget {
+    /// `(page size, logical pages)`.
+    fn shape(&self) -> (usize, u64);
+    fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion>;
+    fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion>;
+    /// A dead-page hint: `trim` on an FTL, `mark_dead` on NoFTL.
+    fn free(&mut self, now: SimInstant, lpn: u64) -> FlashResult<()>;
+}
+
+impl ReplayTarget for dyn Ftl + '_ {
+    fn shape(&self) -> (usize, u64) {
+        (self.device().geometry().page_size as usize, self.logical_pages())
+    }
+    fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion> {
+        Ftl::write(self, now, lpn, data)
+    }
+    fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
+        Ftl::read(self, now, lpn, buf)
+    }
+    fn free(&mut self, now: SimInstant, lpn: u64) -> FlashResult<()> {
+        self.trim(now, lpn)
+    }
+}
+
+impl ReplayTarget for NoFtl {
+    fn shape(&self) -> (usize, u64) {
+        (self.device().geometry().page_size as usize, self.logical_pages())
+    }
+    fn write(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<OpCompletion> {
+        NoFtl::write(self, now, lpn, data)
+    }
+    fn read(&mut self, now: SimInstant, lpn: u64, buf: &mut [u8]) -> FlashResult<OpCompletion> {
+        NoFtl::read(self, now, lpn, buf)
+    }
+    fn free(&mut self, _now: SimInstant, lpn: u64) -> FlashResult<()> {
+        self.mark_dead(lpn)
     }
 }
 

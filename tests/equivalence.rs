@@ -547,7 +547,7 @@ fn async_crash_with_commands_in_flight_recovers_exact_durable_prefix() {
             }
         }
         let recovered =
-            WalManager::recover_records(&mut survived, log_start, log_pages, page_size, 0);
+            WalManager::recover_records_from(&mut survived, log_start, log_pages, page_size, 0, 0);
         // Exact prefix: same LSNs, same records, in order.
         assert_eq!(
             recovered.iter().collect::<Vec<_>>(),
@@ -598,7 +598,7 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
             }
         }
         wal.flush(&mut backend, 0).unwrap();
-        let recovered = WalManager::recover_records(&mut backend, 32, 128, 512, 0);
+        let recovered = WalManager::recover_records_from(&mut backend, 32, 128, 512, 0, 0);
         assert_eq!(recovered.len(), 72);
         match &reference {
             None => reference = Some(recovered),

@@ -1,4 +1,4 @@
-//! Storm harness shared by `tests/storms.rs` and `tests/concurrency.rs`:
+//! Storm harness of `tests/storms.rs`:
 //! TPC-B and TPC-C storms on the full NoFTL stack under every recovery duty
 //! the paper hands the DBMS — injected Flash faults, a die killed mid-run on
 //! a redundancy policy, a crash at a run boundary, the overload bundle — with
@@ -11,9 +11,7 @@
 //! statistics, serializable sessions with shard counters that sum to the
 //! aggregate — and [`Storm::crash`] rebuilds the log from the medium alone
 //! after a crash.  One thread steps every client on the virtual clock, so a
-//! storm is a pure function of its scenario.  Both test binaries declare
-//! this module `pub`, so neither is warned about the parts only the other
-//! one uses.
+//! storm is a pure function of its scenario.
 
 use std::collections::HashSet;
 
