@@ -17,8 +17,8 @@
 //! exists only where its two sides are *different* values; that equal values
 //! give equal runs is pinned once ([`same_config_same_trace`]).
 
-use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
-use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
+use noftl::nand_flash::{DeviceConfig, FaultPlan, FlashGeometry, NandDevice, OpKind, TraceEntry};
+use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::storage_engine::backend::{NoFtlBackend, StorageBackend};
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::shard::ShardedBufferPool;
@@ -28,7 +28,10 @@ use noftl::storage_engine::BufferPool;
 /// (command trace, per-page readback, completion barrier).  `async_depth` 1
 /// is the synchronous dispatch; deeper windows submit through the per-die
 /// command queues.
-fn traced_flush_cycles(batch_pages: usize, async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u64) {
+fn traced_flush_cycles(
+    batch_pages: usize,
+    async_depth: usize,
+) -> (Vec<TraceEntry>, Vec<Vec<u8>>, u64) {
     let geometry = FlashGeometry::with_dies(4, 256, 32, 4096);
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.trace_capacity = 4096;
@@ -67,14 +70,7 @@ fn traced_flush_cycles(batch_pages: usize, async_depth: usize) -> (Vec<String>, 
     let t = flushers.run_cycle(&mut pool, &mut backend, t).unwrap();
     let end = backend.drain(flushers.drain(t));
 
-    let trace: Vec<String> = backend
-        .noftl()
-        .device()
-        .tracer()
-        .entries()
-        .iter()
-        .map(|e| format!("{e:?}"))
-        .collect();
+    let trace = backend.noftl().device().tracer().entries().to_vec();
     let mut contents = Vec::new();
     let mut buf = vec![0u8; 4096];
     for p in 0..48u64 {
@@ -123,7 +119,7 @@ fn page_contents_identical_for_all_async_depths() {
 /// poll-driven: reads return completion tickets that are collected, not
 /// chained, and the final barrier is the quiesce over all windows and queues.
 /// Returns (command trace, final per-lpn contents, completion barrier).
-fn traced_mixed_read_write(async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u64) {
+fn traced_mixed_read_write(async_depth: usize) -> (Vec<TraceEntry>, Vec<Vec<u8>>, u64) {
     let geometry = FlashGeometry::with_dies(4, 16, 8, 2048);
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.trace_capacity = 1 << 16;
@@ -189,14 +185,7 @@ fn traced_mixed_read_write(async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u6
     pool.flush_all(&mut backend, end).unwrap();
     let end = backend.drain(end);
 
-    let trace: Vec<String> = backend
-        .noftl()
-        .device()
-        .tracer()
-        .entries()
-        .iter()
-        .map(|e| format!("{e:?}"))
-        .collect();
+    let trace = backend.noftl().device().tracer().entries().to_vec();
     let mut contents = Vec::new();
     let mut buf = vec![0u8; page_size];
     for l in 0..lpns {
@@ -212,8 +201,8 @@ fn traced_mixed_read_write(async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u6
 #[test]
 fn same_config_same_trace() {
     let first = traced_mixed_read_write(1);
-    assert!(first.0.iter().any(|e| e.contains("Read")), "fixture must issue reads");
-    assert!(first.0.iter().any(|e| e.contains("Erase")), "fixture must trigger GC");
+    assert!(first.0.iter().any(|e| e.kind == OpKind::Read), "fixture must issue reads");
+    assert!(first.0.iter().any(|e| e.kind == OpKind::Erase), "fixture must trigger GC");
     assert_eq!(first, traced_mixed_read_write(1));
 }
 
@@ -238,6 +227,142 @@ fn page_contents_identical_for_all_async_read_depths_with_concurrent_gc() {
         end_async < end_sync,
         "the mixed workload must genuinely overlap under async: {end_async} vs {end_sync}"
     );
+}
+
+/// Bare-NoFTL fixture that reaches every decision of the storage manager
+/// on one traced device: a `Parity(3)` drive under a chaos fault plan
+/// (program failures, read errors and their retries, erase failures on worn
+/// blocks, read-disturb scrubs) churns a hot set through GC and wear
+/// leveling, loses die 2 mid-run, serves degraded reads, takes rebuild steps
+/// between writes and finally drains the rebuild.  Every read, before and
+/// after the rebuild, returns the last data written.  Returns the command
+/// trace.
+fn traced_parity_die_kill() -> Vec<TraceEntry> {
+    let geometry = FlashGeometry::with_dies(4, 128, 16, 512);
+    let mut plan = FaultPlan::seeded(0xD1E).with_die_kill(3000, 2);
+    plan.program_fail_base = 2e-3;
+    plan.program_fail_wear_scale = 0.0;
+    plan.read_error_base = 0.05;
+    plan.uncorrectable_fraction = 0.5;
+    plan.erase_fail_knee = 0.0;
+    plan.erase_fail_prob = 0.2;
+    let mut dev_cfg = DeviceConfig::new(geometry);
+    dev_cfg.trace_capacity = 1 << 16;
+    dev_cfg.endurance_override = Some(50);
+    dev_cfg.faults = Some(plan);
+    let mut cfg = NoFtlConfig::new(geometry);
+    cfg.op_ratio = 0.60;
+    cfg.gc_low_watermark = 2;
+    cfg.gc_high_watermark = 4;
+    cfg.wear_leveling_threshold = 4;
+    cfg.scrub_read_disturb_threshold = 48;
+    cfg.gc_schedule_read_occupancy = 1;
+    cfg.redundancy = vec![RedundancyPolicy::Parity(3); 4];
+    let mut n = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
+
+    let lpns = 256;
+    let ps = geometry.page_size as usize;
+    let mut rng = noftl::sim_utils::rng::SimRng::new(0xD1E);
+    let mut last = vec![0u8; lpns as usize];
+    let mut buf = vec![0u8; ps];
+    let mut now = 0;
+    for i in 0..lpns * 10 {
+        // One full pass, then a hot quarter takes four writes in five.
+        let lpn = match i {
+            i if i < lpns => i,
+            _ if rng.bool_with_prob(0.8) => rng.range(0, lpns / 4),
+            _ => rng.range(0, lpns),
+        };
+        last[lpn as usize] = i as u8;
+        now = n.write(now, lpn, &vec![i as u8; ps]).unwrap().completed_at;
+        if i % 4 == 0 {
+            let l = rng.range(0, lpns.min(i + 1));
+            now = n.read(now, l, &mut buf).unwrap().completed_at;
+            assert_eq!(buf, vec![last[l as usize]; ps], "lpn {l}");
+        }
+        if i % 16 == 0 {
+            now = n.schedule_gc(now).unwrap().unwrap_or(now);
+            now = n.schedule_rebuild(now).unwrap().unwrap_or(now);
+        }
+    }
+    now = n.rebuild_all(now).unwrap();
+    let end = n.drain(now);
+    // The run reaches every seam: GC, wear leveling, scrubbing, each
+    // failure class's recovery, stripes broken and re-protected, degraded
+    // reads and rebuild steps both scheduled and drained.
+    let (s, rs, rb) = (n.stats(), n.redundancy_stats(), n.rebuild_stats());
+    for (what, count) in [
+        ("GC erases", s.gc_erases),
+        ("cold GC runs", s.gc_scheduled_cold),
+        ("wear migrations", s.wear_migrations),
+        ("scrubbed blocks", s.scrubbed_blocks),
+        ("program-failure retirements", s.program_fail_retirements),
+        ("erase-failure retirements", s.erase_fail_retirements),
+        ("read retries", s.read_retries),
+        ("stripes broken", rs.stripes_broken),
+        ("members re-protected", rs.members_reprotected),
+        ("degraded reads", rs.degraded_reads),
+        ("scheduled rebuild steps", rb.rebuild_scheduled),
+        ("rebuilt pages", rb.pages_rebuilt),
+    ] {
+        assert!(count > 0, "the fixture must exercise {what}");
+    }
+    assert_eq!(rb.pages_lost, 0);
+
+    for l in 0..lpns {
+        n.read(end, l, &mut buf).unwrap();
+        assert_eq!(buf, vec![last[l as usize]; ps], "lpn {l} after the rebuild");
+    }
+    assert_eq!(n.device().tracer().dropped(), 0, "the trace must hold every command");
+    n.device().tracer().entries().to_vec()
+}
+
+/// FNV-1a over every field of every traced command: kind, page or block
+/// address, issue and completion instants and logical page.
+fn trace_digest(trace: &[TraceEntry]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in trace {
+        fold(e.kind as u64);
+        let page = e.ppa.map_or([0; 6], |p| [1, p.channel, p.die, p.plane, p.block, p.page]);
+        let block = e.block.map_or([0; 5], |b| [1, b.channel, b.die, b.plane, b.block]);
+        for f in page.into_iter().chain(block) {
+            fold(f.into());
+        }
+        fold(e.issued_at);
+        fold(e.completed_at);
+        fold(e.lpn.map_or(0, |l| l + 1));
+    }
+    h
+}
+
+/// Tier-1's pin on the command stream.  Each run's trace folds into one
+/// digest, and the digests must equal the values recorded when the pins were
+/// last set: a change that moves, adds or drops one command, or shifts one
+/// stamp, fails here without the golden figures or the perf drift gate.
+/// A change that moves the command stream on purpose re-pins these values
+/// in the same commit as the golden figures and lists them in CHANGES.md.
+#[test]
+fn command_traces_match_their_pinned_digests() {
+    let runs = [
+        ("mixed read/write, depth 1", traced_mixed_read_write(1).0, 0x2799_9320_55d6_b3fa),
+        ("mixed read/write, depth 8", traced_mixed_read_write(8).0, 0xf2ba_2c68_f133_9f5c),
+        ("two flush cycles, 64-page runs, depth 8", traced_flush_cycles(64, 8).0, 0x0a85_639d_6e1e_ed25),
+        ("parity, chaos faults, die kill, rebuild", traced_parity_die_kill(), 0xc9b4_f1cb_9ff8_621a),
+    ];
+    let drifted: Vec<String> = runs
+        .iter()
+        .map(|(run, trace, pinned)| (run, trace.len(), trace_digest(trace), pinned))
+        .filter(|(_, _, digest, pinned)| digest != *pinned)
+        .map(|(run, len, digest, pinned)| {
+            format!("{run}: {len} commands, digest {digest:#018x}, pinned {pinned:#018x}")
+        })
+        .collect();
+    assert!(drifted.is_empty(), "command streams moved:\n{}", drifted.join("\n"));
 }
 
 /// Heap-scan fixture over a traced NoFTL device: seeds a heap file of `pages`
