@@ -17,10 +17,13 @@ use crate::interface::{DeviceIdentification, NativeFlashInterface, OpCompletion,
 use crate::nand_type::TimingProfile;
 use crate::oob::Oob;
 use crate::page::PageState;
-use crate::queue::{CommandQueues, QueuedCompletion};
+use crate::queue::CommandQueues;
 use crate::stats::FlashStats;
 use crate::timing::Channel;
 use crate::trace::{TraceEntry, Tracer};
+
+mod faults;
+mod submit;
 
 /// Construction-time configuration of a [`NandDevice`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -464,102 +467,6 @@ impl NandDevice {
         Ok(())
     }
 
-    // -- fault injection -----------------------------------------------------
-    //
-    // Every helper below is a no-op performing **zero RNG draws and zero
-    // block-state updates** when no fault plan is installed, so the fault-off
-    // device stays bit- and cycle-identical to a build without injection.
-
-    /// Draw the read-error model for a read of `block` at `now`, counting the
-    /// read against the block's read-disturb stress.
-    fn draw_read_fault(&mut self, now: SimInstant, block: BlockAddr) -> ReadFaultOutcome {
-        if self.faults.is_none() {
-            return ReadFaultOutcome::Clean;
-        }
-        let (erases, age, disturb) = {
-            let b = self.block_ref(block);
-            (
-                b.erase_count(),
-                now.saturating_sub(b.programmed_at()),
-                b.read_disturb(),
-            )
-        };
-        self.block_mut(block).note_read_disturb();
-        let endurance = self.endurance;
-        self.faults
-            .as_mut()
-            .map_or(ReadFaultOutcome::Clean, |plan| {
-                plan.read_outcome(erases, endurance, age, disturb + 1)
-            })
-    }
-
-    /// Draw the program-failure model for a program into `block`.
-    fn draw_program_fault(&mut self, block: BlockAddr) -> bool {
-        if self.faults.is_none() {
-            return false;
-        }
-        let erases = self.block_ref(block).erase_count();
-        let endurance = self.endurance;
-        self.faults
-            .as_mut()
-            .is_some_and(|plan| plan.program_fails(erases, endurance))
-    }
-
-    /// Note a program into `block` at `now` (the retention base of the read
-    /// fault model).
-    fn note_programmed(&mut self, now: SimInstant, block: BlockAddr) {
-        if self.faults.is_some() {
-            self.block_mut(block).note_programmed_at(now);
-        }
-    }
-
-    /// Draw the erase-failure model for the `erase_count`-th cycle.
-    fn draw_erase_fault(&mut self, erase_count: u64) -> bool {
-        let endurance = self.endurance;
-        self.faults
-            .as_mut()
-            .is_some_and(|plan| plan.erase_fails(erase_count, endurance))
-    }
-
-    /// Advance the array-command counter and fire any kill specs that are
-    /// due, as of `now`.  A strict no-op (no counter, no scan) unless the
-    /// plan carries kill specs, so the kill-free device stays bit- and
-    /// cycle-identical.  When a kill fires, the die is marked dead, its
-    /// in-flight queued commands are lost (counted in
-    /// [`FlashStats::inflight_die_failures`]), and its queue window is
-    /// cleared.
-    fn tick_kills(&mut self, now: SimInstant) {
-        if !self.has_kills {
-            return;
-        }
-        let cmd = self.kill_commands;
-        self.kill_commands += 1;
-        let Some(plan) = &self.faults else { return };
-        for (i, spec) in plan.kills.iter().enumerate() {
-            if self.kills_applied[i] || cmd < spec.at_command {
-                continue;
-            }
-            self.kills_applied[i] = true;
-            let die = spec.die as usize;
-            if die < self.dead_dies.len() && !self.dead_dies[die] {
-                self.dead_dies[die] = true;
-                self.stats.die_failures += 1;
-                self.stats.inflight_die_failures += self.queues.fail_die(die, now) as u64;
-            }
-        }
-    }
-
-    /// Reject a command addressed to a dead die.  Pure rejection: no timing
-    /// is charged and no completion is recorded (a real controller NAKs the
-    /// submission immediately).
-    fn check_die_alive(&mut self, die: DieAddr) -> FlashResult<()> {
-        if self.is_die_dead(die) {
-            self.stats.dead_die_rejections += 1;
-            return Err(FlashError::DieFailed(die));
-        }
-        Ok(())
-    }
-
     // -- command bodies ------------------------------------------------------
     //
     // PAGE READ and PAGE PROGRAM each have exactly one body: validation, fault
@@ -839,197 +746,6 @@ impl NandDevice {
             None => Ok(completion),
         }
     }
-
-    // -- queued submission ----------------------------------------------------
-
-    /// Set the per-die queue depth (clamped to at least 1; capped at the
-    /// `max_queue_per_die` the `IDENTIFY` response advertises).  Depth 1 makes
-    /// every submission wait for its same-die predecessor — the synchronous
-    /// dispatch semantics.
-    pub fn set_queue_depth(&mut self, depth: usize) {
-        let cap = self.identify().max_queue_per_die as usize;
-        self.queues.set_depth(depth.clamp(1, cap));
-    }
-
-    /// Number of commands in flight on `die` as of `now`.
-    pub fn inflight_on(&self, die: DieAddr, now: SimInstant) -> usize {
-        self.queues.inflight_on(self.die_index(die), now)
-    }
-
-    /// Total commands in flight across every die as of `now` — the
-    /// foreground-load signal the DBMS's load-aware schedulers consult
-    /// before launching background work.
-    pub fn inflight_total(&self, now: SimInstant) -> usize {
-        self.queues.inflight_total(now)
-    }
-
-    /// Read commands in flight across every die as of `now` (nonzero means
-    /// the instant is read-hot for background relocations).
-    pub fn inflight_reads(&self, now: SimInstant) -> usize {
-        self.queues.inflight_reads(now)
-    }
-
-    /// Shared spine of every `submit_*` method: admit into the die queue
-    /// (gating behind a full queue), execute the command at the gated issue
-    /// time, account the queued-submission statistics (read submissions and
-    /// read stalls are additionally counted per [`FlashStats`]'s read
-    /// counters), and hold the command's slot in the die's window until it
-    /// completes.  `run` returns the command's completion plus any extra
-    /// payload (e.g. a read's OOB).
-    ///
-    /// An injected fault charged real timing, so the failed command holds
-    /// its slot too (its stamps come from `fault_completion`) before the
-    /// error propagates; a validation error issued nothing and holds none.
-    fn submit_queued<T>(
-        &mut self,
-        die_idx: usize,
-        kind: OpKind,
-        now: SimInstant,
-        run: impl FnOnce(&mut Self, SimInstant) -> FlashResult<(T, OpCompletion)>,
-    ) -> FlashResult<(T, QueuedCompletion)> {
-        let (issue, gated) = self.queues.admit(die_idx, now);
-        // Only a fault of *this* command may hold a slot, not a stale stamp
-        // left by an earlier synchronous call.
-        self.fault_completion = None;
-        let (payload, completion) = match run(self, issue) {
-            Ok((payload, completion)) => (Ok(payload), completion),
-            Err(e) => match self.fault_completion.take() {
-                Some(completion) => (Err(e), completion),
-                None => return Err(e),
-            },
-        };
-        self.stats.queued_submissions += 1;
-        self.stats.queue_wait_ns += completion.started_at.saturating_sub(now);
-        if kind == OpKind::Read {
-            self.stats.queued_reads += 1;
-        }
-        if gated {
-            self.stats.queue_gated_submissions += 1;
-            if kind == OpKind::Read {
-                self.stats.read_stalls += 1;
-            }
-        }
-        self.queues
-            .record(die_idx, kind, issue, completion.completed_at);
-        payload.map(|payload| {
-            (
-                payload,
-                QueuedCompletion {
-                    kind,
-                    submitted_at: now,
-                    issued_at: issue,
-                    completion,
-                },
-            )
-        })
-    }
-
-    /// Empty-run submission: completes immediately without touching a queue.
-    fn empty_submission(kind: OpKind, now: SimInstant) -> QueuedCompletion {
-        QueuedCompletion {
-            kind,
-            submitted_at: now,
-            issued_at: now,
-            completion: Self::empty_run(now),
-        }
-    }
-
-    /// Submit a multi-page program run (one die) into the die's command
-    /// queue.  The run is admitted at `now`; if the queue is full its issue is
-    /// gated behind the oldest in-flight command.  The returned
-    /// [`QueuedCompletion`] — the command's only completion report — carries
-    /// both stamps plus the device-computed completion.
-    pub fn submit_program_pages(
-        &mut self,
-        now: SimInstant,
-        ops: &[(Ppa, &[u8], Oob)],
-    ) -> FlashResult<QueuedCompletion> {
-        let die = match ops.first() {
-            Some((ppa, _, _)) => ppa.die_addr(),
-            None => return Ok(Self::empty_submission(OpKind::Program, now)),
-        };
-        let die_idx = self.die_index(die);
-        self.submit_queued(die_idx, OpKind::Program, now, |dev, issue| {
-            dev.program_pages(issue, ops).map(|c| ((), c))
-        })
-        .map(|((), q)| q)
-    }
-
-    /// Submit a single-page read into the page's die queue.  The read is
-    /// admitted at `now`; if the queue is full its issue is gated behind the
-    /// oldest in-flight command — this is how a point read honestly queues
-    /// behind in-flight program/erase traffic on the same die.  `buf` is
-    /// filled with the page content (the model is deterministic, so the data
-    /// exists the moment the command is admitted); the returned completion
-    /// stamps say when the host may *use* it on the virtual clock.
-    pub fn submit_read_page(
-        &mut self,
-        now: SimInstant,
-        ppa: Ppa,
-        buf: &mut [u8],
-    ) -> FlashResult<(Oob, QueuedCompletion)> {
-        let die_idx = self.die_index(ppa.die_addr());
-        self.submit_queued(die_idx, OpKind::Read, now, |dev, issue| {
-            dev.read_page(issue, ppa, buf)
-        })
-    }
-
-    /// Submit a multi-page read run (one die) into the die's command queue
-    /// (same gating rules as [`NandDevice::submit_program_pages`]; the run
-    /// itself gets the pipelined [`NativeFlashInterface::read_pages`] timing).
-    pub fn submit_read_pages(
-        &mut self,
-        now: SimInstant,
-        ops: &mut [(Ppa, &mut [u8])],
-    ) -> FlashResult<QueuedCompletion> {
-        let die = match ops.first() {
-            Some((ppa, _)) => ppa.die_addr(),
-            None => return Ok(Self::empty_submission(OpKind::Read, now)),
-        };
-        let die_idx = self.die_index(die);
-        self.submit_queued(die_idx, OpKind::Read, now, |dev, issue| {
-            dev.read_pages(issue, ops).map(|c| ((), c))
-        })
-        .map(|((), q)| q)
-    }
-
-    /// Submit a block erase into the block's die queue (same gating rules as
-    /// [`NandDevice::submit_program_pages`]).
-    pub fn submit_erase(
-        &mut self,
-        now: SimInstant,
-        block: BlockAddr,
-    ) -> FlashResult<QueuedCompletion> {
-        let die_idx = self.die_index(block.die_addr());
-        self.submit_queued(die_idx, OpKind::Erase, now, |dev, issue| {
-            dev.erase_block(issue, block).map(|c| ((), c))
-        })
-        .map(|((), q)| q)
-    }
-
-    /// Submit a COPYBACK PROGRAM into the source plane's die queue (same
-    /// gating rules as [`NandDevice::submit_program_pages`]).  Used by GC
-    /// under the asynchronous model so plane-local relocations occupy the
-    /// die queue like every other background command.
-    pub fn submit_copyback(
-        &mut self,
-        now: SimInstant,
-        src: Ppa,
-        dst: Ppa,
-        new_oob: Option<Oob>,
-    ) -> FlashResult<QueuedCompletion> {
-        let die_idx = self.die_index(src.die_addr());
-        self.submit_queued(die_idx, OpKind::Copyback, now, |dev, issue| {
-            dev.copyback(issue, src, dst, new_oob).map(|c| ((), c))
-        })
-        .map(|((), q)| q)
-    }
-
-    /// Barrier over the command queues: the instant by which every in-flight
-    /// command has completed (at least `now`).  Clears the in-flight windows.
-    pub fn drain_queues(&mut self, now: SimInstant) -> SimInstant {
-        self.queues.drain(now)
-    }
 }
 
 impl NativeFlashInterface for NandDevice {
@@ -1254,11 +970,11 @@ mod tests {
     use super::*;
     use crate::geometry::FlashGeometry;
 
-    fn tiny_device() -> NandDevice {
+    pub(super) fn tiny_device() -> NandDevice {
         NandDevice::with_geometry(FlashGeometry::tiny())
     }
 
-    fn page_of(dev: &NandDevice, byte: u8) -> Vec<u8> {
+    pub(super) fn page_of(dev: &NandDevice, byte: u8) -> Vec<u8> {
         vec![byte; dev.geometry().page_size as usize]
     }
 
@@ -1809,180 +1525,6 @@ mod tests {
     }
 
     #[test]
-    fn run_validates_its_first_address_before_the_dead_die_check() {
-        // Regression: multi-page runs used to ask whether the first op's die
-        // was alive *before* validating that address, so an out-of-range page
-        // on a dead die was rejected as `DieFailed` (and counted as a
-        // dead-die rejection) by a run but as `InvalidAddress` by the same
-        // address in a single command.
-        let plan = FaultPlan::seeded(1).with_die_kill(0, 0);
-        let mut dev = kill_only_device(plan);
-        let g = *dev.geometry();
-        let data = page_of(&dev, 0x5A);
-        let bad = Ppa::new(0, 0, 0, 0, g.pages_per_block); // page index out of range
-        let ok = Ppa::new(0, 0, 0, 0, 0);
-        let mut b0 = page_of(&dev, 0);
-        let mut b1 = page_of(&dev, 0);
-        // The first command (any command) fires the kill of die 0.
-        assert!(matches!(
-            dev.read_pages(0, &mut [(bad, b0.as_mut_slice()), (ok, b1.as_mut_slice())]),
-            Err(FlashError::InvalidAddress { .. })
-        ));
-        assert!(dev.is_die_dead(DieAddr::new(0, 0)));
-        assert!(matches!(
-            dev.program_pages(
-                0,
-                &[(bad, data.as_slice(), Oob::data(1, 0)), (ok, data.as_slice(), Oob::data(2, 0))]
-            ),
-            Err(FlashError::InvalidAddress { .. })
-        ));
-        assert!(matches!(
-            dev.read_page(0, bad, &mut b0),
-            Err(FlashError::InvalidAddress { .. })
-        ));
-        assert_eq!(dev.stats().dead_die_rejections, 0);
-        // A valid address on the dead die is still the typed die failure.
-        assert!(matches!(
-            dev.read_pages(0, &mut [(ok, b0.as_mut_slice()), (ok, b1.as_mut_slice())]),
-            Err(FlashError::DieFailed(_))
-        ));
-        assert_eq!(dev.stats().dead_die_rejections, 1);
-    }
-
-    #[test]
-    fn submitted_run_at_depth_one_matches_synchronous_dispatch() {
-        // Two back-to-back runs on one die.  Synchronous dispatch issues run 2
-        // at run 1's completion; the queued path at depth 1 must compute the
-        // exact same stamps even though both runs are submitted at t=0.
-        let data_sync = {
-            let mut dev = tiny_device();
-            let data = page_of(&dev, 1);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            let ops1: Vec<(Ppa, &[u8], Oob)> = (0..4)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            let ops2: Vec<(Ppa, &[u8], Oob)> = (4..8)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            let c1 = dev.program_pages(0, &ops1).unwrap();
-            let c2 = dev.program_pages(c1.completed_at, &ops2).unwrap();
-            (c1, c2)
-        };
-        let data_queued = {
-            let mut dev = tiny_device();
-            dev.set_queue_depth(1);
-            let data = page_of(&dev, 1);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            let ops1: Vec<(Ppa, &[u8], Oob)> = (0..4)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            let ops2: Vec<(Ppa, &[u8], Oob)> = (4..8)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            let q1 = dev.submit_program_pages(0, &ops1).unwrap();
-            let q2 = dev.submit_program_pages(0, &ops2).unwrap();
-            assert_eq!(q2.issued_at, q1.completion.completed_at, "depth 1 gates");
-            assert_eq!(dev.stats().queue_gated_submissions, 1);
-            (q1.completion, q2.completion)
-        };
-        assert_eq!(data_sync, data_queued);
-    }
-
-    #[test]
-    fn deeper_queue_pipelines_same_die_runs() {
-        // At depth >= 2 the second run's command transfer queues on the
-        // channel right behind the first run's transfers instead of waiting
-        // for the first run's last cell program: the pair finishes earlier.
-        let run = |depth: usize| -> u64 {
-            let mut dev = tiny_device();
-            dev.set_queue_depth(depth);
-            let data = page_of(&dev, 1);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            let ops1: Vec<(Ppa, &[u8], Oob)> = (0..4)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            let ops2: Vec<(Ppa, &[u8], Oob)> = (4..8)
-                .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-                .collect();
-            dev.submit_program_pages(0, &ops1).unwrap();
-            let q2 = dev.submit_program_pages(0, &ops2).unwrap();
-            q2.completion.completed_at
-        };
-        let sync = run(1);
-        let deep = run(4);
-        assert!(
-            deep < sync,
-            "pipelined submission ({deep}) must beat depth-1 dispatch ({sync})"
-        );
-    }
-
-    #[test]
-    fn submissions_return_their_completions_and_drain_barriers() {
-        let g = FlashGeometry::small();
-        let mut dev = NandDevice::with_geometry(g);
-        dev.set_queue_depth(4);
-        let data = vec![1u8; g.page_size as usize];
-        let a = dev
-            .submit_program_pages(0, &[(Ppa::new(0, 0, 0, 0, 0), data.as_slice(), Oob::data(1, 0))])
-            .unwrap();
-        let b = dev
-            .submit_program_pages(0, &[(Ppa::new(1, 0, 0, 0, 0), data.as_slice(), Oob::data(2, 0))])
-            .unwrap();
-        let e = dev.submit_erase(0, BlockAddr::new(0, 1, 0, 3)).unwrap();
-        assert_eq!(dev.stats().queued_submissions, 3);
-        assert_eq!(dev.inflight_on(DieAddr::new(0, 0), 0), 1);
-        assert_eq!(
-            (a.kind, b.kind, e.kind),
-            (OpKind::Program, OpKind::Program, OpKind::Erase)
-        );
-        assert!([a, b, e].iter().all(|q| q.submitted_at == 0));
-        let waited: u64 = [a, b, e].iter().map(|q| q.completion.started_at).sum();
-        assert_eq!(
-            dev.stats().queue_wait_ns,
-            waited,
-            "wait = start - submit, summed"
-        );
-        let barrier = dev.drain_queues(0);
-        let slowest = [a, b, e]
-            .iter()
-            .map(|q| q.completion.completed_at)
-            .max()
-            .unwrap();
-        assert_eq!(barrier, slowest);
-        assert_eq!(dev.inflight_total(0), 0, "the barrier empties every window");
-    }
-
-    #[test]
-    fn failed_submission_does_not_evict_inflight_commands() {
-        let g = FlashGeometry::tiny();
-        let mut cfg = DeviceConfig::new(g);
-        cfg.endurance_override = Some(0); // every erase wears out
-        let mut dev = NandDevice::new(cfg);
-        dev.set_queue_depth(1);
-        let data = page_of(&dev, 1);
-        let q1 = dev
-            .submit_program_pages(0, &[(Ppa::new(0, 0, 0, 0, 0), data.as_slice(), Oob::data(1, 0))])
-            .unwrap();
-        // The erase is admitted (gated behind q1) but fails with WornOut.
-        assert!(matches!(
-            dev.submit_erase(0, BlockAddr::new(0, 0, 0, 1)),
-            Err(FlashError::WornOut(_))
-        ));
-        // q1 must still be tracked: the barrier covers its completion.
-        assert_eq!(dev.drain_queues(0), q1.completion.completed_at);
-        assert_eq!(dev.stats().queued_submissions, 1);
-    }
-
-    #[test]
-    fn submit_empty_run_completes_immediately() {
-        let mut dev = tiny_device();
-        let q = dev.submit_program_pages(42, &[]).unwrap();
-        assert_eq!(q.completion.completed_at, 42);
-        assert_eq!(dev.stats().queued_submissions, 0);
-        assert_eq!(dev.inflight_total(0), 0);
-    }
-
-    #[test]
     fn multi_page_read_roundtrips_and_counts() {
         let mut dev = tiny_device();
         let data: Vec<Vec<u8>> = (0..4u8).map(|i| page_of(&dev, i)).collect();
@@ -2084,107 +1626,6 @@ mod tests {
     }
 
     #[test]
-    fn submitted_read_at_depth_one_matches_synchronous_dispatch() {
-        // Two back-to-back read runs on one die: the queued path at depth 1
-        // must compute the exact same stamps the synchronous issuer sees.
-        let fill = |dev: &mut NandDevice| {
-            let data = page_of(dev, 1);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            for i in 0..8u32 {
-                dev.program_page(0, b0.page(i), &data, Oob::data(i as u64, 0))
-                    .unwrap();
-            }
-        };
-        let sync = {
-            let mut dev = tiny_device();
-            fill(&mut dev);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| page_of(&dev, 0)).collect();
-            let (first, second) = bufs.split_at_mut(4);
-            let mut ops1: Vec<(Ppa, &mut [u8])> = first
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| (b0.page(i as u32), b.as_mut_slice()))
-                .collect();
-            let mut ops2: Vec<(Ppa, &mut [u8])> = second
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| (b0.page(4 + i as u32), b.as_mut_slice()))
-                .collect();
-            let t0 = 10_000_000;
-            let c1 = dev.read_pages(t0, &mut ops1).unwrap();
-            let c2 = dev.read_pages(c1.completed_at, &mut ops2).unwrap();
-            (c1, c2)
-        };
-        let queued = {
-            let mut dev = tiny_device();
-            dev.set_queue_depth(1);
-            fill(&mut dev);
-            let b0 = BlockAddr::new(0, 0, 0, 0);
-            let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| page_of(&dev, 0)).collect();
-            let (first, second) = bufs.split_at_mut(4);
-            let mut ops1: Vec<(Ppa, &mut [u8])> = first
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| (b0.page(i as u32), b.as_mut_slice()))
-                .collect();
-            let mut ops2: Vec<(Ppa, &mut [u8])> = second
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| (b0.page(4 + i as u32), b.as_mut_slice()))
-                .collect();
-            let t0 = 10_000_000;
-            let q1 = dev.submit_read_pages(t0, &mut ops1).unwrap();
-            let q2 = dev.submit_read_pages(t0, &mut ops2).unwrap();
-            assert_eq!(q2.issued_at, q1.completion.completed_at, "depth 1 gates");
-            assert_eq!(dev.stats().queued_reads, 2);
-            assert_eq!(dev.stats().read_stalls, 1);
-            (q1.completion, q2.completion)
-        };
-        assert_eq!(sync, queued);
-    }
-
-    #[test]
-    fn queued_read_gates_behind_inflight_program_and_counts_stalls() {
-        // Regression for the FlashStats read counters: a point read submitted
-        // while a program run occupies the die queue must be gated (a read
-        // stall), counted in queued_reads/read_stalls and in the per-die read
-        // occupancy — exactly like program/erase traffic already is.
-        let mut dev = tiny_device();
-        dev.set_queue_depth(1);
-        let data = page_of(&dev, 7);
-        let b0 = BlockAddr::new(0, 0, 0, 0);
-        let ops: Vec<(Ppa, &[u8], Oob)> = (0..4)
-            .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
-            .collect();
-        let q = dev.submit_program_pages(0, &ops).unwrap();
-        let mut buf = page_of(&dev, 0);
-        let (oob, r) = dev.submit_read_page(0, b0.page(0), &mut buf).unwrap();
-        assert_eq!(oob.lpn, 0);
-        assert_eq!(buf, data);
-        assert_eq!(
-            r.issued_at,
-            q.completion.completed_at,
-            "the read must queue behind the in-flight program run"
-        );
-        assert!(r.completion.completed_at > q.completion.completed_at);
-        let s = dev.stats();
-        assert_eq!(s.queued_reads, 1);
-        assert_eq!(s.read_stalls, 1);
-        assert_eq!(s.queued_submissions, 2);
-        assert_eq!(s.per_die_reads, vec![1]);
-        assert_eq!(s.per_die_ops[0], 5, "4 programs + 1 read on die 0");
-        assert_eq!((q.kind, r.kind), (OpKind::Program, OpKind::Read));
-        // An ungated read on an idle die is not a stall.
-        dev.drain_queues(r.completion.completed_at);
-        let (_, r2) = dev
-            .submit_read_page(r.completion.completed_at, b0.page(1), &mut buf)
-            .unwrap();
-        assert_eq!(r2.issued_at, r2.submitted_at);
-        assert_eq!(dev.stats().read_stalls, 1, "ungated read is not a stall");
-    }
-
-    #[test]
     fn endurance_override_shrinks_endurance() {
         let g = FlashGeometry::tiny();
         let mut cfg = DeviceConfig::new(g);
@@ -2216,259 +1657,5 @@ mod tests {
         assert_eq!(dev.max_erase_count(), 2);
         let mean = dev.mean_erase_count();
         assert!(mean > 0.0 && mean < 1.0);
-    }
-
-    use crate::fault::FaultPlan;
-
-    /// A device with an explicitly set fault plan.
-    fn faulty_device(plan: FaultPlan) -> NandDevice {
-        let mut cfg = DeviceConfig::new(FlashGeometry::tiny());
-        cfg.faults = Some(plan);
-        NandDevice::new(cfg)
-    }
-
-    fn certain_program_failure() -> FaultPlan {
-        let mut plan = FaultPlan::seeded(7);
-        plan.program_fail_base = 1.0;
-        plan
-    }
-
-    #[test]
-    fn program_failure_consumes_the_page_and_counts() {
-        let mut dev = faulty_device(certain_program_failure());
-        let data = page_of(&dev, 0x11);
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        let err = dev.program_page(0, ppa, &data, Oob::data(1, 0)).unwrap_err();
-        assert_eq!(err, FlashError::ProgramFailed(ppa));
-        assert_eq!(dev.stats().program_failures, 1);
-        assert_eq!(dev.stats().programs, 1, "the attempt still cost a program");
-        // The page is consumed: sequential rule moves on, the page is invalid.
-        let info = dev.block_info(ppa.block_addr()).unwrap();
-        assert_eq!(info.valid_pages, 0);
-        assert_eq!(info.invalid_pages, 1);
-        // The block is NOT device-retired: the DBMS decides after relocation.
-        assert!(dev.block_info(ppa.block_addr()).unwrap().usable);
-    }
-
-    #[test]
-    fn batched_program_failure_keeps_the_committed_prefix() {
-        let mut plan = FaultPlan::seeded(7);
-        // Draw order per page: one program draw each; fail the third draw.
-        plan.program_fail_base = 0.0;
-        let mut dev = faulty_device(plan);
-        let data = page_of(&dev, 0x22);
-        let block = BlockAddr::new(0, 0, 0, 0);
-        let ops: Vec<(Ppa, &[u8], Oob)> = (0..3)
-            .map(|p| (block.page(p), data.as_slice(), Oob::data(p as u64, 0)))
-            .collect();
-        // base 0.0 never fails: whole run commits.
-        dev.program_pages(0, &ops).unwrap();
-        dev.erase_block(1, block).unwrap();
-        // Now a certain-failure plan: first page of the run fails, nothing
-        // after it is charged.
-        dev.set_fault_plan(Some(certain_program_failure()));
-        let err = dev.program_pages(2, &ops).unwrap_err();
-        assert_eq!(err, FlashError::ProgramFailed(block.page(0)));
-        let info = dev.block_info(block).unwrap();
-        assert_eq!(info.valid_pages, 0);
-        assert_eq!(info.invalid_pages, 1, "only the failing page was consumed");
-    }
-
-    #[test]
-    fn erase_failure_marks_the_block_grown_bad() {
-        let mut plan = FaultPlan::seeded(3);
-        plan.erase_fail_knee = 0.99;
-        plan.erase_fail_prob = 1.0;
-        let mut cfg = DeviceConfig::new(FlashGeometry::tiny());
-        cfg.faults = Some(plan);
-        cfg.endurance_override = Some(4);
-        let mut dev = NandDevice::new(cfg);
-        let b = BlockAddr::new(0, 0, 0, 0);
-        // Below the knee the plan never even draws; at full wear (the 4th
-        // erase reaches erase_count == endurance) the ramp hits 1.0.
-        for t in 0..3u64 {
-            dev.erase_block(t, b).unwrap();
-        }
-        let err = dev.erase_block(10, b).unwrap_err();
-        assert_eq!(err, FlashError::EraseFailed(b));
-        assert_eq!(dev.stats().erase_failures, 1);
-        assert!(!dev.block_info(b).unwrap().usable);
-        // Further operations on the block are rejected as bad-block ops.
-        let data = page_of(&dev, 0);
-        assert!(matches!(
-            dev.program_page(1, b.page(0), &data, Oob::data(0, 0)),
-            Err(FlashError::BadBlock(_))
-        ));
-    }
-
-    #[test]
-    fn read_faults_split_into_corrected_and_uncorrectable() {
-        let mut plan = FaultPlan::seeded(5);
-        plan.read_error_base = 1.0;
-        plan.uncorrectable_fraction = 0.0;
-        let mut dev = faulty_device(plan);
-        let data = page_of(&dev, 0x33);
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        dev.program_page(0, ppa, &data, Oob::data(4, 0)).unwrap();
-        let mut buf = page_of(&dev, 0);
-        // Every read hits bit errors but ECC corrects them all.
-        dev.read_page(1_000, ppa, &mut buf).unwrap();
-        assert_eq!(buf, data);
-        assert_eq!(dev.stats().corrected_reads, 1);
-        assert_eq!(dev.stats().uncorrectable_reads, 0);
-        // Now every error overwhelms ECC.
-        let mut plan = FaultPlan::seeded(5);
-        plan.read_error_base = 1.0;
-        plan.uncorrectable_fraction = 1.0;
-        dev.set_fault_plan(Some(plan));
-        let err = dev.read_page(2_000, ppa, &mut buf).unwrap_err();
-        assert_eq!(err, FlashError::UncorrectableEcc(ppa));
-        assert_eq!(dev.stats().uncorrectable_reads, 1);
-        // Read-disturb stress accumulated on the block across both reads.
-        assert_eq!(dev.read_disturb(ppa.block_addr()).unwrap(), 2);
-    }
-
-    #[test]
-    fn failed_submission_holds_its_die_queue_slot() {
-        let mut dev = faulty_device(certain_program_failure());
-        dev.set_queue_depth(1);
-        let data = page_of(&dev, 0x44);
-        let ppa = Ppa::new(0, 0, 0, 0, 0);
-        let ops: Vec<(Ppa, &[u8], Oob)> = vec![(ppa, data.as_slice(), Oob::data(1, 0))];
-        let err = dev.submit_program_pages(0, &ops).unwrap_err();
-        assert_eq!(err, FlashError::ProgramFailed(ppa));
-        // The failed program occupied the die for its full duration: it is
-        // counted and holds its slot, so the next submission is gated.
-        assert_eq!(dev.stats().queued_submissions, 1);
-        assert_eq!(dev.inflight_on(ppa.die_addr(), 0), 1);
-        let busy = dev.die_busy_until(ppa.die_addr());
-        let q = dev.submit_erase(0, BlockAddr::new(0, 0, 0, 1)).unwrap();
-        assert_eq!(q.issued_at, busy, "gated behind the failed program");
-        assert_eq!(dev.stats().queue_gated_submissions, 1);
-    }
-
-    #[test]
-    fn same_fault_seed_reproduces_the_same_failures() {
-        let run = |seed: u64| -> (Vec<bool>, FlashStats) {
-            let mut plan = FaultPlan::seeded(seed);
-            plan.program_fail_base = 0.3;
-            plan.read_error_base = 0.3;
-            let mut dev = faulty_device(plan);
-            let data = page_of(&dev, 0x55);
-            let block = BlockAddr::new(0, 0, 0, 0);
-            let mut outcomes = Vec::new();
-            let mut buf = page_of(&dev, 0);
-            for p in 0..dev.geometry().pages_per_block {
-                let ppa = block.page(p);
-                let ok = dev.program_page(0, ppa, &data, Oob::data(p as u64, 0)).is_ok();
-                outcomes.push(ok);
-                if ok {
-                    outcomes.push(dev.read_page(1_000, ppa, &mut buf).is_ok());
-                }
-            }
-            (outcomes, dev.stats().clone())
-        };
-        let (a_out, a_stats) = run(42);
-        let (b_out, b_stats) = run(42);
-        assert_eq!(a_out, b_out);
-        assert_eq!(a_stats.program_failures, b_stats.program_failures);
-        assert_eq!(a_stats.uncorrectable_reads, b_stats.uncorrectable_reads);
-        assert_eq!(a_stats.corrected_reads, b_stats.corrected_reads);
-        // A different seed produces a different failure pattern (with these
-        // probabilities the chance of an identical 64+-draw sequence is nil).
-        let (c_out, _) = run(43);
-        assert_ne!(a_out, c_out);
-    }
-
-    /// A small()-geometry device (4 dies) with every probabilistic failure
-    /// mode zeroed, so only the deterministic kill specs of `plan` can fire.
-    fn kill_only_device(plan: FaultPlan) -> NandDevice {
-        let mut plan = plan;
-        plan.program_fail_base = 0.0;
-        plan.erase_fail_prob = 0.0;
-        plan.read_error_base = 0.0;
-        let mut cfg = DeviceConfig::new(FlashGeometry::small());
-        cfg.faults = Some(plan);
-        NandDevice::new(cfg)
-    }
-
-    #[test]
-    fn die_kill_fires_at_the_seeded_command_index() {
-        let plan = FaultPlan::seeded(1).with_die_kill(2, 1);
-        let mut dev = kill_only_device(plan);
-        let data = page_of(&dev, 0x11);
-        // Command 0: die 0.  Command 1: die 1.  Command 2 fires the kill.
-        dev.program_page(0, Ppa::new(0, 0, 0, 0, 0), &data, Oob::data(1, 0))
-            .unwrap();
-        dev.program_page(0, Ppa::new(0, 1, 0, 0, 0), &data, Oob::data(2, 0))
-            .unwrap();
-        let err = dev
-            .program_page(0, Ppa::new(0, 1, 0, 0, 1), &data, Oob::data(3, 0))
-            .unwrap_err();
-        assert_eq!(err, FlashError::DieFailed(DieAddr::new(0, 1)));
-        assert!(dev.is_die_dead(DieAddr::new(0, 1)));
-        assert!(dev.any_die_dead());
-        assert_eq!(dev.stats().die_failures, 1);
-        assert_eq!(dev.stats().dead_die_rejections, 1);
-        // The surviving dies keep working; the dead one rejects reads too.
-        dev.program_page(0, Ppa::new(1, 0, 0, 0, 0), &data, Oob::data(4, 0))
-            .unwrap();
-        let mut buf = page_of(&dev, 0);
-        let err = dev.read_page(0, Ppa::new(0, 1, 0, 0, 0), &mut buf).unwrap_err();
-        assert_eq!(err, FlashError::DieFailed(DieAddr::new(0, 1)));
-        assert_eq!(dev.stats().dead_die_rejections, 2);
-        // Host bookkeeping on a dead die stays allowed.
-        dev.invalidate_page(Ppa::new(0, 1, 0, 0, 0)).unwrap();
-        dev.mark_block_bad(BlockAddr::new(0, 1, 0, 0)).unwrap();
-    }
-
-    #[test]
-    fn die_kill_fails_inflight_queued_commands() {
-        let plan = FaultPlan::seeded(1).with_die_kill(1, 1);
-        let mut dev = kill_only_device(plan);
-        dev.set_queue_depth(8);
-        let data = page_of(&dev, 0x33);
-        // Command 0: a queued 2-page program on die 1, in flight past t=0.
-        let ops = [
-            (Ppa::new(0, 1, 0, 0, 0), data.as_slice(), Oob::data(1, 0)),
-            (Ppa::new(0, 1, 0, 0, 1), data.as_slice(), Oob::data(2, 0)),
-        ];
-        dev.submit_program_pages(0, &ops).unwrap();
-        // Command 1 fires the kill; the submission itself is then rejected.
-        let mut buf = page_of(&dev, 0);
-        let err = dev
-            .submit_read_page(0, Ppa::new(0, 1, 0, 0, 0), &mut buf)
-            .unwrap_err();
-        assert_eq!(err, FlashError::DieFailed(DieAddr::new(0, 1)));
-        assert_eq!(dev.stats().die_failures, 1);
-        assert_eq!(
-            dev.stats().inflight_die_failures,
-            1,
-            "the in-flight program is lost with its die"
-        );
-        assert_eq!(dev.inflight_on(DieAddr::new(0, 1), 0), 0);
-    }
-
-    #[test]
-    fn faults_off_keeps_the_device_fault_free() {
-        let mut cfg = DeviceConfig::new(FlashGeometry::tiny());
-        cfg.faults = None;
-        let mut dev = NandDevice::new(cfg);
-        let data = page_of(&dev, 0x66);
-        let block = BlockAddr::new(0, 0, 0, 0);
-        let mut buf = page_of(&dev, 0);
-        for p in 0..dev.geometry().pages_per_block {
-            dev.program_page(0, block.page(p), &data, Oob::data(p as u64, 0))
-                .unwrap();
-            dev.read_page(1_000, block.page(p), &mut buf).unwrap();
-        }
-        dev.erase_block(2_000, block).unwrap();
-        assert_eq!(dev.stats().program_failures, 0);
-        assert_eq!(dev.stats().erase_failures, 0);
-        assert_eq!(dev.stats().corrected_reads, 0);
-        assert_eq!(dev.stats().uncorrectable_reads, 0);
-        // Read-disturb bookkeeping is not even maintained when faults are off
-        // (the hot read path must stay untouched).
-        assert_eq!(dev.read_disturb(block).unwrap(), 0);
     }
 }
