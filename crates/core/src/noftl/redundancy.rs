@@ -630,8 +630,8 @@ impl NoFtl {
 mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
-    use crate::noftl::tests::{die_of_lpn, kill_plan, page, small_noftl, tiny_noftl};
-    use nand_flash::FlashGeometry;
+    use crate::noftl::tests::{die_of_lpn, faulty_noftl, kill_plan, page, small_noftl, tiny_noftl};
+    use nand_flash::{FaultPlan, FlashGeometry};
 
     #[test]
     fn parity_stripes_seal_die_disjoint() {
@@ -928,5 +928,71 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, 0, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn a_failed_mirror_program_retires_its_block_and_lands_on_a_fresh_one() {
+        // A fresh block never fails a program; a block erased once always
+        // does.  The mirror die's first free block is erased once, so the
+        // copy's first program fails and its retry lands on the next block.
+        let mut plan = FaultPlan::seeded(5);
+        plan.program_fail_base = 1e-12;
+        plan.program_fail_wear_scale = 1e18;
+        plan.read_error_base = 0.0;
+        let mut n = faulty_noftl(plan, NoFtlConfig::new(FlashGeometry::small()));
+        n.set_redundancy_all(RedundancyPolicy::Mirror);
+        let g = *n.device().geometry();
+        let primary_die = n.regions.dies_of(n.region_of_lpn(0))[0].flat(&g) as u32;
+        let mirror_die = (primary_die + 1) % g.total_dies();
+        let worn = Ppa::from_flat(&g, u64::from(mirror_die) * g.pages_per_die()).block_addr();
+        n.device.erase_block(0, worn).unwrap();
+
+        let data = page(&n, 0x3C);
+        let now = n.write(0, 0, &data).unwrap().completed_at;
+        assert_eq!(die_of_lpn(&n, 0), primary_die);
+        assert_eq!(n.stats().program_fail_retirements, 1);
+        assert_eq!(n.stats().retired_blocks, 1);
+        assert!(n.bad_blocks().is_bad(worn), "the failing block is retired");
+        let copy = n.mirror_of[n.map.get(0).unwrap() as usize];
+        assert_ne!(copy, NO_MIRROR, "the write is still mirrored");
+        let copy_block = Ppa::from_flat(&g, copy).block_addr();
+        assert_eq!(copy_block.die_addr(), worn.die_addr());
+        assert_ne!(copy_block, worn, "the copy lands on a fresh block");
+        let rs = n.redundancy_stats();
+        assert_eq!((rs.mirror_pages_written, rs.mirror_skipped_no_space), (1, 0));
+
+        // The primary's die dies: the read is served from the copy.
+        n.set_fault_plan(Some(kill_plan(primary_die)));
+        let mut buf = page(&n, 0);
+        n.read(now, 0, &mut buf).unwrap();
+        assert_eq!(buf, data);
+        assert_eq!(n.redundancy_stats().degraded_reads, 1);
+    }
+
+    #[test]
+    fn a_die_kill_on_the_parity_program_moves_the_seal_to_the_next_die() {
+        // The three members take the first three device commands, on dies
+        // 0, 1 and 2; the fourth is the parity program on die 3, the first
+        // die disjoint from them, and the kill fires on it.
+        let mut plan = kill_plan(3);
+        plan.kills[0].at_command = 3;
+        let mut cfg = NoFtlConfig::new(FlashGeometry::with_dies(8, 256, 16, 512));
+        cfg.redundancy = vec![RedundancyPolicy::Parity(3); 8];
+        let mut n = faulty_noftl(plan, cfg);
+        let mut now = 0;
+        for lpn in 0..3u64 {
+            now = n.write(now, lpn, &page(&n, lpn as u8 + 1)).unwrap().completed_at;
+        }
+        let g = *n.device().geometry();
+        assert_eq!([0, 1, 2].map(|lpn| die_of_lpn(&n, lpn)), [0, 1, 2]);
+        assert_eq!(n.rebuild_stats().die_failures_detected, 1, "the death is counted");
+        let rs = n.redundancy_stats();
+        assert_eq!((rs.stripes_sealed, rs.stripes_sealed_degraded), (1, 0));
+        let stripe = n.stripes.iter().flatten().next().unwrap();
+        let parity_die = Ppa::from_flat(&g, stripe.parity).die_addr().flat(&g);
+        assert_eq!(parity_die, 4, "the seal goes on to the next disjoint die");
+        let mut buf = page(&n, 0);
+        n.read(now, 1, &mut buf).unwrap();
+        assert_eq!(buf, page(&n, 2));
     }
 }
