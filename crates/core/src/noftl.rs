@@ -34,7 +34,7 @@ mod rebuild;
 mod redundancy;
 mod relocate;
 
-use redundancy::{Stripe, NO_MIRROR, NO_STRIPE};
+use redundancy::Stripe;
 use relocate::Relocation;
 
 /// DBMS-integrated Flash management (the paper's contribution).
@@ -191,24 +191,16 @@ impl NoFtl {
         let mut device = device;
         device.set_queue_depth(config.async_queue_depth.max(1));
         let faults_active = device.faults_enabled();
-        let redundancy = config.redundancy.clone();
-        let redundancy_active = redundancy.iter().any(|p| p.is_protected());
-        let (stripe_of, mirror_of) = if redundancy_active {
-            let total = geometry.total_pages() as usize;
-            (vec![NO_STRIPE; total], vec![NO_MIRROR; total])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        Self {
+        let mut noftl = Self {
             faults_active,
-            redundancy,
-            redundancy_active,
+            redundancy: config.redundancy.clone(),
+            redundancy_active: false,
             open_stripe: Vec::new(),
             open_stripe_xor: Vec::new(),
-            stripe_of,
+            stripe_of: Vec::new(),
             stripes: Vec::new(),
             stripe_free_ids: Vec::new(),
-            mirror_of,
+            mirror_of: Vec::new(),
             known_dead: Vec::new(),
             rebuild_cursors: Vec::new(),
             redundancy_stats: RedundancyStats::default(),
@@ -240,7 +232,9 @@ impl NoFtl {
             gc_read_heat: Vec::new(),
             gc_read_marker: Vec::new(),
             gc_schedule_read_occupancy: config.gc_schedule_read_occupancy,
-        }
+        };
+        noftl.refresh_redundancy();
+        noftl
     }
 
     /// Convenience constructor with the default configuration for `geometry`.

@@ -1,7 +1,5 @@
-//! The rebuild seam of [`NoFtl`]: noticing that a die has failed, and
-//! walking the dead die's mapped pages onto surviving dies, in bounded
-//! background steps ([`NoFtl::schedule_rebuild`]) or all at once
-//! ([`NoFtl::rebuild_all`]).
+//! The rebuild seam of [`NoFtl`]: noticing a die failure and walking the
+//! dead die's mapped pages onto surviving dies.
 
 use nand_flash::{FlashResult, NativeFlashInterface};
 use sim_utils::time::SimInstant;

@@ -1,12 +1,6 @@
-//! The redundancy seam of [`NoFtl`]: which pages a region protects, the
-//! parity stripes and mirror copies that protect them, and how a page whose
-//! die has failed is read.
-//!
-//! A written page joins the open parity stripe or is mirrored onto another
-//! die, per its region's [`RedundancyPolicy`].  An erase or a retirement
-//! breaks every stripe and mirror pair with a page in the block and
-//! re-protects their survivors.  A read of a page on a dead die is served
-//! from its mirror copy or by XOR over the rest of its stripe.
+//! The redundancy seam of [`NoFtl`]: parity stripes and mirror copies, how
+//! a written page is protected, how an erase re-protects its block's
+//! survivors, and how a page on a dead die is read.
 
 use nand_flash::{BlockAddr, FlashError, FlashResult, NativeFlashInterface, Oob, OpCompletion, Ppa};
 use sim_utils::time::SimInstant;
@@ -17,9 +11,9 @@ use crate::regions::RegionId;
 use crate::stats::RedundancyStats;
 
 /// Sentinel: "this physical page is not in any parity stripe".
-pub(super) const NO_STRIPE: u32 = u32::MAX;
+const NO_STRIPE: u32 = u32::MAX;
 /// Sentinel: "this physical page has no mirror copy".
-pub(super) const NO_MIRROR: u64 = u64::MAX;
+const NO_MIRROR: u64 = u64::MAX;
 
 /// A sealed parity stripe: up to `k` data pages on pairwise-distinct dies
 /// plus one XOR parity page on yet another die.  The stripe covers the
@@ -56,7 +50,9 @@ impl NoFtl {
         self.refresh_redundancy();
     }
 
-    fn refresh_redundancy(&mut self) {
+    /// Recompute the protection gate, and size the stripe and mirror tables
+    /// the first time a region is protected.
+    pub(super) fn refresh_redundancy(&mut self) {
         self.redundancy_active = self.redundancy.iter().any(|p| p.is_protected());
         if self.redundancy_active && self.stripe_of.is_empty() {
             let total = self.device.geometry().total_pages() as usize;
@@ -81,6 +77,16 @@ impl NoFtl {
             .unwrap_or(RedundancyPolicy::None)
     }
 
+    /// The mirror copy linked to the page at `flat`, if any.
+    fn mirror_copy(&self, flat: u64) -> Option<u64> {
+        self.mirror_of.get(flat as usize).copied().filter(|&m| m != NO_MIRROR)
+    }
+
+    /// The sealed stripe the page at `flat` belongs to, if any.
+    fn sealed_stripe(&self, flat: u64) -> Option<u32> {
+        self.stripe_of.get(flat as usize).copied().filter(|&s| s != NO_STRIPE)
+    }
+
     /// A device read issued for reconstruction / redundancy maintenance /
     /// rebuild: identical to [`NoFtl::read_page_retrying`], but the per-die
     /// read counts it adds are shadow-tracked so GC's read-heat accumulator
@@ -94,21 +100,10 @@ impl NoFtl {
     ) -> FlashResult<(Oob, OpCompletion)> {
         let g = *self.device.geometry();
         let die = ppa.die_addr().flat(&g) as usize;
-        let before = self
-            .device
-            .stats()
-            .per_die_reads
-            .get(die)
-            .copied()
-            .unwrap_or(0);
+        let reads = |n: &Self| n.device.stats().per_die_reads.get(die).copied().unwrap_or(0);
+        let before = reads(self);
         let res = self.read_page_retrying(now, ppa, buf);
-        let after = self
-            .device
-            .stats()
-            .per_die_reads
-            .get(die)
-            .copied()
-            .unwrap_or(0);
+        let after = reads(self);
         if self.rebuild_reads_per_die.len() <= die {
             self.rebuild_reads_per_die.resize(die + 1, 0);
         }
@@ -142,44 +137,52 @@ impl NoFtl {
     /// The copy is an unmapped `Valid` page linked through `mirror_of`; GC
     /// treats it as garbage once the link is dropped.  When no other die has
     /// space the write stays unmirrored (allocation pressure must not fail
-    /// the foreground write).
+    /// the foreground write), and so does every write on a single-die
+    /// geometry: a same-die "mirror" would survive no die failure.
     fn mirror_write(&mut self, now: SimInstant, primary: Ppa, data: &[u8]) -> FlashResult<SimInstant> {
         let g = *self.device.geometry();
         let total = g.total_dies() as usize;
-        if total < 2 {
-            // A single-die geometry has no disjoint die to place the copy
-            // on; a same-die "mirror" would survive no die failure.
-            self.redundancy_stats.mirror_skipped_no_space += 1;
-            return Ok(now);
-        }
         let src_die = primary.die_addr().flat(&g) as usize;
         let mut t = now;
         for off in 1..total {
-            let d = (src_die + off) % total;
-            while let Some(mp) = self.regions.allocate_page_on_die(d, self.gc_low) {
-                match self.device.program_page(t, mp, data, Oob::meta(0)) {
-                    Ok(c) => {
-                        t = t.max(c.completed_at);
-                        let pf = primary.flat(&g) as usize;
-                        let mf = mp.flat(&g) as usize;
-                        self.mirror_of[pf] = mf as u64;
-                        self.mirror_of[mf] = pf as u64;
-                        self.redundancy_stats.mirror_pages_written += 1;
-                        return Ok(t);
-                    }
-                    Err(FlashError::ProgramFailed(failed)) => {
-                        t = self.retire_failed_block(t, failed.block_addr())?;
-                    }
-                    Err(FlashError::DieFailed(_)) => {
-                        t = self.note_die_failures(t)?;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
+            let (end, copy) = self.program_on_die(t, (src_die + off) % total, data)?;
+            t = end;
+            if let Some(mp) = copy {
+                let pf = primary.flat(&g) as usize;
+                let mf = mp.flat(&g) as usize;
+                self.mirror_of[pf] = mf as u64;
+                self.mirror_of[mf] = pf as u64;
+                self.redundancy_stats.mirror_pages_written += 1;
+                return Ok(t);
             }
         }
         self.redundancy_stats.mirror_skipped_no_space += 1;
         Ok(t)
+    }
+
+    /// Program the redundancy page `data` (a mirror copy or a parity page)
+    /// on die `d`.  A failed program retires its block and the die's next
+    /// page is tried.  Returns when the work ended and the page programmed,
+    /// or `None` when the die has no page to spare or has died (the death
+    /// is noted).
+    fn program_on_die(
+        &mut self,
+        now: SimInstant,
+        d: usize,
+        data: &[u8],
+    ) -> FlashResult<(SimInstant, Option<Ppa>)> {
+        let mut t = now;
+        while let Some(p) = self.regions.allocate_page_on_die(d, self.gc_low) {
+            match self.device.program_page(t, p, data, Oob::meta(0)) {
+                Ok(c) => return Ok((t.max(c.completed_at), Some(p))),
+                Err(FlashError::ProgramFailed(failed)) => {
+                    t = self.retire_failed_block(t, failed.block_addr())?;
+                }
+                Err(FlashError::DieFailed(_)) => return Ok((self.note_die_failures(t)?, None)),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((t, None))
     }
 
     /// Add a just-written data page to the open parity stripe, sealing first
@@ -231,41 +234,20 @@ impl NoFtl {
             .map(|&m| Ppa::from_flat(&g, m).die_addr().flat(&g))
             .collect();
         let total = g.total_dies() as usize;
+        let is_member = |d: &usize| member_dies.contains(&(*d as u64));
         let mut t = now;
-        let mut parity: Option<Ppa> = None;
-        let mut degraded = false;
-        'search: for pass in 0..2 {
-            for d in 0..total {
-                if pass == 0 && member_dies.contains(&(d as u64)) {
-                    continue;
-                }
-                if pass == 1 && !member_dies.contains(&(d as u64)) {
-                    continue; // already tried in pass 0
-                }
-                while let Some(pp) = self.regions.allocate_page_on_die(d, self.gc_low) {
-                    match self.device.program_page(t, pp, &xor, Oob::meta(0)) {
-                        Ok(c) => {
-                            t = t.max(c.completed_at);
-                            parity = Some(pp);
-                            // A pass-1 placement shares a die with a member:
-                            // the stripe survives block loss but no longer
-                            // every single-die failure.
-                            degraded = pass == 1;
-                            break 'search;
-                        }
-                        Err(FlashError::ProgramFailed(failed)) => {
-                            t = self.retire_failed_block(t, failed.block_addr())?;
-                        }
-                        Err(FlashError::DieFailed(_)) => {
-                            t = self.note_die_failures(t)?;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
+        let mut parity = None;
+        for d in (0..total).filter(|d| !is_member(d)).chain((0..total).filter(is_member)) {
+            let (end, placed) = self.program_on_die(t, d, &xor)?;
+            t = end;
+            if let Some(pp) = placed {
+                // A placement on a member's die survives block loss but no
+                // longer every single-die failure.
+                parity = Some((pp, is_member(&d)));
+                break;
             }
         }
-        let Some(pp) = parity else {
+        let Some((pp, degraded)) = parity else {
             // No die anywhere has spare pages: the members stay unprotected
             // rather than failing the foreground write that triggered the
             // seal.
@@ -301,14 +283,9 @@ impl NoFtl {
     /// deliberately *kept* — the superseded flash content persists until its
     /// block erases, so the stripe stays XOR-consistent until then.
     pub(super) fn drop_mirror_of(&mut self, old_flat: u64) -> FlashResult<()> {
-        let other = self
-            .mirror_of
-            .get(old_flat as usize)
-            .copied()
-            .unwrap_or(NO_MIRROR);
-        if other == NO_MIRROR {
+        let Some(other) = self.mirror_copy(old_flat) else {
             return Ok(());
-        }
+        };
         self.mirror_of[old_flat as usize] = NO_MIRROR;
         self.mirror_of[other as usize] = NO_MIRROR;
         let g = *self.device.geometry();
@@ -332,12 +309,7 @@ impl NoFtl {
         data: Option<&[u8]>,
     ) -> FlashResult<SimInstant> {
         let mut t = now;
-        let other = self
-            .mirror_of
-            .get(src_flat as usize)
-            .copied()
-            .unwrap_or(NO_MIRROR);
-        if other != NO_MIRROR {
+        if let Some(other) = self.mirror_copy(src_flat) {
             self.mirror_of[src_flat as usize] = NO_MIRROR;
             self.mirror_of[dst_flat as usize] = other;
             self.mirror_of[other as usize] = dst_flat;
@@ -379,22 +351,12 @@ impl NoFtl {
         let mut t = self.purge_open_stripe_in_block(now, block)?;
         for off in 0..g.pages_per_block {
             let flat = block.page(off).flat(&g);
-            let other = self
-                .mirror_of
-                .get(flat as usize)
-                .copied()
-                .unwrap_or(NO_MIRROR);
-            if other != NO_MIRROR {
+            if let Some(other) = self.mirror_copy(flat) {
                 self.mirror_of[flat as usize] = NO_MIRROR;
                 self.mirror_of[other as usize] = NO_MIRROR;
                 t = self.remirror_survivor(t, flat, other)?;
             }
-            let sid = self
-                .stripe_of
-                .get(flat as usize)
-                .copied()
-                .unwrap_or(NO_STRIPE);
-            if sid != NO_STRIPE {
+            if let Some(sid) = self.sealed_stripe(flat) {
                 t = self.break_stripe(t, sid, Some(block))?;
             }
         }
@@ -586,22 +548,12 @@ impl NoFtl {
         buf: &mut [u8],
     ) -> FlashResult<SimInstant> {
         let g = *self.device.geometry();
-        let other = self
-            .mirror_of
-            .get(flat as usize)
-            .copied()
-            .unwrap_or(NO_MIRROR);
-        if other != NO_MIRROR {
+        if let Some(other) = self.mirror_copy(flat) {
             let (_, c) = self.reconstruction_read(now, Ppa::from_flat(&g, other), buf)?;
             self.redundancy_stats.reconstructed_pages += 1;
             return Ok(c.completed_at);
         }
-        let sid = self
-            .stripe_of
-            .get(flat as usize)
-            .copied()
-            .unwrap_or(NO_STRIPE);
-        if sid != NO_STRIPE {
+        if let Some(sid) = self.sealed_stripe(flat) {
             if let Some(stripe) = self.stripes.get(sid as usize).cloned().flatten() {
                 return self.reconstruct_from_stripe(now, &stripe, flat, buf);
             }

@@ -1,7 +1,5 @@
 //! The relocation seam of [`NoFtl`]: moving a block's live pages out, then
-//! erasing or retiring the block.  Demand GC, proactive GC
-//! ([`NoFtl::schedule_gc`]), static wear leveling, read-disturb scrubbing
-//! and the retirement of a block whose program failed all run through it.
+//! erasing or retiring it, for GC, wear leveling, scrubbing and retirement.
 
 use nand_flash::{BlockAddr, FlashError, FlashResult, NativeFlashInterface, Oob, PageState, Ppa};
 use sim_utils::time::SimInstant;
@@ -126,11 +124,11 @@ impl NoFtl {
         Ok(now)
     }
 
-    /// Relocate `survivors` — (source page, logical page) pairs — into
-    /// `region`, invalidating each source *as it moves* so an interrupted
-    /// migration can never leave stale-`Valid` pages whose reverse mappings
-    /// are gone (those would permanently skew `invalid_pages` counts and GC
-    /// victim scoring).
+    /// Relocate the pages of `block` that are still valid on the device and
+    /// still mapped into `region`, invalidating each source *as it moves* so
+    /// an interrupted migration can never leave stale-`Valid` pages whose
+    /// reverse mappings are gone (those would permanently skew
+    /// `invalid_pages` counts and GC victim scoring).
     ///
     /// Plane-local survivors move by copyback.  Cross-plane survivors are read
     /// into host memory and re-programmed in same-die runs of up to
@@ -142,26 +140,43 @@ impl NoFtl {
     /// helpers, so under async background GC queues behind — and delays —
     /// foreground flush/read traffic.
     ///
-    /// When the region runs out of space mid-relocation the already-moved
-    /// prefix is kept (sources invalidated) and `(t, false)` is returned.
-    fn relocate_survivors(
+    /// Returns the completion time, whether every survivor moved and how
+    /// many there were.  When the region runs out of space mid-relocation
+    /// the already-moved prefix is kept (sources invalidated) and the flag
+    /// is `false`.
+    fn relocate_block(
         &mut self,
         now: SimInstant,
         region: RegionId,
-        survivors: &[(Ppa, u64)],
-    ) -> FlashResult<(SimInstant, bool)> {
+        block: BlockAddr,
+    ) -> FlashResult<(SimInstant, bool, u64)> {
+        let g = *self.device.geometry();
+        let mut survivors = std::mem::take(&mut self.survivors);
+        survivors.clear();
+        for page_idx in 0..g.pages_per_block {
+            let src = block.page(page_idx);
+            if self.device.page_state(src)? != PageState::Valid {
+                continue;
+            }
+            let Some(lpn) = self.map.reverse(src.flat(&g)) else {
+                continue;
+            };
+            survivors.push((src, lpn));
+        }
         let mut run = std::mem::take(&mut self.relocation_run);
         let mut data = std::mem::take(&mut self.relocation_data);
         run.clear();
-        let moved = self.relocate_runs(now, region, survivors, &mut run, &mut data);
+        let moved = self.relocate_runs(now, region, &survivors, &mut run, &mut data);
+        let count = survivors.len() as u64;
+        self.survivors = survivors;
         self.relocation_run = run;
         self.relocation_data = data;
-        moved
+        moved.map(|(t, all)| (t, all, count))
     }
 
-    /// The body of [`NoFtl::relocate_survivors`] over its working lists:
-    /// `run` (empty on entry) is the pending relocation run and `data` its
-    /// page contents.
+    /// The body of [`NoFtl::relocate_block`] over its survivors — (source
+    /// page, logical page) pairs — and working lists: `run` (empty on entry)
+    /// is the pending relocation run and `data` its page contents.
     fn relocate_runs(
         &mut self,
         now: SimInstant,
@@ -331,7 +346,7 @@ impl NoFtl {
     /// status, so it must never be free on the virtual clock.
     fn erase_reclaimed(
         &mut self,
-        now: SimInstant,
+        mut now: SimInstant,
         block: BlockAddr,
     ) -> FlashResult<(SimInstant, bool)> {
         // Erasing is the one operation that destroys flash content, so any
@@ -339,7 +354,6 @@ impl NoFtl {
         // copy stored here — must be dissolved and its survivors
         // re-protected *before* the erase is attempted (the hook also covers
         // the failure path: a worn-out erase still retires the block).
-        let mut now = now;
         if self.redundancy_active {
             now = self.break_redundancy_in_block(now, block)?;
         }
@@ -369,26 +383,6 @@ impl NoFtl {
         (t, false)
     }
 
-    /// The pages of `block` a relocation must move: still valid on the device
-    /// and still mapped.  The list is the struct's reused one: put it back in
-    /// `self.survivors` when done, to keep its allocation.
-    fn valid_survivors(&mut self, block: BlockAddr) -> FlashResult<Vec<(Ppa, u64)>> {
-        let g = *self.device.geometry();
-        let mut survivors = std::mem::take(&mut self.survivors);
-        survivors.clear();
-        for page_idx in 0..g.pages_per_block {
-            let src = block.page(page_idx);
-            if self.device.page_state(src)? != PageState::Valid {
-                continue;
-            }
-            let Some(lpn) = self.map.reverse(src.flat(&g)) else {
-                continue;
-            };
-            survivors.push((src, lpn));
-        }
-        Ok(survivors)
-    }
-
     /// Move every survivor out of `block` into its region.  A program
     /// failure *during* the relocation retires that destination block too
     /// (recursively) and the relocation resumes with whatever survivors
@@ -403,17 +397,9 @@ impl NoFtl {
         let region = self.regions.region_of_block(block);
         let mut t = now;
         loop {
-            let survivors = self.valid_survivors(block)?;
-            let relocated = if survivors.is_empty() {
-                Ok((t, true))
-            } else {
-                self.relocate_survivors(t, region, &survivors)
-            };
-            let moved = survivors.len() as u64;
-            self.survivors = survivors;
-            match relocated {
-                Ok((end, true)) => return Ok((end, moved)),
-                Ok((end, false)) => t = self.reclaim_redundancy_block(end, region)?,
+            match self.relocate_block(t, region, block) {
+                Ok((end, true, moved)) => return Ok((end, moved)),
+                Ok((end, false, _)) => t = self.reclaim_redundancy_block(end, region)?,
                 Err(FlashError::ProgramFailed(failed)) => {
                     t = self.retire_failed_block(t, failed.block_addr())?;
                 }
@@ -587,10 +573,7 @@ impl NoFtl {
                 self.stats.gc_dead_skipped += 1;
             }
         }
-        let survivors = self.valid_survivors(victim)?;
-        let relocated = self.relocate_survivors(now, region, &survivors);
-        self.survivors = survivors;
-        let (mut t, moved_all) = relocated?;
+        let (mut t, moved_all, _) = self.relocate_block(now, region, victim)?;
         if !moved_all {
             // The victim's survivors did not fit.  The moved prefix is
             // already invalidated on the victim, so a later pass picks up
@@ -616,18 +599,14 @@ impl NoFtl {
             return Ok(now);
         };
         let cold = migration.cold_block;
-        let survivors = self.valid_survivors(cold)?;
-        let relocated = self.relocate_survivors(now, region, &survivors);
-        self.survivors = survivors;
-        let (mut t, moved_all) = relocated?;
+        let (t, moved_all, _) = self.relocate_block(now, region, cold)?;
         if !moved_all {
             // The region filled up mid-migration.  The moved prefix is
             // already invalidated on the cold block, so its garbage counts
             // stay truthful; the erase waits for a later attempt.
             return Ok(t);
         }
-        let (end, erased) = self.erase_reclaimed(t, cold)?;
-        t = end;
+        let (t, erased) = self.erase_reclaimed(t, cold)?;
         if erased {
             self.stats.wear_migrations += 1;
         }
@@ -1054,7 +1033,9 @@ mod tests {
                 (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
             let t0 = 10_000_000;
             let programs = n.device.stats().programs;
-            let (end, all) = n.relocate_survivors(t0, 0, &survivors).unwrap();
+            let (end, all) = n
+                .relocate_runs(t0, 0, &survivors, &mut Vec::new(), &mut Vec::new())
+                .unwrap();
             assert!(all);
             assert_eq!(n.device.stats().programs - programs, 4);
             assert_eq!(n.stats().gc_batch_dispatches, u64::from(cap > 1), "cap {cap}");

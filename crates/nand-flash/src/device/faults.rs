@@ -1,7 +1,5 @@
-//! Fault draws of [`NandDevice`]: the read-error, program-failure and
-//! erase-failure models of the installed [`FaultPlan`](crate::fault::FaultPlan),
-//! the die kills it schedules, and the rejection of a command addressed to a
-//! dead die.
+//! Fault draws of [`NandDevice`]: the read, program and erase failure
+//! models, die kills and the rejection of commands to a dead die.
 
 use sim_utils::time::SimInstant;
 
@@ -11,8 +9,6 @@ use crate::error::{FlashError, FlashResult};
 use crate::fault::ReadFaultOutcome;
 
 impl NandDevice {
-    // -- fault injection -----------------------------------------------------
-    //
     // Every helper below is a no-op performing **zero RNG draws and zero
     // block-state updates** when no fault plan is installed, so the fault-off
     // device stays bit- and cycle-identical to a build without injection.

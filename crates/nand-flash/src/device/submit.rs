@@ -1,6 +1,5 @@
-//! Queued submission to [`NandDevice`]: the per-die command queues, their
-//! depth and occupancy, and the `submit_*` methods that admit a command into
-//! its die's queue and return its completion.
+//! Queued submission to [`NandDevice`]: the per-die queue depth and
+//! occupancy, and the `submit_*` methods.
 
 use sim_utils::time::SimInstant;
 
@@ -52,11 +51,12 @@ impl NandDevice {
     /// error propagates; a validation error issued nothing and holds none.
     fn submit_queued<T>(
         &mut self,
-        die_idx: usize,
+        die: DieAddr,
         kind: OpKind,
         now: SimInstant,
         run: impl FnOnce(&mut Self, SimInstant) -> FlashResult<(T, OpCompletion)>,
     ) -> FlashResult<(T, QueuedCompletion)> {
+        let die_idx = self.die_index(die);
         let (issue, gated) = self.queues.admit(die_idx, now);
         // Only a fault of *this* command may hold a slot, not a stale stamp
         // left by an earlier synchronous call.
@@ -118,8 +118,7 @@ impl NandDevice {
             Some((ppa, _, _)) => ppa.die_addr(),
             None => return Ok(Self::empty_submission(OpKind::Program, now)),
         };
-        let die_idx = self.die_index(die);
-        self.submit_queued(die_idx, OpKind::Program, now, |dev, issue| {
+        self.submit_queued(die, OpKind::Program, now, |dev, issue| {
             dev.program_pages(issue, ops).map(|c| ((), c))
         })
         .map(|((), q)| q)
@@ -138,8 +137,7 @@ impl NandDevice {
         ppa: Ppa,
         buf: &mut [u8],
     ) -> FlashResult<(Oob, QueuedCompletion)> {
-        let die_idx = self.die_index(ppa.die_addr());
-        self.submit_queued(die_idx, OpKind::Read, now, |dev, issue| {
+        self.submit_queued(ppa.die_addr(), OpKind::Read, now, |dev, issue| {
             dev.read_page(issue, ppa, buf)
         })
     }
@@ -156,8 +154,7 @@ impl NandDevice {
             Some((ppa, _)) => ppa.die_addr(),
             None => return Ok(Self::empty_submission(OpKind::Read, now)),
         };
-        let die_idx = self.die_index(die);
-        self.submit_queued(die_idx, OpKind::Read, now, |dev, issue| {
+        self.submit_queued(die, OpKind::Read, now, |dev, issue| {
             dev.read_pages(issue, ops).map(|c| ((), c))
         })
         .map(|((), q)| q)
@@ -170,8 +167,7 @@ impl NandDevice {
         now: SimInstant,
         block: BlockAddr,
     ) -> FlashResult<QueuedCompletion> {
-        let die_idx = self.die_index(block.die_addr());
-        self.submit_queued(die_idx, OpKind::Erase, now, |dev, issue| {
+        self.submit_queued(block.die_addr(), OpKind::Erase, now, |dev, issue| {
             dev.erase_block(issue, block).map(|c| ((), c))
         })
         .map(|((), q)| q)
@@ -188,8 +184,7 @@ impl NandDevice {
         dst: Ppa,
         new_oob: Option<Oob>,
     ) -> FlashResult<QueuedCompletion> {
-        let die_idx = self.die_index(src.die_addr());
-        self.submit_queued(die_idx, OpKind::Copyback, now, |dev, issue| {
+        self.submit_queued(src.die_addr(), OpKind::Copyback, now, |dev, issue| {
             dev.copyback(issue, src, dst, new_oob).map(|c| ((), c))
         })
         .map(|((), q)| q)
