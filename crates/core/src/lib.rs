@@ -77,7 +77,7 @@
 //! is about.  GC still *chains* its own commands (it must observe its own
 //! relocations); only the queue admission is shared.
 //!
-//! ## GC relocation batching
+//! ## GC relocation batching (`noftl/relocate.rs`)
 //!
 //! GC relocates a victim's survivors plane-locally via COPYBACK when it can.
 //! Cross-plane survivors go through read + program in same-die runs of up to
@@ -134,7 +134,7 @@
 //! interleaves its clients on the virtual clock, so device-state mutation is
 //! serialised and never observed half-applied.
 //!
-//! ## Die-level reliability (PR 10)
+//! ## Die-level reliability (`noftl/redundancy.rs`, `noftl/rebuild.rs`)
 //!
 //! Block retirement (PR 6) recovers from failures the size of one erase
 //! block; a *die* failure takes out every block of a plane group at once,

@@ -103,7 +103,7 @@ pub struct NoFtl {
     /// memory so the stripe can seal without re-reading members (even ones
     /// on a die that just died).
     open_stripe_xor: Vec<u8>,
-    /// Flat physical page → sealed stripe id ([`NO_STRIPE`] = none).
+    /// Flat physical page → sealed stripe id (`NO_STRIPE` = none).
     /// Dense `Vec` rather than a hash map per the determinism rules of the
     /// simulation crates; sized lazily when redundancy first activates.
     stripe_of: Vec<u32>,
@@ -112,7 +112,7 @@ pub struct NoFtl {
     /// Free-list of reusable stripe ids.
     stripe_free_ids: Vec<u32>,
     /// Flat physical page ↔ flat physical page mirror links, both
-    /// directions ([`NO_MIRROR`] = none).
+    /// directions (`NO_MIRROR` = none).
     mirror_of: Vec<u64>,
     /// Dies this layer has already reacted to as dead (flat index), diffed
     /// against [`NandDevice::dead_dies`] on each failure notification.

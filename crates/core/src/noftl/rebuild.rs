@@ -53,7 +53,7 @@ impl NoFtl {
     /// the instant is read-hot (in-flight reads at or above the GC
     /// scheduling threshold) the step defers instead of competing with
     /// foreground traffic.  Walks the next dead die's mapped pages,
-    /// reconstructing up to [`REBUILD_BATCH_PAGES`] of them per call onto
+    /// reconstructing up to `REBUILD_BATCH_PAGES` of them per call onto
     /// surviving dies through the normal write path.  Returns `Ok(None)`
     /// when there is nothing to do — in particular, a single cheap check
     /// when no die has failed.
@@ -81,7 +81,7 @@ impl NoFtl {
         }
     }
 
-    /// Synchronous full rebuild: loop [`NoFtl::rebuild_step`] until every
+    /// Synchronous full rebuild: loop `rebuild_step` until every
     /// dead die's page range has been walked.  The naive foreground
     /// alternative to [`NoFtl::schedule_rebuild`] (used by the availability
     /// benchmark's unscheduled leg and by tests).

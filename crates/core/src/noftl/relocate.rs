@@ -18,9 +18,9 @@ impl NoFtl {
     /// Proactively reclaim one victim block in the most-pressured region,
     /// but only during a *read-cold* instant: when
     /// [`NoFtl::read_occupancy`] is at or above the configured threshold the
-    /// relocation is deferred (counted in
-    /// [`NoFtlStats::gc_deferred_hot`]), so background copies do not land in
-    /// the middle of a foreground read burst.  Demand GC on the allocator's
+    /// relocation is deferred (counted in `gc_deferred_hot` of
+    /// [`NoFtlStats`](crate::NoFtlStats)), so background copies do not land
+    /// in the middle of a foreground read burst.  Demand GC on the allocator's
     /// low-watermark path ([`ensure_region_space`](NoFtl) internals) remains
     /// the emergency backstop and is unchanged.
     ///
@@ -446,7 +446,7 @@ impl NoFtl {
     }
 
     /// Read-disturb scrubbing: when a block has served
-    /// [`NoFtlConfig::scrub_read_disturb_threshold`] reads since its last
+    /// [`scrub_read_disturb_threshold`](crate::NoFtlConfig) reads since its last
     /// erase, relocate its live pages and erase it preventively, before
     /// accumulated disturb pushes its raw bit-error rate past what ECC can
     /// correct.  The relocations and the erase ride the per-die command

@@ -69,8 +69,8 @@ impl NandDevice {
     /// plan carries kill specs, so the kill-free device stays bit- and
     /// cycle-identical.  When a kill fires, the die is marked dead, its
     /// in-flight queued commands are lost (counted in
-    /// [`FlashStats::inflight_die_failures`]), and its queue window is
-    /// cleared.
+    /// [`FlashStats::inflight_die_failures`](crate::FlashStats)), and its
+    /// queue window is cleared.
     pub(super) fn tick_kills(&mut self, now: SimInstant) {
         if !self.has_kills {
             return;

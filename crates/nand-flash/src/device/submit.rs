@@ -41,7 +41,7 @@ impl NandDevice {
     /// Shared spine of every `submit_*` method: admit into the die queue
     /// (gating behind a full queue), execute the command at the gated issue
     /// time, account the queued-submission statistics (read submissions and
-    /// read stalls are additionally counted per [`FlashStats`]'s read
+    /// read stalls are additionally counted per [`FlashStats`](crate::FlashStats)'s read
     /// counters), and hold the command's slot in the die's window until it
     /// completes.  `run` returns the command's completion plus any extra
     /// payload (e.g. a read's OOB).

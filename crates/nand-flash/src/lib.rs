@@ -13,7 +13,7 @@
 //! per-die / per-channel occupancy model so that Flash parallelism (the
 //! subject of §3.2 of the paper) is observable.
 //!
-//! ## One body per command
+//! ## One body per command (`device.rs`)
 //!
 //! Each native command is timed in exactly one place in [`NandDevice`]:
 //! `PAGE READ` and `PAGE PROGRAM` have one private *run* body each
@@ -25,7 +25,7 @@
 //! batched dispatch cannot drift apart and the closed-form run costs are
 //! asserted for `k = 1` by the same test that asserts them for `k > 1`.
 //!
-//! ## Queued submission interface
+//! ## Queued submission interface (`device/submit.rs`)
 //!
 //! Beyond the blocking [`NativeFlashInterface`] calls, [`NandDevice`] exposes
 //! a queued submission path ([`NandDevice::submit_program_pages`],
@@ -42,7 +42,7 @@
 //! reproduces the synchronous dispatch exactly (the depth-1 equivalence
 //! leg).
 //!
-//! ## Fault model
+//! ## Fault model (`fault.rs`, drawn in `device/faults.rs`)
 //!
 //! [`fault::FaultPlan`] is a seeded, deterministic model of the three ways
 //! real NAND fails in the field, armed through [`DeviceConfig::faults`]

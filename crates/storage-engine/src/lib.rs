@@ -288,5 +288,5 @@ pub use heap::{HeapFile, Rid};
 pub use ops::EngineOps;
 pub use page::{PageId, SlottedPage};
 pub use shard::ShardedBufferPool;
-pub use transaction::{AdmissionConfig, AdmissionControl, AdmissionStats, TxnId, TxnState};
+pub use transaction::{AdmissionConfig, AdmissionControl, AdmissionStats, TxnId};
 pub use wal::{LogRecord, LogStream, Lsn, WalManager};

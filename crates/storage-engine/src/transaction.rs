@@ -126,17 +126,6 @@ impl AdmissionControl {
     }
 }
 
-/// Lifecycle state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnState {
-    /// Running.
-    Active,
-    /// Successfully committed (log forced).
-    Committed,
-    /// Rolled back.
-    Aborted,
-}
-
 /// Book-keeping for transactions.
 #[derive(Debug, Default)]
 pub struct TransactionManager {

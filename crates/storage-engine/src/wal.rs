@@ -713,7 +713,7 @@ impl WalManager {
     /// end the scan: the hole's bytes are gone, so the record torn by it is
     /// dropped, the scan continues, and decoding resynchronises at the next
     /// page flagged record-aligned (the first page of a force — see
-    /// [`LOG_PAGE_ALIGNED`]).  Only a stale or never-written page — wrong
+    /// `LOG_PAGE_ALIGNED`).  Only a stale or never-written page — wrong
     /// magic or out-of-sequence header — marks the durable frontier and
     /// terminates the scan.
     pub fn recover_records_from(
