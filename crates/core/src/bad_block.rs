@@ -6,8 +6,8 @@
 //!
 //! The sets are `BTreeSet`s, not hash sets: [`BadBlockManager::iter`] feeds
 //! recovery reports and region rebuilds, so its order must be deterministic
-//! across runs for the bit-identical-output guarantee (noftl-lint's
-//! determinism pass enforces this crate-wide).
+//! across runs for the bit-identical-output guarantee (`crates/clippy.toml`
+//! bans hash-ordered containers crate-wide).
 
 use std::collections::BTreeSet;
 

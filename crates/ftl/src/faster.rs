@@ -206,20 +206,19 @@ impl FasterFtl {
     fn append_to_log(&mut self, now: SimInstant, lpn: u64, data: &[u8]) -> FlashResult<SimInstant> {
         let g = *self.device.geometry();
         // Open a log block if needed.
-        if self
-            .active_log
-            .is_none_or(|(_, next)| next >= g.pages_per_block)
-        {
-            if let Some((full, _)) = self.active_log.take() {
-                self.sealed_logs.push_back(full);
+        let (block, next) = match self.active_log.take() {
+            Some((block, next)) if next < g.pages_per_block => (block, next),
+            full => {
+                if let Some((block, _)) = full {
+                    self.sealed_logs.push_back(block);
+                }
+                let fresh = self
+                    .free_logs
+                    .pop_front()
+                    .ok_or(FlashError::OutOfSpareBlocks)?;
+                (fresh, 0)
             }
-            let fresh = self
-                .free_logs
-                .pop_front()
-                .ok_or(FlashError::OutOfSpareBlocks)?;
-            self.active_log = Some((fresh, 0));
-        }
-        let (block, next) = self.active_log.unwrap();
+        };
         let dst = block.page(next);
         self.active_log = Some((block, next + 1));
 

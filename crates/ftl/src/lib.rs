@@ -18,6 +18,25 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        reason = "only simulation code must be deterministic; unit tests may use hash containers, clocks and locks"
+    )
+)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod alloc;
 pub mod block_device;

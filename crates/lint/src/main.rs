@@ -1,17 +1,16 @@
 //! `noftl-lint` — workspace static-analysis gate.
 //!
 //! ```text
-//! noftl-lint [--root <dir>] [--pass <name>]...
+//! noftl-lint [--root <dir>]
 //! ```
 //!
-//! Exits non-zero when any pass reports a finding.
+//! Exits non-zero when the check reports a finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut selected: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -19,37 +18,17 @@ fn main() -> ExitCode {
                 Some(r) => root = PathBuf::from(r),
                 None => return usage("--root requires a path"),
             },
-            "--pass" => match args.next() {
-                Some(p) => {
-                    if !noftl_lint::passes::ALL.contains(&p.as_str()) {
-                        return usage(&format!(
-                            "unknown pass `{p}` (known: {})",
-                            noftl_lint::passes::ALL.join(", ")
-                        ));
-                    }
-                    selected.push(p);
-                }
-                None => return usage("--pass requires a pass name"),
-            },
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
-    let report = noftl_lint::run(
-        &root,
-        if selected.is_empty() {
-            None
-        } else {
-            Some(&selected)
-        },
-    );
-
-    for d in &report.diagnostics {
+    let diagnostics = noftl_lint::run(&root);
+    for d in &diagnostics {
         println!("{d}");
     }
-    eprintln!("noftl-lint: {} finding(s)", report.diagnostics.len());
-    if report.diagnostics.is_empty() {
+    eprintln!("noftl-lint: {} finding(s)", diagnostics.len());
+    if diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -60,7 +39,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("noftl-lint: {err}");
     }
-    eprintln!("usage: noftl-lint [--root <dir>] [--pass <name>]...");
+    eprintln!("usage: noftl-lint [--root <dir>]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

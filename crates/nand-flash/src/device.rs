@@ -163,13 +163,13 @@ fn copy_into(spare: Option<Box<[u8]>>, src: &[u8]) -> Box<[u8]> {
 impl NandDevice {
     /// Build a device from a configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        config
-            .geometry
-            .validate()
-            // lint:allow(panic-path): construction-time configuration check —
-            // no device I/O has happened yet, and an invalid geometry is a
-            // programmer error a fallible constructor would only defer.
-            .expect("invalid flash geometry");
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time configuration check: no device I/O has happened yet, \
+                      and an invalid geometry is a programmer error a fallible constructor \
+                      would only defer"
+        )]
+        config.geometry.validate().expect("invalid flash geometry");
         let g = config.geometry;
         let timing = config
             .timing_override

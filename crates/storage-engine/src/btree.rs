@@ -298,7 +298,12 @@ impl BTree {
         Ok((result, t))
     }
 
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[allow(
+        clippy::type_complexity,
+        clippy::too_many_arguments,
+        reason = "each level of the recursion borrows the pool, backend and free-space map \
+                  apart and returns a split with its virtual time"
+    )]
     fn insert_rec(
         &mut self,
         pool: &mut ShardedBufferPool,
@@ -349,7 +354,12 @@ impl BTree {
     /// place, or — when the read pass found it `full` — to its image, which
     /// is then split: upper half to a new right page, lower half back onto
     /// `page`.  Returns the separator and right page of a split.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[allow(
+        clippy::type_complexity,
+        clippy::too_many_arguments,
+        reason = "the write pass borrows the pool, backend and free-space map apart and \
+                  returns a split with its virtual time"
+    )]
     fn add(
         pool: &mut ShardedBufferPool,
         backend: &mut dyn StorageBackend,
@@ -439,7 +449,11 @@ impl BTree {
     /// only known one leaf in advance (prefetching the *next parent's* child
     /// run is a ROADMAP follow-on).  With an inert prefetcher this is the
     /// frame-at-a-time path, call for call.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the scan borrows the pool, backend and prefetcher apart, as the engine \
+                  holds them"
+    )]
     pub fn range_with_readahead(
         &self,
         pool: &mut ShardedBufferPool,

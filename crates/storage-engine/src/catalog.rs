@@ -2,8 +2,7 @@
 //!
 //! Stored in `BTreeMap`s so that name listings (and anything that walks the
 //! catalog, e.g. checkpointing every table) iterate in a deterministic sorted
-//! order — noftl-lint's determinism pass bans hash-ordered containers in this
-//! crate.
+//! order — `crates/clippy.toml` bans hash-ordered containers in this crate.
 
 use std::collections::BTreeMap;
 

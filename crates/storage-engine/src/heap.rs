@@ -73,7 +73,11 @@ impl HeapFile {
     /// Insert a record; returns its RID and the virtual time after I/O.
     /// A zero-length record is refused ([`EngineError::EmptyRecord`]): the
     /// redo log spells a delete as an update with no bytes.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the heap borrows the pool, backend, free-space map and log apart, as the \
+                  engine holds them"
+    )]
     pub fn insert(
         &mut self,
         pool: &mut ShardedBufferPool,
@@ -147,7 +151,11 @@ impl HeapFile {
     /// Update the record at `rid` in place (the new value must fit the page;
     /// otherwise the record is deleted and reinserted, returning a new RID).
     /// A zero-length record is refused, as in [`HeapFile::insert`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the heap borrows the pool, backend, free-space map and log apart, as the \
+                  engine holds them"
+    )]
     pub fn update(
         &mut self,
         pool: &mut ShardedBufferPool,

@@ -23,6 +23,14 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        reason = "only simulation code must be deterministic; unit tests may use hash containers, clocks and locks"
+    )
+)]
 
 pub mod driver;
 pub mod rid_codec;

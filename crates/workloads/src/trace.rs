@@ -201,8 +201,11 @@ pub struct TraceReplayReport {
 }
 
 /// The recorded trace, shared between a [`TracingBackend`] and its caller.
-// lint:allow(determinism): the perf suite's trace replay reads the recorded
-// trace through `lock()` on this handle; no thread ever shares it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the perf suite's trace replay reads the recorded trace through `lock()` \
+              on this handle; no thread ever shares it"
+)]
 pub type TraceHandle = std::sync::Arc<parking_lot::Mutex<PageTrace>>;
 
 /// A storage backend wrapper that records every operation into a shared

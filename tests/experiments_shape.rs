@@ -1,6 +1,9 @@
 //! Shape assertions for the paper's experiments: these integration tests run
 //! miniature versions of the benchmark-harness experiments and assert the
-//! *relative ordering* the paper reports (not absolute numbers).
+//! *relative ordering* the paper reports.  Each run also pins its exact
+//! cells: the runs are deterministic virtual-time simulations, so a model
+//! change that keeps the ordering still fails here.  A change that moves the
+//! model on purpose re-pins them in the same commit as the golden outputs.
 
 use noftl::ftl::faster::{FasterConfig, FasterFtl};
 use noftl::nand_flash::FlashGeometry;
@@ -34,6 +37,11 @@ fn figure3_shape_faster_does_more_gc_work_than_noftl() {
     let mut noftl = NoFtl::new(NoFtlConfig::new(geometry));
     let noftl_report = trace.replay_on_noftl(&mut noftl).unwrap();
 
+    assert_eq!(
+        (faster_report.gc_page_copies, faster_report.erases),
+        (36_588, 1_405)
+    );
+    assert_eq!((noftl_report.gc_page_copies, noftl_report.erases), (4_797, 352));
     assert!(faster_report.erases > 0 && noftl_report.erases > 0, "both schemes must GC");
     assert!(
         faster_report.gc_page_copies as f64 >= 1.3 * noftl_report.gc_page_copies as f64,
@@ -64,6 +72,10 @@ fn headline_shape_noftl_faster_than_ftl_stack_on_random_writes() {
     let mut noftl = NoFtl::new(NoFtlConfig::new(geometry));
     let noftl_report = trace.replay_on_noftl(&mut noftl).unwrap();
 
+    assert_eq!(
+        (faster_report.duration_ns, noftl_report.duration_ns),
+        (10_253_308_160, 3_470_522_000)
+    );
     assert!(
         faster_report.duration_ns as f64 > 1.2 * noftl_report.duration_ns as f64,
         "NoFTL should complete the stream clearly faster ({} vs {} ns)",
@@ -104,6 +116,7 @@ fn figure4_shape_die_wise_flushers_scale_better() {
     };
     let global = run(FlusherAssignment::Global);
     let die_wise = run(FlusherAssignment::DieWise);
+    assert_eq!((global, die_wise), (56_615_480, 7_783_680));
     assert!(
         global as f64 > die_wise as f64 * 1.2,
         "global cycle {global} ns should be clearly slower than die-wise {die_wise} ns"
@@ -128,6 +141,10 @@ fn dftl_shape_small_cache_slower_than_page_mapping() {
     let mut dftl = Dftl::new(dftl_cfg);
     let dftl_report = trace.replay_on_ftl(&mut dftl).unwrap();
 
+    assert_eq!(
+        (dftl_report.duration_ns, page_report.duration_ns),
+        (2_948_006_640, 2_379_743_000)
+    );
     assert!(
         dftl_report.duration_ns > page_report.duration_ns,
         "DFTL with a tiny CMT must be slower ({} vs {})",
