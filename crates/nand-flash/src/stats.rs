@@ -102,48 +102,6 @@ impl FlashStats {
         let dies = self.per_die_ops.len();
         *self = FlashStats::new(dies);
     }
-
-    /// Merge counters from another stats object (histograms included).
-    pub fn merge(&mut self, other: &FlashStats) {
-        self.reads += other.reads;
-        self.programs += other.programs;
-        self.erases += other.erases;
-        self.copybacks += other.copybacks;
-        self.multi_page_dispatches += other.multi_page_dispatches;
-        self.batched_pages += other.batched_pages;
-        self.multi_page_read_dispatches += other.multi_page_read_dispatches;
-        self.batched_read_pages += other.batched_read_pages;
-        self.queued_submissions += other.queued_submissions;
-        self.queue_wait_ns += other.queue_wait_ns;
-        self.queue_gated_submissions += other.queue_gated_submissions;
-        self.queued_reads += other.queued_reads;
-        self.read_stalls += other.read_stalls;
-        self.program_failures += other.program_failures;
-        self.erase_failures += other.erase_failures;
-        self.corrected_reads += other.corrected_reads;
-        self.uncorrectable_reads += other.uncorrectable_reads;
-        self.die_failures += other.die_failures;
-        self.dead_die_rejections += other.dead_die_rejections;
-        self.inflight_die_failures += other.inflight_die_failures;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.read_latency.merge(&other.read_latency);
-        self.program_latency.merge(&other.program_latency);
-        self.erase_latency.merge(&other.erase_latency);
-        self.copyback_latency.merge(&other.copyback_latency);
-        if self.per_die_ops.len() < other.per_die_ops.len() {
-            self.per_die_ops.resize(other.per_die_ops.len(), 0);
-        }
-        for (a, b) in self.per_die_ops.iter_mut().zip(other.per_die_ops.iter()) {
-            *a += *b;
-        }
-        if self.per_die_reads.len() < other.per_die_reads.len() {
-            self.per_die_reads.resize(other.per_die_reads.len(), 0);
-        }
-        for (a, b) in self.per_die_reads.iter_mut().zip(other.per_die_reads.iter()) {
-            *a += *b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,37 +116,6 @@ mod tests {
         s.erases = 2;
         s.copybacks = 3;
         assert_eq!(s.total_ops(), 20);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = FlashStats::new(2);
-        a.reads = 1;
-        a.per_die_ops[0] = 4;
-        let mut b = FlashStats::new(2);
-        b.reads = 2;
-        b.erases = 7;
-        b.per_die_ops[1] = 6;
-        a.merge(&b);
-        assert_eq!(a.reads, 3);
-        assert_eq!(a.erases, 7);
-        assert_eq!(a.per_die_ops, vec![4, 6]);
-    }
-
-    #[test]
-    fn merge_accumulates_die_failure_counters() {
-        let mut a = FlashStats::new(2);
-        a.die_failures = 1;
-        a.dead_die_rejections = 3;
-        let mut b = FlashStats::new(2);
-        b.die_failures = 2;
-        b.inflight_die_failures = 5;
-        b.queue_wait_ns = 40;
-        a.merge(&b);
-        assert_eq!(a.queue_wait_ns, 40);
-        assert_eq!(a.die_failures, 3);
-        assert_eq!(a.dead_die_rejections, 3);
-        assert_eq!(a.inflight_die_failures, 5);
     }
 
     #[test]

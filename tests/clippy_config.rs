@@ -1,8 +1,18 @@
 //! Tripwire for the clippy settings that carry the workspace's determinism,
-//! environment and panic bans.  Clippy reads them from `clippy.toml` files
-//! and crate attributes, and a deleted file or attribute would drop its bans
-//! without any lint firing; this test fails instead.  It reads the files as
-//! text and runs no clippy.
+//! environment and panic bans, which CI's Clippy step enforces:
+//!
+//! - `crates/clippy.toml` bans hash-ordered containers, wall clocks, OS
+//!   threads and locks in the crates under `crates/`; the seven simulation
+//!   crates exempt their unit tests from the type ban;
+//! - `clippy.toml` at the root bans environment reads everywhere else;
+//! - `core`, `nand-flash`, `flash-emulator` and `ftl` deny `unwrap`,
+//!   `expect`, `panic!`, `unreachable!`, `todo!` and `unimplemented!` in
+//!   non-test code;
+//! - every simulation crate denies an `allow` without a `reason`.
+//!
+//! Clippy reads these from `clippy.toml` files and crate attributes, and a
+//! deleted file or attribute would drop its bans without any lint firing;
+//! this test fails instead.  It reads the files as text and runs no clippy.
 
 use std::fs;
 use std::path::PathBuf;
@@ -45,9 +55,7 @@ const THREAD_METHODS: &[&str] = &[
 /// `comment` dropped and all whitespace removed, so a check sees neither
 /// prose nor formatting.
 fn squashed(rel: &str, comment: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel);
     let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{rel}: {e}"));
     text.lines()
         .filter(|l| !l.trim_start().starts_with(comment))

@@ -322,15 +322,7 @@ pub struct Trace {
 /// crash — and hand back what its sessions saw and the medium, whose
 /// statistics have been checked.
 pub fn storm(sc: Scenario) -> (Trace, Box<dyn StorageBackend>) {
-    let mut s = Storm::new(sc.clone());
-    match sc.kill {
-        Some(die) => {
-            s.drive(sc.txns / 2);
-            s.arm_kill(die);
-            s.drive(sc.txns - sc.txns / 2);
-        }
-        None => s.drive(sc.txns),
-    }
+    let mut s = Storm::run(sc.clone());
     let barrier = s.now;
     s.check();
     let commits = match &s.engine {
@@ -359,6 +351,22 @@ impl Storm {
             }
         }
         Storm { sc, engine, loads, ran: 0, ends: Vec::new(), now }
+    }
+
+    /// Build the stack, load it and run every transaction of `sc`, arming
+    /// the kill halfway.
+    pub fn run(sc: Scenario) -> Self {
+        let mut s = Storm::new(sc);
+        let (txns, kill) = (s.sc.txns, s.sc.kill);
+        match kill {
+            Some(die) => {
+                s.drive(txns / 2);
+                s.arm_kill(die);
+                s.drive(txns - txns / 2);
+            }
+            None => s.drive(txns),
+        }
+        s
     }
 
     /// The one driver step: `txns` more transactions per client, then a

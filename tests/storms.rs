@@ -6,16 +6,21 @@
 //! sharing one `ConcurrentEngine`, every pair of the seven storm axes
 //! composed, and the commit-admission window under overload.  Every storm is
 //! a `harness::Scenario` and goes through the harness's one stack build,
-//! driver step, checker and crash leg.
+//! driver step, checker and crash leg.  Five of these runs also check the
+//! stack's stats counters (`every_stats_counter_moves_and_reconciles`).
 
+mod fixtures;
 mod harness;
 
 use harness::*;
-use noftl::nand_flash::{FlashError, FlashGeometry};
-use noftl::noftl_core::{NoFtlConfig, RedundancyPolicy};
+use noftl::nand_flash::{FlashError, FlashGeometry, FlashStats, NativeFlashInterface};
+use noftl::noftl_core::{NoFtl, NoFtlConfig, RebuildStats, RedundancyPolicy, RedundancyStats};
+use noftl::sim_utils::histogram::Histogram;
 use noftl::sim_utils::rng::SimRng;
-use noftl::storage_engine::{AdmissionConfig, EngineError, EngineOps, LogRecord, StackConfig};
-use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver};
+use noftl::storage_engine::{
+    AdmissionConfig, AdmissionStats, EngineError, EngineOps, LogRecord, ReadaheadStats, StackConfig, ThrottleStats,
+};
+use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver, OpenLoopReport};
 
 use RedundancyPolicy::{Mirror, Parity};
 
@@ -73,8 +78,7 @@ fn fault_storm_smoke() {
 
 /// One run with every failure mode cranked high enough that all three fault
 /// classes demonstrably fire — and are all recovered — in a single storm.
-#[test]
-fn storm_injects_and_recovers_every_fault_class() {
+fn every_fault_class() -> Scenario {
     let mut sc = chaos(Mix::TpcB, 8, 0xC4A05, false);
     let plan = sc.stack.faults.as_mut().expect("chaos plan");
     plan.program_fail_base = 0.004;
@@ -91,7 +95,12 @@ fn storm_injects_and_recovers_every_fault_class() {
     sc.base.endurance_override = Some(32);
     sc.frames = 12;
     sc.txns = 250;
-    let (_, mut medium) = storm(sc);
+    sc
+}
+
+#[test]
+fn storm_injects_and_recovers_every_fault_class() {
+    let (_, mut medium) = storm(every_fault_class());
     let n = noftl(medium.as_mut());
     let flash = n.flash_stats();
     assert!(flash.program_failures > 0, "storm must inject program failures");
@@ -187,23 +196,30 @@ fn degraded_reads_after_die_loss_are_bit_identical() {
     assert_eq!(run(false), run(true), "degraded reads must be bit-identical to the healthy leg");
 }
 
+/// A TPC-B storm on an unprotected drive whose die 1 dies after 20
+/// transactions, the rebuild drained.
+fn unprotected_die_kill() -> Storm {
+    let mut s = Storm::new(Scenario::new(Mix::TpcB, 1, 1, 0xDEAD).kill(RedundancyPolicy::None, 1).slo());
+    s.drive(20);
+    s.arm_kill(1);
+    let now = s.now;
+    // One device read fires the armed kill (on whichever die it targets).
+    s.engine.noftl(|n| {
+        let _ = n.read(now, 0, &mut [0; 4096]);
+        assert!(n.any_die_dead(), "the kill must fire on the first command");
+    });
+    s.drain_rebuild();
+    s
+}
+
 /// Without redundancy a die failure *is* data loss — and the stack must say
 /// so: typed read failures on lost pages, truthful loss counters, and no
 /// phantom reconstructions.
 #[test]
 fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
-    let mut s = Storm::new(Scenario::new(Mix::TpcB, 1, 1, 0xDEAD).kill(RedundancyPolicy::None, 1).slo());
-    s.drive(20);
-    s.arm_kill(1);
+    let mut s = unprotected_die_kill();
     let now = s.now;
     let mut buf = vec![0u8; 4096];
-    // One device read fires the armed kill (on whichever die it targets).
-    s.engine.noftl(|n| {
-        let _ = n.read(now, 0, &mut buf);
-        assert!(n.any_die_dead(), "the kill must fire on the first command");
-    });
-    s.drain_rebuild();
-    let now = s.now;
     s.engine.noftl(|n| {
         let rb = n.rebuild_stats();
         assert_eq!(rb.die_failures_detected, 1);
@@ -372,39 +388,46 @@ fn deadline_shorter_than_one_wal_group_sheds_with_typed_error() {
     assert_eq!(e.committed(), committed_before, "a shed begin leaves the durability ledger untouched");
 }
 
-/// Across seeds, arrival rates, deadlines and session topologies (one
-/// client, and eight sessions over the sharded engine): no committed-data
-/// loss, and the engine's admission counters reconcile call for call with
-/// what the clients observed.
+/// Open-loop case `case`: a seeded arrival rate, deadline and session
+/// topology (one client, or eight sessions over the sharded engine) on the
+/// overload stack.  Returns the engine, the driver's report and the commits
+/// of the setup.
+fn open_loop(case: u64) -> (Engine, OpenLoopReport, u64) {
+    let mut rng = SimRng::new(case);
+    let seed = rng.range(0, 1_000_000);
+    let mean_gap_ns = *rng.choose(&[50_000, 150_000, 600_000]);
+    let deadline_ns = *rng.choose(&[1, 500_000, 2_000_000]);
+    let sessions = *rng.choose(&[1, 8]);
+
+    let admission = AdmissionConfig { max_inflight_groups: 1, dirty_high_watermark: 0.25, deadline_ns };
+    let mut engine = overload(sessions, admission);
+    let mut olcfg = OpenLoopConfig::new(150, Arrivals::Poisson { mean_interarrival_ns: mean_gap_ns });
+    olcfg.rows = 300;
+    olcfg.row_bytes = 64;
+    olcfg.update_every = 2;
+    olcfg.seed = seed;
+    let driver = OpenLoopDriver::new(olcfg);
+    let t0 = match &mut engine {
+        Engine::One(e) => driver.setup(e.as_mut(), 0),
+        Engine::Many(_, s) => driver.setup(&mut s[0], 0),
+    }
+    .expect("setup");
+    let setup_committed = engine.ops(0).committed();
+    let mut slots: Vec<&mut dyn EngineOps> = match &mut engine {
+        Engine::One(e) => vec![e.as_mut()],
+        Engine::Many(_, s) => s.iter_mut().map(|s| s as &mut dyn EngineOps).collect(),
+    };
+    let report = driver.run(&mut slots, t0).expect("run");
+    (engine, report, setup_committed)
+}
+
+/// Across seeds, arrival rates, deadlines and session topologies: no
+/// committed-data loss, and the engine's admission counters reconcile call
+/// for call with what the clients observed.
 #[test]
 fn open_loop_storms_never_lose_committed_data() {
     for case in 0..12 {
-        let mut rng = SimRng::new(case);
-        let seed = rng.range(0, 1_000_000);
-        let mean_gap_ns = *rng.choose(&[50_000, 150_000, 600_000]);
-        let deadline_ns = *rng.choose(&[1, 500_000, 2_000_000]);
-        let sessions = *rng.choose(&[1, 8]);
-
-        let admission = AdmissionConfig { max_inflight_groups: 1, dirty_high_watermark: 0.25, deadline_ns };
-        let mut engine = overload(sessions, admission);
-        let mut olcfg = OpenLoopConfig::new(150, Arrivals::Poisson { mean_interarrival_ns: mean_gap_ns });
-        olcfg.rows = 300;
-        olcfg.row_bytes = 64;
-        olcfg.update_every = 2;
-        olcfg.seed = seed;
-        let driver = OpenLoopDriver::new(olcfg);
-        let t0 = match &mut engine {
-            Engine::One(e) => driver.setup(e.as_mut(), 0),
-            Engine::Many(_, s) => driver.setup(&mut s[0], 0),
-        }
-        .expect("setup");
-        let setup_committed = engine.ops(0).committed();
-        let mut slots: Vec<&mut dyn EngineOps> = match &mut engine {
-            Engine::One(e) => vec![e.as_mut()],
-            Engine::Many(_, s) => s.iter_mut().map(|s| s as &mut dyn EngineOps).collect(),
-        };
-        let report = driver.run(&mut slots, t0).expect("run");
-
+        let (_, report, setup_committed) = open_loop(case);
         let total = 165; // 150 measured + 15 warmup
         let (admitted, delayed, shed) = report.observed;
         // Every offered request is admitted or shed — none vanish.
@@ -556,4 +579,208 @@ fn checkpoint_barriers_all_shards_inflight_windows() {
         Some(LogRecord::Checkpoint),
         "the durable log must end with the checkpoint record"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Stats counters: every counter of the six audited stats structs moves in
+// some fixture, and counters that count the same event agree
+// ---------------------------------------------------------------------------
+
+/// The six audited stats structs as one run left them, with the page size
+/// and the db-writers' flush-cycle count that two identities need; a bare
+/// NoFTL run leaves the engine's parts at their defaults.
+#[derive(Default)]
+struct Counters {
+    page_size: u64,
+    flush_cycles: u64,
+    flash: FlashStats,
+    redundancy: RedundancyStats,
+    rebuild: RebuildStats,
+    readahead: ReadaheadStats,
+    admission: AdmissionStats,
+    throttle: ThrottleStats,
+}
+
+/// A counter's size: a scalar's value, a `Vec`'s sum, a histogram's sample
+/// count.
+trait Total {
+    fn total(&self) -> u64;
+}
+
+impl Total for u64 {
+    fn total(&self) -> u64 {
+        *self
+    }
+}
+
+impl Total for usize {
+    fn total(&self) -> u64 {
+        *self as u64
+    }
+}
+
+impl Total for Vec<u64> {
+    fn total(&self) -> u64 {
+        self.iter().sum()
+    }
+}
+
+impl Total for Histogram {
+    fn total(&self) -> u64 {
+        self.count()
+    }
+}
+
+/// `("Struct::field", total)` for every field of `$value`, destructured as a
+/// `$ty` with no `..`: a field added to the struct fails to compile until it
+/// is listed here.
+macro_rules! totals {
+    ($value:expr => $ty:ident { $($field:ident),* $(,)? }) => {{
+        let $ty { $($field),* } = $value;
+        [$((concat!(stringify!($ty), "::", stringify!($field)), Total::total($field))),*]
+    }};
+}
+
+impl Counters {
+    fn of_noftl(n: &NoFtl) -> Self {
+        Counters {
+            page_size: n.device().geometry().page_size as u64,
+            flash: n.flash_stats().clone(),
+            redundancy: n.redundancy_stats().clone(),
+            rebuild: n.rebuild_stats().clone(),
+            ..Counters::default()
+        }
+    }
+
+    fn of(engine: &mut Engine) -> Self {
+        let Engine::One(e) = engine else { panic!("the counter fixtures run one client") };
+        let (readahead, admission, throttle) = (e.readahead_stats(), e.admission_stats(), e.throttle_stats());
+        let flush_cycles = e.flusher_stats().cycles;
+        Counters { flush_cycles, readahead, admission, throttle, ..engine.noftl(|n| Counters::of_noftl(n)) }
+    }
+
+    /// Every field of the six structs by name.
+    fn totals(&self) -> Vec<(&'static str, u64)> {
+        let mut all = Vec::new();
+        all.extend(totals!(&self.flash => FlashStats {
+            reads, programs, erases, copybacks, multi_page_dispatches, batched_pages,
+            multi_page_read_dispatches, batched_read_pages, queued_submissions, queue_wait_ns,
+            queue_gated_submissions, queued_reads, read_stalls, program_failures, erase_failures,
+            corrected_reads, uncorrectable_reads, die_failures, dead_die_rejections,
+            inflight_die_failures, bytes_read, bytes_written, read_latency, program_latency,
+            erase_latency, copyback_latency, per_die_ops, per_die_reads,
+        }));
+        all.extend(totals!(&self.redundancy => RedundancyStats {
+            parity_pages_written, stripes_sealed, stripes_sealed_degraded, stripes_abandoned,
+            open_members_purged, stripes_broken, members_reprotected, mirror_pages_written,
+            mirror_skipped_no_space, degraded_reads, reconstructed_pages,
+        }));
+        all.extend(totals!(&self.rebuild => RebuildStats {
+            die_failures_detected, pages_scanned, pages_rebuilt, pages_lost, rebuild_scheduled,
+            rebuild_deferred_hot,
+        }));
+        all.extend(totals!(&self.readahead => ReadaheadStats {
+            prefetch_issued, prefetch_useful, prefetch_wasted, window_high_water,
+        }));
+        all.extend(totals!(&self.admission => AdmissionStats { admitted, delayed, shed, total_delay_ns }));
+        all.extend(totals!(&self.throttle => ThrottleStats { throttled_waves, clear_waves }));
+        all
+    }
+
+    /// The identities between counters that do not hold.
+    fn broken_identities(&self) -> Vec<&'static str> {
+        let (f, rs, rb) = (&self.flash, &self.redundancy, &self.rebuild);
+        let (ra, ad, th) = (&self.readahead, &self.admission, &self.throttle);
+        let probes = th.throttled_waves + th.clear_waves;
+        [
+            ("per_die_reads sums to reads", f.per_die_reads.iter().sum::<u64>() == f.reads),
+            ("per_die_ops sums to total_ops()", f.per_die_ops.iter().sum::<u64>() == f.total_ops()),
+            ("one read_latency sample per read", f.read_latency.count() == f.reads),
+            ("one program_latency sample per program", f.program_latency.count() == f.programs),
+            ("one erase_latency sample per erase", f.erase_latency.count() == f.erases),
+            ("one copyback_latency sample per copyback", f.copyback_latency.count() == f.copybacks),
+            ("bytes_written is programs pages", f.bytes_written == f.programs * self.page_size),
+            ("a batched read run has two pages or more", f.batched_read_pages >= 2 * f.multi_page_read_dispatches),
+            ("queued reads are queued submissions", f.queued_reads <= f.queued_submissions),
+            ("ECC outcomes are reads", f.corrected_reads + f.uncorrectable_reads <= f.reads),
+            ("program failures are programs", f.program_failures <= f.programs + f.copybacks),
+            ("erase failures are erases", f.erase_failures <= f.erases),
+            ("NoFTL detects every failed die", rb.die_failures_detected == f.die_failures),
+            ("one parity page per sealed stripe", rs.parity_pages_written == rs.stripes_sealed),
+            ("degraded seals are seals", rs.stripes_sealed_degraded <= rs.stripes_sealed),
+            (
+                "degraded reads and rebuilt pages are reconstructions",
+                rs.degraded_reads + rb.pages_rebuilt <= rs.reconstructed_pages,
+            ),
+            ("RebuildStats::accounted()", rb.accounted()),
+            ("prefetches end useful, wasted or resident", ra.prefetch_useful + ra.prefetch_wasted <= ra.prefetch_issued),
+            ("delayed admissions are admissions", ad.delayed <= ad.admitted),
+            ("a throttled engine probes before every flush wave", probes == 0 || probes == self.flush_cycles),
+        ]
+        .into_iter()
+        .filter(|&(_, holds)| !holds)
+        .map(|(identity, _)| identity)
+        .collect()
+    }
+}
+
+/// Counters no fixture moves, each with the reason.
+const UNMOVED: &[(&str, &str)] = &[
+    (
+        "FlashStats::inflight_die_failures",
+        "every die kill fires on the first command after a barrier, with nothing in flight",
+    ),
+    (
+        "FlashStats::queue_gated_submissions",
+        "no host window is deeper than the die queue it feeds, so no submission waits for a slot",
+    ),
+    ("FlashStats::read_stalls", "a read stall is a gated read submission; see queue_gated_submissions"),
+    (
+        "RebuildStats::rebuild_deferred_hot",
+        "rebuild steps run between transactions, when every read of the client has completed",
+    ),
+    (
+        "RedundancyStats::mirror_skipped_no_space",
+        "every mirror fixture has free space on a second die (ROADMAP item 19)",
+    ),
+    (
+        "ThrottleStats::throttled_waves",
+        "no flush wave falls due while four commands are in flight on a one-client engine",
+    ),
+];
+
+/// The stats counters checked by running them: after the five fixtures
+/// below, every counter of the six audited structs has moved in at least one
+/// of them (or is on [`UNMOVED`] with its reason), and every identity between
+/// counters holds in each.  A counter whose update is lost reads zero
+/// everywhere or breaks an identity, and fails here.
+#[test]
+fn every_stats_counter_moves_and_reconciles() {
+    let storm = |sc: Scenario| {
+        let mut s = Storm::run(sc);
+        s.check();
+        Counters::of(&mut s.engine)
+    };
+    // A Mirror die kill at depth 8 on a 6-frame pool: the checker's scans
+    // stream through readahead that the pool evicts before use.
+    let mut readahead = die_kill(Mirror, 0xD1E5EED, 8, false);
+    readahead.frames = 6;
+    let runs = [
+        ("Parity(3) die kill", Counters::of_noftl(&fixtures::parity_die_kill())),
+        ("every fault class", storm(every_fault_class())),
+        ("readahead scan at depth 8", storm(readahead)),
+        ("SLO-on open loop", Counters::of(&mut open_loop(1).0)),
+        ("unprotected die kill", Counters::of(&mut unprotected_die_kill().engine)),
+    ];
+    let mut moved = std::collections::BTreeMap::new();
+    for (fixture, counters) in &runs {
+        let broken = counters.broken_identities();
+        assert!(broken.is_empty(), "{fixture}: {broken:?}");
+        for (name, total) in counters.totals() {
+            *moved.entry(name).or_insert(false) |= total > 0;
+        }
+    }
+    let unmoved: Vec<&str> = moved.into_iter().filter(|&(_, m)| !m).map(|(name, _)| name).collect();
+    let allowed: Vec<&str> = UNMOVED.iter().map(|&(name, _)| name).collect();
+    assert_eq!(unmoved, allowed, "counters no fixture moves, against the allow-list");
 }
