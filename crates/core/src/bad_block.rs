@@ -12,10 +12,9 @@
 use std::collections::BTreeSet;
 
 use nand_flash::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 /// Why a block was retired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireReason {
     /// Marked bad by the manufacturer (discovered at format time).
     Factory,

@@ -10,12 +10,11 @@
 //! ops moves no stack's copies by more than 3 %).
 
 use nand_flash::{BlockAddr, NandDevice, NativeFlashInterface};
-use serde::{Deserialize, Serialize};
 
 use crate::regions::{RegionId, RegionManager};
 
 /// Victim-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Pick the block with the most invalid pages (minimises copies now).
     Greedy,

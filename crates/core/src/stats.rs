@@ -1,11 +1,10 @@
 //! NoFTL statistics: host I/O, GC work, wear-leveling migrations and
 //! dead-page hints honoured.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::histogram::Histogram;
 
 /// Counters maintained by [`crate::NoFtl`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NoFtlStats {
     /// Logical page reads issued by the DBMS.
     pub host_reads: u64,
@@ -81,7 +80,7 @@ impl NoFtlStats {
 /// parity striping, mirroring, and degraded reads that reconstruct pages
 /// lost to a die failure.  All zero while every region runs
 /// [`crate::config::RedundancyPolicy::None`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RedundancyStats {
     /// Parity pages programmed when a stripe sealed.
     pub parity_pages_written: u64,
@@ -127,7 +126,7 @@ impl RedundancyStats {
 
 /// Counters of the online rebuild subsystem that re-homes pages lost to a
 /// die failure onto surviving dies.  All zero until a die actually dies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RebuildStats {
     /// Die failures the NoFTL layer detected and started a rebuild for.
     pub die_failures_detected: u64,

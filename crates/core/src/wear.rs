@@ -8,12 +8,11 @@
 //! block's content is migrated so the barely-used block re-enters circulation.
 
 use nand_flash::{BlockAddr, NandDevice, NativeFlashInterface};
-use serde::{Deserialize, Serialize};
 
 use crate::regions::{RegionId, RegionManager};
 
 /// A static wear-leveling migration decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WearMigration {
     /// The cold block whose (static) content should be moved away.
     pub cold_block: BlockAddr,
@@ -22,7 +21,7 @@ pub struct WearMigration {
 }
 
 /// Static wear-leveling policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WearLeveler {
     /// Trigger threshold: migrate when `max_erase − min_erase > threshold`.
     pub threshold: u64,

@@ -5,12 +5,11 @@
 //! architectures (Demo Scenario 1 of the paper).
 
 use nand_flash::{FlashGeometry, NandType};
-use serde::{Deserialize, Serialize};
 
 use crate::host_interface::HostLink;
 
 /// A complete emulated-device description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable profile name.
     pub name: String,

@@ -7,8 +7,6 @@
 //! configured NAND timing (array time + bus transfer + protocol overhead)
 //! within a small tolerance, for every profile.
 
-use serde::{Deserialize, Serialize};
-
 use ftl::page_ftl::{PageFtl, PageFtlConfig};
 
 use crate::emulator::EmulatedSsd;
@@ -16,7 +14,7 @@ use crate::fio::{run_fio, FioJob};
 use crate::profiles::DeviceProfile;
 
 /// Expected single-command latencies derived from a profile's NAND timing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReferenceLatencies {
     /// Expected uncontended 4 KiB read latency (ns).
     pub read_ns: u64,
@@ -40,7 +38,7 @@ impl ReferenceLatencies {
 }
 
 /// Outcome of validating one profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// Profile name.
     pub profile: String,

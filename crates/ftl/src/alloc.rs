@@ -8,7 +8,11 @@
 
 use std::collections::VecDeque;
 
-use nand_flash::{BlockAddr, FlashError, FlashGeometry, FlashResult, NandDevice, Ppa};
+use nand_flash::{
+    BlockAddr, FlashError, FlashGeometry, FlashResult, NandDevice, NativeFlashInterface,
+    OpCompletion, Ppa,
+};
+use sim_utils::time::SimInstant;
 
 /// Identifier of a plane across the whole device:
 /// `die_flat * planes_per_die + plane`.
@@ -172,18 +176,34 @@ impl BlockPools {
         best.map(|(a, _)| a)
     }
 
-    /// Allocate the GC destination of the survivor at `src`: on the same
-    /// plane when it has room, so the move can be a COPYBACK, otherwise
-    /// round-robin.  Returns the page and whether it shares `src`'s plane.
-    pub fn allocate_gc_destination(&mut self, src: Ppa) -> FlashResult<(Ppa, bool)> {
+    /// Move the GC survivor at `src` to a fresh page: on the same plane when
+    /// it has room, as a COPYBACK, otherwise round-robin, as a read into
+    /// `scratch` plus a program.  Returns the destination and the completion
+    /// of the move.
+    pub fn relocate(
+        &mut self,
+        device: &mut NandDevice,
+        now: SimInstant,
+        src: Ppa,
+        scratch: &mut [u8],
+    ) -> FlashResult<(Ppa, OpCompletion)> {
         let plane = plane_index(&self.geometry, src.channel, src.die, src.plane);
-        if let Some(p) = self.allocate_page_on(plane) {
-            return Ok((p, true));
-        }
-        let p = self
-            .allocate_page_round_robin()
-            .ok_or(FlashError::OutOfSpareBlocks)?;
-        Ok((p, p.channel == src.channel && p.die == src.die && p.plane == src.plane))
+        let (dst, same_plane) = match self.allocate_page_on(plane) {
+            Some(p) => (p, true),
+            None => {
+                let p = self
+                    .allocate_page_round_robin()
+                    .ok_or(FlashError::OutOfSpareBlocks)?;
+                (p, p.channel == src.channel && p.die == src.die && p.plane == src.plane)
+            }
+        };
+        let completion = if same_plane {
+            device.copyback(now, src, dst, None)?
+        } else {
+            let (oob, _) = device.read_page(now, src, scratch)?;
+            device.program_page(now, dst, scratch, oob)?
+        };
+        Ok((dst, completion))
     }
 }
 

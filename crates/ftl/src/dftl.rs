@@ -13,7 +13,6 @@ use nand_flash::{
     DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageKind, PageState, Ppa,
 };
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::alloc::BlockPools;
@@ -22,7 +21,7 @@ use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// Configuration of DFTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DftlConfig {
     /// Device geometry.
     pub geometry: FlashGeometry,
@@ -222,16 +221,9 @@ impl Dftl {
             }
             let oob = self.device.peek_oob(src)?;
             let src_flat = src.flat(&g);
-            let (dst, same_plane) = self.pools.allocate_gc_destination(src)?;
-            let completion = if same_plane {
-                self.device.copyback(t, src, dst, None)?
-            } else {
-                let mut buf = std::mem::take(&mut self.scratch);
-                let (moved_oob, _) = self.device.read_page(t, src, &mut buf)?;
-                let c = self.device.program_page(t, dst, &buf, moved_oob)?;
-                self.scratch = buf;
-                c
-            };
+            let (dst, completion) =
+                self.pools
+                    .relocate(&mut self.device, t, src, &mut self.scratch)?;
             t = t.max(completion.completed_at);
             let dst_flat = dst.flat(&g);
             self.stats.gc_page_copies += 1;

@@ -25,7 +25,6 @@ use nand_flash::{
     BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
 };
-use serde::{Deserialize, Serialize};
 use sim_utils::flatmap::FlatBitSet;
 use sim_utils::time::SimInstant;
 
@@ -34,7 +33,7 @@ use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// Configuration of the FASTer FTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FasterConfig {
     /// Device geometry.
     pub geometry: FlashGeometry,

@@ -12,7 +12,6 @@ use nand_flash::{
     DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
 };
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::alloc::BlockPools;
@@ -21,7 +20,7 @@ use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// Configuration of the page-mapping FTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PageFtlConfig {
     /// Device geometry.
     pub geometry: FlashGeometry,
@@ -70,6 +69,8 @@ pub struct PageFtl {
     gc_low: usize,
     gc_high: usize,
     page_size: usize,
+    /// Buffer of GC moves that cross planes.
+    scratch: Vec<u8>,
 }
 
 impl PageFtl {
@@ -91,6 +92,7 @@ impl PageFtl {
             gc_low: config.gc_low_watermark.max(1),
             gc_high: config.gc_high_watermark.max(config.gc_low_watermark + 1),
             page_size: geometry.page_size as usize,
+            scratch: vec![0u8; geometry.page_size as usize],
         }
     }
 
@@ -107,7 +109,6 @@ impl PageFtl {
         };
         let g = *self.device.geometry();
         let mut t = now;
-        let mut scratch = vec![0u8; self.page_size];
 
         for page_idx in 0..g.pages_per_block {
             let src = victim.page(page_idx);
@@ -120,13 +121,9 @@ impl PageFtl {
                 // trimmed it concurrently; treat as garbage.
                 continue;
             };
-            let (dst, same_plane) = self.pools.allocate_gc_destination(src)?;
-            let completion = if same_plane {
-                self.device.copyback(t, src, dst, None)?
-            } else {
-                let (oob, _) = self.device.read_page(t, src, &mut scratch)?;
-                self.device.program_page(t, dst, &scratch, oob)?
-            };
+            let (dst, completion) =
+                self.pools
+                    .relocate(&mut self.device, t, src, &mut self.scratch)?;
             t = t.max(completion.completed_at);
             self.map.update(lpn, dst.flat(&g));
             self.stats.gc_page_copies += 1;

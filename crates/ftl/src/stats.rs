@@ -5,11 +5,10 @@
 //! the paper's Figure 3 (copyback / erase overhead of GC) and the write
 //! amplification behind the lifetime claim of §5.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::histogram::Histogram;
 
 /// Counters maintained by every FTL implementation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FtlStats {
     /// Logical page reads requested by the host.
     pub host_reads: u64,

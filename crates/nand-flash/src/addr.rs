@@ -9,12 +9,10 @@
 //! * [`DieAddr`] — a die (LUN) position, used by the region manager when
 //!   assigning db-writers to physical regions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::FlashGeometry;
 
 /// Physical page address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ppa {
     /// Channel index.
     pub channel: u32,
@@ -89,7 +87,7 @@ impl Ppa {
 }
 
 /// Physical erase-block address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockAddr {
     /// Channel index.
     pub channel: u32,
@@ -163,7 +161,7 @@ impl BlockAddr {
 
 /// A die (LUN) position: the unit of Flash parallelism and the building block
 /// of NoFTL regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DieAddr {
     /// Channel index.
     pub channel: u32,

@@ -5,13 +5,12 @@
 //! *DBMS* owns the bad-block manager (paper, Figure 2), so the device model
 //! must be able to produce both kinds of failures deterministically.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::rng::SimRng;
 
 use crate::geometry::FlashGeometry;
 
 /// Configuration of bad-block injection.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BadBlockPolicy {
     /// Fraction of blocks marked bad at the factory (e.g. `0.002` = 0.2 %).
     pub factory_bad_fraction: f64,

@@ -2,7 +2,6 @@
 //! in-memory array of dies, blocks and pages, with per-die/per-channel
 //! occupancy-based timing, wear tracking and bad-block growth.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
 
@@ -26,7 +25,7 @@ mod faults;
 mod submit;
 
 /// Construction-time configuration of a [`NandDevice`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Physical organisation of the device.
     pub geometry: FlashGeometry,

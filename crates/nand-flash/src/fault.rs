@@ -42,7 +42,6 @@
 //! environment, so a device's fault behaviour is a pure function of its
 //! [`crate::DeviceConfig`].
 
-use serde::{Deserialize, Serialize};
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
 
@@ -63,7 +62,7 @@ pub enum ReadFaultOutcome {
 /// programs, erases, copybacks — queued or synchronous).  The count is a
 /// property of the command *sequence*, not of the virtual clock, so the same
 /// workload always dies at the same operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// Array-command index at which the failure fires (the command with this
     /// index is the first one affected).
@@ -80,7 +79,7 @@ pub struct KillSpec {
 /// same seed against the same command sequence reproduces the same faults.
 /// Fields are public so tests can dial individual failure modes up or down;
 /// [`FaultPlan::seeded`] gives the default mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed this plan was built from (for diagnostics / reproduction).
     pub seed: u64,

@@ -1,15 +1,13 @@
 //! Flash device geometry: the architectural parameters a DBMS learns through
 //! the `IDENTIFY` command of the native Flash interface.
 
-use serde::{Deserialize, Serialize};
-
 use crate::nand_type::NandType;
 
 /// Physical organisation of a NAND Flash device.
 ///
 /// The hierarchy follows ONFI terminology (and the paper's Figure 2):
 /// `channel → die (LUN) → plane → block → page`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Number of independent channels (buses) between controller and NAND.
     pub channels: u32,

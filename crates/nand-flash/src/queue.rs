@@ -25,14 +25,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::interface::{OpCompletion, OpKind};
 
 /// Completion record of a queued command, returned by the `submit_*` call
 /// that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedCompletion {
     /// Kind of the underlying native command (a multi-page run reports
     /// [`OpKind::Program`]).

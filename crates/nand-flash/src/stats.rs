@@ -3,11 +3,10 @@
 //! Figure 3 of the paper is a table of absolute and relative COPYBACK / ERASE
 //! counts; these counters are the source of those numbers.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::histogram::Histogram;
 
 /// Per-command counters plus latency histograms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlashStats {
     /// Number of PAGE READ commands.
     pub reads: u64,

@@ -6,8 +6,6 @@
 //! histogram: cheap to update, accurate to a few percent at the tails, and
 //! mergeable across simulation actors.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of linear sub-buckets per power-of-two bucket.
 const SUB_BUCKETS: usize = 16;
 /// Number of power-of-two buckets (covers values up to 2^40 ns ≈ 18 minutes).
@@ -15,7 +13,7 @@ const POW_BUCKETS: usize = 41;
 
 /// A log-linear histogram of non-negative `u64` samples (typically latencies
 /// in nanoseconds).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

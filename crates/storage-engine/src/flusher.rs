@@ -34,7 +34,6 @@
 
 use nand_flash::FlashResult;
 use noftl_core::FlusherAssignment;
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::backend::{InflightWindow, StorageBackend, DEFAULT_BATCH_PAGES};
@@ -42,7 +41,7 @@ use crate::buffer::BufferPool;
 use crate::page::PageId;
 
 /// Configuration of the db-writer subsystem.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlusherConfig {
     /// Number of background writers.
     pub writers: usize,
@@ -117,7 +116,7 @@ impl FlusherConfig {
 }
 
 /// Cumulative statistics of the db-writer subsystem.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FlusherStats {
     /// Flush cycles executed.
     pub cycles: u64,
@@ -135,7 +134,7 @@ pub struct FlusherStats {
 /// Truthful accounting of the load-aware wave throttle: every
 /// [`FlusherPool::throttled_wave`] probe with the throttle on lands in
 /// exactly one of `throttled_waves` / `clear_waves`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThrottleStats {
     /// Waves deferred because foreground queue occupancy was at or above
     /// the threshold.

@@ -6,7 +6,6 @@
 //! free-space manager, so freed pages generate dead-page hints for NoFTL.
 
 use nand_flash::{FlashError, FlashResult};
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
@@ -19,7 +18,7 @@ use crate::transaction::TxnId;
 use crate::wal::{LogRecord, WalManager};
 
 /// Record identifier: page + slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rid {
     /// Page holding the record.
     pub page: PageId,

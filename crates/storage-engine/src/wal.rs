@@ -34,7 +34,6 @@
 //! unambiguously.  `page_seq` is the monotone log-page counter, so a stale
 //! page from an earlier lap of the (wrapped) segment terminates the scan.
 
-use bytes::BufMut;
 use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
@@ -140,11 +139,11 @@ impl LogRecord<'_> {
     /// of bytes appended.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
         let len = self.encoded_len();
-        out.put_u32_le((len - LEN_PREFIX) as u32);
-        out.put_u8(self.kind_tag());
+        out.extend_from_slice(&((len - LEN_PREFIX) as u32).to_le_bytes());
+        out.push(self.kind_tag());
         match self {
             LogRecord::Begin { txn } | LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                out.put_u64_le(*txn);
+                out.extend_from_slice(&txn.to_le_bytes());
             }
             LogRecord::Update {
                 txn,
@@ -152,11 +151,11 @@ impl LogRecord<'_> {
                 slot,
                 bytes,
             } => {
-                out.put_u64_le(*txn);
-                out.put_u64_le(*page);
-                out.put_u16_le(*slot);
-                out.put_u32_le(bytes.len() as u32);
-                out.put_slice(bytes);
+                out.extend_from_slice(&txn.to_le_bytes());
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(bytes);
             }
             LogRecord::Checkpoint => {}
         }

@@ -6,8 +6,8 @@
 //! sharing one `ConcurrentEngine`, every pair of the seven storm axes
 //! composed, and the commit-admission window under overload.  Every storm is
 //! a `harness::Scenario` and goes through the harness's one stack build,
-//! driver step, checker and crash leg.  Five of these runs also check the
-//! stack's stats counters (`every_stats_counter_moves_and_reconciles`).
+//! driver step, checker and crash leg.  Six runs, most of them storms, also
+//! check the stack's stats counters (`every_stats_counter_moves_and_reconciles`).
 
 mod fixtures;
 mod harness;
@@ -17,10 +17,14 @@ use noftl::nand_flash::{FlashError, FlashGeometry, FlashStats, NativeFlashInterf
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RebuildStats, RedundancyPolicy, RedundancyStats};
 use noftl::sim_utils::histogram::Histogram;
 use noftl::sim_utils::rng::SimRng;
+use noftl::storage_engine::flusher::FlusherConfig;
 use noftl::storage_engine::{
-    AdmissionConfig, AdmissionStats, EngineError, EngineOps, LogRecord, ReadaheadStats, StackConfig, ThrottleStats,
+    AdmissionConfig, AdmissionStats, EngineConfig, EngineError, EngineOps, LogRecord, NoFtlBackend, ReadaheadStats,
+    StackConfig, StorageEngine, ThrottleStats,
 };
-use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver, OpenLoopReport};
+use noftl::workloads::{
+    Arrivals, BenchmarkDriver, DriverConfig, OpenLoopConfig, OpenLoopDriver, OpenLoopReport, TpcB, TpcBConfig, Workload,
+};
 
 use RedundancyPolicy::{Mirror, Parity};
 
@@ -654,9 +658,13 @@ impl Counters {
 
     fn of(engine: &mut Engine) -> Self {
         let Engine::One(e) = engine else { panic!("the counter fixtures run one client") };
+        Counters::of_engine(e)
+    }
+
+    fn of_engine(e: &mut StorageEngine) -> Self {
         let (readahead, admission, throttle) = (e.readahead_stats(), e.admission_stats(), e.throttle_stats());
         let flush_cycles = e.flusher_stats().cycles;
-        Counters { flush_cycles, readahead, admission, throttle, ..engine.noftl(|n| Counters::of_noftl(n)) }
+        Counters { flush_cycles, readahead, admission, throttle, ..Counters::of_noftl(noftl(e.backend_mut())) }
     }
 
     /// Every field of the six structs by name.
@@ -715,7 +723,7 @@ impl Counters {
             ("RebuildStats::accounted()", rb.accounted()),
             ("prefetches end useful, wasted or resident", ra.prefetch_useful + ra.prefetch_wasted <= ra.prefetch_issued),
             ("delayed admissions are admissions", ad.delayed <= ad.admitted),
-            ("a throttled engine probes before every flush wave", probes == 0 || probes == self.flush_cycles),
+            ("a throttled engine runs a flush wave after every clear probe", probes == 0 || th.clear_waves == self.flush_cycles),
         ]
         .into_iter()
         .filter(|&(_, holds)| !holds)
@@ -731,11 +739,6 @@ const UNMOVED: &[(&str, &str)] = &[
         "every die kill fires on the first command after a barrier, with nothing in flight",
     ),
     (
-        "FlashStats::queue_gated_submissions",
-        "no host window is deeper than the die queue it feeds, so no submission waits for a slot",
-    ),
-    ("FlashStats::read_stalls", "a read stall is a gated read submission; see queue_gated_submissions"),
-    (
         "RebuildStats::rebuild_deferred_hot",
         "rebuild steps run between transactions, when every read of the client has completed",
     ),
@@ -743,13 +746,28 @@ const UNMOVED: &[(&str, &str)] = &[
         "RedundancyStats::mirror_skipped_no_space",
         "every mirror fixture has free space on a second die (ROADMAP item 19)",
     ),
-    (
-        "ThrottleStats::throttled_waves",
-        "no flush wave falls due while four commands are in flight on a one-client engine",
-    ),
 ];
 
-/// The stats counters checked by running them: after the five fixtures
+/// Eight clients on one engine whose die-wise db-writers keep eight writes
+/// in flight per die over die queues two deep, the SLO scheduling on:
+/// submissions, reads among them, wait for a die-queue slot, and flush waves
+/// fall due while the device is busy.  `StackConfig::noftl` gives the device
+/// the writers' depth, so the stack is built here.
+fn contended_die_queues() -> StorageEngine {
+    let mut base = NoFtlConfig::new(FlashGeometry::with_dies(8, 64, 64, 4096));
+    base.async_queue_depth = 2;
+    let mut cfg = EngineConfig::new();
+    cfg.buffer_frames = 128;
+    cfg.flushers = FlusherConfig { async_depth: 8, ..FlusherConfig::die_wise(8) };
+    cfg.slo_scheduling = true;
+    let mut engine = StorageEngine::new(Box::new(NoFtlBackend::new(NoFtl::new(base))), cfg);
+    let mut workload = TpcB::new(TpcBConfig::scaled(4));
+    let start = workload.setup(&mut engine, 0).expect("setup");
+    BenchmarkDriver::new(DriverConfig::new(8, 400)).run(&mut engine, &mut workload, start).expect("run");
+    engine
+}
+
+/// The stats counters checked by running them: after the six fixtures
 /// below, every counter of the six audited structs has moved in at least one
 /// of them (or is on [`UNMOVED`] with its reason), and every identity between
 /// counters holds in each.  A counter whose update is lost reads zero
@@ -771,6 +789,7 @@ fn every_stats_counter_moves_and_reconciles() {
         ("readahead scan at depth 8", storm(readahead)),
         ("SLO-on open loop", Counters::of(&mut open_loop(1).0)),
         ("unprotected die kill", Counters::of(&mut unprotected_die_kill().engine)),
+        ("contended die queues", Counters::of_engine(&mut contended_die_queues())),
     ];
     let mut moved = std::collections::BTreeMap::new();
     for (fixture, counters) in &runs {
