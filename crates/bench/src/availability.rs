@@ -216,7 +216,7 @@ pub fn run_point(mode: RebuildMode) -> FlashResult<AvailabilityPoint> {
         now = t;
     }
     let end = engine.quiesce(now);
-    let rebuilt_in_run = noftl_mut_of(&mut engine).rebuild_stats().pages_rebuilt;
+    let rebuilt_in_run = noftl_mut_of(&mut engine).stats().pages_rebuilt;
 
     // Finish any rebuild the measured window left outstanding (scheduled
     // legs stop mid-rebuild if the run ends first); charged after the run.
@@ -230,8 +230,7 @@ pub fn run_point(mode: RebuildMode) -> FlashResult<AvailabilityPoint> {
 
     latencies.sort_unstable();
     let n = noftl_mut_of(&mut engine);
-    let rs = n.redundancy_stats().clone();
-    let rb = n.rebuild_stats().clone();
+    let s = n.stats();
     Ok(AvailabilityPoint {
         mode: mode.label(),
         requests: REQUESTS,
@@ -240,12 +239,12 @@ pub fn run_point(mode: RebuildMode) -> FlashResult<AvailabilityPoint> {
         p999_ns: percentile(&latencies, 0.999),
         max_ns: *latencies.last().unwrap_or(&0),
         stall_ns,
-        degraded_reads: rs.degraded_reads,
+        degraded_reads: s.degraded_reads,
         rebuilt_in_run,
-        pages_rebuilt: rb.pages_rebuilt,
-        pages_lost: rb.pages_lost,
-        rebuild_scheduled: rb.rebuild_scheduled,
-        rebuild_deferred_hot: rb.rebuild_deferred_hot,
+        pages_rebuilt: s.pages_rebuilt,
+        pages_lost: s.pages_lost,
+        rebuild_scheduled: s.rebuild_scheduled,
+        rebuild_deferred_hot: s.rebuild_deferred_hot,
         committed: engine.committed(),
     })
 }

@@ -165,7 +165,7 @@
 //! SLO hook, deferring read-hot instants; [`NoFtl::rebuild_all`] is the
 //! foreground variant), and **honest loss accounting** (unprotected pages
 //! keep their dead mapping, reads fail typed `DieFailed` so WAL-replay can
-//! take over, and [`stats::RebuildStats`]`::pages_lost` counts them —
+//! take over, and [`NoFtlStats`]`::pages_lost` counts them —
 //! truthfulness is pinned by `tests/storms.rs`' die-failure storms).
 
 #![warn(missing_docs)]
@@ -202,4 +202,4 @@ pub mod wear;
 pub use config::{NoFtlConfig, RedundancyPolicy};
 pub use noftl::NoFtl;
 pub use regions::{FlusherAssignment, RegionId, RegionManager, StripingMode};
-pub use stats::{NoFtlStats, RebuildStats, RedundancyStats};
+pub use stats::NoFtlStats;

@@ -27,7 +27,7 @@ use crate::config::{NoFtlConfig, RedundancyPolicy};
 use crate::gc::GcPolicy;
 use crate::mapping::HostMappingTable;
 use crate::regions::{RegionId, RegionManager};
-use crate::stats::{NoFtlStats, RebuildStats, RedundancyStats};
+use crate::stats::NoFtlStats;
 use crate::wear::WearLeveler;
 
 mod rebuild;
@@ -120,10 +120,6 @@ pub struct NoFtl {
     /// Online-rebuild cursors: `(die_flat, next page offset inside the
     /// die)` for every dead die whose mapped pages are still being walked.
     rebuild_cursors: Vec<(usize, u64)>,
-    /// Redundancy counters (parity/mirror/degraded reads).
-    redundancy_stats: RedundancyStats,
-    /// Rebuild counters.
-    rebuild_stats: RebuildStats,
     /// Cumulative device reads issued by reconstruction / rebuild /
     /// redundancy maintenance, per die — subtracted from the GC read-heat
     /// deltas so rebuild traffic cannot bias victim selection.
@@ -203,8 +199,6 @@ impl NoFtl {
             mirror_of: Vec::new(),
             known_dead: Vec::new(),
             rebuild_cursors: Vec::new(),
-            redundancy_stats: RedundancyStats::default(),
-            rebuild_stats: RebuildStats::default(),
             rebuild_reads_per_die: Vec::new(),
             rebuild_read_marker: Vec::new(),
             unwind_horizon: 0,
@@ -261,11 +255,6 @@ impl NoFtl {
     /// Region a logical page is striped to.
     pub fn region_of_lpn(&self, lpn: u64) -> RegionId {
         self.regions.region_of_lpn(lpn)
-    }
-
-    /// Borrow the region manager (placement queries by the buffer manager).
-    pub fn region_manager(&self) -> &RegionManager {
-        &self.regions
     }
 
     /// GC victim-selection policy (greedy by default).
@@ -369,8 +358,6 @@ impl NoFtl {
     pub fn reset_stats(&mut self) {
         self.stats.clear();
         self.device.reset_stats();
-        self.redundancy_stats.clear();
-        self.rebuild_stats.clear();
     }
 
     // -- device dispatch -------------------------------------------------------
@@ -958,7 +945,7 @@ mod tests {
             // Read back through the map and check the die matches the region.
             let flat = n.map.get(lpn).unwrap();
             let ppa = Ppa::from_flat(&g, flat);
-            assert_eq!(n.region_manager().region_of_die(ppa.die_addr()), region);
+            assert_eq!(n.regions.region_of_die(ppa.die_addr()), region);
         }
     }
 
@@ -982,7 +969,7 @@ mod tests {
         n.write_in_region(0, 3, 0, &data).unwrap();
         let flat = n.map.get(0).unwrap();
         let ppa = Ppa::from_flat(&g, flat);
-        assert_eq!(n.region_manager().region_of_die(ppa.die_addr()), 3);
+        assert_eq!(n.regions.region_of_die(ppa.die_addr()), 3);
         let mut buf = page(&n, 0);
         n.read(0, 0, &mut buf).unwrap();
         assert_eq!(buf, data);
@@ -1006,7 +993,7 @@ mod tests {
             let flat = n.map.get(*lpn).unwrap();
             let ppa = Ppa::from_flat(&g, flat);
             assert_eq!(
-                n.region_manager().region_of_die(ppa.die_addr()),
+                n.regions.region_of_die(ppa.die_addr()),
                 n.region_of_lpn(*lpn),
                 "batched placement must follow die-wise striping"
             );

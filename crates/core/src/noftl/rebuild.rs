@@ -5,7 +5,6 @@ use nand_flash::{FlashResult, NativeFlashInterface};
 use sim_utils::time::SimInstant;
 
 use super::NoFtl;
-use crate::stats::RebuildStats;
 
 /// Mapped pages one background rebuild step reconstructs before yielding —
 /// small so foreground traffic slips between steps (the SLO scheduler
@@ -13,11 +12,6 @@ use crate::stats::RebuildStats;
 const REBUILD_BATCH_PAGES: u64 = 8;
 
 impl NoFtl {
-    /// Online-rebuild counters.
-    pub fn rebuild_stats(&self) -> &RebuildStats {
-        &self.rebuild_stats
-    }
-
     /// React to die failures the device reported: diff the device's dead-die
     /// set against what this layer already handled, and for each *new* death
     /// mark the die dead in the allocator, open a rebuild cursor over its
@@ -38,7 +32,7 @@ impl NoFtl {
             if is_dead && !self.known_dead[d] {
                 self.known_dead[d] = true;
                 self.regions.mark_die_dead(d);
-                self.rebuild_stats.die_failures_detected += 1;
+                self.stats.die_failures_detected += 1;
                 self.rebuild_cursors.push((d, 0));
                 newly = true;
             }
@@ -68,13 +62,13 @@ impl NoFtl {
         if self.gc_schedule_read_occupancy > 0
             && self.read_occupancy(now) >= self.gc_schedule_read_occupancy
         {
-            self.rebuild_stats.rebuild_deferred_hot += 1;
+            self.stats.rebuild_deferred_hot += 1;
             return Ok(None);
         }
         let (end, progressed) = self.rebuild_step(t, REBUILD_BATCH_PAGES)?;
         t = t.max(end);
         if progressed {
-            self.rebuild_stats.rebuild_scheduled += 1;
+            self.stats.rebuild_scheduled += 1;
             Ok(Some(t))
         } else {
             Ok(None)
@@ -113,20 +107,20 @@ impl NoFtl {
                 continue;
             };
             processed += 1;
-            self.rebuild_stats.pages_scanned += 1;
+            self.stats.pages_scanned += 1;
             let mut buf = vec![0u8; self.page_size];
             match self.reconstruct_flat(t, flat, &mut buf) {
                 Ok(end) => {
                     t = t.max(end);
                     let w = self.write(t, lpn, &buf)?;
                     t = t.max(w.completed_at);
-                    self.rebuild_stats.pages_rebuilt += 1;
+                    self.stats.pages_rebuilt += 1;
                 }
                 Err(_) => {
                     // No surviving redundancy: the mapping stays pointed at
                     // the dead die so reads keep failing typed (WAL-replay
                     // page rebuild is the layer above).
-                    self.rebuild_stats.pages_lost += 1;
+                    self.stats.pages_lost += 1;
                 }
             }
         }
@@ -167,7 +161,7 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, live_lpn, &mut buf).unwrap();
         now = n.rebuild_all(now).unwrap();
-        let rb = n.rebuild_stats();
+        let rb = n.stats();
         assert_eq!(rb.die_failures_detected, 1);
         assert_eq!(rb.pages_rebuilt, lost.len() as u64);
         assert_eq!(rb.pages_lost, 0, "parity must recover every lost page");
@@ -180,9 +174,9 @@ mod tests {
             assert_ne!(die_of_lpn(&n, lpn), dead_die);
         }
         // The rebuilt pages are served by plain reads, not degraded ones.
-        let degraded_before = n.redundancy_stats().degraded_reads;
+        let degraded_before = n.stats().degraded_reads;
         n.read(now, lost[0], &mut buf).unwrap();
-        assert_eq!(n.redundancy_stats().degraded_reads, degraded_before);
+        assert_eq!(n.stats().degraded_reads, degraded_before);
     }
 
     #[test]
@@ -201,7 +195,7 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, live_lpn, &mut buf).unwrap();
         now = n.rebuild_all(now).unwrap();
-        let rb = n.rebuild_stats();
+        let rb = n.stats();
         assert_eq!(rb.pages_rebuilt, 0);
         assert!(rb.pages_lost >= 1, "unprotected pages are lost");
         assert!(rb.accounted());
@@ -222,7 +216,7 @@ mod tests {
         }
         // No die dead: a single cheap check, no work, no counters.
         assert_eq!(n.schedule_rebuild(now).unwrap(), None);
-        assert_eq!(n.rebuild_stats().rebuild_scheduled, 0);
+        assert_eq!(n.stats().rebuild_scheduled, 0);
         let dead_die = die_of_lpn(&n, 0);
         let live_lpn = (0..32u64)
             .find(|&l| die_of_lpn(&n, l) != dead_die)
@@ -239,15 +233,15 @@ mod tests {
             .submit_read_page(now, Ppa::from_flat(&g, live_flat), &mut buf)
             .unwrap();
         assert_eq!(n.schedule_rebuild(now).unwrap(), None);
-        assert_eq!(n.rebuild_stats().rebuild_deferred_hot, 1);
-        assert_eq!(n.rebuild_stats().rebuild_scheduled, 0);
+        assert_eq!(n.stats().rebuild_deferred_hot, 1);
+        assert_eq!(n.stats().rebuild_scheduled, 0);
         // Read-cold instants: bounded steps make progress until the dead
         // die's page range is fully walked.
         let mut t = sub.completion.completed_at;
         while let Some(end) = n.schedule_rebuild(t).unwrap() {
             t = end.max(t);
         }
-        let rb = n.rebuild_stats();
+        let rb = n.stats();
         assert!(rb.rebuild_scheduled >= 1);
         assert_eq!(rb.rebuild_deferred_hot, 1);
         assert_eq!(rb.pages_lost, 0);
@@ -269,7 +263,7 @@ mod tests {
             let data = page(&n, lpn as u8 + 1);
             now = n.write(now, lpn, &data).unwrap().completed_at;
         }
-        assert_eq!(n.redundancy_stats().stripes_sealed, 0);
+        assert_eq!(n.stats().stripes_sealed, 0);
         let dead_die = die_of_lpn(&n, 0);
         let live_lpn = 1u64;
         assert_ne!(die_of_lpn(&n, live_lpn), dead_die);
@@ -279,9 +273,9 @@ mod tests {
         // Noticing the failure seals the short stripe from its in-memory
         // XOR — the member on the dead die is covered without re-reading it.
         n.schedule_rebuild(now).unwrap();
-        assert_eq!(n.redundancy_stats().stripes_sealed, 1);
+        assert_eq!(n.stats().stripes_sealed, 1);
         n.rebuild_all(now).unwrap();
-        assert_eq!(n.rebuild_stats().pages_lost, 0);
+        assert_eq!(n.stats().pages_lost, 0);
         n.read(now, 0, &mut buf).unwrap();
         assert_eq!(buf, page(&n, 1));
     }

@@ -8,7 +8,6 @@ use sim_utils::time::SimInstant;
 use super::NoFtl;
 use crate::config::RedundancyPolicy;
 use crate::regions::RegionId;
-use crate::stats::RedundancyStats;
 
 /// Sentinel: "this physical page is not in any parity stripe".
 const NO_STRIPE: u32 = u32::MAX;
@@ -59,11 +58,6 @@ impl NoFtl {
             self.stripe_of = vec![NO_STRIPE; total];
             self.mirror_of = vec![NO_MIRROR; total];
         }
-    }
-
-    /// Redundancy counters (parity, mirroring, degraded reads).
-    pub fn redundancy_stats(&self) -> &RedundancyStats {
-        &self.redundancy_stats
     }
 
     /// Redundancy policy governing logical page `lpn` — the page's striping
@@ -152,11 +146,11 @@ impl NoFtl {
                 let mf = mp.flat(&g) as usize;
                 self.mirror_of[pf] = mf as u64;
                 self.mirror_of[mf] = pf as u64;
-                self.redundancy_stats.mirror_pages_written += 1;
+                self.stats.mirror_pages_written += 1;
                 return Ok(t);
             }
         }
-        self.redundancy_stats.mirror_skipped_no_space += 1;
+        self.stats.mirror_skipped_no_space += 1;
         Ok(t)
     }
 
@@ -251,7 +245,7 @@ impl NoFtl {
             // No die anywhere has spare pages: the members stay unprotected
             // rather than failing the foreground write that triggered the
             // seal.
-            self.redundancy_stats.stripes_abandoned += 1;
+            self.stats.stripes_abandoned += 1;
             return Ok(t);
         };
         let pflat = pp.flat(&g);
@@ -270,10 +264,10 @@ impl NoFtl {
             members,
             parity: pflat,
         });
-        self.redundancy_stats.parity_pages_written += 1;
-        self.redundancy_stats.stripes_sealed += 1;
+        self.stats.parity_pages_written += 1;
+        self.stats.stripes_sealed += 1;
         if degraded {
-            self.redundancy_stats.stripes_sealed_degraded += 1;
+            self.stats.stripes_sealed_degraded += 1;
         }
         Ok(t)
     }
@@ -324,7 +318,7 @@ impl NoFtl {
                 if let Some(pos) = self.open_stripe.iter().position(|&m| m == src_flat) {
                     self.open_stripe.remove(pos);
                     xor_into(&mut self.open_stripe_xor, data);
-                    self.redundancy_stats.open_members_purged += 1;
+                    self.stats.open_members_purged += 1;
                 }
                 t = self.stripe_join(t, dst_flat, data, k)?;
             }
@@ -395,12 +389,12 @@ impl NoFtl {
                     t = t.max(c.completed_at);
                     xor_into(&mut self.open_stripe_xor, &buf);
                     self.open_stripe.retain(|&x| x != m);
-                    self.redundancy_stats.open_members_purged += 1;
+                    self.stats.open_members_purged += 1;
                 }
                 Err(_) => {
                     self.open_stripe.clear();
                     self.open_stripe_xor.clear();
-                    self.redundancy_stats.stripes_abandoned += 1;
+                    self.stats.stripes_abandoned += 1;
                     return Ok(t);
                 }
             }
@@ -442,7 +436,7 @@ impl NoFtl {
         let dying = Ppa::from_flat(&g, dying_flat);
         if let Ok((_, c)) = self.reconstruction_read(t, dying, &mut buf) {
             t = t.max(c.completed_at);
-            self.redundancy_stats.reconstructed_pages += 1;
+            self.stats.reconstructed_pages += 1;
             let w = self.write(t, lpn, &buf)?;
             t = t.max(w.completed_at);
         }
@@ -463,7 +457,7 @@ impl NoFtl {
             return Ok(now);
         };
         self.stripe_free_ids.push(sid);
-        self.redundancy_stats.stripes_broken += 1;
+        self.stats.stripes_broken += 1;
         for &p in stripe.members.iter().chain(std::iter::once(&stripe.parity)) {
             self.stripe_of[p as usize] = NO_STRIPE;
         }
@@ -499,7 +493,7 @@ impl NoFtl {
                 t = t.max(c.completed_at);
                 if let RedundancyPolicy::Parity(k) = self.policy_of_lpn(lpn) {
                     t = self.stripe_join(t, m, &buf, k)?;
-                    self.redundancy_stats.members_reprotected += 1;
+                    self.stats.members_reprotected += 1;
                 }
             }
         }
@@ -534,7 +528,7 @@ impl NoFtl {
             t = t.max(c.completed_at);
             xor_into(buf, &tmp);
         }
-        self.redundancy_stats.reconstructed_pages += 1;
+        self.stats.reconstructed_pages += 1;
         Ok(t)
     }
 
@@ -550,7 +544,7 @@ impl NoFtl {
         let g = *self.device.geometry();
         if let Some(other) = self.mirror_copy(flat) {
             let (_, c) = self.reconstruction_read(now, Ppa::from_flat(&g, other), buf)?;
-            self.redundancy_stats.reconstructed_pages += 1;
+            self.stats.reconstructed_pages += 1;
             return Ok(c.completed_at);
         }
         if let Some(sid) = self.sealed_stripe(flat) {
@@ -570,7 +564,7 @@ impl NoFtl {
         buf: &mut [u8],
     ) -> FlashResult<OpCompletion> {
         let end = self.reconstruct_flat(now, flat, buf)?;
-        self.redundancy_stats.degraded_reads += 1;
+        self.stats.degraded_reads += 1;
         Ok(OpCompletion {
             started_at: now,
             completed_at: end,
@@ -595,7 +589,7 @@ mod tests {
             let data = page(&n, lpn as u8 + 1);
             now = n.write(now, lpn, &data).unwrap().completed_at;
         }
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert_eq!(rs.stripes_sealed, 4, "12 writes at k = 3 seal 4 stripes");
         assert_eq!(rs.parity_pages_written, 4);
         assert_eq!(rs.stripes_broken, 0);
@@ -619,7 +613,7 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, 5, &mut buf).unwrap();
         assert_eq!(buf, page(&n, 6));
-        assert_eq!(n.redundancy_stats().degraded_reads, 0);
+        assert_eq!(n.stats().degraded_reads, 0);
     }
 
     #[test]
@@ -632,7 +626,7 @@ mod tests {
             let data = page(&n, lpn as u8 + 1);
             now = n.write(now, lpn, &data).unwrap().completed_at;
         }
-        assert_eq!(n.redundancy_stats().mirror_pages_written, 8);
+        assert_eq!(n.stats().mirror_pages_written, 8);
         for lpn in 0..8u64 {
             let flat = n.map.get(lpn).unwrap() as usize;
             let copy = n.mirror_of[flat];
@@ -645,7 +639,7 @@ mod tests {
         // Superseding a mirrored page drops the copy as garbage.
         let data = page(&n, 0xEE);
         n.write(now, 0, &data).unwrap();
-        assert_eq!(n.redundancy_stats().mirror_pages_written, 9);
+        assert_eq!(n.stats().mirror_pages_written, 9);
     }
 
     #[test]
@@ -671,9 +665,9 @@ mod tests {
         // reconstruction from its stripe's surviving pages.
         n.read(now, victim_lpn, &mut buf).unwrap();
         assert_eq!(buf, page(&n, victim_lpn as u8 + 1));
-        assert_eq!(n.redundancy_stats().degraded_reads, 1);
-        assert!(n.redundancy_stats().reconstructed_pages >= 1);
-        assert_eq!(n.rebuild_stats().die_failures_detected, 1);
+        assert_eq!(n.stats().degraded_reads, 1);
+        assert!(n.stats().reconstructed_pages >= 1);
+        assert_eq!(n.stats().die_failures_detected, 1);
     }
 
     #[test]
@@ -695,8 +689,8 @@ mod tests {
         n.read(now, live_lpn, &mut buf).unwrap();
         n.read(now, victim_lpn, &mut buf).unwrap();
         assert_eq!(buf, page(&n, victim_lpn as u8 + 1));
-        assert_eq!(n.redundancy_stats().degraded_reads, 1);
-        assert_eq!(n.redundancy_stats().reconstructed_pages, 1);
+        assert_eq!(n.stats().degraded_reads, 1);
+        assert_eq!(n.stats().reconstructed_pages, 1);
     }
 
     #[test]
@@ -730,7 +724,7 @@ mod tests {
             }
         }
         assert!(n.stats().gc_erases > 0, "churn must trigger GC");
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert!(rs.stripes_sealed > 0);
         assert!(rs.stripes_broken > 0, "GC erases must dissolve stripes");
         assert!(rs.members_reprotected > 0);
@@ -757,7 +751,7 @@ mod tests {
         assert!(!n.redundancy_active);
         assert!(n.stripe_of.is_empty(), "off leg allocates no stripe tables");
         assert!(n.mirror_of.is_empty());
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert_eq!(rs.parity_pages_written, 0);
         assert_eq!(rs.stripes_sealed, 0);
         assert_eq!(rs.stripes_sealed_degraded, 0);
@@ -769,7 +763,7 @@ mod tests {
         assert_eq!(rs.mirror_skipped_no_space, 0);
         assert_eq!(rs.degraded_reads, 0);
         assert_eq!(rs.reconstructed_pages, 0);
-        let rb = n.rebuild_stats();
+        let rb = n.stats();
         assert_eq!(rb.die_failures_detected, 0);
         assert_eq!(rb.pages_scanned, 0);
         assert_eq!(rb.rebuild_scheduled, 0);
@@ -797,13 +791,13 @@ mod tests {
         let block = Ppa::from_flat(&g, f0).block_addr();
         now = n.break_redundancy_in_block(now, block).unwrap();
         assert_eq!(n.open_stripe, vec![f1]);
-        assert_eq!(n.redundancy_stats().open_members_purged, 1);
-        assert_eq!(n.redundancy_stats().stripes_abandoned, 0);
+        assert_eq!(n.stats().open_members_purged, 1);
+        assert_eq!(n.stats().stripes_abandoned, 0);
         // The repaired stripe seals and reconstructs bit-identical: fill it,
         // kill the surviving member's die, and read the member degraded.
         now = n.write(now, 2, &page(&n, 0x33)).unwrap().completed_at;
         now = n.write(now, 3, &page(&n, 0x44)).unwrap().completed_at;
-        assert_eq!(n.redundancy_stats().stripes_sealed, 1);
+        assert_eq!(n.stats().stripes_sealed, 1);
         let dead_die = die_of_lpn(&n, 1);
         let live_lpn = (2..4u64).find(|&l| die_of_lpn(&n, l) != dead_die).unwrap();
         n.set_fault_plan(Some(kill_plan(dead_die)));
@@ -811,7 +805,7 @@ mod tests {
         n.read(now, live_lpn, &mut buf).unwrap();
         n.read(now, 1, &mut buf).unwrap();
         assert_eq!(buf, d1, "reconstruction must not see the purged member");
-        assert!(n.redundancy_stats().degraded_reads >= 1);
+        assert!(n.stats().degraded_reads >= 1);
     }
 
     #[test]
@@ -832,7 +826,7 @@ mod tests {
             .unwrap();
         n.relink_redundancy(now, f0, dst.flat(&g), 0, Some(&d0)).unwrap();
         assert_eq!(n.open_stripe, vec![dst.flat(&g)]);
-        assert_eq!(n.redundancy_stats().open_members_purged, 1);
+        assert_eq!(n.stats().open_members_purged, 1);
         assert_eq!(n.open_stripe_xor, d0, "XOR repaired to cover only the new member");
     }
 
@@ -853,7 +847,7 @@ mod tests {
         now = n.write(now, 0, &page(&n, 1)).unwrap().completed_at;
         now = n.write(now, l1, &page(&n, 2)).unwrap().completed_at;
         assert_ne!(die_of_lpn(&n, 0), die_of_lpn(&n, l1));
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert_eq!(rs.stripes_sealed, 1);
         assert_eq!(
             rs.stripes_sealed_degraded, 1,
@@ -871,7 +865,7 @@ mod tests {
         n.set_redundancy_all(RedundancyPolicy::Mirror);
         let data = page(&n, 0x7E);
         let now = n.write(0, 0, &data).unwrap().completed_at;
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert_eq!(
             rs.mirror_pages_written, 0,
             "a same-die copy survives no die failure and must not be written"
@@ -910,7 +904,7 @@ mod tests {
         let copy_block = Ppa::from_flat(&g, copy).block_addr();
         assert_eq!(copy_block.die_addr(), worn.die_addr());
         assert_ne!(copy_block, worn, "the copy lands on a fresh block");
-        let rs = n.redundancy_stats();
+        let rs = n.stats();
         assert_eq!((rs.mirror_pages_written, rs.mirror_skipped_no_space), (1, 0));
 
         // The primary's die dies: the read is served from the copy.
@@ -918,7 +912,7 @@ mod tests {
         let mut buf = page(&n, 0);
         n.read(now, 0, &mut buf).unwrap();
         assert_eq!(buf, data);
-        assert_eq!(n.redundancy_stats().degraded_reads, 1);
+        assert_eq!(n.stats().degraded_reads, 1);
     }
 
     #[test]
@@ -937,8 +931,8 @@ mod tests {
         }
         let g = *n.device().geometry();
         assert_eq!([0, 1, 2].map(|lpn| die_of_lpn(&n, lpn)), [0, 1, 2]);
-        assert_eq!(n.rebuild_stats().die_failures_detected, 1, "the death is counted");
-        let rs = n.redundancy_stats();
+        assert_eq!(n.stats().die_failures_detected, 1, "the death is counted");
+        let rs = n.stats();
         assert_eq!((rs.stripes_sealed, rs.stripes_sealed_degraded), (1, 0));
         let stripe = n.stripes.iter().flatten().next().unwrap();
         let parity_die = Ppa::from_flat(&g, stripe.parity).die_addr().flat(&g);

@@ -1,5 +1,5 @@
-//! NoFTL statistics: host I/O, GC work, wear-leveling migrations and
-//! dead-page hints honoured.
+//! NoFTL statistics: host I/O, GC work, wear-leveling migrations, dead-page
+//! hints honoured, and the redundancy and online-rebuild machinery.
 
 use sim_utils::histogram::Histogram;
 
@@ -49,39 +49,9 @@ pub struct NoFtlStats {
     pub scrubbed_blocks: u64,
     /// Pages the scrubber relocated.
     pub scrub_relocations: u64,
-    /// Host-visible write latency (ns).
-    pub write_latency: Histogram,
-    /// Host-visible read latency (ns).
-    pub read_latency: Histogram,
-}
-
-impl NoFtlStats {
-    /// Create zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Write amplification: (host writes + GC copies) / host writes.
-    pub fn write_amplification(&self) -> f64 {
-        if self.host_writes == 0 {
-            return 1.0;
-        }
-        (self.host_writes + self.gc_page_copies) as f64 / self.host_writes as f64
-    }
-
-    /// Reset all counters.
-    pub fn clear(&mut self) {
-        *self = NoFtlStats::default();
-    }
-}
-
-/// Counters of the per-region redundancy machinery
-/// ([`crate::config::NoFtlConfig::redundancy`]):
-/// parity striping, mirroring, and degraded reads that reconstruct pages
-/// lost to a die failure.  All zero while every region runs
-/// [`crate::config::RedundancyPolicy::None`].
-#[derive(Debug, Clone, Default)]
-pub struct RedundancyStats {
+    // Redundancy (`NoFtlConfig::redundancy`): parity striping, mirroring,
+    // and degraded reads that reconstruct pages lost to a die failure.  All
+    // zero while every region runs `RedundancyPolicy::None`.
     /// Parity pages programmed when a stripe sealed.
     pub parity_pages_written: u64,
     /// Stripes sealed (a parity page written covering ≥ 1 data member).
@@ -115,19 +85,8 @@ pub struct RedundancyStats {
     /// Pages whose content was reconstructed (XOR of stripe survivors or a
     /// mirror copy), for degraded reads and rebuild combined.
     pub reconstructed_pages: u64,
-}
-
-impl RedundancyStats {
-    /// Reset all counters.
-    pub fn clear(&mut self) {
-        *self = RedundancyStats::default();
-    }
-}
-
-/// Counters of the online rebuild subsystem that re-homes pages lost to a
-/// die failure onto surviving dies.  All zero until a die actually dies.
-#[derive(Debug, Clone, Default)]
-pub struct RebuildStats {
+    // Online rebuild: re-homes pages lost to a die failure onto surviving
+    // dies.  All zero until a die actually dies.
     /// Die failures the NoFTL layer detected and started a rebuild for.
     pub die_failures_detected: u64,
     /// Mapped-page slots of dead dies the rebuild walker examined.
@@ -144,12 +103,29 @@ pub struct RebuildStats {
     /// Background rebuild attempts deferred because the instant was
     /// read-hot (in-flight reads at or above the GC scheduling threshold).
     pub rebuild_deferred_hot: u64,
+    /// Host-visible write latency (ns).
+    pub write_latency: Histogram,
+    /// Host-visible read latency (ns).
+    pub read_latency: Histogram,
 }
 
-impl RebuildStats {
+impl NoFtlStats {
+    /// Create zeroed statistics.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Write amplification: (host writes + GC copies) / host writes.
+    pub fn write_amplification(&self) -> f64 {
+        if self.host_writes == 0 {
+            return 1.0;
+        }
+        (self.host_writes + self.gc_page_copies) as f64 / self.host_writes as f64
+    }
+
     /// Reset all counters.
     pub fn clear(&mut self) {
-        *self = RebuildStats::default();
+        *self = NoFtlStats::default();
     }
 
     /// Whether the one-pass rebuild walked every page it will ever walk
@@ -166,7 +142,7 @@ mod tests {
 
     #[test]
     fn redundancy_stats_clear_resets() {
-        let mut s = RedundancyStats {
+        let mut s = NoFtlStats {
             parity_pages_written: 4,
             stripes_sealed: 2,
             stripes_sealed_degraded: 1,
@@ -178,6 +154,7 @@ mod tests {
             mirror_skipped_no_space: 2,
             degraded_reads: 5,
             reconstructed_pages: 6,
+            ..NoFtlStats::default()
         };
         s.clear();
         assert_eq!(s.parity_pages_written, 0);
@@ -195,13 +172,14 @@ mod tests {
 
     #[test]
     fn rebuild_stats_reconcile() {
-        let mut s = RebuildStats {
+        let mut s = NoFtlStats {
             die_failures_detected: 1,
             pages_scanned: 10,
             pages_rebuilt: 7,
             pages_lost: 2,
             rebuild_scheduled: 4,
             rebuild_deferred_hot: 3,
+            ..NoFtlStats::default()
         };
         assert!(s.accounted());
         assert_eq!(s.die_failures_detected, 1);
@@ -210,9 +188,12 @@ mod tests {
         s.pages_rebuilt = 11;
         assert!(!s.accounted());
         s.clear();
+        assert_eq!(s.die_failures_detected, 0);
         assert_eq!(s.pages_scanned, 0);
         assert_eq!(s.pages_rebuilt, 0);
         assert_eq!(s.pages_lost, 0);
+        assert_eq!(s.rebuild_scheduled, 0);
+        assert_eq!(s.rebuild_deferred_hot, 0);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl DeviceProfile {
             host_link: HostLink::native(),
         }
     }
-
-    /// Peak theoretical concurrent array operations (one per die) — the
-    /// number the paper contrasts with SATA2's 32-command queue.
-    pub fn native_parallelism(&self) -> u32 {
-        self.geometry.total_dies()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +89,7 @@ mod tests {
     #[test]
     fn openssd_profile_has_8_banks() {
         let p = DeviceProfile::openssd();
-        assert_eq!(p.native_parallelism(), 8);
+        assert_eq!(p.geometry.total_dies(), 8);
         assert_eq!(p.host_link.max_outstanding, 32);
     }
 
@@ -111,7 +105,7 @@ mod tests {
     fn with_dies_scales_parallelism() {
         for dies in [1u32, 2, 4, 8, 16, 32] {
             let p = DeviceProfile::with_dies(dies);
-            assert_eq!(p.native_parallelism(), dies);
+            assert_eq!(p.geometry.total_dies(), dies);
         }
     }
 
@@ -119,6 +113,6 @@ mod tests {
     fn small_profile_uses_native_link() {
         let p = DeviceProfile::small();
         assert!(p.host_link.max_outstanding > 32);
-        assert!(p.native_parallelism() >= 4);
+        assert!(p.geometry.total_dies() >= 4);
     }
 }

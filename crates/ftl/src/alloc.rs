@@ -55,17 +55,6 @@ impl BlockPools {
         }
     }
 
-    /// Create empty pools (no free blocks); the caller adds blocks explicitly.
-    pub fn new_empty(geometry: FlashGeometry) -> Self {
-        let planes = geometry.total_planes() as usize;
-        Self {
-            geometry,
-            free: vec![VecDeque::new(); planes],
-            active: vec![None; planes],
-            rr_cursor: 0,
-        }
-    }
-
     /// Geometry the pools were built for.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
@@ -270,7 +259,8 @@ mod tests {
     #[test]
     fn release_and_retire() {
         let g = FlashGeometry::tiny();
-        let mut pools = BlockPools::new_empty(g);
+        let mut pools = BlockPools::new_all_free(g);
+        pools.free.iter_mut().for_each(VecDeque::clear);
         let b = BlockAddr::new(0, 0, 0, 3);
         assert_eq!(pools.total_free_blocks(), 0);
         pools.release_block(b);

@@ -146,12 +146,6 @@ impl FasterFtl {
         Self::new(FasterConfig::new(geometry))
     }
 
-    /// Number of blocks currently dedicated to the log area (sealed + active
-    /// + free).
-    pub fn log_area_blocks(&self) -> usize {
-        self.sealed_logs.len() + self.free_logs.len() + usize::from(self.active_log.is_some())
-    }
-
     fn lbn_of(&self, lpn: u64) -> u64 {
         lpn / self.pages_per_block
     }
@@ -513,6 +507,11 @@ mod tests {
         vec![byte; ftl.device().geometry().page_size as usize]
     }
 
+    /// Blocks dedicated to the log area: sealed, active and free.
+    fn log_area_blocks(ftl: &FasterFtl) -> usize {
+        ftl.sealed_logs.len() + ftl.free_logs.len() + usize::from(ftl.active_log.is_some())
+    }
+
     #[test]
     fn read_your_writes() {
         let mut ftl = small_faster();
@@ -579,7 +578,7 @@ mod tests {
         // so log blocks are reclaimed while they still contain a complete,
         // in-order, fully valid image of one logical block — the switch-merge
         // case (no page copies, one erase at most).
-        let log_pages = ftl.log_area_blocks() as u64 * ppb;
+        let log_pages = log_area_blocks(&ftl) as u64 * ppb;
         let lbns = (log_pages / ppb) * 3;
         let mut now = 0;
         for lbn in 0..lbns {
@@ -648,7 +647,7 @@ mod tests {
     #[test]
     fn log_area_size_is_preserved_across_merges() {
         let mut ftl = small_faster();
-        let initial = ftl.log_area_blocks();
+        let initial = log_area_blocks(&ftl);
         let mut rng = sim_utils::rng::SimRng::new(5);
         let span = 512u64.min(ftl.logical_pages());
         let mut now = 0;
@@ -657,7 +656,7 @@ mod tests {
             let data = page(&ftl, 1);
             now = ftl.write(now, lpn, &data).unwrap().completed_at;
         }
-        let after = ftl.log_area_blocks();
+        let after = log_area_blocks(&ftl);
         // Switch merges may hand a log block to the data area and take a
         // replacement; tolerate a small drift but not collapse.
         assert!(

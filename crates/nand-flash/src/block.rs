@@ -76,11 +76,6 @@ impl Block {
         self.valid_pages + self.invalid_pages >= self.pages_per_block()
     }
 
-    /// Whether the block is completely erased (no page programmed).
-    pub fn is_erased(&self) -> bool {
-        self.next_program_page == 0
-    }
-
     /// Number of erase cycles endured so far.
     pub fn erase_count(&self) -> u64 {
         self.erase_count
@@ -195,7 +190,7 @@ mod tests {
     #[test]
     fn new_block_is_erased_and_good() {
         let b = Block::new(16);
-        assert!(b.is_erased());
+        assert_eq!(b.next_program_page, 0);
         assert!(!b.is_full());
         assert!(b.is_usable());
         assert_eq!(b.free_pages(), 16);
@@ -236,7 +231,7 @@ mod tests {
         b.invalidate_page(0);
         let mut spare = Vec::new();
         b.erase(&mut spare, 4);
-        assert!(b.is_erased());
+        assert_eq!(b.next_program_page, 0);
         assert_eq!(b.valid_pages(), 0);
         assert_eq!(b.invalid_pages(), 0);
         assert_eq!(b.erase_count(), 1);

@@ -34,9 +34,6 @@ pub struct DeviceConfig {
     pub store_data: bool,
     /// Bad-block injection policy.
     pub bad_blocks: BadBlockPolicy,
-    /// Override of the NAND timing profile (defaults to the geometry's NAND
-    /// type profile).
-    pub timing_override: Option<TimingProfile>,
     /// Capacity of the command tracer; `0` disables tracing.
     pub trace_capacity: usize,
     /// Enforce the sequential page-programming rule within a block.  SLC NAND
@@ -65,7 +62,6 @@ impl DeviceConfig {
             geometry,
             store_data: true,
             bad_blocks: BadBlockPolicy::none(),
-            timing_override: None,
             trace_capacity: 0,
             strict_sequential_program: true,
             endurance_override: None,
@@ -170,9 +166,7 @@ impl NandDevice {
         )]
         config.geometry.validate().expect("invalid flash geometry");
         let g = config.geometry;
-        let timing = config
-            .timing_override
-            .unwrap_or_else(|| g.nand_type.timing());
+        let timing = g.nand_type.timing();
         let dies = (0..g.total_dies())
             .map(|_| Die::new(g.blocks_per_die(), g.pages_per_block))
             .collect::<Vec<_>>();

@@ -1006,7 +1006,7 @@ mod tests {
         // (the equivalence invariant for the engine's background slot).
         let mut b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::small())));
         assert_eq!(b.schedule_rebuild(123).unwrap(), 123);
-        assert_eq!(b.noftl().rebuild_stats().rebuild_scheduled, 0);
+        assert_eq!(b.noftl().stats().rebuild_scheduled, 0);
         // Back ends without redundancy machinery return `now` unchanged.
         assert_eq!(MemBackend::new(512, 8).schedule_rebuild(7).unwrap(), 7);
     }

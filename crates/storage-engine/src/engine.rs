@@ -22,7 +22,7 @@ use crate::backend::{
 use crate::btree::BTree;
 use crate::buffer::{BufferStats, ReadaheadStats};
 use crate::catalog::Catalog;
-use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats, ThrottleStats};
+use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats};
 use crate::free_space::FreeSpaceManager;
 use crate::heap::Rid;
 use crate::heap::HeapFile;
@@ -303,7 +303,8 @@ impl StorageEngine {
         self.pool.readahead_stats()
     }
 
-    /// Db-writer statistics, summed over the per-shard pools.
+    /// Db-writer statistics, summed over the per-shard pools (the throttle
+    /// counters stay zero unless `StackConfig::slo` scheduling is on).
     pub fn flusher_stats(&self) -> FlusherStats {
         let mut total = FlusherStats::default();
         for f in &self.flushers {
@@ -313,16 +314,6 @@ impl StorageEngine {
             total.batch_submissions += s.batch_submissions;
             total.total_cycle_time += s.total_cycle_time;
             total.max_cycle_time = total.max_cycle_time.max(s.max_cycle_time);
-        }
-        total
-    }
-
-    /// Flusher-throttle statistics, summed over the per-shard pools (all
-    /// zero unless `StackConfig::slo` scheduling is on).
-    pub fn throttle_stats(&self) -> ThrottleStats {
-        let mut total = ThrottleStats::default();
-        for f in &self.flushers {
-            let s = f.throttle_stats();
             total.throttled_waves += s.throttled_waves;
             total.clear_waves += s.clear_waves;
         }

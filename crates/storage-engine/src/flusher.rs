@@ -129,19 +129,14 @@ pub struct FlusherStats {
     pub total_cycle_time: u64,
     /// Longest single cycle (virtual ns).
     pub max_cycle_time: u64,
-}
-
-/// Truthful accounting of the load-aware wave throttle: every
-/// [`FlusherPool::throttled_wave`] probe with the throttle on lands in
-/// exactly one of `throttled_waves` / `clear_waves`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThrottleStats {
-    /// Waves deferred because foreground queue occupancy was at or above
-    /// the threshold.
+    /// Waves the load-aware throttle deferred because foreground queue
+    /// occupancy was at or above the threshold.  Every
+    /// [`FlusherPool::throttled_wave`] probe with the throttle on lands in
+    /// exactly one of `throttled_waves` / `clear_waves`.
     pub throttled_waves: u64,
-    /// Waves allowed through (the device was quiet, or the dirty pool hit
-    /// the emergency level where deferring would risk running out of clean
-    /// frames).
+    /// Waves the throttle allowed through (the device was quiet, or the
+    /// dirty pool hit the emergency level where deferring would risk running
+    /// out of clean frames).
     pub clear_waves: u64,
 }
 
@@ -161,7 +156,6 @@ pub struct FlusherPool {
     /// [`FlusherConfig`] field, whose exhaustive literals are pinned all
     /// over the test suite.
     throttle_occupancy: usize,
-    throttle_stats: ThrottleStats,
     /// The cycle's dirty-page list and its per-writer partition, kept for
     /// their capacity between cycles.
     dirty: Vec<PageId>,
@@ -176,7 +170,6 @@ impl FlusherPool {
             stats: FlusherStats::default(),
             windows: vec![InflightWindow::new(); config.writers.max(1)],
             throttle_occupancy: 0,
-            throttle_stats: ThrottleStats::default(),
             dirty: Vec::new(),
             batches: Vec::new(),
         }
@@ -224,11 +217,6 @@ impl FlusherPool {
         self.throttle_occupancy = occupancy;
     }
 
-    /// Throttle counters.
-    pub fn throttle_stats(&self) -> ThrottleStats {
-        self.throttle_stats
-    }
-
     /// Whether a due flush wave should be *deferred* because the foreground
     /// is busy: the backend has [`throttle_occupancy`](FlusherPool::set_throttle_occupancy)
     /// or more commands in flight as of `now`.  Two overrides keep the
@@ -248,14 +236,14 @@ impl FlusherPool {
         }
         let emergency = (self.config.dirty_high_watermark * 1.5).min(0.95);
         if pool.dirty_fraction() >= emergency {
-            self.throttle_stats.clear_waves += 1;
+            self.stats.clear_waves += 1;
             return false;
         }
         if backend.queue_occupancy(now) >= self.throttle_occupancy {
-            self.throttle_stats.throttled_waves += 1;
+            self.stats.throttled_waves += 1;
             true
         } else {
-            self.throttle_stats.clear_waves += 1;
+            self.stats.clear_waves += 1;
             false
         }
     }
@@ -826,13 +814,13 @@ mod tests {
         // Throttle off (the pinned leg): a busy device never defers and the
         // counters stay untouched.
         assert!(!flushers.throttled_wave(&pool, &backend, 0));
-        assert_eq!(flushers.throttle_stats(), ThrottleStats::default());
+        assert_eq!(flushers.stats(), FlusherStats::default());
 
         // Throttle on: the busy instant defers, the quiet instant clears.
         flushers.set_throttle_occupancy(1);
         assert!(flushers.throttled_wave(&pool, &backend, 0));
         assert!(!flushers.throttled_wave(&pool, &backend, horizon));
-        let s = flushers.throttle_stats();
+        let s = flushers.stats();
         assert_eq!(s.throttled_waves, 1);
         assert_eq!(s.clear_waves, 1);
 
@@ -847,7 +835,7 @@ mod tests {
         backend.write_pages(horizon, &batch2).unwrap();
         assert!(backend.queue_occupancy(horizon) >= 1);
         assert!(!flushers.throttled_wave(&pool, &backend, horizon));
-        assert_eq!(flushers.throttle_stats().clear_waves, 2);
+        assert_eq!(flushers.stats().clear_waves, 2);
     }
 
     #[test]

@@ -49,13 +49,6 @@ impl FreeSpaceManager {
         self.capacity() - self.allocated_count
     }
 
-    /// Whether `page` is currently allocated.
-    pub fn is_allocated(&self, page: PageId) -> bool {
-        page.checked_sub(self.first)
-            .and_then(|idx| self.allocated.get(idx as usize).copied())
-            .unwrap_or(false)
-    }
-
     /// Allocate one page; prefers recycling freed pages over extending into
     /// fresh address space. Returns `None` when the space is exhausted.
     pub fn allocate(&mut self) -> Option<PageId> {
@@ -104,9 +97,9 @@ mod tests {
         let b = fsm.allocate().unwrap();
         assert_eq!(a, 10);
         assert_eq!(b, 11);
-        assert!(fsm.is_allocated(a));
+        assert!(fsm.allocated[0]);
         assert!(fsm.free(a));
-        assert!(!fsm.is_allocated(a));
+        assert!(!fsm.allocated[0]);
         // Recycled page comes back before fresh ones.
         assert_eq!(fsm.allocate().unwrap(), a);
     }

@@ -221,7 +221,7 @@
 //!   — a due flush wave defers while the device queues hold foreground
 //!   work ([`backend::StorageBackend::queue_occupancy`]), unless the pool
 //!   has reached emergency dirtiness (then flushing *is* the foreground
-//!   concern).  [`flusher::ThrottleStats`] counts throttled vs clear waves.
+//!   concern).  [`FlusherStats`] counts throttled vs clear waves.
 //! * **Proactive GC scheduling** ([`backend::StorageBackend::schedule_background_gc`])
 //!   — `maybe_flush` offers the NoFTL core one GC step per call; the core
 //!   runs it only when a region is under pressure *and* the device's
@@ -291,7 +291,7 @@ pub use buffer::{BufferPool, ReadaheadStats};
 pub use concurrent::{ClientSession, ConcurrentEngine};
 pub use readahead::ScanPrefetcher;
 pub use engine::{EngineConfig, EngineError, EngineResult, StorageEngine};
-pub use flusher::{FlusherConfig, FlusherStats, ThrottleStats};
+pub use flusher::{FlusherConfig, FlusherStats};
 pub use heap::{HeapFile, Rid};
 pub use ops::EngineOps;
 pub use page::{PageId, SlottedPage};

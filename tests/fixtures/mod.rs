@@ -65,7 +65,7 @@ pub fn parity_die_kill() -> NoFtl {
     // The run reaches every seam: GC, wear leveling, scrubbing, each
     // failure class's recovery, stripes broken and re-protected, degraded
     // reads and rebuild steps both scheduled and drained.
-    let (s, rs, rb) = (n.stats(), n.redundancy_stats(), n.rebuild_stats());
+    let s = n.stats();
     for (what, count) in [
         ("GC erases", s.gc_erases),
         ("cold GC runs", s.gc_scheduled_cold),
@@ -74,15 +74,15 @@ pub fn parity_die_kill() -> NoFtl {
         ("program-failure retirements", s.program_fail_retirements),
         ("erase-failure retirements", s.erase_fail_retirements),
         ("read retries", s.read_retries),
-        ("stripes broken", rs.stripes_broken),
-        ("members re-protected", rs.members_reprotected),
-        ("degraded reads", rs.degraded_reads),
-        ("scheduled rebuild steps", rb.rebuild_scheduled),
-        ("rebuilt pages", rb.pages_rebuilt),
+        ("stripes broken", s.stripes_broken),
+        ("members re-protected", s.members_reprotected),
+        ("degraded reads", s.degraded_reads),
+        ("scheduled rebuild steps", s.rebuild_scheduled),
+        ("rebuilt pages", s.pages_rebuilt),
     ] {
         assert!(count > 0, "the fixture must exercise {what}");
     }
-    assert_eq!(rb.pages_lost, 0);
+    assert_eq!(s.pages_lost, 0);
 
     for l in 0..lpns {
         n.read(end, l, &mut buf).unwrap();

@@ -431,7 +431,7 @@ impl Storm {
     pub fn check(&mut self) {
         if self.sc.kill.is_some() {
             if self.sc.stack.slo {
-                let rebuilt = self.engine.noftl(|n| n.rebuild_stats().pages_rebuilt);
+                let rebuilt = self.engine.noftl(|n| n.stats().pages_rebuilt);
                 assert!(rebuilt > 0, "maybe_flush never offered the backend a rebuild step");
             }
             self.drain_rebuild();
@@ -653,27 +653,26 @@ pub fn check_noftl(sc: &Scenario, n: &NoFtl) {
     if sc.kill.is_none() {
         return;
     }
-    let (rs, rb) = (n.redundancy_stats(), n.rebuild_stats());
     match sc.stack.redundancy {
         Some(Parity(_)) => {
-            assert!(rs.stripes_sealed > 0, "a parity storm must seal stripes");
-            assert!(rs.parity_pages_written >= rs.stripes_sealed, "every sealed stripe has a parity page");
-            assert!(rs.stripes_sealed_degraded <= rs.stripes_sealed, "degraded seals are a subset of all seals");
-            assert_eq!(rs.stripes_abandoned, 0, "a storm with free space must never abandon a stripe unsealed");
+            assert!(stats.stripes_sealed > 0, "a parity storm must seal stripes");
+            assert!(stats.parity_pages_written >= stats.stripes_sealed, "every sealed stripe has a parity page");
+            assert!(stats.stripes_sealed_degraded <= stats.stripes_sealed, "degraded seals are a subset of all seals");
+            assert_eq!(stats.stripes_abandoned, 0, "a storm with free space must never abandon a stripe unsealed");
         }
         Some(Mirror) => {
-            assert!(rs.mirror_pages_written > 0, "a mirror storm must write copies");
-            assert_eq!(rs.mirror_skipped_no_space, 0, "a storm with free space must never skip a mirror copy");
+            assert!(stats.mirror_pages_written > 0, "a mirror storm must write copies");
+            assert_eq!(stats.mirror_skipped_no_space, 0, "a storm with free space must never skip a mirror copy");
         }
         _ => {}
     }
     assert!(n.any_die_dead(), "the kill must actually have fired");
-    assert_eq!(rb.die_failures_detected, 1, "exactly one die failed");
-    assert_eq!(rb.pages_lost, 0, "no committed page may be lost on a protected region");
-    assert!(rb.pages_rebuilt > 0, "the dead die held mapped pages to re-home");
-    assert!(rb.accounted(), "the rebuild walker must account for every page");
+    assert_eq!(stats.die_failures_detected, 1, "exactly one die failed");
+    assert_eq!(stats.pages_lost, 0, "no committed page may be lost on a protected region");
+    assert!(stats.pages_rebuilt > 0, "the dead die held mapped pages to re-home");
+    assert!(stats.accounted(), "the rebuild walker must account for every page");
     assert!(
-        rs.reconstructed_pages >= rb.pages_rebuilt,
+        stats.reconstructed_pages >= stats.pages_rebuilt,
         "every rebuilt page was reconstructed from redundancy"
     );
 }

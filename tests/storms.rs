@@ -6,7 +6,7 @@
 //! sharing one `ConcurrentEngine`, every pair of the seven storm axes
 //! composed, and the commit-admission window under overload.  Every storm is
 //! a `harness::Scenario` and goes through the harness's one stack build,
-//! driver step, checker and crash leg.  Six runs, most of them storms, also
+//! driver step, checker and crash leg.  Seven runs, most of them storms, also
 //! check the stack's stats counters (`every_stats_counter_moves_and_reconciles`).
 
 mod fixtures;
@@ -14,13 +14,13 @@ mod harness;
 
 use harness::*;
 use noftl::nand_flash::{FlashError, FlashGeometry, FlashStats, NativeFlashInterface};
-use noftl::noftl_core::{NoFtl, NoFtlConfig, RebuildStats, RedundancyPolicy, RedundancyStats};
+use noftl::noftl_core::{NoFtl, NoFtlConfig, NoFtlStats, RedundancyPolicy};
 use noftl::sim_utils::histogram::Histogram;
 use noftl::sim_utils::rng::SimRng;
 use noftl::storage_engine::flusher::FlusherConfig;
 use noftl::storage_engine::{
-    AdmissionConfig, AdmissionStats, EngineConfig, EngineError, EngineOps, LogRecord, NoFtlBackend, ReadaheadStats,
-    StackConfig, StorageEngine, ThrottleStats,
+    AdmissionConfig, AdmissionStats, EngineConfig, EngineError, EngineOps, FlusherStats, LogRecord, NoFtlBackend,
+    ReadaheadStats, StackConfig, StorageEngine,
 };
 use noftl::workloads::{
     Arrivals, BenchmarkDriver, DriverConfig, OpenLoopConfig, OpenLoopDriver, OpenLoopReport, TpcB, TpcBConfig, Workload,
@@ -184,13 +184,13 @@ fn degraded_reads_after_die_loss_are_bit_identical() {
             s.engine.noftl(|n| {
                 assert!(n.any_die_dead(), "the scan must have fired the kill");
                 assert!(
-                    n.redundancy_stats().degraded_reads > 0,
+                    n.stats().degraded_reads > 0,
                     "scans of a quarter-dead device must serve degraded reads"
                 );
-                assert_eq!(n.rebuild_stats().pages_lost, 0);
+                assert_eq!(n.stats().pages_lost, 0);
             });
             s.drain_rebuild();
-            assert!(s.engine.noftl(|n| n.rebuild_stats().pages_rebuilt) > 0);
+            assert!(s.engine.noftl(|n| n.stats().pages_rebuilt) > 0);
             for (table, before) in tables.iter().zip(&rows) {
                 assert_eq!(&s.scan(table), before, "{table} changed across the rebuild");
             }
@@ -225,12 +225,12 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
     let now = s.now;
     let mut buf = vec![0u8; 4096];
     s.engine.noftl(|n| {
-        let rb = n.rebuild_stats();
-        assert_eq!(rb.die_failures_detected, 1);
-        assert_eq!(rb.pages_rebuilt, 0, "nothing to rebuild from without redundancy");
-        assert!(rb.pages_lost > 0, "losses must be counted, not hidden");
-        assert!(rb.accounted());
-        assert_eq!(n.redundancy_stats().reconstructed_pages, 0);
+        let s = n.stats();
+        assert_eq!(s.die_failures_detected, 1);
+        assert_eq!(s.pages_rebuilt, 0, "nothing to rebuild from without redundancy");
+        assert!(s.pages_lost > 0, "losses must be counted, not hidden");
+        assert!(s.accounted());
+        assert_eq!(s.reconstructed_pages, 0);
         // Every lost page fails typed — the WAL-replay layer above can take
         // over — and the loss counter matches the typed failures one for one.
         let mut typed = 0u64;
@@ -246,7 +246,7 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
         assert!(typed > 0, "a quarter of the mapped pages died with the die");
         assert_eq!(
             typed,
-            n.rebuild_stats().pages_lost,
+            n.stats().pages_lost,
             "the loss counter must match the typed read failures exactly"
         );
     });
@@ -586,23 +586,21 @@ fn checkpoint_barriers_all_shards_inflight_windows() {
 }
 
 // ---------------------------------------------------------------------------
-// Stats counters: every counter of the six audited stats structs moves in
+// Stats counters: every counter of the five audited stats structs moves in
 // some fixture, and counters that count the same event agree
 // ---------------------------------------------------------------------------
 
-/// The six audited stats structs as one run left them, with the page size
-/// and the db-writers' flush-cycle count that two identities need; a bare
-/// NoFTL run leaves the engine's parts at their defaults.
+/// The five audited stats structs as one run left them, with the page size
+/// that one identity needs; a bare NoFTL run leaves the engine's parts at
+/// their defaults.
 #[derive(Default)]
 struct Counters {
     page_size: u64,
-    flush_cycles: u64,
     flash: FlashStats,
-    redundancy: RedundancyStats,
-    rebuild: RebuildStats,
+    noftl: NoFtlStats,
     readahead: ReadaheadStats,
     admission: AdmissionStats,
-    throttle: ThrottleStats,
+    flusher: FlusherStats,
 }
 
 /// A counter's size: a scalar's value, a `Vec`'s sum, a histogram's sample
@@ -650,8 +648,7 @@ impl Counters {
         Counters {
             page_size: n.device().geometry().page_size as u64,
             flash: n.flash_stats().clone(),
-            redundancy: n.redundancy_stats().clone(),
-            rebuild: n.rebuild_stats().clone(),
+            noftl: n.stats().clone(),
             ..Counters::default()
         }
     }
@@ -662,12 +659,11 @@ impl Counters {
     }
 
     fn of_engine(e: &mut StorageEngine) -> Self {
-        let (readahead, admission, throttle) = (e.readahead_stats(), e.admission_stats(), e.throttle_stats());
-        let flush_cycles = e.flusher_stats().cycles;
-        Counters { flush_cycles, readahead, admission, throttle, ..Counters::of_noftl(noftl(e.backend_mut())) }
+        let (readahead, admission, flusher) = (e.readahead_stats(), e.admission_stats(), e.flusher_stats());
+        Counters { readahead, admission, flusher, ..Counters::of_noftl(noftl(e.backend_mut())) }
     }
 
-    /// Every field of the six structs by name.
+    /// Every field of the five structs by name.
     fn totals(&self) -> Vec<(&'static str, u64)> {
         let mut all = Vec::new();
         all.extend(totals!(&self.flash => FlashStats {
@@ -678,28 +674,31 @@ impl Counters {
             inflight_die_failures, bytes_read, bytes_written, read_latency, program_latency,
             erase_latency, copyback_latency, per_die_ops, per_die_reads,
         }));
-        all.extend(totals!(&self.redundancy => RedundancyStats {
-            parity_pages_written, stripes_sealed, stripes_sealed_degraded, stripes_abandoned,
-            open_members_purged, stripes_broken, members_reprotected, mirror_pages_written,
-            mirror_skipped_no_space, degraded_reads, reconstructed_pages,
-        }));
-        all.extend(totals!(&self.rebuild => RebuildStats {
-            die_failures_detected, pages_scanned, pages_rebuilt, pages_lost, rebuild_scheduled,
-            rebuild_deferred_hot,
+        all.extend(totals!(&self.noftl => NoFtlStats {
+            host_reads, host_writes, dead_page_hints, gc_page_copies, gc_dead_skipped, gc_erases,
+            gc_batch_dispatches, gc_stalls, gc_scheduled_cold, gc_deferred_hot, wear_migrations,
+            retired_blocks, program_fail_retirements, erase_fail_retirements, read_retries,
+            read_retry_successes, scrubbed_blocks, scrub_relocations, parity_pages_written,
+            stripes_sealed, stripes_sealed_degraded, stripes_abandoned, open_members_purged,
+            stripes_broken, members_reprotected, mirror_pages_written, mirror_skipped_no_space,
+            degraded_reads, reconstructed_pages, die_failures_detected, pages_scanned, pages_rebuilt,
+            pages_lost, rebuild_scheduled, rebuild_deferred_hot, write_latency, read_latency,
         }));
         all.extend(totals!(&self.readahead => ReadaheadStats {
             prefetch_issued, prefetch_useful, prefetch_wasted, window_high_water,
         }));
         all.extend(totals!(&self.admission => AdmissionStats { admitted, delayed, shed, total_delay_ns }));
-        all.extend(totals!(&self.throttle => ThrottleStats { throttled_waves, clear_waves }));
+        all.extend(totals!(&self.flusher => FlusherStats {
+            cycles, pages_flushed, batch_submissions, total_cycle_time, max_cycle_time, throttled_waves,
+            clear_waves,
+        }));
         all
     }
 
     /// The identities between counters that do not hold.
     fn broken_identities(&self) -> Vec<&'static str> {
-        let (f, rs, rb) = (&self.flash, &self.redundancy, &self.rebuild);
-        let (ra, ad, th) = (&self.readahead, &self.admission, &self.throttle);
-        let probes = th.throttled_waves + th.clear_waves;
+        let (f, n, ra, ad, fl) = (&self.flash, &self.noftl, &self.readahead, &self.admission, &self.flusher);
+        let probes = fl.throttled_waves + fl.clear_waves;
         [
             ("per_die_reads sums to reads", f.per_die_reads.iter().sum::<u64>() == f.reads),
             ("per_die_ops sums to total_ops()", f.per_die_ops.iter().sum::<u64>() == f.total_ops()),
@@ -713,17 +712,27 @@ impl Counters {
             ("ECC outcomes are reads", f.corrected_reads + f.uncorrectable_reads <= f.reads),
             ("program failures are programs", f.program_failures <= f.programs + f.copybacks),
             ("erase failures are erases", f.erase_failures <= f.erases),
-            ("NoFTL detects every failed die", rb.die_failures_detected == f.die_failures),
-            ("one parity page per sealed stripe", rs.parity_pages_written == rs.stripes_sealed),
-            ("degraded seals are seals", rs.stripes_sealed_degraded <= rs.stripes_sealed),
+            ("one read_latency sample per host read", n.read_latency.count() == n.host_reads),
+            ("one write_latency sample per host write", n.write_latency.count() == n.host_writes),
+            ("a batched GC dispatch relocates two pages or more", n.gc_page_copies >= 2 * n.gc_batch_dispatches),
+            ("retry successes are retries", n.read_retry_successes <= n.read_retries),
+            (
+                "fault retirements are retirements",
+                n.program_fail_retirements + n.erase_fail_retirements <= n.retired_blocks,
+            ),
+            ("NoFTL detects every failed die", n.die_failures_detected == f.die_failures),
+            ("one parity page per sealed stripe", n.parity_pages_written == n.stripes_sealed),
+            ("degraded seals are seals", n.stripes_sealed_degraded <= n.stripes_sealed),
             (
                 "degraded reads and rebuilt pages are reconstructions",
-                rs.degraded_reads + rb.pages_rebuilt <= rs.reconstructed_pages,
+                n.degraded_reads + n.pages_rebuilt <= n.reconstructed_pages,
             ),
-            ("RebuildStats::accounted()", rb.accounted()),
+            ("NoFtlStats::accounted()", n.accounted()),
             ("prefetches end useful, wasted or resident", ra.prefetch_useful + ra.prefetch_wasted <= ra.prefetch_issued),
             ("delayed admissions are admissions", ad.delayed <= ad.admitted),
-            ("a throttled engine runs a flush wave after every clear probe", probes == 0 || th.clear_waves == self.flush_cycles),
+            ("a flush submission writes a page or more", fl.batch_submissions <= fl.pages_flushed),
+            ("the longest flush cycle is part of the total", fl.max_cycle_time <= fl.total_cycle_time),
+            ("a throttled engine runs a flush wave after every clear probe", probes == 0 || fl.clear_waves == fl.cycles),
         ]
         .into_iter()
         .filter(|&(_, holds)| !holds)
@@ -735,17 +744,10 @@ impl Counters {
 /// Counters no fixture moves, each with the reason.
 const UNMOVED: &[(&str, &str)] = &[
     (
-        "FlashStats::inflight_die_failures",
-        "every die kill fires on the first command after a barrier, with nothing in flight",
+        "NoFtlStats::gc_batch_dispatches",
+        "only `gc_batch_pages > 1` moves it, and no stack sets that (FOUND in CHANGES.md)",
     ),
-    (
-        "RebuildStats::rebuild_deferred_hot",
-        "rebuild steps run between transactions, when every read of the client has completed",
-    ),
-    (
-        "RedundancyStats::mirror_skipped_no_space",
-        "every mirror fixture has free space on a second die (ROADMAP item 19)",
-    ),
+    ("NoFtlStats::mirror_skipped_no_space", "every mirror fixture has free space on a second die (ROADMAP item 19)"),
 ];
 
 /// Eight clients on one engine whose die-wise db-writers keep eight writes
@@ -767,8 +769,72 @@ fn contended_die_queues() -> StorageEngine {
     engine
 }
 
-/// The stats counters checked by running them: after the six fixtures
-/// below, every counter of the six audited structs has moved in at least one
+/// A bare NoFTL drive on `Mirror`, die queues eight deep and the
+/// scheduling threshold at one read in flight, churned through GC
+/// relocations across two planes per die.  Die 1 dies while a batched write
+/// and a burst of reads are in flight at one instant: the kill catches
+/// queued commands, and the GC and rebuild steps offered at that instant
+/// defer as read-hot.  The rebuild then runs with a GC step before each of
+/// its steps, as `maybe_flush` offers them, and every read, in the window
+/// and after the rebuild, returns the last data written.
+fn inflight_die_kill() -> NoFtl {
+    let geometry = FlashGeometry { planes_per_die: 2, blocks_per_plane: 8, ..FlashGeometry::with_dies(4, 64, 16, 512) };
+    let mut cfg = NoFtlConfig::new(geometry);
+    cfg.op_ratio = 0.75;
+    cfg.gc_low_watermark = 2;
+    cfg.gc_high_watermark = 4;
+    cfg.async_queue_depth = 8;
+    cfg.gc_schedule_read_occupancy = 1;
+    cfg.redundancy = vec![Mirror; 4];
+    let mut n = NoFtl::new(cfg);
+    let lpns = n.logical_pages();
+    let ps = geometry.page_size as usize;
+    let mut last = vec![0u8; lpns as usize];
+    let mut write = |n: &mut NoFtl, t, batch: &[u64], fill: u8| {
+        let data = vec![fill; ps];
+        let pages: Vec<(u64, &[u8])> = batch.iter().map(|&l| (l, data.as_slice())).collect();
+        batch.iter().for_each(|&l| last[l as usize] = fill);
+        n.write_batch(t, &pages).expect("write batch")
+    };
+    // One sequential pass, then five passes' worth of random batches of 8.
+    let mut rng = SimRng::new(0x1F11);
+    let mut now = 0;
+    for round in 0..lpns / 8 * 6 {
+        let batch: Vec<u64> = match round {
+            r if r < lpns / 8 => (r * 8..r * 8 + 8).collect(),
+            _ => (0..8).map(|_| rng.range(0, lpns)).collect(),
+        };
+        now = write(&mut n, now, &batch, round as u8);
+    }
+    let t = n.drain(now);
+    write(&mut n, t, &[1, 2, 3, 4, 5, 6, 7, 8], 0xEE);
+    // The third command after arming, one of the reads below, kills die 1.
+    n.set_fault_plan(Some(quiet_plan().with_die_kill(2, 1)));
+    let mut buf = vec![0u8; ps];
+    for lpn in 16..48 {
+        n.read(t, lpn, &mut buf).expect("read in the kill window");
+        assert_eq!(buf, vec![last[lpn as usize]; ps], "lpn {lpn} in the kill window");
+    }
+    assert!(n.flash_stats().inflight_die_failures > 0, "the kill must catch queued commands");
+    assert_eq!(n.schedule_gc(t).expect("GC step"), None, "a GC step at a read-hot instant defers");
+    assert_eq!(n.schedule_rebuild(t).expect("rebuild step"), None, "a rebuild step at a read-hot instant defers");
+    let mut t = n.drain(t);
+    loop {
+        t = n.schedule_gc(t).expect("GC step").unwrap_or(t).max(t);
+        match n.schedule_rebuild(t).expect("rebuild step") {
+            Some(end) => t = end.max(t),
+            None => break,
+        }
+    }
+    for lpn in 0..lpns {
+        n.read(t, lpn, &mut buf).expect("read after the rebuild");
+        assert_eq!(buf, vec![last[lpn as usize]; ps], "lpn {lpn} after the rebuild");
+    }
+    n
+}
+
+/// The stats counters checked by running them: after the seven fixtures
+/// below, every counter of the five audited structs has moved in at least one
 /// of them (or is on [`UNMOVED`] with its reason), and every identity between
 /// counters holds in each.  A counter whose update is lost reads zero
 /// everywhere or breaks an identity, and fails here.
@@ -790,6 +856,7 @@ fn every_stats_counter_moves_and_reconciles() {
         ("SLO-on open loop", Counters::of(&mut open_loop(1).0)),
         ("unprotected die kill", Counters::of(&mut unprotected_die_kill().engine)),
         ("contended die queues", Counters::of_engine(&mut contended_die_queues())),
+        ("in-flight die kill", Counters::of_noftl(&inflight_die_kill())),
     ];
     let mut moved = std::collections::BTreeMap::new();
     for (fixture, counters) in &runs {
