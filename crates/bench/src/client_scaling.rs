@@ -384,7 +384,21 @@ mod tests {
 
     #[test]
     fn eight_clients_scale_aggregate_throughput() {
-        let result = run_client_scaling(&[1, 8], 8, 24);
+        let result = run_client_scaling(&[1, 2, 4, 8], 8, 24);
+        let cells: Vec<(usize, u64, u64)> = result
+            .points
+            .iter()
+            .map(|p| (p.clients, p.transactions, p.duration_ns))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                (1, 24, 4_218_160),
+                (2, 48, 4_537_600),
+                (4, 96, 5_238_720),
+                (8, 192, 6_143_320),
+            ]
+        );
         let speedup = result.speedup(8).expect("both points measured");
         assert!(
             speedup >= 3.0,
@@ -396,10 +410,9 @@ mod tests {
     fn one_client_leg_matches_the_single_threaded_engine() {
         let result = run_client_scaling(&[1], 8, 24);
         let delta = result.single_thread_delta().expect("baseline measured");
-        assert!(
-            delta <= 0.02,
-            "1-client concurrent leg regressed vs single-threaded engine by {:.2}%",
-            delta * 100.0
+        assert_eq!(
+            delta, 0.0,
+            "1-client concurrent leg deviates from the single-threaded engine"
         );
     }
 }
