@@ -20,10 +20,12 @@ use sim_utils::time::SimInstant;
 use nand_flash::FlashResult;
 use noftl_core::{NoFtl, NoFtlConfig};
 use storage_engine::backend::NoFtlBackend;
-use storage_engine::{ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, StorageEngine};
+use storage_engine::{
+    ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, StorageEngine,
+};
 use workloads::rid_codec::{rid_to_u64, u64_to_rid};
 use workloads::workload::TxnKind;
-use workloads::{ClientWorkload, MultiClientConfig, MultiClientDriver, Workload};
+use workloads::{MultiClientConfig, MultiClientDriver, MultiClientReport, Workload};
 
 use crate::setup::geometry_for_pages;
 
@@ -82,11 +84,6 @@ pub struct ScanPointMix {
 }
 
 impl ScanPointMix {
-    /// Create the mix over un-prefixed table names.
-    pub fn new(config: MixConfig) -> Self {
-        Self::with_prefix(config, "")
-    }
-
     /// Create the mix over a `prefix`ed partition (client `i` of a shared
     /// engine uses `"c{i}_"`).
     pub fn with_prefix(config: MixConfig, prefix: impl Into<String>) -> Self {
@@ -175,19 +172,6 @@ impl<E: EngineOps> Workload<E> for ScanPointMix {
     }
 }
 
-/// One measured point of the client-scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
-    /// Concurrent clients (= sessions = buffer-pool shards).
-    pub clients: usize,
-    /// Measured transactions (across all clients).
-    pub transactions: u64,
-    /// Virtual duration of the measured phase (ns).
-    pub duration_ns: u64,
-    /// Aggregate transactions per virtual second.
-    pub tps: f64,
-}
-
 /// Result of the sweep at a fixed die count.
 #[derive(Debug, Clone)]
 pub struct ClientScaling {
@@ -195,8 +179,9 @@ pub struct ClientScaling {
     pub dies: u32,
     /// Per-die queue depth.
     pub depth: usize,
-    /// Measured points, one per client count.
-    pub points: Vec<ScalingPoint>,
+    /// Measured points `(clients, report)`, one per client count; the
+    /// client count is also the session and buffer-pool shard count.
+    pub points: Vec<(usize, MultiClientReport)>,
     /// Throughput of the plain single-threaded [`StorageEngine`] on the
     /// identical workload and configuration — the no-regression baseline for
     /// the 1-client leg.
@@ -208,8 +193,8 @@ impl ClientScaling {
     pub fn tps(&self, clients: usize) -> Option<f64> {
         self.points
             .iter()
-            .find(|p| p.clients == clients)
-            .map(|p| p.tps)
+            .find(|(c, _)| *c == clients)
+            .map(|(_, r)| r.aggregate_tps)
     }
 
     /// Aggregate speedup of `clients` clients over one client.
@@ -250,67 +235,48 @@ fn scaling_engine_config(depth: usize, dies: u32, clients: usize) -> EngineConfi
     cfg
 }
 
-fn scaling_backend(depth: usize, dies: u32, logical_pages: u64) -> NoFtlBackend {
-    let geometry = geometry_for_pages(logical_pages, 0.55, dies);
+/// The shared device.  Capacity is sized for the *largest* sweep point so
+/// every point sees the same device geometry per die; only the client count
+/// varies.  Eight partitions of the default mix: ~240 data pages + ~30 index
+/// pages per client, 256 WAL pages, 2x slack.
+fn scaling_backend(depth: usize, dies: u32) -> NoFtlBackend {
+    let geometry = geometry_for_pages(8 * 540 + 512, 0.55, dies);
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = depth;
     NoFtlBackend::new(NoFtl::new(ncfg))
 }
 
-/// Logical pages needed for `clients` partitions of the default mix, with
-/// slack for the WAL segment and index pages.
-fn logical_pages_for(clients: usize) -> u64 {
-    // ~240 data pages + ~30 index pages per client, 256 WAL pages, 2x slack.
-    (clients as u64 * 540 + 512).max(2_048)
-}
-
 /// Run one point: `clients` sessions over one shared engine at `dies` dies.
-pub fn run_point(clients: usize, dies: u32, depth: usize, per_client: u64) -> ScalingPoint {
-    // Capacity is sized for the *largest* sweep point so every point sees
-    // the same device geometry per die; only the client count varies.
-    let backend = scaling_backend(depth, dies, logical_pages_for(8));
+pub fn run_point(clients: usize, dies: u32, depth: usize, per_client: u64) -> MultiClientReport {
     let engine = ConcurrentEngine::new(
-        Box::new(backend),
+        Box::new(scaling_backend(depth, dies)),
         scaling_engine_config(depth, dies, clients),
         clients,
     );
-    let workloads: Vec<ClientWorkload> = (0..clients)
-        .map(|i| -> ClientWorkload {
-            Box::new(ScanPointMix::with_prefix(
-                MixConfig::new(0x5CA1E ^ (i as u64) << 8),
-                format!("c{i}_"),
-            ))
-        })
-        .collect();
-    let driver = MultiClientDriver::new(MultiClientConfig::new(per_client));
-    let report = driver
-        .run(&engine, workloads, 0)
-        .expect("client-scaling run");
-    ScalingPoint {
-        clients,
-        transactions: report.transactions,
-        duration_ns: report.duration_ns,
-        tps: report.aggregate_tps,
-    }
+    let mut sessions: Vec<ClientSession> = (0..clients).map(|_| engine.session()).collect();
+    drive(&mut sessions, per_client)
 }
 
-/// The plain single-threaded engine on the identical workload, phases and
-/// accounting — the regression baseline for the 1-client concurrent leg.
+/// The plain single-threaded engine as the one client of the same driver,
+/// workload and accounting — the regression baseline for the 1-client
+/// concurrent leg.
 pub fn run_single_threaded_baseline(dies: u32, depth: usize, per_client: u64) -> f64 {
-    let backend = scaling_backend(depth, dies, logical_pages_for(8));
-    let mut engine = StorageEngine::new(Box::new(backend), scaling_engine_config(depth, dies, 1));
-    let mut w = ScanPointMix::with_prefix(MixConfig::new(0x5CA1E), "c0_");
-    let mut now = w.setup(&mut engine, 0).expect("setup");
-    for _ in 0..per_client / 10 {
-        let (end, _) = w.run_transaction(&mut engine, 0, now).expect("warmup");
-        now = engine.maybe_flush(end).expect("flush").max(end);
-    }
-    let measure_start = now;
-    for _ in 0..per_client {
-        let (end, _) = w.run_transaction(&mut engine, 0, now).expect("transaction");
-        now = engine.maybe_flush(end).expect("flush").max(end);
-    }
-    per_client as f64 / ((now - measure_start).max(1) as f64 / 1e9)
+    let backend = Box::new(scaling_backend(depth, dies));
+    let engine = StorageEngine::new(backend, scaling_engine_config(depth, dies, 1));
+    drive(&mut [engine], per_client).aggregate_tps
+}
+
+/// The mix on `clients[i]` over partition `c{i}_`, `per_client` measured
+/// transactions each.
+fn drive<E: EngineOps>(clients: &mut [E], per_client: u64) -> MultiClientReport {
+    let mut workloads: Vec<ScanPointMix> = (0..clients.len())
+        .map(|i| {
+            ScanPointMix::with_prefix(MixConfig::new(0x5CA1E ^ (i as u64) << 8), format!("c{i}_"))
+        })
+        .collect();
+    MultiClientDriver::new(MultiClientConfig::new(per_client))
+        .run(clients, &mut workloads, 0)
+        .expect("client-scaling run")
 }
 
 /// Run the full sweep: every client count at `dies` dies, depth 8, plus the
@@ -319,7 +285,7 @@ pub fn run_client_scaling(client_counts: &[usize], dies: u32, per_client: u64) -
     let depth = 8;
     let points = client_counts
         .iter()
-        .map(|&c| run_point(c.max(1), dies, depth, per_client))
+        .map(|&c| (c.max(1), run_point(c.max(1), dies, depth, per_client)))
         .collect();
     ClientScaling {
         dies,
@@ -340,13 +306,13 @@ pub fn render_table(result: &ClientScaling) -> String {
         "{:>8} {:>14} {:>16} {:>10}\n",
         "clients", "aggregate TPS", "virtual ms", "speedup"
     ));
-    for p in &result.points {
-        let speedup = result.speedup(p.clients).unwrap_or(0.0);
+    for (clients, r) in &result.points {
+        let speedup = result.speedup(*clients).unwrap_or(0.0);
         out.push_str(&format!(
             "{:>8} {:>14.1} {:>16.2} {:>9.2}x\n",
-            p.clients,
-            p.tps,
-            p.duration_ns as f64 / 1e6,
+            clients,
+            r.aggregate_tps,
+            r.duration_ns as f64 / 1e6,
             speedup
         ));
     }
@@ -364,16 +330,19 @@ mod tests {
 
     #[test]
     fn mix_workload_runs_on_the_single_threaded_engine() {
-        let backend = scaling_backend(8, 2, 2_048);
+        let backend = scaling_backend(8, 2);
         let mut engine = StorageEngine::new(Box::new(backend), scaling_engine_config(8, 2, 1));
-        let mut w = ScanPointMix::new(MixConfig {
-            rows: 120,
-            row_bytes: 200,
-            reads_per_txn: 2,
-            scan_every: 4,
-            scan_rows: 16,
-            seed: 9,
-        });
+        let mut w = ScanPointMix::with_prefix(
+            MixConfig {
+                rows: 120,
+                row_bytes: 200,
+                reads_per_txn: 2,
+                scan_every: 4,
+                scan_rows: 16,
+                seed: 9,
+            },
+            "",
+        );
         let mut now = w.setup(&mut engine, 0).expect("setup");
         for _ in 0..8 {
             let (end, _) = w.run_transaction(&mut engine, 0, now).expect("txn");
@@ -388,7 +357,7 @@ mod tests {
         let cells: Vec<(usize, u64, u64)> = result
             .points
             .iter()
-            .map(|p| (p.clients, p.transactions, p.duration_ns))
+            .map(|(c, r)| (*c, r.transactions, r.duration_ns))
             .collect();
         assert_eq!(
             cells,

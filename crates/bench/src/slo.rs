@@ -198,11 +198,7 @@ pub fn run_point(
     let mut sessions: Vec<ClientSession> = (0..session_count).map(|_| engine.session()).collect();
     let t0 = driver.setup(&mut sessions[0], 0)?;
     let setup_committed = sessions[0].committed();
-    let mut slots: Vec<&mut dyn EngineOps> = sessions
-        .iter_mut()
-        .map(|s| s as &mut dyn EngineOps)
-        .collect();
-    let report = driver.run(&mut slots, t0)?;
+    let report = driver.run(&mut sessions, t0)?;
     Ok(SloPoint::from_report(
         slo,
         clients,

@@ -3,13 +3,10 @@
 
 use ftl::block_device::BlockDevice;
 use ftl::traits::Ftl;
-use nand_flash::{
-    DeviceConfig, FlashResult, NandDevice, NativeFlashInterface, OpCompletion, QueuedCompletion,
-};
+use nand_flash::{FlashResult, NandDevice, NativeFlashInterface, OpCompletion, QueuedCompletion};
 use sim_utils::time::SimInstant;
 
 use crate::host_interface::{HostInterface, HostLink};
-use crate::profiles::DeviceProfile;
 
 /// A conventional Flash SSD: an FTL hidden behind a host link with a bounded
 /// command queue (Figure 1.a/1.b, Figure 6.a of the paper).
@@ -84,22 +81,16 @@ impl<F: Ftl> BlockDevice for EmulatedSsd<F> {
 
 /// An emulated *native* Flash device: a raw NAND array plus a low-overhead
 /// host link (the character-device front-end of the paper's emulator, or the
-/// ATA-pass-through path on OpenSSD).
+/// ATA-pass-through path on OpenSSD).  Every command is a queued submission
+/// of a multi-page run: the batch occupies a single host queue slot and is
+/// dispatched to the die as one command sequence, so a k-page run pays the
+/// link's per-command overhead once instead of k times.
 pub struct EmulatedNativeFlash {
     device: NandDevice,
     host: HostInterface,
 }
 
 impl EmulatedNativeFlash {
-    /// Build the native device from a profile.
-    pub fn from_profile(profile: &DeviceProfile) -> Self {
-        let device = NandDevice::new(DeviceConfig::new(profile.geometry));
-        Self {
-            device,
-            host: HostInterface::new(profile.host_link),
-        }
-    }
-
     /// Build from an explicit device and link.
     pub fn new(device: NandDevice, link: HostLink) -> Self {
         Self {
@@ -108,67 +99,13 @@ impl EmulatedNativeFlash {
         }
     }
 
-    /// Admission control of the host link: returns when the device may start
-    /// working on a command issued at `now`.
-    pub fn admit(&mut self, now: SimInstant) -> SimInstant {
-        self.host.admit(now)
-    }
-
-    /// Record a command completion (frees a host queue slot).
-    pub fn complete(&mut self, completion: SimInstant) {
-        self.host.complete(completion);
-    }
-
     /// Borrow the raw device.
     pub fn device(&self) -> &NandDevice {
         &self.device
     }
 
-    /// Mutably borrow the raw device (to issue native Flash commands).
-    pub fn device_mut(&mut self) -> &mut NandDevice {
-        &mut self.device
-    }
-
-    /// Issue a multi-page program run through the host link as **one**
-    /// admitted command: the batch occupies a single host queue slot and is
-    /// dispatched to the die as one command sequence, so a k-page run pays
-    /// the link's per-command overhead once instead of k times.  This is the
-    /// submission path the batched db-writers and the WAL group commit use.
-    pub fn program_pages(
-        &mut self,
-        now: SimInstant,
-        ops: &[(nand_flash::Ppa, &[u8], nand_flash::Oob)],
-    ) -> FlashResult<OpCompletion> {
-        let start = self.host.admit(now);
-        let completion = self.device.program_pages(start, ops)?;
-        self.host.complete(completion.completed_at);
-        Ok(OpCompletion {
-            started_at: start,
-            completed_at: completion.completed_at,
-        })
-    }
-
-    /// Issue a multi-page read run through the host link as **one** admitted
-    /// command (the read-side sibling of
-    /// [`EmulatedNativeFlash::program_pages`]): a k-page run pays the link's
-    /// per-command overhead once and is dispatched to the die as one command
-    /// sequence whose senses pipeline with its transfers.
-    pub fn read_pages(
-        &mut self,
-        now: SimInstant,
-        ops: &mut [(nand_flash::Ppa, &mut [u8])],
-    ) -> FlashResult<OpCompletion> {
-        let start = self.host.admit(now);
-        let completion = self.device.read_pages(start, ops)?;
-        self.host.complete(completion.completed_at);
-        Ok(OpCompletion {
-            started_at: start,
-            completed_at: completion.completed_at,
-        })
-    }
-
-    /// Set the per-die queue depth used by the queued submission path
-    /// (depth 1 = synchronous dispatch semantics).
+    /// Set the per-die queue depth of the submission path (depth 1 =
+    /// synchronous dispatch semantics).
     pub fn set_queue_depth(&mut self, depth: usize) {
         self.device.set_queue_depth(depth);
     }
@@ -214,12 +151,6 @@ impl EmulatedNativeFlash {
         self.device.drain_queues(now)
     }
 
-    /// Consume the wrapper, yielding the raw device (e.g. to hand it to
-    /// `noftl_core::NoFtl::with_device`).
-    pub fn into_device(self) -> NandDevice {
-        self.device
-    }
-
     /// Host-interface state.
     pub fn host(&self) -> &HostInterface {
         &self.host
@@ -229,8 +160,9 @@ impl EmulatedNativeFlash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::DeviceProfile;
     use ftl::page_ftl::PageFtl;
-    use nand_flash::{FlashGeometry, Oob, Ppa};
+    use nand_flash::{DeviceConfig, FlashGeometry, Oob, Ppa};
 
     #[test]
     fn emulated_ssd_roundtrip_and_overhead() {
@@ -271,6 +203,12 @@ mod tests {
         );
     }
 
+    /// The native device of `profile` at the default queue depth of 1.
+    fn native_flash(profile: &DeviceProfile) -> EmulatedNativeFlash {
+        let device = NandDevice::new(DeviceConfig::new(profile.geometry));
+        EmulatedNativeFlash::new(device, profile.host_link)
+    }
+
     #[test]
     fn native_batch_submission_admits_once_and_beats_per_page() {
         let profile = DeviceProfile::small();
@@ -281,20 +219,20 @@ mod tests {
             .collect();
 
         // Batched: one admitted host command for the whole run.
-        let mut batched = EmulatedNativeFlash::from_profile(&profile);
-        let c = batched.program_pages(0, &ops).unwrap();
+        let mut batched = native_flash(&profile);
+        let c = batched.submit_program_pages(0, &ops).unwrap().completion;
         assert_eq!(batched.host().admitted(), 1);
         assert_eq!(batched.device().stats().programs, 8);
         assert_eq!(batched.device().stats().multi_page_dispatches, 1);
 
         // Per-page: one admission and one completion wait per page.
-        let mut per_page = EmulatedNativeFlash::from_profile(&profile);
+        let mut per_page = native_flash(&profile);
         let mut t = 0;
-        for (ppa, d, oob) in &ops {
-            let start = per_page.admit(t);
-            let pc = per_page.device_mut().program_page(start, *ppa, d, *oob).unwrap();
-            per_page.complete(pc.completed_at);
-            t = pc.completed_at;
+        for op in &ops {
+            let q = per_page
+                .submit_program_pages(t, std::slice::from_ref(op))
+                .unwrap();
+            t = q.completion.completed_at;
         }
         assert_eq!(per_page.host().admitted(), 8);
         assert!(
@@ -319,7 +257,7 @@ mod tests {
         let ops1: Vec<(Ppa, &[u8], Oob)> = (0..4)
             .map(|i| (b1.page(i), data.as_slice(), Oob::data(16 + i as u64, 0)))
             .collect();
-        let mut native = EmulatedNativeFlash::from_profile(&profile);
+        let mut native = native_flash(&profile);
         native.set_queue_depth(8);
         let q0 = native.submit_program_pages(0, &ops0).unwrap();
         let q1 = native.submit_program_pages(0, &ops1).unwrap();
@@ -349,7 +287,7 @@ mod tests {
         let ops: Vec<(Ppa, &[u8], Oob)> = (0..4)
             .map(|i| (b0.page(i), data.as_slice(), Oob::data(i as u64, 0)))
             .collect();
-        let mut native = EmulatedNativeFlash::from_profile(&profile);
+        let mut native = native_flash(&profile);
         let q = native.submit_program_pages(0, &ops).unwrap();
         let mut bufs: Vec<Vec<u8>> = (0..2)
             .map(|_| vec![0u8; profile.geometry.page_size as usize])
@@ -370,31 +308,15 @@ mod tests {
         for buf in &bufs {
             assert_eq!(buf[0], 2, "queued read must return the programmed data");
         }
-        // The blocking batched read also pays exactly one admission.
+        // A read run on the idle die also pays exactly one admission.
         let t = native.drain(r.completion.completed_at);
         let mut read_ops: Vec<(Ppa, &mut [u8])> = bufs
             .iter_mut()
             .enumerate()
             .map(|(i, b)| (b0.page(i as u32), b.as_mut_slice()))
             .collect();
-        native.read_pages(t, &mut read_ops).unwrap();
+        native.submit_read_pages(t, &mut read_ops).unwrap();
         assert_eq!(native.host().admitted(), 3);
         assert_eq!(native.device().stats().multi_page_read_dispatches, 2);
-    }
-
-    #[test]
-    fn native_flash_exposes_raw_device() {
-        let profile = DeviceProfile::small();
-        let mut native = EmulatedNativeFlash::from_profile(&profile);
-        let start = native.admit(0);
-        let data = vec![9u8; profile.geometry.page_size as usize];
-        let c = native
-            .device_mut()
-            .program_page(start, Ppa::new(0, 0, 0, 0, 0), &data, Oob::data(1, 0))
-            .unwrap();
-        native.complete(c.completed_at);
-        assert_eq!(native.device().stats().programs, 1);
-        let dev = native.into_device();
-        assert_eq!(dev.stats().programs, 1);
     }
 }

@@ -157,8 +157,10 @@
 //! directly.  N clients share it as a [`concurrent::ConcurrentEngine`] — the
 //! same engine inside an `Rc<RefCell<_>>` — through per-client
 //! [`concurrent::ClientSession`] handles that borrow it for exactly one
-//! operation and forward (each also recording its own commit stream);
-//! `workloads::MultiClientDriver` drives them, laggard-stepped on one thread.
+//! operation and forward (each also recording its own commit stream).
+//! One closed-loop step, `workloads::MultiClientDriver::step`, drives any
+//! client handles — sessions, or a lone engine — laggard-stepped on one
+//! thread; the client-scaling sweep and the storm harness both run on it.
 //! Clients are concurrent on the virtual clock only, so a multi-client run
 //! is a function of its config like any other.  The client count is an
 //! argument of the driver (`client_scaling` sweeps 1, 2, 4 and 8); it

@@ -3,10 +3,12 @@
 //! * [`BenchmarkDriver`] interleaves logical clients on the virtual clock of
 //!   one single-threaded engine and reports transactional throughput (TPS)
 //!   and response times — the numbers shown on the paper's Figure 4 axes.
-//! * [`MultiClientDriver`] runs N clients as separate [`ClientSession`]s of
-//!   one shared [`ConcurrentEngine`] (the multi-client path), each with
-//!   its own workload instance over a disjoint data partition, stepped on
-//!   the one virtual clock.
+//! * [`MultiClientDriver`] runs N clients, each on its own engine handle
+//!   (a [`storage_engine::ClientSession`] of one shared engine, or a lone
+//!   [`StorageEngine`]) with its own workload instance over a disjoint data
+//!   partition, stepped on the one virtual clock.  Its measured loop,
+//!   [`MultiClientDriver::step`], is the repository's one closed-loop step
+//!   over client handles; the storm harness drives its sessions through it.
 //! * [`OpenLoopDriver`] offers requests at a configured *arrival rate*
 //!   (Poisson or fixed-interval on the virtual clock) instead of waiting for
 //!   the previous response: when the engine falls behind, requests queue and
@@ -19,9 +21,7 @@ use sim_utils::dist::{NuRand, Zipf};
 use sim_utils::histogram::Histogram;
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
-use storage_engine::{
-    AdmissionStats, ClientSession, ConcurrentEngine, EngineError, EngineOps, StorageEngine, TxnId,
-};
+use storage_engine::{AdmissionStats, EngineError, EngineOps, StorageEngine};
 
 use crate::rid_codec::u64_to_rid;
 use crate::workload::{TxnKind, Workload};
@@ -117,35 +117,25 @@ impl BenchmarkDriver {
         workload: &mut dyn Workload,
         start: SimInstant,
     ) -> FlashResult<DriverReport> {
-        let clients = self.config.clients;
-        let mut client_time = vec![start; clients];
-
-        // Warm-up phase (not measured).
-        for _ in 0..self.config.warmup_transactions {
-            let client = Self::laggard(&client_time);
-            let now = client_time[client];
-            let (end, _) = workload.run_transaction(engine, client, now)?;
-            client_time[client] = end;
-            let flush_end = engine.maybe_flush(end)?;
-            if flush_end > end {
-                Self::charge_flush(&mut client_time, client, flush_end, self.config.stall_all_on_flush);
-            }
-        }
-
-        let measure_start = *client_time.iter().max().expect("at least one client");
-        for t in client_time.iter_mut() {
-            *t = (*t).max(measure_start);
-        }
-
+        let warmup = self.config.warmup_transactions;
+        let mut client_time = vec![start; self.config.clients];
+        let mut measure_start = None;
         let mut response_time = Histogram::new();
         let mut read_only = 0u64;
-        for _ in 0..self.config.transactions {
-            let client = Self::laggard(&client_time);
+        for i in 0..warmup + self.config.transactions {
+            // The warm-up (not measured) ends with every client clock
+            // aligned to the furthest one.
+            if i == warmup {
+                measure_start = Some(align(&mut client_time));
+            }
+            let client = laggard(&client_time);
             let now = client_time[client];
             let (end, kind) = workload.run_transaction(engine, client, now)?;
-            response_time.record(end.saturating_sub(now));
-            if kind == TxnKind::ReadOnly {
-                read_only += 1;
+            if i >= warmup {
+                response_time.record(end.saturating_sub(now));
+                if kind == TxnKind::ReadOnly {
+                    read_only += 1;
+                }
             }
             client_time[client] = end;
             // Background db-writers run when the dirty watermark is crossed;
@@ -153,13 +143,23 @@ impl BenchmarkDriver {
             // otherwise only the triggering client pays.
             let flush_end = engine.maybe_flush(end)?;
             if flush_end > end {
-                Self::charge_flush(&mut client_time, client, flush_end, self.config.stall_all_on_flush);
+                let stalled = if self.config.stall_all_on_flush {
+                    &mut client_time[..]
+                } else {
+                    &mut client_time[client..=client]
+                };
+                for t in stalled {
+                    *t = (*t).max(flush_end);
+                }
             }
         }
 
         let measure_end = *client_time.iter().max().expect("at least one client");
-        let duration_ns = measure_end.saturating_sub(measure_start).max(1);
-        let tps = self.config.transactions as f64 / (duration_ns as f64 / 1e9);
+        let (duration_ns, tps) = measured(
+            self.config.transactions,
+            measure_start.unwrap_or(measure_end),
+            measure_end,
+        );
         Ok(DriverReport {
             workload: workload.name().to_string(),
             backend: engine.backend_name(),
@@ -170,30 +170,27 @@ impl BenchmarkDriver {
             read_only,
         })
     }
+}
 
-    fn charge_flush(
-        times: &mut [SimInstant],
-        triggering_client: usize,
-        flush_end: SimInstant,
-        stall_all: bool,
-    ) {
-        if stall_all {
-            for t in times.iter_mut() {
-                *t = (*t).max(flush_end);
-            }
-        } else {
-            times[triggering_client] = times[triggering_client].max(flush_end);
-        }
-    }
+/// The client whose clock is furthest behind (the lowest index on a tie).
+fn laggard(times: &[SimInstant]) -> usize {
+    (0..times.len())
+        .min_by_key(|&c| times[c])
+        .expect("non-empty client list")
+}
 
-    fn laggard(times: &[SimInstant]) -> usize {
-        times
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .map(|(i, _)| i)
-            .expect("non-empty client list")
-    }
+/// The virtual duration of a measured phase from `start` to `end` (at least
+/// 1 ns) and the rate of `count` events over it, per virtual second.
+fn measured(count: u64, start: SimInstant, end: SimInstant) -> (u64, f64) {
+    let duration_ns = end.saturating_sub(start).max(1);
+    (duration_ns, count as f64 / (duration_ns as f64 / 1e9))
+}
+
+/// Move every clock up to the furthest one and return that instant.
+fn align(times: &mut [SimInstant]) -> SimInstant {
+    let last = *times.iter().max().expect("non-empty client list");
+    times.fill(last);
+    last
 }
 
 /// [`MultiClientDriver`] configuration.
@@ -215,31 +212,9 @@ impl MultiClientConfig {
     }
 }
 
-/// One client's slice of a [`MultiClientReport`].
-#[derive(Debug, Clone)]
-pub struct ClientRun {
-    /// Client index.
-    pub client: usize,
-    /// Workload name.
-    pub workload: String,
-    /// Measured transactions this client committed.
-    pub transactions: u64,
-    /// Virtual time the measured phase started for this client.
-    pub start: SimInstant,
-    /// Virtual time of this client's last commit.
-    pub end: SimInstant,
-    /// The client's full commit stream `(txn id, commit time)` in commit
-    /// order — including setup and warm-up commits.  What the concurrency
-    /// harness asserts serializable per-client prefixes and crash-recovery
-    /// durability over.
-    pub commits: Vec<(TxnId, SimInstant)>,
-}
-
 /// Result of a [`MultiClientDriver`] run.
 #[derive(Debug, Clone)]
 pub struct MultiClientReport {
-    /// Per-client results, indexed by client.
-    pub clients: Vec<ClientRun>,
     /// Total measured transactions across clients.
     pub transactions: u64,
     /// Virtual duration from measure start to the last client's end (ns).
@@ -248,20 +223,17 @@ pub struct MultiClientReport {
     pub aggregate_tps: f64,
 }
 
-/// The multi-client driver: N workloads over N sessions of one shared
-/// [`ConcurrentEngine`].
+/// The multi-client driver: N workloads over N client handles of one
+/// engine.
 ///
 /// Each client owns a workload instance (over a disjoint table-name
 /// partition — construct them via `TpcB::with_prefix` / `TpcC::with_prefix`)
-/// and a [`ClientSession`].  Setup runs sequentially on the virtual clock;
-/// the measured phase steps the furthest-behind client each time (bounded
-/// drift), so the same seeds give the same schedule and the same report.
+/// and an engine handle.  Setup runs sequentially on the virtual clock;
+/// the measured phase is one [`MultiClientDriver::step`] (bounded drift), so
+/// the same seeds give the same schedule and the same report.
 pub struct MultiClientDriver {
     config: MultiClientConfig,
 }
-
-/// A workload a [`MultiClientDriver`] client owns.
-pub type ClientWorkload = Box<dyn Workload<ClientSession>>;
 
 impl MultiClientDriver {
     /// Create a driver.
@@ -270,76 +242,69 @@ impl MultiClientDriver {
     }
 
     /// Set up every workload (sequentially, chaining the virtual clock) and
-    /// run the measured phase.  `workloads[i]` becomes client `i`.
-    pub fn run(
+    /// run the warm-up and the measured phase.  `workloads[i]` runs on
+    /// `clients[i]` as client `i`.
+    pub fn run<E: EngineOps, W: Workload<E>>(
         &self,
-        engine: &ConcurrentEngine,
-        mut workloads: Vec<ClientWorkload>,
+        clients: &mut [E],
+        workloads: &mut [W],
         start: SimInstant,
     ) -> FlashResult<MultiClientReport> {
-        assert!(!workloads.is_empty(), "at least one client workload");
-        let mut sessions: Vec<ClientSession> =
-            (0..workloads.len()).map(|_| engine.session()).collect();
+        assert!(!clients.is_empty(), "at least one client");
+        assert_eq!(clients.len(), workloads.len(), "one workload per client");
         let mut t = start;
-        for (w, s) in workloads.iter_mut().zip(sessions.iter_mut()) {
-            t = w.setup(s, t)?;
+        for (w, e) in workloads.iter_mut().zip(clients.iter_mut()) {
+            t = w.setup(e, t)?;
         }
-        let n = workloads.len();
+        let n = clients.len();
         let mut time = vec![t; n];
+        // The warm-up is a total count, laggard over all clients.
         for _ in 0..self.config.warmup_per_client * n as u64 {
-            let c = BenchmarkDriver::laggard(&time);
-            let (end, _) = workloads[c].run_transaction(&mut sessions[c], c, time[c])?;
-            time[c] = sessions[c].maybe_flush(end)?.max(end);
+            let c = laggard(&time);
+            time[c] = Self::turn(&mut clients[c], &mut workloads[c], c, time[c])?;
         }
-        let measure_start = *time.iter().max().expect("clients");
-        for t in time.iter_mut() {
-            *t = (*t).max(measure_start);
-        }
-        let mut done = vec![0u64; n];
-        while done.iter().any(|&d| d < self.config.transactions_per_client) {
-            // Laggard stepping among clients that still have work.
-            let c = time
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| done[*i] < self.config.transactions_per_client)
-                .min_by_key(|(_, &t)| t)
-                .map(|(i, _)| i)
-                .expect("unfinished client");
-            let (end, _) = workloads[c].run_transaction(&mut sessions[c], c, time[c])?;
-            time[c] = sessions[c].maybe_flush(end)?.max(end);
-            done[c] += 1;
-        }
-        let clients = workloads
-            .iter()
-            .zip(sessions.iter())
-            .enumerate()
-            .map(|(i, (w, s))| ClientRun {
-                client: i,
-                workload: Workload::<ClientSession>::name(&**w).to_string(),
-                transactions: self.config.transactions_per_client,
-                start: measure_start,
-                end: time[i],
-                commits: s.commits().to_vec(),
-            })
-            .collect();
-        Ok(self.report(clients, measure_start))
-    }
-
-    fn report(&self, clients: Vec<ClientRun>, measure_start: SimInstant) -> MultiClientReport {
-        let transactions: u64 = clients.iter().map(|c| c.transactions).sum();
-        let measure_end = clients
-            .iter()
-            .map(|c| c.end)
-            .max()
-            .expect("at least one client");
-        let duration_ns = measure_end.saturating_sub(measure_start).max(1);
-        let aggregate_tps = transactions as f64 / (duration_ns as f64 / 1e9);
-        MultiClientReport {
-            clients,
+        let measure_start = align(&mut time);
+        let per_client = self.config.transactions_per_client;
+        Self::step(clients, workloads, &mut time, per_client)?;
+        let transactions = per_client * n as u64;
+        let measure_end = *time.iter().max().expect("at least one client");
+        let (duration_ns, aggregate_tps) = measured(transactions, measure_start, measure_end);
+        Ok(MultiClientReport {
             transactions,
             duration_ns,
             aggregate_tps,
+        })
+    }
+
+    /// The closed-loop step: `per_client` transactions on every client,
+    /// `time[c]` being client `c`'s clock.  The furthest-behind client with
+    /// work left goes first (the lowest index on a tie), and each
+    /// transaction is followed by its handle's `maybe_flush`; on return
+    /// `time[c]` is client `c`'s instant after its last transaction.
+    pub fn step<E: EngineOps, W: Workload<E>>(
+        clients: &mut [E],
+        workloads: &mut [W],
+        time: &mut [SimInstant],
+        per_client: u64,
+    ) -> FlashResult<()> {
+        let n = time.len();
+        let mut left = vec![per_client; n];
+        while let Some(c) = (0..n).filter(|&c| left[c] > 0).min_by_key(|&c| time[c]) {
+            time[c] = Self::turn(&mut clients[c], &mut workloads[c], c, time[c])?;
+            left[c] -= 1;
         }
+        Ok(())
+    }
+
+    /// One transaction of client `c` at `now`, then its handle's flush.
+    fn turn<E: EngineOps, W: Workload<E>>(
+        engine: &mut E,
+        workload: &mut W,
+        c: usize,
+        now: SimInstant,
+    ) -> FlashResult<SimInstant> {
+        let (end, _) = workload.run_transaction(engine, c, now)?;
+        Ok(engine.maybe_flush(end)?.max(end))
     }
 }
 
@@ -541,9 +506,9 @@ impl OpenLoopDriver {
     /// Offer `warmup + requests` requests to `sessions` (round-robin) and
     /// report measured-phase latency.  All sessions must share one engine
     /// (or be one single-threaded engine in a 1-slice).
-    pub fn run(
+    pub fn run<E: EngineOps>(
         &self,
-        sessions: &mut [&mut dyn EngineOps],
+        sessions: &mut [E],
         start: SimInstant,
     ) -> FlashResult<OpenLoopReport> {
         assert!(!sessions.is_empty(), "at least one session");
@@ -578,7 +543,7 @@ impl OpenLoopDriver {
             // as of that instant, so WAL groups still uncommitted at arrival
             // — the backlog of queued-ahead work — are visible pressure, not
             // invisible client-side queueing.
-            let session = &mut *sessions[s];
+            let session = &mut sessions[s];
             let (txn, admitted_at) = match session.begin_admitted(arrival) {
                 Ok(ok) => {
                     observed.0 += 1;
@@ -640,8 +605,7 @@ impl OpenLoopDriver {
                 }
             }
         }
-        let duration_ns = measure_end.saturating_sub(measure_start).max(1);
-        let secs = duration_ns as f64 / 1e9;
+        let (duration_ns, completed_tps) = measured(completed, measure_start, measure_end);
         Ok(OpenLoopReport {
             backend: sessions[0].backend_name(),
             requests: cfg.requests,
@@ -655,7 +619,7 @@ impl OpenLoopDriver {
             update_latency,
             duration_ns,
             offered_tps: 1e9 / cfg.arrivals.mean_interarrival_ns() as f64,
-            completed_tps: completed as f64 / secs,
+            completed_tps,
         })
     }
 }
@@ -664,7 +628,8 @@ impl OpenLoopDriver {
 mod tests {
     use super::*;
     use crate::tpcb::{TpcB, TpcBConfig};
-    use storage_engine::{backend::MemBackend, AdmissionConfig, EngineConfig, StorageEngine};
+    use storage_engine::backend::MemBackend;
+    use storage_engine::{AdmissionConfig, ClientSession, ConcurrentEngine, EngineConfig, TxnId};
 
     fn engine() -> StorageEngine {
         let mut cfg = EngineConfig::new();
@@ -697,8 +662,9 @@ mod tests {
 
     #[test]
     fn laggard_selects_minimum() {
-        assert_eq!(BenchmarkDriver::laggard(&[5, 2, 9]), 1);
-        assert_eq!(BenchmarkDriver::laggard(&[1]), 0);
+        assert_eq!(laggard(&[5, 2, 9]), 1);
+        assert_eq!(laggard(&[4, 2, 2]), 1, "a tie goes to the lowest index");
+        assert_eq!(laggard(&[1]), 0);
     }
 
     #[test]
@@ -713,10 +679,10 @@ mod tests {
         ConcurrentEngine::new(Box::new(MemBackend::new(4096, 16_384)), cfg, shards)
     }
 
-    fn client_workloads(n: usize) -> Vec<ClientWorkload> {
+    fn client_workloads(n: usize) -> Vec<TpcB> {
         (0..n)
             .map(|i| {
-                Box::new(TpcB::with_prefix(
+                TpcB::with_prefix(
                     TpcBConfig {
                         scale_factor: 1,
                         tellers_per_branch: 3,
@@ -724,9 +690,25 @@ mod tests {
                         seed: 7 + i as u64,
                     },
                     format!("c{i}_"),
-                )) as ClientWorkload
+                )
             })
             .collect()
+    }
+
+    /// Run `per_client` transactions on each of `n` sessions of a
+    /// `shards`-shard engine; the report and each session's commit stream.
+    fn multi_client_run(
+        shards: usize,
+        n: usize,
+        per_client: u64,
+    ) -> (MultiClientReport, Vec<Vec<(TxnId, SimInstant)>>) {
+        let e = concurrent_engine(shards);
+        let mut sessions: Vec<ClientSession> = (0..n).map(|_| e.session()).collect();
+        let report = MultiClientDriver::new(MultiClientConfig::new(per_client))
+            .run(&mut sessions, &mut client_workloads(n), 0)
+            .unwrap();
+        let streams = sessions.iter().map(|s| s.commits().to_vec()).collect();
+        (report, streams)
     }
 
     fn open_noftl_engine(admission: Option<AdmissionConfig>) -> StorageEngine {
@@ -757,7 +739,7 @@ mod tests {
             },
         ));
         let start = driver.setup(&mut e, 0).unwrap();
-        let report = driver.run(&mut [&mut e], start).unwrap();
+        let report = driver.run(std::slice::from_mut(&mut e), start).unwrap();
         assert_eq!(report.requests, 200);
         assert_eq!(report.completed, 200, "no admission window: nothing shed");
         assert_eq!(report.shed, 0);
@@ -783,7 +765,7 @@ mod tests {
         let mut e = open_noftl_engine(None);
         let driver = OpenLoopDriver::new(small_open_loop(300, Arrivals::Fixed { interval_ns: 100 }));
         let start = driver.setup(&mut e, 0).unwrap();
-        let report = driver.run(&mut [&mut e], start).unwrap();
+        let report = driver.run(std::slice::from_mut(&mut e), start).unwrap();
         assert_eq!(report.completed, 300);
         let (p50, _, p999) = report.latency_percentiles();
         assert!(p50 <= p999);
@@ -815,7 +797,7 @@ mod tests {
                 },
             ));
             let start = driver.setup(&mut e, 0).unwrap();
-            driver.run(&mut [&mut e], start).unwrap()
+            driver.run(std::slice::from_mut(&mut e), start).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.duration_ns, b.duration_ns);
@@ -836,7 +818,7 @@ mod tests {
         let driver = OpenLoopDriver::new(olcfg);
         let start = driver.setup(&mut e, 0).unwrap();
         let setup_commits = e.committed();
-        let report = driver.run(&mut [&mut e], start).unwrap();
+        let report = driver.run(std::slice::from_mut(&mut e), start).unwrap();
         assert!(report.shed > 0, "overload fixture must shed");
         let (admitted, _, shed) = report.observed;
         assert_eq!(report.admission.admitted, admitted);
@@ -853,41 +835,30 @@ mod tests {
 
     #[test]
     fn multi_client_deterministic_run_reports_per_client_streams() {
-        let e = concurrent_engine(4);
-        let driver = MultiClientDriver::new(MultiClientConfig::new(20));
-        let report = driver.run(&e, client_workloads(4), 0).unwrap();
-        assert_eq!(report.clients.len(), 4);
+        let (report, streams) = multi_client_run(4, 4, 20);
         assert_eq!(report.transactions, 80);
         assert!(report.aggregate_tps > 0.0);
-        for c in &report.clients {
-            assert_eq!(c.transactions, 20);
+        for commits in &streams {
             // At least setup (1) + measured (20) commits, strictly ordered
             // per client (warmup distribution depends on the backend's
             // virtual latencies).
-            assert!(c.commits.len() >= 21);
-            for w in c.commits.windows(2) {
+            assert!(commits.len() >= 21);
+            for w in commits.windows(2) {
                 assert!(w[0].0 < w[1].0);
                 assert!(w[0].1 <= w[1].1);
             }
         }
         // Nothing lost: setups (4) + warmups (4 × 2) + measured (80).
-        let total: usize = report.clients.iter().map(|c| c.commits.len()).sum();
+        let total: usize = streams.iter().map(Vec::len).sum();
         assert_eq!(total, 92);
     }
 
     #[test]
     fn multi_client_deterministic_run_is_reproducible() {
-        let run = || {
-            let e = concurrent_engine(2);
-            MultiClientDriver::new(MultiClientConfig::new(15))
-                .run(&e, client_workloads(2), 0)
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
+        let (a, a_streams) = multi_client_run(2, 2, 15);
+        let (b, b_streams) = multi_client_run(2, 2, 15);
         assert_eq!(a.duration_ns, b.duration_ns);
         assert_eq!(a.aggregate_tps, b.aggregate_tps);
-        for (x, y) in a.clients.iter().zip(&b.clients) {
-            assert_eq!(x.commits, y.commits, "same seeds must give same streams");
-        }
+        assert_eq!(a_streams, b_streams, "same seeds must give same streams");
     }
 }

@@ -41,9 +41,8 @@ pub mod trace;
 pub mod workload;
 
 pub use driver::{
-    Arrivals, BenchmarkDriver, ClientRun, ClientWorkload, DriverConfig, DriverReport,
-    MultiClientConfig, MultiClientDriver, MultiClientReport, OpenLoopConfig, OpenLoopDriver,
-    OpenLoopReport,
+    Arrivals, BenchmarkDriver, DriverConfig, DriverReport, MultiClientConfig, MultiClientDriver,
+    MultiClientReport, OpenLoopConfig, OpenLoopDriver, OpenLoopReport,
 };
 pub use tpcb::{TpcB, TpcBConfig};
 pub use tpcc::{TpcC, TpcCConfig};

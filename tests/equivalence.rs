@@ -805,7 +805,7 @@ mod slo_off_identity {
     use noftl::nand_flash::FlashGeometry;
     use noftl::noftl_core::{FlusherAssignment, NoFtlConfig};
     use noftl::storage_engine::backend::StackConfig;
-    use noftl::storage_engine::{EngineOps, StorageEngine};
+    use noftl::storage_engine::StorageEngine;
     use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver};
 
     #[test]
@@ -827,8 +827,7 @@ mod slo_off_identity {
         olcfg.row_bytes = 64;
         let driver = OpenLoopDriver::new(olcfg);
         let t0 = driver.setup(&mut engine, 0).expect("setup");
-        let mut slots: [&mut dyn EngineOps; 1] = [&mut engine];
-        let report = driver.run(&mut slots, t0).expect("run");
+        let report = driver.run(std::slice::from_mut(&mut engine), t0).expect("run");
         // Every begin is either admitted or shed, and the engine's counters
         // say which.
         assert_eq!(

@@ -10,8 +10,10 @@
 //! zero committed-data loss, truthful fault, redundancy and rebuild
 //! statistics, serializable sessions with shard counters that sum to the
 //! aggregate — and [`Storm::crash`] rebuilds the log from the medium alone
-//! after a crash.  One thread steps every client on the virtual clock, so a
-//! storm is a pure function of its scenario.
+//! after a crash.  One thread steps every client on the virtual clock — a
+//! lone client under `BenchmarkDriver`, sessions under the one closed-loop
+//! step `MultiClientDriver::step` — so a storm is a pure function of its
+//! scenario.
 
 use std::collections::HashSet;
 
@@ -23,8 +25,9 @@ use noftl::storage_engine::{
     AdmissionConfig, ClientSession, ConcurrentEngine, EngineOps, LogRecord,
     LogStream, NoFtlBackend, StackConfig, StorageBackend, StorageEngine, TxnId, WalManager,
 };
+use noftl::workloads::workload::TxnKind;
 use noftl::workloads::{
-    BenchmarkDriver, DriverConfig, TpcB, TpcBConfig, TpcC, TpcCConfig, Workload,
+    BenchmarkDriver, DriverConfig, MultiClientDriver, TpcB, TpcBConfig, TpcC, TpcCConfig, Workload,
 };
 
 use RedundancyPolicy::{Mirror, Parity};
@@ -268,27 +271,25 @@ pub enum Load {
     C(Box<TpcC>),
 }
 
-impl Load {
-    pub fn setup<E: EngineOps>(&mut self, e: &mut E, now: SimInstant) -> SimInstant {
+impl<E: EngineOps> Workload<E> for Load {
+    fn name(&self) -> &'static str {
+        match self {
+            Load::B(w) => Workload::<E>::name(w.as_ref()),
+            Load::C(w) => Workload::<E>::name(w.as_ref()),
+        }
+    }
+
+    fn setup(&mut self, e: &mut E, now: SimInstant) -> FlashResult<SimInstant> {
         match self {
             Load::B(w) => w.setup(e, now),
             Load::C(w) => w.setup(e, now),
         }
-        .expect("load")
     }
 
-    pub fn run<E: EngineOps>(&mut self, e: &mut E, client: usize, now: SimInstant) -> FlashResult<SimInstant> {
+    fn run_transaction(&mut self, e: &mut E, client: usize, now: SimInstant) -> FlashResult<(SimInstant, TxnKind)> {
         match self {
             Load::B(w) => w.run_transaction(e, client, now),
             Load::C(w) => w.run_transaction(e, client, now),
-        }
-        .map(|(end, _)| end)
-    }
-
-    pub fn workload(&mut self) -> &mut dyn Workload {
-        match self {
-            Load::B(w) => w.as_mut(),
-            Load::C(w) => w.as_mut(),
         }
     }
 }
@@ -343,10 +344,10 @@ impl Storm {
         let mut loads: Vec<Load> = (0..sc.clients).map(|c| sc.load(c)).collect();
         let mut now = 0;
         match &mut engine {
-            Engine::One(e) => now = loads[0].setup(e.as_mut(), now),
+            Engine::One(e) => now = loads[0].setup(e.as_mut(), now).expect("load"),
             Engine::Many(_, sessions) => {
                 for (load, s) in loads.iter_mut().zip(sessions) {
-                    now = load.setup(s, now);
+                    now = load.setup(s, now).expect("load");
                 }
             }
         }
@@ -371,19 +372,20 @@ impl Storm {
 
     /// The one driver step: `txns` more transactions per client, then a
     /// barrier.  A lone client runs under `BenchmarkDriver`, sessions under
-    /// [`step_sessions`].  A failed step panics with the device's failure
-    /// counters.
+    /// `MultiClientDriver::step`.  A failed step panics with the device's
+    /// failure counters.
     pub fn drive(&mut self, txns: u64) {
         let start = self.now;
         let result = match &mut self.engine {
             Engine::One(e) => {
                 let cfg = DriverConfig::new(3, txns);
                 self.ran += cfg.transactions + cfg.warmup_transactions;
-                BenchmarkDriver::new(cfg).run(e, self.loads[0].workload(), start).map(|_| e.quiesce(start))
+                BenchmarkDriver::new(cfg).run(e, &mut self.loads[0], start).map(|_| e.quiesce(start))
             }
             Engine::Many(_, sessions) => {
                 self.ran += txns;
-                step_sessions(sessions, &mut self.loads, txns, start).map(|ends| {
+                let mut ends = vec![start; sessions.len()];
+                MultiClientDriver::step(sessions, &mut self.loads, &mut ends, txns).map(|()| {
                     let last = ends.iter().copied().max().unwrap_or(start);
                     self.ends = ends;
                     sessions[0].quiesce(last)
@@ -471,26 +473,6 @@ impl Storm {
         assert_eq!(commits as u64, committed, "a committed transaction was lost by the crash");
         medium
     }
-}
-
-/// `txns` transactions on every session, the furthest-behind client first,
-/// each followed by its session's `maybe_flush`; returns each session's
-/// instant after its last step.  (`MultiClientDriver::run`'s measured loop
-/// is the same policy; the two go when sessions become client ids.)
-pub fn step_sessions(
-    sessions: &mut [ClientSession],
-    loads: &mut [Load],
-    txns: u64,
-    start: SimInstant,
-) -> FlashResult<Vec<SimInstant>> {
-    let mut time = vec![start; sessions.len()];
-    let mut left = vec![txns; sessions.len()];
-    while let Some(c) = (0..time.len()).filter(|&c| left[c] > 0).min_by_key(|&c| time[c]) {
-        let end = loads[c].run(&mut sessions[c], c, time[c])?;
-        time[c] = sessions[c].maybe_flush(end)?.max(end);
-        left[c] -= 1;
-    }
-    Ok(time)
 }
 
 /// The log recovered from the medium alone, scanning from `start_seq`.

@@ -417,11 +417,11 @@ fn open_loop(case: u64) -> (Engine, OpenLoopReport, u64) {
     }
     .expect("setup");
     let setup_committed = engine.ops(0).committed();
-    let mut slots: Vec<&mut dyn EngineOps> = match &mut engine {
-        Engine::One(e) => vec![e.as_mut()],
-        Engine::Many(_, s) => s.iter_mut().map(|s| s as &mut dyn EngineOps).collect(),
-    };
-    let report = driver.run(&mut slots, t0).expect("run");
+    let report = match &mut engine {
+        Engine::One(e) => driver.run(std::slice::from_mut(e.as_mut()), t0),
+        Engine::Many(_, s) => driver.run(s, t0),
+    }
+    .expect("run");
     (engine, report, setup_committed)
 }
 
