@@ -285,7 +285,8 @@ pub fn run_client_scaling(client_counts: &[usize], dies: u32, per_client: u64) -
     let depth = 8;
     let points = client_counts
         .iter()
-        .map(|&c| (c.max(1), run_point(c.max(1), dies, depth, per_client)))
+        .map(|&c| c.max(1))
+        .map(|c| (c, run_point(c, dies, depth, per_client)))
         .collect();
     ClientScaling {
         dies,
