@@ -285,13 +285,29 @@ pub fn render_table(points: &[AvailabilityPoint]) -> String {
 mod tests {
     use super::*;
 
+    /// `(p99_ns, p999_ns, stall_ns, degraded_reads, pages_rebuilt,
+    /// rebuild_scheduled)` of a leg, pinned exactly: every leg is
+    /// deterministic, so any drift is a change to the model.
+    fn cells(p: &AvailabilityPoint) -> (u64, u64, u64, u64, u64, u64) {
+        (
+            p.p99_ns,
+            p.p999_ns,
+            p.stall_ns,
+            p.degraded_reads,
+            p.pages_rebuilt,
+            p.rebuild_scheduled,
+        )
+    }
+
     /// The PR 10 availability bar: with the rebuild spread through the SLO
     /// hook, the foreground p999 during the rebuild stays within 10x the
     /// no-failure baseline — and nothing is lost.
     #[test]
     fn scheduled_rebuild_holds_foreground_p999_within_10x_baseline() {
         let base = run_point(RebuildMode::NoFailure).unwrap();
+        assert_eq!(cells(&base), (3_612_920, 4_013_920, 0, 0, 0, 0));
         let sched = run_point(RebuildMode::Scheduled).unwrap();
+        assert_eq!(cells(&sched), (4_056_160, 4_413_920, 0, 2, 98, 13));
         assert_eq!(base.pages_lost, 0);
         assert_eq!(base.stall_ns, 0);
         assert!(
@@ -327,7 +343,12 @@ mod tests {
     #[test]
     fn naive_foreground_rebuild_stalls_the_tail() {
         let naive = run_point(RebuildMode::Naive).unwrap();
+        assert_eq!(
+            cells(&naive),
+            (39_983_160, 62_369_760, 61_728_800, 1, 100, 1)
+        );
         let sched = run_point(RebuildMode::Scheduled).unwrap();
+        assert_eq!(cells(&sched), (4_056_160, 4_413_920, 0, 2, 98, 13));
         assert!(naive.stall_ns > 0, "rebuild_all must have run: {naive:?}");
         assert_eq!(naive.pages_lost, 0, "parity loses nothing: {naive:?}");
         assert!(naive.pages_rebuilt > 0);

@@ -259,12 +259,34 @@ mod tests {
     /// The divergence gap: offered rate well past the write-path capacity.
     const OVERLOAD_GAP_NS: u64 = 150_000;
 
+    /// `(p50_ns, p99_ns, p999_ns, completed, shed, (admitted, delayed,
+    /// admission_shed))` of a point, pinned exactly: every point is
+    /// deterministic, so any drift is a change to the model.
+    fn cells(p: &SloPoint) -> (u64, u64, u64, u64, u64, (u64, u64, u64)) {
+        (
+            p.p50_ns,
+            p.p99_ns,
+            p.p999_ns,
+            p.completed,
+            p.shed,
+            (p.admitted, p.delayed, p.admission_shed),
+        )
+    }
+
     #[test]
     fn off_leg_p999_diverges_with_run_length() {
         // Open-loop overload with no admission control: the queue grows
         // linearly, so doubling the run roughly doubles the tail.
         let short = run_point(false, 1, OVERLOAD_GAP_NS, 300).unwrap();
+        assert_eq!(
+            cells(&short),
+            (22_020_095, 39_009_315, 39_009_315, 300, 0, (0, 0, 0))
+        );
         let long = run_point(false, 1, OVERLOAD_GAP_NS, 600).unwrap();
+        assert_eq!(
+            cells(&long),
+            (41_943_039, 71_303_167, 71_404_274, 600, 0, (0, 0, 0))
+        );
         assert_eq!(short.shed, 0, "no shedding without a window");
         assert_eq!(short.completed, 300, "everything completes, however late");
         assert!(
@@ -285,6 +307,10 @@ mod tests {
     #[test]
     fn slo_leg_holds_p999_bounded_at_the_divergence_point() {
         let on = run_point(true, 1, OVERLOAD_GAP_NS, 600).unwrap();
+        assert_eq!(
+            cells(&on),
+            (2_228_223, 2_621_439, 2_647_772, 333, 267, (381, 380, 279))
+        );
         assert!(on.shed > 0, "overload must actually shed: {on:?}");
         assert!(
             on.p999_ns <= 10 * on.p50_ns.max(1),
@@ -309,7 +335,12 @@ mod tests {
     #[test]
     fn under_capacity_both_legs_agree_and_nothing_sheds() {
         let off = run_point(false, 1, 2_000_000, 200).unwrap();
+        assert_eq!(cells(&off), (253_951, 589_823, 732_851, 200, 0, (0, 0, 0)));
         let on = run_point(true, 1, 2_000_000, 200).unwrap();
+        assert_eq!(
+            cells(&on),
+            (253_951, 1_703_935, 1_827_325, 200, 0, (220, 44, 0))
+        );
         assert_eq!(off.shed, 0);
         assert_eq!(on.shed, 0, "no shedding under capacity: {on:?}");
         assert_eq!(off.completed, 200);
@@ -319,6 +350,10 @@ mod tests {
     #[test]
     fn concurrent_sessions_shed_and_reconcile_under_overload() {
         let on = run_point(true, 4, OVERLOAD_GAP_NS, 400).unwrap();
+        assert_eq!(
+            cells(&on),
+            (2_097_151, 2_251_171, 2_251_171, 232, 168, (267, 266, 173))
+        );
         assert_eq!(
             (on.admitted, on.delayed, on.admission_shed),
             on.observed,
