@@ -13,11 +13,13 @@
 //!   is detected.  Every request that arrives during the rebuild queues
 //!   behind it, so one stall blows the tail.
 //! * **scheduled** — the die is killed at the same instant, but rebuild
-//!   proceeds as bounded background steps through the PR 9 SLO hook
+//!   proceeds as bounded background steps through the SLO hook
 //!   ([`StorageEngine::maybe_flush`] calls the backend's `schedule_rebuild`
-//!   when `slo_scheduling` is on), deferring to read-hot instants.
-//!   Foreground requests are served — degraded where necessary — and the
-//!   acceptance bar holds p999 within 10x the no-failure baseline.
+//!   when `slo_scheduling` is on).  The NoFTL config keeps
+//!   `gc_schedule_read_occupancy` at 0, so no step defers as read-hot
+//!   (`rebuild_deferred_hot` stays 0): every step offered runs.  Foreground
+//!   requests are served — degraded where necessary — and the acceptance
+//!   bar holds p999 within 10x the no-failure baseline.
 //!
 //! Requests arrive on a fixed open-loop schedule and latency is measured
 //! **from the scheduled arrival**, so a foreground stall is charged to every

@@ -15,13 +15,16 @@
 //!
 //! * **SLO off** — the historical engine: every request is admitted, the
 //!   queue absorbs the excess, and p999 diverges linearly with run length.
-//! * **SLO on** — PR 9's policies: a bounded commit-admission window
-//!   ([`AdmissionConfig`]) sheds requests whose pressure-clear horizon
-//!   exceeds the deadline (a fast, typed [`EngineError::Overloaded`] the
-//!   client can retry), flusher waves defer to busy device queues, and GC is
-//!   scheduled proactively into read-cold instants.  The engine serves at
-//!   its capacity, sheds the rest truthfully, and the latency of what it
-//!   *does* complete stays bounded.
+//! * **SLO on** — the engine half of the `StackConfig::slo` bundle: a
+//!   bounded commit-admission window ([`AdmissionConfig`]) sheds requests
+//!   whose pressure-clear horizon exceeds the deadline (a fast, typed
+//!   [`EngineError::Overloaded`] the client can retry), and `slo_scheduling`
+//!   offers a rebuild step after each flush decision, which is idle here
+//!   because no die fails.  The engine serves at its capacity, sheds the
+//!   rest truthfully, and the latency of what it *does* complete stays
+//!   bounded.  Every on/off difference in the table is the window's, and it
+//!   has a price at low load: at 500 offered TPS and one client the on
+//!   leg's p99 is 1.704 ms against the off leg's 0.508 ms.
 //!
 //! [`EngineError::Overloaded`]: storage_engine::EngineError::Overloaded
 //!
@@ -30,7 +33,7 @@
 
 use nand_flash::FlashResult;
 use noftl_core::{NoFtl, NoFtlConfig};
-use storage_engine::backend::{NoFtlBackend, StackConfig};
+use storage_engine::backend::NoFtlBackend;
 use storage_engine::{
     AdmissionConfig, ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig,
 };
@@ -60,16 +63,11 @@ pub fn slo_admission() -> AdmissionConfig {
     }
 }
 
-fn overload_backend(slo: bool) -> NoFtlBackend {
+fn overload_backend() -> NoFtlBackend {
     let geometry = geometry_for_pages(2_048, 0.55, DIES);
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = DEPTH;
-    // The SLO bundle's GC policies, exactly as `StackConfig::slo` projects them.
-    let knobs = StackConfig {
-        slo,
-        ..StackConfig::default()
-    };
-    NoFtlBackend::new(NoFtl::new(knobs.noftl(ncfg)))
+    NoFtlBackend::new(NoFtl::new(ncfg))
 }
 
 fn overload_engine_config(slo: bool) -> EngineConfig {
@@ -113,7 +111,7 @@ fn overload_workload(interarrival_ns: u64, requests: u64) -> OpenLoopConfig {
 /// One measured sweep point.
 #[derive(Debug, Clone)]
 pub struct SloPoint {
-    /// Whether the SLO policies (admission + load-aware scheduling) were on.
+    /// Whether the SLO bundle (admission window and rebuild offer) was on.
     pub slo: bool,
     /// Sessions the arrivals were spread over.
     pub clients: usize,
@@ -191,7 +189,7 @@ pub fn run_point(
     requests: u64,
 ) -> FlashResult<SloPoint> {
     let driver = OpenLoopDriver::new(overload_workload(interarrival_ns, requests));
-    let backend = overload_backend(slo);
+    let backend = overload_backend();
     let cfg = overload_engine_config(slo);
     let session_count = clients.max(1);
     let engine = ConcurrentEngine::new(Box::new(backend), cfg, session_count);

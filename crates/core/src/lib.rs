@@ -161,9 +161,10 @@
 //! through three stages: **degraded reads** ([`NoFtl::read`] reconstructs a
 //! lost page bit-identical from its stripe or mirror, counting
 //! `degraded_reads`), **online rebuild** ([`NoFtl::schedule_rebuild`] walks
-//! the dead die's mapped pages in bounded background steps through the PR 9
-//! SLO hook, deferring read-hot instants; [`NoFtl::rebuild_all`] is the
-//! foreground variant), and **honest loss accounting** (unprotected pages
+//! the dead die's mapped pages in bounded background steps, offered by the
+//! engine's `maybe_flush` under the SLO bundle and deferred at read-hot
+//! instants when `gc_schedule_read_occupancy` is set; [`NoFtl::rebuild_all`]
+//! is the foreground variant), and **honest loss accounting** (unprotected pages
 //! keep their dead mapping, reads fail typed `DieFailed` so WAL-replay can
 //! take over, and [`NoFtlStats`]`::pages_lost` counts them —
 //! truthfulness is pinned by `tests/storms.rs`' die-failure storms).

@@ -287,19 +287,7 @@ impl NoFtl {
         self.device.set_backfill_occupancy(on);
     }
 
-    /// Current read-heat penalty of GC victim scoring.
-    pub fn gc_read_heat_penalty(&self) -> f64 {
-        self.gc_read_heat_penalty
-    }
-
-    /// Proactive GC scheduling threshold (`0` = off; see
-    /// [`NoFtl::schedule_gc`]).
-    pub fn gc_schedule_read_occupancy(&self) -> usize {
-        self.gc_schedule_read_occupancy
-    }
-
-    /// Commands in flight across every die as of `now` — the foreground-load
-    /// signal DBMS-side schedulers (flusher throttle, proactive GC) consult.
+    /// Commands in flight across every die as of `now`.
     pub fn queue_occupancy(&self, now: SimInstant) -> usize {
         self.device.inflight_total(now)
     }
@@ -1087,7 +1075,7 @@ mod tests {
         // Regression: at depth > 1 a single-page host write (a one-page WAL
         // force, a per-page flush) used to program its die directly, past
         // the die queue — neither gated behind a full queue nor visible to
-        // the occupancy signals the flush throttle and `schedule_gc` read.
+        // the occupancy signal `schedule_gc` reads.
         let mut n = small_noftl();
         n.set_async_depth(8);
         let g = *n.device().geometry();

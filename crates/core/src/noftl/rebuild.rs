@@ -7,8 +7,9 @@ use sim_utils::time::SimInstant;
 use super::NoFtl;
 
 /// Mapped pages one background rebuild step reconstructs before yielding —
-/// small so foreground traffic slips between steps (the SLO scheduler
-/// additionally defers steps into read-cold instants).
+/// small so foreground traffic slips between steps (a positive
+/// `gc_schedule_read_occupancy` additionally defers steps at read-hot
+/// instants).
 const REBUILD_BATCH_PAGES: u64 = 8;
 
 impl NoFtl {

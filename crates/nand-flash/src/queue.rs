@@ -80,9 +80,7 @@ impl CommandQueues {
             .count()
     }
 
-    /// Total commands in flight across every die as of `now` — the foreground
-    /// queue-depth signal load-aware schedulers (flusher throttling, GC
-    /// deferral) consult before launching background waves.
+    /// Total commands in flight across every die as of `now`.
     pub fn inflight_total(&self, now: SimInstant) -> usize {
         (0..self.dies.len()).map(|d| self.inflight_on(d, now)).sum()
     }

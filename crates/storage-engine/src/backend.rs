@@ -27,19 +27,11 @@ pub const DEFAULT_BATCH_PAGES: usize = 64;
 /// ([`StackConfig::readahead_window`]).
 pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 
-/// Proactive-GC read-occupancy threshold (in-flight reads) of the
-/// [`StackConfig::slo`] bundle (see
+/// Read-occupancy threshold (in-flight device reads) of the
+/// [`StackConfig::slo`] bundle: a background rebuild step offered while this
+/// many reads are in flight defers (see
 /// [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`]).
 pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
-
-/// GC read-heat victim penalty of the [`StackConfig::slo`] bundle (see
-/// [`noftl_core::NoFtlConfig::gc_read_heat_penalty`]).
-pub const DEFAULT_SLO_GC_READ_HEAT_PENALTY: f64 = 1.0;
-
-/// Device-queue occupancy (in-flight operations) at which a flusher wave
-/// defers to foreground traffic under the [`StackConfig::slo`] bundle (see
-/// [`crate::flusher::FlusherPool::set_throttle_occupancy`]).
-pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
 
 /// The six stack-wide settings as one typed value: a stack is a pure
 /// function of it, and its caller states it in code — nothing in this
@@ -65,8 +57,15 @@ pub struct StackConfig {
     pub readahead_window: usize,
     /// Seeded fault-injection plan armed on the device; default none.
     pub faults: Option<nand_flash::FaultPlan>,
-    /// The overload bundle — WAL commit-admission window, load-aware flusher
-    /// throttling, proactive GC into read-cold instants; default off.
+    /// The overload bundle; default off.  It sets
+    /// [`EngineConfig::admission`] (the WAL commit-admission window, which
+    /// sheds arrivals whose wait would pass a deadline),
+    /// [`EngineConfig::slo_scheduling`] (one bounded rebuild step offered
+    /// after each flush decision) and
+    /// [`DEFAULT_SLO_GC_READ_OCCUPANCY`] as the NoFTL read-occupancy
+    /// threshold (a rebuild step defers at a read-hot instant).  The window
+    /// has a price at low load: in `slo_overload` at 500 offered TPS and one
+    /// client it raises p99 from 0.508 to 1.704 ms.
     pub slo: bool,
     /// One redundancy policy for every region; default none.
     pub redundancy: Option<RedundancyPolicy>,
@@ -108,15 +107,15 @@ impl StackConfig {
         }
     }
 
-    /// `base` under these settings: queue depth, the SLO bundle's GC policies
-    /// and the redundancy policy (applied to every region).
+    /// `base` under these settings: queue depth, the SLO bundle's
+    /// read-occupancy threshold and the redundancy policy (applied to every
+    /// region).
     pub fn noftl(&self, mut base: NoFtlConfig) -> NoFtlConfig {
         if self.async_depth > 1 {
             base.async_queue_depth = self.async_depth;
         }
         if self.slo {
             base.gc_schedule_read_occupancy = DEFAULT_SLO_GC_READ_OCCUPANCY;
-            base.gc_read_heat_penalty = DEFAULT_SLO_GC_READ_HEAT_PENALTY;
         }
         if let Some(policy) = self.redundancy {
             base.redundancy = vec![policy; base.striping.regions(&base.geometry)];
@@ -385,27 +384,22 @@ pub trait StorageBackend {
         now
     }
 
-    /// Commands in flight on the device as of `now` — the foreground-load
-    /// signal the load-aware flusher throttle consults before launching a
-    /// wave.  Back ends without device queues report no pressure.
+    /// Commands in flight on the device as of `now`.  Back ends without
+    /// device queues report no pressure.
     fn queue_occupancy(&self, _now: SimInstant) -> usize {
         0
     }
 
     /// Give the backend one opportunity for proactive background
-    /// reclamation at a load-chosen instant (the NoFTL backend relocates a
-    /// GC victim only while the device is read-cold; see
-    /// [`noftl_core::NoFtl::schedule_gc`]).  Returns the completion instant
-    /// of any work done (at least `now`); back ends without
-    /// background work return `now` unchanged.
+    /// reclamation.  No back end here overrides it and the engine never
+    /// calls it; it returns `now` unchanged.
     fn schedule_background_gc(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
         Ok(now)
     }
 
     /// Give the backend one opportunity for background rebuild work after a
-    /// die failure, at a load-chosen instant (the NoFTL backend reconstructs
-    /// a bounded batch of lost pages onto surviving dies only while the
-    /// device is read-cold; see [`noftl_core::NoFtl::schedule_rebuild`]).
+    /// die failure (the NoFTL backend reconstructs a bounded batch of lost
+    /// pages onto surviving dies; see [`noftl_core::NoFtl::schedule_rebuild`]).
     /// Returns the completion instant of any work done (at least `now`);
     /// back ends without redundancy machinery return `now` unchanged.
     fn schedule_rebuild(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
@@ -547,10 +541,6 @@ impl StorageBackend for NoFtlBackend {
 
     fn queue_occupancy(&self, now: SimInstant) -> usize {
         self.noftl.queue_occupancy(now)
-    }
-
-    fn schedule_background_gc(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        Ok(self.noftl.schedule_gc(now)?.unwrap_or(now))
     }
 
     fn schedule_rebuild(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
@@ -906,11 +896,17 @@ mod tests {
             (f.writers, f.assignment, f.batch_pages, f.async_depth),
             (3, FlusherAssignment::DieWise, 16, 6)
         );
-        let b = knobs.noftl_backend(NoFtlConfig::new(FlashGeometry::small()));
+        let base = NoFtlConfig::new(FlashGeometry::small());
+        let mut no_slo = StackConfig { slo: false, ..knobs.clone() }.noftl(base.clone());
+        no_slo.gc_schedule_read_occupancy = DEFAULT_SLO_GC_READ_OCCUPANCY;
+        assert_eq!(
+            format!("{:?}", knobs.noftl(base.clone())),
+            format!("{no_slo:?}"),
+            "the SLO bundle sets one NoFTL field, the read-occupancy threshold"
+        );
+        let b = knobs.noftl_backend(base);
         assert_eq!(b.noftl().async_depth(), 6);
         assert_eq!(b.noftl().device().fault_plan().map(|p| p.seed), Some(987654));
-        assert_eq!(b.noftl().gc_schedule_read_occupancy(), DEFAULT_SLO_GC_READ_OCCUPANCY);
-        assert_eq!(b.noftl().gc_read_heat_penalty(), DEFAULT_SLO_GC_READ_HEAT_PENALTY);
         for r in 0..b.regions() {
             assert_eq!(b.noftl().redundancy_policy(r), RedundancyPolicy::Mirror);
         }

@@ -16,9 +16,7 @@
 use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
 
-use crate::backend::{
-    BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW, DEFAULT_SLO_FLUSH_OCCUPANCY,
-};
+use crate::backend::{BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW};
 use crate::btree::BTree;
 use crate::buffer::{BufferStats, ReadaheadStats};
 use crate::catalog::Catalog;
@@ -153,10 +151,11 @@ pub struct EngineConfig {
     /// leaves admission unbounded (every begin admits immediately — the
     /// historical behaviour, and the default).
     pub admission: Option<AdmissionConfig>,
-    /// Load-aware background scheduling: flusher waves defer to busy device
-    /// queues and GC is proactively scheduled into read-cold instants.  Off,
-    /// [`StorageEngine::maybe_flush`] is bit- and cycle-identical to the
-    /// pre-SLO engine.  Defaults to off.
+    /// Online rebuild as background work: [`StorageEngine::maybe_flush`]
+    /// offers the backend one bounded rebuild step after each flush
+    /// decision, so the pages of a failed die are reconstructed at a pace
+    /// set by foreground load.  Off, `maybe_flush` only flushes.  Defaults
+    /// to off.
     pub slo_scheduling: bool,
 }
 
@@ -202,7 +201,7 @@ pub struct StorageEngine {
     rescued_pages: u64,
     /// Commit-admission window (`None` = unbounded, the historical model).
     admission: Option<AdmissionControl>,
-    /// Load-aware flusher-throttle / proactive-GC hooks in `maybe_flush`.
+    /// Whether `maybe_flush` offers the backend a rebuild step.
     slo_scheduling: bool,
 }
 
@@ -249,13 +248,7 @@ impl StorageEngine {
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
         let flushers = (0..pool.shard_count())
-            .map(|_| {
-                let mut f = FlusherPool::new(config.flushers);
-                if config.slo_scheduling {
-                    f.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
-                }
-                f
-            })
+            .map(|_| FlusherPool::new(config.flushers))
             .collect();
         Self {
             pool,
@@ -303,8 +296,7 @@ impl StorageEngine {
         self.pool.readahead_stats()
     }
 
-    /// Db-writer statistics, summed over the per-shard pools (the throttle
-    /// counters stay zero unless `StackConfig::slo` scheduling is on).
+    /// Db-writer statistics, summed over the per-shard pools.
     pub fn flusher_stats(&self) -> FlusherStats {
         let mut total = FlusherStats::default();
         for f in &self.flushers {
@@ -314,8 +306,6 @@ impl StorageEngine {
             total.batch_submissions += s.batch_submissions;
             total.total_cycle_time += s.total_cycle_time;
             total.max_cycle_time = total.max_cycle_time.max(s.max_cycle_time);
-            total.throttled_waves += s.throttled_waves;
-            total.clear_waves += s.clear_waves;
         }
         total
     }
@@ -813,30 +803,22 @@ impl StorageEngine {
     /// exceeded run.  Returns the time after the slowest flush cycle (or
     /// `now` if nothing ran).
     ///
-    /// Under `StackConfig::slo` scheduling this wave additionally defers to a busy
-    /// device queue ([`FlusherPool::throttled_wave`]) and, after the flush
-    /// decision, offers the backend a proactive GC step into the current
-    /// instant if it is read-cold
-    /// ([`StorageBackend::schedule_background_gc`]) followed by one bounded
-    /// online-rebuild step ([`StorageBackend::schedule_rebuild`]) when a die
-    /// has failed, so lost pages are reconstructed as background work paced
-    /// by foreground load.  Background cost reaches the foreground only
-    /// through device-queue occupancy, never this return value.  With
-    /// scheduling off none of the hooks run — the path is identical to the
-    /// pre-SLO engine.
+    /// With [`EngineConfig::slo_scheduling`] on, the wave is followed by one
+    /// bounded online-rebuild step offered at its end
+    /// ([`StorageBackend::schedule_rebuild`]): after a die failure, lost
+    /// pages are reconstructed as background work paced by foreground load.
+    /// Its cost reaches the foreground only through device-queue occupancy,
+    /// never this return value.  Off, no step is offered.
     pub fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
         // Every shard's wave starts at the same `now`; the slowest one is
         // when the flush is done.
         let mut t = now;
         for (flusher, shard) in self.flushers.iter_mut().zip(self.pool.shards_mut()) {
-            if flusher.should_flush(shard)
-                && !flusher.throttled_wave(shard, self.backend.as_ref(), now)
-            {
+            if flusher.should_flush(shard) {
                 t = t.max(flusher.run_cycle(shard, self.backend.as_mut(), now)?);
             }
         }
         if self.slo_scheduling {
-            self.backend.schedule_background_gc(t)?;
             self.backend.schedule_rebuild(t)?;
         }
         Ok(t)

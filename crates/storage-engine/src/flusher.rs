@@ -129,15 +129,6 @@ pub struct FlusherStats {
     pub total_cycle_time: u64,
     /// Longest single cycle (virtual ns).
     pub max_cycle_time: u64,
-    /// Waves the load-aware throttle deferred because foreground queue
-    /// occupancy was at or above the threshold.  Every
-    /// [`FlusherPool::throttled_wave`] probe with the throttle on lands in
-    /// exactly one of `throttled_waves` / `clear_waves`.
-    pub throttled_waves: u64,
-    /// Waves the throttle allowed through (the device was quiet, or the
-    /// dirty pool hit the emergency level where deferring would risk running
-    /// out of clean frames).
-    pub clear_waves: u64,
 }
 
 /// The db-writer pool.
@@ -150,12 +141,6 @@ pub struct FlusherPool {
     /// [`FlusherConfig::async_depth`]; persists across cycles so successive
     /// flush cycles overlap on the device under the asynchronous model.
     windows: Vec<InflightWindow>,
-    /// Load-aware wave throttle: defer a flush wave while the backend has
-    /// this many commands in flight (0 = off, the pinned legacy behaviour).
-    /// Set by the engine from the `StackConfig::slo` bundle — deliberately not a
-    /// [`FlusherConfig`] field, whose exhaustive literals are pinned all
-    /// over the test suite.
-    throttle_occupancy: usize,
     /// The cycle's dirty-page list and its per-writer partition, kept for
     /// their capacity between cycles.
     dirty: Vec<PageId>,
@@ -169,7 +154,6 @@ impl FlusherPool {
             config,
             stats: FlusherStats::default(),
             windows: vec![InflightWindow::new(); config.writers.max(1)],
-            throttle_occupancy: 0,
             dirty: Vec::new(),
             batches: Vec::new(),
         }
@@ -209,43 +193,6 @@ impl FlusherPool {
     /// Whether a flush cycle should start given the pool's dirty fraction.
     pub fn should_flush(&self, pool: &BufferPool) -> bool {
         pool.dirty_fraction() >= self.config.dirty_high_watermark
-    }
-
-    /// Set the load-aware wave throttle, in in-flight backend commands
-    /// (0 disables the throttle — the pinned legacy behaviour).
-    pub fn set_throttle_occupancy(&mut self, occupancy: usize) {
-        self.throttle_occupancy = occupancy;
-    }
-
-    /// Whether a due flush wave should be *deferred* because the foreground
-    /// is busy: the backend has [`throttle_occupancy`](FlusherPool::set_throttle_occupancy)
-    /// or more commands in flight as of `now`.  Two overrides keep the
-    /// throttle safe: it is inert at occupancy 0 (the knob-off leg probes
-    /// nothing and counts nothing), and a dirty pool at or past 1.5× the
-    /// high watermark (capped at 95 %) always flushes — deferring at the
-    /// emergency level would run the pool out of clean frames and stall the
-    /// foreground worse than the wave it avoided.
-    pub fn throttled_wave(
-        &mut self,
-        pool: &BufferPool,
-        backend: &dyn StorageBackend,
-        now: SimInstant,
-    ) -> bool {
-        if self.throttle_occupancy == 0 {
-            return false;
-        }
-        let emergency = (self.config.dirty_high_watermark * 1.5).min(0.95);
-        if pool.dirty_fraction() >= emergency {
-            self.stats.clear_waves += 1;
-            return false;
-        }
-        if backend.queue_occupancy(now) >= self.throttle_occupancy {
-            self.stats.throttled_waves += 1;
-            true
-        } else {
-            self.stats.clear_waves += 1;
-            false
-        }
     }
 
     /// Partition `dirty` pages among the writers according to the assignment
@@ -790,52 +737,6 @@ mod tests {
         let end = flushers.run_cycle(&mut pool, &mut backend, 7777).unwrap();
         assert_eq!(end, 7777);
         assert_eq!(flushers.stats().cycles, 0);
-    }
-
-    #[test]
-    fn wave_throttle_defers_on_busy_device_but_never_at_emergency_dirty() {
-        let (mut pool, mut backend) = noftl_fixture(4, 8);
-        backend.set_async_depth(4);
-        let mut flushers = FlusherPool::new(FlusherConfig {
-            writers: 2,
-            assignment: FlusherAssignment::DieWise,
-            dirty_high_watermark: 0.5,
-            dirty_low_watermark: 0.0,
-            batch_pages: 8,
-            batch_global: false,
-            async_depth: 4,
-        });
-        // Busy the device: a queued batch is in flight at submit time.
-        let data = vec![9u8; backend.page_size()];
-        let batch: Vec<(u64, &[u8])> = (100..108u64).map(|i| (i, data.as_slice())).collect();
-        let horizon = backend.write_pages(0, &batch).unwrap();
-        assert!(backend.queue_occupancy(0) >= 1);
-
-        // Throttle off (the pinned leg): a busy device never defers and the
-        // counters stay untouched.
-        assert!(!flushers.throttled_wave(&pool, &backend, 0));
-        assert_eq!(flushers.stats(), FlusherStats::default());
-
-        // Throttle on: the busy instant defers, the quiet instant clears.
-        flushers.set_throttle_occupancy(1);
-        assert!(flushers.throttled_wave(&pool, &backend, 0));
-        assert!(!flushers.throttled_wave(&pool, &backend, horizon));
-        let s = flushers.stats();
-        assert_eq!(s.throttled_waves, 1);
-        assert_eq!(s.clear_waves, 1);
-
-        // Emergency override: past 1.5x the high watermark (here 0.75) the
-        // wave always runs, busy device or not — 8 dirty pages in a pool of
-        // at most 16 frames is not yet emergency, so dirty more.
-        for p in 0..8u64 {
-            pool.new_page(&mut backend, 0, 200 + p, |d| d[0] = p as u8).unwrap();
-        }
-        assert!(pool.dirty_fraction() >= 0.75, "fixture must reach emergency");
-        let batch2: Vec<(u64, &[u8])> = (300..308u64).map(|i| (i, data.as_slice())).collect();
-        backend.write_pages(horizon, &batch2).unwrap();
-        assert!(backend.queue_occupancy(horizon) >= 1);
-        assert!(!flushers.throttled_wave(&pool, &backend, horizon));
-        assert_eq!(flushers.stats().clear_waves, 2);
     }
 
     #[test]

@@ -203,7 +203,7 @@
 //! arrival-rate-driven workload (`workloads::OpenLoopDriver`) keeps
 //! offering work whether or not the engine kept up, so queueing delay is
 //! part of every latency sample and an engine without back-pressure shows
-//! an unbounded p999.  Three cooperating policies, all off by default (the
+//! an unbounded p999.  It turns on two policies, both off by default (the
 //! off leg is pinned bit- and cycle-identical by `tests/equivalence.rs`):
 //!
 //! * **WAL admission control** ([`transaction::AdmissionConfig`] decides,
@@ -218,22 +218,17 @@
 //!   nothing logged, safe to retry.  [`transaction::AdmissionStats`] counts
 //!   admitted / delayed / shed truthfully: every arrival lands in exactly
 //!   one of admitted or shed, and the open-loop driver reconciles the
-//!   engine's counters against what its clients observed.
-//! * **Load-aware flusher throttling** ([`flusher::FlusherPool::throttled_wave`])
-//!   — a due flush wave defers while the device queues hold foreground
-//!   work ([`backend::StorageBackend::queue_occupancy`]), unless the pool
-//!   has reached emergency dirtiness (then flushing *is* the foreground
-//!   concern).  [`FlusherStats`] counts throttled vs clear waves.
-//! * **Proactive GC scheduling** ([`backend::StorageBackend::schedule_background_gc`])
-//!   — `maybe_flush` offers the NoFTL core one GC step per call; the core
-//!   runs it only when a region is under pressure *and* the device's
-//!   in-flight read count says the instant is read-cold, deferring (and
-//!   counting `gc_deferred_hot`) otherwise, so reclamation lands in the
-//!   arrival process's natural gaps instead of ahead of point reads.
+//!   engine's counters against what its clients observed.  Every on/off
+//!   difference of the `slo_overload` table is this window's.
+//! * **Background rebuild** — `maybe_flush` offers the backend one bounded
+//!   rebuild step per call (see the next section), and the core defers a
+//!   step while [`backend::DEFAULT_SLO_GC_READ_OCCUPANCY`] reads are in
+//!   flight.
 //!
 //! Engine-side the bundle enters through [`engine::EngineConfig`]
 //! (`admission`, `slo_scheduling`), both off by default;
-//! [`backend::StackConfig::engine`] turns them on when `slo` is set.
+//! [`backend::StackConfig::engine`] turns them on when `slo` is set, and
+//! [`backend::StackConfig::noftl`] sets the read-occupancy threshold.
 //!
 //! ## Die-level failure tolerance (PR 10)
 //!
@@ -244,11 +239,12 @@
 //! `None` (the default) bit- and cycle-identical to a build without it.  The engine's part
 //! of the bargain:
 //!
-//! * [`backend::StorageBackend::schedule_rebuild`] — `maybe_flush` offers
-//!   the core one bounded online-rebuild step per call (right after the
-//!   proactive-GC offer, under the same `slo_scheduling` gate), so pages
-//!   lost to a dead die are re-homed onto surviving dies as background work
-//!   scheduled into read-cold instants rather than one foreground stall.
+//! * [`backend::StorageBackend::schedule_rebuild`] — with `slo_scheduling`
+//!   on, `maybe_flush` offers the core one bounded online-rebuild step per
+//!   call, so pages lost to a dead die are re-homed onto surviving dies as
+//!   background work rather than in one foreground stall.  The core defers
+//!   a step to a read-cold instant only when its
+//!   [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`] is set.
 //! * [`backend::redundancy_op_ratio`] — the over-provisioning floor a
 //!   redundant region needs: parity multiplies the data share by
 //!   `(k+1)/k`, mirroring by 2.

@@ -799,7 +799,7 @@ mod threads_single_client_identity {
 }
 
 /// `StackConfig::slo` on by value.  Off is the default value, and an engine built
-/// from it has no admission window, throttle or proactive GC to differ by;
+/// from it has no admission window or rebuild offer to differ by;
 /// on may change timing (that is the point) but must stay consistent.
 mod slo_off_identity {
     use noftl::nand_flash::FlashGeometry;

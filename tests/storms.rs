@@ -689,8 +689,7 @@ impl Counters {
         }));
         all.extend(totals!(&self.admission => AdmissionStats { admitted, delayed, shed, total_delay_ns }));
         all.extend(totals!(&self.flusher => FlusherStats {
-            cycles, pages_flushed, batch_submissions, total_cycle_time, max_cycle_time, throttled_waves,
-            clear_waves,
+            cycles, pages_flushed, batch_submissions, total_cycle_time, max_cycle_time,
         }));
         all
     }
@@ -698,7 +697,6 @@ impl Counters {
     /// The identities between counters that do not hold.
     fn broken_identities(&self) -> Vec<&'static str> {
         let (f, n, ra, ad, fl) = (&self.flash, &self.noftl, &self.readahead, &self.admission, &self.flusher);
-        let probes = fl.throttled_waves + fl.clear_waves;
         [
             ("per_die_reads sums to reads", f.per_die_reads.iter().sum::<u64>() == f.reads),
             ("per_die_ops sums to total_ops()", f.per_die_ops.iter().sum::<u64>() == f.total_ops()),
@@ -732,7 +730,6 @@ impl Counters {
             ("delayed admissions are admissions", ad.delayed <= ad.admitted),
             ("a flush submission writes a page or more", fl.batch_submissions <= fl.pages_flushed),
             ("the longest flush cycle is part of the total", fl.max_cycle_time <= fl.total_cycle_time),
-            ("a throttled engine runs a flush wave after every clear probe", probes == 0 || fl.clear_waves == fl.cycles),
         ]
         .into_iter()
         .filter(|&(_, holds)| !holds)
@@ -751,9 +748,8 @@ const UNMOVED: &[(&str, &str)] = &[
 ];
 
 /// Eight clients on one engine whose die-wise db-writers keep eight writes
-/// in flight per die over die queues two deep, the SLO scheduling on:
-/// submissions, reads among them, wait for a die-queue slot, and flush waves
-/// fall due while the device is busy.  `StackConfig::noftl` gives the device
+/// in flight per die over die queues two deep: submissions, reads among
+/// them, wait for a die-queue slot.  `StackConfig::noftl` gives the device
 /// the writers' depth, so the stack is built here.
 fn contended_die_queues() -> StorageEngine {
     let mut base = NoFtlConfig::new(FlashGeometry::with_dies(8, 64, 64, 4096));
@@ -761,7 +757,6 @@ fn contended_die_queues() -> StorageEngine {
     let mut cfg = EngineConfig::new();
     cfg.buffer_frames = 128;
     cfg.flushers = FlusherConfig { async_depth: 8, ..FlusherConfig::die_wise(8) };
-    cfg.slo_scheduling = true;
     let mut engine = StorageEngine::new(Box::new(NoFtlBackend::new(NoFtl::new(base))), cfg);
     let mut workload = TpcB::new(TpcBConfig::scaled(4));
     let start = workload.setup(&mut engine, 0).expect("setup");
@@ -774,9 +769,9 @@ fn contended_die_queues() -> StorageEngine {
 /// relocations across two planes per die.  Die 1 dies while a batched write
 /// and a burst of reads are in flight at one instant: the kill catches
 /// queued commands, and the GC and rebuild steps offered at that instant
-/// defer as read-hot.  The rebuild then runs with a GC step before each of
-/// its steps, as `maybe_flush` offers them, and every read, in the window
-/// and after the rebuild, returns the last data written.
+/// defer as read-hot.  The rebuild then runs with a `schedule_gc` step
+/// before each of its steps, and every read, in the window and after the
+/// rebuild, returns the last data written.
 fn inflight_die_kill() -> NoFtl {
     let geometry = FlashGeometry { planes_per_die: 2, blocks_per_plane: 8, ..FlashGeometry::with_dies(4, 64, 16, 512) };
     let mut cfg = NoFtlConfig::new(geometry);
