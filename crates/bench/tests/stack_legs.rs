@@ -2,9 +2,9 @@
 //! points on three non-default stacks.  The figure bins run the default stack
 //! and CI diffs their output against `.github/golden/`; these legs keep every
 //! other `StackConfig` field exercised through the same experiment bodies.
-//! Together the three stacks give all six fields a non-default value:
+//! Together the three stacks give all five fields a non-default value:
 //!
-//! * batching off, queue depth 8, readahead off, the SLO bundle on;
+//! * batching off, queue depth 8, the SLO bundle on;
 //! * a seeded fault plan, `Parity(3)` redundancy, queue depth 8;
 //! * `Mirror` redundancy, the SLO bundle on.
 //!
@@ -76,14 +76,13 @@ fn assert_cells(knobs: &StackConfig, b: Benchmark, pinned: Cells) {
     assert_eq!(cells(knobs, b), pinned, "{} on {knobs:?}", b.name());
 }
 
-mod unbatched_async_stack_without_readahead_under_slo {
+mod unbatched_async_stack_under_slo {
     use super::*;
 
     fn stack() -> StackConfig {
         StackConfig {
             batch_pages: 1,
             async_depth: 8,
-            readahead_window: 0,
             slo: true,
             ..StackConfig::default()
         }

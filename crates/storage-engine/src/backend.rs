@@ -23,8 +23,8 @@ type PageId = u64;
 /// ([`StackConfig::batch_pages`]).
 pub const DEFAULT_BATCH_PAGES: usize = 64;
 
-/// Readahead window cap (pages) of the default stack
-/// ([`StackConfig::readahead_window`]).
+/// Readahead window cap (pages) of the default engine
+/// ([`EngineConfig::readahead_window`]).
 pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 
 /// Read-occupancy threshold (in-flight device reads) of the
@@ -33,7 +33,7 @@ pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 /// [`noftl_core::NoFtlConfig::gc_schedule_read_occupancy`]).
 pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
 
-/// The six stack-wide settings as one typed value: a stack is a pure
+/// The five stack-wide settings as one typed value: a stack is a pure
 /// function of it, and its caller states it in code — nothing in this
 /// workspace reads the process environment.  A caller projects the value
 /// onto the configuration structs with [`StackConfig::engine`],
@@ -52,9 +52,6 @@ pub struct StackConfig {
     /// Submission depth per die / per submitter: 1 (the default) is
     /// synchronous dispatch, `k` a window of `k`.
     pub async_depth: usize,
-    /// Streaming-readahead window cap in pages (it only *issues* at depth
-    /// > 1); 0 disables it.  Default [`DEFAULT_READAHEAD_WINDOW`].
-    pub readahead_window: usize,
     /// Seeded fault-injection plan armed on the device; default none.
     pub faults: Option<nand_flash::FaultPlan>,
     /// The overload bundle; default off.  It sets
@@ -76,7 +73,6 @@ impl Default for StackConfig {
         Self {
             batch_pages: DEFAULT_BATCH_PAGES,
             async_depth: 1,
-            readahead_window: DEFAULT_READAHEAD_WINDOW,
             faults: None,
             slo: false,
             redundancy: None,
@@ -89,7 +85,6 @@ impl StackConfig {
     pub fn engine(&self) -> EngineConfig {
         EngineConfig {
             flushers: self.flushers(FlusherAssignment::Global, 4),
-            readahead_window: self.readahead_window,
             admission: self.slo.then(AdmissionConfig::default),
             slo_scheduling: self.slo,
             ..EngineConfig::new()
@@ -881,13 +876,11 @@ mod tests {
         let knobs = StackConfig {
             batch_pages: 16,
             async_depth: 6,
-            readahead_window: 8,
             faults: Some(nand_flash::FaultPlan::seeded(987654)),
             slo: true,
             redundancy: Some(RedundancyPolicy::Mirror),
         };
         let e = knobs.engine();
-        assert_eq!(e.readahead_window, 8);
         assert!(e.slo_scheduling && e.admission.is_some());
         let global = knobs.flushers(FlusherAssignment::Global, 4);
         assert_eq!(format!("{:?}", e.flushers), format!("{global:?}"));

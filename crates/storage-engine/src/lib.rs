@@ -101,7 +101,7 @@
 //!   device queues, so miss fills overlap with record visits.
 //! * **Adaptive window ramp** — the window starts at
 //!   [`readahead::MIN_READAHEAD_WINDOW`] pages, doubles (up to the
-//!   `StackConfig::readahead_window` cap) after a full window of consecutive useful
+//!   [`engine::EngineConfig::readahead_window`] cap) after a full window of consecutive useful
 //!   prefetches, and halves whenever a prefetched page was evicted before
 //!   the scan reached it (pool pressure: running further ahead than the
 //!   pool can hold is pure waste).  The pool tracks `prefetch_issued` /
@@ -109,8 +109,8 @@
 //!   ([`buffer::ReadaheadStats`], surfaced through
 //!   `StorageEngine::readahead_stats`).
 //! * **Interaction with the stack settings** —
-//!   `StackConfig::readahead_window` caps the window (0 disables; default
-//!   64).  Readahead only *issues* at queue depth > 1: with the window at 0 **or** depth 1 every
+//!   [`engine::EngineConfig::readahead_window`] caps the window (0
+//!   disables; default 64).  Readahead only *issues* at queue depth > 1: with the window at 0 **or** depth 1 every
 //!   scan stays on the frame-at-a-time path, bit- and cycle-identical to
 //!   the pre-readahead code (pinned by `tests/equivalence.rs`).  The
 //!   batches themselves ride the batched-I/O multi-page read
@@ -188,7 +188,7 @@
 //!
 //! A stack is a pure function of its configuration values, and its caller
 //! states them in code: nothing in the workspace reads the process
-//! environment.  The six stack-wide settings are one typed
+//! environment.  The five stack-wide settings are one typed
 //! [`backend::StackConfig`].  Every constructor —
 //! [`engine::EngineConfig::new`], [`flusher::FlusherConfig::global`] /
 //! `die_wise`, [`backend::NoFtlBackend::new`], [`wal::WalManager::new`] — is

@@ -81,7 +81,7 @@ pub struct Scenario {
     /// streams.  n: n sessions on a `ConcurrentEngine` with n pool shards,
     /// client `i` on its own `c{i}_` table partition.
     pub clients: usize,
-    /// Depth, faults, redundancy, SLO bundle and readahead of the stack.
+    /// Depth, faults, redundancy and SLO bundle of the stack.
     pub stack: StackConfig,
     /// Die killed after half the transactions.
     pub kill: Option<u32>,
@@ -111,11 +111,7 @@ impl Scenario {
         Scenario {
             mix,
             clients,
-            stack: StackConfig {
-                async_depth: depth,
-                readahead_window: 16,
-                ..StackConfig::default()
-            },
+            stack: StackConfig { async_depth: depth, ..StackConfig::default() },
             kill: None,
             crash: 0,
             seed,
@@ -206,10 +202,12 @@ pub enum Engine {
 }
 
 /// The one stack build: `sc.base` under `sc.stack` on a fresh device, and
-/// the stack's engine with the scenario's pool, log and die-wise writers.
+/// the stack's engine with the scenario's pool, log, die-wise writers and a
+/// 16-page readahead window.
 pub fn build(sc: &Scenario) -> Engine {
     let backend = Box::new(sc.stack.noftl_backend(sc.base.clone()));
     let mut cfg = sc.stack.engine();
+    cfg.readahead_window = 16;
     cfg.buffer_frames = sc.frames;
     cfg.log_pages = LOG_PAGES;
     cfg.flushers = sc.stack.flushers(FlusherAssignment::DieWise, sc.writers);
