@@ -15,16 +15,15 @@
 //!
 //! * **SLO off** — the historical engine: every request is admitted, the
 //!   queue absorbs the excess, and p999 diverges linearly with run length.
-//! * **SLO on** — the engine half of the `StackConfig::slo` bundle: a
-//!   bounded commit-admission window ([`AdmissionConfig`]) sheds requests
-//!   whose pressure-clear horizon exceeds the deadline (a fast, typed
-//!   [`EngineError::Overloaded`] the client can retry), and `slo_scheduling`
-//!   offers a rebuild step after each flush decision, which is idle here
-//!   because no die fails.  The engine serves at its capacity, sheds the
-//!   rest truthfully, and the latency of what it *does* complete stays
-//!   bounded.  Every on/off difference in the table is the window's, and it
-//!   has a price at low load: at 500 offered TPS and one client the on
-//!   leg's p99 is 1.704 ms against the off leg's 0.508 ms.
+//! * **SLO on** — the `StackConfig::slo` bundle's commit-admission window
+//!   ([`AdmissionConfig`]) sheds requests whose pressure-clear horizon
+//!   exceeds the deadline (a fast, typed [`EngineError::Overloaded`] the
+//!   client can retry).  The engine serves at its capacity, sheds the rest
+//!   truthfully, and the latency of what it *does* complete stays bounded.
+//!   The window has a price at low load: at 500 offered TPS and one client
+//!   the on leg's p99 is 1.704 ms against the off leg's 0.508 ms.  The
+//!   bundle's other parts act only after a die failure, and none happens
+//!   here.
 //!
 //! [`EngineError::Overloaded`]: storage_engine::EngineError::Overloaded
 //!
@@ -88,7 +87,6 @@ fn overload_engine_config(slo: bool) -> EngineConfig {
     cfg.wal_group_commit = 1;
     cfg.buffer_hit_ns = 2_000;
     cfg.admission = slo.then(slo_admission);
-    cfg.slo_scheduling = slo;
     cfg
 }
 
@@ -111,7 +109,7 @@ fn overload_workload(interarrival_ns: u64, requests: u64) -> OpenLoopConfig {
 /// One measured sweep point.
 #[derive(Debug, Clone)]
 pub struct SloPoint {
-    /// Whether the SLO bundle (admission window and rebuild offer) was on.
+    /// Whether the SLO admission window was on.
     pub slo: bool,
     /// Sessions the arrivals were spread over.
     pub clients: usize,

@@ -890,7 +890,11 @@ mod tests {
             (3, FlusherAssignment::DieWise, 16, 6)
         );
         let base = NoFtlConfig::new(FlashGeometry::small());
-        let mut no_slo = StackConfig { slo: false, ..knobs.clone() }.noftl(base.clone());
+        let mut no_slo = StackConfig {
+            slo: false,
+            ..knobs.clone()
+        }
+        .noftl(base.clone());
         no_slo.gc_schedule_read_occupancy = DEFAULT_SLO_GC_READ_OCCUPANCY;
         assert_eq!(
             format!("{:?}", knobs.noftl(base.clone())),

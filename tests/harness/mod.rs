@@ -111,7 +111,10 @@ impl Scenario {
         Scenario {
             mix,
             clients,
-            stack: StackConfig { async_depth: depth, ..StackConfig::default() },
+            stack: StackConfig {
+                async_depth: depth,
+                ..StackConfig::default()
+            },
             kill: None,
             crash: 0,
             seed,
