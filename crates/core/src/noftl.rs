@@ -537,28 +537,23 @@ impl NoFtl {
         }
         let g = *self.device.geometry();
         // Validate the whole batch (and resolve every mapping) up front: a
-        // bad entry must not leave a partially issued batch behind.
-        let mut ppas = Vec::with_capacity(reqs.len());
-        for (lpn, buf) in reqs.iter() {
+        // bad entry must not leave a partially issued batch behind.  The one
+        // list is then stably sorted by die, so each die's run is contiguous
+        // and in arrival order, and the runs go out in die order.
+        let mut runs: Vec<(Ppa, &mut [u8])> = Vec::with_capacity(reqs.len());
+        for (lpn, buf) in reqs.iter_mut() {
             check_lpn(*lpn, self.logical_pages)?;
             check_buf(buf.len(), self.page_size)?;
             let Some(flat) = self.map.get(*lpn) else {
                 return Err(FlashError::ReadOfUnwrittenPage(Ppa::from_flat(&g, 0)));
             };
-            ppas.push(Ppa::from_flat(&g, flat));
+            runs.push((Ppa::from_flat(&g, flat), &mut **buf));
         }
-        let dies = g.total_dies() as usize;
-        let mut by_die: Vec<Vec<(Ppa, &mut [u8])>> = (0..dies).map(|_| Vec::new()).collect();
-        for ((_, buf), ppa) in reqs.iter_mut().zip(ppas.iter()) {
-            by_die[ppa.die_addr().flat(&g) as usize].push((*ppa, &mut **buf));
-        }
+        runs.sort_by_key(|(ppa, _)| ppa.die_addr().flat(&g));
         let mut end = now;
-        for mut ops in by_die {
-            if ops.is_empty() {
-                continue;
-            }
+        for ops in runs.chunk_by_mut(|(a, _), (b, _)| a.die_addr() == b.die_addr()) {
             let pages = ops.len() as u64;
-            match self.dispatch_read_run(now, &mut ops) {
+            match self.dispatch_read_run(now, ops) {
                 Ok(completion) => {
                     end = end.max(completion.completed_at);
                     self.stats.host_reads += pages;

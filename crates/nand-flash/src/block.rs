@@ -4,6 +4,7 @@ use sim_utils::time::SimInstant;
 
 use crate::oob::Oob;
 use crate::page::{Page, PageState};
+use crate::store::PageStore;
 
 /// Health of an erase block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,7 +19,7 @@ pub enum BlockHealth {
 
 /// An erase block: a fixed-size run of pages that must be programmed
 /// sequentially and erased as a unit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Block {
     pages: Vec<Page>,
     /// Next page index that may be programmed (NAND sequential-program rule).
@@ -135,7 +136,7 @@ impl Block {
 
     /// Record a program of page `idx`. The device has already validated the
     /// page is free (and, in strict mode, the sequential-programming rule).
-    pub(crate) fn record_program(&mut self, idx: u32, data: Option<Box<[u8]>>, oob: Oob) {
+    pub(crate) fn record_program(&mut self, idx: u32, data: Option<u32>, oob: Oob) {
         let page = &mut self.pages[idx as usize];
         debug_assert!(page.state == PageState::Free, "program on non-free page");
         page.state = PageState::Valid;
@@ -163,15 +164,12 @@ impl Block {
         }
     }
 
-    /// Erase the whole block: every page returns to `Free`, wear increases.
-    /// The pages' data buffers go to `spare` while it holds fewer than
-    /// `spare_cap`; the rest are freed.
-    pub(crate) fn erase(&mut self, spare: &mut Vec<Box<[u8]>>, spare_cap: usize) {
+    /// Erase the whole block: every page returns to `Free` and releases its
+    /// page-store slot, wear increases.
+    pub(crate) fn erase(&mut self, store: &mut PageStore) {
         for p in &mut self.pages {
-            if let Some(buf) = p.erase() {
-                if spare.len() < spare_cap {
-                    spare.push(buf);
-                }
+            if let Some(slot) = p.erase() {
+                store.release(slot);
             }
         }
         self.next_program_page = 0;
@@ -226,21 +224,19 @@ mod tests {
     #[test]
     fn erase_resets_and_bumps_wear() {
         let mut b = Block::new(4);
-        b.record_program(0, Some(vec![1u8; 8].into_boxed_slice()), Oob::data(1, 1));
+        let mut store = PageStore::new(8);
+        let slot = store.put(&[1u8; 8]);
+        b.record_program(0, Some(slot), Oob::data(1, 1));
         b.record_program(1, None, Oob::data(2, 2));
+        b.record_program(2, Some(store.share(slot)), Oob::data(1, 2));
         b.invalidate_page(0);
-        let mut spare = Vec::new();
-        b.erase(&mut spare, 4);
+        b.erase(&mut store);
         assert_eq!(b.next_program_page, 0);
         assert_eq!(b.valid_pages(), 0);
         assert_eq!(b.invalid_pages(), 0);
         assert_eq!(b.erase_count(), 1);
-        assert!(b.page(0).is_free());
-        assert_eq!(spare.len(), 1, "the one stored buffer is handed back");
-        b.record_program(0, spare.pop(), Oob::data(1, 1));
-        b.erase(&mut spare, 0);
-        assert_eq!(b.erase_count(), 2);
-        assert!(spare.is_empty(), "a full spare list takes nothing");
+        assert!(b.page(0).is_free() && b.page(0).data.is_none());
+        assert_eq!(store.live(), 0, "both holds on the one slot are released");
     }
 
     #[test]

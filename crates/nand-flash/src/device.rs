@@ -18,6 +18,7 @@ use crate::oob::Oob;
 use crate::page::PageState;
 use crate::queue::CommandQueues;
 use crate::stats::FlashStats;
+use crate::store::PageStore;
 use crate::timing::Channel;
 use crate::trace::{TraceEntry, Tracer};
 
@@ -30,7 +31,12 @@ pub struct DeviceConfig {
     /// Physical organisation of the device.
     pub geometry: FlashGeometry,
     /// Whether page contents are stored (`true`) or only metadata is tracked
-    /// (`false`, cheaper — used by trace-driven experiments).
+    /// (`false`, cheaper — used by trace-driven experiments).  Stored
+    /// contents live in the device's page store: one reference-counted slot
+    /// per PAGE PROGRAM, shared by every COPYBACK of that page and released
+    /// by BLOCK ERASE, in heap chunks of 16 slots taken as the store first
+    /// needs them.  With `false` the store keeps no slot and every read
+    /// returns zeroes.
     pub store_data: bool,
     /// Bad-block injection policy.
     pub bad_blocks: BadBlockPolicy,
@@ -130,29 +136,12 @@ pub struct NandDevice {
     kills_applied: Vec<bool>,
     /// Cached `!faults.kills.is_empty()`: gates the per-command kill check.
     has_kills: bool,
-    /// Page buffers handed back by BLOCK ERASE, reused by the next PAGE
-    /// PROGRAM / COPYBACK instead of a fresh allocation per page.  Holds at
-    /// most one erase block's worth per die ([`NandDevice::spare_page_cap`]
-    /// — each die's GC erases a block and then refills one): an unbounded
-    /// list would keep every erased-and-not-yet-reprogrammed page of the
-    /// drive alive.  Always empty when the device stores no data.
-    spare_pages: Vec<Box<[u8]>>,
+    /// The bytes of every programmed page (see [`crate::store`]).  Always
+    /// empty when the device stores no data.
+    store: PageStore,
     /// Working lists of [`NandDevice::validate_program_run`], kept for their
     /// capacity between multi-page runs.
     run_scratch: (Vec<(BlockAddr, u32)>, Vec<Ppa>),
-}
-
-/// An owned copy of `src`, in `spare`'s allocation when there is one of the
-/// right length.  The buffer is overwritten in full: none of its previous
-/// contents survive.
-fn copy_into(spare: Option<Box<[u8]>>, src: &[u8]) -> Box<[u8]> {
-    match spare {
-        Some(mut buf) if buf.len() == src.len() => {
-            buf.copy_from_slice(src);
-            buf
-        }
-        _ => src.into(),
-    }
 }
 
 impl NandDevice {
@@ -201,7 +190,7 @@ impl NandDevice {
             has_kills: config.faults.as_ref().is_some_and(|p| !p.kills.is_empty()),
             faults: config.faults,
             fault_completion: None,
-            spare_pages: Vec::new(),
+            store: PageStore::new(g.page_size as usize),
             run_scratch: Default::default(),
         };
         for flat in config.bad_blocks.factory_bad_blocks(&g) {
@@ -300,11 +289,6 @@ impl NandDevice {
 
     fn block_local_index(&self, b: &BlockAddr) -> u32 {
         b.plane * self.geometry.blocks_per_plane + b.block
-    }
-
-    /// Bound of the spare page-buffer list: one erase block per die.
-    fn spare_page_cap(&self) -> usize {
-        (self.geometry.total_dies() * self.geometry.pages_per_block) as usize
     }
 
     fn block_ref(&self, addr: BlockAddr) -> &Block {
@@ -541,8 +525,8 @@ impl NandDevice {
         let mut completed_at = issue;
         for (ppa, buf) in ops.iter_mut() {
             let page = self.block_ref(ppa.block_addr()).page(ppa.page);
-            match &page.data {
-                Some(data) => buf.copy_from_slice(data),
+            match page.data {
+                Some(slot) => buf.copy_from_slice(self.store.get(slot)),
                 None => buf.fill(0),
             }
             oob = page.oob;
@@ -690,9 +674,7 @@ impl NandDevice {
         let mut failed = None;
         for (ppa, data, oob) in ops {
             let fails = self.draw_program_fault(ppa.block_addr());
-            let stored = self
-                .store_data
-                .then(|| copy_into(self.spare_pages.pop(), data));
+            let stored = self.store_data.then(|| self.store.put(data));
             let mut oob = *oob;
             if oob.sequence == 0 {
                 oob.sequence = self.next_sequence();
@@ -842,15 +824,14 @@ impl NativeFlashInterface for NandDevice {
             .wears_out(&mut self.rng, erase_count + 1, self.endurance);
         let erase_fails = !wears_out && self.draw_erase_fault(erase_count + 1);
 
-        let mut spare = std::mem::take(&mut self.spare_pages);
-        let spare_cap = self.spare_page_cap();
-        self.block_mut(block).erase(&mut spare, spare_cap);
-        self.spare_pages = spare;
+        let die_idx = self.die_index(block.die_addr());
+        let local = self.block_local_index(&block);
+        let erased = self.dies[die_idx].block_mut(local);
+        erased.erase(&mut self.store);
         if wears_out || erase_fails {
-            self.block_mut(block).mark_bad(BlockHealth::GrownBad);
+            erased.mark_bad(BlockHealth::GrownBad);
         }
 
-        let die_idx = self.die_index(block.die_addr());
         let issue = now + self.timing.command_overhead;
         let (start, done) = self.dies[die_idx].occupy(issue, self.timing.erase_block);
         let completion = OpCompletion {
@@ -902,12 +883,11 @@ impl NativeFlashInterface for NandDevice {
             return Err(FlashError::ReadOfUnwrittenPage(src));
         }
         self.check_programmable(dst, self.block_ref(dst.block_addr()).next_program_page())?;
-        let spare = self.spare_pages.pop();
+        // The destination shares the source's slot: neither page can change
+        // before its block is erased.
         let page = self.block_ref(src.block_addr()).page(src.page);
-        let (data, src_oob) = match &page.data {
-            Some(bytes) => (Some(copy_into(spare, bytes)), page.oob),
-            None => (None, page.oob),
-        };
+        let (slot, src_oob) = (page.data, page.oob);
+        let data = slot.map(|slot| self.store.share(slot));
         let fails = self.draw_program_fault(dst.block_addr());
         let mut oob = new_oob.unwrap_or(src_oob);
         if oob.sequence == 0 {
@@ -1111,14 +1091,34 @@ mod tests {
         }
     }
 
+    /// Every slot of the page store is held by exactly as many pages as its
+    /// count says, and the free list is exactly the slots held by none.
+    pub(super) fn assert_store_consistent(dev: &NandDevice) {
+        let mut holders = vec![0u32; dev.store.refs().len()];
+        for (_, block) in dev.iter_blocks() {
+            for p in 0..block.pages_per_block() {
+                if let Some(slot) = block.page(p).data {
+                    holders[slot as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(
+            holders,
+            dev.store.refs(),
+            "a slot's count is the pages holding it"
+        );
+        let held = holders.iter().filter(|&&n| n > 0).count();
+        assert_eq!(dev.store.live(), held, "a slot no page holds is free");
+    }
+
     #[test]
     fn recycled_page_buffers_never_leak_old_bytes() {
         let mut dev = tiny_device();
         let (a, b) = (BlockAddr::new(0, 0, 0, 0), BlockAddr::new(0, 0, 0, 1));
         fill_block(&mut dev, a, 0x10);
         dev.erase_block(0, a).unwrap();
-        assert_eq!(dev.spare_pages.len(), dev.geometry().pages_per_block as usize);
-        // PROGRAM into a recycled buffer: the read returns exactly the new
+        assert_eq!(dev.store.live(), 0, "the erase freed every slot");
+        // PROGRAM into a recycled slot: the read returns exactly the new
         // page, nothing of the erased one.
         let mut fresh = page_of(&dev, 0);
         for (i, byte) in fresh.iter_mut().enumerate() {
@@ -1129,35 +1129,79 @@ mod tests {
         dev.read_page(0, a.page(0), &mut buf).unwrap();
         assert_eq!(buf, fresh);
         // COPYBACK after the neighbour block was erased: the destination
-        // holds the source's bytes, not the spare buffer's previous ones.
+        // holds the source's bytes, not the freed slots' previous ones.
         fill_block(&mut dev, b, 0x80);
         dev.erase_block(0, b).unwrap();
         let dst = b.page(0);
         dev.copyback(0, a.page(0), dst, None).unwrap();
         dev.read_page(0, dst, &mut buf).unwrap();
         assert_eq!(buf, fresh);
+        assert_store_consistent(&dev);
     }
 
     #[test]
-    fn spare_page_list_is_bounded_by_geometry() {
+    fn copyback_destination_reads_its_bytes_after_the_source_block_is_erased() {
         let mut dev = tiny_device();
-        let bound = dev.spare_page_cap();
-        assert_eq!(bound, dev.geometry().pages_per_block as usize, "one die: one block's worth");
-        for cycle in 0..10u8 {
-            // Fill and erase more blocks than the list may hold, then
-            // refill some of them from it.
-            for b in 0..6 {
-                fill_block(&mut dev, BlockAddr::new(0, 0, 0, b), cycle);
-            }
-            for b in 0..6 {
-                dev.erase_block(0, BlockAddr::new(0, 0, 0, b)).unwrap();
-                assert!(dev.spare_pages.len() <= bound);
-            }
-            assert_eq!(dev.spare_pages.len(), bound);
-            fill_block(&mut dev, BlockAddr::new(0, 0, 0, 7), cycle);
-            dev.erase_block(0, BlockAddr::new(0, 0, 0, 7)).unwrap();
-            assert_eq!(dev.spare_pages.len(), bound);
+        let (a, b) = (BlockAddr::new(0, 0, 0, 0), BlockAddr::new(0, 0, 0, 1));
+        fill_block(&mut dev, a, 0x20);
+        for p in 0..2 {
+            dev.copyback(0, a.page(p), b.page(p), None).unwrap();
         }
+        assert_eq!(
+            dev.store.live(),
+            dev.geometry().pages_per_block as usize,
+            "copies share"
+        );
+        dev.erase_block(0, a).unwrap();
+        assert_eq!(dev.store.live(), 2, "the erase kept the two shared slots");
+        // Reprogramming the erased block takes other slots.
+        fill_block(&mut dev, a, 0x90);
+        let mut buf = page_of(&dev, 0);
+        for p in 0..2 {
+            dev.read_page(0, b.page(p), &mut buf).unwrap();
+            assert_eq!(buf, page_of(&dev, 0x20 + p as u8));
+        }
+        assert_store_consistent(&dev);
+    }
+
+    #[test]
+    fn fill_erase_cycles_leak_no_slot() {
+        let mut dev = tiny_device();
+        let ppb = dev.geometry().pages_per_block;
+        let mut high_water = 0;
+        for cycle in 0..10u8 {
+            // Fill blocks 0-3, copy part of each into block 4 or 5, and
+            // erase all but the last copies: the pattern of a die's GC.
+            for b in 0..4 {
+                fill_block(&mut dev, BlockAddr::new(0, 0, 0, b), cycle.wrapping_mul(7));
+            }
+            let dst = BlockAddr::new(0, 0, 0, 4 + u32::from(cycle % 2));
+            for p in 0..ppb {
+                let src = BlockAddr::new(0, 0, 0, p % 4).page(p);
+                dev.copyback(0, src, dst.page(p), None).unwrap();
+            }
+            high_water = high_water.max(dev.store.refs().len());
+            if cycle > 0 {
+                let older = BlockAddr::new(0, 0, 0, 5 - u32::from(cycle % 2));
+                dev.erase_block(0, older).unwrap();
+            }
+            for b in 0..4 {
+                dev.erase_block(0, BlockAddr::new(0, 0, 0, b)).unwrap();
+                assert_store_consistent(&dev);
+            }
+            assert_eq!(
+                dev.store.live(),
+                ppb as usize,
+                "only the last copies hold slots"
+            );
+        }
+        assert_store_consistent(&dev);
+        // At most 5 blocks' worth is held at once (4 filled, the older
+        // copies), rounded up to whole chunks of 16.
+        assert!(
+            high_water <= 6 * ppb as usize,
+            "{high_water} slots for at most 5 full blocks"
+        );
     }
 
     #[test]
@@ -1173,11 +1217,11 @@ mod tests {
         assert!(dev.block_ref(b).page(0).data.is_none());
         dev.erase_block(0, a).unwrap();
         dev.erase_block(0, b).unwrap();
-        assert!(dev.spare_pages.is_empty());
         let mut buf = page_of(&dev, 0xFF);
         fill_block(&mut dev, a, 2);
         dev.read_page(0, a.page(0), &mut buf).unwrap();
         assert_eq!(buf, page_of(&dev, 0), "an unstored page reads as zeroes");
+        assert!(dev.store.refs().is_empty(), "the store never took a slot");
     }
 
     #[test]

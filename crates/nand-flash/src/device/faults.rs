@@ -108,11 +108,12 @@ impl NandDevice {
 mod tests {
     use super::*;
     use crate::addr::Ppa;
-    use crate::device::tests::page_of;
+    use crate::device::tests::{assert_store_consistent, page_of, tiny_device};
     use crate::device::DeviceConfig;
     use crate::geometry::FlashGeometry;
     use crate::interface::NativeFlashInterface;
     use crate::oob::Oob;
+    use crate::page::PageState;
     use crate::stats::FlashStats;
 
     use crate::fault::FaultPlan;
@@ -186,6 +187,32 @@ mod tests {
         assert_eq!(info.invalid_pages, 1);
         // The block is NOT device-retired: the DBMS decides after relocation.
         assert!(dev.block_info(ppa.block_addr()).unwrap().usable);
+    }
+
+    #[test]
+    fn failed_copyback_keeps_the_source_readable_and_frees_its_slot_at_erase() {
+        let mut dev = tiny_device();
+        let data = page_of(&dev, 0x33);
+        let (src, dst) = (Ppa::new(0, 0, 0, 0, 0), Ppa::new(0, 0, 0, 1, 0));
+        dev.program_page(0, src, &data, Oob::data(4, 0)).unwrap();
+        dev.set_fault_plan(Some(certain_program_failure()));
+        let err = dev.copyback(0, src, dst, None).unwrap_err();
+        assert_eq!(err, FlashError::ProgramFailed(dst));
+        dev.set_fault_plan(None);
+        assert_eq!(
+            dev.page_state(dst).unwrap(),
+            PageState::Invalid,
+            "the destination is consumed"
+        );
+        let mut buf = page_of(&dev, 0);
+        dev.read_page(0, src, &mut buf).unwrap();
+        assert_eq!(buf, data, "the source is untouched");
+        assert_store_consistent(&dev);
+        dev.erase_block(0, dst.block_addr()).unwrap();
+        assert_eq!(dev.store.live(), 1, "the source still holds the slot");
+        dev.erase_block(0, src.block_addr()).unwrap();
+        assert_eq!(dev.store.live(), 0);
+        assert_store_consistent(&dev);
     }
 
     #[test]

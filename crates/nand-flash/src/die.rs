@@ -14,7 +14,7 @@ use crate::block::Block;
 use crate::timeline::Timeline;
 
 /// A single NAND die (LUN) holding `planes × blocks_per_plane` erase blocks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Die {
     /// Blocks, indexed by `plane * blocks_per_plane + block`.
     blocks: Vec<Block>,

@@ -25,6 +25,19 @@
 //! batched dispatch cannot drift apart and the closed-form run costs are
 //! asserted for `k = 1` by the same test that asserts them for `k > 1`.
 //!
+//! ## Page store (`store.rs`)
+//!
+//! Page contents live in one reference-counted store per device, not in a
+//! buffer per page.  PAGE PROGRAM copies the host bytes into a free slot
+//! held once; COPYBACK gives its destination the source's slot and counts
+//! one more holder, copying no bytes — exact, because nothing can write to
+//! a programmed page before its block is erased; PAGE READ copies out of
+//! the slot; BLOCK ERASE releases each page's slot, and a slot that no page
+//! holds any more goes on a free list for the next PAGE PROGRAM.  Slots are
+//! taken from the heap in chunks of 16 as the store first needs them, each
+//! padded by 64 bytes.  A device built with `store_data: false` keeps no
+//! slot at all.
+//!
 //! ## Queued submission interface (`device/submit.rs`)
 //!
 //! Beyond the blocking [`NativeFlashInterface`] calls, [`NandDevice`] exposes
@@ -109,6 +122,7 @@ pub mod oob;
 pub mod page;
 pub mod queue;
 pub mod stats;
+mod store;
 pub mod timeline;
 pub mod timing;
 pub mod trace;

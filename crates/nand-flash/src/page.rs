@@ -14,17 +14,23 @@ pub enum PageState {
     Invalid,
 }
 
-/// A physical page: state, optional user data and OOB metadata.
+/// A physical page: state, the slot holding its user data, and OOB metadata.
 ///
-/// Data storage is optional (`DeviceConfig::store_data`): trace-driven GC
-/// experiments only need command accounting, and skipping the 4 KiB copies
-/// keeps multi-gigabyte simulated devices cheap.
-#[derive(Debug, Clone)]
+/// The bytes live in the device's page store: PAGE PROGRAM copies them into
+/// a slot of their own, and COPYBACK gives its destination the source's
+/// slot, so pages that share a slot hold the same bytes (a programmed page
+/// never changes before its block is erased).  Data storage is optional
+/// (`DeviceConfig::store_data`): trace-driven GC experiments only need
+/// command accounting, and skipping the 4 KiB copies keeps multi-gigabyte
+/// simulated devices cheap.  A page (and so a block or a die) is not
+/// `Clone`: a copy would hold a slot without counting it.
+#[derive(Debug)]
 pub struct Page {
     /// Current lifecycle state.
     pub state: PageState,
-    /// Page contents, present only when the device stores data.
-    pub data: Option<Box<[u8]>>,
+    /// The page-store slot holding the contents, present only when the
+    /// device stores data.
+    pub(crate) data: Option<u32>,
     /// OOB metadata written together with the page.
     pub oob: Oob,
 }
@@ -39,9 +45,9 @@ impl Page {
         }
     }
 
-    /// Reset to the erased state, handing back the data buffer (if any) so
-    /// the device can reuse it for a later program.
-    pub fn erase(&mut self) -> Option<Box<[u8]>> {
+    /// Reset to the erased state, handing back the page-store slot (if any)
+    /// for the device to release.
+    pub(crate) fn erase(&mut self) -> Option<u32> {
         self.state = PageState::Free;
         self.oob = Oob::default();
         self.data.take()
@@ -80,9 +86,9 @@ mod tests {
     fn erase_clears_everything() {
         let mut p = Page::erased();
         p.state = PageState::Valid;
-        p.data = Some(vec![1, 2, 3].into_boxed_slice());
+        p.data = Some(3);
         p.oob = Oob::data(7, 9);
-        p.erase();
+        assert_eq!(p.erase(), Some(3));
         assert!(p.is_free());
         assert!(p.data.is_none());
         assert!(!p.oob.has_lpn());

@@ -22,12 +22,16 @@
 //! virtual-time measurements meaningful; the multi-client engine turns it
 //! on, everything else keeps the pinned ratchet behaviour.
 
+use std::collections::VecDeque;
+
 use sim_utils::time::{SimDuration, SimInstant};
 
 /// Busy intervals kept per resource before the oldest two are coalesced.
 /// Coalescing erases a long-past idle gap, which is conservative (an
 /// operation can only be scheduled later because of it, never earlier) and
-/// keeps memory and lookup cost bounded on arbitrarily long runs.
+/// keeps memory and lookup cost bounded on arbitrarily long runs.  It drops
+/// the front of a ring buffer, so a full timeline pays O(1) per
+/// reservation for it.
 const MAX_INTERVALS: usize = 32;
 
 /// A resource occupancy timeline: sorted, disjoint busy intervals, with
@@ -37,7 +41,7 @@ const MAX_INTERVALS: usize = 32;
 pub struct Timeline {
     /// Sorted by start, pairwise disjoint `(start, end)` half-open busy
     /// intervals; exactly-adjacent neighbours are merged on insert.
-    intervals: Vec<(SimInstant, SimInstant)>,
+    intervals: VecDeque<(SimInstant, SimInstant)>,
     /// Whether reservations may fill idle gaps before the last interval.
     /// Off by default: the classic `busy_until` ratchet, bit-identical to
     /// every pinned trace.
@@ -59,7 +63,7 @@ impl Timeline {
     /// The instant until which the resource is occupied (end of the last
     /// busy interval; 0 when never used).
     pub fn busy_until(&self) -> SimInstant {
-        self.intervals.last().map_or(0, |&(_, end)| end)
+        self.intervals.back().map_or(0, |&(_, end)| end)
     }
 
     /// Reserve a `duration`-long slot starting no earlier than
@@ -113,10 +117,9 @@ impl Timeline {
         if self.intervals.len() > MAX_INTERVALS {
             // Coalesce the two oldest intervals, sacrificing the most
             // distant idle gap.
-            let (s0, _) = self.intervals[0];
-            let (_, e1) = self.intervals[1];
-            self.intervals[1] = (s0, e1);
-            self.intervals.remove(0);
+            if let Some((s0, _)) = self.intervals.pop_front() {
+                self.intervals[0].0 = s0;
+            }
         }
     }
 }
