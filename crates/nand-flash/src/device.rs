@@ -33,10 +33,11 @@ pub struct DeviceConfig {
     /// Whether page contents are stored (`true`) or only metadata is tracked
     /// (`false`, cheaper — used by trace-driven experiments).  Stored
     /// contents live in the device's page store: one reference-counted slot
-    /// per PAGE PROGRAM, shared by every COPYBACK of that page and released
-    /// by BLOCK ERASE, in heap chunks of 16 slots taken as the store first
-    /// needs them.  With `false` the store keeps no slot and every read
-    /// returns zeroes.
+    /// per PAGE PROGRAM, holding the page's lines that differ from its fill
+    /// byte, shared by every COPYBACK of that page and released by BLOCK
+    /// ERASE, in heap chunks of 16 slots taken as the store first needs
+    /// them.  With `false` the store keeps no slot and every read returns
+    /// zeroes.
     pub store_data: bool,
     /// Bad-block injection policy.
     pub bad_blocks: BadBlockPolicy,
@@ -526,7 +527,7 @@ impl NandDevice {
         for (ppa, buf) in ops.iter_mut() {
             let page = self.block_ref(ppa.block_addr()).page(ppa.page);
             match page.data {
-                Some(slot) => buf.copy_from_slice(self.store.get(slot)),
+                Some(slot) => self.store.read(slot, buf),
                 None => buf.fill(0),
             }
             oob = page.oob;
@@ -942,6 +943,8 @@ impl NativeFlashInterface for NandDevice {
 mod tests {
     use super::*;
     use crate::geometry::FlashGeometry;
+    use crate::store;
+    use sim_utils::SimRng;
 
     pub(super) fn tiny_device() -> NandDevice {
         NandDevice::with_geometry(FlashGeometry::tiny())
@@ -1202,6 +1205,65 @@ mod tests {
             high_water <= 6 * ppb as usize,
             "{high_water} slots for at most 5 full blocks"
         );
+    }
+
+    #[test]
+    fn seeded_program_copyback_erase_cycles_read_the_last_bytes_written() {
+        for (seed, page_size) in [(0, 512), (1, 4096), (2, 4096)] {
+            let mut rng = SimRng::new(seed);
+            let g = FlashGeometry {
+                page_size,
+                ..FlashGeometry::tiny()
+            };
+            let mut dev = NandDevice::with_geometry(g);
+            let (blocks, ppb) = (g.blocks_per_plane, g.pages_per_block as usize);
+            // The bytes last written to each page of each block, in
+            // program order.
+            let mut written: Vec<Vec<Vec<u8>>> = vec![Vec::new(); blocks as usize];
+            let mut buf = vec![0; page_size as usize];
+            for _ in 0..2_000 {
+                let b = rng.range(0, u64::from(blocks)) as u32;
+                let (at, dst) = (BlockAddr::new(0, 0, 0, b), written[b as usize].len());
+                match rng.range(0, 8) {
+                    0..=3 if dst < ppb => {
+                        let page = store::tests::shaped_page(&mut rng, page_size as usize);
+                        dev.program_page(0, at.page(dst as u32), &page, Oob::data(0, 0))
+                            .unwrap();
+                        written[b as usize].push(page);
+                    }
+                    4 | 5 if dst < ppb => {
+                        let s = rng.range(0, u64::from(blocks)) as usize;
+                        if s != b as usize && !written[s].is_empty() {
+                            let p = rng.range_usize(0, written[s].len());
+                            let src = BlockAddr::new(0, 0, 0, s as u32).page(p as u32);
+                            dev.copyback(0, src, at.page(dst as u32), None).unwrap();
+                            let page = written[s][p].clone();
+                            written[b as usize].push(page);
+                        }
+                    }
+                    6 => {
+                        dev.erase_block(0, at).unwrap();
+                        written[b as usize].clear();
+                    }
+                    _ => {}
+                }
+                let b = rng.range(0, u64::from(blocks)) as usize;
+                if !written[b].is_empty() {
+                    let p = rng.range_usize(0, written[b].len());
+                    let ppa = BlockAddr::new(0, 0, 0, b as u32).page(p as u32);
+                    dev.read_page(0, ppa, &mut buf).unwrap();
+                    assert_eq!(buf, written[b][p], "seed {seed}: {ppa:?}");
+                }
+            }
+            for (b, pages) in written.iter().enumerate() {
+                for (p, page) in pages.iter().enumerate() {
+                    let ppa = BlockAddr::new(0, 0, 0, b as u32).page(p as u32);
+                    dev.read_page(0, ppa, &mut buf).unwrap();
+                    assert_eq!(&buf, page, "seed {seed}: {ppa:?}");
+                }
+            }
+            assert_store_consistent(&dev);
+        }
     }
 
     #[test]

@@ -33,10 +33,15 @@
 //! one more holder, copying no bytes — exact, because nothing can write to
 //! a programmed page before its block is erased; PAGE READ copies out of
 //! the slot; BLOCK ERASE releases each page's slot, and a slot that no page
-//! holds any more goes on a free list for the next PAGE PROGRAM.  Slots are
-//! taken from the heap in chunks of 16 as the store first needs them, each
-//! padded by 64 bytes.  A device built with `store_data: false` keeps no
-//! slot at all.
+//! holds any more goes on a free list for the next PAGE PROGRAM.  A slot
+//! keeps only the page's non-uniform lines: the page is cut into 64 lines,
+//! a line whose bytes all equal the page's fill byte (the byte of its first
+//! uniform line) is not stored, and the mask of stored lines and the fill
+//! byte sit beside the slot's count, so a mostly free slotted page moves a
+//! few lines instead of 4 KiB each way.  Pages smaller than 64 bytes or not
+//! a multiple of 64 are stored whole.  Slots are taken from the heap in
+//! chunks of 16 as the store first needs them, each padded by 64 bytes.  A
+//! device built with `store_data: false` keeps no slot at all.
 //!
 //! ## Queued submission interface (`device/submit.rs`)
 //!

@@ -16,12 +16,13 @@ pub enum PageState {
 
 /// A physical page: state, the slot holding its user data, and OOB metadata.
 ///
-/// The bytes live in the device's page store: PAGE PROGRAM copies them into
-/// a slot of their own, and COPYBACK gives its destination the source's
-/// slot, so pages that share a slot hold the same bytes (a programmed page
-/// never changes before its block is erased).  Data storage is optional
+/// The bytes live in the device's page store: PAGE PROGRAM copies the lines
+/// that differ from the page's fill byte into a slot of their own, and
+/// COPYBACK gives its destination the source's slot, so pages that share a
+/// slot hold the same bytes (a programmed page never changes before its
+/// block is erased).  Data storage is optional
 /// (`DeviceConfig::store_data`): trace-driven GC experiments only need
-/// command accounting, and skipping the 4 KiB copies keeps multi-gigabyte
+/// command accounting, and skipping the page copies keeps multi-gigabyte
 /// simulated devices cheap.  A page (and so a block or a die) is not
 /// `Clone`: a copy would hold a slot without counting it.
 #[derive(Debug)]

@@ -103,16 +103,24 @@ impl Timeline {
 
     fn insert(&mut self, at: usize, start: SimInstant, end: SimInstant) {
         // Merge with exactly-adjacent neighbours to keep the list short.
-        let merges_prev = at > 0 && self.intervals[at - 1].1 == start;
-        let merges_next = at < self.intervals.len() && self.intervals[at].0 == end;
-        match (merges_prev, merges_next) {
-            (true, true) => {
-                self.intervals[at - 1].1 = self.intervals[at].1;
-                self.intervals.remove(at);
+        if at == self.intervals.len() {
+            // The tail, every ratchet reservation: extend the last interval
+            // or append one.
+            match self.intervals.back_mut() {
+                Some(last) if last.1 == start => last.1 = end,
+                _ => self.intervals.push_back((start, end)),
             }
-            (true, false) => self.intervals[at - 1].1 = end,
-            (false, true) => self.intervals[at].0 = start,
-            (false, false) => self.intervals.insert(at, (start, end)),
+        } else {
+            let merges_prev = at > 0 && self.intervals[at - 1].1 == start;
+            match (merges_prev, self.intervals[at].0 == end) {
+                (true, true) => {
+                    self.intervals[at - 1].1 = self.intervals[at].1;
+                    self.intervals.remove(at);
+                }
+                (true, false) => self.intervals[at - 1].1 = end,
+                (false, true) => self.intervals[at].0 = start,
+                (false, false) => self.intervals.insert(at, (start, end)),
+            }
         }
         if self.intervals.len() > MAX_INTERVALS {
             // Coalesce the two oldest intervals, sacrificing the most
