@@ -54,16 +54,17 @@ pub struct NoFtlConfig {
     /// Per-die command-queue depth used by the asynchronous write path
     /// (`1` = synchronous dispatch; see [`crate::NoFtl::set_async_depth`]).
     pub async_queue_depth: usize,
-    /// Maximum pages per GC relocation program dispatch (`0` and `1` both
-    /// dispatch each relocation as a run of one).
+    /// Pages per GC relocation program dispatch.  Accepts only `0` or `1`:
+    /// every cross-plane relocation is a program run of one, and
+    /// [`crate::NoFtl::with_device`] panics on any other value.  Kept only
+    /// because the benchmark's stack literal names it; ROADMAP item 1
+    /// deletes it.
     pub gc_batch_pages: usize,
-    /// Read-heat penalty of GC victim scoring (`0.0` = off, the default:
-    /// victim selection is read-blind and identical to the legacy scorer).
-    /// When positive, a candidate block on a die whose
-    /// [`nand_flash::FlashStats::per_die_reads`] occupancy is `h`× the
-    /// per-die mean has its score divided by `1 + penalty × h`, steering
-    /// reclamation toward read-cold dies so relocations interfere less with
-    /// foreground read traffic.
+    /// Read-heat penalty of GC victim scoring.  Accepts only `0.0`: victim
+    /// selection is read-blind ([`crate::gc::select_victim`]), and
+    /// [`crate::NoFtl::with_device`] panics on any other value.  Kept only
+    /// because the benchmark's stack literal names it; ROADMAP item 1
+    /// deletes it.
     pub gc_read_heat_penalty: f64,
     /// Proactive GC scheduling threshold, in in-flight device reads
     /// (`0` = off, the default: GC only runs on demand from the allocator's

@@ -32,8 +32,8 @@
 //!
 //! * [`mapping::HostMappingTable`] keeps **both** directions as dense arrays:
 //!   logical→physical indexed by LPN, physical→logical indexed by flat
-//!   physical page ([`sim_utils::flatmap::FlatMap`]).  GC's "which LPN lives
-//!   here?" is one indexed load.
+//!   physical page ([`sim_utils::pagetable::PageTable`]).  GC's "which LPN
+//!   lives here?" is one indexed load.
 //! * [`regions::RegionManager`] precomputes a `die_flat → RegionId` table, so
 //!   `region_of_die` / `region_of_block` are one load instead of a scan over
 //!   the region lists; free blocks are queued **per die**, so opening a fresh
@@ -77,15 +77,15 @@
 //! is about.  GC still *chains* its own commands (it must observe its own
 //! relocations); only the queue admission is shared.
 //!
-//! ## GC relocation batching (`noftl/relocate.rs`)
+//! ## GC relocation (`noftl/relocate.rs`)
 //!
 //! GC relocates a victim's survivors plane-locally via COPYBACK when it can.
-//! Cross-plane survivors go through read + program in same-die runs of up to
-//! `max(`[`NoFtlConfig::gc_batch_pages`]`, 1)` pages: one program dispatch
-//! per run, issued once the run's source reads completed (pending runs flush
-//! before any interleaved copyback so the destination block's
-//! sequential-programming order holds).  The default is a run of one per
-//! relocation; there is no second per-page body.
+//! A cross-plane survivor goes through read + program: one program dispatch
+//! per page, issued once its source read completed and once the next
+//! survivor's destination is allocated, and always before an interleaved
+//! copyback so the destination block's sequential-programming order holds.
+//! Victims are scored by [`gc::select_victim`] on garbage alone (greedy, or
+//! weighed against wear); read traffic does not steer them.
 //!
 //! ## Flash-fault recovery (PR 6)
 //!
@@ -103,8 +103,9 @@
 //!   ([`regions::RegionManager::rollback_unprogrammed`] — otherwise the
 //!   region's write pointer desynchronises from the device's sequential
 //!   programming rule), retires the block (relocating its live pages), and
-//!   re-programs the remainder on fresh blocks.  GC's batched relocation path
-//!   does the same unwind for its pending destination runs.
+//!   re-programs the remainder on fresh blocks.  A failed GC relocation
+//!   program rolls back the next survivor's destination, already allocated,
+//!   the same way; its own block is retired.
 //! * **Erase failure** — the victim block is retired permanently through
 //!   [`bad_block::BadBlockManager`] (grown defect, spare capacity shrinks);
 //!   already-relocated survivors keep their new homes and GC restarts victim

@@ -12,10 +12,9 @@
 //! anywhere on the per-page path.
 //!
 //! The API splits cleanly into `&self` readers ([`HostMappingTable::get`],
-//! [`HostMappingTable::reverse`], [`HostMappingTable::mapped`], ...) and
-//! `&mut self` writers ([`HostMappingTable::update`],
-//! [`HostMappingTable::unmap`]): no interior mutability, no hidden caches on
-//! the read path.
+//! [`HostMappingTable::reverse`]) and `&mut self` writers
+//! ([`HostMappingTable::update`], [`HostMappingTable::unmap`]): no interior
+//! mutability, no hidden caches on the read path.
 
 /// The host-resident page table: [`sim_utils::pagetable::PageTable`] — the
 /// same structure an on-device page-mapping FTL keeps (`ftl::mapping::PageMap`

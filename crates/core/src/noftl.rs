@@ -35,7 +35,6 @@ mod redundancy;
 mod relocate;
 
 use redundancy::Stripe;
-use relocate::Relocation;
 
 /// DBMS-integrated Flash management (the paper's contribution).
 pub struct NoFtl {
@@ -55,31 +54,16 @@ pub struct NoFtl {
     page_size: usize,
     /// Working lists kept for their capacity between calls (each is taken,
     /// filled, used and put back): the survivors of the block a GC run or an
-    /// evacuation is emptying, the pending relocation run and its page
-    /// contents (page `i` of the run at `i * page_size`), and a write
-    /// batch's per-region page indices and `(allocated page, batch index)`
-    /// placement.
+    /// evacuation is emptying, the page content of the pending cross-plane
+    /// relocation, and a write batch's per-region page indices and
+    /// `(allocated page, batch index)` placement.
     survivors: Vec<(Ppa, u64)>,
-    relocation_run: Vec<Relocation>,
     relocation_data: Vec<u8>,
     batch_by_region: Vec<Vec<usize>>,
     batch_allocs: Vec<(Ppa, usize)>,
     /// Per-die command-queue depth of the asynchronous write path (1 = every
     /// dispatch waits for its predecessor: the synchronous semantics).
     async_depth: usize,
-    /// Pages per GC relocation program dispatch (0 and 1 both mean one).
-    gc_batch_pages: usize,
-    /// Read-heat penalty of GC victim scoring (0.0 = read-blind, identical
-    /// to the legacy scorer; see [`crate::gc::select_victim`]).
-    gc_read_heat_penalty: f64,
-    /// Decaying per-die recent-read accumulator feeding victim scoring:
-    /// halved and topped up with the [`FlashStats::per_die_reads`] delta at
-    /// every victim selection, so heat tracks *current* interference rather
-    /// than lifetime totals (stale skew decays away).  Maintained only while
-    /// the penalty is on.
-    gc_read_heat: Vec<u64>,
-    /// `per_die_reads` snapshot the last heat update was taken against.
-    gc_read_marker: Vec<u64>,
     /// Proactive GC read-occupancy threshold (0 = scheduling off; see
     /// [`NoFtl::schedule_gc`]).
     gc_schedule_read_occupancy: usize,
@@ -120,18 +104,11 @@ pub struct NoFtl {
     /// Online-rebuild cursors: `(die_flat, next page offset inside the
     /// die)` for every dead die whose mapped pages are still being walked.
     rebuild_cursors: Vec<(usize, u64)>,
-    /// Cumulative device reads issued by reconstruction / rebuild /
-    /// redundancy maintenance, per die — subtracted from the GC read-heat
-    /// deltas so rebuild traffic cannot bias victim selection.
-    rebuild_reads_per_die: Vec<u64>,
-    /// `rebuild_reads_per_die` snapshot of the last heat update.
-    rebuild_read_marker: Vec<u64>,
-    /// Completion instant of re-protection work done while unwinding the
-    /// committed prefix of a failed batched relocation.  The error path
-    /// cannot carry a timestamp, so the work is stashed here and folded
-    /// into the retirement that always follows the failure
-    /// ([`NoFtl::retire_failed_block`] takes it).  Stays 0 with redundancy
-    /// off, keeping the off leg cycle-identical.
+    /// Dispatch instant of a GC relocation program that failed with
+    /// redundancy on.  The error path cannot carry a timestamp, so it is
+    /// stashed here and the retirement that always follows the failure
+    /// starts from it ([`NoFtl::retire_failed_block`] takes it).  Stays 0
+    /// with redundancy off, keeping the off leg cycle-identical.
     unwind_horizon: SimInstant,
 }
 
@@ -184,6 +161,8 @@ impl NoFtl {
             .logical_pages()
             .min(((usable_pages as f64) * (1.0 - config.op_ratio)).floor() as u64);
         assert!(logical_pages > 0, "no logical capacity left after OP");
+        assert!(config.gc_batch_pages <= 1, "gc_batch_pages accepts only 0 or 1");
+        assert!(config.gc_read_heat_penalty == 0.0, "gc_read_heat_penalty accepts only 0.0");
         let mut device = device;
         device.set_queue_depth(config.async_queue_depth.max(1));
         let faults_active = device.faults_enabled();
@@ -199,8 +178,6 @@ impl NoFtl {
             mirror_of: Vec::new(),
             known_dead: Vec::new(),
             rebuild_cursors: Vec::new(),
-            rebuild_reads_per_die: Vec::new(),
-            rebuild_read_marker: Vec::new(),
             unwind_horizon: 0,
             scrub_threshold: config.scrub_read_disturb_threshold.max(1),
             device,
@@ -216,15 +193,10 @@ impl NoFtl {
             gc_high: config.gc_high_watermark.max(config.gc_low_watermark + 1),
             page_size: geometry.page_size as usize,
             survivors: Vec::new(),
-            relocation_run: Vec::new(),
             relocation_data: Vec::new(),
             batch_by_region: Vec::new(),
             batch_allocs: Vec::new(),
             async_depth: config.async_queue_depth.max(1),
-            gc_batch_pages: config.gc_batch_pages,
-            gc_read_heat_penalty: config.gc_read_heat_penalty,
-            gc_read_heat: Vec::new(),
-            gc_read_marker: Vec::new(),
             gc_schedule_read_occupancy: config.gc_schedule_read_occupancy,
         };
         noftl.refresh_redundancy();
@@ -697,9 +669,7 @@ impl NoFtl {
     ///   paths may place differently: the sequential path re-checks GC
     ///   before every page, while the batch path runs GC once per region
     ///   per submission and spills a drained region's remainder to other
-    ///   regions.  That GC relocates cross-plane survivors in same-die runs
-    ///   of up to `max(`[`NoFtlConfig::gc_batch_pages`]`, 1)` pages, one
-    ///   program dispatch per run, as every GC does;
+    ///   regions;
     /// * if the same LPN appears twice, the later entry supersedes the
     ///   earlier one, exactly as sequential writes would.
     ///

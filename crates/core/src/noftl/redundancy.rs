@@ -81,30 +81,6 @@ impl NoFtl {
         self.stripe_of.get(flat as usize).copied().filter(|&s| s != NO_STRIPE)
     }
 
-    /// A device read issued for reconstruction / redundancy maintenance /
-    /// rebuild: identical to [`NoFtl::read_page_retrying`], but the per-die
-    /// read counts it adds are shadow-tracked so GC's read-heat accumulator
-    /// can subtract them ([`NoFtl::gc_region_once`]) — rebuild traffic must
-    /// not masquerade as foreground heat and bias victim selection.
-    pub(super) fn reconstruction_read(
-        &mut self,
-        now: SimInstant,
-        ppa: Ppa,
-        buf: &mut [u8],
-    ) -> FlashResult<(Oob, OpCompletion)> {
-        let g = *self.device.geometry();
-        let die = ppa.die_addr().flat(&g) as usize;
-        let reads = |n: &Self| n.device.stats().per_die_reads.get(die).copied().unwrap_or(0);
-        let before = reads(self);
-        let res = self.read_page_retrying(now, ppa, buf);
-        let after = reads(self);
-        if self.rebuild_reads_per_die.len() <= die {
-            self.rebuild_reads_per_die.resize(die + 1, 0);
-        }
-        self.rebuild_reads_per_die[die] += after.saturating_sub(before);
-        res
-    }
-
     /// Post-commit protection hook: `lpn` just landed at `ppa` with content
     /// `data`.  Depending on the page's policy this mirrors it onto another
     /// die or joins it to the open parity stripe.  Must be called *after*
@@ -384,7 +360,7 @@ impl NoFtl {
         let mut t = now;
         let mut buf = vec![0u8; self.page_size];
         for m in dying {
-            match self.reconstruction_read(t, Ppa::from_flat(&g, m), &mut buf) {
+            match self.read_page_retrying(t, Ppa::from_flat(&g, m), &mut buf) {
                 Ok((_, c)) => {
                     t = t.max(c.completed_at);
                     xor_into(&mut self.open_stripe_xor, &buf);
@@ -424,7 +400,7 @@ impl NoFtl {
         let other_die = other.die_addr().flat(&g) as usize;
         let mut buf = vec![0u8; self.page_size];
         if !self.regions.die_dead(other_die) {
-            if let Ok((_, c)) = self.reconstruction_read(t, other, &mut buf) {
+            if let Ok((_, c)) = self.read_page_retrying(t, other, &mut buf) {
                 t = t.max(c.completed_at);
                 t = self.mirror_write(t, other, &buf)?;
             }
@@ -434,7 +410,7 @@ impl NoFtl {
         // readable instance.  Rescue it through the normal write path (which
         // updates the mapping off the dead die and re-protects).
         let dying = Ppa::from_flat(&g, dying_flat);
-        if let Ok((_, c)) = self.reconstruction_read(t, dying, &mut buf) {
+        if let Ok((_, c)) = self.read_page_retrying(t, dying, &mut buf) {
             t = t.max(c.completed_at);
             self.stats.reconstructed_pages += 1;
             let w = self.write(t, lpn, &buf)?;
@@ -489,7 +465,7 @@ impl NoFtl {
                 // keep failing typed and the rebuild walker counts the loss.
                 continue;
             }
-            if let Ok((_, c)) = self.reconstruction_read(t, pm, &mut buf) {
+            if let Ok((_, c)) = self.read_page_retrying(t, pm, &mut buf) {
                 t = t.max(c.completed_at);
                 if let RedundancyPolicy::Parity(k) = self.policy_of_lpn(lpn) {
                     t = self.stripe_join(t, m, &buf, k)?;
@@ -524,7 +500,7 @@ impl NoFtl {
             if p == exclude {
                 continue;
             }
-            let (_, c) = self.reconstruction_read(t, Ppa::from_flat(&g, p), &mut tmp)?;
+            let (_, c) = self.read_page_retrying(t, Ppa::from_flat(&g, p), &mut tmp)?;
             t = t.max(c.completed_at);
             xor_into(buf, &tmp);
         }
@@ -543,7 +519,7 @@ impl NoFtl {
     ) -> FlashResult<SimInstant> {
         let g = *self.device.geometry();
         if let Some(other) = self.mirror_copy(flat) {
-            let (_, c) = self.reconstruction_read(now, Ppa::from_flat(&g, other), buf)?;
+            let (_, c) = self.read_page_retrying(now, Ppa::from_flat(&g, other), buf)?;
             self.stats.reconstructed_pages += 1;
             return Ok(c.completed_at);
         }

@@ -10,10 +10,6 @@ use crate::config::RedundancyPolicy;
 use crate::gc::select_victim;
 use crate::regions::RegionId;
 
-/// A cross-plane relocation read into host memory and waiting for its run's
-/// program dispatch: `(source page, destination page, logical page, OOB)`.
-pub(super) type Relocation = (Ppa, Ppa, u64, Oob);
-
 impl NoFtl {
     /// Proactively reclaim one victim block in the most-pressured region,
     /// but only during a *read-cold* instant: when
@@ -86,10 +82,11 @@ impl NoFtl {
     }
 
     /// Return destination pages that were allocated but never programmed —
-    /// the uncommitted tail of a run whose dispatch failed with `err` — to
-    /// the allocator, so it stays in lockstep with the blocks' sequential
-    /// write pointers.  Pages of the block a failed PAGE PROGRAM names are
-    /// skipped: that block is retired wholesale by the caller.
+    /// the uncommitted tail of a write run, or a relocation's destinations,
+    /// whose dispatch failed with `err` — to the allocator, so it stays in
+    /// lockstep with the blocks' sequential write pointers.  Pages of the
+    /// block a failed PAGE PROGRAM names are skipped: that block is retired
+    /// wholesale by the caller.
     pub(super) fn rollback_unprogrammed(&mut self, err: &FlashError, unprogrammed: impl Iterator<Item = Ppa>) {
         let failed_block = match err {
             FlashError::ProgramFailed(p) => Some(p.block_addr()),
@@ -130,15 +127,14 @@ impl NoFtl {
     /// reverse mappings are gone (those would permanently skew
     /// `invalid_pages` counts and GC victim scoring).
     ///
-    /// Plane-local survivors move by copyback.  Cross-plane survivors are read
-    /// into host memory and re-programmed in same-die runs of up to
-    /// `max(gc_batch_pages, 1)` pages, one program dispatch per run
-    /// ([`nand_flash::NativeFlashInterface::program_pages`]) ordered behind
-    /// the run's source reads ([`NoFtl::flush_relocations`]); any pending run
-    /// is flushed before a copyback so the destination block's sequential
-    /// programming order is preserved.  Every relocation command goes through the dispatch
-    /// helpers, so under async background GC queues behind — and delays —
-    /// foreground flush/read traffic.
+    /// Plane-local survivors move by copyback.  A cross-plane survivor is
+    /// read into host memory and re-programmed as a run of one
+    /// ([`NoFtl::program_relocation`]), dispatched once the next survivor's
+    /// destination is allocated, and always before a copyback so the
+    /// destination block's sequential programming order is preserved.
+    /// Every relocation command goes through the dispatch helpers, so under
+    /// async background GC queues behind — and delays — foreground
+    /// flush/read traffic.
     ///
     /// Returns the completion time, whether every survivor moved and how
     /// many there were.  When the region runs out of space mid-relocation
@@ -163,38 +159,35 @@ impl NoFtl {
             };
             survivors.push((src, lpn));
         }
-        let mut run = std::mem::take(&mut self.relocation_run);
         let mut data = std::mem::take(&mut self.relocation_data);
-        run.clear();
-        let moved = self.relocate_runs(now, region, &survivors, &mut run, &mut data);
+        let moved = self.relocate_pages(now, region, &survivors, &mut data);
         let count = survivors.len() as u64;
         self.survivors = survivors;
-        self.relocation_run = run;
         self.relocation_data = data;
         moved.map(|(t, all)| (t, all, count))
     }
 
     /// The body of [`NoFtl::relocate_block`] over its survivors — (source
-    /// page, logical page) pairs — and working lists: `run` (empty on entry)
-    /// is the pending relocation run and `data` its page contents.
-    fn relocate_runs(
+    /// page, logical page) pairs — with `data` as the page buffer of the
+    /// pending cross-plane relocation.
+    fn relocate_pages(
         &mut self,
         now: SimInstant,
         region: RegionId,
         survivors: &[(Ppa, u64)],
-        run: &mut Vec<Relocation>,
         data: &mut Vec<u8>,
     ) -> FlashResult<(SimInstant, bool)> {
         let mut t = now;
-        let cap = self.gc_batch_pages.max(1);
-        let ps = self.page_size;
-        // Completion horizon of the pending run's source reads.
-        let mut ready: SimInstant = 0;
+        let mut pending = None;
         for &(src, lpn) in survivors {
+            // The destination is allocated before the pending program
+            // dispatches, and goes back to the allocator if that dispatch
+            // fails.
             let Some(dst) = self.regions.allocate_page_in(region) else {
-                t = self.flush_relocations(t, ready, run, data, None)?;
+                t = self.program_relocation(t, pending, data, None)?;
                 return Ok((t, false));
             };
+            t = self.program_relocation(t, pending.take(), data, Some(dst))?;
             // A parity-protected page must re-join the open stripe at its
             // new address, which needs the host-side content — so its
             // relocation always goes read + program, never copyback.  With
@@ -206,18 +199,6 @@ impl NoFtl {
                 && dst.channel == src.channel
                 && dst.die == src.die
                 && dst.plane == src.plane;
-            // A copyback programs the destination block's next page, so a
-            // pending run must land first to keep program order; a full run
-            // or one bound for another die dispatches before this page joins.
-            if same_plane
-                || run.len() >= cap
-                || run
-                    .last()
-                    .is_some_and(|&(_, d, _, _)| d.die_addr() != dst.die_addr())
-            {
-                t = self.flush_relocations(t, ready, run, data, Some(dst))?;
-                ready = 0;
-            }
             if same_plane {
                 let c = match self.dispatch_copyback(t, src, dst) {
                     Ok(c) => c,
@@ -234,110 +215,61 @@ impl NoFtl {
                 t = self.commit_relocation(t.max(c.completed_at), src, dst, lpn, None)?;
                 continue;
             }
-            // Read now, program as part of the run.  The source read gets
-            // the retry ladder: a survivor whose first read overwhelms ECC
-            // is usually recoverable on a re-sense, and GC must not lose it
-            // over one bad draw.
-            let slot = run.len() * ps;
-            if data.len() < slot + ps {
-                data.resize(slot + ps, 0);
-            }
-            let (oob, c) = match self.read_page_retrying(t, src, &mut data[slot..slot + ps]) {
+            // Read now, program once the next destination is allocated.  The
+            // source read gets the retry ladder: a survivor whose first read
+            // overwhelms ECC is usually recoverable on a re-sense, and GC
+            // must not lose it over one bad draw.
+            data.resize(self.page_size, 0);
+            let (oob, c) = match self.read_page_retrying(t, src, data) {
                 Ok(r) => r,
                 Err(e) => {
-                    // Nothing dispatched: the whole pending run plus this
-                    // destination goes back to the allocator.
-                    let dsts = run.iter().map(|&(_, d, _, _)| d).chain([dst]);
-                    self.rollback_unprogrammed(&e, dsts);
+                    self.rollback_unprogrammed(&e, std::iter::once(dst));
                     return Err(e);
                 }
             };
-            ready = ready.max(c.completed_at);
-            run.push((src, dst, lpn, oob));
+            pending = Some(((src, dst, lpn, oob), c.completed_at));
         }
-        t = self.flush_relocations(t, ready, run, data, None)?;
+        t = self.program_relocation(t, pending, data, None)?;
         Ok((t, true))
     }
 
-    /// Dispatch the pending relocation `run` (page `i`'s content at
-    /// `data[i * page_size..]`), whose source reads completed by `ready`,
-    /// as one program run at `now` and commit their mapping/bookkeeping
-    /// updates.  Leaves `run` empty.
+    /// Program the `pending` relocation — `(source, destination, logical
+    /// page, OOB)` with its content in `data` and its source read complete
+    /// at the paired instant — at `now`, and commit its mapping and
+    /// bookkeeping updates.  Nothing pending returns `now`.
     ///
-    /// The dispatch may not start before its data exists.  A run bound for
-    /// the die its sources were read from is ordered behind those reads by
+    /// The dispatch may not start before its data exists.  A program bound
+    /// for the die its source was read from is ordered behind that read by
     /// the die's channel, so it issues at `now` like any synchronous command
-    /// (and queued, at `ready`); a run onto another die always waits for
-    /// `ready`, whatever the queue depth.
+    /// (and queued, at the read's completion); a program onto another die
+    /// always waits for the read, whatever the queue depth.
     ///
-    /// On a failed dispatch the destinations that were allocated but never
-    /// programmed — the uncommitted rest of `run` and `extra`, a destination
-    /// the caller allocated *after* the run — go back to the allocator
+    /// On a failed dispatch the destination and `extra`, a destination the
+    /// caller allocated *after* the pending one, go back to the allocator
     /// before the error propagates.
-    fn flush_relocations(
+    fn program_relocation(
         &mut self,
         now: SimInstant,
-        ready: SimInstant,
-        run: &mut Vec<Relocation>,
+        pending: Option<((Ppa, Ppa, u64, Oob), SimInstant)>,
         data: &[u8],
         extra: Option<Ppa>,
     ) -> FlashResult<SimInstant> {
-        let cross_die = run
-            .iter()
-            .any(|&(src, dst, _, _)| src.die_addr() != dst.die_addr());
-        let now = if cross_die { now.max(ready) } else { now };
-        let ps = self.page_size;
-        let page = |i: usize| &data[i * ps..(i + 1) * ps];
-        let dispatched = match run.as_slice() {
-            [] => return Ok(now),
-            // A run of one (every relocation at the default batch size)
-            // needs no list.
-            &[(_, dst, _, oob)] => self.dispatch_program_run(now, ready, &[(dst, page(0), oob)]),
-            _ => {
-                let ops: Vec<(Ppa, &[u8], Oob)> = run
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(_, dst, _, oob))| (dst, page(i), oob))
-                    .collect();
-                self.dispatch_program_run(now, ready, &ops)
+        let Some(((src, dst, lpn, oob), ready)) = pending else {
+            return Ok(now);
+        };
+        let now = if src.die_addr() != dst.die_addr() { now.max(ready) } else { now };
+        match self.dispatch_program_run(now, ready, &[(dst, data, oob)]) {
+            Ok(c) => self.commit_relocation(now.max(c.completed_at), src, dst, lpn, Some(data)),
+            Err(e) => {
+                if self.redundancy_active && matches!(e, FlashError::ProgramFailed(_)) {
+                    // The retirement that follows the failed program starts
+                    // from the dispatch instant, which the error cannot carry.
+                    self.unwind_horizon = self.unwind_horizon.max(now);
+                }
+                self.rollback_unprogrammed(&e, std::iter::once(dst).chain(extra));
+                Err(e)
             }
-        };
-        // How much of the run is committed on the device.  After a failed
-        // PAGE PROGRAM that is the pages before the failing one: their
-        // mapping updates must land now (a valid page without a reverse
-        // mapping would never be reclaimed), while the failing relocation
-        // and the rest of the run stay uncommitted — their sources are still
-        // valid and mapped, so the caller can re-collect them after retiring
-        // the failed block.
-        let (committed, mut t, failure) = match dispatched {
-            Ok(c) => (run.len(), now.max(c.completed_at), None),
-            Err(e @ FlashError::ProgramFailed(failed)) => {
-                let pos = run.iter().position(|&(_, dst, _, _)| dst == failed).unwrap_or(0);
-                (pos, now, Some(e))
-            }
-            Err(e) => (0, now, Some(e)),
-        };
-        if failure.is_none() && run.len() > 1 {
-            self.stats.gc_batch_dispatches += 1;
         }
-        for (i, &(src, dst, lpn, _)) in run[..committed].iter().enumerate() {
-            t = self.commit_relocation(t, src, dst, lpn, Some(page(i)))?;
-        }
-        let Some(e) = failure else {
-            run.clear();
-            return Ok(t);
-        };
-        if self.redundancy_active && matches!(e, FlashError::ProgramFailed(_)) {
-            // The re-protection work above must still land on the GC
-            // timeline even though this path propagates an error: the
-            // retirement that follows the failed program picks the horizon
-            // up.
-            self.unwind_horizon = self.unwind_horizon.max(t);
-        }
-        let dsts = run[committed..].iter().map(|&(_, d, _, _)| d).chain(extra);
-        self.rollback_unprogrammed(&e, dsts);
-        run.clear();
-        Err(e)
     }
 
     /// Erase a reclaimed block, retiring it when it is worn out.  The erase
@@ -421,9 +353,8 @@ impl NoFtl {
         // Out of the allocation pools first, so relocation destinations can
         // never land in the block being retired.
         self.regions.retire_block(block);
-        // Fold in re-protection work a failed batched relocation did while
-        // unwinding its committed prefix — the error that routed control
-        // here could not carry its completion instant.
+        // Start no earlier than the failed relocation program's dispatch —
+        // the error that routed control here could not carry that instant.
         let t = now.max(std::mem::take(&mut self.unwind_horizon));
         let (mut t, _) = self.evacuate_block(t, block)?;
         // Retirement takes the block's content out of service exactly like
@@ -530,36 +461,7 @@ impl NoFtl {
         now: SimInstant,
         region: RegionId,
     ) -> FlashResult<Option<SimInstant>> {
-        if self.gc_read_heat_penalty > 0.0 {
-            // Decay-and-top-up the recent-read heat: halve the accumulator
-            // and add the reads since the last selection, so victim scoring
-            // reacts to current read traffic and old skew fades out.
-            // Reconstruction/rebuild reads are subtracted out via their
-            // shadow accumulator — repair traffic is not foreground demand
-            // and must not steer victims away from the dies being repaired.
-            let cur = self.device.stats().per_die_reads.clone();
-            self.gc_read_heat.resize(cur.len(), 0);
-            self.gc_read_marker.resize(cur.len(), 0);
-            self.rebuild_reads_per_die.resize(cur.len(), 0);
-            self.rebuild_read_marker.resize(cur.len(), 0);
-            for (i, &reads) in cur.iter().enumerate() {
-                let delta = reads.saturating_sub(self.gc_read_marker[i]);
-                let shadow = self.rebuild_reads_per_die[i]
-                    .saturating_sub(self.rebuild_read_marker[i]);
-                self.gc_read_heat[i] =
-                    self.gc_read_heat[i] / 2 + delta.saturating_sub(shadow);
-                self.gc_read_marker[i] = reads;
-                self.rebuild_read_marker[i] = self.rebuild_reads_per_die[i];
-            }
-        }
-        let Some(victim) = select_victim(
-            &self.device,
-            &self.regions,
-            region,
-            self.gc_policy,
-            self.gc_read_heat_penalty,
-            &self.gc_read_heat,
-        ) else {
+        let Some(victim) = select_victim(&self.device, &self.regions, region, self.gc_policy) else {
             return Ok(None);
         };
         // Credit dead-page hints: invalid pages the DBMS declared dead are
@@ -879,185 +781,108 @@ mod tests {
         }
     }
 
-    /// Overwrite storm fixture on a 2-plane die so GC exercises both the
-    /// copyback (plane-local) and read+program (cross-plane) relocation
-    /// paths.  Returns (device trace, per-lpn content, gc stats).
-    fn gc_storm(gc_batch_pages: usize) -> (Vec<String>, Vec<Vec<u8>>, u64, u64, u64) {
-        let mut g = FlashGeometry::tiny();
-        g.planes_per_die = 2; // 2 planes x 8 blocks x 8 pages
-        let mut cfg = NoFtlConfig::new(g);
-        cfg.op_ratio = 0.30;
-        cfg.gc_low_watermark = 2;
-        cfg.gc_high_watermark = 3;
-        cfg.gc_batch_pages = gc_batch_pages;
-        let mut dev_cfg = DeviceConfig::new(g);
-        dev_cfg.trace_capacity = 1 << 16;
-        let device = NandDevice::new(dev_cfg);
-        let mut n = NoFtl::with_device(device, cfg);
-        let lpns = n.logical_pages();
-        let mut now = 0;
-        // Seed every page, then overwrite a skewed subset: victims keep live
-        // survivors that GC must relocate.
-        for lpn in 0..lpns {
-            let data = vec![lpn as u8; n.page_size];
-            now = n.write(now, lpn, &data).unwrap().completed_at;
-        }
-        for round in 1u8..12 {
-            for lpn in (0..lpns).filter(|l| l % 3 != 0) {
-                let data = vec![round ^ lpn as u8; n.page_size];
-                now = n.write(now, lpn, &data).unwrap().completed_at;
-            }
-        }
-        let trace: Vec<String> = n
-            .device
-            .tracer()
-            .entries()
-            .iter()
-            .map(|e| format!("{e:?}"))
-            .collect();
-        let mut contents = Vec::new();
-        let mut buf = vec![0u8; n.page_size];
-        for lpn in 0..lpns {
-            n.read(now, lpn, &mut buf).unwrap();
-            contents.push(buf.clone());
-        }
-        let s = n.stats();
-        (trace, contents, s.gc_page_copies, s.gc_erases, s.gc_batch_dispatches)
-    }
-
-    #[test]
-    fn gc_read_heat_penalty_plumbs_from_config_and_steers_victims() {
-        // End-to-end knob check: equal garbage on two dies, all read traffic
-        // on the first — the read-blind default reclaims the read-hot die's
-        // block (die-order tie-break), the penalty steers GC to the cold die.
-        let victim_for = |penalty: f64| -> BlockAddr {
-            let g = FlashGeometry::small();
-            let mut cfg = NoFtlConfig::new(g);
-            cfg.striping = StripingMode::Single;
-            cfg.gc_read_heat_penalty = penalty;
-            let mut n = NoFtl::new(cfg);
-            let data = vec![1u8; n.page_size];
-            let ppb = g.pages_per_block as u64;
-            // Fill two blocks (single striping round-robins dies at block
-            // boundaries: block 0 → die 0, block 1 → die 1) plus one page so
-            // both close.
-            for lpn in 0..(2 * ppb + 1) {
-                n.write(0, lpn, &data).unwrap();
-            }
-            // Equal garbage in both closed blocks.
-            for lpn in 0..4u64 {
-                n.write(0, lpn, &data).unwrap();
-            }
-            for lpn in ppb..ppb + 4 {
-                n.write(0, lpn, &data).unwrap();
-            }
-            // Hammer reads on the first block's survivors (die 0 only).
-            let mut buf = vec![0u8; n.page_size];
-            for _ in 0..10 {
-                for lpn in 4..8u64 {
-                    n.read(0, lpn, &mut buf).unwrap();
-                }
-            }
-            // One GC pass through the full plumbing (recent-heat decay +
-            // scorer); the erased victim identifies the chosen block.
-            n.gc_region_once(1_000, 0).unwrap().expect("garbage to reclaim");
-            let mut erased = Vec::new();
-            for ch in 0..g.channels {
-                for d in 0..g.dies_per_channel {
-                    for pl in 0..g.planes_per_die {
-                        for b in 0..g.blocks_per_plane {
-                            let addr = BlockAddr::new(ch, d, pl, b);
-                            if n.device.block_info(addr).unwrap().erase_count > 0 {
-                                erased.push(addr);
-                            }
-                        }
-                    }
-                }
-            }
-            assert_eq!(erased.len(), 1, "exactly one block reclaimed");
-            erased[0]
-        };
-        assert_eq!(NoFtlConfig::new(FlashGeometry::small()).gc_read_heat_penalty, 0.0);
-        let read_blind = victim_for(0.0);
-        let read_aware = victim_for(4.0);
-        assert_ne!(
-            read_blind.die_addr(),
-            read_aware.die_addr(),
-            "the penalty must move the victim off the read-hot die"
-        );
-        assert_eq!(read_blind, BlockAddr::new(0, 0, 0, 0));
-    }
-
-    #[test]
-    fn batched_gc_relocation_preserves_content_and_work() {
-        let (trace_legacy, contents_legacy, copies_l, erases_l, dispatches_l) = gc_storm(0);
-        let (trace_one, _, _, _, _) = gc_storm(1);
-        assert!(erases_l > 0, "storm must trigger GC");
-        assert!(copies_l > 0, "storm must relocate survivors");
-        assert_eq!(
-            trace_legacy, trace_one,
-            "batch sizes 0 and 1 both mean runs of one"
-        );
-        assert_eq!(dispatches_l, 0, "runs of one are not batch dispatches");
-        let (_, contents_batched, copies_b, erases_b, dispatches_b) = gc_storm(8);
-        assert!(
-            dispatches_b > 0,
-            "cross-plane survivors must flow through multi-page dispatches"
-        );
-        assert_eq!(contents_batched, contents_legacy, "batching must not corrupt data");
-        assert_eq!(copies_b, copies_l, "same GC decisions, same copy count");
-        assert_eq!(erases_b, erases_l);
-    }
-
     #[test]
     fn batched_gc_cross_die_program_waits_for_its_source_reads() {
-        // Regression (code review): a relocation program run must not
-        // dispatch before the reads that produced its data completed — with
-        // a cross-die destination, die occupancy alone does not order them.
-        // Runs of one (the default) and runs of eight take the same path.
-        for cap in [1usize, 8] {
-            let g = FlashGeometry::small(); // 4 dies
-            let mut cfg = NoFtlConfig::new(g);
-            cfg.striping = StripingMode::Single;
-            cfg.gc_batch_pages = cap;
-            let mut n = NoFtl::new(cfg);
-            let data = vec![5u8; n.page_size];
-            let ppb = g.pages_per_block as u64;
-            // Fill the die-0 block, then open the next block (die 1 under the
-            // round-robin cursor) so relocations allocate on a different die.
-            for lpn in 0..=ppb {
-                n.write(0, lpn, &data).unwrap();
-            }
-            let src_block = BlockAddr::new(0, 0, 0, 0);
-            let survivors: Vec<(Ppa, u64)> =
-                (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
-            let t0 = 10_000_000;
-            let programs = n.device.stats().programs;
-            let (end, all) = n
-                .relocate_runs(t0, 0, &survivors, &mut Vec::new(), &mut Vec::new())
-                .unwrap();
-            assert!(all);
-            assert_eq!(n.device.stats().programs - programs, 4);
-            assert_eq!(n.stats().gc_batch_dispatches, u64::from(cap > 1), "cap {cap}");
-            let timing = n.device.timing();
-            let floor = if cap > 1 {
-                timing.read_page + timing.program_page
-            } else {
-                4 * (timing.read_page + timing.program_page)
-            };
-            assert!(
-                end - t0 >= floor,
-                "cap {cap}: each dispatch must be charged behind its source reads: end-t0={}",
-                end - t0
-            );
-            // The sources moved: invalidated on the old block, readable content.
-            assert_eq!(n.device.block_info(src_block).unwrap().invalid_pages, 4);
-            let mut buf = vec![0u8; n.page_size];
-            for lpn in 0..4u64 {
-                n.read(end, lpn, &mut buf).unwrap();
-                assert_eq!(buf, data);
+        // Regression (code review): a relocation program must not dispatch
+        // before the read that produced its data completed — with a
+        // cross-die destination, die occupancy alone does not order them.
+        let g = FlashGeometry::small(); // 4 dies
+        let mut cfg = NoFtlConfig::new(g);
+        cfg.striping = StripingMode::Single;
+        let mut n = NoFtl::new(cfg);
+        let data = vec![5u8; n.page_size];
+        let ppb = g.pages_per_block as u64;
+        // Fill the die-0 block, then open the next block (die 1 under the
+        // round-robin cursor) so relocations allocate on a different die.
+        for lpn in 0..=ppb {
+            n.write(0, lpn, &data).unwrap();
+        }
+        let src_block = BlockAddr::new(0, 0, 0, 0);
+        let survivors: Vec<(Ppa, u64)> = (0..4u32).map(|p| (src_block.page(p), p as u64)).collect();
+        let t0 = 10_000_000;
+        let programs = n.device.stats().programs;
+        let (end, all) = n.relocate_pages(t0, 0, &survivors, &mut Vec::new()).unwrap();
+        assert!(all);
+        assert_eq!(n.device.stats().programs - programs, 4);
+        let timing = n.device.timing();
+        let floor = 4 * (timing.read_page + timing.program_page);
+        assert!(
+            end - t0 >= floor,
+            "each program must be charged behind its source read: end-t0={}",
+            end - t0
+        );
+        // The sources moved: invalidated on the old block, readable content.
+        assert_eq!(n.device.block_info(src_block).unwrap().invalid_pages, 4);
+        let mut buf = vec![0u8; n.page_size];
+        for lpn in 0..4u64 {
+            n.read(end, lpn, &mut buf).unwrap();
+            assert_eq!(buf, data);
+        }
+    }
+
+    #[test]
+    fn failed_relocation_program_sends_the_next_destination_block_to_the_back() {
+        // The next survivor's destination is allocated before the pending
+        // program dispatches.  When that program fails, the fresh block the
+        // destination opened goes back to the back of its die's free list,
+        // so the blocks opened after the failure skip it.
+        let g = FlashGeometry::small(); // 4 dies, 1 plane each
+        let mut cfg = NoFtlConfig::new(g);
+        cfg.striping = StripingMode::Single;
+        let mut n = NoFtl::new(cfg);
+        let data = vec![3u8; n.page_size];
+        let ppb = g.pages_per_block as u64;
+        // Fill the die-0 block and all but the last page of a die-1 block:
+        // the first survivor's destination is that last page, the second's
+        // opens the first block of die 2.
+        for lpn in 0..2 * ppb - 1 {
+            n.write(0, lpn, &data).unwrap();
+        }
+        let src = BlockAddr::new(0, 0, 0, 0);
+        let fresh = BlockAddr::new(1, 0, 0, 0);
+        let mut plan = FaultPlan::seeded(1);
+        plan.program_fail_base = 1.0;
+        plan.program_fail_wear_scale = 0.0;
+        plan.read_error_base = 0.0;
+        n.set_fault_plan(Some(plan));
+        let survivors = [(src.page(0), 0), (src.page(1), 1)];
+        let err = n.relocate_pages(1_000_000, 0, &survivors, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, FlashError::ProgramFailed(BlockAddr::new(0, 1, 0, 0).page(g.pages_per_block - 1)));
+        assert!(n.regions.is_free(fresh));
+        n.set_fault_plan(None);
+        let mut opened = Vec::new();
+        for lpn in 2 * ppb - 1..5 * ppb {
+            n.write(2_000_000, lpn, &data).unwrap();
+            let ppa = Ppa::from_flat(&g, n.map.get(lpn).unwrap());
+            if ppa.page == 0 {
+                opened.push(ppa.block_addr());
             }
         }
+        assert_eq!(
+            opened,
+            [
+                BlockAddr::new(1, 1, 0, 0),
+                BlockAddr::new(0, 0, 0, 1),
+                BlockAddr::new(0, 1, 0, 1),
+                BlockAddr::new(1, 0, 0, 1),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gc_batch_pages accepts only 0 or 1")]
+    fn gc_batch_pages_above_one_is_refused() {
+        let mut cfg = NoFtlConfig::new(FlashGeometry::tiny());
+        cfg.gc_batch_pages = 2;
+        NoFtl::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "gc_read_heat_penalty accepts only 0.0")]
+    fn gc_read_heat_penalty_above_zero_is_refused() {
+        let mut cfg = NoFtlConfig::new(FlashGeometry::tiny());
+        cfg.gc_read_heat_penalty = 1.0;
+        NoFtl::new(cfg);
     }
 
     #[test]
@@ -1206,61 +1031,6 @@ mod tests {
             n.read(2_000_000, lpn, &mut buf).unwrap();
             assert_eq!(buf, vec![lpn as u8; 512], "lpn {lpn}");
         }
-    }
-
-    #[test]
-    fn rebuild_reads_do_not_bias_gc_victims() {
-        // Satellite regression: reconstruction/rebuild reads hammering one
-        // die must not register as foreground read heat — the victim choice
-        // with rebuild traffic must equal the read-blind choice without it.
-        let g = FlashGeometry::small();
-        let mut cfg = NoFtlConfig::new(g);
-        cfg.striping = StripingMode::Single;
-        cfg.gc_read_heat_penalty = 4.0;
-        let mut n = NoFtl::new(cfg);
-        let data = vec![1u8; n.page_size];
-        let ppb = g.pages_per_block as u64;
-        let mut now = 0;
-        // Two closed blocks on two dies (Single striping round-robins dies
-        // at block boundaries), then equal garbage in both.
-        for lpn in 0..(ppb * 2) {
-            now = n.write(now, lpn, &data).unwrap().completed_at;
-        }
-        now = n.write(now, ppb * 2, &data).unwrap().completed_at;
-        let first = Ppa::from_flat(&g, n.map.get(0).unwrap()).block_addr();
-        let second =
-            Ppa::from_flat(&g, n.map.get(ppb).unwrap()).block_addr();
-        assert_ne!(first.die_addr(), second.die_addr());
-        for lpn in 0..4u64 {
-            now = n.write(now, lpn, &data).unwrap().completed_at;
-        }
-        for lpn in ppb..ppb + 4 {
-            now = n.write(now, lpn, &data).unwrap().completed_at;
-        }
-        // Hammer reconstruction-class reads on the FIRST block's die — the
-        // read-blind victim.  If these leaked into the heat accumulator the
-        // penalty would steer GC to the second block instead.
-        let mut buf = vec![0u8; n.page_size];
-        for _ in 0..10 {
-            for lpn in 4..8u64 {
-                let ppa = Ppa::from_flat(&g, n.map.get(lpn).unwrap());
-                now = n
-                    .reconstruction_read(now, ppa, &mut buf)
-                    .unwrap()
-                    .1
-                    .completed_at;
-            }
-        }
-        n.gc_region_once(now, 0).unwrap();
-        assert!(
-            n.regions.is_free(first),
-            "victim choice must match the read-blind choice (reclaim {first:?})"
-        );
-        assert!(!n.regions.is_free(second));
-        // The shadow accumulator absorbed the reconstruction reads entirely.
-        let die = first.die_addr().flat(&g) as usize;
-        assert_eq!(n.gc_read_heat[die], 0);
-        assert!(n.rebuild_reads_per_die[die] >= 40);
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub type RegionId = usize;
 pub enum StripingMode {
     /// One region per die (the layout used throughout the paper's Figure 4).
     DieWise,
-    /// One region per channel (all dies of a channel share a region).
-    ChannelWise,
     /// A single region spanning the whole device (no placement control).
     Single,
 }
@@ -46,7 +44,6 @@ impl StripingMode {
     pub fn regions(self, geometry: &FlashGeometry) -> usize {
         match self {
             StripingMode::DieWise => geometry.total_dies() as usize,
-            StripingMode::ChannelWise => geometry.channels as usize,
             StripingMode::Single => 1,
         }
     }
@@ -73,7 +70,6 @@ pub enum FlusherAssignment {
 #[derive(Debug, Clone)]
 pub struct RegionManager {
     geometry: FlashGeometry,
-    striping: StripingMode,
     /// Dies belonging to each region.
     region_dies: Vec<Vec<DieAddr>>,
     /// Dense lookup table: flat die index → region.
@@ -110,7 +106,6 @@ impl RegionManager {
             let die = DieAddr::from_flat(&geometry, die_flat as u64);
             let region = match striping {
                 StripingMode::DieWise => die_flat,
-                StripingMode::ChannelWise => die.channel as usize,
                 StripingMode::Single => 0,
             };
             region_dies[region].push(die);
@@ -131,7 +126,6 @@ impl RegionManager {
         }
         Self {
             geometry,
-            striping,
             region_dies,
             die_to_region,
             free,
@@ -146,11 +140,6 @@ impl RegionManager {
     /// Number of regions.
     pub fn regions(&self) -> usize {
         self.region_dies.len()
-    }
-
-    /// Striping mode in effect.
-    pub fn striping(&self) -> StripingMode {
-        self.striping
     }
 
     /// The dies belonging to `region`.
@@ -415,14 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_wise_groups_dies() {
-        let g = FlashGeometry::small(); // 2 channels x 2 dies
-        let rm = RegionManager::new(g, StripingMode::ChannelWise);
-        assert_eq!(rm.regions(), 2);
-        assert_eq!(rm.dies_of(0).len(), 2);
-    }
-
-    #[test]
     fn single_region_spans_everything() {
         let g = FlashGeometry::small();
         let rm = RegionManager::new(g, StripingMode::Single);
@@ -554,17 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_wise_assigns_every_die_to_its_channel_region() {
-        let g = FlashGeometry::small(); // 2 channels x 2 dies
-        let rm = RegionManager::new(g, StripingMode::ChannelWise);
-        for die_flat in 0..g.total_dies() as u64 {
-            let die = DieAddr::from_flat(&g, die_flat);
-            assert_eq!(rm.region_of_die(die), die.channel as usize);
-            assert!(rm.dies_of(die.channel as usize).contains(&die));
-        }
-    }
-
-    #[test]
     fn single_mode_assigns_every_die_to_region_zero() {
         let g = FlashGeometry::with_dies(8, 512, 32, 4096);
         let rm = RegionManager::new(g, StripingMode::Single);
@@ -579,11 +549,7 @@ mod tests {
     #[test]
     fn region_of_lpn_invariants_across_striping_modes() {
         let g = FlashGeometry::small();
-        for striping in [
-            StripingMode::DieWise,
-            StripingMode::ChannelWise,
-            StripingMode::Single,
-        ] {
+        for striping in [StripingMode::DieWise, StripingMode::Single] {
             let rm = RegionManager::new(g, striping);
             for lpn in 0..500u64 {
                 let r = rm.region_of_lpn(lpn);
@@ -604,11 +570,7 @@ mod tests {
         // The dense die table must agree with the per-block die derivation
         // for every block in every mode.
         let g = FlashGeometry::small();
-        for striping in [
-            StripingMode::DieWise,
-            StripingMode::ChannelWise,
-            StripingMode::Single,
-        ] {
+        for striping in [StripingMode::DieWise, StripingMode::Single] {
             let rm = RegionManager::new(g, striping);
             for flat in 0..g.total_blocks() {
                 let block = BlockAddr::from_flat(&g, flat);
@@ -644,17 +606,15 @@ mod tests {
     }
 
     #[test]
-    fn channel_wise_exhaustion_drains_all_dies_of_the_region() {
-        let g = FlashGeometry::small(); // 2 channels x 2 dies
-        let mut rm = RegionManager::new(g, StripingMode::ChannelWise);
-        let pages_in_region = g.pages_per_die() * 2;
+    fn multi_die_region_exhaustion_drains_every_die() {
+        let g = FlashGeometry::small(); // 4 dies
+        let mut rm = RegionManager::new(g, StripingMode::Single);
         let mut allocated = 0u64;
         while rm.allocate_page_in(0).is_some() {
             allocated += 1;
         }
-        assert_eq!(allocated, pages_in_region);
-        // Region 1 is untouched by region 0's exhaustion.
-        assert_eq!(rm.free_blocks_in(1) as u64, g.total_blocks() / 2);
+        assert_eq!(allocated, g.total_pages());
+        assert_eq!(rm.free_blocks_in(0), 0);
     }
 
     #[test]
@@ -685,14 +645,16 @@ mod tests {
 
     #[test]
     fn multi_die_region_survives_one_dead_die() {
-        let g = FlashGeometry::small(); // 2 channels x 2 dies
-        let mut rm = RegionManager::new(g, StripingMode::ChannelWise);
-        rm.mark_die_dead(0);
-        assert!(rm.region_alive(0), "one die of the channel region survives");
+        let g = FlashGeometry::small(); // 4 dies
+        let mut rm = RegionManager::new(g, StripingMode::Single);
+        for die in 0..3 {
+            rm.mark_die_dead(die);
+        }
+        assert!(rm.region_alive(0), "one die of the region survives");
         // Every allocation now lands on the surviving die.
         for _ in 0..(g.pages_per_block * 3) {
             let ppa = rm.allocate_page_in(0).unwrap();
-            assert_eq!(ppa.die_addr().flat(&g), 1);
+            assert_eq!(ppa.die_addr().flat(&g), 3);
         }
     }
 
@@ -725,14 +687,14 @@ mod tests {
     #[test]
     fn multi_die_region_round_robins_over_dies() {
         let g = FlashGeometry::small();
-        let mut rm = RegionManager::new(g, StripingMode::ChannelWise);
-        // Allocate enough pages to open several blocks and check both dies of
-        // the region get used.
+        let mut rm = RegionManager::new(g, StripingMode::Single);
+        // Allocate enough pages to open one block per die and check every
+        // die of the region gets used.
         let mut dies_used = std::collections::HashSet::new();
-        for _ in 0..(g.pages_per_block * 3) {
+        for _ in 0..(g.pages_per_block * 4) {
             let ppa = rm.allocate_page_in(0).unwrap();
             dies_used.insert(ppa.die_addr());
         }
-        assert!(dies_used.len() >= 2, "expected striping over the region's dies");
+        assert_eq!(dies_used.len(), 4, "expected striping over the region's dies");
     }
 }

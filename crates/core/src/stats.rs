@@ -19,9 +19,6 @@ pub struct NoFtlStats {
     pub gc_dead_skipped: u64,
     /// Blocks erased by GC.
     pub gc_erases: u64,
-    /// Multi-page relocation dispatches issued by batched GC (each covers
-    /// two or more of the [`NoFtlStats::gc_page_copies`]).
-    pub gc_batch_dispatches: u64,
     /// Synchronous GC invocations that stalled a host write.
     pub gc_stalls: u64,
     /// Proactive GC relocations [`crate::NoFtl::schedule_gc`] launched into

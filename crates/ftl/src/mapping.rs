@@ -6,10 +6,10 @@
 //! * [`LruCache`] — the Cached Mapping Table (CMT) used by DFTL: a bounded
 //!   LRU of `lpn → ppa` entries with dirty tracking.
 //!
-//! Both directions of [`PageMap`] and the [`LruCache`] directory are flat
-//! integer structures ([`sim_utils::flatmap::FlatMap`] /
-//! [`sim_utils::intmap::IntMap`]): the FTL baselines must not be artificially
-//! slowed by SipHash lookups the paper's comparisons never charged them for.
+//! Both directions of [`PageMap`] are flat `Vec`s and the [`LruCache`]
+//! directory is a [`sim_utils::intmap::IntMap`]: the FTL baselines must not
+//! be artificially slowed by SipHash lookups the paper's comparisons never
+//! charged them for.
 
 use sim_utils::intmap::IntMap;
 

@@ -85,7 +85,7 @@ impl PageFtl {
         assert!(logical_pages > 0, "over-provisioning leaves no logical space");
         Self {
             device,
-            map: PageMap::new(logical_pages),
+            map: PageMap::with_physical_pages(logical_pages, geometry.total_pages()),
             pools: BlockPools::new_all_free(geometry),
             stats: FtlStats::new(),
             logical_pages,

@@ -1,111 +1,11 @@
-//! Dense, directly-indexed map/set primitives for simulation hot paths.
+//! A dense, directly-indexed set for simulation hot paths.
 //!
 //! The NoFTL argument (paper §3.1) is that the *host* can afford dense
-//! per-page tables where an SSD controller cannot.  These containers are the
-//! code form of that argument: an index-keyed map backed by a plain `Vec`
-//! (one load, no hashing) and a bitset with a popcount-based iterator.  They
-//! replace `HashMap`/`HashSet` on every per-page path of the stack — mapping
-//! tables, GC reverse lookups, log directories, buffer-pool dirty tracking.
-
-/// Sentinel marking an empty [`FlatMap`] slot.  Keys are array indices, so
-/// `u64::MAX` can never be a stored *value*'s owner index in practice (device
-/// page counts are far below it); values equal to the sentinel are rejected.
-const EMPTY: u64 = u64::MAX;
-
-/// A `u64 -> u64` map whose keys are small dense indices (logical or physical
-/// page numbers).  Lookup/insert/remove are a single bounds-checked array
-/// access.  Grows geometrically on insert beyond the current capacity, so it
-/// can be built without knowing the index space up front.
-#[derive(Debug, Clone, Default)]
-pub struct FlatMap {
-    slots: Vec<u64>,
-    len: usize,
-}
-
-impl FlatMap {
-    /// Empty map; grows on demand.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty map pre-sized for indices `0..capacity` (no growth on the hot
-    /// path when the index space is known, e.g. `geometry.total_pages()`).
-    pub fn with_index_capacity(capacity: usize) -> Self {
-        Self {
-            slots: vec![EMPTY; capacity],
-            len: 0,
-        }
-    }
-
-    /// Number of occupied entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entry is present.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Memory footprint of the backing storage in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * core::mem::size_of::<u64>()
-    }
-
-    /// Value stored at `index`, if any.
-    #[inline]
-    pub fn get(&self, index: u64) -> Option<u64> {
-        match self.slots.get(index as usize) {
-            Some(&v) if v != EMPTY => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Whether `index` holds a value.
-    #[inline]
-    pub fn contains(&self, index: u64) -> bool {
-        matches!(self.slots.get(index as usize), Some(&v) if v != EMPTY)
-    }
-
-    /// Store `value` at `index`, returning the previous value if one existed.
-    #[inline]
-    pub fn insert(&mut self, index: u64, value: u64) -> Option<u64> {
-        debug_assert!(value != EMPTY, "FlatMap value space excludes u64::MAX");
-        let i = index as usize;
-        if i >= self.slots.len() {
-            let target = (i + 1).max(self.slots.len() * 2).max(16);
-            self.slots.resize(target, EMPTY);
-        }
-        let old = core::mem::replace(&mut self.slots[i], value);
-        if old == EMPTY {
-            self.len += 1;
-            None
-        } else {
-            Some(old)
-        }
-    }
-
-    /// Remove and return the value at `index`, if any.
-    #[inline]
-    pub fn remove(&mut self, index: u64) -> Option<u64> {
-        match self.slots.get_mut(index as usize) {
-            Some(slot) if *slot != EMPTY => {
-                self.len -= 1;
-                Some(core::mem::replace(slot, EMPTY))
-            }
-            _ => None,
-        }
-    }
-
-    /// Iterate over `(index, value)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != EMPTY)
-            .map(|(i, &v)| (i as u64, v))
-    }
-}
+//! per-page tables where an SSD controller cannot.  [`FlatBitSet`] is the
+//! set form of that argument (the map form is the flat `Vec` inside
+//! [`crate::pagetable::PageTable`]): a bitset with a popcount-based
+//! iterator in place of a `HashSet` on per-page paths — buffer-pool dirty
+//! tracking, FASTer's second-chance set, NoFTL's dead-page hints.
 
 /// A growable bitset over dense indices with O(1) membership updates and a
 /// word-skipping iterator — backs the buffer pool's dirty-page tracking and
@@ -220,49 +120,7 @@ impl Iterator for BitIter {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use std::collections::{HashMap, HashSet};
-
-    #[test]
-    fn flat_map_basics() {
-        let mut m = FlatMap::new();
-        assert_eq!(m.get(3), None);
-        assert_eq!(m.insert(3, 30), None);
-        assert_eq!(m.insert(3, 31), Some(30));
-        assert_eq!(m.get(3), Some(31));
-        assert!(m.contains(3));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.remove(3), Some(31));
-        assert_eq!(m.remove(3), None);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn flat_map_grows_past_capacity() {
-        let mut m = FlatMap::with_index_capacity(4);
-        m.insert(2, 1);
-        m.insert(1000, 2);
-        assert_eq!(m.get(1000), Some(2));
-        assert_eq!(m.get(999), None);
-        assert_eq!(m.len(), 2);
-        let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs, vec![(2, 1), (1000, 2)]);
-    }
-
-    #[test]
-    fn flat_map_matches_hashmap_model() {
-        let mut rng = SimRng::new(42);
-        let mut flat = FlatMap::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..20_000 {
-            let k = rng.range(0, 512);
-            match rng.range(0, 3) {
-                0 => assert_eq!(flat.insert(k, k + 1), model.insert(k, k + 1)),
-                1 => assert_eq!(flat.remove(k), model.remove(&k)),
-                _ => assert_eq!(flat.get(k), model.get(&k).copied()),
-            }
-            assert_eq!(flat.len(), model.len());
-        }
-    }
+    use std::collections::HashSet;
 
     #[test]
     fn bitset_basics() {

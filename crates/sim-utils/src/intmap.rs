@@ -1,6 +1,6 @@
 //! Open-addressing integer hash map for hot paths with *sparse* key spaces.
 //!
-//! Where [`crate::flatmap::FlatMap`] covers dense index keys, `IntMap` covers
+//! Where a flat `Vec` covers dense index keys, `IntMap` covers
 //! keys too sparse to index directly (buffer-pool page ids over a huge
 //! address space, LRU directory entries).  It is a linear-probing table with
 //! Fibonacci hashing, backward-shift deletion (no tombstones) and a load

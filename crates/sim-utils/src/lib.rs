@@ -11,7 +11,7 @@
 //!   report response-time distributions and FTL outliers.
 //! * [`stats`] — human-readable formatting of counts.
 //! * [`time`] — the simulated-time base types (nanosecond ticks).
-//! * [`flatmap`] — dense directly-indexed map/bitset for per-page hot paths.
+//! * [`flatmap`] — dense directly-indexed bitset for per-page hot paths.
 //! * [`intmap`] — open-addressing integer hash map (sparse key spaces).
 //! * [`pagetable`] — the dense page-level translation table (forward +
 //!   reverse) both the FTL baselines and NoFTL map pages with.
@@ -37,7 +37,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::{NuRand, Zipf};
-pub use flatmap::{FlatBitSet, FlatMap};
+pub use flatmap::FlatBitSet;
 pub use histogram::Histogram;
 pub use intmap::IntMap;
 pub use pagetable::PageTable;

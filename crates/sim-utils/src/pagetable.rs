@@ -14,13 +14,11 @@
 //! not about what it is.
 //!
 //! The API splits into `&self` readers ([`PageTable::get`],
-//! [`PageTable::reverse`], [`PageTable::mapped`]) and `&mut self` writers
-//! ([`PageTable::update`], [`PageTable::unmap`]): no interior mutability, no
-//! hidden caches on the read path.
+//! [`PageTable::reverse`]) and `&mut self` writers ([`PageTable::update`],
+//! [`PageTable::unmap`]): no interior mutability, no hidden caches on the
+//! read path.
 
-use crate::flatmap::FlatMap;
-
-/// Sentinel meaning "unmapped".
+/// Sentinel meaning "unmapped", in both directions.
 const UNMAPPED: u64 = u64::MAX;
 
 /// Dense logical→physical page table (flat physical page indices) with an
@@ -29,32 +27,17 @@ const UNMAPPED: u64 = u64::MAX;
 pub struct PageTable {
     forward: Vec<u64>,
     /// Physical flat page → LPN, indexed directly by physical page.
-    reverse: FlatMap,
+    reverse: Vec<u64>,
 }
 
 impl PageTable {
-    /// Create a table for `logical_pages` pages, all unmapped.  The reverse
-    /// table grows on demand; use [`Self::with_physical_pages`] when the
-    /// physical page count is known up front.
-    pub fn new(logical_pages: u64) -> Self {
-        Self {
-            forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::new(),
-        }
-    }
-
-    /// Create a table with the reverse direction pre-sized for
-    /// `physical_pages` flat page indices (no growth during operation).
+    /// Create a table for `logical_pages` pages, all unmapped, with the
+    /// reverse direction sized for `physical_pages` flat page indices.
     pub fn with_physical_pages(logical_pages: u64, physical_pages: u64) -> Self {
         Self {
             forward: vec![UNMAPPED; logical_pages as usize],
-            reverse: FlatMap::with_index_capacity(physical_pages as usize),
+            reverse: vec![UNMAPPED; physical_pages as usize],
         }
-    }
-
-    /// Number of logical pages covered.
-    pub fn logical_pages(&self) -> u64 {
-        self.forward.len() as u64
     }
 
     /// Resolve `lpn` to its physical page (flat index), if mapped.
@@ -67,19 +50,18 @@ impl PageTable {
     /// Which logical page lives at physical page `ppa`, if any.
     #[inline]
     pub fn reverse(&self, ppa: u64) -> Option<u64> {
-        self.reverse.get(ppa)
+        let v = *self.reverse.get(ppa as usize)?;
+        (v != UNMAPPED).then_some(v)
     }
 
     /// Map `lpn` → `ppa`; returns the superseded physical page (which the
     /// caller must invalidate on the device), if any.
     #[inline]
     pub fn update(&mut self, lpn: u64, ppa: u64) -> Option<u64> {
-        let old = core::mem::replace(&mut self.forward[lpn as usize], ppa);
-        if old != UNMAPPED {
-            self.reverse.remove(old);
-        }
-        self.reverse.insert(ppa, lpn);
-        (old != UNMAPPED).then_some(old)
+        let old = self.unmap(lpn);
+        self.forward[lpn as usize] = ppa;
+        self.reverse[ppa as usize] = lpn;
+        old
     }
 
     /// Drop the mapping of `lpn`; returns its physical page, if any.
@@ -89,32 +71,20 @@ impl PageTable {
         if old == UNMAPPED {
             return None;
         }
-        self.reverse.remove(old);
+        self.reverse[old as usize] = UNMAPPED;
         Some(old)
-    }
-
-    /// Number of currently mapped pages.
-    pub fn mapped(&self) -> usize {
-        self.reverse.len()
-    }
-
-    /// Memory footprint of the table in bytes — the resource argument of
-    /// §3.1 (a 10 GB drive at 4 KiB pages needs ~20 MB for the forward
-    /// direction: trivial for a DBMS host, impossible for many SSD
-    /// controllers).  Both directions are flat `u64` arrays, so the
-    /// footprint is exact rather than a hash-table estimate.
-    pub fn memory_bytes(&self) -> usize {
-        self.forward.len() * 8 + self.reverse.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::collections::HashMap;
 
     #[test]
     fn map_unmap_roundtrip() {
-        let mut t = PageTable::new(8);
+        let mut t = PageTable::with_physical_pages(8, 128);
         assert_eq!(t.get(2), None);
         assert_eq!(t.update(2, 77), None);
         assert_eq!(t.get(2), Some(77));
@@ -123,44 +93,55 @@ mod tests {
         assert_eq!(t.update(2, 99), Some(77));
         assert_eq!(t.reverse(77), None);
         assert_eq!(t.reverse(99), Some(2));
-        assert_eq!(t.mapped(), 1);
         assert_eq!(t.unmap(2), Some(99));
         assert_eq!(t.unmap(2), None);
         assert_eq!(t.get(2), None);
-        assert_eq!(t.mapped(), 0);
-    }
-
-    #[test]
-    fn memory_footprint_scales_with_pages() {
-        let small = PageTable::new(1_000);
-        let large = PageTable::new(100_000);
-        assert!(large.memory_bytes() > small.memory_bytes());
-        // ~8 bytes per logical page for the dense array.
-        assert!(large.memory_bytes() >= 800_000);
+        assert_eq!(t.reverse(99), None);
+        // Past either end nothing is mapped.
+        assert_eq!(t.get(8), None);
+        assert_eq!(t.reverse(128), None);
     }
 
     #[test]
     fn presized_reverse_behaves_identically() {
-        let mut lazy = PageTable::new(64);
-        let mut sized = PageTable::with_physical_pages(64, 256);
-        for lpn in 0..64u64 {
-            assert_eq!(lazy.update(lpn, 200 + lpn), sized.update(lpn, 200 + lpn));
+        // Both directions against a hash-map model under random remaps and
+        // unmaps: the reverse table is the exact inverse of the forward one.
+        let mut rng = SimRng::new(42);
+        let mut t = PageTable::with_physical_pages(64, 512);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for _ in 0..20_000 {
+            let lpn = rng.range(0, 64);
+            if rng.range(0, 3) == 0 {
+                assert_eq!(t.unmap(lpn), model.remove(&lpn));
+                continue;
+            }
+            // A free physical page, as an allocator would hand out.
+            let ppa = loop {
+                let p = rng.range(0, 512);
+                if t.reverse(p).is_none() {
+                    break p;
+                }
+            };
+            assert_eq!(t.update(lpn, ppa), model.insert(lpn, ppa));
         }
-        for ppa in 0..256u64 {
-            assert_eq!(lazy.reverse(ppa), sized.reverse(ppa));
+        for lpn in 0..64 {
+            assert_eq!(t.get(lpn), model.get(&lpn).copied());
         }
-        assert_eq!(lazy.mapped(), sized.mapped());
+        let mapped = (0..512).filter(|&p| t.reverse(p).is_some()).count();
+        assert_eq!(mapped, model.len());
+        for (&lpn, &ppa) in &model {
+            assert_eq!(t.reverse(ppa), Some(lpn));
+        }
     }
 
     #[test]
     fn reverse_tracks_gc_style_relocation() {
-        let mut t = PageTable::new(16);
+        let mut t = PageTable::with_physical_pages(16, 64);
         t.update(5, 40);
         // GC moves the physical page: update must clear the stale reverse
         // entry so no physical page resolves to two LPNs.
         t.update(5, 41);
         assert_eq!(t.reverse(40), None);
         assert_eq!(t.reverse(41), Some(5));
-        assert_eq!(t.mapped(), 1);
     }
 }

@@ -676,7 +676,7 @@ impl Counters {
         }));
         all.extend(totals!(&self.noftl => NoFtlStats {
             host_reads, host_writes, dead_page_hints, gc_page_copies, gc_dead_skipped, gc_erases,
-            gc_batch_dispatches, gc_stalls, gc_scheduled_cold, gc_deferred_hot, wear_migrations,
+            gc_stalls, gc_scheduled_cold, gc_deferred_hot, wear_migrations,
             retired_blocks, program_fail_retirements, erase_fail_retirements, read_retries,
             read_retry_successes, scrubbed_blocks, scrub_relocations, parity_pages_written,
             stripes_sealed, stripes_sealed_degraded, stripes_abandoned, open_members_purged,
@@ -712,7 +712,6 @@ impl Counters {
             ("erase failures are erases", f.erase_failures <= f.erases),
             ("one read_latency sample per host read", n.read_latency.count() == n.host_reads),
             ("one write_latency sample per host write", n.write_latency.count() == n.host_writes),
-            ("a batched GC dispatch relocates two pages or more", n.gc_page_copies >= 2 * n.gc_batch_dispatches),
             ("retry successes are retries", n.read_retry_successes <= n.read_retries),
             (
                 "fault retirements are retirements",
@@ -740,10 +739,6 @@ impl Counters {
 
 /// Counters no fixture moves, each with the reason.
 const UNMOVED: &[(&str, &str)] = &[
-    (
-        "NoFtlStats::gc_batch_dispatches",
-        "only `gc_batch_pages > 1` moves it, and no stack sets that (FOUND in CHANGES.md)",
-    ),
     ("NoFtlStats::mirror_skipped_no_space", "every mirror fixture has free space on a second die (ROADMAP item 19)"),
 ];
 
