@@ -175,11 +175,6 @@ impl RegionManager {
         self.free_count[region]
     }
 
-    /// Total free blocks across regions.
-    pub fn total_free_blocks(&self) -> usize {
-        self.free_count.iter().sum()
-    }
-
     /// Return an erased block to its die's pool.
     pub fn release_block(&mut self, block: BlockAddr) {
         let die = self.die_index(block.die_addr());
@@ -400,7 +395,8 @@ mod tests {
         for r in 0..rm.regions() {
             assert_eq!(rm.dies_of(r).len(), 1);
         }
-        assert_eq!(rm.total_free_blocks() as u64, g.total_blocks());
+        let free: usize = (0..rm.regions()).map(|r| rm.free_blocks_in(r)).sum();
+        assert_eq!(free as u64, g.total_blocks());
     }
 
     #[test]
@@ -543,7 +539,8 @@ mod tests {
             assert_eq!(rm.region_of_die(die), 0);
         }
         assert_eq!(rm.dies_of(0).len(), g.total_dies() as usize);
-        assert_eq!(rm.total_free_blocks() as u64, g.total_blocks());
+        let free: usize = (0..rm.regions()).map(|r| rm.free_blocks_in(r)).sum();
+        assert_eq!(free as u64, g.total_blocks());
     }
 
     #[test]

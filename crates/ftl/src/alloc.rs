@@ -166,15 +166,15 @@ impl BlockPools {
     }
 
     /// Move the GC survivor at `src` to a fresh page: on the same plane when
-    /// it has room, as a COPYBACK, otherwise round-robin, as a read into
-    /// `scratch` plus a program.  Returns the destination and the completion
-    /// of the move.
+    /// it has room, as a COPYBACK, otherwise round-robin, as a PAGE READ
+    /// plus a PAGE PROGRAM inside the device ([`NandDevice::copy_page`]),
+    /// keeping the source's OOB either way.  Returns the destination and the
+    /// completion of the move.
     pub fn relocate(
         &mut self,
         device: &mut NandDevice,
         now: SimInstant,
         src: Ppa,
-        scratch: &mut [u8],
     ) -> FlashResult<(Ppa, OpCompletion)> {
         let plane = plane_index(&self.geometry, src.channel, src.die, src.plane);
         let (dst, same_plane) = match self.allocate_page_on(plane) {
@@ -189,8 +189,7 @@ impl BlockPools {
         let completion = if same_plane {
             device.copyback(now, src, dst, None)?
         } else {
-            let (oob, _) = device.read_page(now, src, scratch)?;
-            device.program_page(now, dst, scratch, oob)?
+            device.copy_page(now, src, dst, None)?
         };
         Ok((dst, completion))
     }

@@ -221,9 +221,7 @@ impl Dftl {
             }
             let oob = self.device.peek_oob(src)?;
             let src_flat = src.flat(&g);
-            let (dst, completion) =
-                self.pools
-                    .relocate(&mut self.device, t, src, &mut self.scratch)?;
+            let (dst, completion) = self.pools.relocate(&mut self.device, t, src)?;
             t = t.max(completion.completed_at);
             let dst_flat = dst.flat(&g);
             self.stats.gc_page_copies += 1;

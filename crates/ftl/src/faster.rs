@@ -83,7 +83,6 @@ pub struct FasterFtl {
     logical_pages: u64,
     pages_per_block: u64,
     page_size: usize,
-    scratch: Vec<u8>,
     /// The second-chance survivors of the log block being reclaimed — their
     /// LPNs and, back to back, their page images — kept for their capacity
     /// between merges.
@@ -135,7 +134,6 @@ impl FasterFtl {
             logical_pages,
             pages_per_block: geometry.pages_per_block as u64,
             page_size: geometry.page_size as usize,
-            scratch: vec![0u8; geometry.page_size as usize],
             survivor_lpns: Vec::new(),
             survivor_bytes: Vec::new(),
         }
@@ -171,8 +169,9 @@ impl FasterFtl {
         Ok(())
     }
 
-    /// Move one page (`src` → `dst`), preferring COPYBACK when both ends sit
-    /// on the same plane. Returns the completion time.
+    /// Move one page (`src` → `dst`) inside the device: a COPYBACK when both
+    /// ends sit on the same plane, otherwise a PAGE READ plus a PAGE PROGRAM
+    /// ([`NandDevice::copy_page`]). Returns the completion time.
     fn relocate(
         &mut self,
         now: SimInstant,
@@ -184,11 +183,7 @@ impl FasterFtl {
         {
             self.device.copyback(now, src, dst, Some(oob))?
         } else {
-            let mut buf = std::mem::take(&mut self.scratch);
-            self.device.read_page(now, src, &mut buf)?;
-            let c = self.device.program_page(now, dst, &buf, oob)?;
-            self.scratch = buf;
-            c
+            self.device.copy_page(now, src, dst, Some(oob))?
         };
         self.stats.gc_page_copies += 1;
         Ok(completion.completed_at)

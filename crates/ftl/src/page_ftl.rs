@@ -69,8 +69,6 @@ pub struct PageFtl {
     gc_low: usize,
     gc_high: usize,
     page_size: usize,
-    /// Buffer of GC moves that cross planes.
-    scratch: Vec<u8>,
 }
 
 impl PageFtl {
@@ -92,7 +90,6 @@ impl PageFtl {
             gc_low: config.gc_low_watermark.max(1),
             gc_high: config.gc_high_watermark.max(config.gc_low_watermark + 1),
             page_size: geometry.page_size as usize,
-            scratch: vec![0u8; geometry.page_size as usize],
         }
     }
 
@@ -121,9 +118,7 @@ impl PageFtl {
                 // trimmed it concurrently; treat as garbage.
                 continue;
             };
-            let (dst, completion) =
-                self.pools
-                    .relocate(&mut self.device, t, src, &mut self.scratch)?;
+            let (dst, completion) = self.pools.relocate(&mut self.device, t, src)?;
             t = t.max(completion.completed_at);
             self.map.update(lpn, dst.flat(&g));
             self.stats.gc_page_copies += 1;

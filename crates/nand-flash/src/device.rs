@@ -33,11 +33,11 @@ pub struct DeviceConfig {
     /// Whether page contents are stored (`true`) or only metadata is tracked
     /// (`false`, cheaper — used by trace-driven experiments).  Stored
     /// contents live in the device's page store: one reference-counted slot
-    /// per PAGE PROGRAM, holding the page's lines that differ from its fill
-    /// byte, shared by every COPYBACK of that page and released by BLOCK
-    /// ERASE, in heap chunks of 16 slots taken as the store first needs
-    /// them.  With `false` the store keeps no slot and every read returns
-    /// zeroes.
+    /// per PAGE PROGRAM of host bytes, holding the page's lines that differ
+    /// from its fill byte, shared by every COPYBACK and
+    /// [`NandDevice::copy_page`] of that page and released by BLOCK ERASE,
+    /// in heap chunks of 16 slots taken as the store first needs them.
+    /// With `false` the store keeps no slot and every read returns zeroes.
     pub store_data: bool,
     /// Bad-block injection policy.
     pub bad_blocks: BadBlockPolicy,
@@ -450,8 +450,10 @@ impl NandDevice {
     // PAGE READ and PAGE PROGRAM each have exactly one body: validation, fault
     // draw, page store, `Timeline` occupancy, `FlashStats` and `TraceEntry`
     // live here and nowhere else.  A single-page command is a run of one; the
-    // `NativeFlashInterface` methods and the `submit_*` wrappers only adapt
-    // their arguments.
+    // `NativeFlashInterface` methods, the `submit_*` wrappers and `copy_page`
+    // only adapt their arguments.  Each body is generic over where a page's
+    // bytes come from or go (`ReadInto`, `ProgramFrom`): a host buffer, or
+    // the store itself for `copy_page`.
 
     /// The instant-completion of an empty run: no command issues.
     fn empty_run(now: SimInstant) -> OpCompletion {
@@ -484,10 +486,10 @@ impl NandDevice {
     /// time than the dedicated body it replaced (measured; PAGE PROGRAM shows
     /// no such difference, so `program_run` is left to the compiler).
     #[inline(always)]
-    fn read_run(
+    fn read_run<B: ReadInto>(
         &mut self,
         now: SimInstant,
-        ops: &mut [(Ppa, &mut [u8])],
+        ops: &mut [(Ppa, B)],
     ) -> FlashResult<(Oob, OpCompletion)> {
         let Some(first) = ops.first().map(|(ppa, _)| *ppa) else {
             return Ok((Oob::default(), Self::empty_run(now)));
@@ -507,7 +509,7 @@ impl NandDevice {
             }
             let block_addr = ppa.block_addr();
             self.check_usable(block_addr)?;
-            check_buf(buf.len(), self.geometry.page_size as usize)?;
+            buf.check(self.geometry.page_size as usize)?;
             if self.block_ref(block_addr).page(ppa.page).state == PageState::Free {
                 return Err(FlashError::ReadOfUnwrittenPage(*ppa));
             }
@@ -526,10 +528,7 @@ impl NandDevice {
         let mut completed_at = issue;
         for (ppa, buf) in ops.iter_mut() {
             let page = self.block_ref(ppa.block_addr()).page(ppa.page);
-            match page.data {
-                Some(slot) => self.store.read(slot, buf),
-                None => buf.fill(0),
-            }
+            buf.receive(&self.store, page.data);
             oob = page.oob;
             let read_fault = self.draw_read_fault(now, ppa.block_addr());
 
@@ -578,10 +577,10 @@ impl NandDevice {
     /// page of blocks this run already programs into, and the pages already
     /// claimed by this run (duplicate detection on permissive,
     /// non-strict-sequential devices).
-    fn validate_program_run(
+    fn validate_program_run<D: ProgramFrom>(
         &mut self,
         now: SimInstant,
-        ops: &[(Ppa, &[u8], Oob)],
+        ops: &[(Ppa, D, Oob)],
         (expected, seen): &mut (Vec<(BlockAddr, u32)>, Vec<Ppa>),
     ) -> FlashResult<()> {
         let Some(&(first, _, _)) = ops.first() else {
@@ -601,7 +600,7 @@ impl NandDevice {
             }
             let block_addr = ppa.block_addr();
             self.check_usable(block_addr)?;
-            check_buf(data.len(), self.geometry.page_size as usize)?;
+            data.check(self.geometry.page_size as usize)?;
             if batched {
                 if seen.contains(ppa) {
                     return Err(FlashError::ProgramOnDirtyPage(*ppa));
@@ -644,10 +643,10 @@ impl NandDevice {
     /// counters (`multi_page_dispatches`, `batched_pages`) move only for runs
     /// longer than one page, and a run of one never touches the validator's
     /// scratch vectors.
-    fn program_run(
+    fn program_run<D: ProgramFrom>(
         &mut self,
         now: SimInstant,
-        ops: &[(Ppa, &[u8], Oob)],
+        ops: &[(Ppa, D, Oob)],
     ) -> FlashResult<OpCompletion> {
         let Some(&(first, _, _)) = ops.first() else {
             return Ok(Self::empty_run(now));
@@ -675,7 +674,7 @@ impl NandDevice {
         let mut failed = None;
         for (ppa, data, oob) in ops {
             let fails = self.draw_program_fault(ppa.block_addr());
-            let stored = self.store_data.then(|| self.store.put(data));
+            let stored = data.hold(&mut self.store, self.store_data);
             let mut oob = *oob;
             if oob.sequence == 0 {
                 oob.sequence = self.next_sequence();
@@ -721,6 +720,94 @@ impl NandDevice {
             }
             None => Ok(completion),
         }
+    }
+
+    /// Move a page inside the device: a PAGE READ of `src`, then a PAGE
+    /// PROGRAM of the same bytes to `dst` with `new_oob` (the source's OOB
+    /// when `None`), both issued at `now`.  Validation, fault draws, timing,
+    /// [`FlashStats`], trace entries and errors are those of
+    /// [`read_page`](NativeFlashInterface::read_page) followed by
+    /// [`program_page`](NativeFlashInterface::program_page): a read that
+    /// fails returns its error before the program issues.  Only the storage
+    /// differs: the bytes stay in the device, and `dst` shares the source's
+    /// page-store slot instead of taking a copy (exact, because neither page
+    /// can change before its block is erased).  Returns the program's
+    /// completion.
+    pub fn copy_page(
+        &mut self,
+        now: SimInstant,
+        src: Ppa,
+        dst: Ppa,
+        new_oob: Option<Oob>,
+    ) -> FlashResult<OpCompletion> {
+        let (src_oob, _) = self.read_run(now, &mut [(src, InStore)])?;
+        let slot = self.block_ref(src.block_addr()).page(src.page).data;
+        self.program_run(now, &[(dst, Shared(slot), new_oob.unwrap_or(src_oob))])
+    }
+}
+
+/// Where a PAGE READ puts each page's bytes: a host buffer, or nowhere
+/// ([`InStore`]).  `read_run` is generic over it, so each caller compiles to
+/// its own copy of the one body.
+trait ReadInto {
+    /// Check the destination against the page size (a page that stays in
+    /// the store needs no check).
+    fn check(&self, _page_size: usize) -> FlashResult<()> {
+        Ok(())
+    }
+    /// Take the bytes of a page whose data is `slot` (`None`: not stored).
+    fn receive(&mut self, store: &PageStore, slot: Option<u32>);
+}
+
+impl ReadInto for &mut [u8] {
+    fn check(&self, page_size: usize) -> FlashResult<()> {
+        check_buf(self.len(), page_size)
+    }
+
+    fn receive(&mut self, store: &PageStore, slot: Option<u32>) {
+        match slot {
+            Some(slot) => store.read(slot, self),
+            None => self.fill(0),
+        }
+    }
+}
+
+/// The read half of [`NandDevice::copy_page`]: the bytes stay in the store.
+struct InStore;
+
+impl ReadInto for InStore {
+    fn receive(&mut self, _: &PageStore, _: Option<u32>) {}
+}
+
+/// What a PAGE PROGRAM stores: host bytes, or a page already in the store
+/// ([`Shared`]).  `program_run` is generic over it, like `read_run`.
+trait ProgramFrom {
+    /// Check the source against the page size (a page already in the store
+    /// needs no check).
+    fn check(&self, _page_size: usize) -> FlashResult<()> {
+        Ok(())
+    }
+    /// The slot the programmed page holds, if the device stores data.
+    fn hold(&self, store: &mut PageStore, store_data: bool) -> Option<u32>;
+}
+
+impl ProgramFrom for &[u8] {
+    fn check(&self, page_size: usize) -> FlashResult<()> {
+        check_buf(self.len(), page_size)
+    }
+
+    fn hold(&self, store: &mut PageStore, store_data: bool) -> Option<u32> {
+        store_data.then(|| store.put(self))
+    }
+}
+
+/// The program half of [`NandDevice::copy_page`]: the source page's slot
+/// (`None` when the device stores no data), held once more.
+struct Shared(Option<u32>);
+
+impl ProgramFrom for Shared {
+    fn hold(&self, store: &mut PageStore, _: bool) -> Option<u32> {
+        self.0.map(|slot| store.share(slot))
     }
 }
 
@@ -884,8 +971,8 @@ impl NativeFlashInterface for NandDevice {
             return Err(FlashError::ReadOfUnwrittenPage(src));
         }
         self.check_programmable(dst, self.block_ref(dst.block_addr()).next_program_page())?;
-        // The destination shares the source's slot: neither page can change
-        // before its block is erased.
+        // The destination shares the source's slot, as in `copy_page`:
+        // neither page can change before its block is erased.
         let page = self.block_ref(src.block_addr()).page(src.page);
         let (slot, src_oob) = (page.data, page.oob);
         let data = slot.map(|slot| self.store.share(slot));
@@ -1284,6 +1371,152 @@ mod tests {
         dev.read_page(0, a.page(0), &mut buf).unwrap();
         assert_eq!(buf, page_of(&dev, 0), "an unstored page reads as zeroes");
         assert!(dev.store.refs().is_empty(), "the store never took a slot");
+    }
+
+    /// Two dies of two planes, so a copy can stay on its plane, change
+    /// plane or change die.
+    fn two_plane_geometry(page_size: u32) -> FlashGeometry {
+        FlashGeometry {
+            dies_per_channel: 2,
+            planes_per_die: 2,
+            blocks_per_plane: 4,
+            page_size,
+            ..FlashGeometry::tiny()
+        }
+    }
+
+    #[test]
+    fn copy_page_shares_its_source_slot_until_both_blocks_are_erased() {
+        let mut dev = NandDevice::with_geometry(two_plane_geometry(4096));
+        let (a, b) = (BlockAddr::new(0, 0, 0, 0), BlockAddr::new(0, 0, 1, 0));
+        let page = store::tests::shaped_page(&mut SimRng::new(3), 4096);
+        dev.program_page(0, a.page(0), &page, Oob::data(7, 0)).unwrap();
+        dev.copy_page(0, a.page(0), b.page(0), None).unwrap();
+        let slot = dev.block_ref(a).page(0).data.unwrap();
+        assert_eq!(dev.block_ref(b).page(0).data, Some(slot), "dst shares src's slot");
+        assert_eq!((dev.store.live(), dev.store.refs()[slot as usize]), (1, 2));
+        dev.erase_block(0, a).unwrap();
+        assert_eq!(dev.store.live(), 1, "the copy still holds the slot");
+        let mut buf = page_of(&dev, 0);
+        let (oob, _) = dev.read_page(0, b.page(0), &mut buf).unwrap();
+        assert_eq!((buf, oob.lpn), (page, 7));
+        dev.erase_block(0, b).unwrap();
+        assert_eq!(dev.store.live(), 0, "erasing both blocks freed the slot");
+        assert_store_consistent(&dev);
+    }
+
+    /// `copy_page` on one device and `read_page` + `program_page` on its
+    /// twin, driven by the same seeded mix of PROGRAM, COPYBACK, copy and
+    /// ERASE under the same fault plan (ECC and program failures, erase
+    /// failures and wear-out, one die kill): every step returns the same
+    /// stamps or the same error, the page it wrote reads back the same, and
+    /// the stats, trace and every page agree at the end.
+    #[test]
+    fn copy_page_is_a_read_then_a_program() {
+        let cases = [(0, 512, true, true), (1, 4096, true, false), (2, 4096, false, true)];
+        for (seed, page_size, store_data, strict) in cases {
+            let g = two_plane_geometry(page_size);
+            let mut plan = FaultPlan::seeded(seed).with_die_kill(1_200, 1);
+            plan.program_fail_base = 0.03;
+            plan.read_error_base = 0.1;
+            plan.uncorrectable_fraction = 0.3;
+            plan.erase_fail_prob = 0.3;
+            let twin = || {
+                NandDevice::new(DeviceConfig {
+                    store_data,
+                    trace_capacity: 8_192,
+                    strict_sequential_program: strict,
+                    endurance_override: Some(16),
+                    faults: Some(plan.clone()),
+                    ..DeviceConfig::new(g)
+                })
+            };
+            let (mut a, mut b) = (twin(), twin());
+            let mut rng = SimRng::new(seed);
+            let mut buf = vec![0; page_size as usize];
+            let block = |rng: &mut SimRng| BlockAddr::from_flat(&g, rng.range(0, g.total_blocks()));
+            // A page of a random block: mostly a written one (or, for a
+            // destination, the next free one), now and then any page.
+            let page = |rng: &mut SimRng, dev: &NandDevice, written: bool| {
+                let at = block(rng);
+                let next = dev.block_ref(at).next_program_page();
+                let p = match rng.range(0, 10) {
+                    0 => rng.range(0, u64::from(g.pages_per_block)) as u32,
+                    _ if written => rng.range(0, u64::from(next.max(1))) as u32,
+                    _ => next.min(g.pages_per_block - 1),
+                };
+                at.page(p)
+            };
+            let mut other = buf.clone();
+            for step in 0..1_500u64 {
+                let now = step * 50_000;
+                // Each step returns both results and the page it wrote.
+                let (ra, rb, wrote) = match rng.range(0, 20) {
+                    0..=6 => {
+                        let dst = page(&mut rng, &a, false);
+                        let data = store::tests::shaped_page(&mut rng, page_size as usize);
+                        let oob = Oob::data(step, 0);
+                        let rb = b.program_page(now, dst, &data, oob);
+                        (a.program_page(now, dst, &data, oob), rb, Some(dst))
+                    }
+                    7..=9 => {
+                        let (src, dst) = (page(&mut rng, &a, true), page(&mut rng, &a, false));
+                        let rb = b.copyback(now, src, dst, None);
+                        (a.copyback(now, src, dst, None), rb, Some(dst))
+                    }
+                    10..=16 => {
+                        let (src, dst) = (page(&mut rng, &a, true), page(&mut rng, &a, false));
+                        let new_oob = rng.bool_with_prob(0.5).then(|| Oob::data(step, 0));
+                        let rb = match b.read_page(now, src, &mut buf) {
+                            Ok((oob, _)) => b.program_page(now, dst, &buf, new_oob.unwrap_or(oob)),
+                            Err(e) => Err(e),
+                        };
+                        (a.copy_page(now, src, dst, new_oob), rb, Some(dst))
+                    }
+                    _ => {
+                        let at = block(&mut rng);
+                        (a.erase_block(now, at), b.erase_block(now, at), None)
+                    }
+                };
+                assert_eq!(ra, rb, "seed {seed} step {step}");
+                // Read back what the step wrote: same result, same bytes.
+                if let (Ok(_), Some(ppa)) = (ra, wrote) {
+                    buf.fill(0xEE);
+                    other.fill(0xEE);
+                    let ra = a.read_page(now, ppa, &mut buf);
+                    assert_eq!(ra, b.read_page(now, ppa, &mut other), "seed {seed} step {step}");
+                    assert_eq!(buf, other, "seed {seed} step {step}: {ppa:?}");
+                }
+            }
+            assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()), "seed {seed}");
+            assert_eq!(a.tracer().entries(), b.tracer().entries(), "seed {seed}");
+            assert_eq!(a.tracer().dropped(), 0, "seed {seed}: the trace kept every command");
+            let s = a.stats();
+            for (what, n) in [
+                ("uncorrectable read", s.uncorrectable_reads),
+                ("program failure", s.program_failures),
+                ("copyback", s.copybacks),
+                ("erase failure", s.erase_failures),
+            ] {
+                assert!(n > 0, "seed {seed}: no {what}");
+            }
+            assert!(a.any_die_dead(), "seed {seed}: the kill fired");
+            // Read every page back without faults: same result, same bytes.
+            a.set_fault_plan(None);
+            b.set_fault_plan(None);
+            for flat in 0..g.total_pages() {
+                let ppa = Ppa::from_flat(&g, flat);
+                assert_eq!(a.page_state(ppa), b.page_state(ppa), "seed {seed}: {ppa:?}");
+                assert_eq!(a.peek_oob(ppa), b.peek_oob(ppa), "seed {seed}: {ppa:?}");
+                buf.fill(0xEE);
+                other.fill(0xEE);
+                let (ra, rb) = (a.read_page(0, ppa, &mut buf), b.read_page(0, ppa, &mut other));
+                assert_eq!(ra, rb, "seed {seed}: {ppa:?}");
+                assert_eq!(buf, other, "seed {seed}: {ppa:?}");
+            }
+            assert_store_consistent(&a);
+            assert_store_consistent(&b);
+        }
     }
 
     #[test]

@@ -149,7 +149,10 @@ pub trait NativeFlashInterface {
 
     /// COPYBACK PROGRAM: copy a valid page to an erased page on the same
     /// plane without transferring data over the channel.  The destination
-    /// keeps the source's OOB unless `new_oob` overrides it.
+    /// keeps the source's OOB unless `new_oob` overrides it.  In
+    /// [`NandDevice`](crate::NandDevice) the destination shares the source's
+    /// page-store slot, as a [`NandDevice::copy_page`](crate::NandDevice::copy_page)
+    /// destination does; a PAGE PROGRAM of host bytes takes a slot of its own.
     fn copyback(
         &mut self,
         now: SimInstant,

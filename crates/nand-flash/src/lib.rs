@@ -20,7 +20,9 @@
 //! (validation, fault draw, page store, die/channel occupancy, [`FlashStats`]
 //! and trace entry), of which the single-page trait methods are runs of one
 //! and the multi-page methods runs of `k`; `COPYBACK`, `BLOCK ERASE` and the
-//! OOB-only read have one body each.  The [`NativeFlashInterface`] methods
+//! OOB-only read have one body each.  [`NandDevice::copy_page`] runs the
+//! PAGE READ body and then the PAGE PROGRAM body, each compiled for a page
+//! that stays in the store.  The [`NativeFlashInterface`] methods
 //! and the `submit_*` wrappers only adapt arguments, so single-page and
 //! batched dispatch cannot drift apart and the closed-form run costs are
 //! asserted for `k = 1` by the same test that asserts them for `k > 1`.
@@ -29,7 +31,9 @@
 //!
 //! Page contents live in one reference-counted store per device, not in a
 //! buffer per page.  PAGE PROGRAM copies the host bytes into a free slot
-//! held once; COPYBACK gives its destination the source's slot and counts
+//! held once; COPYBACK and [`NandDevice::copy_page`] (a PAGE READ plus a
+//! PAGE PROGRAM that moves a page across planes or dies without its bytes
+//! leaving the device) give their destination the source's slot and count
 //! one more holder, copying no bytes — exact, because nothing can write to
 //! a programmed page before its block is erased; PAGE READ copies out of
 //! the slot; BLOCK ERASE releases each page's slot, and a slot that no page

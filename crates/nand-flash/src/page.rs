@@ -18,8 +18,8 @@ pub enum PageState {
 ///
 /// The bytes live in the device's page store: PAGE PROGRAM copies the lines
 /// that differ from the page's fill byte into a slot of their own, and
-/// COPYBACK gives its destination the source's slot, so pages that share a
-/// slot hold the same bytes (a programmed page never changes before its
+/// COPYBACK and `NandDevice::copy_page` give their destination the source's
+/// slot, so pages that share a slot hold the same bytes (a programmed page never changes before its
 /// block is erased).  Data storage is optional
 /// (`DeviceConfig::store_data`): trace-driven GC experiments only need
 /// command accounting, and skipping the page copies keeps multi-gigabyte

@@ -2,12 +2,14 @@
 //! slots.
 //!
 //! A page that holds data names a slot ([`crate::page::Page`]'s `data`).
-//! PAGE PROGRAM copies the host bytes into a free slot with a count of 1.
-//! COPYBACK gives its destination the source's slot and adds 1 to the
-//! count: it copies no bytes, which is exact because nothing can write to a
-//! programmed page before its block is erased.  BLOCK ERASE releases each
-//! page's slot, and a slot whose count reaches 0 goes on the free list,
-//! where the next PAGE PROGRAM finds it.
+//! PAGE PROGRAM of host bytes copies them into a free slot held once.  Two
+//! commands move a page without its bytes: COPYBACK and
+//! [`NandDevice::copy_page`](crate::NandDevice::copy_page) (a PAGE READ and
+//! a PAGE PROGRAM of the same bytes) give their destination the source's
+//! slot and add 1 to the count.  They copy no bytes, which is exact because
+//! nothing can write to a programmed page before its block is erased.
+//! BLOCK ERASE releases each page's slot, and a slot whose count reaches 0
+//! goes on the free list, where the next PAGE PROGRAM finds it.
 //!
 //! A page is [`LINES`] lines; its fill byte is its first uniform line's byte
 //! (else 0).  A slot keeps only the lines that are not all fill bytes, packed

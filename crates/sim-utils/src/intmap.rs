@@ -59,11 +59,6 @@ impl IntMap {
         self.len == 0
     }
 
-    /// Memory footprint of the backing storage in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        (self.keys.len() + self.vals.len()) * core::mem::size_of::<u64>()
-    }
-
     #[inline]
     fn mask(&self) -> usize {
         self.keys.len() - 1

@@ -322,27 +322,32 @@ fn a_warm_device_programs_copies_and_erases_without_allocating() {
     shapes[4][..1024].fill(0);
     noise(&mut shapes[4], &|i| i % 5 == 2);
     let mut buf = vec![0u8; g.page_size as usize];
-    // One GC round on each die: fill a block, copy half of it into a
-    // second one, read the copies back, and erase both.
+    // One GC round on each die: fill a block, copy its even pages into a
+    // second one by COPYBACK and its odd pages into a third by a read and a
+    // program inside the device, read the copies back, and erase all three.
     let cycle = |dev: &mut NandDevice, buf: &mut [u8], k: u64| {
         // One die per channel.
         for ch in 0..g.channels {
-            let (victim, target) = (BlockAddr::new(ch, 0, 0, 0), BlockAddr::new(ch, 0, 0, 1));
+            let [victim, even, odd] = [0, 1, 2].map(|b| BlockAddr::new(ch, 0, 0, b));
             for p in 0..g.pages_per_block {
                 let data = &shapes[(p as usize + k as usize) % shapes.len()];
                 dev.program_page(0, victim.page(p), data, Oob::data(k + u64::from(p), 0))
                     .unwrap();
             }
             for p in 0..g.pages_per_block / 2 {
-                dev.copyback(0, victim.page(2 * p), target.page(p), None)
+                dev.copyback(0, victim.page(2 * p), even.page(p), None)
+                    .unwrap();
+                dev.copy_page(0, victim.page(2 * p + 1), odd.page(p), None)
                     .unwrap();
             }
             dev.erase_block(0, victim).unwrap();
-            for p in 0..g.pages_per_block / 2 {
-                dev.read_page(0, target.page(p), buf).unwrap();
-                assert_eq!(*buf, shapes[(2 * p as usize + k as usize) % shapes.len()]);
+            for p in 0..g.pages_per_block {
+                let copy = [even, odd][p as usize % 2].page(p / 2);
+                dev.read_page(0, copy, buf).unwrap();
+                assert_eq!(*buf, shapes[(p as usize + k as usize) % shapes.len()]);
             }
-            dev.erase_block(0, target).unwrap();
+            dev.erase_block(0, even).unwrap();
+            dev.erase_block(0, odd).unwrap();
         }
     };
     // Warm-up: the store and the die and channel timelines reach their
@@ -358,12 +363,12 @@ fn a_warm_device_programs_copies_and_erases_without_allocating() {
             cycle(&mut dev, &mut buf, k);
         }
     });
-    // Measured: 0 allocations, 0 bytes (one 4 KiB buffer per PROGRAM or
-    // COPYBACK would be 2 400 here).  The slack is for the harness, whose
-    // reporting threads share the counter.
+    // Measured: 0 allocations, 0 bytes (one 4 KiB buffer per PROGRAM,
+    // COPYBACK or copy would be 6 400 here).  The slack is for the harness,
+    // whose reporting threads share the counter.
     assert!(
         allocs < 16 && bytes < 64 * 1024,
         "{allocs} allocations, {bytes} bytes for {CYCLES} cycles of {} commands",
-        2 * (g.pages_per_block + g.pages_per_block + 2)
+        g.channels * (7 * g.pages_per_block / 2 + 3)
     );
 }
